@@ -29,6 +29,13 @@ def _load_params(path: Optional[str]) -> Optional[dict[str, int]]:
     return {str(k): int(v) for k, v in raw.items()}
 
 
+def _positive_speed(text: str) -> float:
+    speed = float(text)
+    if not speed > 0:
+        raise argparse.ArgumentTypeError(f"speed must be > 0, got {text}")
+    return speed
+
+
 def _rebase_truth(load: ingest.TraceLoad, base_ms: int) -> list[ingest.Interval]:
     return [
         ingest.Interval(i.activity, i.start_ms - base_ms, i.end_ms - base_ms)
@@ -149,8 +156,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         load = ingest.load_trace(path, **scenario.load_trace_kwargs())
         if not load.events:
             continue
-        base_ms = load.events[0].time_ms - procedures.REBASE_START_MS
-        for interval in _rebase_truth(load, base_ms):
+        for interval in _rebase_truth(load, procedures.rebase_offset(load.events)):
             truth.add(participant, interval)
         log_path = run_dir / participant / "dispatch.log"
         if not log_path.exists():
@@ -221,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser("replay", help="replay trace files and emit reports")
     replay.add_argument("--config", help="scenario directory (default: bundled)")
     replay.add_argument("--trace", nargs="+", required=True, help="trace file(s), one per participant")
-    replay.add_argument("--speed", type=float, default=1.0, help="wall-clock speed factor")
-    replay.add_argument("--pure-virtual", action="store_true", default=True,
-                        help="consume events as fast as possible (default)")
-    replay.add_argument("--wall", action="store_true", help="pace replay against the wall clock")
+    replay.add_argument("--speed", type=_positive_speed, default=1.0,
+                        help="wall-clock speed factor, > 0; only matters with --wall")
+    replay.add_argument("--wall", action="store_true",
+                        help="pace replay against the wall clock (default: as fast as possible)")
     replay.add_argument("--params", help="JSON file overriding model parameters")
     replay.add_argument("--out", required=True, help="report directory")
     replay.add_argument("--grace", type=int, default=metrics.DEFAULT_GRACE_MS,

@@ -562,8 +562,3 @@ class _Compiler:
 def compile_model(ast: ModelAst) -> CompiledModel:
     """Compile a parsed model to rules plus windowed pre-pass specs."""
     return _Compiler(ast).compile()
-
-
-def load_model_file(path) -> ModelAst:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read())

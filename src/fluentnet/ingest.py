@@ -22,8 +22,6 @@ from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TextIO, Union
 
-from .network import VirtualClock
-
 DEFAULT_VALUE_MAP: dict[str, bool] = {
     "ON": True,
     "OFF": False,
@@ -271,17 +269,18 @@ def load_dataset(
 
 
 def drive(
-    clock: VirtualClock,
     events: Iterable[TraceEvent],
     speed: float = 1.0,
     pure_virtual: bool = True,
     sleeper: Callable[[float], None] = _time.sleep,
 ) -> Iterator[TraceEvent]:
-    """Yield events in order as virtual time passes.
+    """Yield events in order, paced by the wall clock or not at all.
 
     In pure-virtual mode events are handed over as fast as the consumer can
     process them, timestamps untouched.  In wall-clock mode the original
-    inter-event gaps are slept through, divided by ``speed``.
+    inter-event gaps are slept through, divided by ``speed``.  The consumer
+    moves its own virtual clock: it may have work due before an event's
+    time that must run first.
     """
     if speed <= 0:
         raise ValueError("speed factor must be positive")
@@ -290,5 +289,4 @@ def drive(
         if not pure_virtual and previous is not None and event.time_ms > previous:
             sleeper((event.time_ms - previous) / 1000.0 / speed)
         previous = event.time_ms
-        clock.advance_to(event.time_ms)
         yield event

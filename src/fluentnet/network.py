@@ -1,4 +1,4 @@
-"""Network description, bootstrap and the condition/event scheduling loop.
+"""Network description, bootstrap and the mutation-driven scheduler.
 
 The network is declared in one plain-text document: nodes (each backed by a
 store model file), procedures (with the key of the algorithm they run and
@@ -10,9 +10,13 @@ runtime network.
 Scheduling is edge-triggered: a condition sampled from false to true
 re-arms and re-evaluates the events observing it; an event whose conditions
 all hold fires once and stays consumed until one of its conditions rises
-again.  A procedure fires when any of its required events fires.  The whole
-loop runs on one logical thread of control against a virtual clock, so a
-fixed configuration and trace always produce the same dispatch log.
+again.  A procedure fires when any of its required events fires.  A
+condition's outcome can only change when its node's store changes, so a
+store mutation schedules one sample of that node's conditions at their
+next rate tick, and :meth:`RuntimeNetwork.pending_until` runs those samples
+in time order.  Everything runs on one logical thread of control against a
+virtual clock, so a fixed configuration and trace always produce the same
+dispatch log.
 """
 
 from __future__ import annotations
@@ -251,10 +255,9 @@ def load_network(text: str) -> NetworkModel:
 
 @dataclass
 class VirtualClock:
-    """Monotone virtual time in ms; ``speed`` only scales wall-clock replay."""
+    """Monotone virtual time in ms."""
 
     now: int = 0
-    speed: Fraction = Fraction(1)
 
     def advance_to(self, time_ms: int) -> None:
         if time_ms > self.now:
@@ -266,7 +269,6 @@ class ConditionState:
     decl: ConditionDecl
     outcome: bool = False
     last_tick: int = 0
-    last_sample_ms: Optional[int] = None
 
     def due_at_or_after(self, time_ms: int) -> int:
         """Next scheduled sample time: the first unused k/rate tick >= now."""
@@ -297,10 +299,10 @@ class LogEntry:
         return f"{self.time_ms}\t{self.kind}\t{self.name}\t{self.detail}"
 
 
-ProcedureImpl = Callable[["RuntimeNetwork", int], Optional[str]]
+ProcedureImpl = Callable[["RuntimeNetwork", int], None]
 
 
-def _noop(net: "RuntimeNetwork", now_ms: int) -> Optional[str]:
+def _noop(net: "RuntimeNetwork", now_ms: int) -> None:
     return None
 
 
@@ -318,7 +320,6 @@ class RuntimeNetwork:
         model: NetworkModel,
         stores: dict[str, ContextStore],
         procedures: dict[str, ProcedureRuntime],
-        clock: Optional[VirtualClock] = None,
     ) -> None:
         self.model = model
         self.stores = stores
@@ -327,7 +328,7 @@ class RuntimeNetwork:
             c.name: ConditionState(decl=c) for c in model.conditions
         }
         self.events: dict[str, EventState] = {e.name: EventState(decl=e) for e in model.events}
-        self.clock = clock or VirtualClock()
+        self.clock = VirtualClock()
         self.log: list[LogEntry] = []
         self._observers: dict[str, list[str]] = {c.name: [] for c in model.conditions}
         for event in model.events:
@@ -382,7 +383,6 @@ class RuntimeNetwork:
         state = self.conditions[name]
         if schedule_tick:
             state.take_tick(self.clock.now)
-        state.last_sample_ms = self.clock.now
         outcome = self.evaluate_condition(state.decl)
         if outcome == state.outcome:
             return None
@@ -436,42 +436,7 @@ class RuntimeNetwork:
         if risen:
             self._cascade(risen)
 
-    # -- the rate-driven loop ---------------------------------------------------
-
-    def step(self, until: Optional[int] = None) -> list[LogEntry]:
-        """Advance to the next due sample (bounded by ``until``) and run it.
-
-        Returns the log entries appended during this step.  With no due
-        condition before ``until`` the clock still advances and the log
-        stays empty.
-        """
-        mark = len(self.log)
-        due: list[tuple[int, str]] = [
-            (state.due_at_or_after(self.clock.now + 1), name)
-            for name, state in self.conditions.items()
-        ]
-        if not due:
-            if until is not None:
-                self.clock.advance_to(until)
-            return []
-        next_time = min(time for time, _ in due)
-        if until is not None and next_time > until:
-            self.clock.advance_to(until)
-            return []
-        self.clock.advance_to(next_time)
-        self.sample_and_dispatch([name for time, name in due if time == next_time])
-        return self.log[mark:]
-
-    def run_until(self, until: int) -> list[LogEntry]:
-        mark = len(self.log)
-        while self.clock.now < until:
-            before = self.clock.now
-            self.step(until=until)
-            if self.clock.now == before:
-                break
-        return self.log[mark:]
-
-    # -- mutation-aware fast path -------------------------------------------
+    # -- the scheduler loop ---------------------------------------------------
 
     def note_mutation(self, store_name: str) -> None:
         """Record that a store changed; its conditions get a pending sample."""
@@ -486,9 +451,11 @@ class RuntimeNetwork:
     def pending_until(self, limit: int) -> list[LogEntry]:
         """Run pending (mutation-scheduled) samples due at or before ``limit``.
 
-        Between mutations a condition's outcome cannot change, so skipped
-        ticks are bookkept arithmetically and the observable flips match the
-        tick-by-tick loop exactly.
+        Between mutations a condition's outcome cannot change, so the ticks
+        in between are never sampled.  ``tests/oracles.py`` keeps a loop that
+        samples every condition at every tick; the differential tests in
+        ``tests/test_network.py`` and ``tests/test_procedures.py`` require
+        both loops to write byte-identical dispatch logs.
         """
         mark = len(self.log)
         pending = self._pending
@@ -534,7 +501,6 @@ def bootstrap(
     model: NetworkModel,
     base_dir=None,
     implementations: Optional[Mapping[str, ProcedureImpl]] = None,
-    clock: Optional[VirtualClock] = None,
 ) -> RuntimeNetwork:
     """Build the three runtime maps from the network description.
 
@@ -564,7 +530,7 @@ def bootstrap(
         impl = implementations.get(decl.implements, _noop)
         procedures[decl.name] = ProcedureRuntime(decl=decl, impl=impl)
 
-    net = RuntimeNetwork(model=model, stores=stores, procedures=procedures, clock=clock)
+    net = RuntimeNetwork(model=model, stores=stores, procedures=procedures)
     for store_name in stores:
         net.note_mutation(store_name)
     return net

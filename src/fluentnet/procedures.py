@@ -22,14 +22,13 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from . import dsl
 from .context import APPEND, OVERWRITE, ContextStore
-from .ingest import TraceEvent
+from .ingest import TraceEvent, drive
 from .metrics import Telemetry
 from .modelio import StoreModel, load_store_model
 from .network import (
     NetworkModel,
     ProcedureImpl,
     RuntimeNetwork,
-    VirtualClock,
     bootstrap,
     load_network,
 )
@@ -203,11 +202,9 @@ class Replayer:
 
     def __init__(self, session: ReplaySession) -> None:
         self.session = session
-        self.ready = False
 
-    def __call__(self, net: RuntimeNetwork, now_ms: int) -> Optional[str]:
-        self.ready = True
-        return "ready"
+    def __call__(self, net: RuntimeNetwork, now_ms: int) -> None:
+        """Dispatched once at boot; readings arrive through :meth:`replay_step`."""
 
     def replay_step(self, net: RuntimeNetwork, event: TraceEvent) -> bool:
         """Assert one reading (overwrite), then refresh the derived views.
@@ -241,7 +238,7 @@ class Importer:
         self.session = session
         self._last: dict[str, tuple[bool, int]] = {}
 
-    def __call__(self, net: RuntimeNetwork, now_ms: int) -> Optional[str]:
+    def __call__(self, net: RuntimeNetwork, now_ms: int) -> None:
         spatial = net.stores[SPATIAL_NODE]
         target = net.stores[self.binding.node]
         imported = 0
@@ -265,7 +262,6 @@ class Importer:
             mode=OVERWRITE,
         )
         net.notify_sync(self.binding.node, SYNC_STATEMENT)
-        return f"imported={imported}"
 
 
 class Evaluator:
@@ -279,10 +275,8 @@ class Evaluator:
         for rule in binding.compiled.rules:
             self.engine.register_rule(rule)
 
-    def __call__(self, net: RuntimeNetwork, now_ms: int) -> Optional[str]:
-        store = net.stores[self.binding.node]
-        record = self.evaluate_store(store, now_ms, net=net)
-        return f"recognized at {record.time_ms}" if record else None
+    def __call__(self, net: RuntimeNetwork, now_ms: int) -> None:
+        self.evaluate_store(net.stores[self.binding.node], now_ms, net=net)
 
     def run_prepasses(self, store: ContextStore, now_ms: int) -> int:
         """Windowed counts: assert one derived statement per satisfied
@@ -402,56 +396,43 @@ class RunResult:
         return [(r.activity, r.time_ms) for r in self.recognitions]
 
 
+def rebase_offset(events: Sequence[TraceEvent]) -> int:
+    """The offset subtracted from every timestamp of a replay (and of its
+    ground truth), so that the first reading lands ``REBASE_START_MS``
+    after bootstrap."""
+    return events[0].time_ms - REBASE_START_MS if events else 0
+
+
 def run_replay(
     events: Sequence[TraceEvent],
     participant: str = "p01",
-    config_dir: Optional[Path] = None,
-    params: Optional[Mapping[str, int]] = None,
+    *,
+    scenario: Scenario,
     speed: float = 1.0,
     pure_virtual: bool = True,
-    sleeper: Optional[Callable[[float], None]] = None,
-    scenario: Optional[Scenario] = None,
+    sleeper: Callable[[float], None] = time.sleep,
 ) -> RunResult:
     """Replay one participant's readings through a fresh network.
 
-    Timestamps are rebased so the run starts shortly after bootstrap; the
-    offset is returned so ground truth can be rebased identically.  In
-    pure-virtual mode the speed factor plays no role: the scheduler
-    consumes events as fast as computation allows while preserving
-    timestamps, so runs at any factor are identical.
+    Timestamps are rebased by :func:`rebase_offset`, which is returned so
+    ground truth can be rebased identically.  Pacing is
+    :func:`ingest.drive`'s: in pure-virtual mode the speed factor plays no
+    role, the scheduler consumes events as fast as computation allows while
+    preserving timestamps, so runs at any factor are identical.
     """
-    if scenario is None:
-        scenario = load_scenario(config_dir=config_dir, params=params)
     session = ReplaySession(participant=participant)
     implementations, replayer = build_implementations(scenario, session)
-    clock = VirtualClock()
-    net = bootstrap(
-        scenario.model,
-        base_dir=scenario.base_dir,
-        implementations=implementations,
-        clock=clock,
-    )
+    net = bootstrap(scenario.model, base_dir=scenario.base_dir, implementations=implementations)
 
-    base_ms = events[0].time_ms - REBASE_START_MS if events else 0
-    previous: Optional[int] = None
-    for event in events:
-        shifted = event.time_ms - base_ms
-        if not pure_virtual and previous is not None and shifted > previous:
-            delay = (shifted - previous) / 1000.0 / max(speed, 1e-9)
-            (sleeper or time.sleep)(delay)
-        previous = shifted
-        net.pending_until(shifted - 1)
-        net.clock.advance_to(shifted)
-        replayer.replay_step(
-            net,
-            TraceEvent(
-                time_ms=shifted,
-                sensor=event.sensor,
-                value=event.value,
-                activity=event.activity,
-                marker=event.marker,
-            ),
-        )
+    base_ms = rebase_offset(events)
+    rebased = (
+        TraceEvent(e.time_ms - base_ms, e.sensor, e.value, e.activity, e.marker) for e in events
+    )
+    for event in drive(rebased, speed, pure_virtual, sleeper):
+        # samples due before the reading see the store as it was
+        net.pending_until(event.time_ms - 1)
+        net.clock.advance_to(event.time_ms)
+        replayer.replay_step(net, event)
     net.pending_until(net.clock.now + TRAILING_FLUSH_MS)
 
     return RunResult(

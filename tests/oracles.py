@@ -2,13 +2,18 @@
 
 These deliberately re-derive the semantics with naive list scans and
 exhaustive enumeration; they never call into the implementations they
-check.
+check.  The scheduler oracle is the one exception: it reuses the network's
+per-sample dispatch, but drives it by sampling every condition at every
+rate tick instead of only after a store mutation.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
+from fluentnet import procedures
+from fluentnet.network import bootstrap
 from fluentnet.rules import Assign, ClassAtom, Compare, PropertyAtom
 from fluentnet.statements import (
     Logic,
@@ -224,3 +229,55 @@ def _satisfies_all(body, binding, lookup):
             if not ok:
                 return False
     return True
+
+
+# -- scheduler ---------------------------------------------------------------------
+
+def _take_next_tick(net, until):
+    """Sample every condition due at the earliest untaken rate tick, unless
+    that tick lies after ``until``; returns whether one was taken."""
+    due = [(state.due_at_or_after(net.clock.now), name) for name, state in net.conditions.items()]
+    if not due:
+        return False
+    next_time = min(time for time, _ in due)
+    if until is not None and next_time > until:
+        return False
+    net.clock.advance_to(next_time)
+    net.sample_and_dispatch([name for time, name in due if time == next_time])
+    return True
+
+
+def step(net, until=None):
+    """Run the next rate tick (bounded by ``until``); returns the log
+    entries it appended.  With no tick due by ``until`` the clock still
+    advances to ``until`` and nothing is logged."""
+    mark = len(net.log)
+    if not _take_next_tick(net, until) and until is not None:
+        net.clock.advance_to(until)
+    return net.log[mark:]
+
+
+def run_until(net, until):
+    """Run every rate tick at or before ``until``, even one at the current
+    time that has not been taken yet."""
+    mark = len(net.log)
+    while _take_next_tick(net, until):
+        pass
+    return net.log[mark:]
+
+
+def tick_replay(events, scenario):
+    """``procedures.run_replay`` in pure-virtual mode, with the tick loop in
+    place of ``pending_until``; returns the rendered dispatch log."""
+    implementations, replayer = procedures.build_implementations(
+        scenario, procedures.ReplaySession()
+    )
+    net = bootstrap(scenario.model, base_dir=scenario.base_dir, implementations=implementations)
+    base_ms = procedures.rebase_offset(events)
+    for event in events:
+        event = replace(event, time_ms=event.time_ms - base_ms)
+        run_until(net, event.time_ms - 1)
+        net.clock.advance_to(event.time_ms)
+        replayer.replay_step(net, event)
+    run_until(net, net.clock.now + procedures.TRAILING_FLUSH_MS)
+    return net.render_log()

@@ -31,7 +31,7 @@ from fluentnet.statements import (
 )
 
 from test_dsl import random_model
-from test_network import build_mini, flip
+from test_network import Twin, build_mini, dispatches
 
 
 VERDICTS: list[str] = []
@@ -114,36 +114,35 @@ def test_criterion_2_golden_traces(scenario):
 
 def test_criterion_3_scheduler_semantics(tmp_path):
     def run():
-        net = build_mini(
-            tmp_path,
-            [
-                "C1 checks=X1 in=A hasTarget=true rate=50",
-                "C2 checks=X2 in=A hasTarget=true rate=50",
-            ],
-            ["E_pair observes=C1,C2", "E_first observes=C1", "E_second observes=C2"],
-            [
-                "P_pair implements=noop requires=E_pair",
-                "P_any implements=noop requires=E_first,E_second",
-            ],
+        twin = Twin(
+            lambda: build_mini(
+                tmp_path,
+                [
+                    "C1 checks=X1 in=A hasTarget=true rate=50",
+                    "C2 checks=X2 in=A hasTarget=true rate=50",
+                ],
+                ["E_pair observes=C1,C2", "E_first observes=C1", "E_second observes=C2"],
+                [
+                    "P_pair implements=noop requires=E_pair",
+                    "P_any implements=noop requires=E_first,E_second",
+                ],
+            )
         )
-        # scripted flips: rise both, hold, fall one, rise again
-        flip(net, "X1", True)
-        for _ in range(3):
-            net.step()
-        flip(net, "X2", True)
-        for _ in range(3):
-            net.step()
-        flip(net, "X1", False)
-        for _ in range(3):
-            net.step()
-        flip(net, "X1", True)
-        for _ in range(5):
-            net.step()
-        return net
+        # scripted flips: rise both, hold, fall one, rise again; the
+        # tick-loop oracle must write the same log at every stop
+        twin.flip("X1", True)
+        twin.run_to(60)
+        twin.flip("X2", True)
+        twin.run_to(120)
+        twin.flip("X1", False)
+        twin.run_to(180)
+        twin.flip("X1", True)
+        twin.run_to(280)
+        return twin.net
 
     net = run()
-    pair_runs = [e for e in net.log if e.kind == "procedure" and e.name == "P_pair"]
-    any_runs = [e for e in net.log if e.kind == "procedure" and e.name == "P_any"]
+    pair_runs = dispatches(net.log, "P_pair")
+    any_runs = dispatches(net.log, "P_any")
     # conjunction: the pair event fired only once both conditions held,
     # then once more after the re-occurrence of C1
     assert len(pair_runs) == 2
@@ -156,7 +155,7 @@ def test_criterion_3_scheduler_semantics(tmp_path):
     verdict(
         3,
         "edge-triggered consumption, conjunction within events, disjunction "
-        "across events; 10 reruns byte-identical",
+        "across events; 10 reruns byte-identical and equal to the tick-loop oracle",
     )
 
 

@@ -55,6 +55,16 @@ class TestReplay:
         code = cli.main(["replay", "--trace", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("speed", ["0", "-2"])
+    def test_speed_must_be_positive(self, speed, trace_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["replay", "--wall", "--speed", speed, "--trace", str(trace_file), "--out", str(out)]
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2
+        assert "speed must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScore:
     def test_offline_scoring_matches_replay(self, replay_out, trace_file, tmp_path):

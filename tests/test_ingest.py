@@ -17,7 +17,6 @@ from fluentnet.ingest import (
     normalize_sensor,
     parse_line,
 )
-from fluentnet.network import VirtualClock
 
 
 def epoch_ms_oracle(y, mo, d, h, mi, s, ms):
@@ -135,32 +134,20 @@ class TestDrive:
 
     def test_wall_mode_divides_gaps_by_speed(self):
         naps = []
-        clock = VirtualClock()
-        list(
-            drive(
-                clock,
-                self.events(1000, 2000),
-                speed=4,
-                pure_virtual=False,
-                sleeper=naps.append,
-            )
-        )
+        list(drive(self.events(1000, 2000), speed=4, pure_virtual=False, sleeper=naps.append))
         assert naps == [0.25]
 
     def test_pure_virtual_preserves_timestamps(self):
-        clock = VirtualClock()
-        out = list(drive(clock, self.events(5, 1000, 99_000), speed=4))
+        out = list(drive(self.events(5, 1000, 99_000), speed=4))
         assert [e.time_ms for e in out] == [5, 1000, 99_000]
-        assert clock.now == 99_000
 
     def test_order_preserved(self):
-        clock = VirtualClock()
-        out = list(drive(clock, self.events(1, 2, 3)))
+        out = list(drive(self.events(1, 2, 3)))
         assert [e.time_ms for e in out] == [1, 2, 3]
 
     def test_bad_speed(self):
         with pytest.raises(ValueError):
-            list(drive(VirtualClock(), self.events(1), speed=0))
+            list(drive(self.events(1), speed=0))
 
 
 class TestGroundTruth:

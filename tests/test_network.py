@@ -1,10 +1,14 @@
-"""Scheduler semantics: loading, bootstrap maps, edges, consumption, sync."""
+"""Scheduler semantics: loading, bootstrap maps, edges, consumption, sync.
 
-from fractions import Fraction
+Every scheduling scenario runs twice, through ``pending_until`` and through
+the tick-loop oracle in ``oracles.py``, and requires identical dispatch logs.
+"""
+
 from pathlib import Path
 
 import pytest
 
+import oracles
 from fluentnet.context import OVERWRITE
 from fluentnet.network import (
     BOOT_STATEMENT,
@@ -131,101 +135,122 @@ def flip(net, sensor, value, concepts=("SENSOR",)):
     net.stores["A"].assert_statement(
         Statement(sensor, value, net.clock.now), concepts=concepts, mode=OVERWRITE
     )
+    net.note_mutation("A")
+
+
+class Twin:
+    """One scenario on two copies of a network, driven in ``run_replay``'s
+    order: the production scheduler (``pending_until``) and the tick-loop
+    oracle.  Their dispatch logs must stay byte-identical."""
+
+    def __init__(self, build):
+        self.net, self.oracle = build(), build()
+        self.log = self.net.log
+
+    def flip(self, sensor, value):
+        for net in (self.net, self.oracle):
+            flip(net, sensor, value)
+
+    def run_to(self, time_ms):
+        """Run every sample due before ``time_ms``, then move the clock there."""
+        self.net.pending_until(time_ms - 1)
+        oracles.run_until(self.oracle, time_ms - 1)
+        for net in (self.net, self.oracle):
+            net.clock.advance_to(time_ms)
+        assert self.net.render_log() == self.oracle.render_log()
+
+
+def dispatches(log, name):
+    return [e for e in log if e.kind == "procedure" and e.name == name]
 
 
 class TestStepSemantics:
-    def single_condition_net(self, tmp_path, implementations=None):
-        return build_mini(
-            tmp_path,
-            ["C1 checks=X1 in=A hasTarget=true rate=50"],
-            ["E1 observes=C1"],
-            ["P1 implements=noop requires=E1"],
-            implementations,
+    def single_condition_twin(self, tmp_path, implementations=None):
+        return Twin(
+            lambda: build_mini(
+                tmp_path,
+                ["C1 checks=X1 in=A hasTarget=true rate=50"],
+                ["E1 observes=C1"],
+                ["P1 implements=noop requires=E1"],
+                implementations,
+            )
+        )
+
+    def two_condition_twin(self, tmp_path, events, requires):
+        return Twin(
+            lambda: build_mini(
+                tmp_path,
+                [
+                    "C1 checks=X1 in=A hasTarget=true rate=50",
+                    "C2 checks=X2 in=A hasTarget=true rate=50",
+                ],
+                events,
+                [f"P1 implements=noop requires={requires}"],
+            )
         )
 
     def test_sampling_times_follow_the_rate(self, tmp_path):
-        net = self.single_condition_net(tmp_path)
+        net = self.single_condition_twin(tmp_path).oracle
         times = []
         for _ in range(5):
-            net.step()
+            oracles.step(net)
             times.append(net.clock.now)
         assert times == [20, 40, 60, 80, 100]
 
     def test_no_due_conditions_advances_clock(self):
         net = bootstrap(load_network(""))
-        assert net.step(until=500) == []
+        assert oracles.step(net, until=500) == []
         assert net.clock.now == 500
 
     def test_edge_trigger_and_consumption(self, tmp_path):
-        net = self.single_condition_net(tmp_path)
-        flip(net, "X1", True)
-        net.step()
-        dispatches = [e for e in net.log if e.kind == "procedure" and e.name == "P1"]
-        assert len(dispatches) == 1
+        twin = self.single_condition_twin(tmp_path)
+        twin.flip("X1", True)
+        twin.run_to(40)
+        assert len(dispatches(twin.log, "P1")) == 1
         # still satisfied on later samples: no re-dispatch
-        for _ in range(5):
-            net.step()
-        dispatches = [e for e in net.log if e.kind == "procedure" and e.name == "P1"]
-        assert len(dispatches) == 1
+        twin.run_to(140)
+        assert len(dispatches(twin.log, "P1")) == 1
         # falling then rising re-occurrence re-arms the event
-        flip(net, "X1", False)
-        net.step()
-        flip(net, "X1", True)
-        net.step()
-        dispatches = [e for e in net.log if e.kind == "procedure" and e.name == "P1"]
-        assert len(dispatches) == 2
+        twin.flip("X1", False)
+        twin.run_to(160)
+        twin.flip("X1", True)
+        twin.run_to(180)
+        assert len(dispatches(twin.log, "P1")) == 2
 
     def test_conjunction_within_event(self, tmp_path):
-        net = build_mini(
-            tmp_path,
-            [
-                "C1 checks=X1 in=A hasTarget=true rate=50",
-                "C2 checks=X2 in=A hasTarget=true rate=50",
-            ],
-            ["E1 observes=C1,C2"],
-            ["P1 implements=noop requires=E1"],
-        )
-        flip(net, "X1", True)
-        net.step()
-        assert not [e for e in net.log if e.kind == "event"]
-        flip(net, "X2", True)
-        net.step()
-        assert [e.name for e in net.log if e.kind == "event"] == ["E1"]
+        twin = self.two_condition_twin(tmp_path, ["E1 observes=C1,C2"], "E1")
+        twin.flip("X1", True)
+        twin.run_to(40)
+        assert not [e for e in twin.log if e.kind == "event"]
+        twin.flip("X2", True)
+        twin.run_to(80)
+        assert [e.name for e in twin.log if e.kind == "event"] == ["E1"]
 
     def test_disjunction_across_events(self, tmp_path):
-        net = build_mini(
-            tmp_path,
-            [
-                "C1 checks=X1 in=A hasTarget=true rate=50",
-                "C2 checks=X2 in=A hasTarget=true rate=50",
-            ],
-            ["E1 observes=C1", "E2 observes=C2"],
-            ["P1 implements=noop requires=E1,E2"],
-        )
-        flip(net, "X2", True)
-        net.step()
-        assert [e.name for e in net.log if e.kind == "procedure" and e.name == "P1"]
+        twin = self.two_condition_twin(tmp_path, ["E1 observes=C1", "E2 observes=C2"], "E1,E2")
+        twin.flip("X2", True)
+        twin.run_to(40)
+        assert dispatches(twin.log, "P1")
 
     def test_procedure_failure_is_captured(self, tmp_path):
         def boom(net, now):
             raise RuntimeError("nope")
 
-        net = self.single_condition_net(tmp_path, implementations={"noop": boom})
-        flip(net, "X1", True)
-        net.step()
-        errors = [e for e in net.log if e.kind == "error"]
+        twin = self.single_condition_twin(tmp_path, implementations={"noop": boom})
+        twin.flip("X1", True)
+        twin.run_to(40)
+        errors = [e for e in twin.log if e.kind == "error"]
         assert len(errors) == 1 and "nope" in errors[0].detail
         # the loop keeps running afterwards
-        net.step()
+        twin.run_to(100)
 
     def test_fall_never_dispatches(self, tmp_path):
-        net = self.single_condition_net(tmp_path)
-        flip(net, "X1", True)
-        net.step()
-        flip(net, "X1", False)
-        net.step()
-        dispatches = [e for e in net.log if e.kind == "procedure" and e.name == "P1"]
-        assert len(dispatches) == 1
+        twin = self.single_condition_twin(tmp_path)
+        twin.flip("X1", True)
+        twin.run_to(40)
+        twin.flip("X1", False)
+        twin.run_to(80)
+        assert len(dispatches(twin.log, "P1")) == 1
 
 
 class TestNotifySync:
@@ -266,23 +291,23 @@ class TestNotifySync:
 class TestDeterminism:
     def test_ten_reruns_byte_identical(self, tmp_path):
         def run():
-            net = build_mini(
-                tmp_path,
-                [
-                    "C1 checks=X1 in=A hasTarget=true rate=50",
-                    "C2 checks=X2 in=A hasTarget=true rate=25",
-                ],
-                ["E1 observes=C1", "E2 observes=C1,C2"],
-                ["P1 implements=noop requires=E1", "P2 implements=noop requires=E2"],
+            twin = Twin(
+                lambda: build_mini(
+                    tmp_path,
+                    [
+                        "C1 checks=X1 in=A hasTarget=true rate=50",
+                        "C2 checks=X2 in=A hasTarget=true rate=25",
+                    ],
+                    ["E1 observes=C1", "E2 observes=C1,C2"],
+                    ["P1 implements=noop requires=E1", "P2 implements=noop requires=E2"],
+                )
             )
-            script = [(3, "X1", True), (5, "X2", True), (9, "X1", False), (12, "X1", True)]
-            for steps, sensor, value in script:
-                for _ in range(steps):
-                    net.step()
-                flip(net, sensor, value)
-            for _ in range(10):
-                net.step()
-            return net.render_log()
+            script = [(60, "X1", True), (160, "X2", True), (340, "X1", False), (580, "X1", True)]
+            for at, sensor, value in script:
+                twin.run_to(at)
+                twin.flip(sensor, value)
+            twin.run_to(780)
+            return twin.net.render_log()
 
         logs = {run() for _ in range(10)}
         assert len(logs) == 1
@@ -298,8 +323,3 @@ class TestClock:
         clock.advance_to(10)
         clock.advance_to(5)
         assert clock.now == 10
-
-    def test_speed_is_metadata_for_virtual_runs(self):
-        clock = VirtualClock(speed=Fraction(4))
-        clock.advance_to(100)
-        assert clock.now == 100

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+import oracles
 import synth
 from fluentnet import golden, ingest, procedures
 from fluentnet.context import APPEND
@@ -266,6 +267,27 @@ class TestInterleaving:
         assert delays[2].delayed == 1
         assert delays[2].max_s == pytest.approx(2.0)
         assert delays[4].delayed == 0
+
+
+class TestSchedulerOracle:
+    def test_run_replay_matches_the_tick_loop(self, scenario):
+        # sampling only after a mutation must log what sampling at every
+        # rate tick logs; this prefix of the session holds two recognitions
+        text = "\n".join(synth.session_lines()[:40]) + "\n"
+        load = ingest.load_trace(io.StringIO(text))
+        result = procedures.run_replay(load.events, scenario=scenario)
+        assert len(result.recognitions) == 2
+        assert result.log_text == oracles.tick_replay(load.events, scenario)
+
+    def test_readings_in_one_millisecond_share_a_sample(self, scenario):
+        # the tick at a reading's time is sampled only after every reading
+        # of that millisecond is asserted, so the importers see both
+        events = [
+            ingest.TraceEvent(time_ms=5_000, sensor="M16", value=True),
+            ingest.TraceEvent(time_ms=5_000, sensor="I1", value=True),
+        ]
+        result = procedures.run_replay(events, scenario=scenario)
+        assert result.log_text == oracles.tick_replay(events, scenario)
 
 
 class TestWallClockPacing:
