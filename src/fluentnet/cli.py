@@ -19,6 +19,7 @@ from typing import Optional
 
 from . import dsl, golden, ingest, metrics, procedures
 from .modelio import ConfigError
+from .network import BootstrapError
 
 
 def _load_params(path: Optional[str]) -> Optional[dict[str, int]]:
@@ -264,7 +265,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, dsl.DslError, ingest.TraceParseError, OSError) as exc:
+    except (ConfigError, BootstrapError, dsl.DslError, ingest.TraceParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,11 +14,19 @@ Complexity is tracked as an axiom count:
 The count is maintained incrementally and can be recomputed from scratch;
 inferred knowledge (classification results, the person context) is not part
 of the count.
+
+A store's cached classification is its only classified state: computed on
+the first read after a mutation and handed out read-only.  The person
+context is derived from it and cached beside it, every mutation drops both,
+and readers such as the scheduler's pattern checks ask the store
+(:meth:`ContextStore.person_context_matches`) instead of walking its
+instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .statements import RAW, Statement, StatementSet
@@ -202,13 +210,6 @@ class StoreInstance:
         return len(self.asserted) + sum(len(v) for v in self.props.values())
 
 
-@dataclass(frozen=True)
-class AssertSummary:
-    instance_id: str
-    created: bool
-    replaced: bool
-
-
 OVERWRITE = "overwrite"
 APPEND = "append"
 
@@ -238,17 +239,18 @@ class ContextStore:
         self.default_mode = default_mode
         self.presence_concept = presence_concept
         self.instances: dict[str, StoreInstance] = {}
-        self.person_context: tuple[tuple[str, str], ...] = ()
         self.mutation_seq = 0
         self._sequence: dict[str, int] = {}
         self._axioms = graph.axiom_terms()
-        self._classification: Optional[dict[str, frozenset[str]]] = None
+        self._classification: Optional[Mapping[str, frozenset[str]]] = None
+        self._person_context: Optional[tuple[tuple[str, str], ...]] = None
 
     # -- bookkeeping -------------------------------------------------------
 
     def _mutated(self) -> None:
         self.mutation_seq += 1
         self._classification = None
+        self._person_context = None
 
     def _closure(self, concepts: Iterable[str]) -> frozenset[str]:
         out: set[str] = set()
@@ -258,6 +260,20 @@ class ContextStore:
 
     # -- instance management ----------------------------------------------
 
+    def _put(self, instance: StoreInstance, label: str) -> None:
+        """The one write path: concept and disjointness checks, axiom
+        bookkeeping, the store write and cache invalidation.  ``label``
+        names the offender in a :class:`ConsistencyError`."""
+        clash = self.graph.violates_disjointness(self._closure(instance.asserted))
+        if clash:
+            raise ConsistencyError(f"{label} cannot be both {clash[0]} and {clash[1]}")
+        previous = self.instances.get(instance.id)
+        if previous is not None:
+            self._axioms -= previous.axiom_weight()
+        self.instances[instance.id] = instance
+        self._axioms += instance.axiom_weight()
+        self._mutated()
+
     def add_instance(
         self,
         instance_id: str,
@@ -265,24 +281,12 @@ class ContextStore:
         props: Mapping[str, Sequence[PropValue]] | None = None,
     ) -> StoreInstance:
         """Directly add a plain (non-statement) instance, e.g. a location."""
-        asserted = frozenset(concepts)
-        closure = self._closure(asserted)
-        clash = self.graph.violates_disjointness(closure)
-        if clash:
-            raise ConsistencyError(
-                f"instance {instance_id!r} cannot be both {clash[0]} and {clash[1]}"
-            )
         instance = StoreInstance(
             id=instance_id,
-            asserted=asserted,
+            asserted=frozenset(concepts),
             props={p: tuple(v) for p, v in (props or {}).items()},
         )
-        previous = self.instances.get(instance_id)
-        if previous is not None:
-            self._axioms -= previous.axiom_weight()
-        self.instances[instance_id] = instance
-        self._axioms += instance.axiom_weight()
-        self._mutated()
+        self._put(instance, f"instance {instance_id!r}")
         return instance
 
     def assert_statement(
@@ -291,7 +295,7 @@ class ContextStore:
         concepts: Iterable[str] | None = None,
         mode: Optional[str] = None,
         properties: Mapping[str, Sequence[PropValue]] | None = None,
-    ) -> AssertSummary:
+    ) -> None:
         """Ground a statement as a classified instance.
 
         Overwrite mode replaces any prior instance for the same sensor id,
@@ -307,16 +311,6 @@ class ContextStore:
             if decl is None:
                 raise StoreError(f"unknown sensor {statement.id!r} in {self.name}")
             concepts = decl.concepts
-        concepts = tuple(concepts)
-        for concept in concepts:
-            if concept not in self.graph.concepts:
-                raise UnknownConceptError(f"unknown concept {concept!r}")
-        closure = self._closure(concepts)
-        clash = self.graph.violates_disjointness(closure)
-        if clash:
-            raise ConsistencyError(
-                f"statement {statement.id!r} cannot be both {clash[0]} and {clash[1]}"
-            )
 
         props: dict[str, tuple[PropValue, ...]] = {
             STATE_PROP: (statement.state,),
@@ -332,21 +326,12 @@ class ContextStore:
             if prop not in self.graph.properties:
                 raise StoreError(f"unknown property {prop!r}")
 
-        if mode == OVERWRITE:
-            instance_id = statement.id
-        else:
-            seq = self._sequence.get(statement.id, 0) + 1
-            self._sequence[statement.id] = seq
-            instance_id = f"{statement.id}#{seq}"
-
+        seq = self._sequence.get(statement.id, 0) + 1
+        instance_id = statement.id if mode == OVERWRITE else f"{statement.id}#{seq}"
         instance = StoreInstance(id=instance_id, asserted=frozenset(concepts), props=props, kind=statement.kind)
-        previous = self.instances.get(instance_id)
-        if previous is not None:
-            self._axioms -= previous.axiom_weight()
-        self.instances[instance_id] = instance
-        self._axioms += instance.axiom_weight()
-        self._mutated()
-        return AssertSummary(instance_id=instance_id, created=previous is None, replaced=previous is not None)
+        self._put(instance, f"statement {statement.id!r}")
+        if mode == APPEND:
+            self._sequence[statement.id] = seq
 
     def remove_instance(self, instance_id: str) -> None:
         instance = self.instances.pop(instance_id, None)
@@ -357,8 +342,9 @@ class ContextStore:
 
     # -- classification -----------------------------------------------------
 
-    def classify(self) -> dict[str, frozenset[str]]:
-        """Transitive concept membership for every instance.
+    def classify(self) -> Mapping[str, frozenset[str]]:
+        """Transitive concept membership for every instance, as a read-only
+        view of the store's cache (valid until the next mutation).
 
         Membership starts from the asserted concepts and their superclasses,
         then defined classes are applied to a fixpoint under closed-world
@@ -366,7 +352,7 @@ class ContextStore:
         with a declared disjointness.
         """
         if self._classification is not None:
-            return dict(self._classification)
+            return self._classification
         memberships: dict[str, set[str]] = {
             inst_id: set(self._closure(inst.asserted))
             for inst_id, inst in self.instances.items()
@@ -390,9 +376,10 @@ class ContextStore:
                         continue
                     memberships[inst_id] = set(merged)
                     changed = True
-        result = {inst_id: frozenset(v) for inst_id, v in memberships.items()}
-        self._classification = result
-        return dict(result)
+        self._classification = MappingProxyType(
+            {inst_id: frozenset(v) for inst_id, v in memberships.items()}
+        )
+        return self._classification
 
     def _satisfies(
         self,
@@ -445,42 +432,41 @@ class ContextStore:
             )
         return StatementSet(out)
 
-    def infer_person_context(
-        self, presence_concept: Optional[str] = None
-    ) -> tuple[tuple[str, str], ...]:
+    def infer_person_context(self) -> tuple[tuple[str, str], ...]:
         """Propagate spatial targets of active sensors onto the person.
 
-        Every sensor instance with a true state contributes its isIn and
-        isNearTo targets; the union becomes the person's current context.
-        ``presence_concept`` narrows which sensors count as presence
-        evidence (a scenario typically uses its motion class, since
-        latched door or item states would otherwise pin the person to one
-        spot).  The pairs are derived knowledge and do not enter the axiom
-        count.
+        Every instance of the store's presence concept with a true state
+        contributes its isIn and isNearTo targets; the sorted union is the
+        person's current context.  The presence concept narrows which
+        sensors count as presence evidence (a scenario typically uses its
+        motion class, since latched door or item states would otherwise pin
+        the person to one spot).  The pairs are derived from
+        :meth:`classify`, cached beside it until the next mutation, and do
+        not enter the axiom count.
         """
         if self.person_id is None:
             raise StoreError(f"store {self.name!r} declares no person instance")
-        wanted = presence_concept or self.presence_concept
-        classification = self.classify()
-        pairs: set[tuple[str, str]] = set()
-        for inst_id in sorted(self.instances):
-            instance = self.instances[inst_id]
-            if wanted not in classification.get(inst_id, frozenset()):
-                continue
-            if instance.single(STATE_PROP) is not True:
-                continue
-            for prop in ("isIn", "isNearTo"):
-                for target in instance.prop_values(prop):
-                    if isinstance(target, str):
-                        pairs.add((prop, target))
-        self.person_context = tuple(sorted(pairs))
-        return self.person_context
+        if self._person_context is None:
+            classification = self.classify()
+            pairs: set[tuple[str, str]] = set()
+            for inst_id, instance in self.instances.items():
+                if self.presence_concept not in classification[inst_id]:
+                    continue
+                if instance.single(STATE_PROP) is not True:
+                    continue
+                for prop in ("isIn", "isNearTo"):
+                    for target in instance.prop_values(prop):
+                        if isinstance(target, str):
+                            pairs.add((prop, target))
+            self._person_context = tuple(sorted(pairs))
+        return self._person_context
 
     def person_context_matches(self, prop: str, target_concept: str) -> bool:
         """True when the person currently has a ``prop`` target classified
-        under ``target_concept``."""
+        under ``target_concept``: the answer to a ``PERSON:prop:TARGET``
+        pattern check."""
         classification = self.classify()
-        for pair_prop, target in self.person_context:
+        for pair_prop, target in self.infer_person_context():
             if pair_prop != prop:
                 continue
             if target_concept in classification.get(target, frozenset()):

@@ -9,8 +9,9 @@ renamed through a scenario map so that a different physical labelling can
 be fixed without code changes.
 
 A trailing token pair is read as an activity annotation ``(activity,
-begin|end)``; the activity token may be a bare index, ``a3``-style, or a
-name resolved through a supplied mapping.
+begin|end)``; the activity token is a bare index or an index prefixed with
+``a``, ``alpha`` or ``activity`` (``7``, ``a3``).  Any other trailing pair is
+ignored.  Malformed lines are skipped by :func:`load_trace` with a warning.
 """
 
 from __future__ import annotations
@@ -118,11 +119,8 @@ def normalize_sensor(token: str, rename: Optional[Mapping[str, str]] = None) -> 
     return normalized
 
 
-def _parse_activity_token(token: str, names: Optional[Mapping[str, int]]) -> Optional[int]:
-    if names and token in names:
-        return names[token]
-    lowered = token.lower()
-    match = re.fullmatch(r"(?:a|alpha|activity)?(\d+)", lowered)
+def _parse_activity_token(token: str) -> Optional[int]:
+    match = re.fullmatch(r"(?:a|alpha|activity)?(\d+)", token.lower())
     if match:
         return int(match.group(1))
     return None
@@ -132,7 +130,6 @@ def parse_line(
     text: str,
     value_map: Optional[Mapping[str, bool]] = None,
     rename: Optional[Mapping[str, str]] = None,
-    activity_names: Optional[Mapping[str, int]] = None,
 ) -> TraceEvent:
     """Parse one trace line; malformed input raises :class:`TraceParseError`."""
     tokens = text.split()
@@ -150,7 +147,7 @@ def parse_line(
     marker: Optional[str] = None
     if len(tokens) >= 6:
         tag = tokens[-1].lower()
-        parsed = _parse_activity_token(tokens[-2], activity_names)
+        parsed = _parse_activity_token(tokens[-2])
         if tag in _BEGIN_TAGS | _END_TAGS and parsed is not None:
             activity = parsed
             marker = "begin" if tag in _BEGIN_TAGS else "end"
@@ -187,13 +184,12 @@ def load_trace(
     source: Union[str, Path, TextIO],
     value_map: Optional[Mapping[str, bool]] = None,
     rename: Optional[Mapping[str, str]] = None,
-    activity_names: Optional[Mapping[str, int]] = None,
-    skip_bad_lines: bool = True,
 ) -> TraceLoad:
     """Read one participant's log: ordered events plus annotation intervals.
 
-    Out-of-order timestamps are reordered with a warning; a begin without an
-    end is clamped to the last event time with a warning.
+    Malformed lines are skipped and counted, each with a warning naming its
+    line number.  Out-of-order timestamps are reordered with a warning; a
+    begin without an end is clamped to the last event time with a warning.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
@@ -208,10 +204,8 @@ def load_trace(
         if not raw.strip():
             continue
         try:
-            events.append(parse_line(raw, value_map, rename, activity_names))
+            events.append(parse_line(raw, value_map, rename))
         except TraceParseError as exc:
-            if not skip_bad_lines:
-                raise
             skipped += 1
             warnings.append(f"line {lineno}: {exc}")
 

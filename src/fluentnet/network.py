@@ -3,9 +3,13 @@
 The network is declared in one plain-text document: nodes (each backed by a
 store model file), procedures (with the key of the algorithm they run and
 the events that trigger them), events (conjunctions of conditions) and
-conditions (rate-sampled checks of one statement in one node).  The implicit
-upper node ``U`` and scheduler procedure ``H`` are always part of the
-runtime network.
+conditions (rate-sampled checks in one node).  The implicit upper node
+``U`` and scheduler procedure ``H`` are always part of the runtime network.
+
+A condition checks either one statement's state (``checks=N``) or the
+person's inferred context (``checks=PERSON:prop:TARGET``, on a node whose
+model declares a ``[person]``).  Both are answered by the node's store; the
+scheduler never reads store internals or classifies anything itself.
 
 Scheduling is edge-triggered: a condition sampled from false to true
 re-arms and re-evaluates the events observing it; an event whose conditions
@@ -37,6 +41,7 @@ logger = logging.getLogger(__name__)
 UPPER_NODE = "U"
 SCHEDULER_PROC = "H"
 BOOT_STATEMENT = "BOOT"
+PERSON_CONCEPT = "PERSON"
 
 DEFAULT_RATE_HZ = Fraction(50)
 
@@ -56,10 +61,9 @@ class StatementCheck:
 
 @dataclass(frozen=True)
 class PatternCheck:
-    """Defined statement pattern: some instance of ``concept`` carrying a
+    """``PERSON:prop:TARGET``: the person's inferred context holds a
     ``prop`` target classified under ``target_concept``."""
 
-    concept: str
     prop: str
     target_concept: str
 
@@ -157,11 +161,12 @@ def load_network(text: str) -> NetworkModel:
         check: Union[StatementCheck, PatternCheck]
         if ":" in checks:
             parts = checks.split(":")
-            if len(parts) != 3:
+            if len(parts) != 3 or parts[0] != PERSON_CONCEPT:
                 raise NetworkError(
-                    f"line {line.lineno}: pattern check must read CONCEPT:prop:TARGET"
+                    f"line {line.lineno}: pattern check must read "
+                    f"{PERSON_CONCEPT}:prop:TARGET, found {checks!r}"
                 )
-            check = PatternCheck(concept=parts[0], prop=parts[1], target_concept=parts[2])
+            check = PatternCheck(prop=parts[1], target_concept=parts[2])
         else:
             check = StatementCheck(statement_id=checks)
         rate = Fraction(options.get("rate", str(DEFAULT_RATE_HZ)))
@@ -358,23 +363,7 @@ class RuntimeNetwork:
         if isinstance(check, StatementCheck):
             state = store.statement_state(check.statement_id)
             return state is not None and state is decl.target
-        matched = self._pattern_holds(store, check)
-        return matched is decl.target
-
-    @staticmethod
-    def _pattern_holds(store: ContextStore, check: PatternCheck) -> bool:
-        if check.concept == "PERSON" and store.person_id is not None:
-            return store.person_context_matches(check.prop, check.target_concept)
-        classification = store.classify()
-        for inst_id in sorted(store.instances):
-            if check.concept not in classification.get(inst_id, frozenset()):
-                continue
-            for target in store.instances[inst_id].prop_values(check.prop):
-                if isinstance(target, str) and check.target_concept in classification.get(
-                    target, frozenset()
-                ):
-                    return True
-        return False
+        return store.person_context_matches(check.prop, check.target_concept) is decl.target
 
     # -- sampling + dispatch cascade ------------------------------------------
 
@@ -506,7 +495,8 @@ def bootstrap(
 
     Stores are initialised from their model files (the upper node is always
     present and carries the boot statement), procedures are bound to their
-    implementations, and every condition starts with a false outcome.
+    implementations, and every condition starts with a false outcome.  A
+    pattern check on a node whose model declares no person is rejected.
     """
     stores: dict[str, ContextStore] = {UPPER_NODE: _upper_store()}
     for node in model.nodes:
@@ -518,6 +508,12 @@ def bootstrap(
         except ConfigError as exc:
             raise BootstrapError(f"node {node.name}: {exc}") from exc
         stores[node.name] = build_store(node.name, store_model, mode=node.mode)
+    for cond in model.conditions:
+        if isinstance(cond.check, PatternCheck) and stores[cond.node].person_id is None:
+            raise BootstrapError(
+                f"condition {cond.name}: node {cond.node} declares no [person] for a "
+                f"{PERSON_CONCEPT} pattern check"
+            )
 
     implementations = dict(implementations or {})
     procedures: dict[str, ProcedureRuntime] = {

@@ -1,11 +1,11 @@
 """The three procedure families: replayer, importers and model evaluators.
 
 The replayer turns dataset readings into overwrite-mode assertions in the
-spatial node, refreshing classification and the person's inferred context
-after each one.  Each importer reacts to a spatial trigger and copies the
-current values of its activity's sensors into the activity node
-(append mode, suppressing unchanged values), then raises the sync
-statement ``N`` so the paired evaluator runs in the same step.  The
+spatial node, re-deriving the person's inferred context (and with it the
+node's classification) after each one.  Each importer reacts to a spatial
+trigger and copies the current values of its activity's sensors into the
+activity node (append mode, suppressing unchanged values), then raises the
+sync statement ``N`` so the paired evaluator runs in the same step.  The
 evaluator resets ``N``, runs any windowed pre-passes, evaluates the
 compiled model rules on a snapshot, and on success asserts the activity
 statement, records the recognition and clears the node down to the result
@@ -178,12 +178,6 @@ def load_scenario(
     )
 
 
-def registry(params: Optional[Mapping[str, int]] = None) -> list[ActivityBinding]:
-    """The shipped eight activity bindings, ordered by index."""
-    scenario = load_scenario(params=params)
-    return [scenario.bindings[i] for i in sorted(scenario.bindings)]
-
-
 # --------------------------------------------------------------------------
 # Session state shared by the procedures of one replay run
 
@@ -207,7 +201,8 @@ class Replayer:
         """Dispatched once at boot; readings arrive through :meth:`replay_step`."""
 
     def replay_step(self, net: RuntimeNetwork, event: TraceEvent) -> bool:
-        """Assert one reading (overwrite), then refresh the derived views.
+        """Assert one reading (overwrite), then derive the person context, so
+        the reasoning is timed with the reading.
 
         Readings for sensors the spatial model does not declare are skipped
         with a warning record; datasets contain stray ids.
@@ -221,7 +216,6 @@ class Replayer:
         spatial.assert_statement(
             Statement(event.sensor, event.value, event.time_ms), mode=OVERWRITE
         )
-        spatial.classify()
         spatial.infer_person_context()
         elapsed = perf_counter_ns() - started
         self.session.events_replayed += 1

@@ -11,13 +11,10 @@ is registered.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Union
 
 from .context import Snapshot, SnapshotInstance
-
-logger = logging.getLogger(__name__)
 
 Term = Union[str, int, bool]
 
@@ -210,12 +207,11 @@ class RuleEngine:
         self._plans[rule.name] = schedule
         return rule.name
 
-    def evaluate(self, snapshot: Snapshot, debug: bool = False) -> list[Derived]:
+    def evaluate(self, snapshot: Snapshot) -> list[Derived]:
         """All deduplicated head assertions derivable from the snapshot.
 
         The binding that first produced each head value is attached to the
-        result; with ``debug`` the matched bindings are also dumped as text
-        to the module logger.
+        result.
         """
         derived: list[Derived] = []
         for name, rule in self._rules.items():
@@ -236,8 +232,6 @@ class RuleEngine:
                         binding=tuple(sorted(binding.items())),
                     )
                 )
-        if debug and derived:
-            logger.debug("matched bindings on %s:\n%s", snapshot.store, format_bindings(derived))
         return derived
 
     def _match(self, schedule: list[Atom], snapshot: Snapshot):
@@ -299,12 +293,3 @@ class RuleEngine:
             raise BuiltinError(f"unknown atom {atom!r}")
 
         yield from solve(0, {})
-
-
-def format_bindings(derived: list[Derived]) -> str:
-    """Human-readable dump of the bindings behind derived assertions."""
-    lines = []
-    for record in derived:
-        pairs = ", ".join(f"{var}={value}" for var, value in record.binding)
-        lines.append(f"{record.rule}: {record.instance_id}=({record.state},{record.time}) via {pairs}")
-    return "\n".join(lines)

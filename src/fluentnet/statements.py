@@ -191,6 +191,13 @@ def convolve_at_least(
     True when the window holds at least ``min_count`` statements; stamped
     with the latest time inside the window, or 0 (and false) when the
     window is empty.
+
+    This is not the models' ``conv(CLASS:+, hK, dK)``.  Here at least
+    ``min_count`` statements must fall *within* ``window_ms`` of the first
+    one; the evaluator's pre-pass needs at least ``hK`` statements that
+    *span* at least ``dK`` (earliest + dK <= latest).  On A3's
+    ``stay-too-short`` golden case (M6 at 20 s, M7 at 35 s, d3 = 20 s)
+    this reads true at 35 000 while the model stays silent.
     """
     if isinstance(min_count, bool) or not isinstance(min_count, int) or min_count < 1:
         raise StatementError("minimum count must be an integer >= 1")

@@ -1,11 +1,12 @@
 """Command-line surface: replay, check-models, score, explain."""
 
 import json
+import shutil
 
 import pytest
 
 import synth
-from fluentnet import cli
+from fluentnet import cli, procedures
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,24 @@ class TestReplay:
     def test_missing_trace_is_a_config_error(self, tmp_path):
         code = cli.main(["replay", "--trace", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "checks, message",
+        [
+            ("checks=DOOR:isIn:KITCHEN in=L", "pattern check must read PERSON:prop:TARGET"),
+            ("checks=PERSON:isIn:KITCHEN in=T1", "node T1 declares no [person]"),
+        ],
+    )
+    def test_bad_pattern_check_is_a_config_error(self, checks, message, trace_file, tmp_path, capsys):
+        config = tmp_path / "scenario"
+        shutil.copytree(procedures.SCENARIO_DIR, config)
+        network = config / procedures.NETWORK_FILE
+        text = network.read_text(encoding="utf-8")
+        assert "checks=PERSON:isIn:KITCHEN in=L" in text
+        network.write_text(text.replace("checks=PERSON:isIn:KITCHEN in=L", checks), encoding="utf-8")
+        argv = ["replay", "--config", str(config), "--trace", str(trace_file), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("speed", ["0", "-2"])
     def test_speed_must_be_positive(self, speed, trace_file, tmp_path, capsys):

@@ -142,6 +142,16 @@ class TestClassify:
         )
         assert "PERSON" not in store.classify()["M1"]
 
+    def test_read_only_view_until_the_next_mutation(self):
+        store = store_with()
+        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        view = store.classify()
+        with pytest.raises(TypeError):
+            view["D7"] = frozenset()
+        assert store.classify() is view
+        store.assert_statement(Statement("D7", False, 20), concepts=("DOOR",))
+        assert store.classify() is not view
+
     def test_idempotent(self):
         store = store_with()
         store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
@@ -210,6 +220,55 @@ class TestPersonContext:
             Statement("M3", True, 11), concepts=("MOTION",), properties={"isIn": ["LR"]}
         )
         assert store.infer_person_context() == (("isIn", "K"), ("isIn", "LR"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st_.lists(
+            st_.tuples(
+                st_.sampled_from(["overwrite", "append", "add", "drop", "clear"]),
+                st_.sampled_from(["M16", "M3", "D7"]),
+                st_.booleans(),
+                st_.sampled_from(["K", "LR", "T1"]),
+                st_.sampled_from(["KITCHEN", "LOCATION", "TABLE"]),
+            ),
+            max_size=25,
+        )
+    )
+    def test_cache_matches_a_rebuilt_store(self, ops):
+        """After any mutation sequence the cached classification and person
+        context equal those of a store rebuilt from the same instances, and
+        pattern checks answer from them, never from an older state."""
+        store = self.spatial()
+        for time, (action, sensor, state, place, concept) in enumerate(ops):
+            concepts = ("DOOR",) if sensor == "D7" else ("MOTION",)
+            if action in ("overwrite", "append"):
+                store.assert_statement(
+                    Statement(sensor, state, time),
+                    concepts=concepts,
+                    mode=OVERWRITE if action == "overwrite" else APPEND,
+                    properties={"isIn" if state else "isNearTo": [place]},
+                )
+            elif action == "add":
+                store.add_instance(place, (concept,))
+            elif action == "clear":
+                store.clear_statements(keep_concepts=("DOOR",))
+            elif store.instances:
+                store.remove_instance(sorted(store.instances)[time % len(store.instances)])
+
+            fresh = store_with(person_id="P", presence_concept="MOTION")
+            for inst_id, instance in store.instances.items():
+                fresh.add_instance(inst_id, instance.asserted, instance.props)
+            classification = fresh.classify()
+            pairs = fresh.infer_person_context()
+            for prop in ("isIn", "isNearTo"):
+                for target_concept in ("KITCHEN", "LOCATION", "TABLE"):
+                    expected = any(
+                        p == prop and target_concept in classification.get(target, ())
+                        for p, target in pairs
+                    )
+                    assert store.person_context_matches(prop, target_concept) is expected
+            assert store.classify() == classification
+            assert store.infer_person_context() == pairs
 
 
 class TestAxioms:

@@ -90,6 +90,19 @@ class TestLoad:
         with pytest.raises(NetworkError, match="duplicate condition"):
             load_network(text)
 
+    @pytest.mark.parametrize(
+        "checks", ["DOOR:isIn:KITCHEN", "SENSOR:isIn:X1", "PERSON:isIn", "PERSON:isIn:K:X"]
+    )
+    def test_pattern_must_be_person_prop_target(self, tmp_path, checks):
+        text = mini_config(
+            tmp_path,
+            [f"C1 checks={checks} in=A hasTarget=true rate=50"],
+            ["E1 observes=C1"],
+            ["P1 implements=noop requires=E1"],
+        )
+        with pytest.raises(NetworkError, match="must read PERSON:prop:TARGET"):
+            load_network(text)
+
 
 class TestBootstrap:
     def test_three_maps_with_implicit_members(self, tmp_path):
@@ -129,6 +142,19 @@ class TestBootstrap:
         text = "[nodes]\nA represents=missing.model\n"
         with pytest.raises(BootstrapError, match="node A"):
             bootstrap(load_network(text), base_dir=tmp_path)
+
+    @pytest.mark.parametrize("node", ["A", UPPER_NODE])
+    def test_person_pattern_needs_a_person(self, tmp_path, node):
+        model = load_network(
+            mini_config(
+                tmp_path,
+                [f"C1 checks=PERSON:isIn:SENSOR in={node} hasTarget=true rate=50"],
+                ["E1 observes=C1"],
+                ["P1 implements=noop requires=E1"],
+            )
+        )
+        with pytest.raises(BootstrapError, match=f"C1: node {node} declares no \\[person\\]"):
+            bootstrap(model, base_dir=tmp_path)
 
 
 def flip(net, sensor, value, concepts=("SENSOR",)):

@@ -20,9 +20,8 @@ def session_run(scenario):
 
 
 class TestRegistry:
-    def test_eight_bindings(self):
-        bindings = procedures.registry()
-        assert [b.index for b in bindings] == list(range(1, 9))
+    def test_eight_bindings(self, scenario):
+        assert [b.index for _, b in sorted(scenario.bindings.items())] == list(range(1, 9))
 
     def test_watering_sensor_set(self, scenario):
         assert set(scenario.bindings[3].sensor_ids) == {
@@ -105,7 +104,7 @@ class TestReplayStep:
         events = [ingest.TraceEvent(time_ms=1_000, sensor="M16", value=True)]
         result = procedures.run_replay(events, scenario=scenario)
         spatial = result.net.stores["L"]
-        assert ("isIn", "K") in spatial.person_context
+        assert ("isIn", "K") in spatial.infer_person_context()
         assert spatial.person_context_matches("isIn", "KITCHEN")
 
 

@@ -15,7 +15,6 @@ from fluentnet.rules import (
     RuleEngine,
     RuleValidationError,
     eval_builtin,
-    format_bindings,
 )
 from fluentnet.statements import Statement
 
@@ -129,13 +128,6 @@ class TestEvaluation:
         engine.register_rule(dvd_rule(50))
         snap = item_store(("I5", False, 10), ("I5", True, 100), ("I3", True, 90)).snapshot()
         assert engine.evaluate(snap) == engine.evaluate(snap)
-
-    def test_format_bindings_dump(self):
-        engine = RuleEngine()
-        engine.register_rule(dvd_rule(50))
-        derived = engine.evaluate(item_store(("I5", False, 10), ("I5", True, 100)).snapshot())
-        text = format_bindings(derived)
-        assert "A2" in text and "?t_back=100" in text
 
 
 class TestBuiltins:
