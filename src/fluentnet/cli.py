@@ -23,11 +23,26 @@ from .network import BootstrapError
 
 
 def _load_params(path: Optional[str]) -> Optional[dict[str, int]]:
+    """A ``--params`` file: one JSON object of integer parameter values."""
     if path is None:
         return None
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    return {str(k): int(v) for k, v in raw.items()}
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--params {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"--params {path}: expected a JSON object")
+    params: dict[str, int] = {}
+    for name, value in raw.items():
+        text = str(value) if isinstance(value, (int, str)) and not isinstance(value, bool) else ""
+        try:
+            params[name] = int(text)
+        except ValueError:
+            raise ConfigError(
+                f"--params {path}: {name!r} must be an integer, found {value!r}"
+            ) from None
+    return params
 
 
 def _positive_speed(text: str) -> float:

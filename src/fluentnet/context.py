@@ -261,9 +261,12 @@ class ContextStore:
     # -- instance management ----------------------------------------------
 
     def _put(self, instance: StoreInstance, label: str) -> None:
-        """The one write path: concept and disjointness checks, axiom
-        bookkeeping, the store write and cache invalidation.  ``label``
-        names the offender in a :class:`ConsistencyError`."""
+        """The one write path: property, concept and disjointness checks,
+        axiom bookkeeping, the store write and cache invalidation.
+        ``label`` names the offender in a :class:`ConsistencyError`."""
+        for prop in instance.props:
+            if prop not in self.graph.properties:
+                raise StoreError(f"unknown property {prop!r}")
         clash = self.graph.violates_disjointness(self._closure(instance.asserted))
         if clash:
             raise ConsistencyError(f"{label} cannot be both {clash[0]} and {clash[1]}")
@@ -322,9 +325,6 @@ class ContextStore:
                 props[prop] = props[prop] + (value,)
         for prop, values in (properties or {}).items():
             props[prop] = tuple(values)
-        for prop in props:
-            if prop not in self.graph.properties:
-                raise StoreError(f"unknown property {prop!r}")
 
         seq = self._sequence.get(statement.id, 0) + 1
         instance_id = statement.id if mode == OVERWRITE else f"{statement.id}#{seq}"

@@ -440,8 +440,6 @@ class CompiledModel:
     name: str
     rules: tuple[Rule, ...]
     prepasses: tuple[Prepass, ...]
-    result_id: str
-    result_concept: str = RESULT_CONCEPT
 
 
 @dataclass
@@ -485,7 +483,6 @@ class _Compiler:
             name=self.ast.name,
             rules=tuple(rules),
             prepasses=tuple(self.prepasses.values()),
-            result_id=self.ast.name,
         )
 
     def distinct_guards(self, branch: _Branch) -> list[Atom]:

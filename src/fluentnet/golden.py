@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .context import APPEND
 from .modelio import build_store, load_store_model
 from .procedures import ActivityBinding, Evaluator, RecognitionRecord, ReplaySession, Scenario
 from .statements import Statement
@@ -258,12 +257,13 @@ _BUILDERS = {1: _a1, 2: _a2, 3: _a3, 4: _a4, 5: _a5, 6: _a6, 7: _a7, 8: _a8}
 
 
 def evaluate_case(scenario: Scenario, case: GoldenCase) -> Optional[RecognitionRecord]:
-    """Run one golden case through a fresh activity store and evaluator."""
+    """Run one golden case through a fresh activity store, in its node's
+    declared mode, and a fresh evaluator."""
     binding = scenario.bindings[case.activity]
     node = next(n for n in scenario.model.nodes if n.name == binding.node)
-    store = build_store(binding.node, load_store_model(scenario.base_dir / node.represents), mode=APPEND)
+    store = build_store(binding.node, load_store_model(scenario.base_dir / node.represents), mode=node.mode)
     for sensor, state, time_ms in case.readings:
-        store.assert_statement(Statement(sensor, state, time_ms), mode=APPEND)
+        store.assert_statement(Statement(sensor, state, time_ms))
     evaluator = Evaluator(binding, ReplaySession())
     horizon = max((t for _, _, t in case.readings), default=0) + 1000
     return evaluator.evaluate_store(store, now_ms=horizon)

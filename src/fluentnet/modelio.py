@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .context import (
-    APPEND,
     OVERWRITE,
     ConceptGraph,
     ContextStore,
@@ -203,9 +202,8 @@ def parse_store_model(text: str) -> StoreModel:
 
 
 def build_store(name: str, model: StoreModel, mode: str = OVERWRITE) -> ContextStore:
-    """Instantiate a context from its parsed model."""
-    if mode not in (OVERWRITE, APPEND):
-        raise ConfigError(f"unknown reasoner mode {mode!r} for store {name}")
+    """Instantiate a context from its parsed model; ``mode`` is how it keeps
+    statements asserted without an explicit mode."""
     store = ContextStore(
         name=name,
         graph=model.graph,

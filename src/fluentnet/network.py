@@ -4,7 +4,9 @@ The network is declared in one plain-text document: nodes (each backed by a
 store model file), procedures (with the key of the algorithm they run and
 the events that trigger them), events (conjunctions of conditions) and
 conditions (rate-sampled checks in one node).  The implicit upper node
-``U`` and scheduler procedure ``H`` are always part of the runtime network.
+``U`` is always part of the runtime network.  A node's declared mode
+(``overwrite`` or ``append``) is how its store keeps sensor readings; an
+option a section does not define is rejected.
 
 A condition checks either one statement's state (``checks=N``) or the
 person's inferred context (``checks=PERSON:prop:TARGET``, on a node whose
@@ -32,14 +34,13 @@ from math import ceil
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
-from .context import ConceptGraph, ContextStore
-from .modelio import ConfigError, build_store, load_store_model, read_sections, split_options
+from .context import ConceptGraph, ConsistencyError, ContextStore, StoreError, UnknownConceptError
+from .modelio import ConfigError, ConfigLine, build_store, load_store_model, read_sections, split_options
 from .statements import Statement
 
 logger = logging.getLogger(__name__)
 
 UPPER_NODE = "U"
-SCHEDULER_PROC = "H"
 BOOT_STATEMENT = "BOOT"
 PERSON_CONCEPT = "PERSON"
 
@@ -100,14 +101,13 @@ class NodeDecl:
 @dataclass(frozen=True)
 class ActivityDecl:
     """Scenario binding for one activity: its node, the installed-sensor
-    concept selecting imports, the model file, and the clear policy."""
+    concept selecting imports, and the model file."""
 
     index: int
     label: str
     node: str
     installed: str
     model_path: str
-    clear_on_recognition: bool = True
 
 
 @dataclass(frozen=True)
@@ -128,13 +128,22 @@ def _parse_bool(value: str, lineno: int) -> bool:
     raise NetworkError(f"line {lineno}: expected a boolean, found {value!r}")
 
 
+def _split(line: ConfigLine, kind: str, known: tuple[str, ...]) -> tuple[list[str], dict[str, str]]:
+    """Split one declaration; an option its section does not define is an error."""
+    positional, options = split_options(line.tokens)
+    unknown = sorted(set(options) - set(known))
+    if unknown:
+        raise NetworkError(f"line {line.lineno}: unknown {kind} option {unknown[0]!r}")
+    return positional, options
+
+
 def load_network(text: str) -> NetworkModel:
     """Parse and cross-check a network description."""
     sections = read_sections(text)
 
     nodes: list[NodeDecl] = []
     for line in sections.get("nodes", []):
-        positional, options = split_options(line.tokens)
+        positional, options = _split(line, "node", ("represents", "mode"))
         if len(positional) != 1 or "represents" not in options:
             raise NetworkError(f"line {line.lineno}: node line must read 'NAME represents=FILE'")
         name = positional[0]
@@ -148,7 +157,7 @@ def load_network(text: str) -> NetworkModel:
     conditions: list[ConditionDecl] = []
     node_names = {n.name for n in nodes} | {UPPER_NODE}
     for line in sections.get("conditions", []):
-        positional, options = split_options(line.tokens)
+        positional, options = _split(line, "condition", ("checks", "in", "hasTarget", "rate"))
         if len(positional) != 1:
             raise NetworkError(f"line {line.lineno}: condition line must start with its name")
         for required in ("checks", "in", "hasTarget"):
@@ -169,7 +178,12 @@ def load_network(text: str) -> NetworkModel:
             check = PatternCheck(prop=parts[1], target_concept=parts[2])
         else:
             check = StatementCheck(statement_id=checks)
-        rate = Fraction(options.get("rate", str(DEFAULT_RATE_HZ)))
+        try:
+            rate = Fraction(options.get("rate", str(DEFAULT_RATE_HZ)))
+        except (ValueError, ZeroDivisionError):
+            raise NetworkError(
+                f"line {line.lineno}: rate must be a number, found {options['rate']!r}"
+            ) from None
         if rate <= 0:
             raise NetworkError(f"line {line.lineno}: rate must be positive")
         conditions.append(
@@ -185,7 +199,7 @@ def load_network(text: str) -> NetworkModel:
     condition_names = {c.name for c in conditions}
     events: list[EventDecl] = []
     for line in sections.get("events", []):
-        positional, options = split_options(line.tokens)
+        positional, options = _split(line, "event", ("observes",))
         if len(positional) != 1 or "observes" not in options:
             raise NetworkError(f"line {line.lineno}: event line must read 'NAME observes=C1[,C2]'")
         observed = tuple(options["observes"].split(","))
@@ -199,12 +213,10 @@ def load_network(text: str) -> NetworkModel:
     event_names = {e.name for e in events}
     procedures: list[ProcDecl] = []
     for line in sections.get("procedures", []):
-        positional, options = split_options(line.tokens)
+        positional, options = _split(line, "procedure", ("implements", "requires"))
         if len(positional) != 1 or "implements" not in options:
             raise NetworkError(f"line {line.lineno}: procedure line must read 'NAME implements=KEY'")
         name = positional[0]
-        if name == SCHEDULER_PROC:
-            raise NetworkError(f"line {line.lineno}: procedure name {name!r} is reserved")
         required = tuple(options.get("requires", "").split(",")) if options.get("requires") else ()
         if not required:
             raise NetworkError(f"line {line.lineno}: procedure {name!r} requires no event")
@@ -214,11 +226,16 @@ def load_network(text: str) -> NetworkModel:
         procedures.append(ProcDecl(name=name, implements=options["implements"], requires=required))
 
     activities: list[ActivityDecl] = []
+    activity_options = ("label", "node", "installed", "model")
     for line in sections.get("activities", []):
-        positional, options = split_options(line.tokens)
+        positional, options = _split(line, "activity", activity_options)
         if len(positional) != 1:
             raise NetworkError(f"line {line.lineno}: activity line must start with its index")
-        for required in ("label", "node", "installed", "model"):
+        if not positional[0].isdecimal():
+            raise NetworkError(
+                f"line {line.lineno}: activity index must be a number, found {positional[0]!r}"
+            )
+        for required in activity_options:
             if required not in options:
                 raise NetworkError(f"line {line.lineno}: activity missing {required!r}")
         if options["node"] not in node_names:
@@ -230,7 +247,6 @@ def load_network(text: str) -> NetworkModel:
                 node=options["node"],
                 installed=options["installed"],
                 model_path=options["model"],
-                clear_on_recognition=_parse_bool(options.get("clear", "true"), line.lineno),
             )
         )
 
@@ -287,12 +303,6 @@ class ConditionState:
         self.last_tick = int(Fraction(time_ms) * rate // 1000)
 
 
-@dataclass
-class EventState:
-    decl: EventDecl
-    consumed: bool = False
-
-
 @dataclass(frozen=True)
 class LogEntry:
     time_ms: int
@@ -311,12 +321,6 @@ def _noop(net: "RuntimeNetwork", now_ms: int) -> None:
     return None
 
 
-@dataclass
-class ProcedureRuntime:
-    decl: ProcDecl
-    impl: ProcedureImpl
-
-
 class RuntimeNetwork:
     """Bootstrapped network: stores, procedures and scheduler state."""
 
@@ -324,7 +328,7 @@ class RuntimeNetwork:
         self,
         model: NetworkModel,
         stores: dict[str, ContextStore],
-        procedures: dict[str, ProcedureRuntime],
+        procedures: dict[str, ProcedureImpl],
     ) -> None:
         self.model = model
         self.stores = stores
@@ -332,7 +336,8 @@ class RuntimeNetwork:
         self.conditions: dict[str, ConditionState] = {
             c.name: ConditionState(decl=c) for c in model.conditions
         }
-        self.events: dict[str, EventState] = {e.name: EventState(decl=e) for e in model.events}
+        self.events: dict[str, EventDecl] = {e.name: e for e in model.events}
+        self._consumed: set[str] = set()
         self.clock = VirtualClock()
         self.log: list[LogEntry] = []
         self._observers: dict[str, list[str]] = {c.name: [] for c in model.conditions}
@@ -382,8 +387,7 @@ class RuntimeNetwork:
     def _cascade(self, risen: list[str]) -> None:
         """Re-arm and fire events observing conditions that rose."""
         for cond in risen:
-            for event_name in self._observers[cond]:
-                self.events[event_name].consumed = False
+            self._consumed.difference_update(self._observers[cond])
         fired: list[str] = []
         seen: set[str] = set()
         for cond in risen:
@@ -391,12 +395,11 @@ class RuntimeNetwork:
                 if event_name in seen:
                     continue
                 seen.add(event_name)
-                event = self.events[event_name]
                 satisfied = all(
-                    self.conditions[c].outcome for c in event.decl.observes
+                    self.conditions[c].outcome for c in self.events[event_name].observes
                 )
-                if satisfied and not event.consumed:
-                    event.consumed = True
+                if satisfied and event_name not in self._consumed:
+                    self._consumed.add(event_name)
                     self.emit("event", event_name)
                     fired.append(event_name)
         for event_name in fired:
@@ -404,11 +407,11 @@ class RuntimeNetwork:
                 self.run_procedure(proc_name)
 
     def run_procedure(self, name: str) -> None:
-        runtime = self.procedures[name]
+        impl = self.procedures[name]
         before = {k: s.mutation_seq for k, s in self.stores.items()}
         self.emit("procedure", name)
         try:
-            runtime.impl(self, self.clock.now)
+            impl(self, self.clock.now)
         except Exception as exc:  # procedure failure must not halt the loop
             logger.exception("procedure %s failed", name)
             self.emit("error", name, f"{type(exc).__name__}: {exc}")
@@ -493,21 +496,22 @@ def bootstrap(
 ) -> RuntimeNetwork:
     """Build the three runtime maps from the network description.
 
-    Stores are initialised from their model files (the upper node is always
-    present and carries the boot statement), procedures are bound to their
-    implementations, and every condition starts with a false outcome.  A
-    pattern check on a node whose model declares no person is rejected.
+    Stores are initialised from their model files in their declared mode
+    (the upper node is always present and carries the boot statement),
+    procedures are bound to their implementations, and every condition
+    starts with a false outcome.  A model file that cannot be read or
+    instantiated, and a pattern check on a node whose model declares no
+    person, are rejected.
     """
     stores: dict[str, ContextStore] = {UPPER_NODE: _upper_store()}
     for node in model.nodes:
         path = Path(base_dir) / node.represents if base_dir is not None else Path(node.represents)
         try:
-            store_model = load_store_model(path)
+            stores[node.name] = build_store(node.name, load_store_model(path), mode=node.mode)
         except OSError as exc:
             raise BootstrapError(f"node {node.name}: cannot read model file {path}: {exc}") from exc
-        except ConfigError as exc:
+        except (ConfigError, StoreError, UnknownConceptError, ConsistencyError) as exc:
             raise BootstrapError(f"node {node.name}: {exc}") from exc
-        stores[node.name] = build_store(node.name, store_model, mode=node.mode)
     for cond in model.conditions:
         if isinstance(cond.check, PatternCheck) and stores[cond.node].person_id is None:
             raise BootstrapError(
@@ -515,17 +519,8 @@ def bootstrap(
                 f"{PERSON_CONCEPT} pattern check"
             )
 
-    implementations = dict(implementations or {})
-    procedures: dict[str, ProcedureRuntime] = {
-        SCHEDULER_PROC: ProcedureRuntime(
-            decl=ProcDecl(name=SCHEDULER_PROC, implements="scheduler", requires=()),
-            impl=_noop,
-        )
-    }
-    for decl in model.procedures:
-        impl = implementations.get(decl.implements, _noop)
-        procedures[decl.name] = ProcedureRuntime(decl=decl, impl=impl)
-
+    implementations = implementations or {}
+    procedures = {decl.name: implementations.get(decl.implements, _noop) for decl in model.procedures}
     net = RuntimeNetwork(model=model, stores=stores, procedures=procedures)
     for store_name in stores:
         net.note_mutation(store_name)

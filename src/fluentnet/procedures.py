@@ -1,15 +1,16 @@
 """The three procedure families: replayer, importers and model evaluators.
 
-The replayer turns dataset readings into overwrite-mode assertions in the
-spatial node, re-deriving the person's inferred context (and with it the
-node's classification) after each one.  Each importer reacts to a spatial
-trigger and copies the current values of its activity's sensors into the
-activity node (append mode, suppressing unchanged values), then raises the
-sync statement ``N`` so the paired evaluator runs in the same step.  The
-evaluator resets ``N``, runs any windowed pre-passes, evaluates the
-compiled model rules on a snapshot, and on success asserts the activity
-statement, records the recognition and clears the node down to the result
-and the sync statement.
+The replayer turns dataset readings into assertions in the spatial node,
+re-deriving the person's inferred context (and with it the node's
+classification) after each one.  Each importer reacts to a spatial trigger
+and copies the current values of its activity's sensors into the activity
+node (suppressing unchanged values), then raises the sync statement ``N``
+so the paired evaluator runs in the same step.  Readings and imports are
+stored in their node's declared mode; ``N``, pre-pass results and the
+recognition are single-valued and always overwrite.  The evaluator resets
+``N``, runs any windowed pre-passes, evaluates the compiled model rules on
+a snapshot, and on success asserts the activity statement, records the
+recognition and clears the node down to the result and the sync statement.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from time import perf_counter_ns
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import dsl
-from .context import APPEND, OVERWRITE, ContextStore
+from .context import OVERWRITE, ContextStore
 from .ingest import TraceEvent, drive
 from .metrics import Telemetry
-from .modelio import StoreModel, load_store_model
+from .modelio import ConfigError, load_store_model, read_sections
 from .network import (
     NetworkModel,
     ProcedureImpl,
@@ -47,24 +48,21 @@ REBASE_START_MS = 1000
 TRAILING_FLUSH_MS = 2000
 
 
-class ScenarioError(ValueError):
+class ScenarioError(ConfigError):
     """The scenario configuration is inconsistent with itself."""
 
 
 @dataclass(frozen=True)
 class ActivityBinding:
-    """Everything one activity needs: its node, sensors, trigger events,
-    and the compiled fluent model."""
+    """Everything one activity needs: its node, sensors and the compiled
+    fluent model."""
 
     index: int
     label: str
     node: str
-    installed: str
     sensor_ids: tuple[str, ...]
-    trigger_events: tuple[str, ...]
     ast: dsl.ModelAst
     compiled: dsl.CompiledModel
-    clear_on_recognition: bool = True
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,6 @@ class RecognitionRecord:
 class Scenario:
     base_dir: Path
     model: NetworkModel
-    spatial_model: StoreModel
     bindings: dict[int, ActivityBinding]
     sensor_rename: dict[str, str] = field(default_factory=dict)
     value_map: dict[str, bool] = field(default_factory=dict)
@@ -98,8 +95,6 @@ SENSOR_MAP_FILE = "sensors.map"
 
 def _load_sensor_map(path: Path) -> tuple[dict[str, str], dict[str, bool]]:
     """Optional per-scenario raw-token mapping (renames, extra state words)."""
-    from .modelio import ConfigError, read_sections
-
     if not path.exists():
         return {}, {}
     sections = read_sections(path.read_text(encoding="utf-8"))
@@ -119,7 +114,10 @@ def _load_sensor_map(path: Path) -> tuple[dict[str, str], dict[str, bool]]:
 def load_scenario(
     config_dir: Optional[Path] = None, params: Optional[Mapping[str, int]] = None
 ) -> Scenario:
-    """Load the network description and compile every activity model."""
+    """Load the network description and compile every activity model.
+
+    A ``params`` name that no model declares is a :class:`ConfigError`.
+    """
     base_dir = Path(config_dir) if config_dir is not None else SCENARIO_DIR
     with open(base_dir / NETWORK_FILE, "r", encoding="utf-8") as handle:
         model = load_network(handle.read())
@@ -127,11 +125,6 @@ def load_scenario(
     if spatial_decl is None:
         raise ScenarioError(f"scenario declares no spatial node {SPATIAL_NODE!r}")
     spatial_model = load_store_model(base_dir / spatial_decl.represents)
-
-    triggers: dict[int, tuple[str, ...]] = {}
-    for proc in model.procedures:
-        if proc.implements.startswith("importer:"):
-            triggers[int(proc.implements.split(":", 1)[1])] = proc.requires
 
     bindings: dict[int, ActivityBinding] = {}
     for decl in model.activities:
@@ -160,22 +153,22 @@ def load_scenario(
             index=decl.index,
             label=decl.label,
             node=decl.node,
-            installed=decl.installed,
             sensor_ids=sensor_ids,
-            trigger_events=triggers.get(decl.index, ()),
             ast=ast,
             compiled=compiled,
-            clear_on_recognition=decl.clear_on_recognition,
         )
     rename, value_map = _load_sensor_map(base_dir / SENSOR_MAP_FILE)
-    return Scenario(
+    scenario = Scenario(
         base_dir=base_dir,
         model=model,
-        spatial_model=spatial_model,
         bindings=bindings,
         sensor_rename=rename,
         value_map=value_map,
     )
+    unknown = sorted(set(params or ()) - set(scenario.params()))
+    if unknown:
+        raise ConfigError(f"unknown model parameter {unknown[0]!r}")
+    return scenario
 
 
 # --------------------------------------------------------------------------
@@ -183,7 +176,6 @@ def load_scenario(
 
 @dataclass
 class ReplaySession:
-    participant: str = ""
     recognitions: list[RecognitionRecord] = field(default_factory=list)
     telemetry: Telemetry = field(default_factory=Telemetry)
     warnings: list[str] = field(default_factory=list)
@@ -201,8 +193,8 @@ class Replayer:
         """Dispatched once at boot; readings arrive through :meth:`replay_step`."""
 
     def replay_step(self, net: RuntimeNetwork, event: TraceEvent) -> bool:
-        """Assert one reading (overwrite), then derive the person context, so
-        the reasoning is timed with the reading.
+        """Assert one reading in the spatial node's mode, then derive the
+        person context, so the reasoning is timed with the reading.
 
         Readings for sensors the spatial model does not declare are skipped
         with a warning record; datasets contain stray ids.
@@ -213,9 +205,7 @@ class Replayer:
             self.session.warnings.append(f"unknown sensor {event.sensor}")
             return False
         started = perf_counter_ns()
-        spatial.assert_statement(
-            Statement(event.sensor, event.value, event.time_ms), mode=OVERWRITE
-        )
+        spatial.assert_statement(Statement(event.sensor, event.value, event.time_ms))
         spatial.infer_person_context()
         elapsed = perf_counter_ns() - started
         self.session.events_replayed += 1
@@ -246,7 +236,7 @@ class Importer:
                 continue
             if self._last.get(sensor_id) == (state, time_ms):
                 continue  # unchanged since the previous import
-            target.assert_statement(Statement(sensor_id, state, time_ms), mode=APPEND)
+            target.assert_statement(Statement(sensor_id, state, time_ms))
             self._last[sensor_id] = (state, time_ms)
             imported += 1
         net.emit("import", f"I{self.binding.index}", f"count={imported}")
@@ -265,7 +255,6 @@ class Evaluator:
         self.binding = binding
         self.session = session
         self.engine = RuleEngine()
-        self._reported: set[int] = set()
         for rule in binding.compiled.rules:
             self.engine.register_rule(rule)
 
@@ -316,19 +305,12 @@ class Evaluator:
                 # sync statement is a visible transition even within one step
                 net.notify_sync(self.binding.node, SYNC_STATEMENT)
         self.run_prepasses(store, now_ms)
+        # the node is cleared on recognition, so a reported completion time
+        # never recurs: later imports carry only later readings
         derived = self.engine.evaluate(store.snapshot())
-        # without clear-on-recognition a completion stays derivable on every
-        # later update; only never-reported completion times count
-        matches = [
-            d
-            for d in derived
-            if d.instance_id == self.binding.compiled.result_id
-            and d.time not in self._reported
-        ]
         record: Optional[RecognitionRecord] = None
-        if matches:
-            best = min(matches, key=lambda d: d.time)
-            self._reported.add(best.time)
+        if derived:
+            best = min(derived, key=lambda d: d.time)
             store.assert_statement(
                 Statement(best.instance_id, True, best.time, kind=AGGREGATED),
                 concepts=best.concepts,
@@ -350,8 +332,7 @@ class Evaluator:
                     best.instance_id,
                     f"at={best.time} activity={self.binding.index}",
                 )
-            if self.binding.clear_on_recognition:
-                store.clear_statements(keep_concepts=RESULT_KEEP)
+            store.clear_statements(keep_concepts=RESULT_KEEP)
         elapsed = perf_counter_ns() - started
         self.session.telemetry.record(
             self.binding.node,
@@ -414,7 +395,7 @@ def run_replay(
     role, the scheduler consumes events as fast as computation allows while
     preserving timestamps, so runs at any factor are identical.
     """
-    session = ReplaySession(participant=participant)
+    session = ReplaySession()
     implementations, replayer = build_implementations(scenario, session)
     net = bootstrap(scenario.model, base_dir=scenario.base_dir, implementations=implementations)
 

@@ -191,10 +191,6 @@ class RuleEngine:
         self._rules: dict[str, Rule] = {}
         self._plans: dict[str, list[Atom]] = {}
 
-    @property
-    def rules(self) -> tuple[Rule, ...]:
-        return tuple(self._rules.values())
-
     def register_rule(self, rule: Rule) -> str:
         if not rule.body:
             raise RuleValidationError(f"rule {rule.name!r} has an empty body")

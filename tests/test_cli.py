@@ -1,5 +1,6 @@
 """Command-line surface: replay, check-models, score, explain."""
 
+import hashlib
 import json
 import shutil
 
@@ -7,6 +8,52 @@ import pytest
 
 import synth
 from fluentnet import cli, procedures
+
+
+# SHA-256 of every report file but the wall-clock ``timing_*`` ones, written
+# by ``fluentnet replay`` on ``synth.session_text()``.  Dispatch logs,
+# telemetry and reports are the program's deterministic output: a change
+# meant to keep behaviour must leave every digest as it is.
+REPORT_DIGESTS = {
+    "confusion.csv": "22ee6e3f66e843805c0ca68250adcb5a3e127ff95e10c3bb2f5dc268c4ee71c8",
+    "confusion.json": "196b3a17a078a16012b04d6c73ba648fe706fe71be8e044d16d1a4383920cff3",
+    "delay.csv": "7cfb782d27debc580702cfabe650f396e2e520f798d29dc1474bff985dcf50e9",
+    "fmeasure.csv": "ae8bdb88000524a7ea7b7b2e7353c99be52e5e333568e208f3dfedd19ebc9ba3",
+    "p01/bindings.json": "9aa362d8b23cd4c6d1ee467a9f69e6baebdf0e2fec6a28f889fcec77dac78b29",
+    "p01/dispatch.log": "37f0cd003b2bd35b012ec7bf0c1f5c230be060147667db3d528469424b2595fe",
+    "p01/summary.json": "ad6b6c4a624240d33df355c7d36e8659aab3a5b683f660cff1fe8e448024f2cd",
+    "p01/telemetry_L.tsv": "d82896f83d03e5a2fbb715f05f83a0f185f3ad7601a535ecdeb1c8dfef40f184",
+    "p01/telemetry_T1.tsv": "1406bae61e594082aa92745cee01083f6749181e0263e3f836ba6e634cebd7a6",
+    "p01/telemetry_T2.tsv": "ac103defcfec24ab3ae494a4cd39e27bd82a33de58ceec0a42769dbc10ebd948",
+    "p01/telemetry_T3.tsv": "d17edbda17630c08e0650152d3a571e0815fef3967d8aff581cac3e5444d1e06",
+    "p01/telemetry_T4.tsv": "508a06be76b74c7839766bc6c8bb32f34127d9987689e8eab77511ca472a2ff1",
+    "p01/telemetry_T5.tsv": "7d8db01695c34c005e449c12ee837efaf6dd2e97128dc5a5b076b99e897ce421",
+    "p01/telemetry_T6.tsv": "be528e4e764328e5944901e48a3ce8622e15c8687d71e9705a76cba5f51e6eaf",
+    "p01/telemetry_T7.tsv": "2576f8742a7b7c27c5b8d706fe1437920fd90b11dcbcb09bbf710983fd1d9307",
+    "p01/telemetry_T8.tsv": "972019c565d254ce8e3780d7674b1d400858c1ebc029dd56504a213f1d1a1fa7",
+    "params.json": "be592ae89dae9aa502f0ca54450fa18661d6844bb8df2af89c56108655bd8116",
+    "summary.json": "9b436629c37bb25b5ce8302c4b466cb2adfc3a6989c324a37b74d55512cf828e",
+    "telemetry_L@p01.tsv": "d82896f83d03e5a2fbb715f05f83a0f185f3ad7601a535ecdeb1c8dfef40f184",
+    "telemetry_T1@p01.tsv": "1406bae61e594082aa92745cee01083f6749181e0263e3f836ba6e634cebd7a6",
+    "telemetry_T2@p01.tsv": "ac103defcfec24ab3ae494a4cd39e27bd82a33de58ceec0a42769dbc10ebd948",
+    "telemetry_T3@p01.tsv": "d17edbda17630c08e0650152d3a571e0815fef3967d8aff581cac3e5444d1e06",
+    "telemetry_T4@p01.tsv": "508a06be76b74c7839766bc6c8bb32f34127d9987689e8eab77511ca472a2ff1",
+    "telemetry_T5@p01.tsv": "7d8db01695c34c005e449c12ee837efaf6dd2e97128dc5a5b076b99e897ce421",
+    "telemetry_T6@p01.tsv": "be528e4e764328e5944901e48a3ce8622e15c8687d71e9705a76cba5f51e6eaf",
+    "telemetry_T7@p01.tsv": "2576f8742a7b7c27c5b8d706fe1437920fd90b11dcbcb09bbf710983fd1d9307",
+    "telemetry_T8@p01.tsv": "972019c565d254ce8e3780d7674b1d400858c1ebc029dd56504a213f1d1a1fa7",
+}
+
+
+def scenario_copy(tmp_path, old, new):
+    """A copy of the bundled scenario with one network.cfg text replaced."""
+    config = tmp_path / "scenario"
+    shutil.copytree(procedures.SCENARIO_DIR, config)
+    network = config / procedures.NETWORK_FILE
+    text = network.read_text(encoding="utf-8")
+    assert old in text
+    network.write_text(text.replace(old, new, 1), encoding="utf-8")
+    return config
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +77,14 @@ class TestReplay:
             assert (replay_out / name).exists(), name
         assert (replay_out / "p01" / "dispatch.log").exists()
         assert (replay_out / "p01" / "bindings.json").exists()
+
+    def test_report_bytes_match_the_recorded_digests(self, replay_out):
+        written = {
+            path.relative_to(replay_out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(replay_out.rglob("*"))
+            if path.is_file() and not path.name.startswith("timing_")
+        }
+        assert written == REPORT_DIGESTS
 
     def test_confusion_diagonal_perfect_on_scripted_session(self, replay_out):
         payload = json.loads((replay_out / "confusion.json").read_text())
@@ -71,6 +126,48 @@ class TestReplay:
         assert "checks=PERSON:isIn:KITCHEN in=L" in text
         network.write_text(text.replace("checks=PERSON:isIn:KITCHEN in=L", checks), encoding="utf-8")
         argv = ["replay", "--config", str(config), "--trace", str(trace_file), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("C_boot checks=BOOT in=U hasTarget=true rate=50",
+             "C_boot checks=BOOT in=U hasTarget=true rate=fast",
+             "rate must be a number, found 'fast'"),
+            ("C_boot checks=BOOT in=U hasTarget=true rate=50",
+             "C_boot checks=BOOT in=U hasTarget=true rte=5",
+             "unknown condition option 'rte'"),
+            ("model=models/a2.fluent", "model=models/a2.fluent clear=false",
+             "unknown activity option 'clear'"),
+            ("\n2 label=", "\nx label=", "activity index must be a number, found 'x'"),
+        ],
+        ids=["rate=fast", "rte=5", "clear=false", "index=x"],
+    )
+    def test_bad_network_option_is_a_config_error(self, old, new, message, trace_file, tmp_path, capsys):
+        config = scenario_copy(tmp_path, old, new)
+        argv = ["replay", "--config", str(config), "--trace", str(trace_file), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["replay", "check-models"])
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ('{"d2": "40.5"}', "'d2' must be an integer, found '40.5'"),
+            ('{"d2": 40.5}', "'d2' must be an integer, found 40.5"),
+            ('{"d99": 5}', "unknown model parameter 'd99'"),
+            ("[5]", "expected a JSON object"),
+            ('{"d2": ', "Expecting value"),
+        ],
+        ids=["d2=str", "d2=float", "d99", "list", "truncated"],
+    )
+    def test_bad_params_are_a_config_error(self, command, params, message, trace_file, tmp_path, capsys):
+        override = tmp_path / "params.json"
+        override.write_text(params, encoding="utf-8")
+        argv = [command, "--params", str(override)]
+        if command == "replay":
+            argv += ["--trace", str(trace_file), "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
 

@@ -16,6 +16,7 @@ from fluentnet.context import (
     GraphError,
     Restriction,
     SensorDecl,
+    StoreError,
     UnknownConceptError,
 )
 from fluentnet.modelio import build_store, load_store_model, parse_store_model
@@ -99,6 +100,16 @@ class TestAssert:
         store = store_with()
         with pytest.raises(UnknownConceptError):
             store.assert_statement(Statement("D7", True, 10), concepts=("WINDOW",))
+
+    def test_undeclared_property_is_rejected_on_every_write(self):
+        store = store_with()
+        with pytest.raises(StoreError, match="unknown property 'isNearBy'"):
+            store.add_instance("K", ("KITCHEN",), {"isNearBy": ["SINK"]})
+        with pytest.raises(StoreError, match="unknown property 'isNearBy'"):
+            store.assert_statement(
+                Statement("D7", True, 10), concepts=("DOOR",), properties={"isNearBy": ["K"]}
+            )
+        assert store.instances == {}
 
     def test_installation_fallback(self):
         store = store_with(

@@ -103,6 +103,39 @@ class TestLoad:
         with pytest.raises(NetworkError, match="must read PERSON:prop:TARGET"):
             load_network(text)
 
+    @pytest.mark.parametrize(
+        "section, line, option",
+        [
+            ("nodes", "B represents=mini.model mod=append", "node option 'mod'"),
+            ("conditions", "C2 checks=X2 in=A hasTarget=true rte=5", "condition option 'rte'"),
+            ("events", "E2 observes=C1 requires=E1", "event option 'requires'"),
+            ("procedures", "P2 implements=noop requires=E1 mode=append", "procedure option 'mode'"),
+            ("activities", "1 label=x node=A installed=X model=m clear=false", "activity option 'clear'"),
+        ],
+    )
+    def test_unknown_option_is_rejected_with_its_line(self, tmp_path, section, line, option):
+        text = mini_config(
+            tmp_path,
+            ["C1 checks=X1 in=A hasTarget=true rate=50"],
+            ["E1 observes=C1"],
+            ["P1 implements=noop requires=E1"],
+        )
+        lineno = len(text.splitlines()) + 2  # a repeated section header extends the section
+        text += f"[{section}]\n{line}\n"
+        with pytest.raises(NetworkError, match=f"line {lineno}: unknown {option}"):
+            load_network(text)
+
+    @pytest.mark.parametrize("rate", ["1/0", ""])
+    def test_rate_must_be_a_number(self, tmp_path, rate):
+        text = mini_config(
+            tmp_path,
+            [f"C1 checks=X1 in=A hasTarget=true rate={rate}"],
+            ["E1 observes=C1"],
+            ["P1 implements=noop requires=E1"],
+        )
+        with pytest.raises(NetworkError, match=f"line 4: rate must be a number, found '{rate}'"):
+            load_network(text)
+
 
 class TestBootstrap:
     def test_three_maps_with_implicit_members(self, tmp_path):
@@ -113,22 +146,22 @@ class TestBootstrap:
             ["P1 implements=noop requires=E1"],
         )
         assert set(net.stores) == {UPPER_NODE, "A"}
-        assert set(net.procedures) == {"H", "P1"}
+        assert set(net.procedures) == {"P1"}
         assert set(net.conditions) == {"C1"}
         assert all(not c.outcome for c in net.conditions.values())
 
-    def test_empty_network_has_upper_and_scheduler(self):
+    def test_empty_network_has_only_the_upper_node(self):
         model = load_network("")
         net = bootstrap(model)
         assert set(net.stores) == {UPPER_NODE}
-        assert set(net.procedures) == {"H"}
+        assert net.procedures == {}
         assert net.conditions == {}
 
     def test_scenario_bootstrap_map_sizes(self):
         model = load_network((SCENARIO / "network.cfg").read_text(encoding="utf-8"))
         net = bootstrap(model, base_dir=SCENARIO)
         assert len(net.stores) == 10  # nine declared plus the upper node
-        assert len(net.procedures) == 18  # seventeen declared plus the scheduler
+        assert len(net.procedures) == 17  # the declared ones; no implicit procedure
         assert len(net.conditions) == len(model.conditions)
 
     def test_rebootstrap_is_identical(self):
@@ -142,6 +175,18 @@ class TestBootstrap:
         text = "[nodes]\nA represents=missing.model\n"
         with pytest.raises(BootstrapError, match="node A"):
             bootstrap(load_network(text), base_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("K KITCHN", "unknown concept 'KITCHN'"),
+            ("K SENSOR isNearBy=X1", "unknown property 'isNearBy'"),
+        ],
+    )
+    def test_bad_store_model_names_node(self, tmp_path, line, message):
+        (tmp_path / "bad.model").write_text(MINI_MODEL + "[instances]\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(BootstrapError, match=f"node A: {message}"):
+            bootstrap(load_network("[nodes]\nA represents=bad.model\n"), base_dir=tmp_path)
 
     @pytest.mark.parametrize("node", ["A", UPPER_NODE])
     def test_person_pattern_needs_a_person(self, tmp_path, node):

@@ -1,6 +1,7 @@
 """Replayer, importers, evaluators, bindings and the whole replay loop."""
 
 import io
+import shutil
 
 import pytest
 
@@ -32,9 +33,9 @@ class TestRegistry:
         assert set(scenario.bindings[1].sensor_ids) == {"D7", "I4", "I6", "I7"}
 
     def test_phone_trigger_is_table2(self, scenario):
-        binding = scenario.bindings[4]
+        importer = next(p for p in scenario.model.procedures if p.implements == "importer:4")
         events = {e.name: e for e in scenario.model.events}
-        observed = [events[name].observes for name in binding.trigger_events]
+        observed = [events[name].observes for name in importer.requires]
         assert observed == [("C_near_table2",)]
 
     def test_cleaning_prepasses(self, scenario):
@@ -213,6 +214,30 @@ class TestRecognitionLifecycle:
         assert strict_drop_seen
 
 
+class TestDeclaredMode:
+    def test_node_mode_decides_how_readings_are_kept(self, session_run, tmp_path):
+        # A2 needs the item taken out and put back: two I5 readings that an
+        # overwrite-mode T2 collapses into one
+        config = tmp_path / "scenario"
+        shutil.copytree(procedures.SCENARIO_DIR, config)
+        network = config / procedures.NETWORK_FILE
+        text = network.read_text(encoding="utf-8")
+        declared = "T2 represents=t2.model mode=append"
+        assert declared in text
+        network.write_text(text.replace(declared, "T2 represents=t2.model mode=overwrite"), encoding="utf-8")
+        overwriting = procedures.load_scenario(config)
+
+        load, shipped = session_run
+        result = procedures.run_replay(load.events, scenario=overwriting)
+        assert 2 in [r.activity for r in shipped.recognitions]
+        assert [r.activity for r in result.recognitions] == [
+            r.activity for r in shipped.recognitions if r.activity != 2
+        ]
+        assert {i for i in result.net.stores["T2"].instances if i.startswith("I5")} == {"I5"}
+        satisfying = golden.golden_cases(overwriting.bindings[2])[0]
+        assert golden.evaluate_case(overwriting, satisfying) is None
+
+
 class TestInterleaving:
     """A phone call nested inside the DVD session: both recognized, each
     matched to its own (innermost) interval, the late one via the grace
@@ -316,27 +341,6 @@ class TestEvaluatorDirect:
         derived = store.query_instances("WATERED")
         assert derived.ids() == ("WATERED_1",)
         assert derived.members[0].time == 40_000
-
-    def test_no_clear_mode_reports_each_completion_once(self, scenario):
-        import dataclasses
-
-        binding = dataclasses.replace(scenario.bindings[2], clear_on_recognition=False)
-        node = next(n for n in scenario.model.nodes if n.name == "T2")
-        store = build_store("T2", load_store_model(scenario.base_dir / node.represents), mode=APPEND)
-        store.assert_statement(Statement("I5", False, 10_000), mode=APPEND)
-        store.assert_statement(Statement("I5", True, 80_000), mode=APPEND)
-        session = procedures.ReplaySession()
-        evaluator = procedures.Evaluator(binding, session)
-        first = evaluator.evaluate_store(store, 90_000)
-        assert first is not None and first.time_ms == 80_000
-        assert len(store.query_instances("ITEM")) == 2  # nothing cleared
-        again = evaluator.evaluate_store(store, 95_000)
-        assert again is None  # same completion is not re-reported
-        store.assert_statement(Statement("I5", False, 100_000), mode=APPEND)
-        store.assert_statement(Statement("I5", True, 170_000), mode=APPEND)
-        later = evaluator.evaluate_store(store, 180_000)
-        assert later is not None and later.time_ms == 170_000
-        assert len(session.recognitions) == 2
 
     def test_prepass_below_threshold_asserts_nothing(self, scenario):
         binding = scenario.bindings[3]
