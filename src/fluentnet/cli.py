@@ -52,6 +52,16 @@ def _positive_speed(text: str) -> float:
     return speed
 
 
+def _load_trace(trace_path: str, scenario: procedures.Scenario) -> tuple[str, ingest.TraceLoad]:
+    """One participant's trace, named by its file stem; the warnings of
+    loading it go to stderr."""
+    path = Path(trace_path)
+    load = ingest.load_trace(path, **scenario.load_trace_kwargs())
+    for warning in load.warnings:
+        print(f"{path.stem}: {warning}", file=sys.stderr)
+    return path.stem, load
+
+
 def _rebase_truth(load: ingest.TraceLoad, base_ms: int) -> list[ingest.Interval]:
     return [
         ingest.Interval(i.activity, i.start_ms - base_ms, i.end_ms - base_ms)
@@ -71,9 +81,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     warnings = 0
 
     for trace_path in args.trace:
-        path = Path(trace_path)
-        participant = path.stem
-        load = ingest.load_trace(path, **scenario.load_trace_kwargs())
+        participant, load = _load_trace(trace_path, scenario)
         if not load.events:
             print(f"{participant}: empty trace, skipped", file=sys.stderr)
             continue
@@ -167,9 +175,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     truth = ingest.GroundTruth()
     recognitions: dict[str, list[tuple[int, int]]] = {}
     for trace_path in args.trace:
-        path = Path(trace_path)
-        participant = path.stem
-        load = ingest.load_trace(path, **scenario.load_trace_kwargs())
+        participant, load = _load_trace(trace_path, scenario)
         if not load.events:
             continue
         for interval in _rebase_truth(load, procedures.rebase_offset(load.events)):

@@ -19,7 +19,10 @@ Compilation targets the rule engine: every precedence edge becomes one
 additive assignment, and conjunctions order their operands so that the
 right operand carries the aggregate (latest) timestamp.  Repeated
 references to one class-and-state get pairwise distinct-instance guards.
-Disjunction expands into one rule per alternative.
+Disjunction expands into one rule per alternative.  The compiler's atom
+order is the join order: each leaf's class atom precedes its property
+atoms, and every comparison and assignment follows the atoms that bind its
+operands, so the rule engine matches a body exactly as it is written.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .modelio import build_store, load_store_model
+from .network import build_node_store
 from .procedures import ActivityBinding, Evaluator, RecognitionRecord, ReplaySession, Scenario
 from .statements import Statement
 
@@ -261,7 +261,7 @@ def evaluate_case(scenario: Scenario, case: GoldenCase) -> Optional[RecognitionR
     declared mode, and a fresh evaluator."""
     binding = scenario.bindings[case.activity]
     node = next(n for n in scenario.model.nodes if n.name == binding.node)
-    store = build_store(binding.node, load_store_model(scenario.base_dir / node.represents), mode=node.mode)
+    store = build_node_store(node, scenario.base_dir)
     for sensor, state, time_ms in case.readings:
         store.assert_statement(Statement(sensor, state, time_ms))
     evaluator = Evaluator(binding, ReplaySession())

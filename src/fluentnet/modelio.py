@@ -2,7 +2,8 @@
 
 One format family covers both store models and the network description:
 bracketed section headers, one declaration per line, ``#`` comments,
-shell-style quoting for values with spaces.  A store model declares the
+shell-style quoting for values with spaces; a section header a reader does
+not know is an error.  A store model declares the
 concept graph, the sensor installation table and any plain instances::
 
     [concepts]
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import shlex
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 from .context import (
@@ -35,8 +37,10 @@ from .context import (
     ConceptGraph,
     ContextStore,
     DefinedClass,
+    GraphError,
     Restriction,
     SensorDecl,
+    UnknownConceptError,
 )
 
 
@@ -50,8 +54,9 @@ class ConfigLine:
     lineno: int
 
 
-def read_sections(text: str) -> dict[str, list[ConfigLine]]:
-    """Split a declarative file into its bracketed sections."""
+def read_sections(text: str, known: tuple[str, ...]) -> dict[str, list[ConfigLine]]:
+    """Split a declarative file into its bracketed sections; a section not
+    in ``known`` is an error."""
     sections: dict[str, list[ConfigLine]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -60,6 +65,8 @@ def read_sections(text: str) -> dict[str, list[ConfigLine]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
+            if current not in known:
+                raise ConfigError(f"line {lineno}: unknown section [{current}]")
             sections.setdefault(current, [])
             continue
         if current is None:
@@ -122,7 +129,7 @@ def _parse_defined(line: ConfigLine) -> DefinedClass:
         if len(conjunct) == 2:
             prop, target = conjunct
             restrictions.append(Restriction(prop=prop, target=target))
-        elif len(conjunct) == 4 and conjunct[2] in (">=", "<=", "=="):
+        elif len(conjunct) == 4 and conjunct[2] in (">=", "<=", "==") and conjunct[3].isdecimal():
             prop, target, bound, count = conjunct
             restrictions.append(Restriction(prop=prop, target=target, bound=bound, count=int(count)))
         else:
@@ -132,8 +139,22 @@ def _parse_defined(line: ConfigLine) -> DefinedClass:
     return DefinedClass(name=name, bases=tuple(bases), restrictions=tuple(restrictions))
 
 
+STORE_SECTIONS = (
+    "concepts", "properties", "subclass", "disjoint", "defined", "instances", "person", "sensors",
+)
+
+
+def _declare(line: ConfigLine, add, *args) -> None:
+    """Apply one graph declaration; a rejected one is a :class:`ConfigError`
+    on its line."""
+    try:
+        add(*args)
+    except (GraphError, UnknownConceptError) as exc:
+        raise ConfigError(f"line {line.lineno}: {exc}") from exc
+
+
 def parse_store_model(text: str) -> StoreModel:
-    sections = read_sections(text)
+    sections = read_sections(text, STORE_SECTIONS)
     graph = ConceptGraph()
     for line in sections.get("concepts", []):
         for name in line.tokens:
@@ -144,13 +165,13 @@ def parse_store_model(text: str) -> StoreModel:
     for line in sections.get("subclass", []):
         if len(line.tokens) != 2:
             raise ConfigError(f"line {line.lineno}: subclass line must read 'CHILD PARENT'")
-        graph.add_subclass(*line.tokens)
+        _declare(line, graph.add_subclass, *line.tokens)
     for line in sections.get("disjoint", []):
         if len(line.tokens) != 2:
             raise ConfigError(f"line {line.lineno}: disjoint line must read 'A B'")
-        graph.add_disjoint(*line.tokens)
+        _declare(line, graph.add_disjoint, *line.tokens)
     for line in sections.get("defined", []):
-        graph.add_defined(_parse_defined(line))
+        _declare(line, graph.add_defined, _parse_defined(line))
 
     model = StoreModel(graph=graph)
 
@@ -168,6 +189,9 @@ def parse_store_model(text: str) -> StoreModel:
             raise ConfigError(f"line {line.lineno}: person line must name one instance")
         if model.person_id is not None:
             raise ConfigError(f"line {line.lineno}: only one person instance is supported")
+        unknown = set(options) - {"presence"}
+        if unknown:
+            raise ConfigError(f"line {line.lineno}: unknown person option {sorted(unknown)[0]!r}")
         model.person_id = positional[0]
         if "presence" in options:
             model.presence_concept = options["presence"]
@@ -220,5 +244,10 @@ def build_store(name: str, model: StoreModel, mode: str = OVERWRITE) -> ContextS
 
 
 def load_store_model(path) -> StoreModel:
+    """Parse a store model file; a :class:`ConfigError` names the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_store_model(handle.read())
+        text = handle.read()
+    try:
+        return parse_store_model(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{Path(path).name}: {exc}") from exc

@@ -6,7 +6,8 @@ the events that trigger them), events (conjunctions of conditions) and
 conditions (rate-sampled checks in one node).  The implicit upper node
 ``U`` is always part of the runtime network.  A node's declared mode
 (``overwrite`` or ``append``) is how its store keeps sensor readings; an
-option a section does not define is rejected.
+unknown section, an option a section does not define and a duplicate
+activity index are rejected.
 
 A condition checks either one statement's state (``checks=N``) or the
 person's inferred context (``checks=PERSON:prop:TARGET``, on a node whose
@@ -139,7 +140,7 @@ def _split(line: ConfigLine, kind: str, known: tuple[str, ...]) -> tuple[list[st
 
 def load_network(text: str) -> NetworkModel:
     """Parse and cross-check a network description."""
-    sections = read_sections(text)
+    sections = read_sections(text, ("nodes", "conditions", "events", "procedures", "activities"))
 
     nodes: list[NodeDecl] = []
     for line in sections.get("nodes", []):
@@ -240,9 +241,12 @@ def load_network(text: str) -> NetworkModel:
                 raise NetworkError(f"line {line.lineno}: activity missing {required!r}")
         if options["node"] not in node_names:
             raise NetworkError(f"line {line.lineno}: unknown node {options['node']!r}")
+        index = int(positional[0])
+        if any(a.index == index for a in activities):
+            raise NetworkError(f"line {line.lineno}: duplicate activity index {index}")
         activities.append(
             ActivityDecl(
-                index=int(positional[0]),
+                index=index,
                 label=options["label"],
                 node=options["node"],
                 installed=options["installed"],
@@ -489,6 +493,19 @@ def _upper_store() -> ContextStore:
     return store
 
 
+def build_node_store(node: NodeDecl, base_dir=None) -> ContextStore:
+    """A fresh store for one declared node, from its model file and in its
+    declared mode.  A model file that cannot be read or instantiated is a
+    :class:`BootstrapError` naming the node."""
+    path = Path(base_dir) / node.represents if base_dir is not None else Path(node.represents)
+    try:
+        return build_store(node.name, load_store_model(path), mode=node.mode)
+    except OSError as exc:
+        raise BootstrapError(f"node {node.name}: cannot read model file {path}: {exc}") from exc
+    except (ConfigError, StoreError, UnknownConceptError, ConsistencyError) as exc:
+        raise BootstrapError(f"node {node.name}: {exc}") from exc
+
+
 def bootstrap(
     model: NetworkModel,
     base_dir=None,
@@ -505,13 +522,7 @@ def bootstrap(
     """
     stores: dict[str, ContextStore] = {UPPER_NODE: _upper_store()}
     for node in model.nodes:
-        path = Path(base_dir) / node.represents if base_dir is not None else Path(node.represents)
-        try:
-            stores[node.name] = build_store(node.name, load_store_model(path), mode=node.mode)
-        except OSError as exc:
-            raise BootstrapError(f"node {node.name}: cannot read model file {path}: {exc}") from exc
-        except (ConfigError, StoreError, UnknownConceptError, ConsistencyError) as exc:
-            raise BootstrapError(f"node {node.name}: {exc}") from exc
+        stores[node.name] = build_node_store(node, base_dir)
     for cond in model.conditions:
         if isinstance(cond.check, PatternCheck) and stores[cond.node].person_id is None:
             raise BootstrapError(

@@ -97,7 +97,7 @@ def _load_sensor_map(path: Path) -> tuple[dict[str, str], dict[str, bool]]:
     """Optional per-scenario raw-token mapping (renames, extra state words)."""
     if not path.exists():
         return {}, {}
-    sections = read_sections(path.read_text(encoding="utf-8"))
+    sections = read_sections(path.read_text(encoding="utf-8"), ("rename", "values"))
     rename: dict[str, str] = {}
     for line in sections.get("rename", []):
         if len(line.tokens) != 2:
@@ -157,6 +157,10 @@ def load_scenario(
             ast=ast,
             compiled=compiled,
         )
+    implemented = {"replayer"} | {f"{role}:{i}" for i in bindings for role in ("importer", "evaluator")}
+    for proc in model.procedures:
+        if proc.implements not in implemented:
+            raise ScenarioError(f"procedure {proc.name}: unknown implementation {proc.implements!r}")
     rename, value_map = _load_sensor_map(base_dir / SENSOR_MAP_FILE)
     scenario = Scenario(
         base_dir=base_dir,

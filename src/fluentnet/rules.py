@@ -1,12 +1,12 @@
 """Forward-chaining conjunctive rules over store snapshots.
 
 Rules are conjunctions of typed atoms -- class membership, property values,
-numeric comparisons and additive assignments -- with a head that asserts a
-result statement.  Variables are written ``?name``; anything else is a
-literal.  Evaluation enumerates every consistent binding against an
-immutable snapshot, so repeated calls yield identical results and atoms may
-be given in any order: the engine plans an executable schedule when a rule
-is registered.
+``<=``/``!=`` comparisons and additive assignments -- with a head that
+asserts a result statement.  Variables are written ``?name``; anything else
+is a literal.  Evaluation enumerates every consistent binding against an
+immutable snapshot, so repeated calls yield identical results.  Atoms are
+joined in the order the body gives them: registration rejects a body in
+which an atom reads a variable no earlier atom binds.
 """
 
 from __future__ import annotations
@@ -14,15 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .context import Snapshot, SnapshotInstance
+from .context import Snapshot
 
 Term = Union[str, int, bool]
 
-COMPARE_OPS = ("<=", ">=", "<", ">", "==", "!=")
+COMPARE_OPS = ("<=", "!=")
 
 
 class RuleValidationError(ValueError):
-    """Rule rejected at registration: unbound variable, duplicate name."""
+    """Rule rejected at registration: a variable read before it is bound or
+    bound twice, an unknown comparison, a duplicate name."""
 
 
 class BuiltinError(ValueError):
@@ -96,25 +97,13 @@ class Derived:
 
 
 def eval_builtin(op: str, lhs: Term, rhs: Term):
-    """Comparison builtins return a bool; ``sum`` returns lhs + rhs."""
-    if op == "==":
-        return lhs == rhs
+    """``<=`` and ``!=`` return a bool; ``sum`` returns lhs + rhs."""
     if op == "!=":
         return lhs != rhs
-    if op == "sum":
+    if op in ("<=", "sum"):
         _require_number(lhs)
         _require_number(rhs)
-        return lhs + rhs
-    if op in ("<=", ">=", "<", ">"):
-        _require_number(lhs)
-        _require_number(rhs)
-        if op == "<=":
-            return lhs <= rhs
-        if op == ">=":
-            return lhs >= rhs
-        if op == "<":
-            return lhs < rhs
-        return lhs > rhs
+        return lhs <= rhs if op == "<=" else lhs + rhs
     raise BuiltinError(f"unknown builtin {op!r}")
 
 
@@ -123,61 +112,44 @@ def _require_number(value: Term) -> None:
         raise BuiltinError(f"numeric builtin applied to {value!r}")
 
 
-def _atom_vars(atom: Atom) -> list[str]:
-    if isinstance(atom, ClassAtom):
-        return [atom.var]
-    if isinstance(atom, PropertyAtom):
-        out = [atom.var]
-        if is_var(atom.value):
-            out.append(atom.value)
-        return out
-    if isinstance(atom, Compare):
-        return [t for t in (atom.left, atom.right) if is_var(t)]
-    return [atom.var] + [t for t in (atom.left, atom.right) if is_var(t)]
+def _bound_variables(body: tuple[Atom, ...]) -> set[str]:
+    """Check that ``body`` can be joined in the given order; return the
+    variables it binds.
 
-
-def _plan(body: tuple[Atom, ...]) -> tuple[list[Atom], set[str]]:
-    """Order atoms so each one is executable when reached.
-
-    Class and property atoms bind variables; comparisons and assignments
-    wait until their operands are bound.  Raises when no complete schedule
-    exists, naming an offending variable.
+    A class atom binds a new variable; a property atom reads its instance
+    variable and binds its value variable if that is new; a comparison reads
+    both operands; an assignment reads its operands and binds a new variable.
     """
-    pending = list(body)
-    schedule: list[Atom] = []
     bound: set[str] = set()
 
-    def ready(atom: Atom, allow_free_instance: bool) -> bool:
-        if isinstance(atom, ClassAtom):
-            return True
-        if isinstance(atom, PropertyAtom):
-            return allow_free_instance or atom.var in bound
-        if isinstance(atom, Compare):
-            return all(not is_var(t) or t in bound for t in (atom.left, atom.right))
-        if isinstance(atom, Assign):
-            operands_ok = all(not is_var(t) or t in bound for t in (atom.left, atom.right))
-            return operands_ok and atom.var not in bound
-        return False
+    def read(term: Term) -> None:
+        if is_var(term) and term not in bound:
+            raise RuleValidationError(f"unbound {term}")
 
-    while pending:
-        chosen = None
-        for allow_free in (False, True):
-            for atom in pending:
-                if ready(atom, allow_free):
-                    chosen = atom
-                    break
-            if chosen is not None:
-                break
-        if chosen is None:
-            for atom in pending:
-                for var in _atom_vars(atom):
-                    if var not in bound:
-                        raise RuleValidationError(f"unbound {var}")
-            raise RuleValidationError("rule body cannot be scheduled")
-        pending.remove(chosen)
-        schedule.append(chosen)
-        bound.update(_atom_vars(chosen))
-    return schedule, bound
+    def bind(var: str) -> None:
+        if var in bound:
+            raise RuleValidationError(f"{var} is bound twice")
+        bound.add(var)
+
+    for atom in body:
+        if isinstance(atom, ClassAtom):
+            bind(atom.var)
+        elif isinstance(atom, PropertyAtom):
+            read(atom.var)
+            if is_var(atom.value):
+                bound.add(atom.value)
+        elif isinstance(atom, Compare):
+            if atom.op not in COMPARE_OPS:
+                raise RuleValidationError(f"unknown comparison {atom.op!r}")
+            read(atom.left)
+            read(atom.right)
+        elif isinstance(atom, Assign):
+            read(atom.left)
+            read(atom.right)
+            bind(atom.var)
+        else:
+            raise RuleValidationError(f"unknown atom {atom!r}")
+    return bound
 
 
 class RuleEngine:
@@ -189,18 +161,16 @@ class RuleEngine:
 
     def __init__(self) -> None:
         self._rules: dict[str, Rule] = {}
-        self._plans: dict[str, list[Atom]] = {}
 
     def register_rule(self, rule: Rule) -> str:
         if not rule.body:
             raise RuleValidationError(f"rule {rule.name!r} has an empty body")
         if rule.name in self._rules:
             raise RuleValidationError(f"duplicate rule name {rule.name!r}")
-        schedule, bound = _plan(rule.body)
+        bound = _bound_variables(rule.body)
         if is_var(rule.head.time) and rule.head.time not in bound:
             raise RuleValidationError(f"unbound {rule.head.time}")
         self._rules[rule.name] = rule
-        self._plans[rule.name] = schedule
         return rule.name
 
     def evaluate(self, snapshot: Snapshot) -> list[Derived]:
@@ -212,7 +182,7 @@ class RuleEngine:
         derived: list[Derived] = []
         for name, rule in self._rules.items():
             seen: set[tuple[str, bool, int]] = set()
-            for binding in self._match(self._plans[name], snapshot):
+            for binding in self._match(rule.body, snapshot):
                 time = binding[rule.head.time] if is_var(rule.head.time) else rule.head.time
                 key = (rule.head.instance_id, rule.head.state, time)
                 if key in seen:
@@ -230,62 +200,36 @@ class RuleEngine:
                 )
         return derived
 
-    def _match(self, schedule: list[Atom], snapshot: Snapshot):
-        def instances_of(concept: str) -> tuple[SnapshotInstance, ...]:
-            return snapshot.of_concept(concept)
-
+    def _match(self, body: tuple[Atom, ...], snapshot: Snapshot):
         def resolve(term: Term, binding: dict[str, Term]) -> Term:
             return binding[term] if is_var(term) else term
 
         def solve(index: int, binding: dict[str, Term]):
-            if index == len(schedule):
+            if index == len(body):
                 yield dict(binding)
                 return
-            atom = schedule[index]
+            atom = body[index]
             if isinstance(atom, ClassAtom):
-                if atom.var in binding:
-                    inst = snapshot.get(str(binding[atom.var]))
-                    if inst is not None and atom.concept in inst.concepts:
-                        yield from solve(index + 1, binding)
-                    return
-                for inst in instances_of(atom.concept):
+                for inst in snapshot.of_concept(atom.concept):
                     binding[atom.var] = inst.id
                     yield from solve(index + 1, binding)
                     del binding[atom.var]
-                return
-            if isinstance(atom, PropertyAtom):
-                if atom.var in binding:
-                    candidates = [snapshot.get(str(binding[atom.var]))]
-                    candidates = [c for c in candidates if c is not None]
-                    free_instance = False
-                else:
-                    candidates = [i for i in snapshot.instances if atom.prop in i.props]
-                    free_instance = True
-                for inst in candidates:
-                    values = inst.props.get(atom.prop, ())
-                    if free_instance:
-                        binding[atom.var] = inst.id
-                    if is_var(atom.value) and atom.value not in binding:
-                        for value in values:
-                            binding[atom.value] = value
-                            yield from solve(index + 1, binding)
-                            del binding[atom.value]
-                    else:
-                        wanted = resolve(atom.value, binding)
-                        if wanted in values:
-                            yield from solve(index + 1, binding)
-                    if free_instance:
-                        del binding[atom.var]
-                return
-            if isinstance(atom, Compare):
+            elif isinstance(atom, PropertyAtom):
+                inst = snapshot.get(str(binding[atom.var]))
+                values = inst.props.get(atom.prop, ()) if inst is not None else ()
+                if is_var(atom.value) and atom.value not in binding:
+                    for value in values:
+                        binding[atom.value] = value
+                        yield from solve(index + 1, binding)
+                        del binding[atom.value]
+                elif resolve(atom.value, binding) in values:
+                    yield from solve(index + 1, binding)
+            elif isinstance(atom, Compare):
                 if eval_builtin(atom.op, resolve(atom.left, binding), resolve(atom.right, binding)):
                     yield from solve(index + 1, binding)
-                return
-            if isinstance(atom, Assign):
+            else:
                 binding[atom.var] = eval_builtin("sum", resolve(atom.left, binding), resolve(atom.right, binding))
                 yield from solve(index + 1, binding)
                 del binding[atom.var]
-                return
-            raise BuiltinError(f"unknown atom {atom!r}")
 
         yield from solve(0, {})

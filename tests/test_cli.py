@@ -45,14 +45,14 @@ REPORT_DIGESTS = {
 }
 
 
-def scenario_copy(tmp_path, old, new):
-    """A copy of the bundled scenario with one network.cfg text replaced."""
+def scenario_copy(tmp_path, old, new, name=procedures.NETWORK_FILE):
+    """A copy of the bundled scenario with one text in file ``name`` replaced."""
     config = tmp_path / "scenario"
     shutil.copytree(procedures.SCENARIO_DIR, config)
-    network = config / procedures.NETWORK_FILE
-    text = network.read_text(encoding="utf-8")
+    target = config / name
+    text = target.read_text(encoding="utf-8")
     assert old in text
-    network.write_text(text.replace(old, new, 1), encoding="utf-8")
+    target.write_text(text.replace(old, new, 1), encoding="utf-8")
     return config
 
 
@@ -152,6 +152,37 @@ class TestReplay:
 
     @pytest.mark.parametrize("command", ["replay", "check-models"])
     @pytest.mark.parametrize(
+        "name, old, new, message",
+        [
+            ("network.cfg", "\n8 label=", "\n2 label=", "line 87: duplicate activity index 2"),
+            ("network.cfg", "I1 implements=importer:1", "I1 implements=importr:1",
+             "procedure I1: unknown implementation 'importr:1'"),
+            ("network.cfg", "[activities]", "[activites]", "line 79: unknown section [activites]"),
+            ("sensors.map", "[rename]", "[renames]", "line 6: unknown section [renames]"),
+            ("spatial.model", "[subclass]\n", "[subclass]\nFOO STATEMENT\n",
+             "spatial.model: line 15: unknown concept 'FOO'"),
+            ("spatial.model", "PERSON := isIn LOCATION >= 1", "PERSON := isIn LOCATION >= x",
+             "spatial.model: line 46: restriction must read"),
+            ("spatial.model", "P presence=MOTION", "P presense=MOTION",
+             "spatial.model: line 61: unknown person option 'presense'"),
+            ("t1.model", "[sensors]", "[instances]\nK KITCHN\n[sensors]",
+             "node T1: unknown concept 'KITCHN'"),
+        ],
+        ids=["duplicate-index", "implements", "activites", "renames", "subclass-FOO",
+             "defined-x", "presense", "instance-KITCHN"],
+    )
+    def test_scenario_mistake_is_a_config_error(
+        self, command, name, old, new, message, trace_file, tmp_path, capsys
+    ):
+        config = scenario_copy(tmp_path, old, new, name)
+        argv = [command, "--config", str(config)]
+        if command == "replay":
+            argv += ["--trace", str(trace_file), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["replay", "check-models"])
+    @pytest.mark.parametrize(
         "params, message",
         [
             ('{"d2": "40.5"}', "'d2' must be an integer, found '40.5'"),
@@ -180,6 +211,22 @@ class TestReplay:
         assert exited.value.code == 2
         assert "speed must be > 0" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestTraceWarnings:
+    def test_malformed_lines_are_reported_by_replay_and_score(self, tmp_path, capsys):
+        trace = tmp_path / "p07.txt"
+        trace.write_text("garbage\n" + synth.session_text() + "2009-05-11 M016\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli.main(["replay", "--trace", str(trace), "--out", str(out)]) == 0
+        replayed = capsys.readouterr().err.splitlines()
+        argv = ["score", "--run-dir", str(out), "--trace", str(trace), "--out", str(tmp_path / "s")]
+        assert cli.main(argv) == 0
+        scored = capsys.readouterr().err.splitlines()
+        for err in (replayed, scored):
+            assert len(err) == 2
+            assert err[0].startswith("p07: line 1: ")
+            assert err[1].startswith("p07: line ")
 
 
 class TestScore:

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from fluentnet import dsl
 from fluentnet.context import APPEND, ConceptGraph, ContextStore
 from fluentnet.rules import (
     Assign,
+    BuiltinError,
     ClassAtom,
     Compare,
     Head,
@@ -19,6 +21,7 @@ from fluentnet.rules import (
 from fluentnet.statements import Statement
 
 import oracles
+from test_dsl import random_model
 
 
 def item_store(*readings):
@@ -85,6 +88,26 @@ class TestRegistration:
     def test_activity_rule_registers(self):
         assert RuleEngine().register_rule(dvd_rule(50)) == "A2"
 
+    def test_reading_before_the_binding_atom_is_rejected(self):
+        base = dvd_rule(50)
+        *head, assign, compare = base.body
+        rule = Rule("A2", (*head, compare, assign), base.head)
+        with pytest.raises(RuleValidationError, match=r"unbound \?deadline"):
+            RuleEngine().register_rule(rule)
+
+    def test_rebinding_a_variable_is_rejected(self):
+        base = dvd_rule(50)
+        rule = Rule("A2", base.body + (ClassAtom("ITEM", "?back"),), base.head)
+        with pytest.raises(RuleValidationError, match=r"\?back is bound twice"):
+            RuleEngine().register_rule(rule)
+
+    def test_compiled_random_models_register(self):
+        rng = random.Random(1)
+        for _ in range(300):
+            engine = RuleEngine()
+            for rule in dsl.compile_model(random_model(rng)).rules:
+                engine.register_rule(rule)
+
 
 class TestEvaluation:
     def test_item_cycle_derives(self):
@@ -141,25 +164,44 @@ class TestBuiltins:
         assert eval_builtin("!=", "I5#1", "I5#1") is False
         assert eval_builtin("!=", "I5#1", "I5#2") is True
 
+    @pytest.mark.parametrize("op", ["==", ">=", "<", ">"])
+    def test_only_the_compiled_comparisons_exist(self, op):
+        with pytest.raises(BuiltinError):
+            eval_builtin(op, 1, 2)
+        rule = Rule("c", (ClassAtom("ITEM", "?i"), Compare(op, 1, 2)), Head("A", (), True, 0))
+        with pytest.raises(RuleValidationError, match="unknown comparison"):
+            RuleEngine().register_rule(rule)
+
 
 class TestOrderIndependence:
     def test_permuted_bodies_derive_the_same(self):
+        """A shuffled body is rejected at registration or derives what the
+        original derives."""
         rng = random.Random(5)
         base = dvd_rule(50)
-        store = item_store(
+        snap = item_store(
             ("I5", False, 10), ("I3", False, 40), ("I5", True, 70), ("I3", True, 120)
-        )
-        snap = store.snapshot()
-        reference = None
-        for trial in range(12):
+        ).snapshot()
+
+        def derive(body):
+            engine = RuleEngine()
+            engine.register_rule(Rule("A2", body, base.head))
+            return sorted((d.instance_id, d.state, d.time) for d in engine.evaluate(snap))
+
+        reference = derive(base.body)
+        assert reference
+        outcomes = set()
+        for _ in range(200):
             body = list(base.body)
             rng.shuffle(body)
-            engine = RuleEngine()
-            engine.register_rule(Rule("A2", tuple(body), base.head))
-            got = sorted((d.instance_id, d.state, d.time) for d in engine.evaluate(snap))
-            if reference is None:
-                reference = got
+            try:
+                got = derive(tuple(body))
+            except RuleValidationError:
+                outcomes.add("rejected")
+                continue
+            outcomes.add("derived")
             assert got == reference
+        assert outcomes == {"rejected", "derived"}
 
 
 def random_snapshot(rng, max_instances=12):
