@@ -511,6 +511,10 @@ class ContextStore:
         return value if isinstance(value, bool) else None
 
     def snapshot(self) -> "Snapshot":
+        """The classified instances in ``(time, id)`` order, untimed ones
+        last.  Stored instances are replaced whole on every write, never
+        changed in place, so the snapshot shares their props read-only
+        instead of copying them."""
         classification = self.classify()
         ordered: list[SnapshotInstance] = []
         for inst_id, instance in self.instances.items():
@@ -520,7 +524,7 @@ class ContextStore:
                 SnapshotInstance(
                     id=inst_id,
                     concepts=classification[inst_id],
-                    props={p: tuple(v) for p, v in instance.props.items()},
+                    props=MappingProxyType(instance.props),
                     order_key=key,
                 )
             )
@@ -538,16 +542,28 @@ class SnapshotInstance:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Immutable classified view of a store, safe to share across readers."""
+    """Immutable classified view of a store, safe to share across readers.
+
+    An id map and one tuple per concept, both in snapshot order, are built
+    once with the snapshot, so :meth:`get` and :meth:`of_concept` are
+    lookups.
+    """
 
     store: str
     instances: tuple[SnapshotInstance, ...]
+    _by_id: Mapping[str, SnapshotInstance] = field(init=False, repr=False, compare=False)
+    _by_concept: Mapping[str, tuple[SnapshotInstance, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_concept: dict[str, list[SnapshotInstance]] = {}
+        for instance in self.instances:
+            for concept in instance.concepts:
+                by_concept.setdefault(concept, []).append(instance)
+        object.__setattr__(self, "_by_id", {i.id: i for i in self.instances})
+        object.__setattr__(self, "_by_concept", {c: tuple(v) for c, v in by_concept.items()})
 
     def of_concept(self, concept: str) -> tuple[SnapshotInstance, ...]:
-        return tuple(i for i in self.instances if concept in i.concepts)
+        return self._by_concept.get(concept, ())
 
     def get(self, instance_id: str) -> Optional[SnapshotInstance]:
-        for instance in self.instances:
-            if instance.id == instance_id:
-                return instance
-        return None
+        return self._by_id.get(instance_id)

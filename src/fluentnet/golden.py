@@ -11,9 +11,10 @@ as long as the relation between the margins holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .network import build_node_store
+from .context import ContextStore
+from .network import node_store_factory
 from .procedures import ActivityBinding, Evaluator, RecognitionRecord, ReplaySession, Scenario
 from .statements import Statement
 
@@ -260,11 +261,17 @@ def evaluate_case(scenario: Scenario, case: GoldenCase) -> Optional[RecognitionR
     """Run one golden case through a fresh activity store, in its node's
     declared mode, and a fresh evaluator."""
     binding = scenario.bindings[case.activity]
+    return _evaluate(case, _store_factory(scenario, binding)(), Evaluator(binding, ReplaySession()))
+
+
+def _store_factory(scenario: Scenario, binding: ActivityBinding) -> Callable[[], ContextStore]:
     node = next(n for n in scenario.model.nodes if n.name == binding.node)
-    store = build_node_store(node, scenario.base_dir)
+    return node_store_factory(node, scenario.base_dir)
+
+
+def _evaluate(case: GoldenCase, store: ContextStore, evaluator: Evaluator) -> Optional[RecognitionRecord]:
     for sensor, state, time_ms in case.readings:
         store.assert_statement(Statement(sensor, state, time_ms))
-    evaluator = Evaluator(binding, ReplaySession())
     horizon = max((t for _, _, t in case.readings), default=0) + 1000
     return evaluator.evaluate_store(store, now_ms=horizon)
 
@@ -282,8 +289,11 @@ def run_golden_suite(scenario: Scenario) -> list[GoldenOutcome]:
     outcomes: list[GoldenOutcome] = []
     for index in sorted(scenario.bindings):
         binding = scenario.bindings[index]
+        # one parse of the node model and one evaluator serve every case
+        new_store = _store_factory(scenario, binding)
+        evaluator = Evaluator(binding, ReplaySession())
         for case in golden_cases(binding):
-            record = evaluate_case(scenario, case)
+            record = _evaluate(case, new_store(), evaluator)
             if case.expect_time is None:
                 passed = record is None
                 detail = "silent" if passed else f"unexpected recognition at {record.time_ms}"

@@ -30,7 +30,7 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from .context import (
     OVERWRITE,
@@ -42,6 +42,9 @@ from .context import (
     SensorDecl,
     UnknownConceptError,
 )
+
+
+T = TypeVar("T")
 
 
 class ConfigError(ValueError):
@@ -243,11 +246,17 @@ def build_store(name: str, model: StoreModel, mode: str = OVERWRITE) -> ContextS
     return store
 
 
-def load_store_model(path) -> StoreModel:
-    """Parse a store model file; a :class:`ConfigError` names the file."""
+def read_config(path, parse: Callable[[str], T]) -> T:
+    """``parse`` applied to a configuration file's text; a
+    :class:`ConfigError` it raises names the file."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
-        return parse_store_model(text)
+        return parse(text)
     except ConfigError as exc:
         raise ConfigError(f"{Path(path).name}: {exc}") from exc
+
+
+def load_store_model(path) -> StoreModel:
+    """Parse a store model file; a :class:`ConfigError` names the file."""
+    return read_config(path, parse_store_model)

@@ -493,17 +493,27 @@ def _upper_store() -> ContextStore:
     return store
 
 
-def build_node_store(node: NodeDecl, base_dir=None) -> ContextStore:
-    """A fresh store for one declared node, from its model file and in its
+def node_store_factory(node: NodeDecl, base_dir=None) -> Callable[[], ContextStore]:
+    """A maker of fresh stores for one declared node: the model file is read
+    and parsed once, and each call builds a store from it in the node's
     declared mode.  A model file that cannot be read or instantiated is a
     :class:`BootstrapError` naming the node."""
     path = Path(base_dir) / node.represents if base_dir is not None else Path(node.represents)
+    node_errors = (ConfigError, StoreError, UnknownConceptError, ConsistencyError)
     try:
-        return build_store(node.name, load_store_model(path), mode=node.mode)
+        store_model = load_store_model(path)
     except OSError as exc:
         raise BootstrapError(f"node {node.name}: cannot read model file {path}: {exc}") from exc
-    except (ConfigError, StoreError, UnknownConceptError, ConsistencyError) as exc:
+    except node_errors as exc:
         raise BootstrapError(f"node {node.name}: {exc}") from exc
+
+    def build() -> ContextStore:
+        try:
+            return build_store(node.name, store_model, mode=node.mode)
+        except node_errors as exc:
+            raise BootstrapError(f"node {node.name}: {exc}") from exc
+
+    return build
 
 
 def bootstrap(
@@ -522,7 +532,7 @@ def bootstrap(
     """
     stores: dict[str, ContextStore] = {UPPER_NODE: _upper_store()}
     for node in model.nodes:
-        stores[node.name] = build_node_store(node, base_dir)
+        stores[node.name] = node_store_factory(node, base_dir)()
     for cond in model.conditions:
         if isinstance(cond.check, PatternCheck) and stores[cond.node].person_id is None:
             raise BootstrapError(

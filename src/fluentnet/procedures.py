@@ -25,7 +25,7 @@ from . import dsl
 from .context import OVERWRITE, ContextStore
 from .ingest import TraceEvent, drive
 from .metrics import Telemetry
-from .modelio import ConfigError, load_store_model, read_sections
+from .modelio import ConfigError, load_store_model, read_config, read_sections
 from .network import (
     NetworkModel,
     ProcedureImpl,
@@ -93,11 +93,9 @@ class Scenario:
 SENSOR_MAP_FILE = "sensors.map"
 
 
-def _load_sensor_map(path: Path) -> tuple[dict[str, str], dict[str, bool]]:
-    """Optional per-scenario raw-token mapping (renames, extra state words)."""
-    if not path.exists():
-        return {}, {}
-    sections = read_sections(path.read_text(encoding="utf-8"), ("rename", "values"))
+def _parse_sensor_map(text: str) -> tuple[dict[str, str], dict[str, bool]]:
+    """Per-scenario raw-token mapping (renames, extra state words)."""
+    sections = read_sections(text, ("rename", "values"))
     rename: dict[str, str] = {}
     for line in sections.get("rename", []):
         if len(line.tokens) != 2:
@@ -119,8 +117,7 @@ def load_scenario(
     A ``params`` name that no model declares is a :class:`ConfigError`.
     """
     base_dir = Path(config_dir) if config_dir is not None else SCENARIO_DIR
-    with open(base_dir / NETWORK_FILE, "r", encoding="utf-8") as handle:
-        model = load_network(handle.read())
+    model = read_config(base_dir / NETWORK_FILE, load_network)
     spatial_decl = next((n for n in model.nodes if n.name == SPATIAL_NODE), None)
     if spatial_decl is None:
         raise ScenarioError(f"scenario declares no spatial node {SPATIAL_NODE!r}")
@@ -161,7 +158,8 @@ def load_scenario(
     for proc in model.procedures:
         if proc.implements not in implemented:
             raise ScenarioError(f"procedure {proc.name}: unknown implementation {proc.implements!r}")
-    rename, value_map = _load_sensor_map(base_dir / SENSOR_MAP_FILE)
+    sensor_map = base_dir / SENSOR_MAP_FILE
+    rename, value_map = read_config(sensor_map, _parse_sensor_map) if sensor_map.exists() else ({}, {})
     scenario = Scenario(
         base_dir=base_dir,
         model=model,
@@ -311,10 +309,9 @@ class Evaluator:
         self.run_prepasses(store, now_ms)
         # the node is cleared on recognition, so a reported completion time
         # never recurs: later imports carry only later readings
-        derived = self.engine.evaluate(store.snapshot())
+        best = self.engine.earliest(store.snapshot())
         record: Optional[RecognitionRecord] = None
-        if derived:
-            best = min(derived, key=lambda d: d.time)
+        if best is not None:
             store.assert_statement(
                 Statement(best.instance_id, True, best.time, kind=AGGREGATED),
                 concepts=best.concepts,

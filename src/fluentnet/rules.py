@@ -3,18 +3,33 @@
 Rules are conjunctions of typed atoms -- class membership, property values,
 ``<=``/``!=`` comparisons and additive assignments -- with a head that
 asserts a result statement.  Variables are written ``?name``; anything else
-is a literal.  Evaluation enumerates every consistent binding against an
-immutable snapshot, so repeated calls yield identical results.  Atoms are
-joined in the order the body gives them: registration rejects a body in
-which an atom reads a variable no earlier atom binds.
+is a literal.  Matching reads an immutable snapshot, so repeated calls
+yield identical results.
+
+Class atoms are joined in the order the body gives them: registration
+rejects a body in which an atom reads a variable no earlier atom binds.
+Registration also derives how the rule is matched.  A class variable's
+literal property tests (``hasState False``) become a filter on its
+candidates, applied once per evaluation; a variable with no candidate left
+means no binding exists.  Every other test and comparison runs as soon as
+its operands are bound.  :meth:`RuleEngine.evaluate` enumerates every
+binding.  :meth:`RuleEngine.earliest` finds only the earliest head time and
+its witness: it pins the head time to each candidate time in turn, bounds
+the other times through the body's ``<=`` and ``+ d`` atoms, and cuts each
+candidate list to the prefix within its bound.  Both run one depth-first
+search, which meets bindings in body order over candidates in snapshot
+order, so the witness ``earliest`` returns is the first binding
+``evaluate`` meets at that time.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .context import Snapshot
+from .context import TIME_PROP, Snapshot, SnapshotInstance
 
 Term = Union[str, int, bool]
 
@@ -152,25 +167,152 @@ def _bound_variables(body: tuple[Atom, ...]) -> set[str]:
     return bound
 
 
+def _is_number(term: Term) -> bool:
+    return isinstance(term, int) and not isinstance(term, bool)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """How a registered rule is matched, derived once at registration.
+
+    ``classes`` holds each class variable with its concept and the literal
+    property tests (``hasState False``) its candidates must pass.
+    ``steps`` is the body the search runs: those tests removed, and every
+    other test, comparison and assignment moved up to just after the atom
+    that binds its last operand.  Atoms that bind keep their body order.
+    ``times`` maps a class variable to the variable its ``hasTime`` value
+    binds, and ``head_var`` names the class variable whose time is the head
+    time, if one does.  ``edges`` are the body's upper-bound implications
+    ``(var, source, offset)``, each reading ``var <= source - offset``,
+    last atom first.
+    """
+
+    rule: Rule
+    classes: tuple[tuple[str, str, tuple[tuple[str, Term], ...]], ...]
+    steps: tuple[Atom, ...]
+    times: dict[str, str]
+    head_var: Optional[str]
+    edges: tuple[tuple[str, Term, int], ...]
+
+
+def _plan(rule: Rule) -> _Plan:
+    concepts = {atom.var: atom.concept for atom in rule.body if isinstance(atom, ClassAtom)}
+    tests: dict[str, list[tuple[str, Term]]] = {var: [] for var in concepts}
+    times: dict[str, str] = {}
+    binders: list[Atom] = []
+    placed: list[list[Atom]] = [[]]  # placed[k]: atoms run right after binders[k - 1]
+    level: dict[str, int] = {}
+
+    def after(*terms: Term) -> int:
+        return max((level[t] for t in terms if is_var(t)), default=0)
+
+    for atom in rule.body:
+        if isinstance(atom, ClassAtom) or (
+            isinstance(atom, PropertyAtom) and is_var(atom.value) and atom.value not in level
+        ):
+            binders.append(atom)
+            placed.append([])
+            if isinstance(atom, ClassAtom):
+                level[atom.var] = len(binders)
+            else:
+                level[atom.value] = len(binders)
+                if atom.prop == TIME_PROP and atom.var in concepts:
+                    times.setdefault(atom.var, atom.value)
+        elif isinstance(atom, PropertyAtom) and not is_var(atom.value) and atom.var in concepts:
+            tests[atom.var].append((atom.prop, atom.value))
+        elif isinstance(atom, PropertyAtom):
+            placed[after(atom.var, atom.value)].append(atom)
+        elif isinstance(atom, Compare):
+            placed[after(atom.left, atom.right)].append(atom)
+        else:
+            level[atom.var] = after(atom.left, atom.right)
+            placed[level[atom.var]].append(atom)
+    steps = list(placed[0])
+    for binder, checks in zip(binders, placed[1:]):
+        steps.append(binder)
+        steps.extend(checks)
+
+    edges: list[tuple[str, Term, int]] = []
+    for atom in reversed(rule.body):
+        if isinstance(atom, Compare) and atom.op == "<=" and is_var(atom.left):
+            edges.append((atom.left, atom.right, 0))
+        elif isinstance(atom, Assign):
+            if is_var(atom.left) and _is_number(atom.right):
+                edges.append((atom.left, atom.var, atom.right))
+            elif is_var(atom.right) and _is_number(atom.left):
+                edges.append((atom.right, atom.var, atom.left))
+    head_var = next((var for var, time in times.items() if time == rule.head.time), None)
+    return _Plan(
+        rule=rule,
+        classes=tuple((var, concept, tuple(tests[var])) for var, concept in concepts.items()),
+        steps=tuple(steps),
+        times=times,
+        head_var=head_var,
+        edges=tuple(edges),
+    )
+
+
+def _upper_bounds(plan: _Plan, head_time: int) -> dict[str, int]:
+    """Upper bounds on the body's variables implied by pinning the head
+    time: ``<=`` and ``+ d`` atoms propagated backwards to a fixpoint."""
+    bounds: dict[str, int] = {str(plan.rule.head.time): head_time}
+    for _ in range(len(plan.edges) + 1):
+        changed = False
+        for var, source, offset in plan.edges:
+            limit = bounds.get(source) if is_var(source) else source
+            if not _is_number(limit):
+                continue
+            limit -= offset
+            if var not in bounds or limit < bounds[var]:
+                bounds[var] = limit
+                changed = True
+        if not changed:
+            break
+    return bounds
+
+
+def _time(instance: SnapshotInstance) -> float:
+    """The instance's time in snapshot order; untimed instances sort last."""
+    return instance.order_key[1] if instance.order_key[0] == 0 else math.inf
+
+
+def _derive(rule: Rule, binding: dict[str, Term]) -> Derived:
+    time = binding[rule.head.time] if is_var(rule.head.time) else rule.head.time
+    return Derived(
+        rule=rule.name,
+        instance_id=rule.head.instance_id,
+        concepts=rule.head.concepts,
+        state=rule.head.state,
+        time=int(time),
+        binding=tuple(sorted(binding.items())),
+    )
+
+
 class RuleEngine:
     """Registered rules evaluated against immutable snapshots.
 
-    Registration is single-writer; :meth:`evaluate` is read-only and safe
-    to call concurrently for distinct snapshots.
+    Registration is single-writer; :meth:`evaluate` and :meth:`earliest`
+    only read the snapshot.  :attr:`examined` counts the class-atom
+    candidates tried since construction.
     """
 
     def __init__(self) -> None:
-        self._rules: dict[str, Rule] = {}
+        self._plans: dict[str, _Plan] = {}
+        self._examined = 0
+
+    @property
+    def examined(self) -> int:
+        return self._examined
 
     def register_rule(self, rule: Rule) -> str:
         if not rule.body:
             raise RuleValidationError(f"rule {rule.name!r} has an empty body")
-        if rule.name in self._rules:
+        if rule.name in self._plans:
             raise RuleValidationError(f"duplicate rule name {rule.name!r}")
         bound = _bound_variables(rule.body)
         if is_var(rule.head.time) and rule.head.time not in bound:
             raise RuleValidationError(f"unbound {rule.head.time}")
-        self._rules[rule.name] = rule
+        self._plans[rule.name] = _plan(rule)
         return rule.name
 
     def evaluate(self, snapshot: Snapshot) -> list[Derived]:
@@ -180,37 +322,115 @@ class RuleEngine:
         result.
         """
         derived: list[Derived] = []
-        for name, rule in self._rules.items():
-            seen: set[tuple[str, bool, int]] = set()
-            for binding in self._match(rule.body, snapshot):
-                time = binding[rule.head.time] if is_var(rule.head.time) else rule.head.time
-                key = (rule.head.instance_id, rule.head.state, time)
-                if key in seen:
-                    continue
-                seen.add(key)
-                derived.append(
-                    Derived(
-                        rule=name,
-                        instance_id=rule.head.instance_id,
-                        concepts=rule.head.concepts,
-                        state=rule.head.state,
-                        time=int(time),
-                        binding=tuple(sorted(binding.items())),
-                    )
-                )
+        for plan in self._plans.values():
+            candidates = self._candidates(plan, snapshot)
+            if candidates is None:
+                continue
+            head = plan.rule.head
+            seen: set[tuple[str, bool, Term]] = set()
+            for binding in self._match(plan, snapshot, candidates):
+                key = (head.instance_id, head.state, binding[head.time] if is_var(head.time) else head.time)
+                if key not in seen:
+                    seen.add(key)
+                    derived.append(_derive(plan.rule, binding))
         return derived
 
-    def _match(self, body: tuple[Atom, ...], snapshot: Snapshot):
+    def earliest(self, snapshot: Snapshot) -> Optional[Derived]:
+        """``min(self.evaluate(snapshot), key=time)``, without enumerating
+        the bindings the minimum does not need: the earliest head time, with
+        the first binding :meth:`evaluate` meets at that time, and the first
+        registered rule on a tie."""
+        best: Optional[Derived] = None
+        for plan in self._plans.values():
+            found = self._earliest_of(plan, snapshot, None if best is None else best.time)
+            if found is not None:
+                best = found
+        return best
+
+    def _earliest_of(self, plan: _Plan, snapshot: Snapshot, before: Optional[int]) -> Optional[Derived]:
+        """The rule's earliest derivation, if it is earlier than ``before``.
+
+        Each distinct time T of the head variable's candidates is tried in
+        ascending order.  T bounds every time variable from above, and each
+        class variable's candidates are cut to the prefix within its bound;
+        the prefix keeps snapshot order, so the search meets the surviving
+        bindings in :meth:`evaluate`'s order and the first it finds is the
+        witness.  A statement's time is its one ``hasTime`` value, the key
+        the snapshot orders it by.  A rule whose head time is not a class
+        variable's time is matched in full.
+        """
+        candidates = self._candidates(plan, snapshot)
+        if candidates is None:
+            return None
+        if plan.head_var is None:
+            best: Optional[Derived] = None
+            for binding in self._match(plan, snapshot, candidates):
+                found = _derive(plan.rule, binding)
+                if best is None or found.time < best.time:
+                    best = found
+            return best if best is not None and (before is None or best.time < before) else None
+        times = {var: [_time(i) for i in candidates[var]] for var in plan.times}
+        head_times = times[plan.head_var]
+        start = 0
+        while start < len(head_times) and head_times[start] != math.inf:
+            pinned = int(head_times[start])
+            if before is not None and pinned >= before:
+                return None
+            end = bisect_right(head_times, pinned, start)
+            bounds = _upper_bounds(plan, pinned)
+            trimmed: dict[str, Sequence[SnapshotInstance]] = {}
+            for var, instances in candidates.items():
+                time = plan.times.get(var)
+                if var == plan.head_var:
+                    trimmed[var] = instances[start:end]
+                elif time in bounds:
+                    trimmed[var] = instances[: bisect_right(times[var], bounds[time])]
+                else:
+                    trimmed[var] = instances
+            if all(trimmed.values()):
+                binding = next(self._match(plan, snapshot, trimmed), None)
+                if binding is not None:
+                    return _derive(plan.rule, binding)
+            start = end
+        return None
+
+    @staticmethod
+    def _candidates(plan: _Plan, snapshot: Snapshot) -> Optional[dict[str, Sequence[SnapshotInstance]]]:
+        """Each class variable's instances that pass its literal tests, in
+        snapshot order; ``None`` when one has none, so nothing matches."""
+        candidates: dict[str, Sequence[SnapshotInstance]] = {}
+        for var, concept, tests in plan.classes:
+            instances = snapshot.of_concept(concept)
+            if tests:
+                instances = [
+                    i for i in instances if all(value in i.props.get(prop, ()) for prop, value in tests)
+                ]
+            if not instances:
+                return None
+            candidates[var] = instances
+        return candidates
+
+    def _match(
+        self,
+        plan: _Plan,
+        snapshot: Snapshot,
+        candidates: Mapping[str, Sequence[SnapshotInstance]],
+    ) -> Iterator[dict[str, Term]]:
+        """Depth-first search over ``plan.steps``: every binding, in the
+        order of the class variables' candidate lists."""
+        steps = plan.steps
+
         def resolve(term: Term, binding: dict[str, Term]) -> Term:
             return binding[term] if is_var(term) else term
 
         def solve(index: int, binding: dict[str, Term]):
-            if index == len(body):
+            if index == len(steps):
                 yield dict(binding)
                 return
-            atom = body[index]
+            atom = steps[index]
             if isinstance(atom, ClassAtom):
-                for inst in snapshot.of_concept(atom.concept):
+                for inst in candidates[atom.var]:
+                    self._examined += 1
                     binding[atom.var] = inst.id
                     yield from solve(index + 1, binding)
                     del binding[atom.var]

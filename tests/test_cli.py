@@ -154,11 +154,11 @@ class TestReplay:
     @pytest.mark.parametrize(
         "name, old, new, message",
         [
-            ("network.cfg", "\n8 label=", "\n2 label=", "line 87: duplicate activity index 2"),
+            ("network.cfg", "\n8 label=", "\n2 label=", "network.cfg: line 87: duplicate activity index 2"),
             ("network.cfg", "I1 implements=importer:1", "I1 implements=importr:1",
              "procedure I1: unknown implementation 'importr:1'"),
-            ("network.cfg", "[activities]", "[activites]", "line 79: unknown section [activites]"),
-            ("sensors.map", "[rename]", "[renames]", "line 6: unknown section [renames]"),
+            ("network.cfg", "[activities]", "[activites]", "network.cfg: line 79: unknown section [activites]"),
+            ("sensors.map", "[rename]", "[renames]", "sensors.map: line 6: unknown section [renames]"),
             ("spatial.model", "[subclass]\n", "[subclass]\nFOO STATEMENT\n",
              "spatial.model: line 15: unknown concept 'FOO'"),
             ("spatial.model", "PERSON := isIn LOCATION >= 1", "PERSON := isIn LOCATION >= x",

@@ -2,6 +2,7 @@
 
 import io
 import shutil
+import time
 
 import pytest
 
@@ -350,3 +351,58 @@ class TestEvaluatorDirect:
         evaluator = procedures.Evaluator(binding, procedures.ReplaySession())
         assert evaluator.run_prepasses(store, 50_000) == 0
         assert len(store.query_instances("WATERED")) == 0
+
+
+class TestHostileTraces:
+    """A cabinet left open while an item is toggled: the append node is
+    never cleared, so every evaluation sees the whole history.  Matching
+    must stay bounded: the candidates examined per evaluation may grow at
+    most linearly with the toggles, and no evaluation may take long."""
+
+    SENSORS = {6: ("D08", "I01", "M017"), 1: ("D07", "I04", "M016")}
+
+    def trace(self, activity, toggles, closed):
+        door, item, motion = self.SENSORS[activity]
+        lines = []
+        synth.pulse(lines, 0, motion)
+        lines.append(synth._line(5, door, "OPEN"))
+        t = 5
+        if closed:
+            # the opening and the closing are both imported before the toggles
+            synth.pulse(lines, 8, motion)
+            lines.append(synth._line(12, door, "CLOSE"))
+            synth.pulse(lines, 15, motion)
+            t = 15
+        for k in range(toggles):
+            t += 10
+            lines.append(synth._line(t, item, "ABSENT" if k % 2 == 0 else "PRESENT"))
+            synth.pulse(lines, t + 1, motion)
+        return "\n".join(lines) + "\n"
+
+    def evaluations(self, scenario, monkeypatch, activity, toggles, closed):
+        """(examined, seconds) for each evaluation of the activity."""
+        seen = []
+        evaluate_store = procedures.Evaluator.evaluate_store
+
+        def recording(self, store, now_ms, net=None):
+            examined, started = self.engine.examined, time.perf_counter()
+            record = evaluate_store(self, store, now_ms, net=net)
+            if self.binding.index == activity:
+                seen.append((self.engine.examined - examined, time.perf_counter() - started))
+            return record
+
+        load = ingest.load_trace(io.StringIO(self.trace(activity, toggles, closed)))
+        with monkeypatch.context() as patch:
+            patch.setattr(procedures.Evaluator, "evaluate_store", recording)
+            result = procedures.run_replay(load.events, scenario=scenario)
+        assert activity not in {r.activity for r in result.recognitions}
+        assert len(seen) >= toggles
+        return seen
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["never-closed", "closed-first"])
+    @pytest.mark.parametrize("activity", [6, 1])
+    def test_cost_grows_at_most_linearly(self, scenario, monkeypatch, activity, closed):
+        small = self.evaluations(scenario, monkeypatch, activity, 20, closed)
+        large = self.evaluations(scenario, monkeypatch, activity, 80, closed)
+        assert max(n for n, _ in large) <= 4 * max(n for n, _ in small) + 16
+        assert max(s for _, s in small + large) < 0.05

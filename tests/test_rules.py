@@ -227,3 +227,99 @@ def test_engine_matches_brute_force_on_random_rules():
             key=lambda k: (k[0], k[2]),
         )
         assert got == expected
+
+
+# -- the earliest derivation ----------------------------------------------------
+
+
+def earliest_by_evaluate(engine, snap):
+    derived = engine.evaluate(snap)
+    return min(derived, key=lambda d: d.time) if derived else None
+
+
+def model_store(rng, concepts, max_instances=14):
+    """An append store of random statements under ``concepts``, with times
+    close enough for the compiled gaps and windows to be met."""
+    g = ConceptGraph()
+    for c in ("STATEMENT", "ACTIVITY", *concepts):
+        g.add_concept(c)
+    for c in concepts:
+        g.add_subclass(c, "STATEMENT")
+    store = ContextStore("T", g, default_mode=APPEND)
+    for _ in range(rng.randrange(1, max_instances + 1)):
+        concept = rng.choice(concepts)
+        statement = Statement(f"{concept}{rng.randrange(3)}", rng.random() < 0.5, rng.randrange(0, 150_000))
+        store.assert_statement(statement, concepts=(concept,))
+    return store
+
+
+class TestEarliest:
+    def test_equals_the_minimum_of_evaluate_on_the_shipped_models(self, scenario):
+        from test_acceptance import _random_activity_snapshot
+
+        rng = random.Random(808)
+        checked = found = 0
+        for index in sorted(scenario.bindings):
+            binding = scenario.bindings[index]
+            engine = RuleEngine()
+            for rule in binding.compiled.rules:
+                engine.register_rule(rule)
+            for size in (12, 30) * 60:
+                snap = _random_activity_snapshot(rng, scenario, binding, max_instances=size)
+                expected = earliest_by_evaluate(engine, snap)
+                assert engine.earliest(snap) == expected, f"A{index}"
+                checked += 1
+                found += expected is not None
+        assert checked >= 800
+        assert found >= 50
+
+    def test_equals_the_minimum_of_evaluate_on_random_models(self):
+        rng = random.Random(909)
+        concepts = ("DOOR", "ITEM", "FLOW", "PHONE", "MOTION", "MOTION_WINDOW", "ZONE_WINDOW",
+                    "ITEM_WINDOW", "SPAN", "STAY")
+        found = 0
+        for _ in range(300):
+            engine = RuleEngine()
+            for rule in dsl.compile_model(random_model(rng)).rules:
+                engine.register_rule(rule)
+            snap = model_store(rng, concepts).snapshot()
+            expected = earliest_by_evaluate(engine, snap)
+            assert engine.earliest(snap) == expected
+            found += expected is not None
+        assert found >= 30
+
+    def test_tie_at_the_earliest_time_goes_to_the_body_order_first_binding(self):
+        engine = RuleEngine()
+        engine.register_rule(dvd_rule(50))
+        # both absences pair with the one return; I5#1 comes first in
+        # snapshot order although I3#1 sorts first by id
+        snap = item_store(("I5", False, 10), ("I3", False, 20), ("I5", True, 100)).snapshot()
+        best = engine.earliest(snap)
+        assert (best.time, dict(best.binding)["?taken"]) == (100, "I5#1")
+        assert best == earliest_by_evaluate(engine, snap)
+
+    def test_tie_between_rules_goes_to_the_first_registered(self):
+        snap = item_store(("I5", False, 10), ("I5", True, 100)).snapshot()
+        for first, second in (("B", "A"), ("A", "B")):
+            engine = RuleEngine()
+            for name, gap in ((first, 50), (second, 10)):
+                rule = dvd_rule(gap)
+                engine.register_rule(Rule(name, rule.body, rule.head))
+            best = engine.earliest(snap)
+            assert (best.rule, best.time) == (first, 100)
+            assert best == earliest_by_evaluate(engine, snap)
+
+    def test_no_derivation_is_none(self):
+        engine = RuleEngine()
+        engine.register_rule(dvd_rule(200))
+        assert engine.earliest(item_store(("I5", False, 10), ("I5", True, 100)).snapshot()) is None
+
+    def test_examined_counts_candidates_and_is_read_only(self):
+        engine = RuleEngine()
+        engine.register_rule(dvd_rule(50))
+        snap = item_store(("I5", False, 10), ("I5", True, 100)).snapshot()
+        assert engine.examined == 0
+        engine.evaluate(snap)
+        assert engine.examined == 2
+        with pytest.raises(AttributeError):
+            engine.examined = 0
