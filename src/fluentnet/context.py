@@ -15,12 +15,30 @@ The count is maintained incrementally and can be recomputed from scratch;
 inferred knowledge (classification results, the person context) is not part
 of the count.
 
-A store's cached classification is its only classified state: computed on
-the first read after a mutation and handed out read-only.  The person
-context is derived from it and cached beside it, every mutation drops both,
-and readers such as the scheduler's pattern checks ask the store
-(:meth:`ContextStore.person_context_matches`) instead of walking its
-instances.
+A store's cached classification is its only classified state: brought up
+to date on the first read after a mutation and handed out read-only.  The
+person context is derived from it, and readers such as the scheduler's
+pattern checks ask the store (:meth:`ContextStore.person_context_matches`)
+instead of walking its instances.
+
+Classification is maintained from a dirty set: the ids written or removed
+since the last read.  One fixpoint routine reclassifies the dirty instances
+alone, reading every other membership from the cache, when that is exact:
+
+- every restriction in the graph is ``>=``, so counting is monotone;
+- no instance refers to a dirty one (a reverse index maps each id to the
+  instances whose property values name it, dangling names included), so no
+  other membership can change;
+- every instance a dirty one refers to holds only its asserted closure, so
+  the dirty instance sees the same targets at every pass of a full fixpoint
+  and a disjointness block cannot depend on the pass order.
+
+Otherwise, and on the first read, the same routine runs over every
+instance.  A removal with no referrers just drops the entry.  The person
+context is kept the same way: each present, true instance of the presence
+concept contributes its ``isIn``/``isNearTo`` pairs, and only the dirty
+instances' contributions are recounted.  :attr:`ContextStore.reclassified`
+counts the instances reclassified, so the work per write can be checked.
 """
 
 from __future__ import annotations
@@ -102,6 +120,7 @@ class ConceptGraph:
         self.disjoint: set[frozenset[str]] = set()
         self.defined: dict[str, DefinedClass] = {}
         self._super_cache: dict[str, frozenset[str]] = {}
+        self._defined_order: Optional[tuple[DefinedClass, ...]] = None
 
     def add_concept(self, name: str) -> None:
         if not name:
@@ -156,6 +175,19 @@ class ConceptGraph:
             if restriction.target not in self.concepts and restriction.target not in _LITERAL_TARGETS:
                 raise UnknownConceptError(f"unknown restriction target {restriction.target!r}")
         self.defined[defined.name] = defined
+        self._defined_order = None
+
+    def defined_order(self) -> tuple[DefinedClass, ...]:
+        """The defined classes in name order: the order classification
+        applies them in."""
+        if self._defined_order is None:
+            self._defined_order = tuple(self.defined[name] for name in sorted(self.defined))
+        return self._defined_order
+
+    def monotone(self) -> bool:
+        """True when every restriction is a ``>=`` bound, so a membership
+        gained by a target can only add to what its referrers satisfy."""
+        return all(r.bound == ">=" for d in self.defined_order() for r in d.restrictions)
 
     def supers(self, concept: str) -> frozenset[str]:
         """Reflexive-transitive superclasses of a concept."""
@@ -242,15 +274,58 @@ class ContextStore:
         self.mutation_seq = 0
         self._sequence: dict[str, int] = {}
         self._axioms = graph.axiom_terms()
+        # the cached classification, and the ids changed since it was read
+        # (None: recompute every instance)
+        self._memberships: dict[str, frozenset[str]] = {}
         self._classification: Optional[Mapping[str, frozenset[str]]] = None
+        self._dirty: Optional[set[str]] = None
+        self._reclassified = 0
+        # instances classified beyond their asserted closure
+        self._enriched: set[str] = set()
+        # id -> the ids its property values name, and the reverse
+        self._refs: dict[str, frozenset[str]] = {}
+        self._referrers: dict[str, set[str]] = {}
+        # person context: each instance's pairs, and how many instances hold each pair
+        self._contributions: dict[str, frozenset[tuple[str, str]]] = {}
+        self._presence: dict[tuple[str, str], int] = {}
         self._person_context: Optional[tuple[tuple[str, str], ...]] = None
+
+    @property
+    def reclassified(self) -> int:
+        """Instances whose membership was recomputed since construction."""
+        return self._reclassified
 
     # -- bookkeeping -------------------------------------------------------
 
     def _mutated(self) -> None:
         self.mutation_seq += 1
         self._classification = None
-        self._person_context = None
+
+    def _touch(self, instance_id: str, props: Mapping[str, tuple[PropValue, ...]]) -> None:
+        """Mark an id dirty and index the ids its new ``props`` name
+        (``{}`` for a removal)."""
+        if self._dirty is not None:
+            self._dirty.add(instance_id)
+        refs = frozenset(v for values in props.values() for v in values if isinstance(v, str))
+        old = self._refs.get(instance_id, frozenset())
+        if refs == old:
+            return
+        for target in old - refs:
+            referrers = self._referrers[target]
+            referrers.discard(instance_id)
+            if not referrers:
+                del self._referrers[target]
+        for target in refs - old:
+            self._referrers.setdefault(target, set()).add(instance_id)
+        if refs:
+            self._refs[instance_id] = refs
+        else:
+            del self._refs[instance_id]
+
+    def _drop(self, instance_id: str) -> None:
+        instance = self.instances.pop(instance_id)
+        self._axioms -= instance.axiom_weight()
+        self._touch(instance_id, {})
 
     def _closure(self, concepts: Iterable[str]) -> frozenset[str]:
         out: set[str] = set()
@@ -275,6 +350,7 @@ class ContextStore:
             self._axioms -= previous.axiom_weight()
         self.instances[instance.id] = instance
         self._axioms += instance.axiom_weight()
+        self._touch(instance.id, instance.props)
         self._mutated()
 
     def add_instance(
@@ -334,10 +410,9 @@ class ContextStore:
             self._sequence[statement.id] = seq
 
     def remove_instance(self, instance_id: str) -> None:
-        instance = self.instances.pop(instance_id, None)
-        if instance is None:
+        if instance_id not in self.instances:
             return
-        self._axioms -= instance.axiom_weight()
+        self._drop(instance_id)
         self._mutated()
 
     # -- classification -----------------------------------------------------
@@ -349,21 +424,60 @@ class ContextStore:
         Membership starts from the asserted concepts and their superclasses,
         then defined classes are applied to a fixpoint under closed-world
         counting.  A defined class is never applied where it would clash
-        with a declared disjointness.
+        with a declared disjointness.  Only the instances changed since the
+        last read are reclassified when the module's exactness conditions
+        hold; otherwise every instance is.
         """
         if self._classification is not None:
             return self._classification
-        memberships: dict[str, set[str]] = {
-            inst_id: set(self._closure(inst.asserted))
-            for inst_id, inst in self.instances.items()
-        }
-        defined = [self.graph.defined[name] for name in sorted(self.graph.defined)]
+        changed: Iterable[str]
+        if self._dirty is None or not self._stays_local(self._dirty):
+            self._memberships = {}
+            self._enriched = set()
+            self._contributions = {}
+            self._presence = {}
+            self._person_context = None
+            changed = self.instances
+        else:
+            changed = self._dirty
+            for inst_id in changed:
+                if inst_id not in self.instances:
+                    self._memberships.pop(inst_id, None)
+                    self._enriched.discard(inst_id)
+        self._fixpoint(sorted(i for i in changed if i in self.instances))
+        if self.person_id is not None:
+            self._recount_presence(changed)
+        self._dirty = set()
+        self._classification = MappingProxyType(self._memberships)
+        return self._classification
+
+    def _stays_local(self, dirty: set[str]) -> bool:
+        """Whether reclassifying ``dirty`` alone gives the full fixpoint's
+        result (the three conditions in the module docstring)."""
+        if not self.graph.monotone():
+            return False
+        for inst_id in dirty:
+            if inst_id in self._referrers:
+                return False
+            if not self._enriched.isdisjoint(self._refs.get(inst_id, ())):
+                return False
+        return True
+
+    def _fixpoint(self, ids: Sequence[str]) -> None:
+        """Classify the instances ``ids`` (in sorted order) from their
+        asserted closure: defined classes in name order, pass after pass,
+        until a pass changes nothing.  Memberships of instances outside
+        ``ids`` are read from the cache."""
+        memberships = self._memberships
+        for inst_id in ids:
+            memberships[inst_id] = self._closure(self.instances[inst_id].asserted)
+            self._enriched.discard(inst_id)
         changed = True
         while changed:
             changed = False
-            for dc in defined:
+            for dc in self.graph.defined_order():
                 candidate = self.graph.supers(dc.name)
-                for inst_id in sorted(memberships):
+                for inst_id in ids:
                     current = memberships[inst_id]
                     if dc.name in current:
                         continue
@@ -371,15 +485,45 @@ class ContextStore:
                         continue
                     if not self._satisfies(self.instances[inst_id], dc, memberships):
                         continue
-                    merged = frozenset(current | candidate)
+                    merged = current | candidate
                     if self.graph.violates_disjointness(merged):
                         continue
-                    memberships[inst_id] = set(merged)
+                    memberships[inst_id] = merged
+                    self._enriched.add(inst_id)
                     changed = True
-        self._classification = MappingProxyType(
-            {inst_id: frozenset(v) for inst_id, v in memberships.items()}
+        self._reclassified += len(ids)
+
+    def _recount_presence(self, changed: Iterable[str]) -> None:
+        """Replace the person-context contributions of ``changed`` ids."""
+        for inst_id in changed:
+            old = self._contributions.pop(inst_id, frozenset())
+            new = self._contribution(inst_id)
+            if new:
+                self._contributions[inst_id] = new
+            if new == old:
+                continue
+            for pair in old - new:
+                self._presence[pair] -= 1
+                if not self._presence[pair]:
+                    del self._presence[pair]
+            for pair in new - old:
+                self._presence[pair] = self._presence.get(pair, 0) + 1
+            self._person_context = None
+
+    def _contribution(self, inst_id: str) -> frozenset[tuple[str, str]]:
+        """The isIn/isNearTo pairs an instance lends the person: those of a
+        present instance of the presence concept with a true state."""
+        instance = self.instances.get(inst_id)
+        if instance is None or instance.single(STATE_PROP) is not True:
+            return frozenset()
+        if self.presence_concept not in self._memberships[inst_id]:
+            return frozenset()
+        return frozenset(
+            (prop, target)
+            for prop in ("isIn", "isNearTo")
+            for target in instance.prop_values(prop)
+            if isinstance(target, str)
         )
-        return self._classification
 
     def _satisfies(
         self,
@@ -440,25 +584,15 @@ class ContextStore:
         person's current context.  The presence concept narrows which
         sensors count as presence evidence (a scenario typically uses its
         motion class, since latched door or item states would otherwise pin
-        the person to one spot).  The pairs are derived from
-        :meth:`classify`, cached beside it until the next mutation, and do
-        not enter the axiom count.
+        the person to one spot).  The pairs are counted per instance as
+        :meth:`classify` reclassifies it, and do not enter the axiom count.
         """
         if self.person_id is None:
             raise StoreError(f"store {self.name!r} declares no person instance")
+        if self._classification is None:
+            self.classify()  # brings the contributions up to date
         if self._person_context is None:
-            classification = self.classify()
-            pairs: set[tuple[str, str]] = set()
-            for inst_id, instance in self.instances.items():
-                if self.presence_concept not in classification[inst_id]:
-                    continue
-                if instance.single(STATE_PROP) is not True:
-                    continue
-                for prop in ("isIn", "isNearTo"):
-                    for target in instance.prop_values(prop):
-                        if isinstance(target, str):
-                            pairs.add((prop, target))
-            self._person_context = tuple(sorted(pairs))
+            self._person_context = tuple(sorted(self._presence))
         return self._person_context
 
     def person_context_matches(self, prop: str, target_concept: str) -> bool:
@@ -494,8 +628,7 @@ class ContextStore:
                 continue
             if keep & classification.get(inst_id, frozenset()):
                 continue
-            self._axioms -= instance.axiom_weight()
-            del self.instances[inst_id]
+            self._drop(inst_id)
             removed += 1
         if removed:
             self._mutated()

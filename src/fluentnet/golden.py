@@ -11,10 +11,10 @@ as long as the relation between the margins holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .context import ContextStore
-from .network import node_store_factory
+from .network import build_node_store
 from .procedures import ActivityBinding, Evaluator, RecognitionRecord, ReplaySession, Scenario
 from .statements import Statement
 
@@ -261,12 +261,12 @@ def evaluate_case(scenario: Scenario, case: GoldenCase) -> Optional[RecognitionR
     """Run one golden case through a fresh activity store, in its node's
     declared mode, and a fresh evaluator."""
     binding = scenario.bindings[case.activity]
-    return _evaluate(case, _store_factory(scenario, binding)(), Evaluator(binding, ReplaySession()))
+    return _evaluate(case, _new_store(scenario, binding), Evaluator(binding, ReplaySession()))
 
 
-def _store_factory(scenario: Scenario, binding: ActivityBinding) -> Callable[[], ContextStore]:
+def _new_store(scenario: Scenario, binding: ActivityBinding) -> ContextStore:
     node = next(n for n in scenario.model.nodes if n.name == binding.node)
-    return node_store_factory(node, scenario.base_dir)
+    return build_node_store(node, scenario.store_models[node.name])
 
 
 def _evaluate(case: GoldenCase, store: ContextStore, evaluator: Evaluator) -> Optional[RecognitionRecord]:
@@ -289,11 +289,10 @@ def run_golden_suite(scenario: Scenario) -> list[GoldenOutcome]:
     outcomes: list[GoldenOutcome] = []
     for index in sorted(scenario.bindings):
         binding = scenario.bindings[index]
-        # one parse of the node model and one evaluator serve every case
-        new_store = _store_factory(scenario, binding)
+        # one evaluator serves every case
         evaluator = Evaluator(binding, ReplaySession())
         for case in golden_cases(binding):
-            record = _evaluate(case, new_store(), evaluator)
+            record = _evaluate(case, _new_store(scenario, binding), evaluator)
             if case.expect_time is None:
                 passed = record is None
                 detail = "silent" if passed else f"unexpected recognition at {record.time_ms}"

@@ -21,9 +21,14 @@ again.  A procedure fires when any of its required events fires.  A
 condition's outcome can only change when its node's store changes, so a
 store mutation schedules one sample of that node's conditions at their
 next rate tick, and :meth:`RuntimeNetwork.pending_until` runs those samples
-in time order.  Everything runs on one logical thread of control against a
-virtual clock, so a fixed configuration and trace always produce the same
-dispatch log.
+in time order.  Conditions are indexed by node for
+:meth:`RuntimeNetwork.note_mutation` and by (node, statement) for
+:meth:`RuntimeNetwork.notify_sync`, so neither scans the others.  Tick
+times are exact integer ceil/floor divisions over the numerator and
+denominator of the rational rate: tick ``k`` of a ``p/q`` Hz condition falls
+at ``ceil(k * 1000 * q / p)`` ms.  Everything runs on one logical thread of
+control against a virtual clock, so a fixed configuration and trace always
+produce the same dispatch log.
 """
 
 from __future__ import annotations
@@ -31,12 +36,19 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
 from .context import ConceptGraph, ConsistencyError, ContextStore, StoreError, UnknownConceptError
-from .modelio import ConfigError, ConfigLine, build_store, load_store_model, read_sections, split_options
+from .modelio import (
+    ConfigError,
+    ConfigLine,
+    StoreModel,
+    build_store,
+    load_store_model,
+    read_sections,
+    split_options,
+)
 from .statements import Statement
 
 logger = logging.getLogger(__name__)
@@ -291,20 +303,25 @@ class VirtualClock:
 
 @dataclass
 class ConditionState:
+    """A condition's outcome and the last rate tick it was sampled at.  A
+    rate of ``p/q`` Hz is ``p`` ticks per ``1000 * q`` ms, kept as those two
+    integers."""
+
     decl: ConditionDecl
     outcome: bool = False
     last_tick: int = 0
 
+    def __post_init__(self) -> None:
+        self._ticks = self.decl.rate_hz.numerator
+        self._per_ms = 1000 * self.decl.rate_hz.denominator
+
     def due_at_or_after(self, time_ms: int) -> int:
         """Next scheduled sample time: the first unused k/rate tick >= now."""
-        rate = self.decl.rate_hz
-        k = max(self.last_tick + 1, ceil(Fraction(max(time_ms, 0)) * rate / 1000))
-        k = max(k, 1)
-        return ceil(Fraction(k * 1000) / rate)
+        k = max(self.last_tick + 1, -(-max(time_ms, 0) * self._ticks // self._per_ms), 1)
+        return -(-k * self._per_ms // self._ticks)
 
     def take_tick(self, time_ms: int) -> None:
-        rate = self.decl.rate_hz
-        self.last_tick = int(Fraction(time_ms) * rate // 1000)
+        self.last_tick = time_ms * self._ticks // self._per_ms
 
 
 @dataclass(frozen=True)
@@ -352,6 +369,13 @@ class RuntimeNetwork:
         for proc in model.procedures:
             for event in proc.requires:
                 self._requirers[event].append(proc.name)
+        self._by_node: dict[str, list[tuple[str, ConditionState]]] = {}
+        self._by_statement: dict[tuple[str, str], list[str]] = {}
+        for name, state in self.conditions.items():
+            self._by_node.setdefault(state.decl.node, []).append((name, state))
+            if isinstance(state.decl.check, StatementCheck):
+                key = (state.decl.node, state.decl.check.statement_id)
+                self._by_statement.setdefault(key, []).append(name)
         self._pending: dict[str, int] = {}
 
     # -- logging -----------------------------------------------------------
@@ -436,13 +460,13 @@ class RuntimeNetwork:
 
     def note_mutation(self, store_name: str) -> None:
         """Record that a store changed; its conditions get a pending sample."""
-        for name, state in self.conditions.items():
-            if state.decl.node != store_name:
-                continue
-            due = state.due_at_or_after(self.clock.now)
-            current = self._pending.get(name)
+        now = self.clock.now
+        pending = self._pending
+        for name, state in self._by_node.get(store_name, ()):
+            due = state.due_at_or_after(now)
+            current = pending.get(name)
             if current is None or due < current:
-                self._pending[name] = due
+                pending[name] = due
 
     def pending_until(self, limit: int) -> list[LogEntry]:
         """Run pending (mutation-scheduled) samples due at or before ``limit``.
@@ -473,15 +497,8 @@ class RuntimeNetwork:
         node, bypassing the rate clock; returns names of events fired."""
         if node not in self.stores:
             raise NetworkError(f"unknown node {node!r}")
-        names = [
-            name
-            for name, state in self.conditions.items()
-            if state.decl.node == node
-            and isinstance(state.decl.check, StatementCheck)
-            and state.decl.check.statement_id == statement_id
-        ]
         mark = len(self.log)
-        self.sample_and_dispatch(names, schedule_tick=False)
+        self.sample_and_dispatch(self._by_statement.get((node, statement_id), []), schedule_tick=False)
         return [entry.name for entry in self.log[mark:] if entry.kind == "event"]
 
 
@@ -493,46 +510,51 @@ def _upper_store() -> ContextStore:
     return store
 
 
-def node_store_factory(node: NodeDecl, base_dir=None) -> Callable[[], ContextStore]:
-    """A maker of fresh stores for one declared node: the model file is read
-    and parsed once, and each call builds a store from it in the node's
-    declared mode.  A model file that cannot be read or instantiated is a
-    :class:`BootstrapError` naming the node."""
+_NODE_ERRORS = (ConfigError, StoreError, UnknownConceptError, ConsistencyError)
+
+
+def load_node_model(node: NodeDecl, base_dir=None) -> StoreModel:
+    """Read and parse one declared node's model file.  A file that cannot be
+    read or parsed is a :class:`BootstrapError` naming the node."""
     path = Path(base_dir) / node.represents if base_dir is not None else Path(node.represents)
-    node_errors = (ConfigError, StoreError, UnknownConceptError, ConsistencyError)
     try:
-        store_model = load_store_model(path)
+        return load_store_model(path)
     except OSError as exc:
         raise BootstrapError(f"node {node.name}: cannot read model file {path}: {exc}") from exc
-    except node_errors as exc:
+    except _NODE_ERRORS as exc:
         raise BootstrapError(f"node {node.name}: {exc}") from exc
 
-    def build() -> ContextStore:
-        try:
-            return build_store(node.name, store_model, mode=node.mode)
-        except node_errors as exc:
-            raise BootstrapError(f"node {node.name}: {exc}") from exc
 
-    return build
+def build_node_store(node: NodeDecl, store_model: StoreModel) -> ContextStore:
+    """A fresh store for one declared node, built from its parsed model in
+    the node's declared mode.  A model that cannot be instantiated is a
+    :class:`BootstrapError` naming the node."""
+    try:
+        return build_store(node.name, store_model, mode=node.mode)
+    except _NODE_ERRORS as exc:
+        raise BootstrapError(f"node {node.name}: {exc}") from exc
 
 
 def bootstrap(
     model: NetworkModel,
     base_dir=None,
     implementations: Optional[Mapping[str, ProcedureImpl]] = None,
+    store_models: Optional[Mapping[str, StoreModel]] = None,
 ) -> RuntimeNetwork:
     """Build the three runtime maps from the network description.
 
-    Stores are initialised from their model files in their declared mode
-    (the upper node is always present and carries the boot statement),
-    procedures are bound to their implementations, and every condition
-    starts with a false outcome.  A model file that cannot be read or
+    Stores are initialised in their declared mode from ``store_models``
+    (node name -> parsed model, as a scenario holds them) or else from their
+    model files (the upper node is always present and carries the boot
+    statement), procedures are bound to their implementations, and every
+    condition starts with a false outcome.  A model that cannot be read or
     instantiated, and a pattern check on a node whose model declares no
     person, are rejected.
     """
     stores: dict[str, ContextStore] = {UPPER_NODE: _upper_store()}
     for node in model.nodes:
-        stores[node.name] = node_store_factory(node, base_dir)()
+        store_model = store_models[node.name] if store_models is not None else load_node_model(node, base_dir)
+        stores[node.name] = build_node_store(node, store_model)
     for cond in model.conditions:
         if isinstance(cond.check, PatternCheck) and stores[cond.node].person_id is None:
             raise BootstrapError(

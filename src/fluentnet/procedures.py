@@ -25,13 +25,14 @@ from . import dsl
 from .context import OVERWRITE, ContextStore
 from .ingest import TraceEvent, drive
 from .metrics import Telemetry
-from .modelio import ConfigError, load_store_model, read_config, read_sections
+from .modelio import ConfigError, StoreModel, read_config, read_sections
 from .network import (
     NetworkModel,
     ProcedureImpl,
     RuntimeNetwork,
     bootstrap,
     load_network,
+    load_node_model,
 )
 from .rules import RuleEngine
 from .statements import AGGREGATED, Statement
@@ -74,8 +75,13 @@ class RecognitionRecord:
 
 @dataclass
 class Scenario:
+    """A loaded scenario: the network, each node's parsed store model (node
+    name -> model; every replay builds its stores from these) and the
+    compiled activities."""
+
     base_dir: Path
     model: NetworkModel
+    store_models: dict[str, StoreModel]
     bindings: dict[int, ActivityBinding]
     sensor_rename: dict[str, str] = field(default_factory=dict)
     value_map: dict[str, bool] = field(default_factory=dict)
@@ -112,21 +118,21 @@ def _parse_sensor_map(text: str) -> tuple[dict[str, str], dict[str, bool]]:
 def load_scenario(
     config_dir: Optional[Path] = None, params: Optional[Mapping[str, int]] = None
 ) -> Scenario:
-    """Load the network description and compile every activity model.
+    """Load the network description, parse every node's store model once
+    and compile every activity model.
 
     A ``params`` name that no model declares is a :class:`ConfigError`.
     """
     base_dir = Path(config_dir) if config_dir is not None else SCENARIO_DIR
     model = read_config(base_dir / NETWORK_FILE, load_network)
-    spatial_decl = next((n for n in model.nodes if n.name == SPATIAL_NODE), None)
-    if spatial_decl is None:
+    if SPATIAL_NODE not in {n.name for n in model.nodes}:
         raise ScenarioError(f"scenario declares no spatial node {SPATIAL_NODE!r}")
-    spatial_model = load_store_model(base_dir / spatial_decl.represents)
+    store_models = {node.name: load_node_model(node, base_dir) for node in model.nodes}
+    spatial_model = store_models[SPATIAL_NODE]
 
     bindings: dict[int, ActivityBinding] = {}
     for decl in model.activities:
-        node_decl = next(n for n in model.nodes if n.name == decl.node)
-        node_model = load_store_model(base_dir / node_decl.represents)
+        node_model = store_models[decl.node]
         with open(base_dir / decl.model_path, "r", encoding="utf-8") as handle:
             ast = dsl.parse_model(handle.read(), known_classes=node_model.graph.concepts)
         if params:
@@ -163,6 +169,7 @@ def load_scenario(
     scenario = Scenario(
         base_dir=base_dir,
         model=model,
+        store_models=store_models,
         bindings=bindings,
         sensor_rename=rename,
         value_map=value_map,
@@ -398,7 +405,7 @@ def run_replay(
     """
     session = ReplaySession()
     implementations, replayer = build_implementations(scenario, session)
-    net = bootstrap(scenario.model, base_dir=scenario.base_dir, implementations=implementations)
+    net = bootstrap(scenario.model, implementations=implementations, store_models=scenario.store_models)
 
     base_ms = rebase_offset(events)
     rebased = (

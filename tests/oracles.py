@@ -10,9 +10,18 @@ rate tick instead of only after a store mutation.
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
+from math import ceil
 
 from fluentnet import procedures
+from fluentnet.context import (
+    BOOLEAN_DOMAIN,
+    FALSE_LITERAL,
+    NATURAL_DOMAIN,
+    STATE_PROP,
+    TRUE_LITERAL,
+)
 from fluentnet.network import bootstrap
 from fluentnet.rules import Assign, ClassAtom, Compare, PropertyAtom
 from fluentnet.statements import (
@@ -272,7 +281,7 @@ def tick_replay(events, scenario):
     implementations, replayer = procedures.build_implementations(
         scenario, procedures.ReplaySession()
     )
-    net = bootstrap(scenario.model, base_dir=scenario.base_dir, implementations=implementations)
+    net = bootstrap(scenario.model, implementations=implementations, store_models=scenario.store_models)
     base_ms = procedures.rebase_offset(events)
     for event in events:
         event = replace(event, time_ms=event.time_ms - base_ms)
@@ -281,3 +290,99 @@ def tick_replay(events, scenario):
         replayer.replay_step(net, event)
     run_until(net, net.clock.now + procedures.TRAILING_FLUSH_MS)
     return net.render_log()
+
+
+def fraction_due_at_or_after(rate, last_tick, time_ms):
+    """``ConditionState.due_at_or_after`` in ``Fraction`` arithmetic."""
+    k = max(last_tick + 1, ceil(Fraction(max(time_ms, 0)) * rate / 1000))
+    k = max(k, 1)
+    return ceil(Fraction(k * 1000) / rate)
+
+
+def fraction_take_tick(rate, time_ms):
+    """The tick ``ConditionState.take_tick`` records, in ``Fraction`` arithmetic."""
+    return int(Fraction(time_ms) * rate // 1000)
+
+
+# -- classification ------------------------------------------------------------
+
+def classify_from_scratch(store):
+    """Every instance's membership by the full fixpoint over the whole
+    store: asserted closure, then defined classes in name order over the
+    instances in id order, pass after pass, skipping any that would clash
+    with a disjointness."""
+    graph = store.graph
+    memberships = {}
+    for inst_id, inst in store.instances.items():
+        closure = set()
+        for concept in inst.asserted:
+            closure |= graph.supers(concept)
+        memberships[inst_id] = closure
+    defined = [graph.defined[name] for name in sorted(graph.defined)]
+    changed = True
+    while changed:
+        changed = False
+        for dc in defined:
+            candidate = graph.supers(dc.name)
+            for inst_id in sorted(memberships):
+                current = memberships[inst_id]
+                if dc.name in current:
+                    continue
+                if not all(base in current for base in dc.bases):
+                    continue
+                if not _satisfies_from_scratch(store.instances[inst_id], dc, memberships):
+                    continue
+                merged = frozenset(current | candidate)
+                if graph.violates_disjointness(merged):
+                    continue
+                memberships[inst_id] = set(merged)
+                changed = True
+    return {inst_id: frozenset(v) for inst_id, v in memberships.items()}
+
+
+def _satisfies_from_scratch(instance, dc, memberships):
+    for restriction in dc.restrictions:
+        values = instance.props.get(restriction.prop, ())
+        count = 0
+        for value in values:
+            if restriction.target == BOOLEAN_DOMAIN:
+                ok = isinstance(value, bool)
+            elif restriction.target == NATURAL_DOMAIN:
+                ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
+            elif restriction.target == TRUE_LITERAL:
+                ok = value is True
+            elif restriction.target == FALSE_LITERAL:
+                ok = value is False
+            else:
+                ok = isinstance(value, str) and restriction.target in memberships.get(value, ())
+            if ok:
+                count += 1
+        if restriction.bound == ">=" and count < restriction.count:
+            return False
+        if restriction.bound == "<=" and count > restriction.count:
+            return False
+        if restriction.bound == "==" and count != restriction.count:
+            return False
+    return True
+
+
+def person_context_from_scratch(store, classification):
+    """The sorted isIn/isNearTo pairs of every instance of the store's
+    presence concept whose state is true, by a scan of all instances."""
+    pairs = set()
+    for inst_id, instance in store.instances.items():
+        if store.presence_concept not in classification[inst_id]:
+            continue
+        states = instance.props.get(STATE_PROP, ())
+        if not states or states[0] is not True:
+            continue
+        for prop in ("isIn", "isNearTo"):
+            for target in instance.props.get(prop, ()):
+                if isinstance(target, str):
+                    pairs.add((prop, target))
+    return tuple(sorted(pairs))
+
+
+def person_context_matches_from_scratch(pairs, classification, prop, target_concept):
+    """The answer to a ``PERSON:prop:TARGET`` check from the pairs above."""
+    return any(p == prop and target_concept in classification.get(t, ()) for p, t in pairs)

@@ -1,11 +1,13 @@
 """Knowledge contexts: classification, modes, consistency, axiom counting."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+import oracles
 from fluentnet.context import (
     APPEND,
     OVERWRITE,
@@ -280,6 +282,165 @@ class TestPersonContext:
                     assert store.person_context_matches(prop, target_concept) is expected
             assert store.classify() == classification
             assert store.infer_person_context() == pairs
+
+
+def dirty_graph(bounded=False):
+    """``small_graph`` plus defined classes that reach every fallback of the
+    dirty-set update: a location gains ``KITCHEN`` when near a table (a
+    referenced instance gaining a defined class) and, when ``bounded``,
+    sensors carry a ``<=`` restriction.  ``PERSON`` is blocked on sensors
+    by disjointness, and so is the second of the disjoint ``COOKING`` (in a
+    kitchen) and ``LIVE`` (state true) that a sensor gains: a full fixpoint
+    tries ``COOKING`` before the location has gained ``KITCHEN``, so
+    ``LIVE`` wins, where reclassifying the sensor alone would pick
+    ``COOKING``."""
+    g = small_graph()
+    g.add_concept("LIVE")
+    g.add_concept("COOKING")
+    g.add_disjoint("LIVE", "COOKING")
+    g.add_defined(
+        DefinedClass("KITCHEN", bases=("LOCATION",), restrictions=(Restriction("isNearTo", "TABLE"),))
+    )
+    g.add_defined(DefinedClass("LIVE", bases=("SENSOR",), restrictions=(Restriction("hasState", "TRUE"),)))
+    g.add_defined(DefinedClass("COOKING", bases=("SENSOR",), restrictions=(Restriction("isIn", "KITCHEN"),)))
+    if bounded:
+        g.add_concept("QUIET")
+        g.add_defined(
+            DefinedClass("QUIET", bases=("SENSOR",), restrictions=(Restriction("isNearTo", "FURNITURE", "<=", 0),))
+        )
+    return g
+
+
+def dirty_store(bounded=False):
+    store = store_with(dirty_graph(bounded), person_id="P", presence_concept="MOTION")
+    store.add_instance("K", ("LOCATION",))
+    store.add_instance("T1", ("TABLE",))
+    store.add_instance("P", ("PERSON",))
+    return store
+
+
+def reclassified_by(store, write):
+    """Instances reclassified by ``write`` and the next read."""
+    before = store.reclassified
+    write()
+    store.infer_person_context()
+    return store.reclassified - before
+
+
+def assert_matches_oracles(store):
+    expected = oracles.classify_from_scratch(store)
+    assert store.classify() == expected
+    pairs = oracles.person_context_from_scratch(store, expected)
+    assert store.infer_person_context() == pairs
+    for prop in ("isIn", "isNearTo"):
+        for target_concept in ("LOCATION", "KITCHEN", "TABLE"):
+            assert store.person_context_matches(prop, target_concept) is (
+                oracles.person_context_matches_from_scratch(pairs, expected, prop, target_concept)
+            )
+
+
+def spatial_with_copies(copies):
+    """The shipped spatial model with each sensor line repeated ``copies``
+    times under fresh ids."""
+    lines = Path(SPATIAL).read_text(encoding="utf-8").splitlines()
+    start = lines.index("[sensors]") + 1
+    sensors = [line for line in lines[start:] if line and not line.startswith("#")]
+    extra = [f"{line.split()[0]}x{k} {line.split(' ', 1)[1]}" for k in range(2, copies + 1) for line in sensors]
+    return "\n".join(lines + extra) + "\n"
+
+
+class TestDirtySet:
+    @pytest.mark.parametrize("bounded", [False, True], ids=["monotone", "bounded"])
+    @settings(max_examples=120, deadline=None)
+    @given(
+        ops=st_.lists(
+            st_.tuples(
+                st_.sampled_from(["overwrite", "append", "add", "drop", "clear"]),
+                st_.sampled_from(["M16", "M3", "D7"]),
+                st_.booleans(),
+                st_.sampled_from(["K", "LR", "T1", "M16"]),
+                st_.sampled_from(["LOCATION", "TABLE"]),
+                st_.sampled_from([None, "K", "LR", "T1"]),
+                st_.booleans(),
+            ),
+            max_size=30,
+        )
+    )
+    def test_matches_a_full_fixpoint_after_every_read(self, bounded, ops):
+        """Random writes, read at random points: the classification, the
+        person context and every pattern check equal the from-scratch
+        oracles, whichever writes have piled up in the dirty set."""
+        store = dirty_store(bounded)
+        store.add_instance("LR", ("LOCATION",), {"isNearTo": ["T1"]})  # a KITCHEN by definition
+        for time, (action, sensor, state, place, concept, near, read) in enumerate(ops):
+            props = {"isNearTo": [near]} if near else {}
+            if action in ("overwrite", "append"):
+                store.assert_statement(
+                    Statement(sensor, state, time),
+                    concepts=("DOOR",) if sensor == "D7" else ("MOTION",),
+                    mode=OVERWRITE if action == "overwrite" else APPEND,
+                    properties={"isIn": [place], **props},
+                )
+            elif action == "add" and place != "M16":
+                store.add_instance(place, (concept,), props)
+            elif action == "clear":
+                store.clear_statements(keep_concepts=("DOOR",))
+            elif action == "drop" and store.instances:
+                store.remove_instance(sorted(store.instances)[time % len(store.instances)])
+            if read:
+                assert_matches_oracles(store)
+        assert_matches_oracles(store)
+
+    def test_full_recompute_only_on_first_read_and_fallbacks(self):
+        store = dirty_store()
+        motion = {"concepts": ("MOTION",), "mode": OVERWRITE}
+
+        def sense(sensor, place, time, near=None):
+            extra = {"isNearTo": [near]} if near else {}
+            return lambda: store.assert_statement(
+                Statement(sensor, True, time), properties={"isIn": [place], **extra}, **motion
+            )
+
+        assert reclassified_by(store, lambda: None) == 3  # first read: every instance
+        assert reclassified_by(store, sense("M16", "K", 1)) == 1
+        assert reclassified_by(store, sense("M3", "K", 2)) == 1
+        # a sensor near a table would be a person, but disjointness blocks it
+        assert reclassified_by(store, sense("M16", "K", 3, near="T1")) == 1
+        assert "PERSON" not in store.classify()["M16"]
+        assert reclassified_by(store, lambda: store.remove_instance("M3")) == 0
+        assert "M3" not in store.classify()
+        assert_matches_oracles(store)
+
+        # a write to an instance that another one refers to
+        assert reclassified_by(store, lambda: store.add_instance("K", ("LOCATION",))) == 4
+        # an unreferenced location gains KITCHEN locally ...
+        assert reclassified_by(store, lambda: store.add_instance("LR", ("LOCATION",), {"isNearTo": ["T1"]})) == 1
+        assert "KITCHEN" in store.classify()["LR"]
+        # ... but a reference to it makes the next write a full recompute
+        assert reclassified_by(store, sense("M3", "LR", 4)) == 6
+        assert reclassified_by(store, lambda: store.remove_instance("T1")) == 5
+        assert_matches_oracles(store)
+
+        bounded = dirty_store(bounded=True)
+        assert reclassified_by(bounded, lambda: None) == 3
+        # a <= restriction: every read after a write is a full recompute
+        assert reclassified_by(bounded, lambda: bounded.add_instance("LR", ("LOCATION",))) == 4
+        assert_matches_oracles(bounded)
+
+    @pytest.mark.parametrize("copies", [1, 4])
+    def test_each_overwrite_reading_reclassifies_one_instance(self, copies):
+        """On the shipped spatial model, and on one with four times the
+        sensors, a reading costs one reclassification, during the sweep
+        that switches every sensor on and after it."""
+        store = build_store("L", parse_store_model(spatial_with_copies(copies)))
+        sensors = sorted(store.installations)
+        assert len(sensors) == 41 * copies
+        assert reclassified_by(store, lambda: None) == 11  # first read: locations, furniture, P
+        rng = random.Random(copies)
+        readings = [(s, True) for s in sensors] + [(rng.choice(sensors), rng.random() < 0.5) for _ in range(300)]
+        for time, (sensor, state) in enumerate(readings, start=1):
+            assert reclassified_by(store, lambda: store.assert_statement(Statement(sensor, state, time))) == 1
+        assert_matches_oracles(store)
 
 
 class TestAxioms:

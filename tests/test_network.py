@@ -4,16 +4,22 @@ Every scheduling scenario runs twice, through ``pending_until`` and through
 the tick-loop oracle in ``oracles.py``, and requires identical dispatch logs.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 import oracles
 from fluentnet.context import OVERWRITE
 from fluentnet.network import (
     BOOT_STATEMENT,
     BootstrapError,
+    ConditionDecl,
+    ConditionState,
     NetworkError,
+    StatementCheck,
     UPPER_NODE,
     VirtualClock,
     bootstrap,
@@ -394,3 +400,21 @@ class TestClock:
         clock.advance_to(10)
         clock.advance_to(5)
         assert clock.now == 10
+
+
+class TestTicks:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        p=st_.integers(min_value=1, max_value=1000),
+        q=st_.integers(min_value=1, max_value=1000),
+        earlier=st_.integers(min_value=0, max_value=10**9),
+        time_ms=st_.integers(min_value=0, max_value=10**9),
+    )
+    def test_integer_ticks_equal_the_fraction_formulas(self, p, q, earlier, time_ms):
+        rate = Fraction(p, q)
+        state = ConditionState(ConditionDecl("C", StatementCheck("X"), "A", True, rate_hz=rate))
+        assert state.due_at_or_after(time_ms) == oracles.fraction_due_at_or_after(rate, 0, time_ms)
+        state.take_tick(earlier)
+        last_tick = oracles.fraction_take_tick(rate, earlier)
+        assert state.last_tick == last_tick
+        assert state.due_at_or_after(time_ms) == oracles.fraction_due_at_or_after(rate, last_tick, time_ms)

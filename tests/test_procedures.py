@@ -109,6 +109,15 @@ class TestReplayStep:
         assert ("isIn", "K") in spatial.infer_person_context()
         assert spatial.person_context_matches("isIn", "KITCHEN")
 
+    def test_each_reading_reclassifies_one_spatial_instance(self, scenario, session_run):
+        """The spatial node is classified in full once, at the first pattern
+        check after bootstrap; from then on a reading reclassifies only the
+        sensor it writes."""
+        _, result = session_run
+        initial = len(build_store("L", scenario.store_models["L"]).instances)
+        assert result.events_replayed > 100
+        assert result.net.stores["L"].reclassified == initial + result.events_replayed
+
 
 class TestTriggerFanout:
     def test_kitchen_flip_dispatches_both_kitchen_importers(self, scenario):
