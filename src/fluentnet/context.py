@@ -25,13 +25,13 @@ Classification is maintained from a dirty set: the ids written or removed
 since the last read.  One fixpoint routine reclassifies the dirty instances
 alone, reading every other membership from the cache, when that is exact:
 
-- every restriction in the graph is ``>=``, so counting is monotone;
 - no instance refers to a dirty one (a reverse index maps each id to the
   instances whose property values name it, dangling names included), so no
   other membership can change;
 - every instance a dirty one refers to holds only its asserted closure, so
-  the dirty instance sees the same targets at every pass of a full fixpoint
-  and a disjointness block cannot depend on the pass order.
+  the dirty instance sees the same targets at every pass of a full fixpoint,
+  and neither a ``<=`` count nor a disjointness block can depend on the
+  pass order.
 
 Otherwise, and on the first read, the same routine runs over every
 instance.  A removal with no referrers just drops the entry.  The person
@@ -184,11 +184,6 @@ class ConceptGraph:
             self._defined_order = tuple(self.defined[name] for name in sorted(self.defined))
         return self._defined_order
 
-    def monotone(self) -> bool:
-        """True when every restriction is a ``>=`` bound, so a membership
-        gained by a target can only add to what its referrers satisfy."""
-        return all(r.bound == ">=" for d in self.defined_order() for r in d.restrictions)
-
     def supers(self, concept: str) -> frozenset[str]:
         """Reflexive-transitive superclasses of a concept."""
         if concept not in self.concepts:
@@ -221,12 +216,30 @@ class SensorDecl:
     properties: tuple[tuple[str, PropValue], ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class StoreInstance:
+    """One stored instance, built once per write and never changed.
+
+    ``closure`` is the asserted concepts with their superclasses, ``time``
+    the first ``hasTime`` value when it is an integer (``None`` when
+    untimed) and ``weight`` the instance's share of the axiom count.  A
+    write replaces the record whole, so snapshots and the rule matcher read
+    it in place.
+    """
+
     id: str
     asserted: frozenset[str]
-    props: dict[str, tuple[PropValue, ...]] = field(default_factory=dict)
+    closure: frozenset[str]
+    props: Mapping[str, tuple[PropValue, ...]]
     kind: str = RAW
+    time: Optional[int] = field(init=False)
+    weight: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        times = self.props.get(TIME_PROP)
+        time = times[0] if times else None
+        object.__setattr__(self, "time", time if isinstance(time, int) and not isinstance(time, bool) else None)
+        object.__setattr__(self, "weight", self.axiom_weight())
 
     def prop_values(self, prop: str) -> tuple[PropValue, ...]:
         return self.props.get(prop, ())
@@ -239,7 +252,8 @@ class StoreInstance:
         return STATE_PROP in self.props and TIME_PROP in self.props
 
     def axiom_weight(self) -> int:
-        return len(self.asserted) + sum(len(v) for v in self.props.values())
+        """The weight from scratch: asserted concepts plus property values."""
+        return len(self.asserted) + sum(map(len, self.props.values()))
 
 
 OVERWRITE = "overwrite"
@@ -323,35 +337,39 @@ class ContextStore:
             del self._refs[instance_id]
 
     def _drop(self, instance_id: str) -> None:
-        instance = self.instances.pop(instance_id)
-        self._axioms -= instance.axiom_weight()
+        self._axioms -= self.instances.pop(instance_id).weight
         self._touch(instance_id, {})
-
-    def _closure(self, concepts: Iterable[str]) -> frozenset[str]:
-        out: set[str] = set()
-        for concept in concepts:
-            out |= self.graph.supers(concept)
-        return frozenset(out)
 
     # -- instance management ----------------------------------------------
 
-    def _put(self, instance: StoreInstance, label: str) -> None:
+    def _put(
+        self,
+        instance_id: str,
+        asserted: frozenset[str],
+        props: dict[str, tuple[PropValue, ...]],
+        kind: str,
+        label: str,
+    ) -> StoreInstance:
         """The one write path: property, concept and disjointness checks,
-        axiom bookkeeping, the store write and cache invalidation.
+        the record, axiom bookkeeping, the store write and cache
+        invalidation.  ``props`` is owned by the record from here on.
         ``label`` names the offender in a :class:`ConsistencyError`."""
-        for prop in instance.props:
+        for prop in props:
             if prop not in self.graph.properties:
                 raise StoreError(f"unknown property {prop!r}")
-        clash = self.graph.violates_disjointness(self._closure(instance.asserted))
+        closure = frozenset().union(*map(self.graph.supers, asserted))
+        clash = self.graph.violates_disjointness(closure)
         if clash:
             raise ConsistencyError(f"{label} cannot be both {clash[0]} and {clash[1]}")
-        previous = self.instances.get(instance.id)
+        record = StoreInstance(instance_id, asserted, closure, MappingProxyType(props), kind)
+        previous = self.instances.get(instance_id)
         if previous is not None:
-            self._axioms -= previous.axiom_weight()
-        self.instances[instance.id] = instance
-        self._axioms += instance.axiom_weight()
-        self._touch(instance.id, instance.props)
+            self._axioms -= previous.weight
+        self.instances[instance_id] = record
+        self._axioms += record.weight
+        self._touch(instance_id, props)
         self._mutated()
+        return record
 
     def add_instance(
         self,
@@ -360,13 +378,8 @@ class ContextStore:
         props: Mapping[str, Sequence[PropValue]] | None = None,
     ) -> StoreInstance:
         """Directly add a plain (non-statement) instance, e.g. a location."""
-        instance = StoreInstance(
-            id=instance_id,
-            asserted=frozenset(concepts),
-            props={p: tuple(v) for p, v in (props or {}).items()},
-        )
-        self._put(instance, f"instance {instance_id!r}")
-        return instance
+        props = {p: tuple(v) for p, v in (props or {}).items()}
+        return self._put(instance_id, frozenset(concepts), props, RAW, f"instance {instance_id!r}")
 
     def assert_statement(
         self,
@@ -404,8 +417,7 @@ class ContextStore:
 
         seq = self._sequence.get(statement.id, 0) + 1
         instance_id = statement.id if mode == OVERWRITE else f"{statement.id}#{seq}"
-        instance = StoreInstance(id=instance_id, asserted=frozenset(concepts), props=props, kind=statement.kind)
-        self._put(instance, f"statement {statement.id!r}")
+        self._put(instance_id, frozenset(concepts), props, statement.kind, f"statement {statement.id!r}")
         if mode == APPEND:
             self._sequence[statement.id] = seq
 
@@ -453,9 +465,7 @@ class ContextStore:
 
     def _stays_local(self, dirty: set[str]) -> bool:
         """Whether reclassifying ``dirty`` alone gives the full fixpoint's
-        result (the three conditions in the module docstring)."""
-        if not self.graph.monotone():
-            return False
+        result (the two conditions in the module docstring)."""
         for inst_id in dirty:
             if inst_id in self._referrers:
                 return False
@@ -465,12 +475,12 @@ class ContextStore:
 
     def _fixpoint(self, ids: Sequence[str]) -> None:
         """Classify the instances ``ids`` (in sorted order) from their
-        asserted closure: defined classes in name order, pass after pass,
+        records' closures: defined classes in name order, pass after pass,
         until a pass changes nothing.  Memberships of instances outside
         ``ids`` are read from the cache."""
         memberships = self._memberships
         for inst_id in ids:
-            memberships[inst_id] = self._closure(self.instances[inst_id].asserted)
+            memberships[inst_id] = self.instances[inst_id].closure
             self._enriched.discard(inst_id)
         changed = True
         while changed:
@@ -571,9 +581,7 @@ class ContextStore:
             state = instance.single(STATE_PROP)
             if state_filter is not None and state is not state_filter:
                 continue
-            out.append(
-                Statement(id=inst_id, state=bool(state), time=int(instance.single(TIME_PROP)), kind=instance.kind)
-            )
+            out.append(Statement(id=inst_id, state=bool(state), time=instance.time, kind=instance.kind))
         return StatementSet(out)
 
     def infer_person_context(self) -> tuple[tuple[str, str], ...]:
@@ -644,59 +652,39 @@ class ContextStore:
         return value if isinstance(value, bool) else None
 
     def snapshot(self) -> "Snapshot":
-        """The classified instances in ``(time, id)`` order, untimed ones
-        last.  Stored instances are replaced whole on every write, never
-        changed in place, so the snapshot shares their props read-only
-        instead of copying them."""
-        classification = self.classify()
-        ordered: list[SnapshotInstance] = []
-        for inst_id, instance in self.instances.items():
-            time = instance.single(TIME_PROP)
-            key = (0, int(time), inst_id) if isinstance(time, int) and not isinstance(time, bool) else (1, 0, inst_id)
-            ordered.append(
-                SnapshotInstance(
-                    id=inst_id,
-                    concepts=classification[inst_id],
-                    props=MappingProxyType(instance.props),
-                    order_key=key,
-                )
-            )
-        ordered.sort(key=lambda s: s.order_key)
-        return Snapshot(store=self.name, instances=tuple(ordered))
-
-
-@dataclass(frozen=True)
-class SnapshotInstance:
-    id: str
-    concepts: frozenset[str]
-    props: Mapping[str, tuple[PropValue, ...]]
-    order_key: tuple[int, int, str]
+        """The store's own records in ``(time, id)`` order, untimed ones
+        last, with a copy of the classification.  Records are replaced whole
+        on every write, never changed, so the snapshot holds them in place."""
+        classification = dict(self.classify())
+        ordered = sorted(self.instances.values(), key=lambda r: (r.time is None, r.time, r.id))
+        return Snapshot(store=self.name, instances=tuple(ordered), classification=classification)
 
 
 @dataclass(frozen=True)
 class Snapshot:
     """Immutable classified view of a store, safe to share across readers.
 
-    An id map and one tuple per concept, both in snapshot order, are built
-    once with the snapshot, so :meth:`get` and :meth:`of_concept` are
-    lookups.
+    ``classification`` maps each instance id to its concepts.  An id map and
+    one tuple per concept, both in snapshot order, are built once with the
+    snapshot, so :meth:`get` and :meth:`of_concept` are lookups.
     """
 
     store: str
-    instances: tuple[SnapshotInstance, ...]
-    _by_id: Mapping[str, SnapshotInstance] = field(init=False, repr=False, compare=False)
-    _by_concept: Mapping[str, tuple[SnapshotInstance, ...]] = field(init=False, repr=False, compare=False)
+    instances: tuple[StoreInstance, ...]
+    classification: Mapping[str, frozenset[str]]
+    _by_id: Mapping[str, StoreInstance] = field(init=False, repr=False, compare=False)
+    _by_concept: Mapping[str, tuple[StoreInstance, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_concept: dict[str, list[SnapshotInstance]] = {}
+        by_concept: dict[str, list[StoreInstance]] = {}
         for instance in self.instances:
-            for concept in instance.concepts:
+            for concept in self.classification[instance.id]:
                 by_concept.setdefault(concept, []).append(instance)
         object.__setattr__(self, "_by_id", {i.id: i for i in self.instances})
         object.__setattr__(self, "_by_concept", {c: tuple(v) for c, v in by_concept.items()})
 
-    def of_concept(self, concept: str) -> tuple[SnapshotInstance, ...]:
+    def of_concept(self, concept: str) -> tuple[StoreInstance, ...]:
         return self._by_concept.get(concept, ())
 
-    def get(self, instance_id: str) -> Optional[SnapshotInstance]:
+    def get(self, instance_id: str) -> Optional[StoreInstance]:
         return self._by_id.get(instance_id)

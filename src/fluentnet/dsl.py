@@ -22,7 +22,9 @@ references to one class-and-state get pairwise distinct-instance guards.
 Disjunction expands into one rule per alternative.  The compiler's atom
 order is the join order: each leaf's class atom precedes its property
 atoms, and every comparison and assignment follows the atoms that bind its
-operands, so the rule engine matches a body exactly as it is written.
+operands.  The rule engine joins class atoms in that order; it turns a
+leaf's literal state test into a filter on its candidates and runs each
+other test and comparison as soon as its operands are bound.
 """
 
 from __future__ import annotations

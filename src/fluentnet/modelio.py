@@ -156,6 +156,13 @@ def _declare(line: ConfigLine, add, *args) -> None:
         raise ConfigError(f"line {line.lineno}: {exc}") from exc
 
 
+def _require_declared(line: ConfigLine, kind: str, names, declared) -> None:
+    """A name on ``line`` that is not in ``declared`` is a :class:`ConfigError`."""
+    for name in names:
+        if name not in declared:
+            raise ConfigError(f"line {line.lineno}: unknown {kind} {name!r}")
+
+
 def parse_store_model(text: str) -> StoreModel:
     sections = read_sections(text, STORE_SECTIONS)
     graph = ConceptGraph()
@@ -183,6 +190,8 @@ def parse_store_model(text: str) -> StoreModel:
         if len(positional) != 2:
             raise ConfigError(f"line {line.lineno}: instance line must read 'ID CONCEPT[,CONCEPT]'")
         instance_id, concepts = positional
+        _require_declared(line, "concept", concepts.split(","), graph.concepts)
+        _require_declared(line, "property", options, graph.properties)
         props = {key: value.split(",") for key, value in options.items()}
         model.instances.append((instance_id, tuple(concepts.split(",")), props))
 
@@ -219,9 +228,7 @@ def parse_store_model(text: str) -> StoreModel:
             raise ConfigError(f"line {line.lineno}: unknown sensor option {sorted(unknown)[0]!r}")
         if sensor_id in model.installations:
             raise ConfigError(f"line {line.lineno}: duplicate sensor {sensor_id!r}")
-        for concept in concepts:
-            if concept not in graph.concepts:
-                raise ConfigError(f"line {line.lineno}: unknown concept {concept!r}")
+        _require_declared(line, "concept", concepts, graph.concepts)
         model.installations[sensor_id] = SensorDecl(
             sensor_id=sensor_id, concepts=tuple(concepts), properties=tuple(properties)
         )

@@ -239,9 +239,8 @@ class Importer:
             instance = spatial.instances.get(sensor_id)
             if instance is None:
                 continue
-            state = instance.single("hasState")
-            time_ms = instance.single("hasTime")
-            if not isinstance(state, bool) or not isinstance(time_ms, int):
+            state, time_ms = instance.single("hasState"), instance.time
+            if not isinstance(state, bool) or time_ms is None:
                 continue
             if self._last.get(sensor_id) == (state, time_ms):
                 continue  # unchanged since the previous import

@@ -29,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .context import TIME_PROP, Snapshot, SnapshotInstance
+from .context import TIME_PROP, Snapshot, StoreInstance
 
 Term = Union[str, int, bool]
 
@@ -127,46 +127,6 @@ def _require_number(value: Term) -> None:
         raise BuiltinError(f"numeric builtin applied to {value!r}")
 
 
-def _bound_variables(body: tuple[Atom, ...]) -> set[str]:
-    """Check that ``body`` can be joined in the given order; return the
-    variables it binds.
-
-    A class atom binds a new variable; a property atom reads its instance
-    variable and binds its value variable if that is new; a comparison reads
-    both operands; an assignment reads its operands and binds a new variable.
-    """
-    bound: set[str] = set()
-
-    def read(term: Term) -> None:
-        if is_var(term) and term not in bound:
-            raise RuleValidationError(f"unbound {term}")
-
-    def bind(var: str) -> None:
-        if var in bound:
-            raise RuleValidationError(f"{var} is bound twice")
-        bound.add(var)
-
-    for atom in body:
-        if isinstance(atom, ClassAtom):
-            bind(atom.var)
-        elif isinstance(atom, PropertyAtom):
-            read(atom.var)
-            if is_var(atom.value):
-                bound.add(atom.value)
-        elif isinstance(atom, Compare):
-            if atom.op not in COMPARE_OPS:
-                raise RuleValidationError(f"unknown comparison {atom.op!r}")
-            read(atom.left)
-            read(atom.right)
-        elif isinstance(atom, Assign):
-            read(atom.left)
-            read(atom.right)
-            bind(atom.var)
-        else:
-            raise RuleValidationError(f"unknown atom {atom!r}")
-    return bound
-
-
 def _is_number(term: Term) -> bool:
     return isinstance(term, int) and not isinstance(term, bool)
 
@@ -196,37 +156,66 @@ class _Plan:
 
 
 def _plan(rule: Rule) -> _Plan:
-    concepts = {atom.var: atom.concept for atom in rule.body if isinstance(atom, ClassAtom)}
-    tests: dict[str, list[tuple[str, Term]]] = {var: [] for var in concepts}
+    """Check that ``rule`` can be joined in the order it is written, and
+    derive how it is matched.
+
+    A class atom binds a new variable; a property atom reads its instance
+    variable and binds its value variable if that is new; a comparison reads
+    both operands; an assignment reads its operands and binds a new
+    variable.  The first atom that reads an unbound variable, binds one
+    twice, compares with another operator or is of no known kind raises
+    :class:`RuleValidationError`, as does an unbound head time.
+    """
+    concepts: dict[str, str] = {}
+    tests: dict[str, list[tuple[str, Term]]] = {}
     times: dict[str, str] = {}
     binders: list[Atom] = []
     placed: list[list[Atom]] = [[]]  # placed[k]: atoms run right after binders[k - 1]
-    level: dict[str, int] = {}
+    level: dict[str, int] = {}  # each bound variable's binder index
 
     def after(*terms: Term) -> int:
+        """The binder index after which every variable of ``terms`` is bound."""
+        for term in terms:
+            if is_var(term) and term not in level:
+                raise RuleValidationError(f"unbound {term}")
         return max((level[t] for t in terms if is_var(t)), default=0)
 
+    def bind(var: str, index: int) -> None:
+        if var in level:
+            raise RuleValidationError(f"{var} is bound twice")
+        level[var] = index
+
+    def add_binder(atom: Atom) -> int:
+        binders.append(atom)
+        placed.append([])
+        return len(binders)
+
     for atom in rule.body:
-        if isinstance(atom, ClassAtom) or (
-            isinstance(atom, PropertyAtom) and is_var(atom.value) and atom.value not in level
-        ):
-            binders.append(atom)
-            placed.append([])
-            if isinstance(atom, ClassAtom):
-                level[atom.var] = len(binders)
-            else:
-                level[atom.value] = len(binders)
+        if isinstance(atom, ClassAtom):
+            bind(atom.var, add_binder(atom))
+            concepts[atom.var] = atom.concept
+            tests[atom.var] = []
+        elif isinstance(atom, PropertyAtom):
+            after(atom.var)
+            if is_var(atom.value) and atom.value not in level:
+                level[atom.value] = add_binder(atom)
                 if atom.prop == TIME_PROP and atom.var in concepts:
                     times.setdefault(atom.var, atom.value)
-        elif isinstance(atom, PropertyAtom) and not is_var(atom.value) and atom.var in concepts:
-            tests[atom.var].append((atom.prop, atom.value))
-        elif isinstance(atom, PropertyAtom):
-            placed[after(atom.var, atom.value)].append(atom)
+            elif not is_var(atom.value) and atom.var in concepts:
+                tests[atom.var].append((atom.prop, atom.value))
+            else:
+                placed[after(atom.var, atom.value)].append(atom)
         elif isinstance(atom, Compare):
+            if atom.op not in COMPARE_OPS:
+                raise RuleValidationError(f"unknown comparison {atom.op!r}")
             placed[after(atom.left, atom.right)].append(atom)
+        elif isinstance(atom, Assign):
+            index = after(atom.left, atom.right)
+            bind(atom.var, index)
+            placed[index].append(atom)
         else:
-            level[atom.var] = after(atom.left, atom.right)
-            placed[level[atom.var]].append(atom)
+            raise RuleValidationError(f"unknown atom {atom!r}")
+    after(rule.head.time)
     steps = list(placed[0])
     for binder, checks in zip(binders, placed[1:]):
         steps.append(binder)
@@ -271,11 +260,6 @@ def _upper_bounds(plan: _Plan, head_time: int) -> dict[str, int]:
     return bounds
 
 
-def _time(instance: SnapshotInstance) -> float:
-    """The instance's time in snapshot order; untimed instances sort last."""
-    return instance.order_key[1] if instance.order_key[0] == 0 else math.inf
-
-
 def _derive(rule: Rule, binding: dict[str, Term]) -> Derived:
     time = binding[rule.head.time] if is_var(rule.head.time) else rule.head.time
     return Derived(
@@ -309,9 +293,6 @@ class RuleEngine:
             raise RuleValidationError(f"rule {rule.name!r} has an empty body")
         if rule.name in self._plans:
             raise RuleValidationError(f"duplicate rule name {rule.name!r}")
-        bound = _bound_variables(rule.body)
-        if is_var(rule.head.time) and rule.head.time not in bound:
-            raise RuleValidationError(f"unbound {rule.head.time}")
         self._plans[rule.name] = _plan(rule)
         return rule.name
 
@@ -369,7 +350,8 @@ class RuleEngine:
                 if best is None or found.time < best.time:
                     best = found
             return best if best is not None and (before is None or best.time < before) else None
-        times = {var: [_time(i) for i in candidates[var]] for var in plan.times}
+        # untimed instances sort last in snapshot order
+        times = {var: [math.inf if i.time is None else i.time for i in candidates[var]] for var in plan.times}
         head_times = times[plan.head_var]
         start = 0
         while start < len(head_times) and head_times[start] != math.inf:
@@ -378,7 +360,7 @@ class RuleEngine:
                 return None
             end = bisect_right(head_times, pinned, start)
             bounds = _upper_bounds(plan, pinned)
-            trimmed: dict[str, Sequence[SnapshotInstance]] = {}
+            trimmed: dict[str, Sequence[StoreInstance]] = {}
             for var, instances in candidates.items():
                 time = plan.times.get(var)
                 if var == plan.head_var:
@@ -395,10 +377,10 @@ class RuleEngine:
         return None
 
     @staticmethod
-    def _candidates(plan: _Plan, snapshot: Snapshot) -> Optional[dict[str, Sequence[SnapshotInstance]]]:
+    def _candidates(plan: _Plan, snapshot: Snapshot) -> Optional[dict[str, Sequence[StoreInstance]]]:
         """Each class variable's instances that pass its literal tests, in
         snapshot order; ``None`` when one has none, so nothing matches."""
-        candidates: dict[str, Sequence[SnapshotInstance]] = {}
+        candidates: dict[str, Sequence[StoreInstance]] = {}
         for var, concept, tests in plan.classes:
             instances = snapshot.of_concept(concept)
             if tests:
@@ -414,7 +396,7 @@ class RuleEngine:
         self,
         plan: _Plan,
         snapshot: Snapshot,
-        candidates: Mapping[str, Sequence[SnapshotInstance]],
+        candidates: Mapping[str, Sequence[StoreInstance]],
     ) -> Iterator[dict[str, Term]]:
         """Depth-first search over ``plan.steps``: every binding, in the
         order of the class variables' candidate lists."""

@@ -146,7 +146,7 @@ def brute_force_derivations(rule, snapshot):
     for atom in rule.body:
         if isinstance(atom, ClassAtom):
             candidates[atom.var] = [
-                inst for inst in candidates[atom.var] if atom.concept in inst.concepts
+                inst for inst in candidates[atom.var] if atom.concept in snapshot.classification[inst.id]
             ]
     heads = []
     seen = set()
@@ -156,7 +156,7 @@ def brute_force_derivations(rule, snapshot):
         for values in _value_assignments(rule.body, binding, lookup):
             full = dict(binding)
             full.update(values)
-            if not _satisfies_all(rule.body, full, lookup):
+            if not _satisfies_all(rule.body, full, lookup, snapshot.classification):
                 continue
             time = full[rule.head.time] if str(rule.head.time).startswith("?") else rule.head.time
             key = (rule.head.instance_id, rule.head.state, time)
@@ -185,7 +185,7 @@ def _value_assignments(body, binding, lookup):
         yield dict(zip(names, combo))
 
 
-def _satisfies_all(body, binding, lookup):
+def _satisfies_all(body, binding, lookup, classification):
     # assignments first, to a fixpoint, then every check
     pending = [a for a in body if isinstance(a, Assign)]
     progress = True
@@ -207,7 +207,7 @@ def _satisfies_all(body, binding, lookup):
     for atom in body:
         if isinstance(atom, ClassAtom):
             inst = lookup.get(binding.get(atom.var))
-            if inst is None or atom.concept not in inst.concepts:
+            if inst is None or atom.concept not in classification[inst.id]:
                 return False
         elif isinstance(atom, PropertyAtom):
             inst = lookup.get(binding.get(atom.var))

@@ -3,12 +3,14 @@
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 import synth
 from fluentnet import cli, procedures
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # SHA-256 of every report file but the wall-clock ``timing_*`` ones, written
 # by ``fluentnet replay`` on ``synth.session_text()``.  Dispatch logs,
@@ -166,7 +168,7 @@ class TestReplay:
             ("spatial.model", "P presence=MOTION", "P presense=MOTION",
              "spatial.model: line 61: unknown person option 'presense'"),
             ("t1.model", "[sensors]", "[instances]\nK KITCHN\n[sensors]",
-             "node T1: unknown concept 'KITCHN'"),
+             "node T1: t1.model: line 13: unknown concept 'KITCHN'"),
         ],
         ids=["duplicate-index", "implements", "activites", "renames", "subclass-FOO",
              "defined-x", "presense", "instance-KITCHN"],
@@ -255,7 +257,9 @@ class TestCrossProcessDeterminism:
         outs = []
         for seed, name in (("1", "a"), ("271828", "b")):
             out = tmp_path / name
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            # the child imports the package from src/, as pytest's pythonpath does here
+            path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
             subprocess.run(
                 [sys.executable, "-m", "fluentnet.cli", "replay",
                  "--trace", str(trace_file), "--out", str(out)],

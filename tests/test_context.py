@@ -1,6 +1,7 @@
 """Knowledge contexts: classification, modes, consistency, axiom counting."""
 
 import random
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -423,8 +424,9 @@ class TestDirtySet:
 
         bounded = dirty_store(bounded=True)
         assert reclassified_by(bounded, lambda: None) == 3
-        # a <= restriction: every read after a write is a full recompute
-        assert reclassified_by(bounded, lambda: bounded.add_instance("LR", ("LOCATION",))) == 4
+        # a <= restriction: an unreferenced write whose targets hold only
+        # their asserted closure is still reclassified alone
+        assert reclassified_by(bounded, lambda: bounded.add_instance("LR", ("LOCATION",))) == 1
         assert_matches_oracles(bounded)
 
     @pytest.mark.parametrize("copies", [1, 4])
@@ -441,6 +443,74 @@ class TestDirtySet:
         for time, (sensor, state) in enumerate(readings, start=1):
             assert reclassified_by(store, lambda: store.assert_statement(Statement(sensor, state, time))) == 1
         assert_matches_oracles(store)
+
+
+class TestRecords:
+    def spatial(self):
+        store = store_with(person_id="P", presence_concept="MOTION")
+        store.add_instance("K", ("KITCHEN",))
+        store.add_instance("T1", ("TABLE",))
+        store.add_instance("P", ("PERSON",))
+        return store
+
+    def test_record_fields(self):
+        store = store_with()
+        store.add_instance("K", ("KITCHEN",), {"isNearTo": ["T1"]})
+        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        door, kitchen = store.instances["D7"], store.instances["K"]
+        assert door.closure == store.graph.supers("DOOR")
+        assert (door.time, kitchen.time) == (10, None)
+        assert door.weight == door.axiom_weight() == 3
+        assert kitchen.weight == kitchen.axiom_weight() == 2
+
+    def test_snapshot_holds_the_stores_records(self):
+        store = self.spatial()
+        store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",), properties={"isIn": ["K"]})
+        snap = store.snapshot()
+        assert [i.id for i in snap.instances] == ["M16", "K", "P", "T1"]
+        for inst_id in store.instances:
+            assert snap.get(inst_id) is store.instances[inst_id]
+        assert snap.classification == store.classify()
+        assert snap.of_concept("MOTION") == (store.instances["M16"],)
+
+    def test_records_are_frozen(self):
+        store = store_with()
+        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        record = store.instances["D7"]
+        with pytest.raises(FrozenInstanceError):
+            record.time = 20
+        with pytest.raises(FrozenInstanceError):
+            record.props = {}
+        with pytest.raises(TypeError):
+            record.props["hasState"] = (False,)
+        assert record.single("hasState") is True
+
+    def test_snapshot_outlives_later_writes(self):
+        """Overwrites, removals and clears after a snapshot leave its
+        records, order and classification as they were."""
+        store = self.spatial()
+        store.assert_statement(Statement("D7", True, 5), concepts=("DOOR",))
+        store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",), properties={"isIn": ["K"]})
+        store.assert_statement(Statement("M3", False, 20), concepts=("MOTION",))
+        snap = store.snapshot()
+        records = snap.instances
+        classification = dict(store.classify())
+        order = [i.id for i in records]
+        assert order == ["D7", "M16", "M3", "K", "P", "T1"]
+
+        store.assert_statement(Statement("M16", False, 30), concepts=("MOTION",), properties={"isIn": ["K"]})
+        store.remove_instance("M3")
+        store.clear_statements()
+        store.add_instance("LR", ("LOCATION",))
+        assert [i.id for i in store.snapshot().instances] == ["K", "LR", "P", "T1"]
+
+        assert snap.instances is records
+        assert [i.id for i in snap.instances] == order
+        assert snap.classification == classification
+        assert snap.get("M16").single("hasState") is True
+        assert snap.get("M3").time == 20
+        assert snap.get("LR") is None
+        assert [i.id for i in snap.of_concept("MOTION")] == ["M16", "M3"]
 
 
 class TestAxioms:

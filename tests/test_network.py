@@ -191,7 +191,8 @@ class TestBootstrap:
     )
     def test_bad_store_model_names_node(self, tmp_path, line, message):
         (tmp_path / "bad.model").write_text(MINI_MODEL + "[instances]\n" + line + "\n", encoding="utf-8")
-        with pytest.raises(BootstrapError, match=f"node A: {message}"):
+        # the instance line is line 9 of the model file
+        with pytest.raises(BootstrapError, match=f"node A: bad.model: line 9: {message}"):
             bootstrap(load_network("[nodes]\nA represents=bad.model\n"), base_dir=tmp_path)
 
     @pytest.mark.parametrize("node", ["A", UPPER_NODE])
