@@ -39,6 +39,19 @@ context is kept the same way: each present, true instance of the presence
 concept contributes its ``isIn``/``isNearTo`` pairs, and only the dirty
 instances' contributions are recounted.  :attr:`ContextStore.reclassified`
 counts the instances reclassified, so the work per write can be checked.
+
+The answers to the ``PERSON:prop:TARGET`` patterns a reader watches
+(:meth:`ContextStore.watch`) are kept by counting: each watch counts the
+person's ``prop`` pairs whose target is classified under ``TARGET``.  A
+count moves only when a pair appears or disappears (a presence count goes
+to or from 0), or when a dirty id is a current pair target (its membership
+moved, or a dangling name appeared): such a pair is uncounted under the
+old membership and counted again under the new one.  A full recompute
+counts every watch afresh and stamps every answer.  Each watch carries the
+``mutation_seq`` at which its answer last changed.  This is counting-based
+view maintenance (Gupta, Mumick & Subrahmanian, SIGMOD 1993).
+:meth:`ContextStore.person_context_matches` still answers from the person
+context and the classification, not from the watches.
 """
 
 from __future__ import annotations
@@ -51,6 +64,9 @@ from .statements import RAW, Statement, StatementSet
 
 STATE_PROP = "hasState"
 TIME_PROP = "hasTime"
+
+# the properties whose targets a present sensor lends the person
+PAIR_PROPS = ("isIn", "isNearTo")
 
 # Literal domains usable as restriction targets alongside concept names.
 BOOLEAN_DOMAIN = "BOOLEAN"
@@ -120,6 +136,7 @@ class ConceptGraph:
         self.disjoint: set[frozenset[str]] = set()
         self.defined: dict[str, DefinedClass] = {}
         self._super_cache: dict[str, frozenset[str]] = {}
+        self._closures: dict[frozenset[str], tuple[frozenset[str], Optional[tuple[str, str]]]] = {}
         self._defined_order: Optional[tuple[DefinedClass, ...]] = None
 
     def add_concept(self, name: str) -> None:
@@ -143,6 +160,7 @@ class ConceptGraph:
         self.subclass_edges.add((child, parent))
         self._parents[child].add(parent)
         self._super_cache.clear()
+        self._closures.clear()
 
     def _reachable(self, start: str) -> set[str]:
         seen: set[str] = set()
@@ -162,6 +180,7 @@ class ConceptGraph:
         if a == b:
             raise GraphError(f"concept {a!r} cannot be disjoint with itself")
         self.disjoint.add(frozenset((a, b)))
+        self._closures.clear()
 
     def add_defined(self, defined: DefinedClass) -> None:
         if defined.name not in self.concepts:
@@ -192,6 +211,18 @@ class ConceptGraph:
         if cached is None:
             cached = frozenset(self._reachable(concept))
             self._super_cache[concept] = cached
+        return cached
+
+    def closure(self, asserted: frozenset[str]) -> tuple[frozenset[str], Optional[tuple[str, str]]]:
+        """The asserted concepts with their superclasses, and a disjoint
+        pair that closure holds (``None`` when it holds none).  Cached per
+        asserted set until the next subclass or disjointness edge, since a
+        sensor asserts the same concepts on every reading."""
+        cached = self._closures.get(asserted)
+        if cached is None:
+            closure = frozenset().union(*map(self.supers, asserted))
+            cached = (closure, self.violates_disjointness(closure))
+            self._closures[asserted] = cached
         return cached
 
     def violates_disjointness(self, memberships: frozenset[str]) -> Optional[tuple[str, str]]:
@@ -256,6 +287,20 @@ class StoreInstance:
         return len(self.asserted) + sum(map(len, self.props.values()))
 
 
+@dataclass(eq=False, slots=True)
+class PatternWatch:
+    """A watched ``PERSON:prop:TARGET`` pattern: how many of the person's
+    ``prop`` pairs have a target classified under ``target_concept``, the
+    answer, and the ``mutation_seq`` at which the answer last changed.  The
+    store keeps these current as of its last :meth:`ContextStore.classify`."""
+
+    prop: str
+    target_concept: str
+    matches: int = 0
+    answer: bool = False
+    stamp: int = 0
+
+
 OVERWRITE = "overwrite"
 APPEND = "append"
 
@@ -303,6 +348,9 @@ class ContextStore:
         self._contributions: dict[str, frozenset[tuple[str, str]]] = {}
         self._presence: dict[tuple[str, str], int] = {}
         self._person_context: Optional[tuple[tuple[str, str], ...]] = None
+        # watched PERSON:prop:TARGET patterns, by (prop, target) and by prop
+        self._watches: dict[tuple[str, str], PatternWatch] = {}
+        self._watches_by_prop: dict[str, list[PatternWatch]] = {}
 
     @property
     def reclassified(self) -> int:
@@ -357,8 +405,7 @@ class ContextStore:
         for prop in props:
             if prop not in self.graph.properties:
                 raise StoreError(f"unknown property {prop!r}")
-        closure = frozenset().union(*map(self.graph.supers, asserted))
-        clash = self.graph.violates_disjointness(closure)
+        closure, clash = self.graph.closure(asserted)
         if clash:
             raise ConsistencyError(f"{label} cannot be both {clash[0]} and {clash[1]}")
         record = StoreInstance(instance_id, asserted, closure, MappingProxyType(props), kind)
@@ -443,22 +490,40 @@ class ContextStore:
         if self._classification is not None:
             return self._classification
         changed: Iterable[str]
-        if self._dirty is None or not self._stays_local(self._dirty):
+        # present pairs whose target is reclassified: uncounted under the
+        # old membership, counted again under the new one
+        moved: list[tuple[str, str]] = []
+        full = self._dirty is None or not self._stays_local(self._dirty)
+        if full:
             self._memberships = {}
             self._enriched = set()
             self._contributions = {}
             self._presence = {}
             self._person_context = None
+            for watch in self._watches.values():
+                watch.matches = 0
             changed = self.instances
         else:
             changed = self._dirty
+            if self._watches:
+                moved = [(p, i) for i in changed for p in PAIR_PROPS if (p, i) in self._presence]
+                for pair in moved:
+                    self._count_pair(pair, -1)
             for inst_id in changed:
                 if inst_id not in self.instances:
                     self._memberships.pop(inst_id, None)
                     self._enriched.discard(inst_id)
         self._fixpoint(sorted(i for i in changed if i in self.instances))
+        for pair in moved:
+            self._count_pair(pair, 1)
         if self.person_id is not None:
             self._recount_presence(changed)
+        seq = self.mutation_seq
+        for watch in self._watches.values():
+            answer = watch.matches > 0
+            if full or answer is not watch.answer:
+                watch.answer = answer
+                watch.stamp = seq
         self._dirty = set()
         self._classification = MappingProxyType(self._memberships)
         return self._classification
@@ -516,9 +581,23 @@ class ContextStore:
                 self._presence[pair] -= 1
                 if not self._presence[pair]:
                     del self._presence[pair]
+                    self._count_pair(pair, -1)
             for pair in new - old:
-                self._presence[pair] = self._presence.get(pair, 0) + 1
+                count = self._presence.get(pair, 0)
+                if not count:
+                    self._count_pair(pair, 1)
+                self._presence[pair] = count + 1
             self._person_context = None
+
+    def _count_pair(self, pair: tuple[str, str], sign: int) -> None:
+        """Add (``sign`` 1) or remove (-1) one pair's match to the watches
+        on its property, under its target's current membership."""
+        watches = self._watches_by_prop.get(pair[0])
+        if watches:
+            membership = self._memberships.get(pair[1], ())
+            for watch in watches:
+                if watch.target_concept in membership:
+                    watch.matches += sign
 
     def _contribution(self, inst_id: str) -> frozenset[tuple[str, str]]:
         """The isIn/isNearTo pairs an instance lends the person: those of a
@@ -530,7 +609,7 @@ class ContextStore:
             return frozenset()
         return frozenset(
             (prop, target)
-            for prop in ("isIn", "isNearTo")
+            for prop in PAIR_PROPS
             for target in instance.prop_values(prop)
             if isinstance(target, str)
         )
@@ -614,6 +693,21 @@ class ContextStore:
             if target_concept in classification.get(target, frozenset()):
                 return True
         return False
+
+    def watch(self, prop: str, target_concept: str) -> PatternWatch:
+        """Keep the answer to a ``PERSON:prop:TARGET`` pattern from the next
+        read on; one watch per pattern, however often it is asked for."""
+        if self.person_id is None:
+            raise StoreError(f"store {self.name!r} declares no person instance")
+        watch = self._watches.get((prop, target_concept))
+        if watch is None:
+            watch = PatternWatch(prop, target_concept)
+            self._watches[(prop, target_concept)] = watch
+            self._watches_by_prop.setdefault(prop, []).append(watch)
+            # the next read counts every watch from scratch
+            self._dirty = None
+            self._classification = None
+        return watch
 
     # -- complexity ----------------------------------------------------------
 

@@ -21,12 +21,22 @@ again.  A procedure fires when any of its required events fires.  A
 condition's outcome can only change when its node's store changes, so a
 store mutation schedules one sample of that node's conditions at their
 next rate tick, and :meth:`RuntimeNetwork.pending_until` runs those samples
-in time order.  Conditions are indexed by node for
-:meth:`RuntimeNetwork.note_mutation` and by (node, statement) for
-:meth:`RuntimeNetwork.notify_sync`, so neither scans the others.  Tick
-times are exact integer ceil/floor divisions over the numerator and
-denominator of the rational rate: tick ``k`` of a ``p/q`` Hz condition falls
-at ``ceil(k * 1000 * q / p)`` ms.  Everything runs on one logical thread of
+in time order.
+
+The conditions on one node at one rate are always scheduled together and
+take the same ticks (a mutation schedules all of a node's conditions, and
+:meth:`RuntimeNetwork.notify_sync` takes no tick), so they share one
+:class:`TickGroup`: one tick state and one pending entry, keyed by the
+node and the rate's integer numerator and denominator.  A group's sample
+takes its tick once, evaluates its statement checks, and evaluates a
+pattern check only when the store has stamped a change of that pattern's
+answer (:meth:`ContextStore.watch`) since the check was last evaluated; a
+check skipped that way would have read the answer it already holds.
+Groups are indexed by node for :meth:`RuntimeNetwork.note_mutation`, and
+statement checks by (node, statement) for :meth:`RuntimeNetwork.notify_sync`,
+so neither scans the others.  Tick times are exact integer ceil/floor
+divisions: tick ``k`` of a ``p/q`` Hz group falls at
+``ceil(k * 1000 * q / p)`` ms.  Everything runs on one logical thread of
 control against a virtual clock, so a fixed configuration and trace always
 produce the same dispatch log.
 """
@@ -34,12 +44,19 @@ produce the same dispatch log.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
-from .context import ConceptGraph, ConsistencyError, ContextStore, StoreError, UnknownConceptError
+from .context import (
+    ConceptGraph,
+    ConsistencyError,
+    ContextStore,
+    PatternWatch,
+    StoreError,
+    UnknownConceptError,
+)
 from .modelio import (
     ConfigError,
     ConfigLine,
@@ -301,27 +318,55 @@ class VirtualClock:
             self.now = time_ms
 
 
-@dataclass
-class ConditionState:
-    """A condition's outcome and the last rate tick it was sampled at.  A
-    rate of ``p/q`` Hz is ``p`` ticks per ``1000 * q`` ms, kept as those two
-    integers."""
+@dataclass(eq=False)
+class TickGroup:
+    """The conditions on one node at one rate, and the last rate tick they
+    were sampled at.  A rate of ``p/q`` Hz is ``p`` ticks per ``1000 * q``
+    ms, kept as those two integers."""
 
-    decl: ConditionDecl
-    outcome: bool = False
+    node: str
+    ticks: int
+    per_ms: int
+    members: list["ConditionState"] = field(default_factory=list)
+    watched: bool = False  # some member is a pattern check
     last_tick: int = 0
-
-    def __post_init__(self) -> None:
-        self._ticks = self.decl.rate_hz.numerator
-        self._per_ms = 1000 * self.decl.rate_hz.denominator
 
     def due_at_or_after(self, time_ms: int) -> int:
         """Next scheduled sample time: the first unused k/rate tick >= now."""
-        k = max(self.last_tick + 1, -(-max(time_ms, 0) * self._ticks // self._per_ms), 1)
-        return -(-k * self._per_ms // self._ticks)
+        k = max(self.last_tick + 1, -(-max(time_ms, 0) * self.ticks // self.per_ms), 1)
+        return -(-k * self.per_ms // self.ticks)
 
     def take_tick(self, time_ms: int) -> None:
-        self.last_tick = time_ms * self._ticks // self._per_ms
+        self.last_tick = time_ms * self.ticks // self.per_ms
+
+
+@dataclass(eq=False)
+class ConditionState:
+    """A condition's outcome and its tick group (a group of its own unless
+    one is given).  A pattern check also holds its store's watch of the
+    pattern and the watch's stamp when the scheduler last evaluated it."""
+
+    decl: ConditionDecl
+    outcome: bool = False
+    group: Optional[TickGroup] = None
+    watch: Optional[PatternWatch] = None
+    seen: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.group is None:
+            rate = self.decl.rate_hz
+            self.group = TickGroup(self.decl.node, rate.numerator, 1000 * rate.denominator)
+        self.group.members.append(self)
+
+    @property
+    def last_tick(self) -> int:
+        return self.group.last_tick
+
+    def due_at_or_after(self, time_ms: int) -> int:
+        return self.group.due_at_or_after(time_ms)
+
+    def take_tick(self, time_ms: int) -> None:
+        self.group.take_tick(time_ms)
 
 
 @dataclass(frozen=True)
@@ -354,9 +399,21 @@ class RuntimeNetwork:
         self.model = model
         self.stores = stores
         self.procedures = procedures
-        self.conditions: dict[str, ConditionState] = {
-            c.name: ConditionState(decl=c) for c in model.conditions
-        }
+        self._by_node: dict[str, list[TickGroup]] = {}
+        groups: dict[tuple[str, int, int], TickGroup] = {}
+        self.conditions: dict[str, ConditionState] = {}
+        for c in model.conditions:
+            key = (c.node, c.rate_hz.numerator, c.rate_hz.denominator)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = TickGroup(c.node, key[1], 1000 * key[2])
+                self._by_node.setdefault(c.node, []).append(group)
+            watch = None
+            if isinstance(c.check, PatternCheck):
+                watch = stores[c.node].watch(c.check.prop, c.check.target_concept)
+                group.watched = True
+            self.conditions[c.name] = ConditionState(decl=c, group=group, watch=watch)
+        self._evaluated = 0
         self.events: dict[str, EventDecl] = {e.name: e for e in model.events}
         self._consumed: set[str] = set()
         self.clock = VirtualClock()
@@ -369,14 +426,17 @@ class RuntimeNetwork:
         for proc in model.procedures:
             for event in proc.requires:
                 self._requirers[event].append(proc.name)
-        self._by_node: dict[str, list[tuple[str, ConditionState]]] = {}
         self._by_statement: dict[tuple[str, str], list[str]] = {}
         for name, state in self.conditions.items():
-            self._by_node.setdefault(state.decl.node, []).append((name, state))
             if isinstance(state.decl.check, StatementCheck):
                 key = (state.decl.node, state.decl.check.statement_id)
                 self._by_statement.setdefault(key, []).append(name)
-        self._pending: dict[str, int] = {}
+        self._pending: dict[TickGroup, int] = {}
+
+    @property
+    def evaluated(self) -> int:
+        """Condition evaluations since construction."""
+        return self._evaluated
 
     # -- logging -----------------------------------------------------------
 
@@ -391,6 +451,7 @@ class RuntimeNetwork:
     # -- condition evaluation ------------------------------------------------
 
     def evaluate_condition(self, decl: ConditionDecl) -> bool:
+        self._evaluated += 1
         store = self.stores[decl.node]
         check = decl.check
         if isinstance(check, StatementCheck):
@@ -459,14 +520,14 @@ class RuntimeNetwork:
     # -- the scheduler loop ---------------------------------------------------
 
     def note_mutation(self, store_name: str) -> None:
-        """Record that a store changed; its conditions get a pending sample."""
+        """Record that a store changed; its tick groups get a pending sample."""
         now = self.clock.now
         pending = self._pending
-        for name, state in self._by_node.get(store_name, ()):
-            due = state.due_at_or_after(now)
-            current = pending.get(name)
+        for group in self._by_node.get(store_name, ()):
+            due = group.due_at_or_after(now)
+            current = pending.get(group)
             if current is None or due < current:
-                pending[name] = due
+                pending[group] = due
 
     def pending_until(self, limit: int) -> list[LogEntry]:
         """Run pending (mutation-scheduled) samples due at or before ``limit``.
@@ -483,12 +544,31 @@ class RuntimeNetwork:
             due_time = min(pending.values())
             if due_time > limit:
                 break
-            batch = sorted(name for name, time in pending.items() if time == due_time)
-            for name in batch:
-                del pending[name]
+            batch = [group for group, time in pending.items() if time == due_time]
+            for group in batch:
+                del pending[group]
             self.clock.advance_to(due_time)
-            self.sample_and_dispatch(batch)
+            self.sample_and_dispatch(self._take_ticks(batch), schedule_tick=False)
         return self.log[mark:]
+
+    def _take_ticks(self, batch: list[TickGroup]) -> list[str]:
+        """Take each group's tick; returns the members whose outcome may have
+        changed: every statement check, and each pattern check whose
+        answer's stamp moved since it was last evaluated here."""
+        now = self.clock.now
+        names: list[str] = []
+        for group in batch:
+            group.take_tick(now)
+            if group.watched:
+                self.stores[group.node].classify()  # brings the watches up to date
+            for state in group.members:
+                watch = state.watch
+                if watch is not None:
+                    if watch.stamp == state.seen:
+                        continue
+                    state.seen = watch.stamp
+                names.append(state.decl.name)
+        return names
 
     # -- targeted synchronisation ---------------------------------------------
 

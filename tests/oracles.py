@@ -306,6 +306,21 @@ def fraction_take_tick(rate, time_ms):
 
 # -- classification ------------------------------------------------------------
 
+def closure_from_scratch(graph, asserted):
+    """The asserted concepts with every superclass, by a walk over the
+    subclass edges, and the disjoint pairs that closure holds, by a scan."""
+    closure = set(asserted)
+    frontier = list(asserted)
+    while frontier:
+        concept = frontier.pop()
+        for child, parent in graph.subclass_edges:
+            if child == concept and parent not in closure:
+                closure.add(parent)
+                frontier.append(parent)
+    clashes = [tuple(sorted(pair)) for pair in graph.disjoint if pair <= closure]
+    return frozenset(closure), clashes
+
+
 def classify_from_scratch(store):
     """Every instance's membership by the full fixpoint over the whole
     store: asserted closure, then defined classes in name order over the

@@ -23,6 +23,7 @@ from fluentnet.context import (
     UnknownConceptError,
 )
 from fluentnet.modelio import build_store, load_store_model, parse_store_model
+from fluentnet.network import RuntimeNetwork, load_network
 from fluentnet.statements import Statement
 
 SPATIAL = "src/fluentnet/scenario/spatial.model"
@@ -77,6 +78,43 @@ class TestGraph:
             g.add_defined(DefinedClass("PERSON", restrictions=(Restriction("isIn", "NOWHERE"),)))
         with pytest.raises(GraphError):
             g.add_defined(DefinedClass("PERSON", restrictions=(Restriction("owns", "LOCATION"),)))
+
+
+class TestClosureCache:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st_.lists(
+            st_.tuples(
+                st_.sampled_from(["subclass", "disjoint", "closure"]),
+                st_.sampled_from(["SENSOR", "DOOR", "ITEM", "MOTION", "KITCHEN", "TABLE", "MEDICINE"]),
+                st_.sampled_from(["STATEMENT", "SENSOR", "LOCATION", "FURNITURE", "MEDICINE", "PERSON"]),
+                st_.frozensets(
+                    st_.sampled_from(["DOOR", "ITEM", "MOTION", "KITCHEN", "TABLE", "MEDICINE", "PERSON"]),
+                    max_size=3,
+                ),
+            ),
+            max_size=25,
+        )
+    )
+    def test_cached_closure_equals_the_union_and_scan(self, ops):
+        """Between and after new subclass and disjointness edges, the cached
+        closure and clash of an asserted set equal a walk over the edges and
+        a scan of the disjoint pairs."""
+        g = small_graph()
+        for action, child, parent, asserted in ops:
+            if action == "subclass":
+                try:
+                    g.add_subclass(child, parent)
+                except GraphError:
+                    pass  # would close a cycle
+            elif action == "disjoint" and child != parent:
+                g.add_disjoint(child, parent)
+            closure, clash = g.closure(asserted)
+            expected, clashes = oracles.closure_from_scratch(g, asserted)
+            assert closure == expected
+            assert (clash is None) == (not clashes)
+            assert clash is None or clash in clashes
+            assert g.closure(asserted) is g.closure(asserted)
 
 
 class TestAssert:
@@ -350,45 +388,53 @@ def spatial_with_copies(copies):
     return "\n".join(lines + extra) + "\n"
 
 
+# random writes to a dirty store: (action, sensor, state, place, concept,
+# near, read), applied by ``apply_dirty_op``
+DIRTY_OPS = st_.lists(
+    st_.tuples(
+        st_.sampled_from(["overwrite", "append", "add", "drop", "clear"]),
+        st_.sampled_from(["M16", "M3", "D7"]),
+        st_.booleans(),
+        st_.sampled_from(["K", "LR", "T1", "M16"]),
+        st_.sampled_from(["LOCATION", "TABLE"]),
+        st_.sampled_from([None, "K", "LR", "T1"]),
+        st_.booleans(),
+    ),
+    max_size=30,
+)
+
+
+def apply_dirty_op(store, time, op):
+    action, sensor, state, place, concept, near, _ = op
+    props = {"isNearTo": [near]} if near else {}
+    if action in ("overwrite", "append"):
+        store.assert_statement(
+            Statement(sensor, state, time),
+            concepts=("DOOR",) if sensor == "D7" else ("MOTION",),
+            mode=OVERWRITE if action == "overwrite" else APPEND,
+            properties={"isIn": [place], **props},
+        )
+    elif action == "add" and place != "M16":
+        store.add_instance(place, (concept,), props)
+    elif action == "clear":
+        store.clear_statements(keep_concepts=("DOOR",))
+    elif action == "drop" and store.instances:
+        store.remove_instance(sorted(store.instances)[time % len(store.instances)])
+
+
 class TestDirtySet:
     @pytest.mark.parametrize("bounded", [False, True], ids=["monotone", "bounded"])
     @settings(max_examples=120, deadline=None)
-    @given(
-        ops=st_.lists(
-            st_.tuples(
-                st_.sampled_from(["overwrite", "append", "add", "drop", "clear"]),
-                st_.sampled_from(["M16", "M3", "D7"]),
-                st_.booleans(),
-                st_.sampled_from(["K", "LR", "T1", "M16"]),
-                st_.sampled_from(["LOCATION", "TABLE"]),
-                st_.sampled_from([None, "K", "LR", "T1"]),
-                st_.booleans(),
-            ),
-            max_size=30,
-        )
-    )
+    @given(ops=DIRTY_OPS)
     def test_matches_a_full_fixpoint_after_every_read(self, bounded, ops):
         """Random writes, read at random points: the classification, the
         person context and every pattern check equal the from-scratch
         oracles, whichever writes have piled up in the dirty set."""
         store = dirty_store(bounded)
         store.add_instance("LR", ("LOCATION",), {"isNearTo": ["T1"]})  # a KITCHEN by definition
-        for time, (action, sensor, state, place, concept, near, read) in enumerate(ops):
-            props = {"isNearTo": [near]} if near else {}
-            if action in ("overwrite", "append"):
-                store.assert_statement(
-                    Statement(sensor, state, time),
-                    concepts=("DOOR",) if sensor == "D7" else ("MOTION",),
-                    mode=OVERWRITE if action == "overwrite" else APPEND,
-                    properties={"isIn": [place], **props},
-                )
-            elif action == "add" and place != "M16":
-                store.add_instance(place, (concept,), props)
-            elif action == "clear":
-                store.clear_statements(keep_concepts=("DOOR",))
-            elif action == "drop" and store.instances:
-                store.remove_instance(sorted(store.instances)[time % len(store.instances)])
-            if read:
+        for time, op in enumerate(ops):
+            apply_dirty_op(store, time, op)
+            if op[-1]:
                 assert_matches_oracles(store)
         assert_matches_oracles(store)
 
@@ -442,6 +488,92 @@ class TestDirtySet:
         readings = [(s, True) for s in sensors] + [(rng.choice(sensors), rng.random() < 0.5) for _ in range(300)]
         for time, (sensor, state) in enumerate(readings, start=1):
             assert reclassified_by(store, lambda: store.assert_statement(Statement(sensor, state, time))) == 1
+        assert_matches_oracles(store)
+
+
+# pattern checks on the dirty store, at two rates, with a statement check
+# sharing the slower rate
+WATCH_NETWORK = """\
+[nodes]
+A represents=dirty.model
+[conditions]
+W_in_location checks=PERSON:isIn:LOCATION in=A hasTarget=true rate=50
+W_in_kitchen checks=PERSON:isIn:KITCHEN in=A hasTarget=true rate=50
+W_near_table checks=PERSON:isNearTo:TABLE in=A hasTarget=false rate=20
+W_near_kitchen checks=PERSON:isNearTo:KITCHEN in=A hasTarget=true rate=20
+S_door checks=D7 in=A hasTarget=true rate=20
+"""
+
+
+class TestWatches:
+    @pytest.mark.parametrize("every_step", [True, False], ids=["every-step", "piled-up"])
+    @pytest.mark.parametrize("bounded", [False, True], ids=["monotone", "bounded"])
+    @settings(max_examples=100, deadline=None)
+    @given(ops=DIRTY_OPS)
+    def test_watched_answers_follow_every_write(self, bounded, every_step, ops):
+        """The dirty-set generator's writes, with a network watching the
+        store.  After every step (or, so that writes pile up in the dirty
+        set, at the generator's reads) each watched answer equals the
+        from-scratch oracle and its stamp moved whenever the answer changed;
+        the conditions on one node at one rate share one tick group; and
+        once the pending samples ran (at the generator's reads), every
+        pattern condition's outcome is the oracle's answer, although the
+        scheduler skipped each pattern whose stamp had not moved."""
+        store = dirty_store(bounded)
+        store.add_instance("LR", ("LOCATION",), {"isNearTo": ["T1"]})
+        net = RuntimeNetwork(load_network(WATCH_NETWORK), {"A": store}, {})
+        states = list(net.conditions.values())
+        for rate in (50, 20):
+            assert len({id(s.group) for s in states if s.decl.rate_hz == rate}) == 1
+        patterns = [s for s in states if s.watch is not None]
+        previous = {}
+        for step, op in enumerate(ops):
+            apply_dirty_op(store, step, op)
+            net.note_mutation("A")
+            if not (every_step or op[-1]):
+                continue
+            classification = oracles.classify_from_scratch(store)
+            pairs = oracles.person_context_from_scratch(store, classification)
+            store.classify()
+            answers = {}
+            for state in patterns:
+                check, watch = state.decl.check, state.watch
+                answer = oracles.person_context_matches_from_scratch(
+                    pairs, classification, check.prop, check.target_concept
+                )
+                assert watch.answer is answer
+                if state.decl.name in previous and previous[state.decl.name][0] is not answer:
+                    assert watch.stamp != previous[state.decl.name][1]
+                previous[state.decl.name] = (answer, watch.stamp)
+                answers[state.decl.name] = answer
+            if op[-1]:
+                net.pending_until(net.clock.now + 50)  # past both groups' next tick
+                for state in patterns:
+                    assert state.outcome is (answers[state.decl.name] is state.decl.target)
+            for group in {id(s.group): s.group for s in states}.values():
+                assert len({member.last_tick for member in group.members}) == 1
+            net.clock.advance_to(net.clock.now + 7)
+
+    @pytest.mark.parametrize("retarget", ["reclassify", "remove"])
+    def test_pair_target_changed_in_the_batch_that_drops_the_pair(self, retarget):
+        """A sensor leaves a location while, before the next read, that
+        location is reclassified or removed: the dirty set stays local (no
+        instance names the location any more), and the dropped pair must be
+        uncounted under the membership it was counted under."""
+        store = dirty_store()
+        watch = store.watch("isIn", "LOCATION")
+        motion = {"concepts": ("MOTION",), "mode": OVERWRITE}
+        store.assert_statement(Statement("M16", True, 1), properties={"isIn": ["K"]}, **motion)
+        assert store.infer_person_context() == (("isIn", "K"),) and watch.answer is True
+        before = store.reclassified
+        store.assert_statement(Statement("M16", True, 2), properties={"isIn": ["T1"]}, **motion)
+        if retarget == "reclassify":
+            store.add_instance("K", ("TABLE",))
+        else:
+            store.remove_instance("K")
+        store.classify()
+        assert store.reclassified - before == (2 if retarget == "reclassify" else 1)
+        assert watch.answer is False and watch.matches == 0
         assert_matches_oracles(store)
 
 

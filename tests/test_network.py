@@ -40,8 +40,34 @@ X2 SENSOR
 """
 
 
-def mini_config(tmp_path, conditions, events, procedures):
-    (tmp_path / "mini.model").write_text(MINI_MODEL, encoding="utf-8")
+# a person whose location follows motion sensors; M3 names a location X
+# that the model does not declare
+PERSON_MODEL = """\
+[concepts]
+STATEMENT SENSOR MOTION LOCATION KITCHEN HALL PERSON
+[properties]
+isIn isNearTo
+[subclass]
+SENSOR STATEMENT
+MOTION SENSOR
+KITCHEN LOCATION
+HALL LOCATION
+[disjoint]
+SENSOR PERSON
+[instances]
+K KITCHEN
+H HALL
+[person]
+P presence=MOTION
+[sensors]
+M1 MOTION isIn=K
+M2 MOTION isIn=H
+M3 MOTION isIn=X
+"""
+
+
+def mini_config(tmp_path, conditions, events, procedures, store_model=MINI_MODEL):
+    (tmp_path / "mini.model").write_text(store_model, encoding="utf-8")
     text = "[nodes]\nA represents=mini.model mode=overwrite\n"
     text += "[conditions]\n" + "\n".join(conditions) + "\n"
     text += "[events]\n" + "\n".join(events) + "\n"
@@ -49,8 +75,8 @@ def mini_config(tmp_path, conditions, events, procedures):
     return text
 
 
-def build_mini(tmp_path, conditions, events, procedures, implementations=None):
-    model = load_network(mini_config(tmp_path, conditions, events, procedures))
+def build_mini(tmp_path, conditions, events, procedures, implementations=None, store_model=MINI_MODEL):
+    model = load_network(mini_config(tmp_path, conditions, events, procedures, store_model))
     return bootstrap(model, base_dir=tmp_path, implementations=implementations)
 
 
@@ -229,6 +255,18 @@ class Twin:
         for net in (self.net, self.oracle):
             flip(net, sensor, value)
 
+    def write(self, action):
+        """``action(store, now)`` on node A of both networks, then the
+        person-context read and the mutation note of a replayed reading."""
+        for net in (self.net, self.oracle):
+            store = net.stores["A"]
+            action(store, net.clock.now)
+            store.infer_person_context()
+            net.note_mutation("A")
+
+    def sense(self, sensor, value):
+        self.write(lambda store, now: store.assert_statement(Statement(sensor, value, now)))
+
     def run_to(self, time_ms):
         """Run every sample due before ``time_ms``, then move the clock there."""
         self.net.pending_until(time_ms - 1)
@@ -329,6 +367,112 @@ class TestStepSemantics:
         twin.flip("X1", False)
         twin.run_to(80)
         assert len(dispatches(twin.log, "P1")) == 1
+
+
+def enter_kitchen(net, now):
+    store = net.stores["A"]
+    store.assert_statement(Statement("M1", True, now))
+    store.infer_person_context()
+
+
+def transitions(log):
+    return [(e.time_ms, e.name, e.detail) for e in log if e.kind == "condition"]
+
+
+class TestTickGroups:
+    """Pattern and statement checks on one node, sampled in tick groups
+    that skip every pattern whose answer's stamp has not moved, against the
+    tick-loop oracle that samples every condition at every tick."""
+
+    def person_twin(self, tmp_path):
+        return Twin(
+            lambda: build_mini(
+                tmp_path,
+                [
+                    "C_kitchen checks=PERSON:isIn:KITCHEN in=A hasTarget=true rate=50",
+                    "C_hall checks=PERSON:isIn:HALL in=A hasTarget=true rate=50",
+                    "C_located checks=PERSON:isIn:LOCATION in=A hasTarget=true rate=20",
+                    "C_m2 checks=M2 in=A hasTarget=true rate=50",
+                ],
+                ["E_kitchen observes=C_kitchen", "E_located observes=C_located", "E_m2 observes=C_m2"],
+                [
+                    "P_kitchen implements=noop requires=E_kitchen",
+                    "P_located implements=noop requires=E_located",
+                    "P_enter implements=enter requires=E_m2",
+                ],
+                {"enter": enter_kitchen},
+                store_model=PERSON_MODEL,
+            )
+        )
+
+    def test_two_rates_on_one_node_make_two_groups(self, tmp_path):
+        twin = self.person_twin(tmp_path)
+        groups = {id(state.group): state.decl.rate_hz for state in twin.net.conditions.values()}
+        assert sorted(groups.values()) == [20, 50]
+        twin.run_to(30)
+        twin.sense("M1", True)
+        twin.run_to(70)
+        twin.sense("M1", False)
+        twin.run_to(200)
+        assert transitions(twin.log) == [
+            (40, "C_kitchen", "outcome=true"),
+            (50, "C_located", "outcome=true"),
+            (80, "C_kitchen", "outcome=false"),
+            (100, "C_located", "outcome=false"),
+        ]
+
+    def test_cascade_mutating_its_node_at_the_tick_time(self, tmp_path):
+        # P_enter runs at C_m2's tick and writes node A: the new sample of
+        # A's 50 Hz group is the tick after (the last tick + 1 floor)
+        twin = self.person_twin(tmp_path)
+        twin.run_to(30)
+        twin.sense("M2", True)
+        twin.run_to(200)
+        assert transitions(twin.log) == [
+            (40, "C_hall", "outcome=true"),
+            (40, "C_m2", "outcome=true"),
+            (50, "C_located", "outcome=true"),
+            (60, "C_kitchen", "outcome=true"),
+        ]
+
+    def test_answer_flipping_back_between_two_ticks(self, tmp_path):
+        twin = self.person_twin(tmp_path)
+        twin.run_to(41)
+        before = twin.net.evaluated
+        twin.sense("M1", True)
+        twin.run_to(45)
+        twin.sense("M1", False)
+        twin.run_to(100)
+        assert transitions(twin.log) == []
+        # both stamps moved twice, so C_located (at 50) and C_kitchen (at
+        # 60) are evaluated; C_hall's did not, so only C_m2 joins them
+        assert twin.net.evaluated - before == 3
+
+    def test_dangling_target_appears_then_is_reclassified(self, tmp_path):
+        twin = self.person_twin(tmp_path)
+        twin.sense("M3", True)  # in X, which is no instance yet
+        twin.run_to(100)
+        assert transitions(twin.log) == []
+        twin.write(lambda store, now: store.add_instance("X", ("KITCHEN",)))
+        twin.run_to(200)
+        twin.write(lambda store, now: store.add_instance("X", ("HALL",)))
+        twin.run_to(300)
+        assert transitions(twin.log) == [
+            (100, "C_kitchen", "outcome=true"),
+            (100, "C_located", "outcome=true"),
+            (200, "C_hall", "outcome=true"),
+            (200, "C_kitchen", "outcome=false"),
+        ]
+
+    def test_quiet_writes_evaluate_no_pattern(self, tmp_path):
+        twin = self.person_twin(tmp_path)
+        twin.sense("M1", True)
+        twin.run_to(100)
+        before = twin.net.evaluated
+        for time_ms in (100, 200, 300):
+            twin.sense("M1", True)  # rewritten, the person stays in the kitchen
+            twin.run_to(time_ms + 100)
+        assert twin.net.evaluated - before == 3  # C_m2 alone, once a write
 
 
 class TestNotifySync:

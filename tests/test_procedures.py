@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 import synth
-from fluentnet import golden, ingest, procedures
+from fluentnet import golden, ingest, network, procedures
 from fluentnet.context import APPEND
 from fluentnet.modelio import build_store, load_store_model
 from fluentnet.statements import Statement
@@ -322,6 +322,30 @@ class TestSchedulerOracle:
         ]
         result = procedures.run_replay(events, scenario=scenario)
         assert result.log_text == oracles.tick_replay(events, scenario)
+
+
+class TestConditionsEvaluated:
+    def test_quiet_toggles_after_the_sweep_evaluate_no_condition(self, scenario):
+        """Once every sensor has been switched on, toggling bathroom motion
+        or a non-motion sensor changes no watched answer: the spatial
+        node's eight pattern checks are sampled at the next tick but not
+        evaluated, and no other node changes."""
+        implementations, replayer = procedures.build_implementations(scenario, procedures.ReplaySession())
+        net = network.bootstrap(scenario.model, implementations=implementations, store_models=scenario.store_models)
+
+        def evaluations(time_ms, sensor, value):
+            net.pending_until(time_ms - 1)
+            net.clock.advance_to(time_ms)
+            before = net.evaluated
+            replayer.replay_step(net, ingest.TraceEvent(time_ms=time_ms, sensor=sensor, value=value))
+            net.pending_until(time_ms + 999)
+            return net.evaluated - before
+
+        sweep = sorted(net.stores[procedures.SPATIAL_NODE].installations)
+        assert sum(evaluations(1000 * (i + 1), s, True) for i, s in enumerate(sweep)) > 0
+        quiet = ("M1", "M2", "I1", "D9", "F3", "P1")
+        start = 1000 * (len(sweep) + 1)
+        assert [evaluations(start + 500 * i, quiet[i % 6], i % 2 == 1) for i in range(24)] == [0] * 24
 
 
 class TestWallClockPacing:
