@@ -45,6 +45,29 @@ def _load_params(path: Optional[str]) -> Optional[dict[str, int]]:
     return params
 
 
+def _load_bindings(path: str) -> dict:
+    """An ``explain --bindings`` file: the JSON object replay writes, one
+    entry per activity index."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            dump = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--bindings {path}: {exc}") from None
+    if not isinstance(dump, dict):
+        raise ConfigError(f"--bindings {path}: expected a JSON object")
+    return dump
+
+
+def _grace_ms(text: str) -> int:
+    try:
+        grace = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grace must be an integer, got {text}") from None
+    if grace < 0:
+        raise argparse.ArgumentTypeError(f"grace must be >= 0, got {text}")
+    return grace
+
+
 def _positive_speed(text: str) -> float:
     speed = float(text)
     if not speed > 0:
@@ -227,9 +250,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     for rule in binding.compiled.rules:
         print(f"rule {rule.name}: {len(rule.body)} atoms, head at {rule.head.time}")
     if args.bindings:
-        with open(args.bindings, "r", encoding="utf-8") as handle:
-            dump = json.load(handle)
-        entry = dump.get(str(binding.index))
+        entry = _load_bindings(args.bindings).get(str(binding.index))
         if entry:
             print("last matched binding:")
             for var, value in sorted(entry.items()):
@@ -255,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pace replay against the wall clock (default: as fast as possible)")
     replay.add_argument("--params", help="JSON file overriding model parameters")
     replay.add_argument("--out", required=True, help="report directory")
-    replay.add_argument("--grace", type=int, default=metrics.DEFAULT_GRACE_MS,
-                        help="grace window (ms) when matching recognitions to truth")
+    replay.add_argument("--grace", type=_grace_ms, default=metrics.DEFAULT_GRACE_MS,
+                        help="grace window (ms), >= 0, when matching recognitions to truth")
     replay.set_defaults(func=cmd_replay)
 
     check = sub.add_parser("check-models", help="run the bundled golden traces")
@@ -268,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     scorer.add_argument("--config", help="scenario directory (default: bundled)")
     scorer.add_argument("--run-dir", required=True, help="replay output directory")
     scorer.add_argument("--trace", nargs="+", required=True, help="the trace files replayed")
-    scorer.add_argument("--grace", type=int, default=metrics.DEFAULT_GRACE_MS)
+    scorer.add_argument("--grace", type=_grace_ms, default=metrics.DEFAULT_GRACE_MS,
+                        help="grace window (ms), >= 0")
     scorer.add_argument("--out", required=True, help="report directory")
     scorer.set_defaults(func=cmd_score)
 

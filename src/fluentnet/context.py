@@ -52,13 +52,31 @@ counts every watch afresh and stamps every answer.  Each watch carries the
 view maintenance (Gupta, Mumick & Subrahmanian, SIGMOD 1993).
 :meth:`ContextStore.person_context_matches` still answers from the person
 context and the classification, not from the watches.
+
+What an evaluation reads is kept the same way.  A reader registers a
+concept (:meth:`ContextStore.keep`) and the store keeps that concept's
+records in snapshot order, ``(time, id)`` with untimed records last; with a
+state it keeps a tally, the concept's statements in that state, whose
+length and ends give a pre-pass its count, earliest and latest time
+(:meth:`ContextStore.tally`).  :meth:`ContextStore.classify` moves only the
+dirty ids in the kept lists, out of the lists each was placed in and into
+the lists its new record and membership admit, so a defined-class flip and
+an out-of-order write land where a rebuild would put them; a full
+recompute rebuilds every list.  :attr:`ContextStore.index_work` counts the
+records placed and the tally members read.  A snapshot shares the store's
+record map, classification and kept lists instead of copying or sorting
+them, and the store's next write gives a snapshot still alive copies of
+its own first: a snapshot costs the same whatever the node's size.
 """
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_left, insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .statements import RAW, Statement, StatementSet
 
@@ -301,6 +319,22 @@ class PatternWatch:
     stamp: int = 0
 
 
+def snapshot_order(record: StoreInstance) -> tuple:
+    """The key of snapshot order: by time, then id, untimed records last."""
+    return (record.time is None, record.time, record.id)
+
+
+@dataclass(eq=False, slots=True)
+class KeptList:
+    """The records classified under ``concept`` in snapshot order or, with a
+    ``state``, a tally: the statements among them whose state is ``state``.
+    The store keeps it current as of its last :meth:`ContextStore.classify`."""
+
+    concept: str
+    state: Optional[bool] = None
+    records: list[StoreInstance] = field(default_factory=list)
+
+
 OVERWRITE = "overwrite"
 APPEND = "append"
 
@@ -309,7 +343,7 @@ class ContextStore:
     """One network node: a concept graph plus mutable instances.
 
     All mutation happens on a single logical thread; :meth:`snapshot` hands
-    immutable views to concurrent readers.
+    out views that later writes leave as they were.
     """
 
     def __init__(
@@ -351,11 +385,27 @@ class ContextStore:
         # watched PERSON:prop:TARGET patterns, by (prop, target) and by prop
         self._watches: dict[tuple[str, str], PatternWatch] = {}
         self._watches_by_prop: dict[str, list[PatternWatch]] = {}
+        # kept lists by (concept, state) and by concept, and each kept id's
+        # record as placed with the lists it was placed in
+        self._kept: dict[tuple[str, Optional[bool]], KeptList] = {}
+        self._kept_by_concept: dict[str, list[KeptList]] = {}
+        self._placed: dict[str, tuple[StoreInstance, tuple[KeptList, ...]]] = {}
+        # membership -> its kept lists and its tallies
+        self._admitting: dict[frozenset[str], tuple[tuple[KeptList, ...], tuple[KeptList, ...]]] = {}
+        self._index_work = 0
+        # the snapshot sharing the store's maps and kept lists, if still alive
+        self._shared: Optional[weakref.ref[Snapshot]] = None
 
     @property
     def reclassified(self) -> int:
         """Instances whose membership was recomputed since construction."""
         return self._reclassified
+
+    @property
+    def index_work(self) -> int:
+        """Records placed in kept lists, plus tally members read, since
+        construction."""
+        return self._index_work
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -385,8 +435,18 @@ class ContextStore:
             del self._refs[instance_id]
 
     def _drop(self, instance_id: str) -> None:
+        self._release()
         self._axioms -= self.instances.pop(instance_id).weight
         self._touch(instance_id, {})
+
+    def _release(self) -> None:
+        """Before a write: a live snapshot still sharing the store's maps
+        and kept lists takes copies of its own."""
+        if self._shared is not None:
+            snapshot = self._shared()
+            if snapshot is not None:
+                snapshot._own()
+            self._shared = None
 
     # -- instance management ----------------------------------------------
 
@@ -409,6 +469,7 @@ class ContextStore:
         if clash:
             raise ConsistencyError(f"{label} cannot be both {clash[0]} and {clash[1]}")
         record = StoreInstance(instance_id, asserted, closure, MappingProxyType(props), kind)
+        self._release()
         previous = self.instances.get(instance_id)
         if previous is not None:
             self._axioms -= previous.weight
@@ -518,6 +579,10 @@ class ContextStore:
             self._count_pair(pair, 1)
         if self.person_id is not None:
             self._recount_presence(changed)
+        if full:
+            self._rebuild_kept()
+        elif self._kept:
+            self._reindex(changed)
         seq = self.mutation_seq
         for watch in self._watches.values():
             answer = watch.matches > 0
@@ -588,6 +653,67 @@ class ContextStore:
                     self._count_pair(pair, 1)
                 self._presence[pair] = count + 1
             self._person_context = None
+
+    def _lists_admitting(self, record: StoreInstance, membership: frozenset[str]) -> tuple[KeptList, ...]:
+        """The kept lists a record with ``membership`` belongs in: those of
+        its concepts, and of their tallies the ones in its state."""
+        lists = self._admitting.get(membership)
+        if lists is None:
+            kept = [k for concept in sorted(membership) for k in self._kept_by_concept.get(concept, ())]
+            lists = (
+                tuple(k for k in kept if k.state is None),
+                tuple(k for k in kept if k.state is not None),
+            )
+            self._admitting[membership] = lists
+        plain, tallies = lists
+        if not tallies:
+            return plain
+        state = record.single(STATE_PROP) if record.is_statement() else None
+        return plain + tuple(k for k in tallies if k.state is state)
+
+    def _rebuild_kept(self) -> None:
+        """Every kept list afresh, from every instance (new list objects, so
+        a snapshot holding the old ones keeps them as they were)."""
+        self._placed = {}
+        if not self._kept:
+            return
+        for kept in self._kept.values():
+            kept.records = []
+        for inst_id, record in self.instances.items():
+            lists = self._lists_admitting(record, self._memberships[inst_id])
+            if lists:
+                self._placed[inst_id] = (record, lists)
+                for kept in lists:
+                    kept.records.append(record)
+        for kept in self._kept.values():
+            kept.records.sort(key=snapshot_order)
+            self._index_work += len(kept.records)
+
+    def _reindex(self, changed: Iterable[str]) -> None:
+        """Move the ``changed`` ids in the kept lists: each placed record
+        leaves the lists it was placed in, and each present one enters the
+        lists its record and membership now admit it to."""
+        for inst_id in changed:
+            placed = self._placed.pop(inst_id, None)
+            if placed is not None:
+                key = snapshot_order(placed[0])
+                for kept in placed[1]:
+                    del kept.records[bisect_left(kept.records, key, key=snapshot_order)]
+            record = self.instances.get(inst_id)
+            if record is None:
+                continue
+            lists = self._lists_admitting(record, self._memberships[inst_id])
+            if not lists:
+                continue
+            self._placed[inst_id] = (record, lists)
+            key = snapshot_order(record)
+            for kept in lists:
+                records = kept.records
+                if records and key < snapshot_order(records[-1]):
+                    insort(records, record, key=snapshot_order)
+                else:
+                    records.append(record)
+            self._index_work += len(lists)
 
     def _count_pair(self, pair: tuple[str, str], sign: int) -> None:
         """Add (``sign`` 1) or remove (-1) one pair's match to the watches
@@ -709,6 +835,35 @@ class ContextStore:
             self._classification = None
         return watch
 
+    def keep(self, concept: str, state: Optional[bool] = None) -> KeptList:
+        """Keep ``concept``'s records in snapshot order from the next read
+        on, or with a ``state``, its statements in that state (a tally);
+        one list per ``(concept, state)``, however often it is asked for."""
+        kept = self._kept.get((concept, state))
+        if kept is None:
+            if concept not in self.graph.concepts:
+                raise UnknownConceptError(f"unknown concept {concept!r}")
+            kept = KeptList(concept, state)
+            self._kept[(concept, state)] = kept
+            self._kept_by_concept.setdefault(concept, []).append(kept)
+            self._admitting = {}
+            # the next read builds every kept list from scratch
+            self._dirty = None
+            self._classification = None
+        return kept
+
+    def tally(self, concept: str, state: bool) -> tuple[int, Optional[int], Optional[int]]:
+        """How many statements :meth:`query_instances` would list under
+        ``concept`` with ``state``, and their earliest and latest times
+        (``None`` when there are none), read off the kept tally."""
+        kept = self.keep(concept, state)
+        self.classify()
+        records = kept.records
+        if not records:
+            return 0, None, None
+        self._index_work += min(len(records), 2)
+        return len(records), records[0].time, records[-1].time
+
     # -- complexity ----------------------------------------------------------
 
     def axiom_count(self) -> int:
@@ -746,39 +901,108 @@ class ContextStore:
         return value if isinstance(value, bool) else None
 
     def snapshot(self) -> "Snapshot":
-        """The store's own records in ``(time, id)`` order, untimed ones
-        last, with a copy of the classification.  Records are replaced whole
-        on every write, never changed, so the snapshot holds them in place."""
-        classification = dict(self.classify())
-        ordered = sorted(self.instances.values(), key=lambda r: (r.time is None, r.time, r.id))
-        return Snapshot(store=self.name, instances=tuple(ordered), classification=classification)
+        """The store as it is now, shared rather than copied: its record
+        map, its classification and its kept lists.  A second call before
+        the next write returns the same snapshot; the next write hands a
+        live snapshot copies of its own first."""
+        self.classify()
+        snapshot = self._shared() if self._shared is not None else None
+        if snapshot is None:
+            lists = {kept.concept: kept.records for kept in self._kept.values() if kept.state is None}
+            snapshot = Snapshot(self.name, self.instances, self._memberships, lists)
+            self._shared = weakref.ref(snapshot)
+        return snapshot
 
 
-@dataclass(frozen=True)
 class Snapshot:
-    """Immutable classified view of a store, safe to share across readers.
+    """Immutable classified view of a store: later writes to the store
+    leave it as it was.
 
-    ``classification`` maps each instance id to its concepts.  An id map and
-    one tuple per concept, both in snapshot order, are built once with the
-    snapshot, so :meth:`get` and :meth:`of_concept` are lookups.
+    A snapshot holds the store's record map, membership map and kept lists
+    as they were when it was taken, shared with the store until the store
+    next writes and gives it copies (:meth:`ContextStore.snapshot`).
+    :meth:`get` is a lookup, and :meth:`of_concept` of a kept concept is
+    its kept list.  The rest is derived on first use: ``instances`` (every
+    record in snapshot order; its length needs no sort),
+    ``classification`` (each id's concepts) and :meth:`of_concept` of any
+    other concept.
     """
 
-    store: str
-    instances: tuple[StoreInstance, ...]
-    classification: Mapping[str, frozenset[str]]
-    _by_id: Mapping[str, StoreInstance] = field(init=False, repr=False, compare=False)
-    _by_concept: Mapping[str, tuple[StoreInstance, ...]] = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "store", "_records", "_memberships", "_lists", "_by_concept", "_ordered", "_classification", "__weakref__",
+    )
 
-    def __post_init__(self) -> None:
-        by_concept: dict[str, list[StoreInstance]] = {}
-        for instance in self.instances:
-            for concept in self.classification[instance.id]:
-                by_concept.setdefault(concept, []).append(instance)
-        object.__setattr__(self, "_by_id", {i.id: i for i in self.instances})
-        object.__setattr__(self, "_by_concept", {c: tuple(v) for c, v in by_concept.items()})
+    def __init__(
+        self,
+        store: str,
+        records: Mapping[str, StoreInstance],
+        memberships: Mapping[str, frozenset[str]],
+        lists: Mapping[str, Sequence[StoreInstance]],
+    ) -> None:
+        self.store = store
+        self._records = records
+        self._memberships = memberships
+        self._lists = lists
+        self._by_concept: dict[str, tuple[StoreInstance, ...]] = {}
+        self._ordered: Optional[_Ordered] = None
+        self._classification: Optional[Mapping[str, frozenset[str]]] = None
+
+    def _own(self) -> None:
+        """Replace what is shared with the store by copies."""
+        self._records = dict(self._records)
+        self._memberships = dict(self._memberships)
+        self._lists = {concept: tuple(records) for concept, records in self._lists.items()}
+        if self._ordered is not None:
+            self._ordered._records = self._records
+
+    @property
+    def instances(self) -> Sequence[StoreInstance]:
+        if self._ordered is None:
+            self._ordered = _Ordered(self._records)
+        return self._ordered
+
+    @property
+    def classification(self) -> Mapping[str, frozenset[str]]:
+        if self._classification is None:
+            self._classification = MappingProxyType(dict(self._memberships))
+        return self._classification
 
     def of_concept(self, concept: str) -> tuple[StoreInstance, ...]:
-        return self._by_concept.get(concept, ())
+        found = self._by_concept.get(concept)
+        if found is None:
+            kept = self._lists.get(concept)
+            if kept is None:
+                memberships = self._memberships
+                found = tuple(i for i in self.instances if concept in memberships[i.id])
+            else:
+                found = tuple(kept)
+            self._by_concept[concept] = found
+        return found
 
     def get(self, instance_id: str) -> Optional[StoreInstance]:
-        return self._by_id.get(instance_id)
+        return self._records.get(instance_id)
+
+
+class _Ordered(Sequence):
+    """A snapshot's records in snapshot order, sorted on first access to
+    them; the length needs no sort."""
+
+    __slots__ = ("_records", "_sorted")
+
+    def __init__(self, records: Mapping[str, StoreInstance]) -> None:
+        self._records = records
+        self._sorted: Optional[tuple[StoreInstance, ...]] = None
+
+    def _ordered(self) -> tuple[StoreInstance, ...]:
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self._records.values(), key=snapshot_order))
+        return self._sorted
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        return self._ordered()[index]
+
+    def __iter__(self):
+        return iter(self._ordered())

@@ -11,6 +11,9 @@ recognition are single-valued and always overwrite.  The evaluator resets
 ``N``, runs any windowed pre-passes, evaluates the compiled model rules on
 a snapshot, and on success asserts the activity statement, records the
 recognition and clears the node down to the result and the sync statement.
+On its first evaluation of a node it registers there what it reads: a kept
+list per concept of its rules' class atoms and a tally per pre-pass source,
+so a pre-pass reads a count and two times and a snapshot shares the lists.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .network import (
     load_network,
     load_node_model,
 )
-from .rules import RuleEngine
+from .rules import ClassAtom, RuleEngine
 from .statements import AGGREGATED, Statement
 
 SPATIAL_NODE = "L"
@@ -265,21 +268,40 @@ class Evaluator:
         self.engine = RuleEngine()
         for rule in binding.compiled.rules:
             self.engine.register_rule(rule)
+        self._concepts = tuple(
+            dict.fromkeys(
+                atom.concept
+                for rule in binding.compiled.rules
+                for atom in rule.body
+                if isinstance(atom, ClassAtom)
+            )
+        )
+        self._registered: Optional[ContextStore] = None
 
     def __call__(self, net: RuntimeNetwork, now_ms: int) -> None:
         self.evaluate_store(net.stores[self.binding.node], now_ms, net=net)
 
+    def register(self, store: ContextStore) -> None:
+        """Have ``store`` keep what evaluations read: a list per concept of
+        the rules' class atoms and a tally per pre-pass source."""
+        if store is self._registered:
+            return
+        for concept in self._concepts:
+            store.keep(concept)
+        for prepass in self.binding.compiled.prepasses:
+            store.keep(prepass.source_concept, prepass.target_state)
+        self._registered = store
+
     def run_prepasses(self, store: ContextStore, now_ms: int) -> int:
         """Windowed counts: assert one derived statement per satisfied
-        pre-pass (state true, stamped with the latest contributing time)."""
+        pre-pass (state true, stamped with the latest contributing time),
+        read off the store's tally of the pre-pass source."""
         asserted = 0
         for index, prepass in enumerate(self.binding.compiled.prepasses):
-            members = store.query_instances(prepass.source_concept, state_filter=prepass.target_state)
-            if not len(members):
+            count, earliest, latest = store.tally(prepass.source_concept, prepass.target_state)
+            if not count:
                 continue
-            times = [m.time for m in members]
-            earliest, latest = min(times), max(times)
-            if len(times) >= prepass.min_count and earliest + prepass.window_ms <= latest:
+            if count >= prepass.min_count and earliest + prepass.window_ms <= latest:
                 store.assert_statement(
                     Statement(
                         f"{prepass.derived_concept}_{index + 1}",
@@ -300,6 +322,7 @@ class Evaluator:
         net: Optional[RuntimeNetwork] = None,
     ) -> Optional[RecognitionRecord]:
         started = perf_counter_ns()
+        self.register(store)
         # complexity as imported, before any clearing this evaluation does
         self.session.telemetry.record(self.binding.node, now_ms, store.axiom_count(), 0)
         if SYNC_STATEMENT in store.instances:

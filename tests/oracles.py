@@ -401,3 +401,30 @@ def person_context_from_scratch(store, classification):
 def person_context_matches_from_scratch(pairs, classification, prop, target_concept):
     """The answer to a ``PERSON:prop:TARGET`` check from the pairs above."""
     return any(p == prop and target_concept in classification.get(t, ()) for p, t in pairs)
+
+
+# -- snapshots and pre-pass tallies --------------------------------------------
+
+def snapshot_from_scratch(store):
+    """What a snapshot of the store reads, by sorting and indexing every
+    record: the records in ``(time, id)`` order with untimed ones last, the
+    from-scratch classification, an id map, and one tuple per concept in
+    that order."""
+    classification = classify_from_scratch(store)
+    ordered = tuple(sorted(store.instances.values(), key=lambda r: (r.time is None, r.time, r.id)))
+    by_concept = {}
+    for record in ordered:
+        for concept in classification[record.id]:
+            by_concept.setdefault(concept, []).append(record)
+    by_id = {record.id: record for record in ordered}
+    return ordered, classification, by_id, {c: tuple(v) for c, v in by_concept.items()}
+
+
+def tally_from_scratch(store, concept, state):
+    """A pre-pass source's count, earliest and latest time, from the
+    statements ``query_instances`` lists."""
+    members = store.query_instances(concept, state_filter=state)
+    if not len(members):
+        return 0, None, None
+    times = [m.time for m in members]
+    return len(times), min(times), max(times)

@@ -214,6 +214,18 @@ class TestReplay:
         assert "speed must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["replay", "score"])
+    def test_grace_must_not_be_negative(self, command, trace_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = [command, "--grace", "-1", "--trace", str(trace_file), "--out", str(out)]
+        if command == "score":
+            argv += ["--run-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2
+        assert "grace must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTraceWarnings:
     def test_malformed_lines_are_reported_by_replay_and_score(self, tmp_path, capsys):
@@ -306,3 +318,16 @@ class TestExplain:
 
     def test_unknown_model(self, capsys):
         assert cli.main(["explain", "--model", "A99"]) == 2
+
+    @pytest.mark.parametrize(
+        "dump, message",
+        [("{not json", "Expecting property name"), ('[["?t", 1]]', "expected a JSON object")],
+        ids=["malformed", "list"],
+    )
+    def test_bad_bindings_file_is_a_config_error(self, dump, message, tmp_path, capsys):
+        bindings = tmp_path / "bindings.json"
+        bindings.write_text(dump, encoding="utf-8")
+        assert cli.main(["explain", "--model", "A3", "--bindings", str(bindings)]) == 2
+        err = capsys.readouterr().err
+        assert f"--bindings {bindings}" in err
+        assert message in err

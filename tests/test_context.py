@@ -645,6 +645,131 @@ class TestRecords:
         assert [i.id for i in snap.of_concept("MOTION")] == ["M16", "M3"]
 
 
+# random steps against a dirty store with kept lists and tallies: (action,
+# sensor, state, place, time, hold); write times are drawn, so appends and
+# overwrites land out of order
+KEPT_OPS = st_.lists(
+    st_.tuples(
+        st_.sampled_from(["overwrite", "append", "add", "drop", "clear", "watch", "keep"]),
+        st_.sampled_from(["M16", "M3", "D7"]),
+        st_.booleans(),
+        st_.sampled_from(["K", "LR", "T1"]),
+        st_.integers(0, 20),
+        st_.booleans(),
+    ),
+    max_size=30,
+)
+KEPT_FIRST = [("DOOR", None), ("MOTION", None), ("LIVE", None), ("KITCHEN", None), ("LOCATION", None),
+              ("MOTION", True), ("SENSOR", False), ("LIVE", True)]
+# registered by a "keep" step, by sensor
+KEPT_LATE = {"M16": ("SENSOR", None), "M3": ("TABLE", None), "D7": ("STATEMENT", True)}
+
+
+def apply_kept_op(store, kept, op):
+    action, sensor, state, place, time, _ = op
+    if action in ("overwrite", "append"):
+        store.assert_statement(
+            Statement(sensor, state, time),
+            concepts=("DOOR",) if sensor == "D7" else ("MOTION",),
+            mode=OVERWRITE if action == "overwrite" else APPEND,
+            properties={"isIn": [place]},
+        )
+    elif action == "add":
+        store.add_instance(place, ("TABLE",) if place == "T1" else ("LOCATION",), {"isNearTo": ["T1"]} if state else {})
+    elif action == "drop" and store.instances:
+        store.remove_instance(sorted(store.instances)[time % len(store.instances)])
+    elif action == "clear":
+        store.clear_statements(keep_concepts=("DOOR",))
+    elif action == "watch":
+        store.watch("isIn", "KITCHEN" if state else "LOCATION")
+    elif action == "keep" and KEPT_LATE[sensor] not in kept:
+        store.keep(*KEPT_LATE[sensor])
+        kept.append(KEPT_LATE[sensor])
+
+
+def expected_snapshot(store):
+    ordered, classification, by_id, by_concept = oracles.snapshot_from_scratch(store)
+    concepts = {c: by_concept.get(c, ()) for c in sorted(store.graph.concepts)}
+    return ordered, classification, by_id, concepts
+
+
+def assert_snapshot_is(snap, expected):
+    ordered, classification, by_id, concepts = expected
+    assert len(snap.instances) == len(ordered)
+    assert tuple(snap.instances) == ordered
+    assert dict(snap.classification) == classification
+    for concept, records in concepts.items():
+        assert snap.of_concept(concept) == records
+    for inst_id in [*by_id, "missing"]:
+        assert snap.get(inst_id) is by_id.get(inst_id)
+
+
+class TestKeptLists:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=KEPT_OPS)
+    def test_kept_structures_match_a_rebuild_after_every_step(self, ops):
+        """After every step the kept lists, the tallies and a fresh
+        snapshot equal the sort-and-index oracle and the query-based
+        tally; snapshots held across later writes still read as they did
+        when taken."""
+        store = dirty_store()
+        kept = list(KEPT_FIRST)
+        for concept, state in kept:
+            store.keep(concept, state)
+        held = []
+        for op in ops:
+            apply_kept_op(store, kept, op)
+            expected = expected_snapshot(store)
+            store.classify()
+            for concept, state in kept:
+                records = expected[3][concept]
+                if state is not None:
+                    records = tuple(r for r in records if r.is_statement() and r.single("hasState") is state)
+                assert tuple(store.keep(concept, state).records) == records
+                if state is not None:
+                    assert store.tally(concept, state) == oracles.tally_from_scratch(store, concept, state)
+            snap = store.snapshot()
+            if op[-1]:
+                held.append((snap, expected))  # read only after the later writes
+            else:
+                assert_snapshot_is(snap, expected)
+        for snap, expected in held:
+            assert_snapshot_is(snap, expected)
+
+    def test_defined_class_flip_moves_the_sync_statement(self):
+        """``N`` is ``SYNC`` while false and ``UPDATE`` once true: each
+        overwrite moves it between the kept lists and the tally, on the
+        dirty path, and an earlier snapshot keeps what it saw."""
+        store = build_store("T7", load_store_model("src/fluentnet/scenario/t7.model"))
+        store.keep("UPDATE")
+        store.keep("SYNC", True)
+        sync = {"concepts": ("SYNC",), "mode": OVERWRITE}
+        store.assert_statement(Statement("N", False, 10), **sync)
+        before = store.snapshot()
+        assert before.of_concept("UPDATE") == () and store.tally("SYNC", True) == (0, None, None)
+        reclassified = store.reclassified
+        store.assert_statement(Statement("N", True, 20), **sync)
+        after = store.snapshot()
+        assert store.reclassified - reclassified == 1
+        assert after.of_concept("UPDATE") == (store.instances["N"],)
+        assert store.tally("SYNC", True) == (1, 20, 20)
+        assert before.of_concept("UPDATE") == () and before.get("N").time == 10
+        store.assert_statement(Statement("N", False, 30), **sync)
+        assert store.snapshot().of_concept("UPDATE") == ()
+        assert store.tally("SYNC", True) == (0, None, None)
+        assert after.of_concept("UPDATE") == (after.get("N"),) and after.get("N").time == 20
+
+    def test_snapshots_share_until_the_next_write(self):
+        store = store_with()
+        store.keep("DOOR")
+        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        snap = store.snapshot()
+        assert store.snapshot() is snap
+        store.assert_statement(Statement("D7", False, 20), concepts=("DOOR",))
+        assert store.snapshot() is not snap
+        assert [r.time for r in snap.of_concept("DOOR")] == [10]
+
+
 class TestAxioms:
     def test_empty_graph_empty_store(self):
         assert ContextStore("empty", ConceptGraph()).axiom_count() == 0

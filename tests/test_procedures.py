@@ -439,3 +439,39 @@ class TestHostileTraces:
         large = self.evaluations(scenario, monkeypatch, activity, 80, closed)
         assert max(n for n, _ in large) <= 4 * max(n for n, _ in small) + 16
         assert max(s for _, s in small + large) < 0.05
+
+    def kitchen_motion(self, readings):
+        """``M016``/``M017``/``M018`` in turn pulse on, off 2 s later, every
+        5 s; the tools cabinet ``D11`` is never opened, so A7 never
+        completes and T7 gains every motion reading."""
+        lines = []
+        for k in range(readings // 2):
+            synth.pulse(lines, 5 * k, ("M016", "M017", "M018")[k % 3])
+        return "\n".join(lines) + "\n"
+
+    def kitchen_work(self, scenario, monkeypatch, readings):
+        """T7's kept-list work (records indexed plus pre-pass members read)
+        per A7 evaluation, and T7's size at the end."""
+        seen = []
+        evaluate_store = procedures.Evaluator.evaluate_store
+
+        def recording(self, store, now_ms, net=None):
+            work = store.index_work
+            record = evaluate_store(self, store, now_ms, net=net)
+            if self.binding.index == 7:
+                seen.append(store.index_work - work)
+            return record
+
+        load = ingest.load_trace(io.StringIO(self.kitchen_motion(readings)), **scenario.load_trace_kwargs())
+        with monkeypatch.context() as patch:
+            patch.setattr(procedures.Evaluator, "evaluate_store", recording)
+            result = procedures.run_replay(load.events, scenario=scenario)
+        assert 7 not in {r.activity for r in result.recognitions}
+        return seen, len(result.net.stores["T7"].instances)
+
+    def test_kitchen_motion_work_per_evaluation_is_bounded(self, scenario, monkeypatch):
+        small, small_size = self.kitchen_work(scenario, monkeypatch, 100)
+        large, large_size = self.kitchen_work(scenario, monkeypatch, 400)
+        assert large_size > 3 * small_size
+        assert len(large) > 3 * len(small)
+        assert max(large) == max(small)
