@@ -855,7 +855,8 @@ class ContextStore:
     def tally(self, concept: str, state: bool) -> tuple[int, Optional[int], Optional[int]]:
         """How many statements :meth:`query_instances` would list under
         ``concept`` with ``state``, and their earliest and latest times
-        (``None`` when there are none), read off the kept tally."""
+        (``None`` when there are none), read off the kept tally (kept from
+        the first call on)."""
         kept = self.keep(concept, state)
         self.classify()
         records = kept.records
