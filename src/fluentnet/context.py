@@ -40,6 +40,35 @@ concept contributes its ``isIn``/``isNearTo`` pairs, and only the dirty
 instances' contributions are recounted.  :attr:`ContextStore.reclassified`
 counts the instances reclassified, so the work per write can be checked.
 
+A write derives once what its declaration fixes.  The graph keeps a
+:class:`WriteTemplate` per ``(statement id, concepts, mode)``, built on the
+first write by the checked derivation: the asserted set, its closure
+(clash-free, or the write raises), the declared property values checked
+against the graph's properties, the ids they name, the pairs they lend
+the person and the record's weight.  A later write looks it up, and
+rebuilds it when the store's installation is not the :class:`SensorDecl`
+it was built from.  The record carries its template; a write with
+``properties=`` and :meth:`ContextStore.add_instance` make records without
+one.
+
+On the local path, the fixpoint's result for an instance with a template
+is a function of the template, the state and the memberships of the ids
+the template names (``None`` for a dangling name), so the graph memoises
+it under that key (``ConceptGraph.membership_memo``).  The key holds
+everything the fixpoint reads: the closure and the declared values come
+with the template; the time is a natural number (a :class:`Statement`
+checks it), so it meets a ``NATURAL`` restriction and no other; and by the
+local path's two conditions no named id is dirty and each holds only its
+asserted closure, so the memberships in the key are the ones the fixpoint
+reads throughout.  The memo caches the one fixpoint; it is
+not a second classifier.  :attr:`ContextStore.fixpointed` counts the
+instances run through the fixpoint, which a memo hit is not.  Templates
+and memo live on the graph, which every store of a node shares across a
+scenario's replays, so they stay warm from one participant to the next.
+Every graph mutator (``add_concept``, ``add_property``, ``add_subclass``,
+``add_disjoint``, ``add_defined``) clears them with the closure cache, so
+the stores built after an edit derive under it.
+
 The answers to the ``PERSON:prop:TARGET`` patterns a reader watches
 (:meth:`ContextStore.watch`) are kept by counting: each watch counts the
 person's ``prop`` pairs whose target is classified under ``TARGET``.  A
@@ -144,7 +173,15 @@ class DefinedClass:
 
 class ConceptGraph:
     """Concept hierarchy: named concepts, acyclic subclass edges, disjoint
-    pairs and defined classes."""
+    pairs and defined classes.
+
+    The graph also holds what the stores built on it derive alike: each
+    asserted set's closure, the write templates and the membership memo (see
+    the module docstring).  Every mutator clears them all, so a store built
+    after an edit derives under the edited graph.  Edit a graph before
+    building the stores that read it: a store built earlier keeps the
+    records and the classification it derived before the edit.
+    """
 
     def __init__(self) -> None:
         self.concepts: set[str] = set()
@@ -156,17 +193,30 @@ class ConceptGraph:
         self._super_cache: dict[str, frozenset[str]] = {}
         self._closures: dict[frozenset[str], tuple[frozenset[str], Optional[tuple[str, str]]]] = {}
         self._defined_order: Optional[tuple[DefinedClass, ...]] = None
+        # (statement id, concepts, mode) -> the write template
+        self._templates: dict[tuple, WriteTemplate] = {}
+        # (template, state, each named id's membership) -> the membership
+        self.membership_memo: dict[tuple, frozenset[str]] = {}
+
+    def _edited(self) -> None:
+        self._super_cache.clear()
+        self._closures.clear()
+        self._defined_order = None
+        self._templates.clear()
+        self.membership_memo.clear()
 
     def add_concept(self, name: str) -> None:
         if not name:
             raise GraphError("concept name must be non-empty")
         self.concepts.add(name)
         self._parents.setdefault(name, set())
+        self._edited()
 
     def add_property(self, name: str) -> None:
         if not name:
             raise GraphError("property name must be non-empty")
         self.properties.add(name)
+        self._edited()
 
     def add_subclass(self, child: str, parent: str) -> None:
         for name in (child, parent):
@@ -177,8 +227,7 @@ class ConceptGraph:
             raise GraphError(f"subclass edge {child} -> {parent} would create a cycle")
         self.subclass_edges.add((child, parent))
         self._parents[child].add(parent)
-        self._super_cache.clear()
-        self._closures.clear()
+        self._edited()
 
     def _reachable(self, start: str) -> set[str]:
         seen: set[str] = set()
@@ -198,7 +247,7 @@ class ConceptGraph:
         if a == b:
             raise GraphError(f"concept {a!r} cannot be disjoint with itself")
         self.disjoint.add(frozenset((a, b)))
-        self._closures.clear()
+        self._edited()
 
     def add_defined(self, defined: DefinedClass) -> None:
         if defined.name not in self.concepts:
@@ -212,7 +261,7 @@ class ConceptGraph:
             if restriction.target not in self.concepts and restriction.target not in _LITERAL_TARGETS:
                 raise UnknownConceptError(f"unknown restriction target {restriction.target!r}")
         self.defined[defined.name] = defined
-        self._defined_order = None
+        self._edited()
 
     def defined_order(self) -> tuple[DefinedClass, ...]:
         """The defined classes in name order: the order classification
@@ -234,14 +283,46 @@ class ConceptGraph:
     def closure(self, asserted: frozenset[str]) -> tuple[frozenset[str], Optional[tuple[str, str]]]:
         """The asserted concepts with their superclasses, and a disjoint
         pair that closure holds (``None`` when it holds none).  Cached per
-        asserted set until the next subclass or disjointness edge, since a
-        sensor asserts the same concepts on every reading."""
+        asserted set, since a sensor asserts the same concepts on every
+        reading."""
         cached = self._closures.get(asserted)
         if cached is None:
             closure = frozenset().union(*map(self.supers, asserted))
             cached = (closure, self.violates_disjointness(closure))
             self._closures[asserted] = cached
         return cached
+
+    def template(
+        self,
+        statement_id: str,
+        concepts: Optional[tuple[str, ...]],
+        mode: str,
+        decl: Optional[SensorDecl],
+    ) -> WriteTemplate:
+        """The template of a write of ``statement_id`` under ``concepts``
+        (``None``: the declaration's) in ``mode``, by the installation
+        ``decl``: looked up, or built by the checked derivation on the
+        first write and whenever ``decl`` is not the one it was built from."""
+        key = (statement_id, concepts, mode)
+        template = self._templates.get(key)
+        if template is None or template.decl is not decl:
+            declared: dict[str, tuple[PropValue, ...]] = {}
+            for prop, value in decl.properties if decl is not None else ():
+                declared[prop] = declared.get(prop, ()) + (value,)
+            _check_properties(self, declared)
+            asserted = frozenset(decl.concepts if concepts is None else concepts)
+            closure = _checked_closure(self, asserted, f"statement {statement_id!r}")
+            template = WriteTemplate(
+                decl,
+                asserted,
+                closure,
+                tuple(declared.items()),
+                _names(declared),
+                _pairs(declared),
+                len(asserted) + 2 + sum(map(len, declared.values())),
+            )
+            self._templates[key] = template
+        return template
 
     def violates_disjointness(self, memberships: frozenset[str]) -> Optional[tuple[str, str]]:
         for pair in self.disjoint:
@@ -265,6 +346,49 @@ class SensorDecl:
     properties: tuple[tuple[str, PropValue], ...] = ()
 
 
+def _check_properties(graph: ConceptGraph, props: Mapping[str, object]) -> None:
+    for prop in props:
+        if prop not in graph.properties:
+            raise StoreError(f"unknown property {prop!r}")
+
+
+def _checked_closure(graph: ConceptGraph, asserted: frozenset[str], label: str) -> frozenset[str]:
+    """The closure of ``asserted``; a clash raises a :class:`ConsistencyError`
+    naming ``label``."""
+    closure, clash = graph.closure(asserted)
+    if clash:
+        raise ConsistencyError(f"{label} cannot be both {clash[0]} and {clash[1]}")
+    return closure
+
+
+def _names(props: Mapping[str, tuple[PropValue, ...]]) -> frozenset[str]:
+    """The ids property values name."""
+    return frozenset(v for values in props.values() for v in values if isinstance(v, str))
+
+
+def _pairs(props: Mapping[str, tuple[PropValue, ...]]) -> frozenset[tuple[str, str]]:
+    """The isIn/isNearTo pairs property values would lend the person."""
+    return frozenset((prop, v) for prop in PAIR_PROPS for v in props.get(prop, ()) if isinstance(v, str))
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class WriteTemplate:
+    """What every write of one statement id under one declaration derives
+    alike, checked once: the asserted concepts and their clash-free
+    closure, the declared property values grouped by property (``declared``,
+    each property known to the graph), the ids they name, the pairs they
+    lend the person when present and the record's axiom weight.  It holds
+    for the installation ``decl`` it was built from (``None``: none)."""
+
+    decl: Optional[SensorDecl]
+    asserted: frozenset[str]
+    closure: frozenset[str]
+    declared: tuple[tuple[str, tuple[PropValue, ...]], ...]
+    names: frozenset[str]
+    pairs: frozenset[tuple[str, str]]
+    weight: int
+
+
 @dataclass(frozen=True, slots=True)
 class StoreInstance:
     """One stored instance, built once per write and never changed.
@@ -272,8 +396,9 @@ class StoreInstance:
     ``closure`` is the asserted concepts with their superclasses, ``time``
     the first ``hasTime`` value when it is an integer (``None`` when
     untimed) and ``weight`` the instance's share of the axiom count.  A
-    write replaces the record whole, so snapshots and the rule matcher read
-    it in place.
+    statement written from its declaration carries the write's
+    ``template``.  A write replaces the record whole, so snapshots and the
+    rule matcher read it in place.
     """
 
     id: str
@@ -281,6 +406,7 @@ class StoreInstance:
     closure: frozenset[str]
     props: Mapping[str, tuple[PropValue, ...]]
     kind: str = RAW
+    template: Optional[WriteTemplate] = field(default=None, compare=False, repr=False)
     time: Optional[int] = field(init=False)
     weight: int = field(init=False)
 
@@ -288,7 +414,8 @@ class StoreInstance:
         times = self.props.get(TIME_PROP)
         time = times[0] if times else None
         object.__setattr__(self, "time", time if isinstance(time, int) and not isinstance(time, bool) else None)
-        object.__setattr__(self, "weight", self.axiom_weight())
+        template = self.template
+        object.__setattr__(self, "weight", self.axiom_weight() if template is None else template.weight)
 
     def prop_values(self, prop: str) -> tuple[PropValue, ...]:
         return self.props.get(prop, ())
@@ -338,6 +465,9 @@ class KeptList:
 OVERWRITE = "overwrite"
 APPEND = "append"
 
+_NO_NAMES: frozenset[str] = frozenset()
+_NO_PAIRS: frozenset[tuple[str, str]] = frozenset()
+
 
 class ContextStore:
     """One network node: a concept graph plus mutable instances.
@@ -373,6 +503,7 @@ class ContextStore:
         self._classification: Optional[Mapping[str, frozenset[str]]] = None
         self._dirty: Optional[set[str]] = None
         self._reclassified = 0
+        self._fixpointed = 0
         # instances classified beyond their asserted closure
         self._enriched: set[str] = set()
         # id -> the ids its property values name, and the reverse
@@ -402,6 +533,12 @@ class ContextStore:
         return self._reclassified
 
     @property
+    def fixpointed(self) -> int:
+        """Instances run through the defined-class fixpoint since
+        construction: those reclassified less the memo's answers."""
+        return self._fixpointed
+
+    @property
     def index_work(self) -> int:
         """Records placed in kept lists, plus tally members read, since
         construction."""
@@ -413,14 +550,13 @@ class ContextStore:
         self.mutation_seq += 1
         self._classification = None
 
-    def _touch(self, instance_id: str, props: Mapping[str, tuple[PropValue, ...]]) -> None:
-        """Mark an id dirty and index the ids its new ``props`` name
-        (``{}`` for a removal)."""
+    def _touch(self, instance_id: str, refs: frozenset[str]) -> None:
+        """Mark an id dirty and index ``refs``, the ids its new record names
+        (empty for a removal)."""
         if self._dirty is not None:
             self._dirty.add(instance_id)
-        refs = frozenset(v for values in props.values() for v in values if isinstance(v, str))
-        old = self._refs.get(instance_id, frozenset())
-        if refs == old:
+        old = self._refs.get(instance_id, _NO_NAMES)
+        if refs is old or refs == old:
             return
         for target in old - refs:
             referrers = self._referrers[target]
@@ -437,7 +573,7 @@ class ContextStore:
     def _drop(self, instance_id: str) -> None:
         self._release()
         self._axioms -= self.instances.pop(instance_id).weight
-        self._touch(instance_id, {})
+        self._touch(instance_id, _NO_NAMES)
 
     def _release(self) -> None:
         """Before a write: a live snapshot still sharing the store's maps
@@ -450,34 +586,17 @@ class ContextStore:
 
     # -- instance management ----------------------------------------------
 
-    def _put(
-        self,
-        instance_id: str,
-        asserted: frozenset[str],
-        props: dict[str, tuple[PropValue, ...]],
-        kind: str,
-        label: str,
-    ) -> StoreInstance:
-        """The one write path: property, concept and disjointness checks,
-        the record, axiom bookkeeping, the store write and cache
-        invalidation.  ``props`` is owned by the record from here on.
-        ``label`` names the offender in a :class:`ConsistencyError`."""
-        for prop in props:
-            if prop not in self.graph.properties:
-                raise StoreError(f"unknown property {prop!r}")
-        closure, clash = self.graph.closure(asserted)
-        if clash:
-            raise ConsistencyError(f"{label} cannot be both {clash[0]} and {clash[1]}")
-        record = StoreInstance(instance_id, asserted, closure, MappingProxyType(props), kind)
+    def _put(self, record: StoreInstance, refs: frozenset[str]) -> None:
+        """The one store write: axiom bookkeeping, the record in place of
+        any previous one, the reference index and cache invalidation."""
         self._release()
-        previous = self.instances.get(instance_id)
+        previous = self.instances.get(record.id)
         if previous is not None:
             self._axioms -= previous.weight
-        self.instances[instance_id] = record
+        self.instances[record.id] = record
         self._axioms += record.weight
-        self._touch(instance_id, props)
+        self._touch(record.id, refs)
         self._mutated()
-        return record
 
     def add_instance(
         self,
@@ -485,9 +604,16 @@ class ContextStore:
         concepts: Iterable[str],
         props: Mapping[str, Sequence[PropValue]] | None = None,
     ) -> StoreInstance:
-        """Directly add a plain (non-statement) instance, e.g. a location."""
+        """Directly add a plain (non-statement) instance, e.g. a location,
+        by the checked derivation: property, concept and disjointness
+        checks, then the record."""
         props = {p: tuple(v) for p, v in (props or {}).items()}
-        return self._put(instance_id, frozenset(concepts), props, RAW, f"instance {instance_id!r}")
+        _check_properties(self.graph, props)
+        asserted = frozenset(concepts)
+        closure = _checked_closure(self.graph, asserted, f"instance {instance_id!r}")
+        record = StoreInstance(instance_id, asserted, closure, MappingProxyType(props))
+        self._put(record, _names(props))
+        return record
 
     def assert_statement(
         self,
@@ -501,7 +627,9 @@ class ContextStore:
         Overwrite mode replaces any prior instance for the same sensor id,
         keeping the axiom count bounded; append mode adds a fresh instance
         with a monotone suffix.  Omitted concepts/properties fall back to
-        the sensor installation table.
+        the sensor installation table.  The checked derivation of the
+        declaration is read off the graph's write template; a record
+        written with ``properties`` does not carry it.
         """
         mode = mode or self.default_mode
         if mode not in (OVERWRITE, APPEND):
@@ -510,22 +638,34 @@ class ContextStore:
         if concepts is None:
             if decl is None:
                 raise StoreError(f"unknown sensor {statement.id!r} in {self.name}")
-            concepts = decl.concepts
+        else:
+            concepts = tuple(concepts)
+        if mode == OVERWRITE:
+            instance_id = statement.id
+        else:
+            seq = self._sequence.get(statement.id, 0) + 1
+            instance_id = f"{statement.id}#{seq}"
 
-        props: dict[str, tuple[PropValue, ...]] = {
-            STATE_PROP: (statement.state,),
-            TIME_PROP: (statement.time,),
-        }
-        if decl is not None:
-            for prop, value in decl.properties:
-                props.setdefault(prop, ())
-                props[prop] = props[prop] + (value,)
-        for prop, values in (properties or {}).items():
-            props[prop] = tuple(values)
-
-        seq = self._sequence.get(statement.id, 0) + 1
-        instance_id = statement.id if mode == OVERWRITE else f"{statement.id}#{seq}"
-        self._put(instance_id, frozenset(concepts), props, statement.kind, f"statement {statement.id!r}")
+        if properties is not None:
+            _check_properties(self.graph, properties)
+        template = self.graph.template(statement.id, concepts, mode, decl)
+        props = {STATE_PROP: (statement.state,), TIME_PROP: (statement.time,)}
+        for prop, values in template.declared:
+            props[prop] = props.get(prop, ()) + values
+        if properties is None:
+            record = StoreInstance(
+                instance_id, template.asserted, template.closure, MappingProxyType(props), statement.kind, template
+            )
+            names = template.names
+        else:
+            # the given values replace the declared ones: a record of its own
+            for prop, values in properties.items():
+                props[prop] = tuple(values)
+            record = StoreInstance(
+                instance_id, template.asserted, template.closure, MappingProxyType(props), statement.kind
+            )
+            names = _names(props)
+        self._put(record, names)
         if mode == APPEND:
             self._sequence[statement.id] = seq
 
@@ -574,7 +714,7 @@ class ContextStore:
                 if inst_id not in self.instances:
                     self._memberships.pop(inst_id, None)
                     self._enriched.discard(inst_id)
-        self._fixpoint(sorted(i for i in changed if i in self.instances))
+        self._fixpoint(sorted(i for i in changed if i in self.instances), memo=not full)
         for pair in moved:
             self._count_pair(pair, 1)
         if self.person_id is not None:
@@ -603,16 +743,42 @@ class ContextStore:
                 return False
         return True
 
-    def _fixpoint(self, ids: Sequence[str]) -> None:
+    def _fixpoint(self, ids: Sequence[str], memo: bool) -> None:
         """Classify the instances ``ids`` (in sorted order) from their
         records' closures: defined classes in name order, pass after pass,
         until a pass changes nothing.  Memberships of instances outside
-        ``ids`` are read from the cache."""
+        ``ids`` are read from the cache.  With ``memo`` (the local path),
+        an instance with a template takes its membership from the graph's
+        membership memo when it is there, and puts it there when not."""
         memberships = self._memberships
+        instances = self.instances
+        self._reclassified += len(ids)
+        keys: list[tuple] = []
+        if memo:
+            cache = self.graph.membership_memo
+            run = []
+            for inst_id in ids:
+                record = instances[inst_id]
+                template = record.template
+                if template is None:
+                    run.append(inst_id)
+                    continue
+                key = (template, record.props[STATE_PROP][0], *map(memberships.get, template.names))
+                found = cache.get(key)
+                if found is None:
+                    run.append(inst_id)
+                    keys.append((inst_id, key))
+                    continue
+                memberships[inst_id] = found
+                if len(found) > len(record.closure):
+                    self._enriched.add(inst_id)
+                else:
+                    self._enriched.discard(inst_id)
+            ids = run
         for inst_id in ids:
-            memberships[inst_id] = self.instances[inst_id].closure
+            memberships[inst_id] = instances[inst_id].closure
             self._enriched.discard(inst_id)
-        changed = True
+        changed = bool(ids)
         while changed:
             changed = False
             for dc in self.graph.defined_order():
@@ -623,7 +789,7 @@ class ContextStore:
                         continue
                     if not all(base in current for base in dc.bases):
                         continue
-                    if not self._satisfies(self.instances[inst_id], dc, memberships):
+                    if not self._satisfies(instances[inst_id], dc, memberships):
                         continue
                     merged = current | candidate
                     if self.graph.violates_disjointness(merged):
@@ -631,7 +797,9 @@ class ContextStore:
                     memberships[inst_id] = merged
                     self._enriched.add(inst_id)
                     changed = True
-        self._reclassified += len(ids)
+        self._fixpointed += len(ids)
+        for inst_id, key in keys:
+            cache[key] = memberships[inst_id]
 
     def _recount_presence(self, changed: Iterable[str]) -> None:
         """Replace the person-context contributions of ``changed`` ids."""
@@ -730,15 +898,11 @@ class ContextStore:
         present instance of the presence concept with a true state."""
         instance = self.instances.get(inst_id)
         if instance is None or instance.single(STATE_PROP) is not True:
-            return frozenset()
+            return _NO_PAIRS
         if self.presence_concept not in self._memberships[inst_id]:
-            return frozenset()
-        return frozenset(
-            (prop, target)
-            for prop in PAIR_PROPS
-            for target in instance.prop_values(prop)
-            if isinstance(target, str)
-        )
+            return _NO_PAIRS
+        template = instance.template
+        return _pairs(instance.props) if template is None else template.pairs
 
     def _satisfies(
         self,

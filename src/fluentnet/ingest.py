@@ -126,20 +126,31 @@ def _parse_activity_token(token: str) -> Optional[int]:
     return None
 
 
+def _value_table(value_map: Optional[Mapping[str, bool]]) -> dict[str, bool]:
+    """The default value words, extended or overridden by ``value_map``,
+    keyed in upper case."""
+    values = dict(DEFAULT_VALUE_MAP)
+    if value_map:
+        values.update({k.upper(): v for k, v in value_map.items()})
+    return values
+
+
 def parse_line(
     text: str,
     value_map: Optional[Mapping[str, bool]] = None,
     rename: Optional[Mapping[str, str]] = None,
 ) -> TraceEvent:
     """Parse one trace line; malformed input raises :class:`TraceParseError`."""
+    return _parse_line(text, _value_table(value_map), rename)
+
+
+def _parse_line(text: str, values: Mapping[str, bool], rename: Optional[Mapping[str, str]]) -> TraceEvent:
+    """:func:`parse_line` with the value table already built."""
     tokens = text.split()
     if len(tokens) < 4:
         raise TraceParseError("expected DATE TIME SENSOR VALUE", text.rstrip("\n"))
     time_ms = timestamp_ms(tokens[0], tokens[1])
     sensor = normalize_sensor(tokens[2], rename)
-    values = dict(DEFAULT_VALUE_MAP)
-    if value_map:
-        values.update({k.upper(): v for k, v in value_map.items()})
     raw_value = tokens[3].upper()
     if raw_value not in values:
         raise TraceParseError(f"unknown sensor value {tokens[3]!r}", text.rstrip("\n"))
@@ -197,6 +208,7 @@ def load_trace(
         with open(source, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
 
+    values = _value_table(value_map)
     events: list[TraceEvent] = []
     warnings: list[str] = []
     skipped = 0
@@ -204,7 +216,7 @@ def load_trace(
         if not raw.strip():
             continue
         try:
-            events.append(parse_line(raw, value_map, rename))
+            events.append(_parse_line(raw, values, rename))
         except TraceParseError as exc:
             skipped += 1
             warnings.append(f"line {lineno}: {exc}")

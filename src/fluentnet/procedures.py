@@ -25,7 +25,7 @@ from time import perf_counter_ns
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import dsl
-from .context import OVERWRITE, ContextStore
+from .context import OVERWRITE, STATE_PROP, ContextStore
 from .ingest import TraceEvent, drive
 from .metrics import Telemetry
 from .modelio import ConfigError, StoreModel, read_config, read_sections
@@ -295,20 +295,21 @@ class Evaluator:
     def run_prepasses(self, store: ContextStore, now_ms: int) -> int:
         """Windowed counts: assert one derived statement per satisfied
         pre-pass (state true, stamped with the latest contributing time),
-        read off the store's tally of the pre-pass source."""
+        read off the store's tally of the pre-pass source.  A result the
+        store already holds with that state and time is not written again.
+        Returns the number of results written."""
         asserted = 0
         for index, prepass in enumerate(self.binding.compiled.prepasses):
             count, earliest, latest = store.tally(prepass.source_concept, prepass.target_state)
             if not count:
                 continue
             if count >= prepass.min_count and earliest + prepass.window_ms <= latest:
+                derived_id = f"{prepass.derived_concept}_{index + 1}"
+                stored = store.instances.get(derived_id)
+                if stored is not None and stored.time == latest and stored.single(STATE_PROP) is True:
+                    continue
                 store.assert_statement(
-                    Statement(
-                        f"{prepass.derived_concept}_{index + 1}",
-                        True,
-                        latest,
-                        kind=AGGREGATED,
-                    ),
+                    Statement(derived_id, True, latest, kind=AGGREGATED),
                     concepts=(prepass.derived_concept,),
                     mode=OVERWRITE,
                 )

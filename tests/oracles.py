@@ -20,6 +20,7 @@ from fluentnet.context import (
     FALSE_LITERAL,
     NATURAL_DOMAIN,
     STATE_PROP,
+    TIME_PROP,
     TRUE_LITERAL,
 )
 from fluentnet.network import bootstrap
@@ -319,6 +320,29 @@ def closure_from_scratch(graph, asserted):
                 frontier.append(parent)
     clashes = [tuple(sorted(pair)) for pair in graph.disjoint if pair <= closure]
     return frozenset(closure), clashes
+
+
+def statement_props_from_scratch(statement, decl, properties=None):
+    """The property values a write of ``statement`` stores: its state and
+    time, then each declared value of the installation ``decl`` appended in
+    order, then each of ``properties`` replacing its property's values."""
+    props = {STATE_PROP: [statement.state], TIME_PROP: [statement.time]}
+    for prop, value in decl.properties if decl is not None else ():
+        props.setdefault(prop, []).append(value)
+    for prop, values in (properties or {}).items():
+        props[prop] = list(values)
+    return {prop: tuple(values) for prop, values in props.items()}
+
+
+def record_from_scratch(graph, asserted, props):
+    """What a record of ``asserted`` concepts and ``props`` holds: the
+    closure and the clashing pairs (``closure_from_scratch``) and the axiom
+    weight, one per asserted concept and per property value."""
+    closure, clashes = closure_from_scratch(graph, asserted)
+    weight = len(asserted)
+    for values in props.values():
+        weight += len(values)
+    return closure, clashes, weight
 
 
 def classify_from_scratch(store):

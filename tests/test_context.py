@@ -388,55 +388,163 @@ def spatial_with_copies(copies):
     return "\n".join(lines + extra) + "\n"
 
 
-# random writes to a dirty store: (action, sensor, state, place, concept,
-# near, read), applied by ``apply_dirty_op``
+# each sensor's two installations, for writes through the installation
+# table: they name ids the generator also rewrites or removes
+DIRTY_DECLS = {
+    "M16": (
+        SensorDecl("M16", ("MOTION",), (("isIn", "K"),)),
+        SensorDecl("M16", ("MOTION",), (("isIn", "LR"), ("isNearTo", "T1"))),
+    ),
+    "M3": (
+        SensorDecl("M3", ("MOTION",), (("isIn", "LR"),)),
+        SensorDecl("M3", ("MOTION", "MEDICINE"), (("isIn", "K"), ("isIn", "T1"))),
+    ),
+    "D7": (
+        SensorDecl("D7", ("DOOR",), (("isNearTo", "T1"),)),
+        SensorDecl("D7", ("DOOR",), ()),
+    ),
+}
+
+# graph edits between writes: each changes a closure, a clash or a defined
+# class that a write template or the membership memo derived
+GRAPH_EDITS = (
+    ("subclass", "MOTION", "MEDICINE"),
+    ("subclass", "DOOR", "LIVE"),
+    ("disjoint", "MOTION", "MEDICINE"),
+    ("disjoint", "DOOR", "COOKING"),
+    ("defined", DefinedClass("LIVE", bases=("SENSOR",), restrictions=(Restriction("hasState", "FALSE"),))),
+    ("defined", DefinedClass("MEDICINE", bases=("SENSOR",), restrictions=(Restriction("isIn", "TABLE"),))),
+)
+
+# random steps on a dirty store: (action, sensor, state, place, concept,
+# near, edit, read), applied by ``DirtyRun.apply``.  "overwrite" and
+# "append" pass their properties; "sense" (overwrite) and "sense-append"
+# (append, concepts given) write through the installation table;
+# "declare" swaps a sensor's installation; "edit" edits the graph
 DIRTY_OPS = st_.lists(
     st_.tuples(
-        st_.sampled_from(["overwrite", "append", "add", "drop", "clear"]),
+        st_.sampled_from(
+            ["overwrite", "append", "add", "drop", "clear", "sense", "sense", "sense-append", "declare", "edit"]
+        ),
         st_.sampled_from(["M16", "M3", "D7"]),
         st_.booleans(),
         st_.sampled_from(["K", "LR", "T1", "M16"]),
         st_.sampled_from(["LOCATION", "TABLE"]),
         st_.sampled_from([None, "K", "LR", "T1"]),
+        st_.integers(0, len(GRAPH_EDITS) - 1),
         st_.booleans(),
     ),
     max_size=30,
 )
 
 
-def apply_dirty_op(store, time, op):
-    action, sensor, state, place, concept, near, _ = op
-    props = {"isNearTo": [near]} if near else {}
-    if action in ("overwrite", "append"):
-        store.assert_statement(
-            Statement(sensor, state, time),
-            concepts=("DOOR",) if sensor == "D7" else ("MOTION",),
-            mode=OVERWRITE if action == "overwrite" else APPEND,
-            properties={"isIn": [place], **props},
+class DirtyRun:
+    """A dirty store driven by ``DIRTY_OPS``, with the record each id it
+    holds should have, derived from scratch from the writes' arguments.  A
+    graph edit moves the run to a fresh store on the edited graph, as the
+    next replay of a scenario builds one: a store reads its graph as it was
+    when built, while the graph's templates and memo outlive the store."""
+
+    def __init__(self, bounded=False):
+        self.graph = dirty_graph(bounded)
+        self.store = None
+        self.fresh_store({sensor: decls[0] for sensor, decls in DIRTY_DECLS.items()})
+
+    def fresh_store(self, installations):
+        self.store = ContextStore("test", self.graph, installations, person_id="P", presence_concept="MOTION")
+        self.expected = {}
+        self.appended = {}
+        for inst_id, concepts, props in (
+            ("K", ("LOCATION",), {}),
+            ("T1", ("TABLE",), {}),
+            ("P", ("PERSON",), {}),
+            ("LR", ("LOCATION",), {"isNearTo": ["T1"]}),  # a KITCHEN by definition
+        ):
+            self.add(inst_id, concepts, props)
+
+    def _expect(self, inst_id, asserted, props, write):
+        closure, clashes, weight = oracles.record_from_scratch(self.graph, asserted, props)
+        if clashes:
+            with pytest.raises(ConsistencyError):
+                write()
+            return False
+        write()
+        self.expected[inst_id] = (asserted, closure, props, weight)
+        return True
+
+    def add(self, inst_id, concepts, props):
+        props = {prop: tuple(values) for prop, values in props.items()}
+        self._expect(inst_id, frozenset(concepts), props, lambda: self.store.add_instance(inst_id, concepts, props))
+
+    def write(self, statement, concepts=None, mode=OVERWRITE, properties=None):
+        decl = self.store.installations.get(statement.id)
+        asserted = frozenset(decl.concepts if concepts is None else concepts)
+        props = oracles.statement_props_from_scratch(statement, decl, properties)
+        seq = self.appended.get(statement.id, 0) + 1
+        inst_id = statement.id if mode == OVERWRITE else f"{statement.id}#{seq}"
+        written = self._expect(
+            inst_id,
+            asserted,
+            props,
+            lambda: self.store.assert_statement(statement, concepts=concepts, mode=mode, properties=properties),
         )
-    elif action == "add" and place != "M16":
-        store.add_instance(place, (concept,), props)
-    elif action == "clear":
-        store.clear_statements(keep_concepts=("DOOR",))
-    elif action == "drop" and store.instances:
-        store.remove_instance(sorted(store.instances)[time % len(store.instances)])
+        if written and mode == APPEND:
+            self.appended[statement.id] = seq
+
+    def apply(self, time, op):
+        action, sensor, state, place, concept, near, edit, _ = op
+        store = self.store
+        statement = Statement(sensor, state, time)
+        sensor_concepts = ("DOOR",) if sensor == "D7" else ("MOTION",)
+        props = {"isNearTo": [near]} if near else {}
+        if action in ("overwrite", "append"):
+            mode = OVERWRITE if action == "overwrite" else APPEND
+            self.write(statement, sensor_concepts, mode, properties={"isIn": [place], **props})
+        elif action == "sense":
+            self.write(statement)
+        elif action == "sense-append":
+            self.write(statement, sensor_concepts, APPEND)
+        elif action == "declare":
+            store.installations[sensor] = DIRTY_DECLS[sensor][state]
+        elif action == "edit":
+            kind, *args = GRAPH_EDITS[edit]
+            getattr(self.graph, f"add_{kind}")(*args)
+            self.fresh_store(store.installations)
+        elif action == "add" and place != "M16":
+            self.add(place, (concept,), props)
+        elif action == "clear":
+            store.clear_statements(keep_concepts=("DOOR",))
+        elif action == "drop" and store.instances:
+            store.remove_instance(sorted(store.instances)[time % len(store.instances)])
+
+    def assert_records(self):
+        """Every record equals the one derived from scratch."""
+        store = self.store
+        for inst_id, record in store.instances.items():
+            asserted, closure, props, weight = self.expected[inst_id]
+            assert (record.asserted, record.closure, dict(record.props)) == (asserted, closure, props)
+            assert record.weight == record.axiom_weight() == weight
+        assert store.axiom_count() == store.recount_axioms()
 
 
 class TestDirtySet:
     @pytest.mark.parametrize("bounded", [False, True], ids=["monotone", "bounded"])
-    @settings(max_examples=120, deadline=None)
-    @given(ops=DIRTY_OPS)
-    def test_matches_a_full_fixpoint_after_every_read(self, bounded, ops):
-        """Random writes, read at random points: the classification, the
+    @settings(max_examples=200, deadline=None)
+    @given(ops=DIRTY_OPS, every_step=st_.booleans())
+    def test_matches_a_full_fixpoint_after_every_read(self, bounded, ops, every_step):
+        """Random writes, with and without the installation table, and
+        graph edits between them, read after every step or (so that writes
+        pile up in the dirty set) at random points: the classification, the
         person context and every pattern check equal the from-scratch
-        oracles, whichever writes have piled up in the dirty set."""
-        store = dirty_store(bounded)
-        store.add_instance("LR", ("LOCATION",), {"isNearTo": ["T1"]})  # a KITCHEN by definition
+        oracles, and every record (closure, weight, props) equals the one
+        derived from scratch from its write."""
+        run = DirtyRun(bounded)
         for time, op in enumerate(ops):
-            apply_dirty_op(store, time, op)
-            if op[-1]:
-                assert_matches_oracles(store)
-        assert_matches_oracles(store)
+            run.apply(time, op)
+            run.assert_records()
+            if every_step or op[-1]:
+                assert_matches_oracles(run.store)
+        assert_matches_oracles(run.store)
 
     def test_full_recompute_only_on_first_read_and_fallbacks(self):
         store = dirty_store()
@@ -491,6 +599,93 @@ class TestDirtySet:
         assert_matches_oracles(store)
 
 
+class TestWriteTemplates:
+    def test_memo_reads_the_named_ids_closures(self):
+        """A defined class on a named target: ``NEAR`` holds while ``K`` is
+        a table.  Once ``K`` is rewritten as a location (with no referrer,
+        so the write stays local), the same reading of ``M16`` must miss
+        the memo entry made while ``K`` was a table."""
+        g = small_graph()
+        g.add_concept("NEAR")
+        g.add_defined(DefinedClass("NEAR", bases=("SENSOR",), restrictions=(Restriction("isIn", "TABLE", ">=", 1),)))
+        store = ContextStore("test", g, {"M16": SensorDecl("M16", ("MOTION",), (("isIn", "K"),))})
+        steps = [
+            lambda: store.add_instance("K", ("TABLE",)),  # the first read: every instance
+            lambda: store.assert_statement(Statement("M16", True, 1)),  # the memo learns NEAR
+            lambda: store.assert_statement(Statement("M16", True, 2)),  # a hit
+            lambda: store.remove_instance("M16"),
+            lambda: store.add_instance("K", ("LOCATION",)),
+            lambda: store.assert_statement(Statement("M16", True, 3)),  # a miss: K's closure moved
+            lambda: store.assert_statement(Statement("M16", True, 4)),  # a hit
+        ]
+        run = []
+        for step in steps:
+            before = store.fixpointed
+            step()
+            assert store.classify() == oracles.classify_from_scratch(store)
+            run.append(store.fixpointed - before)
+        assert "NEAR" not in store.classify()["M16"]
+        assert run == [1, 1, 0, 0, 1, 1, 0]
+
+    def test_a_template_holds_for_its_declaration_only(self):
+        """Swapping a sensor's installation changes what its next write
+        derives, although the statement id, concepts and mode are the same."""
+        store = store_with(installations={"M16": SensorDecl("M16", ("MOTION",), (("isIn", "K"),))})
+        store.assert_statement(Statement("M16", True, 1))
+        store.installations["M16"] = SensorDecl("M16", ("DOOR",), (("isNearTo", "T1"),))
+        store.assert_statement(Statement("M16", True, 2))
+        record = store.instances["M16"]
+        assert record.asserted == {"DOOR"} and record.closure == store.graph.supers("DOOR")
+        assert dict(record.props) == {"hasState": (True,), "hasTime": (2,), "isNearTo": ("T1",)}
+        assert store.axiom_count() == store.recount_axioms()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda g: g.add_concept("NEW"),
+            lambda g: g.add_property("owns"),
+            lambda g: g.add_subclass("MEDICINE", "STATEMENT"),
+            lambda g: g.add_disjoint("MEDICINE", "DOOR"),
+            lambda g: g.add_defined(DefinedClass("MEDICINE", bases=("SENSOR",))),
+        ],
+        ids=["concept", "property", "subclass", "disjoint", "defined"],
+    )
+    def test_every_graph_mutator_clears_templates_and_memo(self, edit):
+        decl = SensorDecl("M16", ("MOTION",), (("isIn", "K"),))
+        store = store_with(installations={"M16": decl})
+        store.add_instance("K", ("LOCATION",))
+        store.classify()
+        store.assert_statement(Statement("M16", True, 1))
+        store.classify()  # local: the memo learns M16's membership
+        g, template = store.graph, store.instances["M16"].template
+        assert g.template("M16", None, OVERWRITE, decl) is template and g.membership_memo
+        edit(g)
+        assert g.template("M16", None, OVERWRITE, decl) is not template and not g.membership_memo
+
+    def test_every_graph_edit_reaches_the_next_store(self):
+        """Templates and memo entries outlive the store that made them but
+        not a graph edit: a store built after the edit derives under it."""
+        g = dirty_graph()
+        table = {"M16": SensorDecl("M16", ("MOTION",), (("isIn", "K"),))}
+
+        def reading():
+            store = ContextStore("test", g, table)
+            store.add_instance("K", ("LOCATION",))
+            store.classify()
+            store.assert_statement(Statement("M16", True, 1))
+            return store
+
+        assert reading().classify()["M16"] == g.supers("MOTION") | {"LIVE"}
+        assert reading().fixpointed == 1  # the first read's fixpoint, then a memo hit
+        g.add_subclass("MOTION", "MEDICINE")
+        assert "MEDICINE" in reading().instances["M16"].closure
+        g.add_defined(DefinedClass("LIVE", bases=("SENSOR",), restrictions=(Restriction("hasState", "FALSE"),)))
+        assert "LIVE" not in reading().classify()["M16"]
+        g.add_disjoint("MOTION", "MEDICINE")
+        with pytest.raises(ConsistencyError):
+            reading()
+
+
 # pattern checks on the dirty store, at two rates, with a statement check
 # sharing the slower rate
 WATCH_NETWORK = """\
@@ -519,16 +714,20 @@ class TestWatches:
         once the pending samples ran (at the generator's reads), every
         pattern condition's outcome is the oracle's answer, although the
         scheduler skipped each pattern whose stamp had not moved."""
-        store = dirty_store(bounded)
-        store.add_instance("LR", ("LOCATION",), {"isNearTo": ["T1"]})
-        net = RuntimeNetwork(load_network(WATCH_NETWORK), {"A": store}, {})
-        states = list(net.conditions.values())
-        for rate in (50, 20):
-            assert len({id(s.group) for s in states if s.decl.rate_hz == rate}) == 1
-        patterns = [s for s in states if s.watch is not None]
-        previous = {}
+        run = DirtyRun(bounded)
+        store = None
         for step, op in enumerate(ops):
-            apply_dirty_op(store, step, op)
+            if run.store is not store:  # the first step, or a graph edit
+                store = run.store
+                net = RuntimeNetwork(load_network(WATCH_NETWORK), {"A": store}, {})
+                states = list(net.conditions.values())
+                for rate in (50, 20):
+                    assert len({id(s.group) for s in states if s.decl.rate_hz == rate}) == 1
+                patterns = [s for s in states if s.watch is not None]
+                previous = {}
+            run.apply(step, op)
+            if run.store is not store:
+                continue
             net.note_mutation("A")
             if not (every_step or op[-1]):
                 continue

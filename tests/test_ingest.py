@@ -115,6 +115,27 @@ class TestLoadTrace:
         assert load.skipped == 1
         assert len(load.events) == 1
 
+    def test_value_words_and_renames_apply_to_every_line(self):
+        """The value table is built once per trace: a custom word (in any
+        case, and overriding a default one) and a rename hold on every
+        line, and an unknown value is still skipped with its line number."""
+        text = (
+            "2009-05-11 14:00:00 AD1-A moved\n"
+            "2009-05-11 14:00:01 M07 STILL\n"
+            "2009-05-11 14:00:02 M07 MAYBE\n"
+            "2009-05-11 14:00:03 M07 ON\n"
+            "2009-05-11 14:00:04 AD1-A Moved\n"
+        )
+        load = load_trace(io.StringIO(text), value_map={"Moved": True, "still": False, "ON": False},
+                          rename={"AD1-A": "F2"})
+        assert [(e.sensor, e.value) for e in load.events] == [
+            ("F2", True), ("M7", False), ("M7", False), ("F2", True)
+        ]
+        assert load.skipped == 1
+        assert load.warnings == ["line 3: unknown sensor value 'MAYBE': '2009-05-11 14:00:02 M07 MAYBE'"]
+        # the table is the trace's own: a later trace without the map reads the defaults
+        assert [e.value for e in load_trace(io.StringIO(text)).events] == [True]
+
     def test_dataset_directory(self, tmp_path):
         for name in ("p01", "p02"):
             (tmp_path / f"{name}.txt").write_text(

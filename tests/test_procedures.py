@@ -9,7 +9,7 @@ import pytest
 import oracles
 import synth
 from fluentnet import golden, ingest, network, procedures
-from fluentnet.context import APPEND
+from fluentnet.context import APPEND, OVERWRITE
 from fluentnet.modelio import build_store, load_store_model
 from fluentnet.statements import Statement
 
@@ -348,6 +348,38 @@ class TestConditionsEvaluated:
         assert [evaluations(start + 500 * i, quiet[i % 6], i % 2 == 1) for i in range(24)] == [0] * 24
 
 
+class TestMembershipMemo:
+    def test_quiet_toggles_after_a_warm_up_run_no_fixpoint(self, scenario):
+        """The spatial node's templates and memo live on the scenario's
+        graph: once one participant has switched every sensor on and toggled
+        the quiet ones, the next participant's quiet toggles are each
+        reclassified from the memo, with no fixpoint run."""
+
+        def participant():
+            implementations, replayer = procedures.build_implementations(scenario, procedures.ReplaySession())
+            net = network.bootstrap(scenario.model, implementations=implementations, store_models=scenario.store_models)
+            spatial = net.stores[procedures.SPATIAL_NODE]
+
+            def reading(time_ms, sensor, value):
+                net.pending_until(time_ms - 1)
+                net.clock.advance_to(time_ms)
+                replayer.replay_step(net, ingest.TraceEvent(time_ms=time_ms, sensor=sensor, value=value))
+                net.pending_until(time_ms + 999)
+
+            sweep = sorted(spatial.installations)
+            for i, sensor in enumerate(sweep):
+                reading(1000 * (i + 1), sensor, True)
+            fixpointed, reclassified = spatial.fixpointed, spatial.reclassified
+            quiet = ("M1", "M2", "I1", "D9", "F3", "P1")
+            start = 1000 * (len(sweep) + 1)
+            for i in range(24):
+                reading(start + 500 * i, quiet[i % 6], i % 2 == 1)
+            return spatial.fixpointed - fixpointed, spatial.reclassified - reclassified
+
+        participant()  # the warm-up
+        assert participant() == (0, 24)
+
+
 class TestWallClockPacing:
     def test_gaps_divided_by_speed(self, scenario):
         naps = []
@@ -384,6 +416,27 @@ class TestEvaluatorDirect:
         evaluator = procedures.Evaluator(binding, procedures.ReplaySession())
         assert evaluator.run_prepasses(store, 50_000) == 0
         assert len(store.query_instances("WATERED")) == 0
+
+
+    def test_repeated_evaluation_writes_only_the_sync_reset(self, scenario):
+        """An A7 evaluation whose tallies did not move since the previous
+        one writes only the ``N`` reset: each stored pre-pass result already
+        has the state and time it would be written with."""
+        node = next(n for n in scenario.model.nodes if n.name == "T7")
+        store = build_store("T7", load_store_model(scenario.base_dir / node.represents), mode=APPEND)
+        for sensor, t in (("M6", 1_000), ("M7", 40_000), ("M16", 2_000), ("M17", 30_000)):
+            store.assert_statement(Statement(sensor, True, t), mode=APPEND)
+        evaluator = procedures.Evaluator(scenario.bindings[7], procedures.ReplaySession())
+        sync = {"concepts": (procedures.SYNC_CONCEPT,), "mode": OVERWRITE}
+        writes = []
+        for now in (50_000, 60_000):
+            store.assert_statement(Statement(procedures.SYNC_STATEMENT, True, now), **sync)
+            before, records = store.mutation_seq, dict(store.instances)
+            assert evaluator.evaluate_store(store, now) is None
+            writes.append(store.mutation_seq - before)
+        assert writes == [3, 1]  # N, CLEANED_1 and CLEANED_2; then N alone
+        assert store.instances["CLEANED_1"] is records["CLEANED_1"]
+        assert (store.instances["CLEANED_1"].time, store.instances["CLEANED_2"].time) == (40_000, 30_000)
 
 
 class TestHostileTraces:
