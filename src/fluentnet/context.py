@@ -17,9 +17,9 @@ of the count.
 
 A store's cached classification is its only classified state: brought up
 to date on the first read after a mutation and handed out read-only.  The
-person context is derived from it, and readers such as the scheduler's
-pattern checks ask the store (:meth:`ContextStore.person_context_matches`)
-instead of walking its instances.
+person context and the answers of the watched patterns are derived from
+it, and readers such as the scheduler's pattern checks read a watch
+(:meth:`ContextStore.watch`) instead of walking the store's instances.
 
 Classification is maintained from a dirty set: the ids written or removed
 since the last read.  One fixpoint routine reclassifies the dirty instances
@@ -41,15 +41,14 @@ instances' contributions are recounted.  :attr:`ContextStore.reclassified`
 counts the instances reclassified, so the work per write can be checked.
 
 A write derives once what its declaration fixes.  The graph keeps a
-:class:`WriteTemplate` per ``(statement id, concepts, mode)``, built on the
+:class:`WriteTemplate` per ``(statement id, concepts)``, built on the
 first write by the checked derivation: the asserted set, its closure
 (clash-free, or the write raises), the declared property values checked
 against the graph's properties, the ids they name, the pairs they lend
 the person and the record's weight.  A later write looks it up, and
 rebuilds it when the store's installation is not the :class:`SensorDecl`
-it was built from.  The record carries its template; a write with
-``properties=`` and :meth:`ContextStore.add_instance` make records without
-one.
+it was built from.  Every statement record carries its template; only
+:meth:`ContextStore.add_instance` makes records without one.
 
 On the local path, the fixpoint's result for an instance with a template
 is a function of the template, the state and the memberships of the ids
@@ -78,9 +77,9 @@ moved, or a dangling name appeared): such a pair is uncounted under the
 old membership and counted again under the new one.  A full recompute
 counts every watch afresh and stamps every answer.  Each watch carries the
 ``mutation_seq`` at which its answer last changed.  This is counting-based
-view maintenance (Gupta, Mumick & Subrahmanian, SIGMOD 1993).
-:meth:`ContextStore.person_context_matches` still answers from the person
-context and the classification, not from the watches.
+view maintenance (Gupta, Mumick & Subrahmanian, SIGMOD 1993).  A watch's
+answer is the only answer to its pattern in the program; the tests check
+it against one read off the person context and the classification.
 
 What an evaluation reads is kept the same way.  A reader registers a
 concept (:meth:`ContextStore.keep`) and the store keeps that concept's
@@ -193,7 +192,7 @@ class ConceptGraph:
         self._super_cache: dict[str, frozenset[str]] = {}
         self._closures: dict[frozenset[str], tuple[frozenset[str], Optional[tuple[str, str]]]] = {}
         self._defined_order: Optional[tuple[DefinedClass, ...]] = None
-        # (statement id, concepts, mode) -> the write template
+        # (statement id, concepts) -> the write template
         self._templates: dict[tuple, WriteTemplate] = {}
         # (template, state, each named id's membership) -> the membership
         self.membership_memo: dict[tuple, frozenset[str]] = {}
@@ -296,14 +295,13 @@ class ConceptGraph:
         self,
         statement_id: str,
         concepts: Optional[tuple[str, ...]],
-        mode: str,
         decl: Optional[SensorDecl],
     ) -> WriteTemplate:
         """The template of a write of ``statement_id`` under ``concepts``
-        (``None``: the declaration's) in ``mode``, by the installation
-        ``decl``: looked up, or built by the checked derivation on the
-        first write and whenever ``decl`` is not the one it was built from."""
-        key = (statement_id, concepts, mode)
+        (``None``: the declaration's) by the installation ``decl``: looked
+        up, or built by the checked derivation on the first write and
+        whenever ``decl`` is not the one it was built from."""
+        key = (statement_id, concepts)
         template = self._templates.get(key)
         if template is None or template.decl is not decl:
             declared: dict[str, tuple[PropValue, ...]] = {}
@@ -396,9 +394,9 @@ class StoreInstance:
     ``closure`` is the asserted concepts with their superclasses, ``time``
     the first ``hasTime`` value when it is an integer (``None`` when
     untimed) and ``weight`` the instance's share of the axiom count.  A
-    statement written from its declaration carries the write's
-    ``template``.  A write replaces the record whole, so snapshots and the
-    rule matcher read it in place.
+    statement carries its write's ``template``; a plain instance has none.
+    A write replaces the record whole, so snapshots and the rule matcher
+    read it in place.
     """
 
     id: str
@@ -620,16 +618,15 @@ class ContextStore:
         statement: Statement,
         concepts: Iterable[str] | None = None,
         mode: Optional[str] = None,
-        properties: Mapping[str, Sequence[PropValue]] | None = None,
     ) -> None:
         """Ground a statement as a classified instance.
 
         Overwrite mode replaces any prior instance for the same sensor id,
         keeping the axiom count bounded; append mode adds a fresh instance
-        with a monotone suffix.  Omitted concepts/properties fall back to
-        the sensor installation table.  The checked derivation of the
-        declaration is read off the graph's write template; a record
-        written with ``properties`` does not carry it.
+        with a monotone suffix.  Omitted concepts fall back to the sensor
+        installation table, which also gives the statement's properties.
+        The checked derivation of the declaration is read off the graph's
+        write template, which the record carries.
         """
         mode = mode or self.default_mode
         if mode not in (OVERWRITE, APPEND):
@@ -646,26 +643,14 @@ class ContextStore:
             seq = self._sequence.get(statement.id, 0) + 1
             instance_id = f"{statement.id}#{seq}"
 
-        if properties is not None:
-            _check_properties(self.graph, properties)
-        template = self.graph.template(statement.id, concepts, mode, decl)
+        template = self.graph.template(statement.id, concepts, decl)
         props = {STATE_PROP: (statement.state,), TIME_PROP: (statement.time,)}
         for prop, values in template.declared:
             props[prop] = props.get(prop, ()) + values
-        if properties is None:
-            record = StoreInstance(
-                instance_id, template.asserted, template.closure, MappingProxyType(props), statement.kind, template
-            )
-            names = template.names
-        else:
-            # the given values replace the declared ones: a record of its own
-            for prop, values in properties.items():
-                props[prop] = tuple(values)
-            record = StoreInstance(
-                instance_id, template.asserted, template.closure, MappingProxyType(props), statement.kind
-            )
-            names = _names(props)
-        self._put(record, names)
+        record = StoreInstance(
+            instance_id, template.asserted, template.closure, MappingProxyType(props), statement.kind, template
+        )
+        self._put(record, template.names)
         if mode == APPEND:
             self._sequence[statement.id] = seq
 
@@ -971,18 +956,6 @@ class ContextStore:
         if self._person_context is None:
             self._person_context = tuple(sorted(self._presence))
         return self._person_context
-
-    def person_context_matches(self, prop: str, target_concept: str) -> bool:
-        """True when the person currently has a ``prop`` target classified
-        under ``target_concept``: the answer to a ``PERSON:prop:TARGET``
-        pattern check."""
-        classification = self.classify()
-        for pair_prop, target in self.infer_person_context():
-            if pair_prop != prop:
-                continue
-            if target_concept in classification.get(target, frozenset()):
-                return True
-        return False
 
     def watch(self, prop: str, target_concept: str) -> PatternWatch:
         """Keep the answer to a ``PERSON:prop:TARGET`` pattern from the next

@@ -11,7 +11,10 @@ activity index are rejected.
 
 A condition checks either one statement's state (``checks=N``) or the
 person's inferred context (``checks=PERSON:prop:TARGET``, on a node whose
-model declares a ``[person]``).  Both are answered by the node's store; the
+model declares a ``[person]``).  Both are answered by the node's store: a
+statement check reads the statement's state, and a pattern check reads the
+answer of the store's watch of its pattern (:meth:`ContextStore.watch`)
+once :meth:`ContextStore.classify` has brought the watches up to date.  The
 scheduler never reads store internals or classifies anything itself.
 
 Scheduling is edge-triggered: a condition sampled from false to true
@@ -29,9 +32,9 @@ take the same ticks (a mutation schedules all of a node's conditions, and
 :class:`TickGroup`: one tick state and one pending entry, keyed by the
 node and the rate's integer numerator and denominator.  A group's sample
 takes its tick once, evaluates its statement checks, and evaluates a
-pattern check only when the store has stamped a change of that pattern's
-answer (:meth:`ContextStore.watch`) since the check was last evaluated; a
-check skipped that way would have read the answer it already holds.
+pattern check only when the store has stamped a change of its watch's
+answer since the check was last evaluated; a check skipped that way would
+have read the answer it already holds.
 Groups are indexed by node for :meth:`RuntimeNetwork.note_mutation`, and
 statement checks by (node, statement) for :meth:`RuntimeNetwork.notify_sync`,
 so neither scans the others.  Tick times are exact integer ceil/floor
@@ -342,31 +345,15 @@ class TickGroup:
 
 @dataclass(eq=False)
 class ConditionState:
-    """A condition's outcome and its tick group (a group of its own unless
-    one is given).  A pattern check also holds its store's watch of the
-    pattern and the watch's stamp when the scheduler last evaluated it."""
+    """A condition's outcome and its tick group.  A pattern check also holds
+    its store's watch of the pattern and the watch's stamp when the
+    scheduler last evaluated it."""
 
     decl: ConditionDecl
+    group: TickGroup
     outcome: bool = False
-    group: Optional[TickGroup] = None
     watch: Optional[PatternWatch] = None
     seen: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.group is None:
-            rate = self.decl.rate_hz
-            self.group = TickGroup(self.decl.node, rate.numerator, 1000 * rate.denominator)
-        self.group.members.append(self)
-
-    @property
-    def last_tick(self) -> int:
-        return self.group.last_tick
-
-    def due_at_or_after(self, time_ms: int) -> int:
-        return self.group.due_at_or_after(time_ms)
-
-    def take_tick(self, time_ms: int) -> None:
-        self.group.take_tick(time_ms)
 
 
 @dataclass(frozen=True)
@@ -412,7 +399,8 @@ class RuntimeNetwork:
             if isinstance(c.check, PatternCheck):
                 watch = stores[c.node].watch(c.check.prop, c.check.target_concept)
                 group.watched = True
-            self.conditions[c.name] = ConditionState(decl=c, group=group, watch=watch)
+            state = self.conditions[c.name] = ConditionState(decl=c, group=group, watch=watch)
+            group.members.append(state)
         self._evaluated = 0
         self.events: dict[str, EventDecl] = {e.name: e for e in model.events}
         self._consumed: set[str] = set()
@@ -457,15 +445,14 @@ class RuntimeNetwork:
         if isinstance(check, StatementCheck):
             state = store.statement_state(check.statement_id)
             return state is not None and state is decl.target
-        return store.person_context_matches(check.prop, check.target_concept) is decl.target
+        store.classify()  # brings the watch up to date
+        return self.conditions[decl.name].watch.answer is decl.target
 
     # -- sampling + dispatch cascade ------------------------------------------
 
-    def _sample(self, name: str, schedule_tick: bool) -> Optional[bool]:
+    def _sample(self, name: str) -> Optional[bool]:
         """Sample one condition; returns the new outcome when it flipped."""
         state = self.conditions[name]
-        if schedule_tick:
-            state.take_tick(self.clock.now)
         outcome = self.evaluate_condition(state.decl)
         if outcome == state.outcome:
             return None
@@ -508,10 +495,10 @@ class RuntimeNetwork:
             if self.stores[store_name].mutation_seq != seq:
                 self.note_mutation(store_name)
 
-    def sample_and_dispatch(self, names: list[str], schedule_tick: bool = True) -> None:
+    def sample_and_dispatch(self, names: list[str]) -> None:
         risen: list[str] = []
         for name in sorted(names):
-            flipped = self._sample(name, schedule_tick)
+            flipped = self._sample(name)
             if flipped is True:
                 risen.append(name)
         if risen:
@@ -548,7 +535,7 @@ class RuntimeNetwork:
             for group in batch:
                 del pending[group]
             self.clock.advance_to(due_time)
-            self.sample_and_dispatch(self._take_ticks(batch), schedule_tick=False)
+            self.sample_and_dispatch(self._take_ticks(batch))
         return self.log[mark:]
 
     def _take_ticks(self, batch: list[TickGroup]) -> list[str]:
@@ -578,7 +565,7 @@ class RuntimeNetwork:
         if node not in self.stores:
             raise NetworkError(f"unknown node {node!r}")
         mark = len(self.log)
-        self.sample_and_dispatch(self._by_statement.get((node, statement_id), []), schedule_tick=False)
+        self.sample_and_dispatch(self._by_statement.get((node, statement_id), []))
         return [entry.name for entry in self.log[mark:] if entry.kind == "event"]
 
 

@@ -4,13 +4,16 @@ These deliberately re-derive the semantics with naive list scans and
 exhaustive enumeration; they never call into the implementations they
 check.  The scheduler oracle is the one exception: it reuses the network's
 per-sample dispatch, but drives it by sampling every condition at every
-rate tick instead of only after a store mutation.
+rate tick instead of only after a store mutation, and answers pattern
+checks from the person context (``person_context_matches``) instead of
+from the store's watches.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import ceil
 
@@ -23,7 +26,7 @@ from fluentnet.context import (
     TIME_PROP,
     TRUE_LITERAL,
 )
-from fluentnet.network import bootstrap
+from fluentnet.network import PatternCheck, RuntimeNetwork, bootstrap
 from fluentnet.rules import Assign, ClassAtom, Compare, PropertyAtom
 from fluentnet.statements import (
     Logic,
@@ -243,17 +246,36 @@ def _satisfies_all(body, binding, lookup, classification):
 
 # -- scheduler ---------------------------------------------------------------------
 
+def evaluate_from_scratch(net, decl):
+    """``RuntimeNetwork.evaluate_condition`` with a pattern check answered
+    by ``person_context_matches`` instead of by the store's watch."""
+    check = decl.check
+    if isinstance(check, PatternCheck):
+        return person_context_matches(net.stores[decl.node], check.prop, check.target_concept) is decl.target
+    return RuntimeNetwork.evaluate_condition(net, decl)
+
+
+def unwatched(net):
+    """``net`` with its pattern checks answered by ``evaluate_from_scratch``,
+    so that a tick loop over it stays independent of the watches."""
+    net.evaluate_condition = partial(evaluate_from_scratch, net)
+    return net
+
+
 def _take_next_tick(net, until):
     """Sample every condition due at the earliest untaken rate tick, unless
     that tick lies after ``until``; returns whether one was taken."""
-    due = [(state.due_at_or_after(net.clock.now), name) for name, state in net.conditions.items()]
+    due = [(state.group.due_at_or_after(net.clock.now), name) for name, state in net.conditions.items()]
     if not due:
         return False
     next_time = min(time for time, _ in due)
     if until is not None and next_time > until:
         return False
     net.clock.advance_to(next_time)
-    net.sample_and_dispatch([name for time, name in due if time == next_time])
+    names = [name for time, name in due if time == next_time]
+    for name in names:
+        net.conditions[name].group.take_tick(next_time)
+    net.sample_and_dispatch(names)
     return True
 
 
@@ -278,11 +300,14 @@ def run_until(net, until):
 
 def tick_replay(events, scenario):
     """``procedures.run_replay`` in pure-virtual mode, with the tick loop in
-    place of ``pending_until``; returns the rendered dispatch log."""
+    place of ``pending_until`` and pattern checks answered from scratch
+    (``unwatched``); returns the rendered dispatch log."""
     implementations, replayer = procedures.build_implementations(
         scenario, procedures.ReplaySession()
     )
-    net = bootstrap(scenario.model, implementations=implementations, store_models=scenario.store_models)
+    net = unwatched(
+        bootstrap(scenario.model, implementations=implementations, store_models=scenario.store_models)
+    )
     base_ms = procedures.rebase_offset(events)
     for event in events:
         event = replace(event, time_ms=event.time_ms - base_ms)
@@ -294,14 +319,14 @@ def tick_replay(events, scenario):
 
 
 def fraction_due_at_or_after(rate, last_tick, time_ms):
-    """``ConditionState.due_at_or_after`` in ``Fraction`` arithmetic."""
+    """``TickGroup.due_at_or_after`` in ``Fraction`` arithmetic."""
     k = max(last_tick + 1, ceil(Fraction(max(time_ms, 0)) * rate / 1000))
     k = max(k, 1)
     return ceil(Fraction(k * 1000) / rate)
 
 
 def fraction_take_tick(rate, time_ms):
-    """The tick ``ConditionState.take_tick`` records, in ``Fraction`` arithmetic."""
+    """The tick ``TickGroup.take_tick`` records, in ``Fraction`` arithmetic."""
     return int(Fraction(time_ms) * rate // 1000)
 
 
@@ -322,15 +347,13 @@ def closure_from_scratch(graph, asserted):
     return frozenset(closure), clashes
 
 
-def statement_props_from_scratch(statement, decl, properties=None):
+def statement_props_from_scratch(statement, decl):
     """The property values a write of ``statement`` stores: its state and
     time, then each declared value of the installation ``decl`` appended in
-    order, then each of ``properties`` replacing its property's values."""
+    order."""
     props = {STATE_PROP: [statement.state], TIME_PROP: [statement.time]}
     for prop, value in decl.properties if decl is not None else ():
         props.setdefault(prop, []).append(value)
-    for prop, values in (properties or {}).items():
-        props[prop] = list(values)
     return {prop: tuple(values) for prop, values in props.items()}
 
 
@@ -425,6 +448,12 @@ def person_context_from_scratch(store, classification):
 def person_context_matches_from_scratch(pairs, classification, prop, target_concept):
     """The answer to a ``PERSON:prop:TARGET`` check from the pairs above."""
     return any(p == prop and target_concept in classification.get(t, ()) for p, t in pairs)
+
+
+def person_context_matches(store, prop, target_concept):
+    """The answer to a ``PERSON:prop:TARGET`` check read off the store's
+    person context and classification, not off its watches."""
+    return person_context_matches_from_scratch(store.infer_person_context(), store.classify(), prop, target_concept)
 
 
 # -- snapshots and pre-pass tallies --------------------------------------------

@@ -62,6 +62,14 @@ def store_with(graph=None, **kwargs):
     return ContextStore("test", graph or small_graph(), **kwargs)
 
 
+def install(store, sensor, concepts, places):
+    """Install ``sensor`` under ``concepts`` with the property values
+    ``places`` (property -> its values), which its next writes carry."""
+    store.installations[sensor] = SensorDecl(
+        sensor, tuple(concepts), tuple((prop, value) for prop, values in places.items() for value in values)
+    )
+
+
 class TestGraph:
     def test_cycle_rejected(self):
         g = small_graph()
@@ -146,10 +154,9 @@ class TestAssert:
         store = store_with()
         with pytest.raises(StoreError, match="unknown property 'isNearBy'"):
             store.add_instance("K", ("KITCHEN",), {"isNearBy": ["SINK"]})
+        install(store, "D7", ("DOOR",), {"isNearBy": ["K"]})
         with pytest.raises(StoreError, match="unknown property 'isNearBy'"):
-            store.assert_statement(
-                Statement("D7", True, 10), concepts=("DOOR",), properties={"isNearBy": ["K"]}
-            )
+            store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
         assert store.instances == {}
 
     def test_installation_fallback(self):
@@ -187,11 +194,8 @@ class TestClassify:
         store = store_with()
         store.add_instance("K", ("KITCHEN",))
         store.add_instance("T1", ("TABLE",))
-        store.assert_statement(
-            Statement("M1", True, 5),
-            concepts=("MOTION",),
-            properties={"isIn": ["K"], "isNearTo": ["T1"]},
-        )
+        install(store, "M1", ("MOTION",), {"isIn": ["K"], "isNearTo": ["T1"]})
+        store.assert_statement(Statement("M1", True, 5), concepts=("MOTION",))
         assert "PERSON" not in store.classify()["M1"]
 
     def test_read_only_view_until_the_next_mutation(self):
@@ -248,29 +252,25 @@ class TestPersonContext:
 
     def test_active_sensor_propagates(self):
         store = self.spatial()
-        store.assert_statement(
-            Statement("M16", True, 10), concepts=("MOTION",), properties={"isIn": ["K"]}
-        )
+        install(store, "M16", ("MOTION",), {"isIn": ["K"]})
+        store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",))
         assert store.infer_person_context() == (("isIn", "K"),)
-        assert store.person_context_matches("isIn", "KITCHEN")
-        assert store.person_context_matches("isIn", "LOCATION")
+        assert oracles.person_context_matches(store, "isIn", "KITCHEN")
+        assert oracles.person_context_matches(store, "isIn", "LOCATION")
 
     def test_inactive_sensors_contribute_nothing(self):
         store = self.spatial()
-        store.assert_statement(
-            Statement("M16", False, 10), concepts=("MOTION",), properties={"isIn": ["K"]}
-        )
+        install(store, "M16", ("MOTION",), {"isIn": ["K"]})
+        store.assert_statement(Statement("M16", False, 10), concepts=("MOTION",))
         assert store.infer_person_context() == ()
 
     def test_two_rooms_both_present(self):
         store = self.spatial()
         store.add_instance("LR", ("LOCATION",))
-        store.assert_statement(
-            Statement("M16", True, 10), concepts=("MOTION",), properties={"isIn": ["K"]}
-        )
-        store.assert_statement(
-            Statement("M3", True, 11), concepts=("MOTION",), properties={"isIn": ["LR"]}
-        )
+        install(store, "M16", ("MOTION",), {"isIn": ["K"]})
+        install(store, "M3", ("MOTION",), {"isIn": ["LR"]})
+        store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",))
+        store.assert_statement(Statement("M3", True, 11), concepts=("MOTION",))
         assert store.infer_person_context() == (("isIn", "K"), ("isIn", "LR"))
 
     @settings(max_examples=80, deadline=None)
@@ -294,11 +294,11 @@ class TestPersonContext:
         for time, (action, sensor, state, place, concept) in enumerate(ops):
             concepts = ("DOOR",) if sensor == "D7" else ("MOTION",)
             if action in ("overwrite", "append"):
+                install(store, sensor, concepts, {"isIn" if state else "isNearTo": [place]})
                 store.assert_statement(
                     Statement(sensor, state, time),
                     concepts=concepts,
                     mode=OVERWRITE if action == "overwrite" else APPEND,
-                    properties={"isIn" if state else "isNearTo": [place]},
                 )
             elif action == "add":
                 store.add_instance(place, (concept,))
@@ -318,7 +318,7 @@ class TestPersonContext:
                         p == prop and target_concept in classification.get(target, ())
                         for p, target in pairs
                     )
-                    assert store.person_context_matches(prop, target_concept) is expected
+                    assert oracles.person_context_matches(store, prop, target_concept) is expected
             assert store.classify() == classification
             assert store.infer_person_context() == pairs
 
@@ -373,7 +373,7 @@ def assert_matches_oracles(store):
     assert store.infer_person_context() == pairs
     for prop in ("isIn", "isNearTo"):
         for target_concept in ("LOCATION", "KITCHEN", "TABLE"):
-            assert store.person_context_matches(prop, target_concept) is (
+            assert oracles.person_context_matches(store, prop, target_concept) is (
                 oracles.person_context_matches_from_scratch(pairs, expected, prop, target_concept)
             )
 
@@ -418,9 +418,10 @@ GRAPH_EDITS = (
 
 # random steps on a dirty store: (action, sensor, state, place, concept,
 # near, edit, read), applied by ``DirtyRun.apply``.  "overwrite" and
-# "append" pass their properties; "sense" (overwrite) and "sense-append"
-# (append, concepts given) write through the installation table;
-# "declare" swaps a sensor's installation; "edit" edits the graph
+# "append" (concepts given) first install the sensor with their place;
+# "sense" (overwrite) and "sense-append" (append, concepts given) write
+# through the installation table as it stands; "declare" swaps a sensor's
+# installation; "edit" edits the graph
 DIRTY_OPS = st_.lists(
     st_.tuples(
         st_.sampled_from(
@@ -476,17 +477,17 @@ class DirtyRun:
         props = {prop: tuple(values) for prop, values in props.items()}
         self._expect(inst_id, frozenset(concepts), props, lambda: self.store.add_instance(inst_id, concepts, props))
 
-    def write(self, statement, concepts=None, mode=OVERWRITE, properties=None):
+    def write(self, statement, concepts=None, mode=OVERWRITE):
         decl = self.store.installations.get(statement.id)
         asserted = frozenset(decl.concepts if concepts is None else concepts)
-        props = oracles.statement_props_from_scratch(statement, decl, properties)
+        props = oracles.statement_props_from_scratch(statement, decl)
         seq = self.appended.get(statement.id, 0) + 1
         inst_id = statement.id if mode == OVERWRITE else f"{statement.id}#{seq}"
         written = self._expect(
             inst_id,
             asserted,
             props,
-            lambda: self.store.assert_statement(statement, concepts=concepts, mode=mode, properties=properties),
+            lambda: self.store.assert_statement(statement, concepts=concepts, mode=mode),
         )
         if written and mode == APPEND:
             self.appended[statement.id] = seq
@@ -498,8 +499,8 @@ class DirtyRun:
         sensor_concepts = ("DOOR",) if sensor == "D7" else ("MOTION",)
         props = {"isNearTo": [near]} if near else {}
         if action in ("overwrite", "append"):
-            mode = OVERWRITE if action == "overwrite" else APPEND
-            self.write(statement, sensor_concepts, mode, properties={"isIn": [place], **props})
+            install(store, sensor, sensor_concepts, {"isIn": [place], **props})
+            self.write(statement, sensor_concepts, OVERWRITE if action == "overwrite" else APPEND)
         elif action == "sense":
             self.write(statement)
         elif action == "sense-append":
@@ -548,13 +549,13 @@ class TestDirtySet:
 
     def test_full_recompute_only_on_first_read_and_fallbacks(self):
         store = dirty_store()
-        motion = {"concepts": ("MOTION",), "mode": OVERWRITE}
 
         def sense(sensor, place, time, near=None):
-            extra = {"isNearTo": [near]} if near else {}
-            return lambda: store.assert_statement(
-                Statement(sensor, True, time), properties={"isIn": [place], **extra}, **motion
-            )
+            def write():
+                install(store, sensor, ("MOTION",), {"isIn": [place], **({"isNearTo": [near]} if near else {})})
+                store.assert_statement(Statement(sensor, True, time), concepts=("MOTION",), mode=OVERWRITE)
+
+            return write
 
         assert reclassified_by(store, lambda: None) == 3  # first read: every instance
         assert reclassified_by(store, sense("M16", "K", 1)) == 1
@@ -629,7 +630,7 @@ class TestWriteTemplates:
 
     def test_a_template_holds_for_its_declaration_only(self):
         """Swapping a sensor's installation changes what its next write
-        derives, although the statement id, concepts and mode are the same."""
+        derives, although the statement id and concepts are the same."""
         store = store_with(installations={"M16": SensorDecl("M16", ("MOTION",), (("isIn", "K"),))})
         store.assert_statement(Statement("M16", True, 1))
         store.installations["M16"] = SensorDecl("M16", ("DOOR",), (("isNearTo", "T1"),))
@@ -658,9 +659,9 @@ class TestWriteTemplates:
         store.assert_statement(Statement("M16", True, 1))
         store.classify()  # local: the memo learns M16's membership
         g, template = store.graph, store.instances["M16"].template
-        assert g.template("M16", None, OVERWRITE, decl) is template and g.membership_memo
+        assert g.template("M16", None, decl) is template and g.membership_memo
         edit(g)
-        assert g.template("M16", None, OVERWRITE, decl) is not template and not g.membership_memo
+        assert g.template("M16", None, decl) is not template and not g.membership_memo
 
     def test_every_graph_edit_reaches_the_next_store(self):
         """Templates and memo entries outlive the store that made them but
@@ -750,7 +751,7 @@ class TestWatches:
                 for state in patterns:
                     assert state.outcome is (answers[state.decl.name] is state.decl.target)
             for group in {id(s.group): s.group for s in states}.values():
-                assert len({member.last_tick for member in group.members}) == 1
+                assert all(member.group is group for member in group.members)
             net.clock.advance_to(net.clock.now + 7)
 
     @pytest.mark.parametrize("retarget", ["reclassify", "remove"])
@@ -762,10 +763,12 @@ class TestWatches:
         store = dirty_store()
         watch = store.watch("isIn", "LOCATION")
         motion = {"concepts": ("MOTION",), "mode": OVERWRITE}
-        store.assert_statement(Statement("M16", True, 1), properties={"isIn": ["K"]}, **motion)
+        install(store, "M16", ("MOTION",), {"isIn": ["K"]})
+        store.assert_statement(Statement("M16", True, 1), **motion)
         assert store.infer_person_context() == (("isIn", "K"),) and watch.answer is True
         before = store.reclassified
-        store.assert_statement(Statement("M16", True, 2), properties={"isIn": ["T1"]}, **motion)
+        install(store, "M16", ("MOTION",), {"isIn": ["T1"]})
+        store.assert_statement(Statement("M16", True, 2), **motion)
         if retarget == "reclassify":
             store.add_instance("K", ("TABLE",))
         else:
@@ -796,7 +799,8 @@ class TestRecords:
 
     def test_snapshot_holds_the_stores_records(self):
         store = self.spatial()
-        store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",), properties={"isIn": ["K"]})
+        install(store, "M16", ("MOTION",), {"isIn": ["K"]})
+        store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",))
         snap = store.snapshot()
         assert [i.id for i in snap.instances] == ["M16", "K", "P", "T1"]
         for inst_id in store.instances:
@@ -821,7 +825,8 @@ class TestRecords:
         records, order and classification as they were."""
         store = self.spatial()
         store.assert_statement(Statement("D7", True, 5), concepts=("DOOR",))
-        store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",), properties={"isIn": ["K"]})
+        install(store, "M16", ("MOTION",), {"isIn": ["K"]})
+        store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",))
         store.assert_statement(Statement("M3", False, 20), concepts=("MOTION",))
         snap = store.snapshot()
         records = snap.instances
@@ -829,7 +834,7 @@ class TestRecords:
         order = [i.id for i in records]
         assert order == ["D7", "M16", "M3", "K", "P", "T1"]
 
-        store.assert_statement(Statement("M16", False, 30), concepts=("MOTION",), properties={"isIn": ["K"]})
+        store.assert_statement(Statement("M16", False, 30), concepts=("MOTION",))
         store.remove_instance("M3")
         store.clear_statements()
         store.add_instance("LR", ("LOCATION",))
@@ -867,11 +872,10 @@ KEPT_LATE = {"M16": ("SENSOR", None), "M3": ("TABLE", None), "D7": ("STATEMENT",
 def apply_kept_op(store, kept, op):
     action, sensor, state, place, time, _ = op
     if action in ("overwrite", "append"):
+        concepts = ("DOOR",) if sensor == "D7" else ("MOTION",)
+        install(store, sensor, concepts, {"isIn": [place]})
         store.assert_statement(
-            Statement(sensor, state, time),
-            concepts=("DOOR",) if sensor == "D7" else ("MOTION",),
-            mode=OVERWRITE if action == "overwrite" else APPEND,
-            properties={"isIn": [place]},
+            Statement(sensor, state, time), concepts=concepts, mode=OVERWRITE if action == "overwrite" else APPEND
         )
     elif action == "add":
         store.add_instance(place, ("TABLE",) if place == "T1" else ("LOCATION",), {"isNearTo": ["T1"]} if state else {})

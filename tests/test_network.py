@@ -16,10 +16,8 @@ from fluentnet.context import OVERWRITE
 from fluentnet.network import (
     BOOT_STATEMENT,
     BootstrapError,
-    ConditionDecl,
-    ConditionState,
     NetworkError,
-    StatementCheck,
+    TickGroup,
     UPPER_NODE,
     VirtualClock,
     bootstrap,
@@ -245,10 +243,11 @@ def flip(net, sensor, value, concepts=("SENSOR",)):
 class Twin:
     """One scenario on two copies of a network, driven in ``run_replay``'s
     order: the production scheduler (``pending_until``) and the tick-loop
-    oracle.  Their dispatch logs must stay byte-identical."""
+    oracle, which answers pattern checks from scratch.  Their dispatch logs
+    must stay byte-identical."""
 
     def __init__(self, build):
-        self.net, self.oracle = build(), build()
+        self.net, self.oracle = build(), oracles.unwatched(build())
         self.log = self.net.log
 
     def flip(self, sensor, value):
@@ -557,9 +556,9 @@ class TestTicks:
     )
     def test_integer_ticks_equal_the_fraction_formulas(self, p, q, earlier, time_ms):
         rate = Fraction(p, q)
-        state = ConditionState(ConditionDecl("C", StatementCheck("X"), "A", True, rate_hz=rate))
-        assert state.due_at_or_after(time_ms) == oracles.fraction_due_at_or_after(rate, 0, time_ms)
-        state.take_tick(earlier)
+        group = TickGroup("A", rate.numerator, 1000 * rate.denominator)
+        assert group.due_at_or_after(time_ms) == oracles.fraction_due_at_or_after(rate, 0, time_ms)
+        group.take_tick(earlier)
         last_tick = oracles.fraction_take_tick(rate, earlier)
-        assert state.last_tick == last_tick
-        assert state.due_at_or_after(time_ms) == oracles.fraction_due_at_or_after(rate, last_tick, time_ms)
+        assert group.last_tick == last_tick
+        assert group.due_at_or_after(time_ms) == oracles.fraction_due_at_or_after(rate, last_tick, time_ms)

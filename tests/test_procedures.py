@@ -1,8 +1,10 @@
 """Replayer, importers, evaluators, bindings and the whole replay loop."""
 
+import importlib.util
 import io
 import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,18 @@ from fluentnet import golden, ingest, network, procedures
 from fluentnet.context import APPEND, OVERWRITE
 from fluentnet.modelio import build_store, load_store_model
 from fluentnet.statements import Statement
+
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``benchmarks/workloads.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +121,7 @@ class TestReplayStep:
         result = procedures.run_replay(events, scenario=scenario)
         spatial = result.net.stores["L"]
         assert ("isIn", "K") in spatial.infer_person_context()
-        assert spatial.person_context_matches("isIn", "KITCHEN")
+        assert oracles.person_context_matches(spatial, "isIn", "KITCHEN")
 
     def test_each_reading_reclassifies_one_spatial_instance(self, scenario, session_run):
         """The spatial node is classified in full once, at the first pattern
@@ -322,6 +336,16 @@ class TestSchedulerOracle:
         ]
         result = procedures.run_replay(events, scenario=scenario)
         assert result.log_text == oracles.tick_replay(events, scenario)
+
+    @pytest.mark.parametrize("workload", ["sessions", "spatial_sweep", "append_growth"])
+    def test_whole_benchmark_trace_matches_the_tick_loop(self, scenario, workloads, workload):
+        """The first seed-1 participant of each benchmark workload, whole:
+        the tick loop answers every pattern check from the person context,
+        so a watch that drifts from it changes the log."""
+        lines = workloads.generate(workload, 1)[0]
+        load = ingest.load_trace(io.StringIO("\n".join(lines) + "\n"), **scenario.load_trace_kwargs())
+        result = procedures.run_replay(load.events, participant="p01", scenario=scenario)
+        assert result.log_text == oracles.tick_replay(load.events, scenario)
 
 
 class TestConditionsEvaluated:
