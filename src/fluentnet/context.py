@@ -20,6 +20,9 @@ to date on the first read after a mutation and handed out read-only.  The
 person context and the answers of the watched patterns are derived from
 it, and readers such as the scheduler's pattern checks read a watch
 (:meth:`ContextStore.watch`) instead of walking the store's instances.
+The dirty set below is the one stale marker: the cache is current exactly
+when the set is empty, and ``None`` (before the first read, and after a
+new watch or kept list) makes the next read recompute every instance.
 
 Classification is maintained from a dirty set: the ids written or removed
 since the last read.  One fixpoint routine reclassifies the dirty instances
@@ -65,8 +68,10 @@ instances run through the fixpoint, which a memo hit is not.  Templates
 and memo live on the graph, which every store of a node shares across a
 scenario's replays, so they stay warm from one participant to the next.
 Every graph mutator (``add_concept``, ``add_property``, ``add_subclass``,
-``add_disjoint``, ``add_defined``) clears them with the closure cache, so
-the stores built after an edit derive under it.
+``add_disjoint``, ``add_defined``) clears them, so the stores built after an
+edit derive under it.  The graph keeps no closure cache: a template holds
+its statement's closure, so :meth:`ConceptGraph.closure` runs only when a
+template is built or a plain instance is added.
 
 The answers to the ``PERSON:prop:TARGET`` patterns a reader watches
 (:meth:`ContextStore.watch`) are kept by counting: each watch counts the
@@ -75,9 +80,10 @@ count moves only when a pair appears or disappears (a presence count goes
 to or from 0), or when a dirty id is a current pair target (its membership
 moved, or a dangling name appeared): such a pair is uncounted under the
 old membership and counted again under the new one.  A full recompute
-counts every watch afresh and stamps every answer.  Each watch carries the
-``mutation_seq`` at which its answer last changed.  This is counting-based
-view maintenance (Gupta, Mumick & Subrahmanian, SIGMOD 1993).  A watch's
+counts every watch afresh.  Each watch carries the ``mutation_seq`` at
+which its answer last changed: on either path the stamp moves only when
+the answer does.  This is counting-based view maintenance (Gupta, Mumick &
+Subrahmanian, SIGMOD 1993).  A watch's
 answer is the only answer to its pattern in the program; the tests check
 it against one read off the person context and the classification.
 
@@ -86,12 +92,13 @@ concept (:meth:`ContextStore.keep`) and the store keeps that concept's
 records in snapshot order, ``(time, id)`` with untimed records last; with a
 state it keeps a tally, the concept's statements in that state, whose
 length and ends give a pre-pass its count, earliest and latest time
-(:meth:`ContextStore.tally`).  :meth:`ContextStore.classify` moves only the
-dirty ids in the kept lists, out of the lists each was placed in and into
-the lists its new record and membership admit, so a defined-class flip and
-an out-of-order write land where a rebuild would put them; a full
-recompute rebuilds every list.  :attr:`ContextStore.index_work` counts the
-records placed and the tally members read.  A snapshot shares the store's
+(:meth:`ContextStore.tally`).  One routine places records: it moves each
+dirty id out of the lists it was placed in and into the lists its new
+record and membership admit, so a defined-class flip and an out-of-order
+write land where a rebuild would put them.  A full recompute gives every
+kept list a new empty list and places every record in snapshot order, so
+each is appended.  :attr:`ContextStore.index_work` counts the records
+placed and the tally members read.  A snapshot shares the store's
 record map, classification and kept lists instead of copying or sorting
 them, and the store's next write gives a snapshot still alive copies of
 its own first: a snapshot costs the same whatever the node's size.
@@ -174,12 +181,12 @@ class ConceptGraph:
     """Concept hierarchy: named concepts, acyclic subclass edges, disjoint
     pairs and defined classes.
 
-    The graph also holds what the stores built on it derive alike: each
-    asserted set's closure, the write templates and the membership memo (see
-    the module docstring).  Every mutator clears them all, so a store built
-    after an edit derives under the edited graph.  Edit a graph before
-    building the stores that read it: a store built earlier keeps the
-    records and the classification it derived before the edit.
+    The graph also holds what the stores built on it derive alike: the
+    write templates and the membership memo (see the module docstring).
+    Every mutator clears them, so a store built after an edit derives under
+    the edited graph.  Edit a graph before building the stores that read
+    it: a store built earlier keeps the records and the classification it
+    derived before the edit.
     """
 
     def __init__(self) -> None:
@@ -190,7 +197,6 @@ class ConceptGraph:
         self.disjoint: set[frozenset[str]] = set()
         self.defined: dict[str, DefinedClass] = {}
         self._super_cache: dict[str, frozenset[str]] = {}
-        self._closures: dict[frozenset[str], tuple[frozenset[str], Optional[tuple[str, str]]]] = {}
         self._defined_order: Optional[tuple[DefinedClass, ...]] = None
         # (statement id, concepts) -> the write template
         self._templates: dict[tuple, WriteTemplate] = {}
@@ -199,7 +205,6 @@ class ConceptGraph:
 
     def _edited(self) -> None:
         self._super_cache.clear()
-        self._closures.clear()
         self._defined_order = None
         self._templates.clear()
         self.membership_memo.clear()
@@ -281,15 +286,9 @@ class ConceptGraph:
 
     def closure(self, asserted: frozenset[str]) -> tuple[frozenset[str], Optional[tuple[str, str]]]:
         """The asserted concepts with their superclasses, and a disjoint
-        pair that closure holds (``None`` when it holds none).  Cached per
-        asserted set, since a sensor asserts the same concepts on every
-        reading."""
-        cached = self._closures.get(asserted)
-        if cached is None:
-            closure = frozenset().union(*map(self.supers, asserted))
-            cached = (closure, self.violates_disjointness(closure))
-            self._closures[asserted] = cached
-        return cached
+        pair that closure holds (``None`` when it holds none)."""
+        closure = frozenset().union(*map(self.supers, asserted))
+        return closure, self.violates_disjointness(closure)
 
     def template(
         self,
@@ -495,10 +494,10 @@ class ContextStore:
         self.mutation_seq = 0
         self._sequence: dict[str, int] = {}
         self._axioms = graph.axiom_terms()
-        # the cached classification, and the ids changed since it was read
-        # (None: recompute every instance)
+        # the cached classification and its read-only view, and the ids
+        # changed since it was read (None: recompute every instance)
         self._memberships: dict[str, frozenset[str]] = {}
-        self._classification: Optional[Mapping[str, frozenset[str]]] = None
+        self._classification: Mapping[str, frozenset[str]] = MappingProxyType(self._memberships)
         self._dirty: Optional[set[str]] = None
         self._reclassified = 0
         self._fixpointed = 0
@@ -519,8 +518,8 @@ class ContextStore:
         self._kept: dict[tuple[str, Optional[bool]], KeptList] = {}
         self._kept_by_concept: dict[str, list[KeptList]] = {}
         self._placed: dict[str, tuple[StoreInstance, tuple[KeptList, ...]]] = {}
-        # membership -> its kept lists and its tallies
-        self._admitting: dict[frozenset[str], tuple[tuple[KeptList, ...], tuple[KeptList, ...]]] = {}
+        # (membership, statement state) -> the kept lists admitting it
+        self._admitting: dict[tuple[frozenset[str], Optional[bool]], tuple[KeptList, ...]] = {}
         self._index_work = 0
         # the snapshot sharing the store's maps and kept lists, if still alive
         self._shared: Optional[weakref.ref[Snapshot]] = None
@@ -543,10 +542,6 @@ class ContextStore:
         return self._index_work
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _mutated(self) -> None:
-        self.mutation_seq += 1
-        self._classification = None
 
     def _touch(self, instance_id: str, refs: frozenset[str]) -> None:
         """Mark an id dirty and index ``refs``, the ids its new record names
@@ -586,7 +581,7 @@ class ContextStore:
 
     def _put(self, record: StoreInstance, refs: frozenset[str]) -> None:
         """The one store write: axiom bookkeeping, the record in place of
-        any previous one, the reference index and cache invalidation."""
+        any previous one, the reference index and the dirty set."""
         self._release()
         previous = self.instances.get(record.id)
         if previous is not None:
@@ -594,7 +589,7 @@ class ContextStore:
         self.instances[record.id] = record
         self._axioms += record.weight
         self._touch(record.id, refs)
-        self._mutated()
+        self.mutation_seq += 1
 
     def add_instance(
         self,
@@ -658,7 +653,7 @@ class ContextStore:
         if instance_id not in self.instances:
             return
         self._drop(instance_id)
-        self._mutated()
+        self.mutation_seq += 1
 
     # -- classification -----------------------------------------------------
 
@@ -673,13 +668,14 @@ class ContextStore:
         last read are reclassified when the module's exactness conditions
         hold; otherwise every instance is.
         """
-        if self._classification is not None:
+        dirty = self._dirty
+        if dirty is not None and not dirty:
             return self._classification
         changed: Iterable[str]
         # present pairs whose target is reclassified: uncounted under the
         # old membership, counted again under the new one
         moved: list[tuple[str, str]] = []
-        full = self._dirty is None or not self._stays_local(self._dirty)
+        full = dirty is None or not self._stays_local(dirty)
         if full:
             self._memberships = {}
             self._enriched = set()
@@ -688,9 +684,14 @@ class ContextStore:
             self._person_context = None
             for watch in self._watches.values():
                 watch.matches = 0
-            changed = self.instances
+            # new list objects, so a snapshot holding the old ones keeps them
+            self._placed = {}
+            for kept in self._kept.values():
+                kept.records = []
+            # in snapshot order, so each record is appended to its lists
+            changed = [record.id for record in sorted(self.instances.values(), key=snapshot_order)]
         else:
-            changed = self._dirty
+            changed = dirty
             if self._watches:
                 moved = [(p, i) for i in changed for p in PAIR_PROPS if (p, i) in self._presence]
                 for pair in moved:
@@ -704,14 +705,12 @@ class ContextStore:
             self._count_pair(pair, 1)
         if self.person_id is not None:
             self._recount_presence(changed)
-        if full:
-            self._rebuild_kept()
-        elif self._kept:
+        if self._kept:
             self._reindex(changed)
         seq = self.mutation_seq
         for watch in self._watches.values():
             answer = watch.matches > 0
-            if full or answer is not watch.answer:
+            if answer is not watch.answer:
                 watch.answer = answer
                 watch.stamp = seq
         self._dirty = set()
@@ -809,43 +808,26 @@ class ContextStore:
 
     def _lists_admitting(self, record: StoreInstance, membership: frozenset[str]) -> tuple[KeptList, ...]:
         """The kept lists a record with ``membership`` belongs in: those of
-        its concepts, and of their tallies the ones in its state."""
-        lists = self._admitting.get(membership)
-        if lists is None:
-            kept = [k for concept in sorted(membership) for k in self._kept_by_concept.get(concept, ())]
-            lists = (
-                tuple(k for k in kept if k.state is None),
-                tuple(k for k in kept if k.state is not None),
-            )
-            self._admitting[membership] = lists
-        plain, tallies = lists
-        if not tallies:
-            return plain
+        its concepts that are plain lists or tallies of its statement state."""
         state = record.single(STATE_PROP) if record.is_statement() else None
-        return plain + tuple(k for k in tallies if k.state is state)
-
-    def _rebuild_kept(self) -> None:
-        """Every kept list afresh, from every instance (new list objects, so
-        a snapshot holding the old ones keeps them as they were)."""
-        self._placed = {}
-        if not self._kept:
-            return
-        for kept in self._kept.values():
-            kept.records = []
-        for inst_id, record in self.instances.items():
-            lists = self._lists_admitting(record, self._memberships[inst_id])
-            if lists:
-                self._placed[inst_id] = (record, lists)
-                for kept in lists:
-                    kept.records.append(record)
-        for kept in self._kept.values():
-            kept.records.sort(key=snapshot_order)
-            self._index_work += len(kept.records)
+        if not isinstance(state, bool):
+            state = None  # in no tally; and 1 == True would share True's key
+        lists = self._admitting.get((membership, state))
+        if lists is None:
+            lists = tuple(
+                k
+                for concept in sorted(membership)
+                for k in self._kept_by_concept.get(concept, ())
+                if k.state is None or k.state is state
+            )
+            self._admitting[(membership, state)] = lists
+        return lists
 
     def _reindex(self, changed: Iterable[str]) -> None:
-        """Move the ``changed`` ids in the kept lists: each placed record
+        """Place the ``changed`` ids in the kept lists: each placed record
         leaves the lists it was placed in, and each present one enters the
-        lists its record and membership now admit it to."""
+        lists its record and membership now admit it to (appended when it
+        sorts last, as every record does on a full recompute)."""
         for inst_id in changed:
             placed = self._placed.pop(inst_id, None)
             if placed is not None:
@@ -951,8 +933,7 @@ class ContextStore:
         """
         if self.person_id is None:
             raise StoreError(f"store {self.name!r} declares no person instance")
-        if self._classification is None:
-            self.classify()  # brings the contributions up to date
+        self.classify()  # brings the contributions up to date
         if self._person_context is None:
             self._person_context = tuple(sorted(self._presence))
         return self._person_context
@@ -969,7 +950,6 @@ class ContextStore:
             self._watches_by_prop.setdefault(prop, []).append(watch)
             # the next read counts every watch from scratch
             self._dirty = None
-            self._classification = None
         return watch
 
     def keep(self, concept: str, state: Optional[bool] = None) -> KeptList:
@@ -986,7 +966,6 @@ class ContextStore:
             self._admitting = {}
             # the next read builds every kept list from scratch
             self._dirty = None
-            self._classification = None
         return kept
 
     def tally(self, concept: str, state: bool) -> tuple[int, Optional[int], Optional[int]]:
@@ -1026,7 +1005,7 @@ class ContextStore:
             self._drop(inst_id)
             removed += 1
         if removed:
-            self._mutated()
+            self.mutation_seq += 1
         return removed
 
     # -- read-only views -----------------------------------------------------

@@ -516,7 +516,7 @@ class RuntimeNetwork:
             if current is None or due < current:
                 pending[group] = due
 
-    def pending_until(self, limit: int) -> list[LogEntry]:
+    def pending_until(self, limit: int) -> None:
         """Run pending (mutation-scheduled) samples due at or before ``limit``.
 
         Between mutations a condition's outcome cannot change, so the ticks
@@ -525,7 +525,6 @@ class RuntimeNetwork:
         ``tests/test_network.py`` and ``tests/test_procedures.py`` require
         both loops to write byte-identical dispatch logs.
         """
-        mark = len(self.log)
         pending = self._pending
         while pending:
             due_time = min(pending.values())
@@ -536,7 +535,6 @@ class RuntimeNetwork:
                 del pending[group]
             self.clock.advance_to(due_time)
             self.sample_and_dispatch(self._take_ticks(batch))
-        return self.log[mark:]
 
     def _take_ticks(self, batch: list[TickGroup]) -> list[str]:
         """Take each group's tick; returns the members whose outcome may have

@@ -397,41 +397,48 @@ class RuleEngine:
         plan: _Plan,
         snapshot: Snapshot,
         candidates: Mapping[str, Sequence[StoreInstance]],
+        index: int = 0,
+        binding: Optional[dict[str, Term]] = None,
     ) -> Iterator[dict[str, Term]]:
-        """Depth-first search over ``plan.steps``: every binding, in the
-        order of the class variables' candidate lists."""
+        """Depth-first search over ``plan.steps`` from step ``index`` under
+        ``binding`` (none: the first step, nothing bound): every binding, in
+        the order of the class variables' candidate lists.  The search
+        recurses through this method, not a nested function: a function
+        that refers to itself is a reference cycle, which would keep the
+        snapshot alive until the next garbage collection and make the
+        store's next write copy what the snapshot shares."""
+        if binding is None:
+            binding = {}
         steps = plan.steps
-
-        def resolve(term: Term, binding: dict[str, Term]) -> Term:
-            return binding[term] if is_var(term) else term
-
-        def solve(index: int, binding: dict[str, Term]):
-            if index == len(steps):
-                yield dict(binding)
-                return
-            atom = steps[index]
-            if isinstance(atom, ClassAtom):
-                for inst in candidates[atom.var]:
-                    self._examined += 1
-                    binding[atom.var] = inst.id
-                    yield from solve(index + 1, binding)
-                    del binding[atom.var]
-            elif isinstance(atom, PropertyAtom):
-                inst = snapshot.get(str(binding[atom.var]))
-                values = inst.props.get(atom.prop, ()) if inst is not None else ()
-                if is_var(atom.value) and atom.value not in binding:
-                    for value in values:
-                        binding[atom.value] = value
-                        yield from solve(index + 1, binding)
-                        del binding[atom.value]
-                elif resolve(atom.value, binding) in values:
-                    yield from solve(index + 1, binding)
-            elif isinstance(atom, Compare):
-                if eval_builtin(atom.op, resolve(atom.left, binding), resolve(atom.right, binding)):
-                    yield from solve(index + 1, binding)
-            else:
-                binding[atom.var] = eval_builtin("sum", resolve(atom.left, binding), resolve(atom.right, binding))
-                yield from solve(index + 1, binding)
+        if index == len(steps):
+            yield dict(binding)
+            return
+        atom = steps[index]
+        index += 1
+        if isinstance(atom, ClassAtom):
+            for inst in candidates[atom.var]:
+                self._examined += 1
+                binding[atom.var] = inst.id
+                yield from self._match(plan, snapshot, candidates, index, binding)
                 del binding[atom.var]
+        elif isinstance(atom, PropertyAtom):
+            inst = snapshot.get(str(binding[atom.var]))
+            values = inst.props.get(atom.prop, ()) if inst is not None else ()
+            if is_var(atom.value) and atom.value not in binding:
+                for value in values:
+                    binding[atom.value] = value
+                    yield from self._match(plan, snapshot, candidates, index, binding)
+                    del binding[atom.value]
+            elif _resolve(atom.value, binding) in values:
+                yield from self._match(plan, snapshot, candidates, index, binding)
+        elif isinstance(atom, Compare):
+            if eval_builtin(atom.op, _resolve(atom.left, binding), _resolve(atom.right, binding)):
+                yield from self._match(plan, snapshot, candidates, index, binding)
+        else:
+            binding[atom.var] = eval_builtin("sum", _resolve(atom.left, binding), _resolve(atom.right, binding))
+            yield from self._match(plan, snapshot, candidates, index, binding)
+            del binding[atom.var]
 
-        yield from solve(0, {})
+
+def _resolve(term: Term, binding: Mapping[str, Term]) -> Term:
+    return binding[term] if is_var(term) else term

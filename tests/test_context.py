@@ -88,7 +88,7 @@ class TestGraph:
             g.add_defined(DefinedClass("PERSON", restrictions=(Restriction("owns", "LOCATION"),)))
 
 
-class TestClosureCache:
+class TestClosure:
     @settings(max_examples=150, deadline=None)
     @given(
         st_.lists(
@@ -104,8 +104,8 @@ class TestClosureCache:
             max_size=25,
         )
     )
-    def test_cached_closure_equals_the_union_and_scan(self, ops):
-        """Between and after new subclass and disjointness edges, the cached
+    def test_closure_equals_the_union_and_scan(self, ops):
+        """Between and after new subclass and disjointness edges, the
         closure and clash of an asserted set equal a walk over the edges and
         a scan of the disjoint pairs."""
         g = small_graph()
@@ -122,7 +122,6 @@ class TestClosureCache:
             assert closure == expected
             assert (clash is None) == (not clashes)
             assert clash is None or clash in clashes
-            assert g.closure(asserted) is g.closure(asserted)
 
 
 class TestAssert:
@@ -961,6 +960,23 @@ class TestKeptLists:
         assert store.snapshot().of_concept("UPDATE") == ()
         assert store.tally("SYNC", True) == (0, None, None)
         assert after.of_concept("UPDATE") == (after.get("N"),) and after.get("N").time == 20
+
+    def test_tallies_split_one_membership_by_state(self):
+        """Statements of one membership in both states go to the tally of
+        their own state, on the first (full) read and on a later local one."""
+        store = store_with()
+        store.keep("DOOR")
+        store.keep("DOOR", True)
+        store.keep("DOOR", False)
+        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        store.assert_statement(Statement("D8", False, 20), concepts=("DOOR",))
+        assert store.classify()["D7"] == store.classify()["D8"]
+        assert store.tally("DOOR", True) == (1, 10, 10)
+        assert store.tally("DOOR", False) == (1, 20, 20)
+        store.assert_statement(Statement("D9", False, 5), concepts=("DOOR",))
+        assert store.tally("DOOR", True) == (1, 10, 10)
+        assert store.tally("DOOR", False) == (2, 5, 20)
+        assert [r.id for r in store.keep("DOOR").records] == ["D9", "D7", "D8"]
 
     def test_snapshots_share_until_the_next_write(self):
         store = store_with()

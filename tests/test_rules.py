@@ -1,6 +1,8 @@
 """Rule engine: registration checks, matching semantics, oracle equivalence."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -151,6 +153,24 @@ class TestEvaluation:
         engine.register_rule(dvd_rule(50))
         snap = item_store(("I5", False, 10), ("I5", True, 100), ("I3", True, 90)).snapshot()
         assert engine.evaluate(snap) == engine.evaluate(snap)
+
+    def test_matching_leaves_no_reference_to_the_snapshot(self):
+        """Once the caller drops a snapshot it is freed at once, with no
+        garbage collection: a snapshot kept alive would make the store's
+        next write copy what the snapshot shares."""
+        engine = RuleEngine()
+        engine.register_rule(dvd_rule(50))
+        store = item_store(("I5", False, 10), ("I5", True, 100))
+        gc.disable()
+        try:
+            snap = store.snapshot()
+            ref = weakref.ref(snap)
+            assert engine.earliest(snap) is not None
+            assert engine.evaluate(snap)
+            del snap
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestBuiltins:
