@@ -34,14 +34,17 @@ alone, reading every other membership from the cache, when that is exact:
 - every instance a dirty one refers to holds only its asserted closure, so
   the dirty instance sees the same targets at every pass of a full fixpoint,
   and neither a ``<=`` count nor a disjointness block can depend on the
-  pass order.
+  pass order.  This is read off the cache: a cached membership always
+  contains its record's closure, so one larger than it is enriched.
 
 Otherwise, and on the first read, the same routine runs over every
 instance.  A removal with no referrers just drops the entry.  The person
-context is kept the same way: each present, true instance of the presence
-concept contributes its ``isIn``/``isNearTo`` pairs, and only the dirty
-instances' contributions are recounted.  :attr:`ContextStore.reclassified`
-counts the instances reclassified, so the work per write can be checked.
+context is counted the same way: each present, true instance of the
+presence concept contributes its ``isIn``/``isNearTo`` pairs, only the
+dirty instances' contributions are recounted, and
+:meth:`ContextStore.infer_person_context` reads the counted pairs on
+demand.  :attr:`ContextStore.reclassified` counts the instances
+reclassified, so the work per write can be checked.
 
 A write derives once what its declaration fixes.  The graph keeps a
 :class:`WriteTemplate` per ``(statement id, concepts)``, built on the
@@ -80,10 +83,9 @@ count moves only when a pair appears or disappears (a presence count goes
 to or from 0), or when a dirty id is a current pair target (its membership
 moved, or a dangling name appeared): such a pair is uncounted under the
 old membership and counted again under the new one.  A full recompute
-counts every watch afresh.  Each watch carries the ``mutation_seq`` at
-which its answer last changed: on either path the stamp moves only when
-the answer does.  This is counting-based view maintenance (Gupta, Mumick &
-Subrahmanian, SIGMOD 1993).  A watch's
+counts every watch afresh.  A watch's answer is read off its count (some
+pair matches), so nothing else is kept per watch.  This is counting-based
+view maintenance (Gupta, Mumick & Subrahmanian, SIGMOD 1993).  A watch's
 answer is the only answer to its pattern in the program; the tests check
 it against one read off the person context and the classification.
 
@@ -322,11 +324,9 @@ class ConceptGraph:
         return template
 
     def violates_disjointness(self, memberships: frozenset[str]) -> Optional[tuple[str, str]]:
-        for pair in self.disjoint:
-            if pair <= memberships:
-                a, b = sorted(pair)
-                return a, b
-        return None
+        """The disjoint pair held by ``memberships`` that sorts first by
+        name (``None`` when it holds none), whatever the set's order."""
+        return min((tuple(sorted(pair)) for pair in self.disjoint if pair <= memberships), default=None)
 
     def axiom_terms(self) -> int:
         restrictions = sum(len(d.restrictions) for d in self.defined.values())
@@ -432,15 +432,17 @@ class StoreInstance:
 @dataclass(eq=False, slots=True)
 class PatternWatch:
     """A watched ``PERSON:prop:TARGET`` pattern: how many of the person's
-    ``prop`` pairs have a target classified under ``target_concept``, the
-    answer, and the ``mutation_seq`` at which the answer last changed.  The
-    store keeps these current as of its last :meth:`ContextStore.classify`."""
+    ``prop`` pairs have a target classified under ``target_concept``, and
+    the answer, whether there is one.  The store keeps the count current as
+    of its last :meth:`ContextStore.classify`."""
 
     prop: str
     target_concept: str
     matches: int = 0
-    answer: bool = False
-    stamp: int = 0
+
+    @property
+    def answer(self) -> bool:
+        return self.matches > 0
 
 
 def snapshot_order(record: StoreInstance) -> tuple:
@@ -501,15 +503,12 @@ class ContextStore:
         self._dirty: Optional[set[str]] = None
         self._reclassified = 0
         self._fixpointed = 0
-        # instances classified beyond their asserted closure
-        self._enriched: set[str] = set()
         # id -> the ids its property values name, and the reverse
         self._refs: dict[str, frozenset[str]] = {}
         self._referrers: dict[str, set[str]] = {}
         # person context: each instance's pairs, and how many instances hold each pair
         self._contributions: dict[str, frozenset[tuple[str, str]]] = {}
         self._presence: dict[tuple[str, str], int] = {}
-        self._person_context: Optional[tuple[tuple[str, str], ...]] = None
         # watched PERSON:prop:TARGET patterns, by (prop, target) and by prop
         self._watches: dict[tuple[str, str], PatternWatch] = {}
         self._watches_by_prop: dict[str, list[PatternWatch]] = {}
@@ -678,10 +677,8 @@ class ContextStore:
         full = dirty is None or not self._stays_local(dirty)
         if full:
             self._memberships = {}
-            self._enriched = set()
             self._contributions = {}
             self._presence = {}
-            self._person_context = None
             for watch in self._watches.values():
                 watch.matches = 0
             # new list objects, so a snapshot holding the old ones keeps them
@@ -699,7 +696,6 @@ class ContextStore:
             for inst_id in changed:
                 if inst_id not in self.instances:
                     self._memberships.pop(inst_id, None)
-                    self._enriched.discard(inst_id)
         self._fixpoint(sorted(i for i in changed if i in self.instances), memo=not full)
         for pair in moved:
             self._count_pair(pair, 1)
@@ -707,24 +703,30 @@ class ContextStore:
             self._recount_presence(changed)
         if self._kept:
             self._reindex(changed)
-        seq = self.mutation_seq
-        for watch in self._watches.values():
-            answer = watch.matches > 0
-            if answer is not watch.answer:
-                watch.answer = answer
-                watch.stamp = seq
         self._dirty = set()
         self._classification = MappingProxyType(self._memberships)
         return self._classification
 
     def _stays_local(self, dirty: set[str]) -> bool:
         """Whether reclassifying ``dirty`` alone gives the full fixpoint's
-        result (the two conditions in the module docstring)."""
+        result (the two conditions in the module docstring).
+
+        The second is read off the cache: a named id is enriched when its
+        cached membership is larger than its record's closure, which the
+        membership always contains.  A named id whose record changed since
+        its membership was computed is dirty, and a dirty id named by
+        another dirty id has a referrer, so the scan returns False when it
+        reaches that id whatever the size test read for it."""
+        memberships = self._memberships
+        instances = self.instances
         for inst_id in dirty:
             if inst_id in self._referrers:
                 return False
-            if not self._enriched.isdisjoint(self._refs.get(inst_id, ())):
-                return False
+            for name in self._refs.get(inst_id, ()):
+                membership = memberships.get(name)
+                record = instances.get(name)
+                if membership is not None and record is not None and len(membership) > len(record.closure):
+                    return False
         return True
 
     def _fixpoint(self, ids: Sequence[str], memo: bool) -> None:
@@ -754,14 +756,9 @@ class ContextStore:
                     keys.append((inst_id, key))
                     continue
                 memberships[inst_id] = found
-                if len(found) > len(record.closure):
-                    self._enriched.add(inst_id)
-                else:
-                    self._enriched.discard(inst_id)
             ids = run
         for inst_id in ids:
             memberships[inst_id] = instances[inst_id].closure
-            self._enriched.discard(inst_id)
         changed = bool(ids)
         while changed:
             changed = False
@@ -779,7 +776,6 @@ class ContextStore:
                     if self.graph.violates_disjointness(merged):
                         continue
                     memberships[inst_id] = merged
-                    self._enriched.add(inst_id)
                     changed = True
         self._fixpointed += len(ids)
         for inst_id, key in keys:
@@ -804,7 +800,6 @@ class ContextStore:
                 if not count:
                     self._count_pair(pair, 1)
                 self._presence[pair] = count + 1
-            self._person_context = None
 
     def _lists_admitting(self, record: StoreInstance, membership: frozenset[str]) -> tuple[KeptList, ...]:
         """The kept lists a record with ``membership`` belongs in: those of
@@ -929,14 +924,13 @@ class ContextStore:
         sensors count as presence evidence (a scenario typically uses its
         motion class, since latched door or item states would otherwise pin
         the person to one spot).  The pairs are counted per instance as
-        :meth:`classify` reclassifies it, and do not enter the axiom count.
+        :meth:`classify` reclassifies it, each call sorts the counted pairs
+        afresh, and they do not enter the axiom count.
         """
         if self.person_id is None:
             raise StoreError(f"store {self.name!r} declares no person instance")
-        self.classify()  # brings the contributions up to date
-        if self._person_context is None:
-            self._person_context = tuple(sorted(self._presence))
-        return self._person_context
+        self.classify()  # brings the presence counts up to date
+        return tuple(sorted(self._presence))
 
     def watch(self, prop: str, target_concept: str) -> PatternWatch:
         """Keep the answer to a ``PERSON:prop:TARGET`` pattern from the next

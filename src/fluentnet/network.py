@@ -14,8 +14,9 @@ person's inferred context (``checks=PERSON:prop:TARGET``, on a node whose
 model declares a ``[person]``).  Both are answered by the node's store: a
 statement check reads the statement's state, and a pattern check reads the
 answer of the store's watch of its pattern (:meth:`ContextStore.watch`)
-once :meth:`ContextStore.classify` has brought the watches up to date.  The
-scheduler never reads store internals or classifies anything itself.
+once :meth:`ContextStore.classify` has brought the watch counts up to
+date.  The scheduler never reads store internals or classifies anything
+itself.
 
 Scheduling is edge-triggered: a condition sampled from false to true
 re-arms and re-evaluates the events observing it; an event whose conditions
@@ -32,14 +33,13 @@ take the same ticks (a mutation schedules all of a node's conditions, and
 :class:`TickGroup`: one tick state and one pending entry, keyed by the
 node and the rate's integer numerator and denominator.  A group's sample
 takes its tick once, evaluates its statement checks, and evaluates a
-pattern check only when the store has stamped a change of its watch's
-answer since the check was last evaluated; a check skipped that way would
-have read the answer it already holds.
-Groups are indexed by node for :meth:`RuntimeNetwork.note_mutation`, and
-statement checks by (node, statement) for :meth:`RuntimeNetwork.notify_sync`,
-so neither scans the others.  Tick times are exact integer ceil/floor
-divisions: tick ``k`` of a ``p/q`` Hz group falls at
-``ceil(k * 1000 * q / p)`` ms.  Everything runs on one logical thread of
+pattern check only when its watch's answer, read after the store has
+classified, would flip the check's outcome; a check skipped that way would
+have read the outcome it already holds.  Groups are indexed by node for
+:meth:`RuntimeNetwork.note_mutation`, and statement checks by (node,
+statement) for :meth:`RuntimeNetwork.notify_sync`, so neither scans the
+others.  Tick times are exact integer ceil/floor divisions: tick ``k`` of
+a ``p/q`` Hz group falls at ``ceil(k * 1000 * q / p)`` ms.  Everything runs on one logical thread of
 control against a virtual clock, so a fixed configuration and trace always
 produce the same dispatch log.
 """
@@ -346,14 +346,12 @@ class TickGroup:
 @dataclass(eq=False)
 class ConditionState:
     """A condition's outcome and its tick group.  A pattern check also holds
-    its store's watch of the pattern and the watch's stamp when the
-    scheduler last evaluated it."""
+    its store's watch of the pattern."""
 
     decl: ConditionDecl
     group: TickGroup
     outcome: bool = False
     watch: Optional[PatternWatch] = None
-    seen: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -538,8 +536,9 @@ class RuntimeNetwork:
 
     def _take_ticks(self, batch: list[TickGroup]) -> list[str]:
         """Take each group's tick; returns the members whose outcome may have
-        changed: every statement check, and each pattern check whose
-        answer's stamp moved since it was last evaluated here."""
+        changed: every statement check, and each pattern check whose watch's
+        answer would flip its outcome (sampling any other would re-read the
+        outcome it holds, so no log entry can change by skipping it)."""
         now = self.clock.now
         names: list[str] = []
         for group in batch:
@@ -548,23 +547,19 @@ class RuntimeNetwork:
                 self.stores[group.node].classify()  # brings the watches up to date
             for state in group.members:
                 watch = state.watch
-                if watch is not None:
-                    if watch.stamp == state.seen:
-                        continue
-                    state.seen = watch.stamp
+                if watch is not None and (watch.answer is state.decl.target) is state.outcome:
+                    continue
                 names.append(state.decl.name)
         return names
 
     # -- targeted synchronisation ---------------------------------------------
 
-    def notify_sync(self, node: str, statement_id: str) -> list[str]:
+    def notify_sync(self, node: str, statement_id: str) -> None:
         """Immediately sample the conditions checking one statement on one
-        node, bypassing the rate clock; returns names of events fired."""
+        node, bypassing the rate clock; the events fired go to the log."""
         if node not in self.stores:
             raise NetworkError(f"unknown node {node!r}")
-        mark = len(self.log)
         self.sample_and_dispatch(self._by_statement.get((node, statement_id), []))
-        return [entry.name for entry in self.log[mark:] if entry.kind == "event"]
 
 
 def _upper_store() -> ContextStore:

@@ -1,16 +1,17 @@
 """The three procedure families: replayer, importers and model evaluators.
 
 The replayer turns dataset readings into assertions in the spatial node,
-re-deriving the person's inferred context (and with it the node's
-classification) after each one.  Each importer reacts to a spatial trigger
-and copies the current values of its activity's sensors into the activity
-node (suppressing unchanged values), then raises the sync statement ``N``
-so the paired evaluator runs in the same step.  Readings and imports are
-stored in their node's declared mode; ``N``, pre-pass results and the
-recognition are single-valued and always overwrite.  The evaluator resets
-``N``, runs any windowed pre-passes, evaluates the compiled model rules on
-a snapshot, and on success asserts the activity statement, records the
-recognition and clears the node down to the result and the sync statement.
+classifying the node after each one, which brings the person's context
+(its presence counts) and the watched patterns' answers up to date.  Each
+importer reacts to a spatial trigger and copies the current values of its
+activity's sensors into the activity node (suppressing unchanged values),
+then raises the sync statement ``N`` so the paired evaluator runs in the
+same step.  Readings and imports are stored in their node's declared
+mode; ``N``, pre-pass results and the recognition are single-valued and
+always overwrite.  The evaluator resets ``N``, runs any windowed
+pre-passes, evaluates the compiled model rules on a snapshot, and on
+success asserts the activity statement, records the recognition and clears
+the node down to the result and the sync statement.
 On its first evaluation of a node it registers there what it reads: a kept
 list per concept of its rules' class atoms and a tally per pre-pass source,
 so a pre-pass reads a count and two times and a snapshot shares the lists.
@@ -205,8 +206,9 @@ class Replayer:
         """Dispatched once at boot; readings arrive through :meth:`replay_step`."""
 
     def replay_step(self, net: RuntimeNetwork, event: TraceEvent) -> bool:
-        """Assert one reading in the spatial node's mode, then derive the
-        person context, so the reasoning is timed with the reading.
+        """Assert one reading in the spatial node's mode, then classify the
+        node (which also recounts the person context), so the reasoning is
+        timed with the reading.
 
         Readings for sensors the spatial model does not declare are skipped
         with a warning record; datasets contain stray ids.
@@ -218,7 +220,7 @@ class Replayer:
             return False
         started = perf_counter_ns()
         spatial.assert_statement(Statement(event.sensor, event.value, event.time_ms))
-        spatial.infer_person_context()
+        spatial.classify()
         elapsed = perf_counter_ns() - started
         self.session.events_replayed += 1
         self.session.telemetry.record(SPATIAL_NODE, net.clock.now, spatial.axiom_count(), elapsed)

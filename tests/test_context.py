@@ -1,6 +1,9 @@
 """Knowledge contexts: classification, modes, consistency, axiom counting."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -143,6 +146,30 @@ class TestAssert:
         with pytest.raises(ConsistencyError) as err:
             store.add_instance("X", ("KITCHEN", "TABLE"))
         assert "LOCATION" in str(err.value) and "FURNITURE" in str(err.value)
+
+    def test_disjointness_violation_names_the_same_pair_under_any_hash_seed(self):
+        """An instance holding several disjoint pairs is refused naming the
+        pair that sorts first, whatever order the process's string hashes
+        give the graph's set of pairs."""
+        script = (
+            "from fluentnet.context import ConceptGraph, ConsistencyError, ContextStore\n"
+            "g = ConceptGraph()\n"
+            "for name in 'ABCDEFGH':\n"
+            "    g.add_concept(name)\n"
+            "for a, b in ('AB', 'CD', 'EF', 'GH'):\n"
+            "    g.add_disjoint(a, b)\n"
+            "try:\n"
+            "    ContextStore('s', g).add_instance('X', tuple('ABCDEFGH'))\n"
+            "except ConsistencyError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        messages = set()
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+            messages.add(run.stdout.strip())
+        assert messages == {"instance 'X' cannot be both A and B"}
 
     def test_unknown_concept(self):
         store = store_with()
@@ -709,11 +736,11 @@ class TestWatches:
         """The dirty-set generator's writes, with a network watching the
         store.  After every step (or, so that writes pile up in the dirty
         set, at the generator's reads) each watched answer equals the
-        from-scratch oracle and its stamp moved whenever the answer changed;
-        the conditions on one node at one rate share one tick group; and
-        once the pending samples ran (at the generator's reads), every
-        pattern condition's outcome is the oracle's answer, although the
-        scheduler skipped each pattern whose stamp had not moved."""
+        from-scratch oracle; the conditions on one node at one rate share
+        one tick group; and once the pending samples ran (at the
+        generator's reads), every pattern condition's outcome is the
+        oracle's answer, although the scheduler skipped each pattern whose
+        answer could not flip its outcome."""
         run = DirtyRun(bounded)
         store = None
         for step, op in enumerate(ops):
@@ -724,7 +751,6 @@ class TestWatches:
                 for rate in (50, 20):
                     assert len({id(s.group) for s in states if s.decl.rate_hz == rate}) == 1
                 patterns = [s for s in states if s.watch is not None]
-                previous = {}
             run.apply(step, op)
             if run.store is not store:
                 continue
@@ -741,9 +767,6 @@ class TestWatches:
                     pairs, classification, check.prop, check.target_concept
                 )
                 assert watch.answer is answer
-                if state.decl.name in previous and previous[state.decl.name][0] is not answer:
-                    assert watch.stamp != previous[state.decl.name][1]
-                previous[state.decl.name] = (answer, watch.stamp)
                 answers[state.decl.name] = answer
             if op[-1]:
                 net.pending_until(net.clock.now + 50)  # past both groups' next tick

@@ -1,5 +1,6 @@
 """Replayer, importers, evaluators, bindings and the whole replay loop."""
 
+import gc
 import importlib.util
 import io
 import shutil
@@ -503,9 +504,16 @@ class TestHostileTraces:
             return record
 
         load = ingest.load_trace(io.StringIO(self.trace(activity, toggles, closed)))
-        with monkeypatch.context() as patch:
-            patch.setattr(procedures.Evaluator, "evaluate_store", recording)
-            result = procedures.run_replay(load.events, scenario=scenario)
+        # a collection inside a timed evaluation walks only what this replay
+        # allocated, not every object the test session has left alive
+        gc.collect()
+        gc.freeze()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(procedures.Evaluator, "evaluate_store", recording)
+                result = procedures.run_replay(load.events, scenario=scenario)
+        finally:
+            gc.unfreeze()
         assert activity not in {r.activity for r in result.recognitions}
         assert len(seen) >= toggles
         return seen
