@@ -100,10 +100,24 @@ record and membership admit, so a defined-class flip and an out-of-order
 write land where a rebuild would put them.  A full recompute gives every
 kept list a new empty list and places every record in snapshot order, so
 each is appended.  :attr:`ContextStore.index_work` counts the records
-placed and the tally members read.  A snapshot shares the store's
-record map, classification and kept lists instead of copying or sorting
-them, and the store's next write gives a snapshot still alive copies of
-its own first: a snapshot costs the same whatever the node's size.
+placed and the tally members read.  Each kept list counts the records
+placed in it and removed from it in a version, and a full recompute moves
+every version, so a reader that noted the versions can tell that none of
+its lists changed since.  A snapshot shares the store's record map,
+classification and kept lists instead of copying or sorting them, and the
+store's next write gives a snapshot still alive copies of its own first: a
+snapshot costs the same whatever the node's size.
+
+A ``(concept, state)`` list also answers the rule matcher's literal test
+``hasState state`` (``state in`` the record's ``hasState`` values) on the
+concept: the two agree on every record with no ``hasState`` value and on
+every statement whose one ``hasState`` value is a bool, which is every
+record :meth:`ContextStore.assert_statement` makes from a declaration
+adding no ``hasState`` value.  They differ on a record with a second
+``hasState`` value, a non-bool one (``0 in (False,)`` holds) or one and no
+``hasTime``; the store notes each such record as it places records in the
+kept lists, and while it holds one its snapshots share only the plain
+lists, so the matcher filters.
 """
 
 from __future__ import annotations
@@ -445,6 +459,14 @@ class PatternWatch:
         return self.matches > 0
 
 
+def _odd_state(record: StoreInstance) -> bool:
+    """Whether a tally and the literal test ``hasState`` can read the record
+    apart: it has a ``hasState`` value, and not as a statement whose one
+    ``hasState`` value is a bool."""
+    states = record.props.get(STATE_PROP)
+    return bool(states) and (len(states) > 1 or not isinstance(states[0], bool) or TIME_PROP not in record.props)
+
+
 def snapshot_order(record: StoreInstance) -> tuple:
     """The key of snapshot order: by time, then id, untimed records last."""
     return (record.time is None, record.time, record.id)
@@ -454,11 +476,17 @@ def snapshot_order(record: StoreInstance) -> tuple:
 class KeptList:
     """The records classified under ``concept`` in snapshot order or, with a
     ``state``, a tally: the statements among them whose state is ``state``.
-    The store keeps it current as of its last :meth:`ContextStore.classify`."""
+    The store keeps it current as of its last :meth:`ContextStore.classify`.
+    ``version`` moves whenever a record is placed in the list or removed
+    from it, and on every full recompute, so equal versions mean the same
+    records.  Snapshots share the lists by ``(concept, state)``; there a
+    tally is the rule matcher's list of the records passing ``hasState
+    state`` (see the module docstring)."""
 
     concept: str
     state: Optional[bool] = None
     records: list[StoreInstance] = field(default_factory=list)
+    version: int = 0
 
 
 OVERWRITE = "overwrite"
@@ -520,6 +548,9 @@ class ContextStore:
         # (membership, statement state) -> the kept lists admitting it
         self._admitting: dict[tuple[frozenset[str], Optional[bool]], tuple[KeptList, ...]] = {}
         self._index_work = 0
+        # ids whose record a tally and the literal test hasState read apart,
+        # noted as the kept lists are brought up to date
+        self._odd_states: set[str] = set()
         # the snapshot sharing the store's maps and kept lists, if still alive
         self._shared: Optional[weakref.ref[Snapshot]] = None
 
@@ -683,8 +714,10 @@ class ContextStore:
                 watch.matches = 0
             # new list objects, so a snapshot holding the old ones keeps them
             self._placed = {}
+            self._odd_states = set()
             for kept in self._kept.values():
                 kept.records = []
+                kept.version += 1
             # in snapshot order, so each record is appended to its lists
             changed = [record.id for record in sorted(self.instances.values(), key=snapshot_order)]
         else:
@@ -822,16 +855,24 @@ class ContextStore:
         """Place the ``changed`` ids in the kept lists: each placed record
         leaves the lists it was placed in, and each present one enters the
         lists its record and membership now admit it to (appended when it
-        sorts last, as every record does on a full recompute)."""
+        sorts last, as every record does on a full recompute).  Each list
+        a record enters or leaves moves its version.  The ids of odd records
+        (see the module docstring) are noted on the way."""
+        odd = self._odd_states
         for inst_id in changed:
             placed = self._placed.pop(inst_id, None)
             if placed is not None:
                 key = snapshot_order(placed[0])
                 for kept in placed[1]:
                     del kept.records[bisect_left(kept.records, key, key=snapshot_order)]
+                    kept.version += 1
             record = self.instances.get(inst_id)
+            if odd:
+                odd.discard(inst_id)
             if record is None:
                 continue
+            if _odd_state(record):
+                odd.add(inst_id)
             lists = self._lists_admitting(record, self._memberships[inst_id])
             if not lists:
                 continue
@@ -843,6 +884,7 @@ class ContextStore:
                     insort(records, record, key=snapshot_order)
                 else:
                     records.append(record)
+                kept.version += 1
             self._index_work += len(lists)
 
     def _count_pair(self, pair: tuple[str, str], sign: int) -> None:
@@ -958,8 +1000,10 @@ class ContextStore:
             self._kept[(concept, state)] = kept
             self._kept_by_concept.setdefault(concept, []).append(kept)
             self._admitting = {}
-            # the next read builds every kept list from scratch
+            # the next read builds every kept list from scratch, and the
+            # next snapshot shares the new one too
             self._dirty = None
+            self._release()
         return kept
 
     def tally(self, concept: str, state: bool) -> tuple[int, Optional[int], Optional[int]]:
@@ -1013,13 +1057,20 @@ class ContextStore:
 
     def snapshot(self) -> "Snapshot":
         """The store as it is now, shared rather than copied: its record
-        map, its classification and its kept lists.  A second call before
-        the next write returns the same snapshot; the next write hands a
-        live snapshot copies of its own first."""
+        map, its classification and its kept lists, the tallies only while
+        the store holds no record they read apart from the literal test
+        (see the module docstring).  A second call before the next write
+        returns the same snapshot; the next write hands a live snapshot
+        copies of its own first."""
         self.classify()
         snapshot = self._shared() if self._shared is not None else None
         if snapshot is None:
-            lists = {kept.concept: kept.records for kept in self._kept.values() if kept.state is None}
+            odd = bool(self._odd_states)
+            lists = {
+                (kept.concept, kept.state): kept.records
+                for kept in self._kept.values()
+                if kept.state is None or not odd
+            }
             snapshot = Snapshot(self.name, self.instances, self._memberships, lists)
             self._shared = weakref.ref(snapshot)
         return snapshot
@@ -1030,8 +1081,9 @@ class Snapshot:
     leave it as it was.
 
     A snapshot holds the store's record map, membership map and kept lists
-    as they were when it was taken, shared with the store until the store
-    next writes and gives it copies (:meth:`ContextStore.snapshot`).
+    (keyed by ``(concept, state)``, state ``None`` for a plain list) as they
+    were when it was taken, shared with the store until the store next
+    writes and gives it copies (:meth:`ContextStore.snapshot`).
     :meth:`get` is a lookup, and :meth:`of_concept` of a kept concept is
     its kept list.  The rest is derived on first use: ``instances`` (every
     record in snapshot order; its length needs no sort),
@@ -1048,13 +1100,13 @@ class Snapshot:
         store: str,
         records: Mapping[str, StoreInstance],
         memberships: Mapping[str, frozenset[str]],
-        lists: Mapping[str, Sequence[StoreInstance]],
+        lists: Mapping[tuple[str, Optional[bool]], Sequence[StoreInstance]],
     ) -> None:
         self.store = store
         self._records = records
         self._memberships = memberships
         self._lists = lists
-        self._by_concept: dict[str, tuple[StoreInstance, ...]] = {}
+        self._by_concept: dict[tuple[str, Optional[bool]], tuple[StoreInstance, ...]] = {}
         self._ordered: Optional[_Ordered] = None
         self._classification: Optional[Mapping[str, frozenset[str]]] = None
 
@@ -1062,7 +1114,7 @@ class Snapshot:
         """Replace what is shared with the store by copies."""
         self._records = dict(self._records)
         self._memberships = dict(self._memberships)
-        self._lists = {concept: tuple(records) for concept, records in self._lists.items()}
+        self._lists = {key: tuple(records) for key, records in self._lists.items()}
         if self._ordered is not None:
             self._ordered._records = self._records
 
@@ -1078,16 +1130,22 @@ class Snapshot:
             self._classification = MappingProxyType(dict(self._memberships))
         return self._classification
 
-    def of_concept(self, concept: str) -> tuple[StoreInstance, ...]:
-        found = self._by_concept.get(concept)
+    def of_concept(self, concept: str, state: Optional[bool] = None) -> Optional[tuple[StoreInstance, ...]]:
+        """The records classified under ``concept``, in snapshot order.
+        With a ``state``, those passing the literal test ``hasState state``
+        when the snapshot shares that list, and ``None`` when it does not."""
+        key = (concept, state)
+        found = self._by_concept.get(key)
         if found is None:
-            kept = self._lists.get(concept)
-            if kept is None:
+            kept = self._lists.get(key)
+            if kept is not None:
+                found = tuple(kept)
+            elif state is not None:
+                return None
+            else:
                 memberships = self._memberships
                 found = tuple(i for i in self.instances if concept in memberships[i.id])
-            else:
-                found = tuple(kept)
-            self._by_concept[concept] = found
+            self._by_concept[key] = found
         return found
 
     def get(self, instance_id: str) -> Optional[StoreInstance]:

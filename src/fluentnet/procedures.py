@@ -12,9 +12,39 @@ always overwrite.  The evaluator resets ``N``, runs any windowed
 pre-passes, evaluates the compiled model rules on a snapshot, and on
 success asserts the activity statement, records the recognition and clears
 the node down to the result and the sync statement.
-On its first evaluation of a node it registers there what it reads: a kept
-list per concept of its rules' class atoms and a tally per pre-pass source,
-so a pre-pass reads a count and two times and a snapshot shares the lists.
+
+Each activity's rules are planned once, when the scenario is loaded
+(:attr:`ActivityBinding.plans`); every replay's evaluator matches with an
+engine of its own on those plans.  On its first evaluation of a node the
+evaluator registers there what it reads: a kept list per concept of its
+rules' class atoms, and per class atom whose one literal test is a boolean
+``hasState`` value the ``(concept, state)`` list the matcher reads in place
+of filtering; per pre-pass a tally of its source and a list of its derived
+concept.  A pre-pass reads a count and two times, and a snapshot shares
+the lists.
+
+An evaluation that recognised nothing notes the versions of those lists
+(:attr:`KeptList.version`).  A later evaluation of the same store that
+finds the same versions, after the ``N`` reset and :meth:`classify`, skips
+the pre-passes, the snapshot and the match: they would write nothing and
+derive nothing.  The ``N`` reset, its ``notify_sync`` and both telemetry
+records still run, so every report keeps its bytes.  The skip is exact
+because the evaluation reads nothing outside the noted lists:
+
+- compiled rules are positive conjunctions whose class atoms read the
+  registered lists (a ``(concept, state)`` list, or the concept's plain
+  list run through the literal tests), and whose property atoms read only
+  records bound by class atoms, which sit in those lists; equal versions
+  mean the same records, so the match finds nothing again;
+- a pre-pass reads its source's tally and its stored result, which sits in
+  its derived concept's list; with both unchanged it finds the result it
+  would write already stored, and a pre-pass does not rewrite an equal
+  result;
+- the ``N`` reset writes ``N`` alone, under ``SYNC``, which no shipped
+  rule or pre-pass reads; a model that read it would only end every skip.
+
+A recognition, a new store or a new kept list (which makes the next read a
+full recompute, moving every version) ends the skip.
 """
 
 from __future__ import annotations
@@ -26,7 +56,7 @@ from time import perf_counter_ns
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import dsl
-from .context import OVERWRITE, STATE_PROP, ContextStore
+from .context import OVERWRITE, STATE_PROP, ContextStore, KeptList
 from .ingest import TraceEvent, drive
 from .metrics import Telemetry
 from .modelio import ConfigError, StoreModel, read_config, read_sections
@@ -38,7 +68,7 @@ from .network import (
     load_network,
     load_node_model,
 )
-from .rules import ClassAtom, RuleEngine
+from .rules import Plan, RuleEngine, plan_rules
 from .statements import AGGREGATED, Statement
 
 SPATIAL_NODE = "L"
@@ -59,8 +89,8 @@ class ScenarioError(ConfigError):
 
 @dataclass(frozen=True)
 class ActivityBinding:
-    """Everything one activity needs: its node, sensors and the compiled
-    fluent model."""
+    """Everything one activity needs: its node, sensors, the compiled
+    fluent model and its rules' plans."""
 
     index: int
     label: str
@@ -68,6 +98,7 @@ class ActivityBinding:
     sensor_ids: tuple[str, ...]
     ast: dsl.ModelAst
     compiled: dsl.CompiledModel
+    plans: tuple[Plan, ...]
 
 
 @dataclass(frozen=True)
@@ -122,8 +153,8 @@ def _parse_sensor_map(text: str) -> tuple[dict[str, str], dict[str, bool]]:
 def load_scenario(
     config_dir: Optional[Path] = None, params: Optional[Mapping[str, int]] = None
 ) -> Scenario:
-    """Load the network description, parse every node's store model once
-    and compile every activity model.
+    """Load the network description, parse every node's store model once,
+    and compile every activity model and plan its rules.
 
     A ``params`` name that no model declares is a :class:`ConfigError`.
     """
@@ -163,6 +194,7 @@ def load_scenario(
             sensor_ids=sensor_ids,
             ast=ast,
             compiled=compiled,
+            plans=plan_rules(compiled.rules),
         )
     implemented = {"replayer"} | {f"{role}:{i}" for i in bindings for role in ("importer", "evaluator")}
     for proc in model.procedures:
@@ -267,32 +299,40 @@ class Evaluator:
     def __init__(self, binding: ActivityBinding, session: ReplaySession) -> None:
         self.binding = binding
         self.session = session
-        self.engine = RuleEngine()
-        for rule in binding.compiled.rules:
-            self.engine.register_rule(rule)
-        self._concepts = tuple(
-            dict.fromkeys(
-                atom.concept
-                for rule in binding.compiled.rules
-                for atom in rule.body
-                if isinstance(atom, ClassAtom)
-            )
-        )
+        self.engine = RuleEngine(binding.plans)
+        keys: dict[tuple[str, Optional[bool]], None] = {}
+        for plan in binding.plans:
+            for _, concept, state, _ in plan.classes:
+                keys[(concept, None)] = keys[(concept, state)] = None
+        for prepass in binding.compiled.prepasses:
+            keys[(prepass.source_concept, prepass.target_state)] = keys[(prepass.derived_concept, None)] = None
+        self._keys = tuple(keys)
         self._registered: Optional[ContextStore] = None
+        self._lists: tuple[KeptList, ...] = ()
+        # the lists' versions after the last evaluation, if it recognised nothing
+        self._silent: Optional[tuple[int, ...]] = None
+        self._skipped = 0
+
+    @property
+    def skipped(self) -> int:
+        """Evaluations that skipped the pre-passes and the match since
+        construction."""
+        return self._skipped
 
     def __call__(self, net: RuntimeNetwork, now_ms: int) -> None:
         self.evaluate_store(net.stores[self.binding.node], now_ms, net=net)
 
     def register(self, store: ContextStore) -> None:
-        """Have ``store`` keep what evaluations read: a list per concept of
-        the rules' class atoms and a tally per pre-pass source."""
+        """Have ``store`` keep what evaluations read (see the module
+        docstring); a new store ends the skip."""
         if store is self._registered:
             return
-        for concept in self._concepts:
-            store.keep(concept)
-        for prepass in self.binding.compiled.prepasses:
-            store.keep(prepass.source_concept, prepass.target_state)
+        self._lists = tuple(store.keep(concept, state) for concept, state in self._keys)
         self._registered = store
+        self._silent = None
+
+    def _versions(self) -> tuple[int, ...]:
+        return tuple(kept.version for kept in self._lists)
 
     def run_prepasses(self, store: ContextStore, now_ms: int) -> int:
         """Windowed counts: assert one derived statement per satisfied
@@ -338,10 +378,17 @@ class Evaluator:
                 # surface the falling edge at once, so the next raise of the
                 # sync statement is a visible transition even within one step
                 net.notify_sync(self.binding.node, SYNC_STATEMENT)
-        self.run_prepasses(store, now_ms)
-        # the node is cleared on recognition, so a reported completion time
-        # never recurs: later imports carry only later readings
-        best = self.engine.earliest(store.snapshot())
+        store.classify()
+        if self._silent == self._versions():
+            self._skipped += 1
+            best = None
+        else:
+            self.run_prepasses(store, now_ms)
+            # the node is cleared on recognition, so a reported completion
+            # time never recurs: later imports carry only later readings
+            best = self.engine.earliest(store.snapshot())
+            # snapshot() classified what the pre-passes wrote
+            self._silent = None if best is not None else self._versions()
         record: Optional[RecognitionRecord] = None
         if best is not None:
             store.assert_statement(

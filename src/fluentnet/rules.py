@@ -8,12 +8,17 @@ yield identical results.
 
 Class atoms are joined in the order the body gives them: registration
 rejects a body in which an atom reads a variable no earlier atom binds.
-Registration also derives how the rule is matched.  A class variable's
-literal property tests (``hasState False``) become a filter on its
-candidates, applied once per evaluation; a variable with no candidate left
-means no binding exists.  Every other test and comparison runs as soon as
-its operands are bound.  :meth:`RuleEngine.evaluate` enumerates every
-binding.  :meth:`RuleEngine.earliest` finds only the earliest head time and
+Registration also derives how the rule is matched (a :class:`Plan`;
+:func:`plan_rules` plans a rule set once for any number of engines).  A
+class variable's literal property tests (``hasState False``) select its
+candidates before the search.  When its one test is a boolean ``hasState``
+value, the candidates are the snapshot's kept ``(concept, state)`` list,
+read as it is (:meth:`Snapshot.of_concept`); otherwise, and for a snapshot
+that shares no such list, the concept's records are filtered by the tests
+once per evaluation.  A variable with no candidate left means no binding
+exists.  Every other test and comparison runs as soon as its operands are
+bound.  :meth:`RuleEngine.evaluate` enumerates every binding.
+:meth:`RuleEngine.earliest` finds only the earliest head time and
 its witness: it pins the head time to each candidate time in turn, bounds
 the other times through the body's ``<=`` and ``+ d`` atoms, and cuts each
 candidate list to the prefix within its bound.  Both run one depth-first
@@ -27,9 +32,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .context import TIME_PROP, Snapshot, StoreInstance
+from .context import STATE_PROP, TIME_PROP, Snapshot, StoreInstance
 
 Term = Union[str, int, bool]
 
@@ -132,11 +137,17 @@ def _is_number(term: Term) -> bool:
 
 
 @dataclass(frozen=True)
-class _Plan:
+class Plan:
     """How a registered rule is matched, derived once at registration.
 
-    ``classes`` holds each class variable with its concept and the literal
-    property tests (``hasState False``) its candidates must pass.
+    ``classes`` holds each class variable with its concept, the state of
+    its kept candidate list and the literal property tests (``hasState
+    False``) its candidates must pass.  The state is the value of the
+    variable's one test when that test is a boolean ``hasState`` value: its
+    candidates are then the snapshot's ``(concept, state)`` list when the
+    snapshot shares one, and the concept's records run through the tests
+    when not.  With any other tests the state is ``None`` and the records
+    are always filtered.
     ``steps`` is the body the search runs: those tests removed, and every
     other test, comparison and assignment moved up to just after the atom
     that binds its last operand.  Atoms that bind keep their body order.
@@ -148,14 +159,14 @@ class _Plan:
     """
 
     rule: Rule
-    classes: tuple[tuple[str, str, tuple[tuple[str, Term], ...]], ...]
+    classes: tuple[tuple[str, str, Optional[bool], tuple[tuple[str, Term], ...]], ...]
     steps: tuple[Atom, ...]
     times: dict[str, str]
     head_var: Optional[str]
     edges: tuple[tuple[str, Term, int], ...]
 
 
-def _plan(rule: Rule) -> _Plan:
+def _plan(rule: Rule) -> Plan:
     """Check that ``rule`` can be joined in the order it is written, and
     derive how it is matched.
 
@@ -231,9 +242,15 @@ def _plan(rule: Rule) -> _Plan:
             elif is_var(atom.right) and _is_number(atom.left):
                 edges.append((atom.right, atom.var, atom.left))
     head_var = next((var for var, time in times.items() if time == rule.head.time), None)
-    return _Plan(
+    classes = []
+    for var, concept in concepts.items():
+        literal = tuple(tests[var])
+        prop, value = literal[0] if len(literal) == 1 else (None, None)
+        state = value if prop == STATE_PROP and isinstance(value, bool) else None
+        classes.append((var, concept, state, literal))
+    return Plan(
         rule=rule,
-        classes=tuple((var, concept, tuple(tests[var])) for var, concept in concepts.items()),
+        classes=tuple(classes),
         steps=tuple(steps),
         times=times,
         head_var=head_var,
@@ -241,7 +258,7 @@ def _plan(rule: Rule) -> _Plan:
     )
 
 
-def _upper_bounds(plan: _Plan, head_time: int) -> dict[str, int]:
+def _upper_bounds(plan: Plan, head_time: int) -> dict[str, int]:
     """Upper bounds on the body's variables implied by pinning the head
     time: ``<=`` and ``+ d`` atoms propagated backwards to a fixpoint."""
     bounds: dict[str, int] = {str(plan.rule.head.time): head_time}
@@ -272,21 +289,42 @@ def _derive(rule: Rule, binding: dict[str, Term]) -> Derived:
     )
 
 
+def plan_rules(rules: Iterable[Rule]) -> tuple[Plan, ...]:
+    """The plans of ``rules``, checked as registering each in turn checks
+    it; engines built on them (``RuleEngine(plans)``) share them."""
+    engine = RuleEngine()
+    for rule in rules:
+        engine.register_rule(rule)
+    return engine.plans
+
+
 class RuleEngine:
     """Registered rules evaluated against immutable snapshots.
 
+    An engine starts with ``plans`` (from :func:`plan_rules`) registered.
     Registration is single-writer; :meth:`evaluate` and :meth:`earliest`
     only read the snapshot.  :attr:`examined` counts the class-atom
-    candidates tried since construction.
+    candidates tried since construction, and :attr:`filtered` the records
+    run through a class variable's literal tests.
     """
 
-    def __init__(self) -> None:
-        self._plans: dict[str, _Plan] = {}
+    def __init__(self, plans: Iterable[Plan] = ()) -> None:
+        self._plans: dict[str, Plan] = {plan.rule.name: plan for plan in plans}
         self._examined = 0
+        self._filtered = 0
 
     @property
     def examined(self) -> int:
         return self._examined
+
+    @property
+    def filtered(self) -> int:
+        return self._filtered
+
+    @property
+    def plans(self) -> tuple[Plan, ...]:
+        """The registered rules' plans, in registration order."""
+        return tuple(self._plans.values())
 
     def register_rule(self, rule: Rule) -> str:
         if not rule.body:
@@ -328,7 +366,7 @@ class RuleEngine:
                 best = found
         return best
 
-    def _earliest_of(self, plan: _Plan, snapshot: Snapshot, before: Optional[int]) -> Optional[Derived]:
+    def _earliest_of(self, plan: Plan, snapshot: Snapshot, before: Optional[int]) -> Optional[Derived]:
         """The rule's earliest derivation, if it is earlier than ``before``.
 
         Each distinct time T of the head variable's candidates is tried in
@@ -376,17 +414,21 @@ class RuleEngine:
             start = end
         return None
 
-    @staticmethod
-    def _candidates(plan: _Plan, snapshot: Snapshot) -> Optional[dict[str, Sequence[StoreInstance]]]:
+    def _candidates(self, plan: Plan, snapshot: Snapshot) -> Optional[dict[str, Sequence[StoreInstance]]]:
         """Each class variable's instances that pass its literal tests, in
-        snapshot order; ``None`` when one has none, so nothing matches."""
+        snapshot order: its kept ``(concept, state)`` list, or its concept's
+        records filtered when the snapshot shares no such list; ``None``
+        when one has none, so nothing matches."""
         candidates: dict[str, Sequence[StoreInstance]] = {}
-        for var, concept, tests in plan.classes:
-            instances = snapshot.of_concept(concept)
-            if tests:
-                instances = [
-                    i for i in instances if all(value in i.props.get(prop, ()) for prop, value in tests)
-                ]
+        for var, concept, state, tests in plan.classes:
+            instances = None if state is None else snapshot.of_concept(concept, state)
+            if instances is None:
+                instances = snapshot.of_concept(concept)
+                if tests:
+                    self._filtered += len(instances)
+                    instances = [
+                        i for i in instances if all(value in i.props.get(prop, ()) for prop, value in tests)
+                    ]
             if not instances:
                 return None
             candidates[var] = instances
@@ -394,7 +436,7 @@ class RuleEngine:
 
     def _match(
         self,
-        plan: _Plan,
+        plan: Plan,
         snapshot: Snapshot,
         candidates: Mapping[str, Sequence[StoreInstance]],
         index: int = 0,

@@ -25,6 +25,8 @@ from fluentnet.context import (
     STATE_PROP,
     TIME_PROP,
     TRUE_LITERAL,
+    ContextStore,
+    _names,
 )
 from fluentnet.network import PatternCheck, RuntimeNetwork, bootstrap
 from fluentnet.rules import Assign, ClassAtom, Compare, PropertyAtom
@@ -481,3 +483,17 @@ def tally_from_scratch(store, concept, state):
         return 0, None, None
     times = [m.time for m in members]
     return len(times), min(times), max(times)
+
+
+def store_copy(store):
+    """A new store holding ``store``'s records and append counters, with
+    nothing kept and nothing classified: its first read recomputes every
+    instance."""
+    copy = ContextStore(
+        store.name, store.graph, store.installations, store.person_id, store.default_mode, store.presence_concept
+    )
+    for record in store.instances.values():
+        template = record.template
+        copy._put(record, template.names if template is not None else _names(record.props))
+    copy._sequence = dict(store._sequence)
+    return copy

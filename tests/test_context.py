@@ -961,6 +961,34 @@ class TestKeptLists:
         for snap, expected in held:
             assert_snapshot_is(snap, expected)
 
+    @settings(max_examples=150, deadline=None)
+    @given(ops=KEPT_OPS)
+    def test_equal_versions_mean_the_same_records(self, ops):
+        """A kept list whose version did not move since the previous read
+        holds the very records it held then, and a snapshot's state list
+        holds the concept's records that pass the literal test
+        ``hasState state``."""
+        store = dirty_store()
+        kept = list(KEPT_FIRST)
+        for concept, state in kept:
+            store.keep(concept, state)
+        seen = {}
+        for op in ops:
+            apply_kept_op(store, kept, op)
+            store.classify()
+            for key in kept:
+                lists = store.keep(*key)
+                records = tuple(lists.records)
+                if key in seen and seen[key][0] == lists.version:
+                    assert len(records) == len(seen[key][1])
+                    assert all(a is b for a, b in zip(records, seen[key][1]))
+                seen[key] = (lists.version, records)
+            snap = store.snapshot()
+            for concept, state in kept:
+                if state is not None:
+                    passing = tuple(r for r in snap.of_concept(concept) if state in r.props.get("hasState", ()))
+                    assert snap.of_concept(concept, state) == passing
+
     def test_defined_class_flip_moves_the_sync_statement(self):
         """``N`` is ``SYNC`` while false and ``UPDATE`` once true: each
         overwrite moves it between the kept lists and the tally, on the

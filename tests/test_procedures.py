@@ -11,9 +11,12 @@ import pytest
 
 import oracles
 import synth
-from fluentnet import golden, ingest, network, procedures
-from fluentnet.context import APPEND, OVERWRITE
+from fluentnet import dsl, golden, ingest, network, procedures, rules
+from fluentnet.context import (
+    APPEND, OVERWRITE, STATE_PROP, ConceptGraph, ContextStore, DefinedClass, Restriction, SensorDecl,
+)
 from fluentnet.modelio import build_store, load_store_model
+from fluentnet.rules import Assign, ClassAtom, Compare, Head, PropertyAtom, Rule, plan_rules
 from fluentnet.statements import Statement
 
 
@@ -70,6 +73,19 @@ class TestRegistry:
         leave = {s for s, d in t8.installations.items() if "LEAVE" in d.concepts}
         assert choose == {"M21", "M22", "M23"}
         assert leave == {"M3", "M4", "M5", "M6", "M7", "M8", "M9"}
+
+    def test_rules_are_planned_once_per_scenario(self, monkeypatch):
+        planned = []
+        plan = rules._plan
+        monkeypatch.setattr(rules, "_plan", lambda rule: planned.append(rule.name) or plan(rule))
+        scenario = procedures.load_scenario()
+        assert sorted(planned) == sorted(r.name for b in scenario.bindings.values() for r in b.compiled.rules)
+        assert len(planned) == 8
+        load = ingest.load_trace(io.StringIO("\n".join(synth.session_lines()[:40]) + "\n"))
+        first = procedures.run_replay(load.events, scenario=scenario)
+        second = procedures.run_replay(load.events, scenario=scenario)
+        assert len(planned) == 8
+        assert first.log_text == second.log_text and len(first.recognitions) == 2
 
     def test_labels(self, scenario):
         assert scenario.bindings[1].label == "filling the medication dispenser"
@@ -464,6 +480,214 @@ class TestEvaluatorDirect:
         assert (store.instances["CLEANED_1"].time, store.instances["CLEANED_2"].time) == (40_000, 30_000)
 
 
+def mini_skip_store():
+    """An append store where the door ``D7`` is ``OPENED`` (a defined
+    class) while true and lies in the room ``K``, ``I5`` is an item and
+    ``TAKEN`` a pre-pass result."""
+    g = ConceptGraph()
+    for concept in ("STATEMENT", "SENSOR", "DOOR", "OPENED", "ITEM", "ROOM", "TAKEN", "ACTIVITY", "SYNC"):
+        g.add_concept(concept)
+    for child, parent in (("SENSOR", "STATEMENT"), ("DOOR", "SENSOR"), ("OPENED", "DOOR"), ("ITEM", "SENSOR"),
+                          ("TAKEN", "STATEMENT"), ("ACTIVITY", "STATEMENT"), ("SYNC", "STATEMENT")):
+        g.add_subclass(child, parent)
+    g.add_property("isIn")
+    g.add_defined(DefinedClass("OPENED", ("DOOR",), (Restriction(STATE_PROP, "TRUE"),)))
+    decls = {"D7": SensorDecl("D7", ("DOOR",), (("isIn", "K"),)), "I5": SensorDecl("I5", ("ITEM",))}
+    store = ContextStore("T", g, decls, default_mode=APPEND)
+    store.add_instance("K", ("ROOM",))
+    return store
+
+
+def mini_skip_evaluator():
+    """An evaluator of "an opened door, then an item taken at least 50 ms
+    later", whose rule reads the lists of ``OPENED`` and ``ITEM`` only and
+    whose pre-pass derives ``TAKEN_1`` from one present item."""
+    rule = Rule(
+        "A",
+        (
+            ClassAtom("OPENED", "?d"),
+            PropertyAtom(STATE_PROP, "?d", True),
+            PropertyAtom("hasTime", "?d", "?t1"),
+            ClassAtom("ITEM", "?i"),
+            PropertyAtom(STATE_PROP, "?i", False),
+            PropertyAtom("hasTime", "?i", "?t2"),
+            Assign("?a", "?t1", 50),
+            Compare("<=", "?a", "?t2"),
+        ),
+        Head("A", ("ACTIVITY",), True, "?t2"),
+    )
+    compiled = dsl.CompiledModel("mini", (rule,), (dsl.Prepass("ITEM", True, 0, 1, "TAKEN"),))
+    binding = procedures.ActivityBinding(1, "mini", "T", ("D7", "I5"), None, compiled, plan_rules(compiled.rules))
+    return procedures.Evaluator(binding, procedures.ReplaySession())
+
+
+def import_and_evaluate(evaluator, store, now_ms):
+    """Raise ``N`` as an import does and evaluate: (whether the evaluation
+    ran in full, the recognition)."""
+    store.assert_statement(
+        Statement(procedures.SYNC_STATEMENT, True, now_ms), concepts=(procedures.SYNC_CONCEPT,), mode=OVERWRITE
+    )
+    skipped = evaluator.skipped
+    record = evaluator.evaluate_store(store, now_ms)
+    return evaluator.skipped == skipped, record
+
+
+def write(store, sensor, state, time_ms, mode=APPEND):
+    store.assert_statement(Statement(sensor, state, time_ms), mode=mode)
+
+
+# ways to change what the mini evaluator reads once it is silent, each of
+# which must make its next evaluation run in full
+CHANGES = {
+    "class-atom record placed": lambda store: write(store, "I5", True, 400),
+    "class-atom record removed": lambda store: store.remove_instance("I5#1"),
+    "class-atom record with an integer state placed": (
+        lambda store: store.add_instance("I0", ("ITEM",), {STATE_PROP: [0], "hasTime": [450]})
+    ),
+    "pre-pass result removed": lambda store: store.remove_instance("TAKEN_1"),
+    "defined class flip in": lambda store: write(store, "D7", True, 400, OVERWRITE),
+    "full recompute": lambda store: store.add_instance("K", ("ROOM",)),
+    "new kept list": lambda store: store.keep("ROOM"),
+}
+
+
+class TestEvaluationSkip:
+    """An evaluation that finds the lists it reads as the previous silent
+    evaluation left them skips the pre-passes, the snapshot and the match."""
+
+    def silent(self):
+        store = mini_skip_store()
+        evaluator = mini_skip_evaluator()
+        write(store, "D7", False, 10, OVERWRITE)
+        write(store, "I5", True, 20)
+        assert import_and_evaluate(evaluator, store, 100) == (True, None)
+        assert import_and_evaluate(evaluator, store, 200) == (False, None)
+        return store, evaluator
+
+    def test_skips_after_an_import_of_nothing_new(self):
+        store, evaluator = self.silent()
+        # a write no kept list reads: the door stays closed, so not OPENED
+        write(store, "D7", False, 250, OVERWRITE)
+        assert import_and_evaluate(evaluator, store, 300) == (False, None)
+        assert evaluator.skipped == 2
+
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_runs_in_full_after_a_change_to_what_it_reads(self, change):
+        store, evaluator = self.silent()
+        reclassified = store.reclassified
+        CHANGES[change](store)
+        assert import_and_evaluate(evaluator, store, 500) == (True, None)
+        if change in ("full recompute", "new kept list"):
+            assert store.reclassified - reclassified == len(store.instances)
+        assert "TAKEN_1" in store.instances
+        assert import_and_evaluate(evaluator, store, 600) == (False, None)
+
+    def test_a_full_recompute_moves_lists_it_places_nothing_in(self):
+        """Here no kept list holds a record: the closed door is not
+        ``OPENED``.  Re-adding the room it names forces a full recompute,
+        which places nothing in the lists but still ends the skip."""
+        store = mini_skip_store()
+        evaluator = mini_skip_evaluator()
+        write(store, "D7", False, 10, OVERWRITE)
+        assert import_and_evaluate(evaluator, store, 100) == (True, None)
+        assert import_and_evaluate(evaluator, store, 200) == (False, None)
+        index_work = store.index_work
+        store.add_instance("K", ("ROOM",))
+        assert import_and_evaluate(evaluator, store, 300) == (True, None)
+        assert store.index_work == index_work
+
+    def test_defined_class_flip_out_runs_in_full(self):
+        store, evaluator = self.silent()
+        write(store, "D7", True, 400, OVERWRITE)
+        assert import_and_evaluate(evaluator, store, 500) == (True, None)
+        write(store, "D7", False, 550, OVERWRITE)
+        assert import_and_evaluate(evaluator, store, 600) == (True, None)
+
+    def test_runs_in_full_after_a_recognition(self):
+        store, evaluator = self.silent()
+        write(store, "D7", True, 300, OVERWRITE)
+        write(store, "I5", False, 360)
+        full, record = import_and_evaluate(evaluator, store, 400)
+        assert full and record.time_ms == 360
+        assert import_and_evaluate(evaluator, store, 500) == (True, None)
+        assert import_and_evaluate(evaluator, store, 600) == (False, None)
+
+    def test_runs_in_full_on_another_store(self):
+        """Two stores written alike keep lists of equal versions; the
+        second, where the item is taken late enough, is still matched."""
+        early, late = mini_skip_store(), mini_skip_store()
+        for store, taken in ((early, 30), (late, 90)):
+            write(store, "D7", True, 10, OVERWRITE)
+            write(store, "I5", False, taken)
+        evaluator = mini_skip_evaluator()
+        assert import_and_evaluate(evaluator, early, 100) == (True, None)
+        assert import_and_evaluate(evaluator, early, 200) == (False, None)
+        full, record = import_and_evaluate(evaluator, late, 300)
+        assert full and record.time_ms == 90
+
+    def test_skips_after_every_empty_import_on_the_session(self, scenario, monkeypatch):
+        """On the scripted session, an evaluation whose import brought no
+        reading and whose previous evaluation recognised nothing is
+        skipped."""
+        imported, silent, checked = {}, {}, []
+        call_importer = procedures.Importer.__call__
+        evaluate_store = procedures.Evaluator.evaluate_store
+
+        def importer(self, net, now_ms):
+            imported[self.binding.index] = net.stores[self.binding.node].mutation_seq
+            call_importer(self, net, now_ms)
+
+        def evaluator(self, store, now_ms, net=None):
+            index = self.binding.index
+            # the import's sync raise runs the evaluation inside the import
+            empty = store.mutation_seq - imported.pop(index, store.mutation_seq) == 1  # N alone
+            skipped = self.skipped
+            record = evaluate_store(self, store, now_ms, net=net)
+            if empty and silent.get(index):
+                assert self.skipped == skipped + 1
+                checked.append(index)
+            silent[index] = record is None
+            return record
+
+        monkeypatch.setattr(procedures.Importer, "__call__", importer)
+        monkeypatch.setattr(procedures.Evaluator, "evaluate_store", evaluator)
+        load = ingest.load_trace(io.StringIO(synth.session_text()))
+        procedures.run_replay(load.events, scenario=scenario)
+        assert len(checked) >= 20 and len(set(checked)) >= 4
+
+    @pytest.mark.parametrize("workload", ["sessions", "spatial_sweep", "append_growth"])
+    def test_skipped_evaluations_would_write_and_derive_nothing(self, scenario, workloads, monkeypatch, workload):
+        """The first seed-1 participant of each benchmark workload: every
+        skipped evaluation, run in full on a copy of its store, writes no
+        pre-pass result and derives nothing; and no evaluation runs a
+        candidate through the literal filter."""
+        evaluators, shadowed = set(), []
+        evaluate_store = procedures.Evaluator.evaluate_store
+
+        def shadowing(self, store, now_ms, net=None):
+            evaluators.add(self)
+            skipped = self.skipped
+            record = evaluate_store(self, store, now_ms, net=net)
+            if self.skipped != skipped:
+                copy = oracles.store_copy(store)
+                shadow = procedures.Evaluator(self.binding, procedures.ReplaySession())
+                shadow.register(copy)
+                before = copy.mutation_seq
+                assert shadow.run_prepasses(copy, now_ms) == 0
+                assert shadow.engine.earliest(copy.snapshot()) is None
+                assert copy.mutation_seq == before
+                shadowed.append(self.binding.index)
+            return record
+
+        monkeypatch.setattr(procedures.Evaluator, "evaluate_store", shadowing)
+        lines = workloads.generate(workload, 1)[0]
+        load = ingest.load_trace(io.StringIO("\n".join(lines) + "\n"), **scenario.load_trace_kwargs())
+        procedures.run_replay(load.events, participant="p01", scenario=scenario)
+        assert evaluators and sum(e.engine.filtered for e in evaluators) == 0
+        if workload != "spatial_sweep":
+            assert len(shadowed) >= 20
+
+
 class TestHostileTraces:
     """A cabinet left open while an item is toggled: the append node is
     never cleared, so every evaluation sees the whole history.  Matching
@@ -525,6 +749,35 @@ class TestHostileTraces:
         large = self.evaluations(scenario, monkeypatch, activity, 80, closed)
         assert max(n for n, _ in large) <= 4 * max(n for n, _ in small) + 16
         assert max(s for _, s in small + large) < 0.05
+
+    def matching_work(self, scenario, monkeypatch, activity, toggles):
+        """Candidates examined plus records run through the literal filter,
+        per evaluation of the activity, with the cabinet never closed."""
+        seen = []
+        evaluate_store = procedures.Evaluator.evaluate_store
+
+        def recording(self, store, now_ms, net=None):
+            work = self.engine.examined + self.engine.filtered
+            record = evaluate_store(self, store, now_ms, net=net)
+            if self.binding.index == activity:
+                seen.append(self.engine.examined + self.engine.filtered - work)
+            return record
+
+        load = ingest.load_trace(io.StringIO(self.trace(activity, toggles, False)))
+        with monkeypatch.context() as patch:
+            patch.setattr(procedures.Evaluator, "evaluate_store", recording)
+            result = procedures.run_replay(load.events, scenario=scenario)
+        assert activity not in {r.activity for r in result.recognitions}
+        assert len(seen) >= toggles
+        return seen
+
+    def test_never_closed_matching_work_per_evaluation_is_flat(self, scenario, monkeypatch):
+        """A1 at 1,280 toggles does the matching work per evaluation that
+        it does at 20: the matcher reads the kept state lists instead of
+        filtering the whole node."""
+        small = self.matching_work(scenario, monkeypatch, 1, 20)
+        large = self.matching_work(scenario, monkeypatch, 1, 1280)
+        assert max(large) <= max(small) <= 16
 
     def kitchen_motion(self, readings):
         """``M016``/``M017``/``M018`` in turn pulse on, off 2 s later, every

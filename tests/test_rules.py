@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from fluentnet import dsl
-from fluentnet.context import APPEND, ConceptGraph, ContextStore
+from fluentnet.context import APPEND, ConceptGraph, ContextStore, SensorDecl
 from fluentnet.rules import (
     Assign,
     BuiltinError,
@@ -19,6 +19,7 @@ from fluentnet.rules import (
     RuleEngine,
     RuleValidationError,
     eval_builtin,
+    plan_rules,
 )
 from fluentnet.statements import Statement
 
@@ -343,3 +344,104 @@ class TestEarliest:
         assert engine.examined == 2
         with pytest.raises(AttributeError):
             engine.examined = 0
+
+
+# -- kept state lists -----------------------------------------------------------
+
+# the records the literal test ``hasState v`` (``v in`` the values) and a
+# tally (a statement whose one state ``is v``) read apart, by kind
+ODD_KINDS = ("int", "plain", "second")
+
+
+def state_store(readings, odd, keep):
+    """An append store of item and door statements plus the ``odd`` kinds
+    of record: an item with an integer 0/1 state, a plain item instance
+    with a ``hasState`` value and no time, and an item statement whose
+    declaration adds a second ``hasState`` value.  With ``keep`` the store
+    keeps the plain and state lists an evaluator of ``dvd_rule`` keeps."""
+    store = item_store()
+    store.installations["I9"] = SensorDecl("I9", ("ITEM",), (("hasState", False),))
+    if keep:
+        for key in (("ITEM", None), ("ITEM", False), ("ITEM", True)):
+            store.keep(*key)
+    for ident, state, time in readings:
+        store.assert_statement(Statement(ident, state, time), concepts=("DOOR" if ident.startswith("D") else "ITEM",))
+    if "int" in odd:
+        store.add_instance("I0", ("ITEM",), {"hasState": [0], "hasTime": [40]})
+        store.add_instance("I1", ("ITEM",), {"hasState": [1], "hasTime": [140]})
+    if "plain" in odd:
+        store.add_instance("P1", ("ITEM",), {"hasState": [False]})
+    if "second" in odd:
+        store.assert_statement(Statement("I9", True, 120))
+    return store
+
+
+def candidate_ids(engine, plan, snap):
+    candidates = engine._candidates(plan, snap)
+    return None if candidates is None else {var: [i.id for i in found] for var, found in candidates.items()}
+
+
+class TestKeptStateLists:
+    def test_candidates_and_derivations_equal_the_literal_filter(self):
+        """A store that keeps state lists hands the matcher the candidates,
+        derivations and earliest witness the literal filter finds on a
+        store that keeps none, with and without each odd kind of record;
+        it filters exactly while it holds an odd record."""
+        rng = random.Random(16)
+        quick = dvd_rule(0)
+        plans = plan_rules([dvd_rule(50), Rule("A2-quick", quick.body, quick.head)])
+        odd_seen = set()
+        for _ in range(240):
+            readings = [
+                (rng.choice(["I5", "I3", "D7"]), rng.random() < 0.5, rng.randrange(0, 300))
+                for _ in range(rng.randrange(0, 10))
+            ]
+            odd = {kind for kind in ODD_KINDS if rng.random() < 0.3}
+            odd_seen |= odd
+            kept = state_store(readings, odd, keep=True).snapshot()
+            plain = state_store(readings, odd, keep=False).snapshot()
+            lists, filters = RuleEngine(plans), RuleEngine(plans)
+            for plan in plans:
+                assert candidate_ids(lists, plan, kept) == candidate_ids(filters, plan, plain)
+            assert lists.evaluate(kept) == filters.evaluate(plain)
+            assert lists.earliest(kept) == filters.earliest(plain)
+            assert (lists.filtered > 0) == bool(odd)
+            assert (kept.of_concept("ITEM", False) is None) == bool(odd)
+        assert odd_seen == set(ODD_KINDS)
+
+    @pytest.mark.parametrize("goes", ["removed", "overwritten", "removed before a full recompute"])
+    @pytest.mark.parametrize("kind", ODD_KINDS)
+    def test_an_odd_record_is_filtered_until_it_goes(self, kind, goes):
+        """An odd record turns the state lists off until it is removed or
+        overwritten by a record with one bool state and a time, on the
+        local path or a full recompute."""
+        readings = [("I5", False, 10), ("I5", True, 100)]
+        store = state_store(readings, {kind}, keep=True)
+        engine = RuleEngine(plan_rules([dvd_rule(50)]))
+        expected = RuleEngine(plan_rules([dvd_rule(50)])).evaluate(state_store(readings, {kind}, keep=False).snapshot())
+        assert engine.evaluate(store.snapshot()) == expected
+        assert engine.filtered > 0
+        for ident in ("I0", "I1", "P1", "I9#1"):
+            if ident not in store.instances:
+                continue
+            if goes == "overwritten":
+                store.add_instance(ident, ("DOOR",), {"hasState": [True], "hasTime": [5]})
+            else:
+                store.remove_instance(ident)
+        if goes == "removed before a full recompute":
+            store.keep("DOOR")
+        filtered = engine.filtered
+        snap = store.snapshot()
+        assert [r.id for r in snap.of_concept("ITEM", False)] == ["I5#1"]
+        assert [(d.time, dict(d.binding)["?taken"]) for d in engine.evaluate(snap)] == [(100, "I5#1")]
+        assert engine.filtered == filtered
+
+    def test_plans_are_shared_and_work_is_counted_per_engine(self):
+        plans = plan_rules([dvd_rule(50)])
+        snap = state_store([("I5", False, 10), ("I5", True, 100)], set(), keep=True).snapshot()
+        first, second = RuleEngine(plans), RuleEngine(plans)
+        assert first.plans == second.plans == plans
+        first.evaluate(snap)
+        assert (first.examined, first.filtered, second.examined) == (2, 0, 0)
+        with pytest.raises(RuleValidationError):
+            plan_rules([dvd_rule(50), dvd_rule(60)])
