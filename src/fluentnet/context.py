@@ -103,26 +103,28 @@ each is appended.  :attr:`ContextStore.index_work` counts the records
 placed and the tally members read.  Each kept list counts the records
 placed in it and removed from it in a version, and a full recompute moves
 every version, so a reader that noted the versions can tell that none of
-its lists changed since.  A snapshot shares the store's record map,
-classification and kept lists instead of copying or sorting them, and the
-store's next write gives a snapshot still alive copies of its own first: a
-snapshot costs the same whatever the node's size.
+its lists changed since.
+
+A snapshot reads the store in place: its record map, its classification
+and its kept lists, with the ``(concept, state)`` map of the lists taken
+when the snapshot is made.  It copies and sorts nothing, so it costs the
+same whatever the node's size, and it is valid until the store's next
+write: every reader raises a :class:`StoreError` once the store's
+``mutation_seq`` has moved.  A new kept list or watch is not a write: the
+full recompute it brings gives the store new lists and a new membership
+map, and leaves the ones a snapshot holds as they were.
 
 A ``(concept, state)`` list also answers the rule matcher's literal test
 ``hasState state`` (``state in`` the record's ``hasState`` values) on the
-concept: the two agree on every record with no ``hasState`` value and on
-every statement whose one ``hasState`` value is a bool, which is every
-record :meth:`ContextStore.assert_statement` makes from a declaration
-adding no ``hasState`` value.  They differ on a record with a second
-``hasState`` value, a non-bool one (``0 in (False,)`` holds) or one and no
-``hasTime``; the store notes each such record as it places records in the
-kept lists, and while it holds one its snapshots share only the plain
-lists, so the matcher filters.
+concept.  Only :meth:`ContextStore.assert_statement` writes ``hasState``
+and ``hasTime``: a plain instance or a declaration naming either is
+rejected at the write.  So every record with a state is a statement with
+one bool state and a time, and the list and the test agree on every record
+by construction.
 """
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -322,7 +324,7 @@ class ConceptGraph:
             declared: dict[str, tuple[PropValue, ...]] = {}
             for prop, value in decl.properties if decl is not None else ():
                 declared[prop] = declared.get(prop, ()) + (value,)
-            _check_properties(self, declared)
+            _check_properties(self, declared, f"statement {statement_id!r}")
             asserted = frozenset(decl.concepts if concepts is None else concepts)
             closure = _checked_closure(self, asserted, f"statement {statement_id!r}")
             template = WriteTemplate(
@@ -357,10 +359,14 @@ class SensorDecl:
     properties: tuple[tuple[str, PropValue], ...] = ()
 
 
-def _check_properties(graph: ConceptGraph, props: Mapping[str, object]) -> None:
+def _check_properties(graph: ConceptGraph, props: Mapping[str, object], label: str) -> None:
+    """Every property is known to the graph, and none is ``hasState`` or
+    ``hasTime``, which only a statement's write sets."""
     for prop in props:
         if prop not in graph.properties:
             raise StoreError(f"unknown property {prop!r}")
+        if prop in (STATE_PROP, TIME_PROP):
+            raise StoreError(f"{label} cannot declare {prop}: only a statement carries it")
 
 
 def _checked_closure(graph: ConceptGraph, asserted: frozenset[str], label: str) -> frozenset[str]:
@@ -405,9 +411,10 @@ class StoreInstance:
     """One stored instance, built once per write and never changed.
 
     ``closure`` is the asserted concepts with their superclasses, ``time``
-    the first ``hasTime`` value when it is an integer (``None`` when
-    untimed) and ``weight`` the instance's share of the axiom count.  A
-    statement carries its write's ``template``; a plain instance has none.
+    the statement's ``hasTime`` value (``None`` for a plain instance,
+    which carries no time) and ``weight`` the instance's share of the axiom
+    count.  A statement carries its write's ``template``; a plain instance
+    has none.
     A write replaces the record whole, so snapshots and the rule matcher
     read it in place.
     """
@@ -423,8 +430,7 @@ class StoreInstance:
 
     def __post_init__(self) -> None:
         times = self.props.get(TIME_PROP)
-        time = times[0] if times else None
-        object.__setattr__(self, "time", time if isinstance(time, int) and not isinstance(time, bool) else None)
+        object.__setattr__(self, "time", times[0] if times else None)
         template = self.template
         object.__setattr__(self, "weight", self.axiom_weight() if template is None else template.weight)
 
@@ -459,14 +465,6 @@ class PatternWatch:
         return self.matches > 0
 
 
-def _odd_state(record: StoreInstance) -> bool:
-    """Whether a tally and the literal test ``hasState`` can read the record
-    apart: it has a ``hasState`` value, and not as a statement whose one
-    ``hasState`` value is a bool."""
-    states = record.props.get(STATE_PROP)
-    return bool(states) and (len(states) > 1 or not isinstance(states[0], bool) or TIME_PROP not in record.props)
-
-
 def snapshot_order(record: StoreInstance) -> tuple:
     """The key of snapshot order: by time, then id, untimed records last."""
     return (record.time is None, record.time, record.id)
@@ -479,9 +477,9 @@ class KeptList:
     The store keeps it current as of its last :meth:`ContextStore.classify`.
     ``version`` moves whenever a record is placed in the list or removed
     from it, and on every full recompute, so equal versions mean the same
-    records.  Snapshots share the lists by ``(concept, state)``; there a
-    tally is the rule matcher's list of the records passing ``hasState
-    state`` (see the module docstring)."""
+    records.  Snapshots read the lists in place by ``(concept, state)``;
+    there a tally is the rule matcher's list of the records passing
+    ``hasState state`` (see the module docstring)."""
 
     concept: str
     state: Optional[bool] = None
@@ -500,7 +498,7 @@ class ContextStore:
     """One network node: a concept graph plus mutable instances.
 
     All mutation happens on a single logical thread; :meth:`snapshot` hands
-    out views that later writes leave as they were.
+    out views of the store that are valid until its next write.
     """
 
     def __init__(
@@ -548,11 +546,6 @@ class ContextStore:
         # (membership, statement state) -> the kept lists admitting it
         self._admitting: dict[tuple[frozenset[str], Optional[bool]], tuple[KeptList, ...]] = {}
         self._index_work = 0
-        # ids whose record a tally and the literal test hasState read apart,
-        # noted as the kept lists are brought up to date
-        self._odd_states: set[str] = set()
-        # the snapshot sharing the store's maps and kept lists, if still alive
-        self._shared: Optional[weakref.ref[Snapshot]] = None
 
     @property
     def reclassified(self) -> int:
@@ -594,25 +587,14 @@ class ContextStore:
             del self._refs[instance_id]
 
     def _drop(self, instance_id: str) -> None:
-        self._release()
         self._axioms -= self.instances.pop(instance_id).weight
         self._touch(instance_id, _NO_NAMES)
-
-    def _release(self) -> None:
-        """Before a write: a live snapshot still sharing the store's maps
-        and kept lists takes copies of its own."""
-        if self._shared is not None:
-            snapshot = self._shared()
-            if snapshot is not None:
-                snapshot._own()
-            self._shared = None
 
     # -- instance management ----------------------------------------------
 
     def _put(self, record: StoreInstance, refs: frozenset[str]) -> None:
         """The one store write: axiom bookkeeping, the record in place of
         any previous one, the reference index and the dirty set."""
-        self._release()
         previous = self.instances.get(record.id)
         if previous is not None:
             self._axioms -= previous.weight
@@ -629,9 +611,10 @@ class ContextStore:
     ) -> StoreInstance:
         """Directly add a plain (non-statement) instance, e.g. a location,
         by the checked derivation: property, concept and disjointness
-        checks, then the record."""
+        checks, then the record.  ``hasState`` and ``hasTime`` are
+        rejected: only :meth:`assert_statement` writes them."""
         props = {p: tuple(v) for p, v in (props or {}).items()}
-        _check_properties(self.graph, props)
+        _check_properties(self.graph, props, f"instance {instance_id!r}")
         asserted = frozenset(concepts)
         closure = _checked_closure(self.graph, asserted, f"instance {instance_id!r}")
         record = StoreInstance(instance_id, asserted, closure, MappingProxyType(props))
@@ -714,7 +697,6 @@ class ContextStore:
                 watch.matches = 0
             # new list objects, so a snapshot holding the old ones keeps them
             self._placed = {}
-            self._odd_states = set()
             for kept in self._kept.values():
                 kept.records = []
                 kept.version += 1
@@ -836,10 +818,9 @@ class ContextStore:
 
     def _lists_admitting(self, record: StoreInstance, membership: frozenset[str]) -> tuple[KeptList, ...]:
         """The kept lists a record with ``membership`` belongs in: those of
-        its concepts that are plain lists or tallies of its statement state."""
-        state = record.single(STATE_PROP) if record.is_statement() else None
-        if not isinstance(state, bool):
-            state = None  # in no tally; and 1 == True would share True's key
+        its concepts that are plain lists or tallies of its statement state
+        (a plain instance has none)."""
+        state = record.single(STATE_PROP)
         lists = self._admitting.get((membership, state))
         if lists is None:
             lists = tuple(
@@ -856,9 +837,7 @@ class ContextStore:
         leaves the lists it was placed in, and each present one enters the
         lists its record and membership now admit it to (appended when it
         sorts last, as every record does on a full recompute).  Each list
-        a record enters or leaves moves its version.  The ids of odd records
-        (see the module docstring) are noted on the way."""
-        odd = self._odd_states
+        a record enters or leaves moves its version."""
         for inst_id in changed:
             placed = self._placed.pop(inst_id, None)
             if placed is not None:
@@ -867,12 +846,8 @@ class ContextStore:
                     del kept.records[bisect_left(kept.records, key, key=snapshot_order)]
                     kept.version += 1
             record = self.instances.get(inst_id)
-            if odd:
-                odd.discard(inst_id)
             if record is None:
                 continue
-            if _odd_state(record):
-                odd.add(inst_id)
             lists = self._lists_admitting(record, self._memberships[inst_id])
             if not lists:
                 continue
@@ -1000,10 +975,8 @@ class ContextStore:
             self._kept[(concept, state)] = kept
             self._kept_by_concept.setdefault(concept, []).append(kept)
             self._admitting = {}
-            # the next read builds every kept list from scratch, and the
-            # next snapshot shares the new one too
+            # the next read builds every kept list from scratch
             self._dirty = None
-            self._release()
         return kept
 
     def tally(self, concept: str, state: bool) -> tuple[int, Optional[int], Optional[int]]:
@@ -1050,105 +1023,69 @@ class ContextStore:
 
     def statement_state(self, instance_id: str) -> Optional[bool]:
         instance = self.instances.get(instance_id)
-        if instance is None:
-            return None
-        value = instance.single(STATE_PROP)
-        return value if isinstance(value, bool) else None
+        return None if instance is None else instance.single(STATE_PROP)
 
     def snapshot(self) -> "Snapshot":
-        """The store as it is now, shared rather than copied: its record
-        map, its classification and its kept lists, the tallies only while
-        the store holds no record they read apart from the literal test
-        (see the module docstring).  A second call before the next write
-        returns the same snapshot; the next write hands a live snapshot
-        copies of its own first."""
+        """The store as it is now, read in place: its record map, its
+        classification and its kept lists, valid until the store's next
+        write (see :class:`Snapshot`)."""
         self.classify()
-        snapshot = self._shared() if self._shared is not None else None
-        if snapshot is None:
-            odd = bool(self._odd_states)
-            lists = {
-                (kept.concept, kept.state): kept.records
-                for kept in self._kept.values()
-                if kept.state is None or not odd
-            }
-            snapshot = Snapshot(self.name, self.instances, self._memberships, lists)
-            self._shared = weakref.ref(snapshot)
-        return snapshot
+        return Snapshot(self, {key: kept.records for key, kept in self._kept.items()})
 
 
 class Snapshot:
-    """Immutable classified view of a store: later writes to the store
-    leave it as it was.
+    """A classified view of a store, valid until the store's next write.
 
-    A snapshot holds the store's record map, membership map and kept lists
-    (keyed by ``(concept, state)``, state ``None`` for a plain list) as they
-    were when it was taken, shared with the store until the store next
-    writes and gives it copies (:meth:`ContextStore.snapshot`).
-    :meth:`get` is a lookup, and :meth:`of_concept` of a kept concept is
-    its kept list.  The rest is derived on first use: ``instances`` (every
-    record in snapshot order; its length needs no sort),
-    ``classification`` (each id's concepts) and :meth:`of_concept` of any
-    other concept.
+    A snapshot reads the store's record map, membership map and kept lists
+    (keyed by ``(concept, state)``, state ``None`` for a plain list) in
+    place; the map of the kept lists is taken when the snapshot is made, so
+    a list the store keeps later is not one of them.  :meth:`get`,
+    :meth:`of_concept`, ``instances`` and ``classification`` raise a
+    :class:`StoreError` once the store's ``mutation_seq`` has moved, and
+    what they returned earlier is not to be read after that write either.
+    :meth:`get` is a lookup and :meth:`of_concept` of a kept list is that
+    list, the store's own, which a reader does not change.  ``instances``
+    is every record in snapshot order (sorted on first use; its length
+    needs no sort), ``classification`` each id's concepts, and
+    :meth:`of_concept` of an unkept concept a scan of ``instances``.
     """
 
-    __slots__ = (
-        "store", "_records", "_memberships", "_lists", "_by_concept", "_ordered", "_classification", "__weakref__",
-    )
+    __slots__ = ("_store", "_seq", "_records", "_memberships", "_lists")
 
-    def __init__(
-        self,
-        store: str,
-        records: Mapping[str, StoreInstance],
-        memberships: Mapping[str, frozenset[str]],
-        lists: Mapping[tuple[str, Optional[bool]], Sequence[StoreInstance]],
-    ) -> None:
-        self.store = store
-        self._records = records
-        self._memberships = memberships
+    def __init__(self, store: ContextStore, lists: Mapping[tuple[str, Optional[bool]], list[StoreInstance]]) -> None:
+        self._store = store
+        self._seq = store.mutation_seq
+        self._records = store.instances
+        self._memberships = store._memberships
         self._lists = lists
-        self._by_concept: dict[tuple[str, Optional[bool]], tuple[StoreInstance, ...]] = {}
-        self._ordered: Optional[_Ordered] = None
-        self._classification: Optional[Mapping[str, frozenset[str]]] = None
 
-    def _own(self) -> None:
-        """Replace what is shared with the store by copies."""
-        self._records = dict(self._records)
-        self._memberships = dict(self._memberships)
-        self._lists = {key: tuple(records) for key, records in self._lists.items()}
-        if self._ordered is not None:
-            self._ordered._records = self._records
+    def _check(self) -> None:
+        if self._store.mutation_seq != self._seq:
+            raise StoreError(f"snapshot of {self._store.name!r} read after the store's next write")
 
     @property
     def instances(self) -> Sequence[StoreInstance]:
-        if self._ordered is None:
-            self._ordered = _Ordered(self._records)
-        return self._ordered
+        self._check()
+        return _Ordered(self._records)
 
     @property
     def classification(self) -> Mapping[str, frozenset[str]]:
-        if self._classification is None:
-            self._classification = MappingProxyType(dict(self._memberships))
-        return self._classification
+        self._check()
+        return MappingProxyType(self._memberships)
 
-    def of_concept(self, concept: str, state: Optional[bool] = None) -> Optional[tuple[StoreInstance, ...]]:
+    def of_concept(self, concept: str, state: Optional[bool] = None) -> Optional[Sequence[StoreInstance]]:
         """The records classified under ``concept``, in snapshot order.
         With a ``state``, those passing the literal test ``hasState state``
-        when the snapshot shares that list, and ``None`` when it does not."""
-        key = (concept, state)
-        found = self._by_concept.get(key)
-        if found is None:
-            kept = self._lists.get(key)
-            if kept is not None:
-                found = tuple(kept)
-            elif state is not None:
-                return None
-            else:
-                memberships = self._memberships
-                found = tuple(i for i in self.instances if concept in memberships[i.id])
-            self._by_concept[key] = found
-        return found
+        when the snapshot has that list, and ``None`` when it does not."""
+        self._check()
+        found = self._lists.get((concept, state))
+        if found is not None or state is not None:
+            return found
+        memberships = self._memberships
+        return [i for i in _Ordered(self._records) if concept in memberships[i.id]]
 
     def get(self, instance_id: str) -> Optional[StoreInstance]:
+        self._check()
         return self._records.get(instance_id)
 
 

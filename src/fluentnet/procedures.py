@@ -20,8 +20,8 @@ evaluator registers there what it reads: a kept list per concept of its
 rules' class atoms, and per class atom whose one literal test is a boolean
 ``hasState`` value the ``(concept, state)`` list the matcher reads in place
 of filtering; per pre-pass a tally of its source and a list of its derived
-concept.  A pre-pass reads a count and two times, and a snapshot shares
-the lists.
+concept.  A pre-pass reads a count and two times, and a snapshot reads
+the lists in place.
 
 An evaluation that recognised nothing notes the versions of those lists
 (:attr:`KeptList.version`).  A later evaluation of the same store that
@@ -277,8 +277,8 @@ class Importer:
             if instance is None:
                 continue
             state, time_ms = instance.single("hasState"), instance.time
-            if not isinstance(state, bool) or time_ms is None:
-                continue
+            if time_ms is None:
+                continue  # a plain instance: only statements carry a state
             if self._last.get(sensor_id) == (state, time_ms):
                 continue  # unchanged since the previous import
             target.assert_statement(Statement(sensor_id, state, time_ms))

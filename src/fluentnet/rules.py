@@ -3,8 +3,9 @@
 Rules are conjunctions of typed atoms -- class membership, property values,
 ``<=``/``!=`` comparisons and additive assignments -- with a head that
 asserts a result statement.  Variables are written ``?name``; anything else
-is a literal.  Matching reads an immutable snapshot, so repeated calls
-yield identical results.
+is a literal.  Matching only reads a store's snapshot, which is valid until
+the store's next write, so repeated calls on one snapshot yield identical
+results.
 
 Class atoms are joined in the order the body gives them: registration
 rejects a body in which an atom reads a variable no earlier atom binds.
@@ -13,8 +14,8 @@ Registration also derives how the rule is matched (a :class:`Plan`;
 class variable's literal property tests (``hasState False``) select its
 candidates before the search.  When its one test is a boolean ``hasState``
 value, the candidates are the snapshot's kept ``(concept, state)`` list,
-read as it is (:meth:`Snapshot.of_concept`); otherwise, and for a snapshot
-that shares no such list, the concept's records are filtered by the tests
+read in place (:meth:`Snapshot.of_concept`); otherwise, and for a snapshot
+that has no such list, the concept's records are filtered by the tests
 once per evaluation.  A variable with no candidate left means no binding
 exists.  Every other test and comparison runs as soon as its operands are
 bound.  :meth:`RuleEngine.evaluate` enumerates every binding.
@@ -145,8 +146,8 @@ class Plan:
     False``) its candidates must pass.  The state is the value of the
     variable's one test when that test is a boolean ``hasState`` value: its
     candidates are then the snapshot's ``(concept, state)`` list when the
-    snapshot shares one, and the concept's records run through the tests
-    when not.  With any other tests the state is ``None`` and the records
+    snapshot has one, and the concept's records run through the tests when
+    not.  With any other tests the state is ``None`` and the records
     are always filtered.
     ``steps`` is the body the search runs: those tests removed, and every
     other test, comparison and assignment moved up to just after the atom
@@ -299,7 +300,7 @@ def plan_rules(rules: Iterable[Rule]) -> tuple[Plan, ...]:
 
 
 class RuleEngine:
-    """Registered rules evaluated against immutable snapshots.
+    """Registered rules evaluated against store snapshots.
 
     An engine starts with ``plans`` (from :func:`plan_rules`) registered.
     Registration is single-writer; :meth:`evaluate` and :meth:`earliest`
@@ -371,12 +372,13 @@ class RuleEngine:
 
         Each distinct time T of the head variable's candidates is tried in
         ascending order.  T bounds every time variable from above, and each
-        class variable's candidates are cut to the prefix within its bound;
-        the prefix keeps snapshot order, so the search meets the surviving
-        bindings in :meth:`evaluate`'s order and the first it finds is the
-        witness.  A statement's time is its one ``hasTime`` value, the key
-        the snapshot orders it by.  A rule whose head time is not a class
-        variable's time is matched in full.
+        class variable's candidates are cut to the prefix within its bound,
+        found by bisecting the list on time (untimed records, which sort
+        last, as infinity); the prefix keeps snapshot order, so the search
+        meets the surviving bindings in :meth:`evaluate`'s order and the
+        first it finds is the witness.  A statement's time is its one
+        ``hasTime`` value, the key the snapshot orders it by.  A rule whose
+        head time is not a class variable's time is matched in full.
         """
         candidates = self._candidates(plan, snapshot)
         if candidates is None:
@@ -388,15 +390,13 @@ class RuleEngine:
                 if best is None or found.time < best.time:
                     best = found
             return best if best is not None and (before is None or best.time < before) else None
-        # untimed instances sort last in snapshot order
-        times = {var: [math.inf if i.time is None else i.time for i in candidates[var]] for var in plan.times}
-        head_times = times[plan.head_var]
+        heads = candidates[plan.head_var]
         start = 0
-        while start < len(head_times) and head_times[start] != math.inf:
-            pinned = int(head_times[start])
+        while start < len(heads) and heads[start].time is not None:
+            pinned = heads[start].time
             if before is not None and pinned >= before:
                 return None
-            end = bisect_right(head_times, pinned, start)
+            end = bisect_right(heads, pinned, start, key=_time)
             bounds = _upper_bounds(plan, pinned)
             trimmed: dict[str, Sequence[StoreInstance]] = {}
             for var, instances in candidates.items():
@@ -404,7 +404,7 @@ class RuleEngine:
                 if var == plan.head_var:
                     trimmed[var] = instances[start:end]
                 elif time in bounds:
-                    trimmed[var] = instances[: bisect_right(times[var], bounds[time])]
+                    trimmed[var] = instances[: bisect_right(instances, bounds[time], key=_time)]
                 else:
                     trimmed[var] = instances
             if all(trimmed.values()):
@@ -417,7 +417,7 @@ class RuleEngine:
     def _candidates(self, plan: Plan, snapshot: Snapshot) -> Optional[dict[str, Sequence[StoreInstance]]]:
         """Each class variable's instances that pass its literal tests, in
         snapshot order: its kept ``(concept, state)`` list, or its concept's
-        records filtered when the snapshot shares no such list; ``None``
+        records filtered when the snapshot has no such list; ``None``
         when one has none, so nothing matches."""
         candidates: dict[str, Sequence[StoreInstance]] = {}
         for var, concept, state, tests in plan.classes:
@@ -444,11 +444,9 @@ class RuleEngine:
     ) -> Iterator[dict[str, Term]]:
         """Depth-first search over ``plan.steps`` from step ``index`` under
         ``binding`` (none: the first step, nothing bound): every binding, in
-        the order of the class variables' candidate lists.  The search
-        recurses through this method, not a nested function: a function
-        that refers to itself is a reference cycle, which would keep the
-        snapshot alive until the next garbage collection and make the
-        store's next write copy what the snapshot shares."""
+        the order of the class variables' candidate lists.  Each step
+        recurses into the next, so a binding is extended, yielded and undone
+        in place, one generator frame per step."""
         if binding is None:
             binding = {}
         steps = plan.steps
@@ -484,3 +482,8 @@ class RuleEngine:
 
 def _resolve(term: Term, binding: Mapping[str, Term]) -> Term:
     return binding[term] if is_var(term) else term
+
+
+def _time(record: StoreInstance) -> float:
+    """A record's time as a bisection key: untimed records sort last."""
+    return math.inf if record.time is None else record.time

@@ -183,6 +183,15 @@ class TestReplay:
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
 
+    def test_a_state_on_a_plain_instance_fails_at_bootstrap(self, trace_file, tmp_path, capsys):
+        """Only a statement carries ``hasState``: a store model's instance
+        line that sets it stops the replay with an error naming the node."""
+        config = scenario_copy(tmp_path, "\nK KITCHEN\n", "\nK KITCHEN hasState=true\n", "spatial.model")
+        argv = ["replay", "--config", str(config), "--trace", str(trace_file), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: node L: instance 'K' cannot declare hasState: only a statement carries it\n"
+
     @pytest.mark.parametrize("command", ["replay", "check-models"])
     @pytest.mark.parametrize(
         "params, message",

@@ -333,9 +333,7 @@ class TestPersonContext:
             elif store.instances:
                 store.remove_instance(sorted(store.instances)[time % len(store.instances)])
 
-            fresh = store_with(person_id="P", presence_concept="MOTION")
-            for inst_id, instance in store.instances.items():
-                fresh.add_instance(inst_id, instance.asserted, instance.props)
+            fresh = oracles.store_copy(store)
             classification = fresh.classify()
             pairs = fresh.infer_person_context()
             for prop in ("isIn", "isNearTo"):
@@ -828,7 +826,7 @@ class TestRecords:
         for inst_id in store.instances:
             assert snap.get(inst_id) is store.instances[inst_id]
         assert snap.classification == store.classify()
-        assert snap.of_concept("MOTION") == (store.instances["M16"],)
+        assert tuple(snap.of_concept("MOTION")) == (store.instances["M16"],)
 
     def test_records_are_frozen(self):
         store = store_with()
@@ -842,33 +840,52 @@ class TestRecords:
             record.props["hasState"] = (False,)
         assert record.single("hasState") is True
 
-    def test_snapshot_outlives_later_writes(self):
-        """Overwrites, removals and clears after a snapshot leave its
-        records, order and classification as they were."""
-        store = self.spatial()
-        store.assert_statement(Statement("D7", True, 5), concepts=("DOOR",))
-        install(store, "M16", ("MOTION",), {"isIn": ["K"]})
-        store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",))
-        store.assert_statement(Statement("M3", False, 20), concepts=("MOTION",))
-        snap = store.snapshot()
-        records = snap.instances
-        classification = dict(store.classify())
-        order = [i.id for i in records]
-        assert order == ["D7", "M16", "M3", "K", "P", "T1"]
+    def test_every_reader_raises_after_each_kind_of_write(self):
+        """A snapshot reads the store in place until the store's next
+        write; after an overwrite, an append, a removal, a clear or a new
+        plain instance every reader raises."""
+        writes = {
+            "overwrite": lambda store: store.assert_statement(Statement("M16", False, 30), concepts=("MOTION",)),
+            "append": lambda store: store.assert_statement(
+                Statement("M16", False, 30), concepts=("MOTION",), mode=APPEND
+            ),
+            "removal": lambda store: store.remove_instance("M3"),
+            "clear": lambda store: store.clear_statements(),
+            "plain instance": lambda store: store.add_instance("LR", ("LOCATION",)),
+        }
+        for write in writes.values():
+            store = self.spatial()
+            store.keep("MOTION")
+            store.keep("MOTION", True)
+            store.assert_statement(Statement("D7", True, 5), concepts=("DOOR",))
+            install(store, "M16", ("MOTION",), {"isIn": ["K"]})
+            store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",))
+            store.assert_statement(Statement("M3", False, 20), concepts=("MOTION",))
+            snap = store.snapshot()
+            assert [i.id for i in snap.instances] == ["D7", "M16", "M3", "K", "P", "T1"]
+            assert snap.of_concept("MOTION") is store.keep("MOTION").records
+            write(store)
+            assert_stale(snap)
+            fresh = store.snapshot()
+            assert fresh.classification == store.classify()
+            assert_snapshot_is(fresh, expected_snapshot(store))
 
-        store.assert_statement(Statement("M16", False, 30), concepts=("MOTION",))
-        store.remove_instance("M3")
-        store.clear_statements()
-        store.add_instance("LR", ("LOCATION",))
-        assert [i.id for i in store.snapshot().instances] == ["K", "LR", "P", "T1"]
 
-        assert snap.instances is records
-        assert [i.id for i in snap.instances] == order
-        assert snap.classification == classification
-        assert snap.get("M16").single("hasState") is True
-        assert snap.get("M3").time == 20
-        assert snap.get("LR") is None
-        assert [i.id for i in snap.of_concept("MOTION")] == ["M16", "M3"]
+# every reader of a snapshot, kept lists (plain and state) and unkept ones
+SNAPSHOT_READERS = {
+    "get": lambda snap: snap.get("K"),
+    "of_concept kept": lambda snap: snap.of_concept("MOTION"),
+    "of_concept state": lambda snap: snap.of_concept("MOTION", True),
+    "of_concept unkept": lambda snap: snap.of_concept("LOCATION"),
+    "instances": lambda snap: snap.instances,
+    "classification": lambda snap: snap.classification,
+}
+
+
+def assert_stale(snap):
+    for read in SNAPSHOT_READERS.values():
+        with pytest.raises(StoreError, match="read after the store's next write"):
+            read(snap)
 
 
 # random steps against a dirty store with kept lists and tallies: (action,
@@ -924,7 +941,7 @@ def assert_snapshot_is(snap, expected):
     assert tuple(snap.instances) == ordered
     assert dict(snap.classification) == classification
     for concept, records in concepts.items():
-        assert snap.of_concept(concept) == records
+        assert tuple(snap.of_concept(concept)) == records
     for inst_id in [*by_id, "missing"]:
         assert snap.get(inst_id) is by_id.get(inst_id)
 
@@ -935,8 +952,9 @@ class TestKeptLists:
     def test_kept_structures_match_a_rebuild_after_every_step(self, ops):
         """After every step the kept lists, the tallies and a fresh
         snapshot equal the sort-and-index oracle and the query-based
-        tally; snapshots held across later writes still read as they did
-        when taken."""
+        tally; a snapshot held across later steps raises from every reader
+        once the store has written since, and reads as it did when taken
+        when only watches and kept lists were added."""
         store = dirty_store()
         kept = list(KEPT_FIRST)
         for concept, state in kept:
@@ -955,11 +973,14 @@ class TestKeptLists:
                     assert store.tally(concept, state) == oracles.tally_from_scratch(store, concept, state)
             snap = store.snapshot()
             if op[-1]:
-                held.append((snap, expected))  # read only after the later writes
+                held.append((snap, expected, store.mutation_seq))  # read only after the later steps
             else:
                 assert_snapshot_is(snap, expected)
-        for snap, expected in held:
-            assert_snapshot_is(snap, expected)
+        for snap, expected, seq in held:
+            if store.mutation_seq == seq:
+                assert_snapshot_is(snap, expected)
+            else:
+                assert_stale(snap)
 
     @settings(max_examples=150, deadline=None)
     @given(ops=KEPT_OPS)
@@ -987,30 +1008,35 @@ class TestKeptLists:
             for concept, state in kept:
                 if state is not None:
                     passing = tuple(r for r in snap.of_concept(concept) if state in r.props.get("hasState", ()))
-                    assert snap.of_concept(concept, state) == passing
+                    assert tuple(snap.of_concept(concept, state)) == passing
 
     def test_defined_class_flip_moves_the_sync_statement(self):
         """``N`` is ``SYNC`` while false and ``UPDATE`` once true: each
         overwrite moves it between the kept lists and the tally, on the
-        dirty path, and an earlier snapshot keeps what it saw."""
+        dirty path, and a snapshot taken before the overwrite refuses every
+        read after it."""
         store = build_store("T7", load_store_model("src/fluentnet/scenario/t7.model"))
         store.keep("UPDATE")
         store.keep("SYNC", True)
         sync = {"concepts": ("SYNC",), "mode": OVERWRITE}
         store.assert_statement(Statement("N", False, 10), **sync)
         before = store.snapshot()
-        assert before.of_concept("UPDATE") == () and store.tally("SYNC", True) == (0, None, None)
+        assert before.of_concept("UPDATE") == [] and store.tally("SYNC", True) == (0, None, None)
         reclassified = store.reclassified
         store.assert_statement(Statement("N", True, 20), **sync)
         after = store.snapshot()
         assert store.reclassified - reclassified == 1
-        assert after.of_concept("UPDATE") == (store.instances["N"],)
+        assert after.of_concept("UPDATE") == [store.instances["N"]] and after.get("N").time == 20
         assert store.tally("SYNC", True) == (1, 20, 20)
-        assert before.of_concept("UPDATE") == () and before.get("N").time == 10
+        for read in (lambda snap: snap.of_concept("UPDATE"), lambda snap: snap.get("N")):
+            with pytest.raises(StoreError):
+                read(before)
         store.assert_statement(Statement("N", False, 30), **sync)
-        assert store.snapshot().of_concept("UPDATE") == ()
+        assert store.snapshot().of_concept("UPDATE") == []
         assert store.tally("SYNC", True) == (0, None, None)
-        assert after.of_concept("UPDATE") == (after.get("N"),) and after.get("N").time == 20
+        for read in (lambda snap: snap.of_concept("UPDATE"), lambda snap: snap.get("N")):
+            with pytest.raises(StoreError):
+                read(after)
 
     def test_tallies_split_one_membership_by_state(self):
         """Statements of one membership in both states go to the tally of
@@ -1030,14 +1056,23 @@ class TestKeptLists:
         assert [r.id for r in store.keep("DOOR").records] == ["D9", "D7", "D8"]
 
     def test_snapshots_share_until_the_next_write(self):
+        """Snapshots taken with no write between them read the store's own
+        record map and kept lists; the next write makes both refuse every
+        read."""
         store = store_with()
         store.keep("DOOR")
         store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
-        snap = store.snapshot()
-        assert store.snapshot() is snap
+        first, second = store.snapshot(), store.snapshot()
+        for snap in (first, second):
+            assert snap.of_concept("DOOR") is store.keep("DOOR").records
+            assert snap.get("D7") is store.instances["D7"]
         store.assert_statement(Statement("D7", False, 20), concepts=("DOOR",))
-        assert store.snapshot() is not snap
-        assert [r.time for r in snap.of_concept("DOOR")] == [10]
+        for snap in (first, second):
+            for read in (lambda s: s.get("D7"), lambda s: s.of_concept("DOOR"), lambda s: s.instances,
+                         lambda s: s.classification):
+                with pytest.raises(StoreError, match="'test' read after the store's next write"):
+                    read(snap)
+        assert [r.time for r in store.snapshot().of_concept("DOOR")] == [20]
 
 
 class TestAxioms:
@@ -1150,11 +1185,38 @@ class TestModelFile:
         assert store.axiom_count() == store.recount_axioms()
 
     def test_snapshot_is_stable_under_mutation(self):
+        """A new kept list and the full recompute it brings are not writes:
+        they give the store new lists and a new membership map, and a
+        snapshot taken before reads what it read before, with no list for
+        the new concept.  A write then makes it refuse every read."""
         store = store_with()
+        store.keep("DOOR")
         store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        store.assert_statement(Statement("I4", False, 5), concepts=("ITEM",))
         snap = store.snapshot()
+
+        def reads():
+            return (
+                [r.id for r in snap.instances],
+                dict(snap.classification),
+                [r.id for r in snap.of_concept("DOOR")],
+                [r.id for r in snap.of_concept("SENSOR")],
+                snap.of_concept("SENSOR", False),
+                snap.get("D7"),
+            )
+
+        seen = reads()
+        assert seen[:5] == (["I4", "D7"], dict(store.classify()), ["D7"], ["I4", "D7"], None)
+        door = store.keep("DOOR").records
+        store.keep("SENSOR")
+        store.keep("SENSOR", False)
+        assert reads() == seen
+        store.classify()
+        assert store.keep("DOOR").records is not door and [r.id for r in store.keep("SENSOR", False).records] == ["I4"]
+        assert reads() == seen
         store.assert_statement(Statement("D7", False, 20), concepts=("DOOR",))
-        assert snap.get("D7").props["hasState"] == (True,)
+        with pytest.raises(StoreError):
+            snap.get("D7")
 
     def test_parse_errors_carry_line_numbers(self):
         from fluentnet.modelio import ConfigError

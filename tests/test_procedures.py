@@ -541,9 +541,6 @@ def write(store, sensor, state, time_ms, mode=APPEND):
 CHANGES = {
     "class-atom record placed": lambda store: write(store, "I5", True, 400),
     "class-atom record removed": lambda store: store.remove_instance("I5#1"),
-    "class-atom record with an integer state placed": (
-        lambda store: store.add_instance("I0", ("ITEM",), {STATE_PROP: [0], "hasTime": [450]})
-    ),
     "pre-pass result removed": lambda store: store.remove_instance("TAKEN_1"),
     "defined class flip in": lambda store: write(store, "D7", True, 400, OVERWRITE),
     "full recompute": lambda store: store.add_instance("K", ("ROOM",)),
