@@ -396,6 +396,34 @@ class TestKeptStateLists:
         engine = RuleEngine(plan_rules([dvd_rule(50)]))
         assert [(d.time, dict(d.binding)["?taken"]) for d in engine.evaluate(store.snapshot())] == [(100, "I5#1")]
 
+    @pytest.mark.parametrize("goes", ["removed", "overwritten", "removed before a full recompute"])
+    @pytest.mark.parametrize("kind", ("int", "plain", "second"))
+    def test_an_odd_record_is_filtered_until_it_goes(self, kind, goes):
+        """An odd record is refused at its write, so the state lists are
+        never turned off: before and after a statement goes, removed or
+        overwritten by a plain instance, on the local path or a full
+        recompute, the lists are exact and nothing is filtered."""
+        readings = [("I3", False, 20), ("I5", False, 10), ("I5", True, 100)]
+        store = state_store(readings, keep=True)
+        store.installations["I9"] = SensorDecl("I9", ("ITEM",), (("hasState", False),))
+        engine = RuleEngine(plan_rules([dvd_rule(50)]))
+        with pytest.raises(StoreError, match="only a statement carries it"):
+            ODD_WRITES[kind](store)
+        expected = RuleEngine(plan_rules([dvd_rule(50)])).evaluate(state_store(readings, keep=False).snapshot())
+        snap = store.snapshot()
+        assert engine.evaluate(snap) == expected
+        assert sorted(r.id for r in snap.of_concept("ITEM", False)) == ["I3#1", "I5#1"]
+        if goes == "overwritten":
+            store.add_instance("I3#1", ("DOOR",))
+        else:
+            store.remove_instance("I3#1")
+        if goes == "removed before a full recompute":
+            store.keep("DOOR")
+        snap = store.snapshot()
+        assert [r.id for r in snap.of_concept("ITEM", False)] == ["I5#1"]
+        assert [(d.time, dict(d.binding)["?taken"]) for d in engine.evaluate(snap)] == [(100, "I5#1")]
+        assert engine.filtered == 0
+
     def test_plans_are_shared_and_work_is_counted_per_engine(self):
         plans = plan_rules([dvd_rule(50)])
         snap = state_store([("I5", False, 10), ("I5", True, 100)], keep=True).snapshot()
