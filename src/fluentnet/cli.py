@@ -3,7 +3,8 @@
 ``replay`` runs one network per trace file (one participant each), writes a
 dispatch log and telemetry per participant, and aggregates the confusion
 matrix, F-measure and delay tables over all of them.  ``check-models``
-runs the bundled golden traces.  ``score`` re-scores previously written
+builds the scenario's network once, as a replay does, and runs the bundled
+golden traces.  ``score`` re-scores previously written
 dispatch logs offline.  ``explain`` renders a model's canonical text, its
 plain-language sentence and, given a bindings dump from a replay, the last
 matched bindings.
@@ -19,7 +20,7 @@ from typing import Optional
 
 from . import dsl, golden, ingest, metrics, procedures
 from .modelio import ConfigError
-from .network import BootstrapError
+from .network import BootstrapError, bootstrap
 
 
 def _load_params(path: Optional[str]) -> Optional[dict[str, int]]:
@@ -182,6 +183,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_check_models(args: argparse.Namespace) -> int:
     config_dir = Path(args.config) if args.config else None
     scenario = procedures.load_scenario(config_dir=config_dir, params=_load_params(args.params))
+    # every store model is written once, as a replay writes it, so a model
+    # line that cannot be written fails here too
+    bootstrap(scenario.model, store_models=scenario.store_models)
     outcomes = golden.run_golden_suite(scenario)
     failures = 0
     for outcome in outcomes:

@@ -114,13 +114,15 @@ write: every reader raises a :class:`StoreError` once the store's
 full recompute it brings gives the store new lists and a new membership
 map, and leaves the ones a snapshot holds as they were.
 
-A ``(concept, state)`` list also answers the rule matcher's literal test
-``hasState state`` (``state in`` the record's ``hasState`` values) on the
-concept.  Only :meth:`ContextStore.assert_statement` writes ``hasState``
-and ``hasTime``: a plain instance or a declaration naming either is
-rejected at the write.  So every record with a state is a statement with
-one bool state and a time, and the list and the test agree on every record
-by construction.
+A snapshot hands out only what the store keeps: :meth:`Snapshot.of_concept`
+of a ``(concept, state)`` with no kept list raises, so a reader registers
+what it reads (:meth:`ContextStore.keep`) before it takes the snapshot.  A state list is
+also the rule matcher's answer to the literal test ``hasState state``
+(``state in`` the record's ``hasState`` values) on the concept.  Only
+:meth:`ContextStore.assert_statement` writes ``hasState`` and ``hasTime``:
+a plain instance or a declaration naming either is rejected at the write.
+So every record with a state is a statement with one bool state and a
+time, and the list and the test agree on every record by construction.
 """
 
 from __future__ import annotations
@@ -1043,11 +1045,10 @@ class Snapshot:
     :meth:`of_concept`, ``instances`` and ``classification`` raise a
     :class:`StoreError` once the store's ``mutation_seq`` has moved, and
     what they returned earlier is not to be read after that write either.
-    :meth:`get` is a lookup and :meth:`of_concept` of a kept list is that
-    list, the store's own, which a reader does not change.  ``instances``
-    is every record in snapshot order (sorted on first use; its length
-    needs no sort), ``classification`` each id's concepts, and
-    :meth:`of_concept` of an unkept concept a scan of ``instances``.
+    :meth:`get` is a lookup, :meth:`of_concept` a kept list, the store's
+    own, which a reader does not change, ``instances`` a read-only view of
+    the record map by id (sort by :func:`snapshot_order` for snapshot
+    order) and ``classification`` each id's concepts.
     """
 
     __slots__ = ("_store", "_seq", "_records", "_memberships", "_lists")
@@ -1064,51 +1065,26 @@ class Snapshot:
             raise StoreError(f"snapshot of {self._store.name!r} read after the store's next write")
 
     @property
-    def instances(self) -> Sequence[StoreInstance]:
+    def instances(self) -> Mapping[str, StoreInstance]:
         self._check()
-        return _Ordered(self._records)
+        return MappingProxyType(self._records)
 
     @property
     def classification(self) -> Mapping[str, frozenset[str]]:
         self._check()
         return MappingProxyType(self._memberships)
 
-    def of_concept(self, concept: str, state: Optional[bool] = None) -> Optional[Sequence[StoreInstance]]:
-        """The records classified under ``concept``, in snapshot order.
-        With a ``state``, those passing the literal test ``hasState state``
-        when the snapshot has that list, and ``None`` when it does not."""
+    def of_concept(self, concept: str, state: Optional[bool] = None) -> Sequence[StoreInstance]:
+        """The kept list of ``concept``'s records or, with a ``state``, of
+        its statements in that state, in snapshot order; a
+        :class:`StoreError` naming the store and the key when the snapshot
+        has no such list."""
         self._check()
         found = self._lists.get((concept, state))
-        if found is not None or state is not None:
-            return found
-        memberships = self._memberships
-        return [i for i in _Ordered(self._records) if concept in memberships[i.id]]
+        if found is None:
+            raise StoreError(f"snapshot of {self._store.name!r} keeps no list {(concept, state)!r}")
+        return found
 
     def get(self, instance_id: str) -> Optional[StoreInstance]:
         self._check()
         return self._records.get(instance_id)
-
-
-class _Ordered(Sequence):
-    """A snapshot's records in snapshot order, sorted on first access to
-    them; the length needs no sort."""
-
-    __slots__ = ("_records", "_sorted")
-
-    def __init__(self, records: Mapping[str, StoreInstance]) -> None:
-        self._records = records
-        self._sorted: Optional[tuple[StoreInstance, ...]] = None
-
-    def _ordered(self) -> tuple[StoreInstance, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self._records.values(), key=snapshot_order))
-        return self._sorted
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __getitem__(self, index):
-        return self._ordered()[index]
-
-    def __iter__(self):
-        return iter(self._ordered())

@@ -16,12 +16,11 @@ the node down to the result and the sync statement.
 Each activity's rules are planned once, when the scenario is loaded
 (:attr:`ActivityBinding.plans`); every replay's evaluator matches with an
 engine of its own on those plans.  On its first evaluation of a node the
-evaluator registers there what it reads: a kept list per concept of its
-rules' class atoms, and per class atom whose one literal test is a boolean
-``hasState`` value the ``(concept, state)`` list the matcher reads in place
-of filtering; per pre-pass a tally of its source and a list of its derived
-concept.  A pre-pass reads a count and two times, and a snapshot reads
-the lists in place.
+evaluator registers there exactly what it reads: per class atom the list
+its plan names (``(concept, state)`` for a boolean ``hasState`` test, the
+concept's plain list for none), per pre-pass a tally of its source and a
+list of its derived concept.  A pre-pass reads a count and two times, and
+a snapshot reads the lists in place.
 
 An evaluation that recognised nothing notes the versions of those lists
 (:attr:`KeptList.version`).  A later evaluation of the same store that
@@ -31,11 +30,11 @@ derive nothing.  The ``N`` reset, its ``notify_sync`` and both telemetry
 records still run, so every report keeps its bytes.  The skip is exact
 because the evaluation reads nothing outside the noted lists:
 
-- compiled rules are positive conjunctions whose class atoms read the
-  registered lists (a ``(concept, state)`` list, or the concept's plain
-  list run through the literal tests), and whose property atoms read only
-  records bound by class atoms, which sit in those lists; equal versions
-  mean the same records, so the match finds nothing again;
+- compiled rules are positive conjunctions: each class atom's candidates
+  are the registered list its plan names, and every property atom,
+  literal tests included, reads only records bound by class atoms, which
+  sit in those lists; equal versions mean the same records, so the match
+  finds nothing again;
 - a pre-pass reads its source's tally and its stored result, which sits in
   its derived concept's list; with both unchanged it finds the result it
   would write already stored, and a pre-pass does not rewrite an equal
@@ -302,8 +301,8 @@ class Evaluator:
         self.engine = RuleEngine(binding.plans)
         keys: dict[tuple[str, Optional[bool]], None] = {}
         for plan in binding.plans:
-            for _, concept, state, _ in plan.classes:
-                keys[(concept, None)] = keys[(concept, state)] = None
+            for _, concept, state in plan.classes:
+                keys[(concept, state)] = None
         for prepass in binding.compiled.prepasses:
             keys[(prepass.source_concept, prepass.target_state)] = keys[(prepass.derived_concept, None)] = None
         self._keys = tuple(keys)

@@ -11,14 +11,14 @@ Class atoms are joined in the order the body gives them: registration
 rejects a body in which an atom reads a variable no earlier atom binds.
 Registration also derives how the rule is matched (a :class:`Plan`;
 :func:`plan_rules` plans a rule set once for any number of engines).  A
-class variable's literal property tests (``hasState False``) select its
-candidates before the search.  When its one test is a boolean ``hasState``
-value, the candidates are the snapshot's kept ``(concept, state)`` list,
-read in place (:meth:`Snapshot.of_concept`); otherwise, and for a snapshot
-that has no such list, the concept's records are filtered by the tests
-once per evaluation.  A variable with no candidate left means no binding
-exists.  Every other test and comparison runs as soon as its operands are
-bound.  :meth:`RuleEngine.evaluate` enumerates every binding.
+class variable's candidates are one list the store keeps, read in place
+(:meth:`Snapshot.of_concept`): ``(concept, state)`` when the variable's
+first literal test is a boolean ``hasState`` value, which that list
+answers, and the concept's plain list (state ``None``) when it has no
+such test.  Every other literal test is a search step right after its
+class atom, and every other test and comparison runs as soon as its
+operands are bound.  A variable with no candidate means no binding
+exists.  :meth:`RuleEngine.evaluate` enumerates every binding.
 :meth:`RuleEngine.earliest` finds only the earliest head time and
 its witness: it pins the head time to each candidate time in turn, bounds
 the other times through the body's ``<=`` and ``+ d`` atoms, and cuts each
@@ -141,17 +141,15 @@ def _is_number(term: Term) -> bool:
 class Plan:
     """How a registered rule is matched, derived once at registration.
 
-    ``classes`` holds each class variable with its concept, the state of
-    its kept candidate list and the literal property tests (``hasState
-    False``) its candidates must pass.  The state is the value of the
-    variable's one test when that test is a boolean ``hasState`` value: its
-    candidates are then the snapshot's ``(concept, state)`` list when the
-    snapshot has one, and the concept's records run through the tests when
-    not.  With any other tests the state is ``None`` and the records
-    are always filtered.
-    ``steps`` is the body the search runs: those tests removed, and every
-    other test, comparison and assignment moved up to just after the atom
-    that binds its last operand.  Atoms that bind keep their body order.
+    ``classes`` holds each class variable with its concept and the state of
+    the kept list its candidates are: the value of its first literal test
+    when that test is a boolean ``hasState`` value, which the list
+    ``(concept, state)`` answers, and ``None`` (the concept's plain list)
+    when it has none.
+    ``steps`` is the body the search runs: the lifted tests removed, and
+    every other test, comparison and assignment moved up to just after the
+    atom that binds its last operand (a literal test right after its class
+    atom).  Atoms that bind keep their body order.
     ``times`` maps a class variable to the variable its ``hasTime`` value
     binds, and ``head_var`` names the class variable whose time is the head
     time, if one does.  ``edges`` are the body's upper-bound implications
@@ -160,7 +158,7 @@ class Plan:
     """
 
     rule: Rule
-    classes: tuple[tuple[str, str, Optional[bool], tuple[tuple[str, Term], ...]], ...]
+    classes: tuple[tuple[str, str, Optional[bool]], ...]
     steps: tuple[Atom, ...]
     times: dict[str, str]
     head_var: Optional[str]
@@ -179,7 +177,7 @@ def _plan(rule: Rule) -> Plan:
     :class:`RuleValidationError`, as does an unbound head time.
     """
     concepts: dict[str, str] = {}
-    tests: dict[str, list[tuple[str, Term]]] = {}
+    states: dict[str, bool] = {}  # each class variable's lifted hasState test
     times: dict[str, str] = {}
     binders: list[Atom] = []
     placed: list[list[Atom]] = [[]]  # placed[k]: atoms run right after binders[k - 1]
@@ -206,15 +204,19 @@ def _plan(rule: Rule) -> Plan:
         if isinstance(atom, ClassAtom):
             bind(atom.var, add_binder(atom))
             concepts[atom.var] = atom.concept
-            tests[atom.var] = []
         elif isinstance(atom, PropertyAtom):
             after(atom.var)
             if is_var(atom.value) and atom.value not in level:
                 level[atom.value] = add_binder(atom)
                 if atom.prop == TIME_PROP and atom.var in concepts:
                     times.setdefault(atom.var, atom.value)
-            elif not is_var(atom.value) and atom.var in concepts:
-                tests[atom.var].append((atom.prop, atom.value))
+            elif (
+                atom.prop == STATE_PROP
+                and isinstance(atom.value, bool)
+                and atom.var in concepts
+                and atom.var not in states
+            ):
+                states[atom.var] = atom.value
             else:
                 placed[after(atom.var, atom.value)].append(atom)
         elif isinstance(atom, Compare):
@@ -243,15 +245,9 @@ def _plan(rule: Rule) -> Plan:
             elif is_var(atom.right) and _is_number(atom.left):
                 edges.append((atom.right, atom.var, atom.left))
     head_var = next((var for var, time in times.items() if time == rule.head.time), None)
-    classes = []
-    for var, concept in concepts.items():
-        literal = tuple(tests[var])
-        prop, value = literal[0] if len(literal) == 1 else (None, None)
-        state = value if prop == STATE_PROP and isinstance(value, bool) else None
-        classes.append((var, concept, state, literal))
     return Plan(
         rule=rule,
-        classes=tuple(classes),
+        classes=tuple((var, concept, states.get(var)) for var, concept in concepts.items()),
         steps=tuple(steps),
         times=times,
         head_var=head_var,
@@ -305,22 +301,16 @@ class RuleEngine:
     An engine starts with ``plans`` (from :func:`plan_rules`) registered.
     Registration is single-writer; :meth:`evaluate` and :meth:`earliest`
     only read the snapshot.  :attr:`examined` counts the class-atom
-    candidates tried since construction, and :attr:`filtered` the records
-    run through a class variable's literal tests.
+    candidates tried since construction.
     """
 
     def __init__(self, plans: Iterable[Plan] = ()) -> None:
         self._plans: dict[str, Plan] = {plan.rule.name: plan for plan in plans}
         self._examined = 0
-        self._filtered = 0
 
     @property
     def examined(self) -> int:
         return self._examined
-
-    @property
-    def filtered(self) -> int:
-        return self._filtered
 
     @property
     def plans(self) -> tuple[Plan, ...]:
@@ -415,20 +405,12 @@ class RuleEngine:
         return None
 
     def _candidates(self, plan: Plan, snapshot: Snapshot) -> Optional[dict[str, Sequence[StoreInstance]]]:
-        """Each class variable's instances that pass its literal tests, in
-        snapshot order: its kept ``(concept, state)`` list, or its concept's
-        records filtered when the snapshot has no such list; ``None``
-        when one has none, so nothing matches."""
+        """Each class variable's candidates: the kept list its plan names,
+        read in place, in snapshot order; ``None`` when one is empty, so
+        nothing matches."""
         candidates: dict[str, Sequence[StoreInstance]] = {}
-        for var, concept, state, tests in plan.classes:
-            instances = None if state is None else snapshot.of_concept(concept, state)
-            if instances is None:
-                instances = snapshot.of_concept(concept)
-                if tests:
-                    self._filtered += len(instances)
-                    instances = [
-                        i for i in instances if all(value in i.props.get(prop, ()) for prop, value in tests)
-                    ]
+        for var, concept, state in plan.classes:
+            instances = snapshot.of_concept(concept, state)
             if not instances:
                 return None
             candidates[var] = instances

@@ -147,7 +147,7 @@ def brute_force_derivations(rule, snapshot):
     for atom in rule.body:
         if isinstance(atom, (ClassAtom, PropertyAtom)) and atom.var not in instance_vars:
             instance_vars.append(atom.var)
-    instances = list(snapshot.instances)
+    instances = sorted(snapshot.instances.values(), key=_snapshot_order)
     candidates = {var: list(instances) for var in instance_vars}
     for atom in rule.body:
         if isinstance(atom, ClassAtom):
@@ -170,6 +170,38 @@ def brute_force_derivations(rule, snapshot):
                 seen.add(key)
                 heads.append(key)
     return sorted(heads, key=lambda k: (k[0], k[2]))
+
+
+def literal_filter(rule, snapshot):
+    """Each class variable's candidates by a scan of the whole snapshot:
+    the records classified under its concept that pass every literal
+    property test the body puts on it, in snapshot order; ``None`` when one
+    has none.  This is the filter a matcher that keeps no state lists runs."""
+    ordered = sorted(snapshot.instances.values(), key=_snapshot_order)
+    candidates = {}
+    for atom in rule.body:
+        if not isinstance(atom, ClassAtom):
+            continue
+        tests = [
+            (test.prop, test.value)
+            for test in rule.body
+            if isinstance(test, PropertyAtom) and test.var == atom.var and not str(test.value).startswith("?")
+        ]
+        found = [
+            record
+            for record in ordered
+            if atom.concept in snapshot.classification[record.id]
+            and all(value in record.props.get(prop, ()) for prop, value in tests)
+        ]
+        if not found:
+            return None
+        candidates[atom.var] = found
+    return candidates
+
+
+def _snapshot_order(record):
+    """By time, then id, untimed records last."""
+    return (record.time is None, record.time, record.id)
 
 
 def _value_assignments(body, binding, lookup):
@@ -466,7 +498,7 @@ def snapshot_from_scratch(store):
     from-scratch classification, an id map, and one tuple per concept in
     that order."""
     classification = classify_from_scratch(store)
-    ordered = tuple(sorted(store.instances.values(), key=lambda r: (r.time is None, r.time, r.id)))
+    ordered = tuple(sorted(store.instances.values(), key=_snapshot_order))
     by_concept = {}
     for record in ordered:
         for concept in classification[record.id]:
@@ -483,6 +515,18 @@ def tally_from_scratch(store, concept, state):
         return 0, None, None
     times = [m.time for m in members]
     return len(times), min(times), max(times)
+
+
+def kept_snapshot(store, plans=(), keys=()):
+    """``store.snapshot()`` once the store keeps every ``(concept, state)``
+    the class atoms of ``plans`` read, and every key of ``keys``: a
+    snapshot hands out only the lists its store keeps."""
+    for plan in plans:
+        for _, concept, state in plan.classes:
+            store.keep(concept, state)
+    for concept, state in keys:
+        store.keep(concept, state)
+    return store.snapshot()
 
 
 def store_copy(store):

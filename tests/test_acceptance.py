@@ -293,7 +293,7 @@ def _random_activity_snapshot(rng, scenario, binding, max_instances=12):
                 Statement(rng.choice(sensors), rng.random() < 0.5, rng.randrange(0, 400_000)),
                 mode=APPEND,
             )
-    return store.snapshot()
+    return oracles.kept_snapshot(store, binding.plans)
 
 
 def test_criterion_8_rule_engine_equivalence(scenario):

@@ -307,6 +307,23 @@ class TestCheckModels:
         override.write_text(json.dumps({"h3": 1, "d3": 0}), encoding="utf-8")
         assert cli.main(["check-models", "--params", str(override)]) == 1
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("K KITCHEN hasState=true", "instance 'K' cannot declare hasState: only a statement carries it"),
+            ("K KITCHEN,TABLE1", "instance 'K' cannot be both FURNITURE and LOCATION"),
+        ],
+        ids=["state", "disjoint"],
+    )
+    def test_a_store_model_line_that_cannot_be_written_fails(self, line, message, tmp_path, capsys):
+        """A spatial-model instance line that parses but cannot be written
+        stops ``check-models`` as it stops ``replay``, naming the node."""
+        config = scenario_copy(tmp_path, "\nK KITCHEN\n", f"\n{line}\n", "spatial.model")
+        assert cli.main(["check-models", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: node L: {message}\n"
+        assert "cases passed" not in captured.out
+
 
 class TestExplain:
     def test_sentence_and_rule_summary(self, capsys):

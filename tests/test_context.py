@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -24,6 +25,7 @@ from fluentnet.context import (
     SensorDecl,
     StoreError,
     UnknownConceptError,
+    snapshot_order,
 )
 from fluentnet.modelio import build_store, load_store_model, parse_store_model
 from fluentnet.network import RuntimeNetwork, load_network
@@ -821,8 +823,8 @@ class TestRecords:
         store = self.spatial()
         install(store, "M16", ("MOTION",), {"isIn": ["K"]})
         store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",))
-        snap = store.snapshot()
-        assert [i.id for i in snap.instances] == ["M16", "K", "P", "T1"]
+        snap = oracles.kept_snapshot(store, keys=[("MOTION", None)])
+        assert [i.id for i in sorted(snap.instances.values(), key=snapshot_order)] == ["M16", "K", "P", "T1"]
         for inst_id in store.instances:
             assert snap.get(inst_id) is store.instances[inst_id]
         assert snap.classification == store.classify()
@@ -862,21 +864,20 @@ class TestRecords:
             store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",))
             store.assert_statement(Statement("M3", False, 20), concepts=("MOTION",))
             snap = store.snapshot()
-            assert [i.id for i in snap.instances] == ["D7", "M16", "M3", "K", "P", "T1"]
+            assert [i.id for i in sorted(snap.instances.values(), key=snapshot_order)] == ["D7", "M16", "M3", "K", "P", "T1"]
             assert snap.of_concept("MOTION") is store.keep("MOTION").records
             write(store)
             assert_stale(snap)
-            fresh = store.snapshot()
+            fresh = oracles.kept_snapshot(store, keys=every_concept(store))
             assert fresh.classification == store.classify()
             assert_snapshot_is(fresh, expected_snapshot(store))
 
 
-# every reader of a snapshot, kept lists (plain and state) and unkept ones
+# every reader of a snapshot, on kept lists plain and state
 SNAPSHOT_READERS = {
     "get": lambda snap: snap.get("K"),
     "of_concept kept": lambda snap: snap.of_concept("MOTION"),
     "of_concept state": lambda snap: snap.of_concept("MOTION", True),
-    "of_concept unkept": lambda snap: snap.of_concept("LOCATION"),
     "instances": lambda snap: snap.instances,
     "classification": lambda snap: snap.classification,
 }
@@ -904,8 +905,9 @@ KEPT_OPS = st_.lists(
 )
 KEPT_FIRST = [("DOOR", None), ("MOTION", None), ("LIVE", None), ("KITCHEN", None), ("LOCATION", None),
               ("MOTION", True), ("SENSOR", False), ("LIVE", True)]
-# registered by a "keep" step, by sensor
-KEPT_LATE = {"M16": ("SENSOR", None), "M3": ("TABLE", None), "D7": ("STATEMENT", True)}
+# registered by a "keep" step, by sensor: state lists, since every plain
+# list is kept from the first snapshot on
+KEPT_LATE = {"M16": ("SENSOR", True), "M3": ("MOTION", False), "D7": ("STATEMENT", True)}
 
 
 def apply_kept_op(store, kept, op):
@@ -929,6 +931,11 @@ def apply_kept_op(store, kept, op):
         kept.append(KEPT_LATE[sensor])
 
 
+def every_concept(store):
+    """The plain-list key of every concept of the store's graph."""
+    return [(concept, None) for concept in sorted(store.graph.concepts)]
+
+
 def expected_snapshot(store):
     ordered, classification, by_id, by_concept = oracles.snapshot_from_scratch(store)
     concepts = {c: by_concept.get(c, ()) for c in sorted(store.graph.concepts)}
@@ -938,7 +945,7 @@ def expected_snapshot(store):
 def assert_snapshot_is(snap, expected):
     ordered, classification, by_id, concepts = expected
     assert len(snap.instances) == len(ordered)
-    assert tuple(snap.instances) == ordered
+    assert tuple(sorted(snap.instances.values(), key=snapshot_order)) == ordered
     assert dict(snap.classification) == classification
     for concept, records in concepts.items():
         assert tuple(snap.of_concept(concept)) == records
@@ -971,7 +978,7 @@ class TestKeptLists:
                 assert tuple(store.keep(concept, state).records) == records
                 if state is not None:
                     assert store.tally(concept, state) == oracles.tally_from_scratch(store, concept, state)
-            snap = store.snapshot()
+            snap = oracles.kept_snapshot(store, keys=every_concept(store))
             if op[-1]:
                 held.append((snap, expected, store.mutation_seq))  # read only after the later steps
             else:
@@ -1004,7 +1011,7 @@ class TestKeptLists:
                     assert len(records) == len(seen[key][1])
                     assert all(a is b for a, b in zip(records, seen[key][1]))
                 seen[key] = (lists.version, records)
-            snap = store.snapshot()
+            snap = oracles.kept_snapshot(store, keys=[(concept, None) for concept, state in kept if state is not None])
             for concept, state in kept:
                 if state is not None:
                     passing = tuple(r for r in snap.of_concept(concept) if state in r.props.get("hasState", ()))
@@ -1073,6 +1080,21 @@ class TestKeptLists:
                 with pytest.raises(StoreError, match="'test' read after the store's next write"):
                     read(snap)
         assert [r.time for r in store.snapshot().of_concept("DOOR")] == [20]
+
+    def test_of_concept_of_a_key_not_kept_raises(self):
+        """A snapshot hands out only the lists its store keeps: a plain or
+        state key the store does not keep raises, naming the store and the
+        key, and the kept ones read as before."""
+        store = store_with()
+        store.keep("DOOR")
+        store.keep("DOOR", True)
+        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        snap = store.snapshot()
+        assert [r.id for r in snap.of_concept("DOOR", True)] == ["D7"]
+        for key in (("SENSOR", None), ("DOOR", False), ("LOCATION", True)):
+            with pytest.raises(StoreError, match=re.escape(f"snapshot of 'test' keeps no list {key!r}")):
+                snap.of_concept(*key)
+        assert snap.of_concept("DOOR") is store.keep("DOOR").records
 
 
 class TestAxioms:
@@ -1195,18 +1217,25 @@ class TestModelFile:
         store.assert_statement(Statement("I4", False, 5), concepts=("ITEM",))
         snap = store.snapshot()
 
+        def of_concept(*key):
+            """The ids of a kept list; ``None`` when the snapshot has none."""
+            try:
+                return [r.id for r in snap.of_concept(*key)]
+            except StoreError:
+                return None
+
         def reads():
             return (
-                [r.id for r in snap.instances],
+                [r.id for r in sorted(snap.instances.values(), key=snapshot_order)],
                 dict(snap.classification),
-                [r.id for r in snap.of_concept("DOOR")],
-                [r.id for r in snap.of_concept("SENSOR")],
-                snap.of_concept("SENSOR", False),
+                of_concept("DOOR"),
+                of_concept("SENSOR"),
+                of_concept("SENSOR", False),
                 snap.get("D7"),
             )
 
         seen = reads()
-        assert seen[:5] == (["I4", "D7"], dict(store.classify()), ["D7"], ["I4", "D7"], None)
+        assert seen[:5] == (["I4", "D7"], dict(store.classify()), ["D7"], None, None)
         door = store.keep("DOOR").records
         store.keep("SENSOR")
         store.keep("SENSOR", False)

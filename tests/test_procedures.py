@@ -656,8 +656,7 @@ class TestEvaluationSkip:
     def test_skipped_evaluations_would_write_and_derive_nothing(self, scenario, workloads, monkeypatch, workload):
         """The first seed-1 participant of each benchmark workload: every
         skipped evaluation, run in full on a copy of its store, writes no
-        pre-pass result and derives nothing; and no evaluation runs a
-        candidate through the literal filter."""
+        pre-pass result and derives nothing."""
         evaluators, shadowed = set(), []
         evaluate_store = procedures.Evaluator.evaluate_store
 
@@ -680,7 +679,7 @@ class TestEvaluationSkip:
         lines = workloads.generate(workload, 1)[0]
         load = ingest.load_trace(io.StringIO("\n".join(lines) + "\n"), **scenario.load_trace_kwargs())
         procedures.run_replay(load.events, participant="p01", scenario=scenario)
-        assert evaluators and sum(e.engine.filtered for e in evaluators) == 0
+        assert evaluators
         if workload != "spatial_sweep":
             assert len(shadowed) >= 20
 
@@ -748,16 +747,16 @@ class TestHostileTraces:
         assert max(s for _, s in small + large) < 0.05
 
     def matching_work(self, scenario, monkeypatch, activity, toggles):
-        """Candidates examined plus records run through the literal filter,
-        per evaluation of the activity, with the cabinet never closed."""
+        """Candidates examined per evaluation of the activity, with the
+        cabinet never closed."""
         seen = []
         evaluate_store = procedures.Evaluator.evaluate_store
 
         def recording(self, store, now_ms, net=None):
-            work = self.engine.examined + self.engine.filtered
+            work = self.engine.examined
             record = evaluate_store(self, store, now_ms, net=net)
             if self.binding.index == activity:
-                seen.append(self.engine.examined + self.engine.filtered - work)
+                seen.append(self.engine.examined - work)
             return record
 
         load = ingest.load_trace(io.StringIO(self.trace(activity, toggles, False)))
@@ -770,8 +769,8 @@ class TestHostileTraces:
 
     def test_never_closed_matching_work_per_evaluation_is_flat(self, scenario, monkeypatch):
         """A1 at 1,280 toggles does the matching work per evaluation that
-        it does at 20: the matcher reads the kept state lists instead of
-        filtering the whole node."""
+        it does at 20: the matcher reads the kept state lists, not the whole
+        node."""
         small = self.matching_work(scenario, monkeypatch, 1, 20)
         large = self.matching_work(scenario, monkeypatch, 1, 1280)
         assert max(large) <= max(small) <= 16

@@ -115,14 +115,14 @@ class TestEvaluation:
         engine = RuleEngine()
         engine.register_rule(dvd_rule(50))
         store = item_store(("I5", False, 10), ("I5", True, 100))
-        derived = engine.evaluate(store.snapshot())
+        derived = engine.evaluate(oracles.kept_snapshot(store, engine.plans))
         assert [(d.instance_id, d.state, d.time) for d in derived] == [("A2", True, 100)]
 
     def test_gap_not_met(self):
         engine = RuleEngine()
         engine.register_rule(dvd_rule(200))
         store = item_store(("I5", False, 10), ("I5", True, 100))
-        assert engine.evaluate(store.snapshot()) == []
+        assert engine.evaluate(oracles.kept_snapshot(store, engine.plans)) == []
 
     def test_inequality_needs_two_instances(self):
         rule = Rule(
@@ -136,21 +136,22 @@ class TestEvaluation:
         )
         engine = RuleEngine()
         engine.register_rule(rule)
-        assert engine.evaluate(item_store(("I5", True, 10)).snapshot()) == []
-        assert len(engine.evaluate(item_store(("I5", True, 10), ("I3", True, 11)).snapshot())) == 1
+        assert engine.evaluate(oracles.kept_snapshot(item_store(("I5", True, 10)), engine.plans)) == []
+        two = item_store(("I5", True, 10), ("I3", True, 11))
+        assert len(engine.evaluate(oracles.kept_snapshot(two, engine.plans))) == 1
 
     def test_deduplicates_equal_heads(self):
         engine = RuleEngine()
         engine.register_rule(dvd_rule(10))
         # two absences both pair with one return: one derived head value
         store = item_store(("I5", False, 10), ("I3", False, 20), ("I5", True, 100))
-        derived = engine.evaluate(store.snapshot())
+        derived = engine.evaluate(oracles.kept_snapshot(store, engine.plans))
         assert [(d.instance_id, d.time) for d in derived] == [("A2", 100)]
 
     def test_repeated_calls_identical(self):
         engine = RuleEngine()
         engine.register_rule(dvd_rule(50))
-        snap = item_store(("I5", False, 10), ("I5", True, 100), ("I3", True, 90)).snapshot()
+        snap = oracles.kept_snapshot(item_store(("I5", False, 10), ("I5", True, 100), ("I3", True, 90)), engine.plans)
         assert engine.evaluate(snap) == engine.evaluate(snap)
 
 
@@ -180,9 +181,9 @@ class TestOrderIndependence:
         original derives."""
         rng = random.Random(5)
         base = dvd_rule(50)
-        snap = item_store(
-            ("I5", False, 10), ("I3", False, 40), ("I5", True, 70), ("I3", True, 120)
-        ).snapshot()
+        snap = oracles.kept_snapshot(
+            item_store(("I5", False, 10), ("I3", False, 40), ("I5", True, 70), ("I3", True, 120)), plan_rules([base])
+        )
 
         def derive(body):
             engine = RuleEngine()
@@ -205,13 +206,13 @@ class TestOrderIndependence:
         assert outcomes == {"rejected", "derived"}
 
 
-def random_snapshot(rng, max_instances=12):
+def random_snapshot(rng, plans, max_instances=12):
     readings = []
     n = rng.randrange(1, max_instances + 1)
     for i in range(n):
         ident = rng.choice(["I5", "I3", "I8", "D7", "D8"])
         readings.append((ident, rng.random() < 0.5, rng.randrange(0, 300)))
-    return item_store(*readings).snapshot()
+    return oracles.kept_snapshot(item_store(*readings), plans)
 
 
 def test_engine_matches_brute_force_on_random_rules():
@@ -221,7 +222,7 @@ def test_engine_matches_brute_force_on_random_rules():
         rule = dvd_rule(gap)
         engine = RuleEngine()
         engine.register_rule(rule)
-        snap = random_snapshot(rng)
+        snap = random_snapshot(rng, engine.plans)
         expected = oracles.brute_force_derivations(rule, snap)
         got = sorted(
             {(d.instance_id, d.state, d.time) for d in engine.evaluate(snap)},
@@ -283,7 +284,7 @@ class TestEarliest:
             engine = RuleEngine()
             for rule in dsl.compile_model(random_model(rng)).rules:
                 engine.register_rule(rule)
-            snap = model_store(rng, concepts).snapshot()
+            snap = oracles.kept_snapshot(model_store(rng, concepts), engine.plans)
             expected = earliest_by_evaluate(engine, snap)
             assert engine.earliest(snap) == expected
             found += expected is not None
@@ -294,13 +295,13 @@ class TestEarliest:
         engine.register_rule(dvd_rule(50))
         # both absences pair with the one return; I5#1 comes first in
         # snapshot order although I3#1 sorts first by id
-        snap = item_store(("I5", False, 10), ("I3", False, 20), ("I5", True, 100)).snapshot()
+        snap = oracles.kept_snapshot(item_store(("I5", False, 10), ("I3", False, 20), ("I5", True, 100)), engine.plans)
         best = engine.earliest(snap)
         assert (best.time, dict(best.binding)["?taken"]) == (100, "I5#1")
         assert best == earliest_by_evaluate(engine, snap)
 
     def test_tie_between_rules_goes_to_the_first_registered(self):
-        snap = item_store(("I5", False, 10), ("I5", True, 100)).snapshot()
+        snap = oracles.kept_snapshot(item_store(("I5", False, 10), ("I5", True, 100)), plan_rules([dvd_rule(50)]))
         for first, second in (("B", "A"), ("A", "B")):
             engine = RuleEngine()
             for name, gap in ((first, 50), (second, 10)):
@@ -313,12 +314,12 @@ class TestEarliest:
     def test_no_derivation_is_none(self):
         engine = RuleEngine()
         engine.register_rule(dvd_rule(200))
-        assert engine.earliest(item_store(("I5", False, 10), ("I5", True, 100)).snapshot()) is None
+        assert engine.earliest(oracles.kept_snapshot(item_store(("I5", False, 10), ("I5", True, 100)), engine.plans)) is None
 
     def test_examined_counts_candidates_and_is_read_only(self):
         engine = RuleEngine()
         engine.register_rule(dvd_rule(50))
-        snap = item_store(("I5", False, 10), ("I5", True, 100)).snapshot()
+        snap = oracles.kept_snapshot(item_store(("I5", False, 10), ("I5", True, 100)), engine.plans)
         assert engine.examined == 0
         engine.evaluate(snap)
         assert engine.examined == 2
@@ -342,11 +343,10 @@ ODD_WRITES = {
 
 def state_store(readings, keep):
     """An append store of item and door statements.  With ``keep`` the
-    store keeps the plain and state lists an evaluator of ``dvd_rule``
-    keeps."""
+    store keeps the state lists an evaluator of ``dvd_rule`` keeps."""
     store = item_store()
     if keep:
-        for key in (("ITEM", None), ("ITEM", False), ("ITEM", True)):
+        for key in (("ITEM", False), ("ITEM", True)):
             store.keep(*key)
     for ident, state, time in readings:
         store.assert_statement(Statement(ident, state, time), concepts=("DOOR" if ident.startswith("D") else "ITEM",))
@@ -361,8 +361,9 @@ def candidate_ids(engine, plan, snap):
 class TestKeptStateLists:
     def test_candidates_and_derivations_equal_the_literal_filter(self):
         """A store that keeps state lists hands the matcher the candidates,
-        derivations and earliest witness the literal filter finds on a
-        store that keeps none, without filtering."""
+        derivations and earliest witness that the literal filter of the
+        whole snapshot (``oracles.literal_filter``) finds on a store that
+        keeps none."""
         rng = random.Random(16)
         quick = dvd_rule(0)
         plans = plan_rules([dvd_rule(50), Rule("A2-quick", quick.body, quick.head)])
@@ -374,11 +375,11 @@ class TestKeptStateLists:
             kept = state_store(readings, keep=True).snapshot()
             plain = state_store(readings, keep=False).snapshot()
             lists, filters = RuleEngine(plans), RuleEngine(plans)
+            filters._candidates = lambda plan, snap: oracles.literal_filter(plan.rule, snap)
             for plan in plans:
                 assert candidate_ids(lists, plan, kept) == candidate_ids(filters, plan, plain)
             assert lists.evaluate(kept) == filters.evaluate(plain)
             assert lists.earliest(kept) == filters.earliest(plain)
-            assert lists.filtered == 0
             assert kept.of_concept("ITEM", False) is not None
 
     @pytest.mark.parametrize("kind", sorted(ODD_WRITES))
@@ -399,17 +400,18 @@ class TestKeptStateLists:
     @pytest.mark.parametrize("goes", ["removed", "overwritten", "removed before a full recompute"])
     @pytest.mark.parametrize("kind", ("int", "plain", "second"))
     def test_an_odd_record_is_filtered_until_it_goes(self, kind, goes):
-        """An odd record is refused at its write, so the state lists are
-        never turned off: before and after a statement goes, removed or
-        overwritten by a plain instance, on the local path or a full
-        recompute, the lists are exact and nothing is filtered."""
+        """An odd record is refused at its write, so the state lists stay
+        exact: before and after a statement goes, removed or overwritten by
+        a plain instance, on the local path or a full recompute, they hold
+        what the literal test passes."""
         readings = [("I3", False, 20), ("I5", False, 10), ("I5", True, 100)]
         store = state_store(readings, keep=True)
         store.installations["I9"] = SensorDecl("I9", ("ITEM",), (("hasState", False),))
         engine = RuleEngine(plan_rules([dvd_rule(50)]))
         with pytest.raises(StoreError, match="only a statement carries it"):
             ODD_WRITES[kind](store)
-        expected = RuleEngine(plan_rules([dvd_rule(50)])).evaluate(state_store(readings, keep=False).snapshot())
+        plans = plan_rules([dvd_rule(50)])
+        expected = RuleEngine(plans).evaluate(oracles.kept_snapshot(state_store(readings, keep=False), plans))
         snap = store.snapshot()
         assert engine.evaluate(snap) == expected
         assert sorted(r.id for r in snap.of_concept("ITEM", False)) == ["I3#1", "I5#1"]
@@ -422,7 +424,6 @@ class TestKeptStateLists:
         snap = store.snapshot()
         assert [r.id for r in snap.of_concept("ITEM", False)] == ["I5#1"]
         assert [(d.time, dict(d.binding)["?taken"]) for d in engine.evaluate(snap)] == [(100, "I5#1")]
-        assert engine.filtered == 0
 
     def test_plans_are_shared_and_work_is_counted_per_engine(self):
         plans = plan_rules([dvd_rule(50)])
@@ -430,6 +431,83 @@ class TestKeptStateLists:
         first, second = RuleEngine(plans), RuleEngine(plans)
         assert first.plans == second.plans == plans
         first.evaluate(snap)
-        assert (first.examined, first.filtered, second.examined) == (2, 0, 0)
+        assert (first.examined, second.examined) == (2, 0)
         with pytest.raises(RuleValidationError):
             plan_rules([dvd_rule(50), dvd_rule(60)])
+
+    def test_a_list_the_store_does_not_keep_raises(self):
+        """The matcher reads only kept lists: on a store that keeps none of
+        the plan's lists, evaluation raises naming the store and the key."""
+        engine = RuleEngine(plan_rules([dvd_rule(50)]))
+        snap = state_store([("I5", False, 10), ("I5", True, 100)], keep=False).snapshot()
+        for read in (engine.evaluate, engine.earliest):
+            with pytest.raises(StoreError, match=r"snapshot of 'T' keeps no list \('ITEM', False\)"):
+                read(snap)
+
+
+# the literal tests a class variable of ``rule_with_tests`` carries: a boolean
+# ``hasState`` value (the list it reads), none (the plain list), a non-bool
+# ``hasState`` value (a search step, which ``0 in (False,)`` passes), and a
+# second test after a boolean one, on the state or on the time
+LITERAL_TESTS = {
+    "bool": lambda var, rng: [PropertyAtom("hasState", var, rng.random() < 0.5)],
+    "none": lambda var, rng: [],
+    "int": lambda var, rng: [PropertyAtom("hasState", var, rng.randrange(2))],
+    "second state": lambda var, rng: [
+        PropertyAtom("hasState", var, rng.random() < 0.5),
+        PropertyAtom("hasState", var, rng.random() < 0.5),
+    ],
+    "second time": lambda var, rng: [
+        PropertyAtom("hasState", var, rng.random() < 0.5),
+        PropertyAtom("hasTime", var, rng.randrange(0, 300, 30)),
+    ],
+}
+
+
+def rule_with_tests(rng, taken, back, gap):
+    """``dvd_rule`` with the literal tests ``LITERAL_TESTS[taken]`` and
+    ``LITERAL_TESTS[back]`` on its two class variables."""
+    return Rule(
+        name="A2",
+        body=(
+            ClassAtom("ITEM", "?taken"),
+            *LITERAL_TESTS[taken]("?taken", rng),
+            PropertyAtom("hasTime", "?taken", "?t_taken"),
+            ClassAtom("ITEM", "?back"),
+            *LITERAL_TESTS[back]("?back", rng),
+            PropertyAtom("hasTime", "?back", "?t_back"),
+            Assign("?deadline", "?t_taken", gap),
+            Compare("<=", "?deadline", "?t_back"),
+        ),
+        head=Head(instance_id="A2", concepts=("ACTIVITY",), state=True, time="?t_back"),
+    )
+
+
+@pytest.mark.parametrize("taken", sorted(LITERAL_TESTS))
+def test_literal_tests_beside_the_list_match_the_oracles(taken):
+    """Whatever literal tests a class variable carries, only its first
+    boolean ``hasState`` value picks its list; every other test runs in the
+    search.  Derivations equal the all-permutations matcher and
+    ``earliest`` the minimum of ``evaluate``."""
+    rng = random.Random(f"literal {taken}")
+    found = 0
+    for back in sorted(LITERAL_TESTS):
+        for _ in range(40):
+            rule = rule_with_tests(rng, taken, back, rng.randrange(0, 150, 30))
+            engine = RuleEngine(plan_rules([rule]))
+            # each variable's first boolean hasState test picks its list
+            lifted = [next((a.value for a in rule.body if isinstance(a, PropertyAtom) and a.var == var
+                            and a.prop == "hasState" and isinstance(a.value, bool)), None)
+                      for var in ("?taken", "?back")]
+            assert [state for _, _, state in engine.plans[0].classes] == lifted
+            readings = [
+                (rng.choice(["I5", "I3", "D7"]), rng.random() < 0.5, rng.randrange(0, 300, 30))
+                for _ in range(rng.randrange(1, 10))
+            ]
+            snap = oracles.kept_snapshot(state_store(readings, keep=False), engine.plans)
+            expected = oracles.brute_force_derivations(rule, snap)
+            got = sorted({(d.instance_id, d.state, d.time) for d in engine.evaluate(snap)}, key=lambda k: (k[0], k[2]))
+            assert got == expected, (taken, back)
+            assert engine.earliest(snap) == earliest_by_evaluate(engine, snap)
+            found += bool(expected)
+    assert found >= 10
