@@ -141,30 +141,66 @@ def parse_line(
     rename: Optional[Mapping[str, str]] = None,
 ) -> TraceEvent:
     """Parse one trace line; malformed input raises :class:`TraceParseError`."""
-    return _parse_line(text, _value_table(value_map), rename)
+    return _LineParser(_value_table(value_map), rename)(text)
 
 
-def _parse_line(text: str, values: Mapping[str, bool], rename: Optional[Mapping[str, str]]) -> TraceEvent:
-    """:func:`parse_line` with the value table already built."""
-    tokens = text.split()
-    if len(tokens) < 4:
-        raise TraceParseError("expected DATE TIME SENSOR VALUE", text.rstrip("\n"))
-    time_ms = timestamp_ms(tokens[0], tokens[1])
-    sensor = normalize_sensor(tokens[2], rename)
-    raw_value = tokens[3].upper()
-    if raw_value not in values:
-        raise TraceParseError(f"unknown sensor value {tokens[3]!r}", text.rstrip("\n"))
-    activity: Optional[int] = None
-    marker: Optional[str] = None
-    if len(tokens) >= 6:
-        tag = tokens[-1].lower()
-        parsed = _parse_activity_token(tokens[-2])
-        if tag in _BEGIN_TAGS | _END_TAGS and parsed is not None:
-            activity = parsed
-            marker = "begin" if tag in _BEGIN_TAGS else "end"
-    return TraceEvent(
-        time_ms=time_ms, sensor=sensor, value=values[raw_value], activity=activity, marker=marker
-    )
+def _clock_ms(time_token: str) -> Optional[int]:
+    """Milliseconds into the day of a time-of-day token, as
+    :func:`timestamp_ms` reads it, or ``None`` when that would raise."""
+    clock, _, fraction = time_token.partition(".")
+    try:
+        hour, minute, second = (int(part) for part in clock.split(":"))
+        ms = int((fraction + "000")[:3]) if fraction else 0
+    except ValueError:
+        return None
+    if 0 <= hour <= 23 and 0 <= minute <= 59 and 0 <= second <= 59:
+        return ((hour * 60 + minute) * 60 + second) * 1000 + ms
+    return None
+
+
+class _LineParser:
+    """:func:`parse_line` with the value table built once, and memos of each
+    date token's epoch-day milliseconds and each raw sensor token's
+    normalised id.  A memo holds only tokens that parsed; a line the memo
+    cannot answer goes through :func:`timestamp_ms`, so its error is the one
+    that function raises."""
+
+    def __init__(self, values: Mapping[str, bool], rename: Optional[Mapping[str, str]]) -> None:
+        self.values = values
+        self.rename = rename
+        self.days: dict[str, int] = {}
+        self.sensors: dict[str, str] = {}
+
+    def __call__(self, text: str) -> TraceEvent:
+        tokens = text.split()
+        if len(tokens) < 4:
+            raise TraceParseError("expected DATE TIME SENSOR VALUE", text.rstrip("\n"))
+        date_token, time_token, sensor_token = tokens[0], tokens[1], tokens[2]
+        day_ms = self.days.get(date_token)
+        clock_ms = _clock_ms(time_token)
+        if day_ms is None or clock_ms is None:
+            time_ms = timestamp_ms(date_token, time_token)  # raises a malformed line's error
+            if clock_ms is not None:
+                self.days[date_token] = time_ms - clock_ms
+        else:
+            time_ms = day_ms + clock_ms
+        sensor = self.sensors.get(sensor_token)
+        if sensor is None:
+            sensor = self.sensors[sensor_token] = normalize_sensor(sensor_token, self.rename)
+        value = self.values.get(tokens[3].upper())
+        if value is None:
+            raise TraceParseError(f"unknown sensor value {tokens[3]!r}", text.rstrip("\n"))
+        activity: Optional[int] = None
+        marker: Optional[str] = None
+        if len(tokens) >= 6:
+            tag = tokens[-1].lower()
+            parsed = _parse_activity_token(tokens[-2])
+            if tag in _BEGIN_TAGS | _END_TAGS and parsed is not None:
+                activity = parsed
+                marker = "begin" if tag in _BEGIN_TAGS else "end"
+        return TraceEvent(
+            time_ms=time_ms, sensor=sensor, value=value, activity=activity, marker=marker
+        )
 
 
 def format_line(event: TraceEvent) -> str:
@@ -208,7 +244,7 @@ def load_trace(
         with open(source, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
 
-    values = _value_table(value_map)
+    parse = _LineParser(_value_table(value_map), rename)
     events: list[TraceEvent] = []
     warnings: list[str] = []
     skipped = 0
@@ -216,7 +252,7 @@ def load_trace(
         if not raw.strip():
             continue
         try:
-            events.append(_parse_line(raw, values, rename))
+            events.append(parse(raw))
         except TraceParseError as exc:
             skipped += 1
             warnings.append(f"line {lineno}: {exc}")

@@ -11,9 +11,10 @@ to one: every annotated interval contributes exactly one outcome, the
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .ingest import GroundTruth, Interval
 
@@ -184,18 +185,47 @@ class TelemetryPoint:
 
 
 class Telemetry:
-    """Append-only, time-ordered complexity series per node."""
+    """Append-only, time-ordered complexity series per node.
+
+    Each node's points are kept as one ``array('q')`` of ``time_ms``,
+    ``axiom_count``, ``eval_ns`` triples: machine integers, which the cyclic
+    garbage collector never tracks.  ``series`` maps each node, in the order of its first
+    point, to its points read back as a fresh list of
+    :class:`TelemetryPoint` on every access.
+    """
 
     def __init__(self) -> None:
-        self.series: dict[str, list[TelemetryPoint]] = {}
+        self._columns: dict[str, array] = {}
+        self.series: Mapping[str, list[TelemetryPoint]] = _Series(self._columns)
 
     def record(self, node: str, time_ms: int, axiom_count: int, eval_ns: int) -> None:
-        self.series.setdefault(node, []).append(
-            TelemetryPoint(time_ms=time_ms, axiom_count=axiom_count, eval_ns=eval_ns)
-        )
+        column = self._columns.get(node)
+        if column is None:
+            column = self._columns[node] = array("q")
+        column.extend((time_ms, axiom_count, eval_ns))
 
     def nodes(self) -> list[str]:
-        return sorted(self.series)
+        return sorted(self._columns)
+
+
+class _Series(Mapping):
+    """Read-only node -> :class:`TelemetryPoint` list view of a
+    :class:`Telemetry`'s columns."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: dict[str, array]) -> None:
+        self._columns = columns
+
+    def __getitem__(self, node: str) -> list[TelemetryPoint]:
+        values = iter(self._columns[node])
+        return [TelemetryPoint(*point) for point in zip(values, values, values)]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,9 @@ the events that trigger them), events (conjunctions of conditions) and
 conditions (rate-sampled checks in one node).  The implicit upper node
 ``U`` is always part of the runtime network.  A node's declared mode
 (``overwrite`` or ``append``) is how its store keeps sensor readings; an
-unknown section, an option a section does not define and a duplicate
-activity index are rejected.
+unknown section, an option a section does not define, a duplicate
+activity index and a name holding a tab (the dispatch log's field
+separator) are rejected.
 
 A condition checks either one statement's state (``checks=N``) or the
 person's inferred context (``checks=PERSON:prop:TARGET``, on a node whose
@@ -50,7 +51,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .context import (
     ConceptGraph,
@@ -296,6 +297,8 @@ def load_network(text: str) -> NetworkModel:
         for name in declared:
             if name in seen:
                 raise NetworkError(f"duplicate {kind} name {name!r}")
+            if "\t" in name:  # the dispatch log separates its fields with tabs
+                raise NetworkError(f"{kind} name {name!r} holds a tab")
             seen.add(name)
 
     return NetworkModel(
@@ -365,6 +368,36 @@ class LogEntry:
         return f"{self.time_ms}\t{self.kind}\t{self.name}\t{self.detail}"
 
 
+def _entry(line: str) -> LogEntry:
+    """The entry one rendered line holds; the detail keeps any tab or
+    newline of its own."""
+    time_ms, kind, name, detail = line.split("\t", 3)
+    return LogEntry(int(time_ms), kind, name, detail)
+
+
+class DispatchLog(Sequence[LogEntry]):
+    """A read-only view of a network's dispatch log.  The network keeps each
+    entry as its rendered line (a ``str``, which the cyclic garbage collector
+    never tracks); the view reads the lines back as :class:`LogEntry` values
+    on every access.  A slice is a list of entries."""
+
+    __slots__ = ("_lines",)
+
+    def __init__(self, lines: list[str]) -> None:
+        self._lines = lines
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_entry(line) for line in self._lines[index]]
+        return _entry(self._lines[index])
+
+    def __iter__(self):
+        return map(_entry, self._lines)
+
+
 ProcedureImpl = Callable[["RuntimeNetwork", int], None]
 
 
@@ -373,7 +406,12 @@ def _noop(net: "RuntimeNetwork", now_ms: int) -> None:
 
 
 class RuntimeNetwork:
-    """Bootstrapped network: stores, procedures and scheduler state."""
+    """Bootstrapped network: stores, procedures and scheduler state.
+
+    ``log`` is the dispatch log as a :class:`DispatchLog`: :meth:`emit`
+    appends each entry as its rendered line, ``log`` reads the lines back
+    as :class:`LogEntry` values and :meth:`render_log` joins them.
+    """
 
     def __init__(
         self,
@@ -403,7 +441,8 @@ class RuntimeNetwork:
         self.events: dict[str, EventDecl] = {e.name: e for e in model.events}
         self._consumed: set[str] = set()
         self.clock = VirtualClock()
-        self.log: list[LogEntry] = []
+        self._lines: list[str] = []
+        self.log = DispatchLog(self._lines)
         self._observers: dict[str, list[str]] = {c.name: [] for c in model.conditions}
         for event in model.events:
             for cond in event.observes:
@@ -417,6 +456,7 @@ class RuntimeNetwork:
             if isinstance(state.decl.check, StatementCheck):
                 key = (state.decl.node, state.decl.check.statement_id)
                 self._by_statement.setdefault(key, []).append(name)
+        self._store_order = tuple(stores.items())
         self._pending: dict[TickGroup, int] = {}
 
     @property
@@ -426,13 +466,13 @@ class RuntimeNetwork:
 
     # -- logging -----------------------------------------------------------
 
-    def emit(self, kind: str, name: str, detail: str = "") -> LogEntry:
-        entry = LogEntry(time_ms=self.clock.now, kind=kind, name=name, detail=detail)
-        self.log.append(entry)
-        return entry
+    def emit(self, kind: str, name: str, detail: str = "") -> None:
+        """Append one entry, rendered as :meth:`LogEntry.render` renders it."""
+        self._lines.append(f"{self.clock.now}\t{kind}\t{name}\t{detail}")
 
     def render_log(self) -> str:
-        return "\n".join(entry.render() for entry in self.log) + ("\n" if self.log else "")
+        lines = self._lines
+        return "\n".join(lines) + "\n" if lines else ""
 
     # -- condition evaluation ------------------------------------------------
 
@@ -482,15 +522,16 @@ class RuntimeNetwork:
 
     def run_procedure(self, name: str) -> None:
         impl = self.procedures[name]
-        before = {k: s.mutation_seq for k, s in self.stores.items()}
+        stores = self._store_order
+        before = [store.mutation_seq for _, store in stores]
         self.emit("procedure", name)
         try:
             impl(self, self.clock.now)
         except Exception as exc:  # procedure failure must not halt the loop
             logger.exception("procedure %s failed", name)
             self.emit("error", name, f"{type(exc).__name__}: {exc}")
-        for store_name, seq in before.items():
-            if self.stores[store_name].mutation_seq != seq:
+        for (store_name, store), seq in zip(stores, before):
+            if store.mutation_seq != seq:
                 self.note_mutation(store_name)
 
     def sample_and_dispatch(self, names: list[str]) -> None:

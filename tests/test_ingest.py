@@ -77,6 +77,28 @@ class TestParseLine:
             assert parse_line(format_line(event)) == event
 
 
+# a malformed line and the warning text it gets, whether or not an earlier
+# line of the trace already used its date token
+MALFORMED = [
+    ("2009-13-11 x:00:00 M01 ON", "bad timestamp (invalid literal for int() with base 10: 'x'): '2009-13-11 x:00:00'"),
+    ("2009-05-11 x:00:00 M01 ON", "bad timestamp (invalid literal for int() with base 10: 'x'): '2009-05-11 x:00:00'"),
+    ("2009-05-11 24:00:00 M01 ON", "bad timestamp (hour must be in 0..23): '2009-05-11 24:00:00'"),
+    ("2009-05-11 -1:00:00 M01 ON", "bad timestamp (hour must be in 0..23): '2009-05-11 -1:00:00'"),
+    ("2009-05-11 14:60:00 M01 ON", "bad timestamp (minute must be in 0..59): '2009-05-11 14:60:00'"),
+    ("2009-05-11 14:00:60 M01 ON", "bad timestamp (second must be in 0..59): '2009-05-11 14:00:60'"),
+    ("2009-02-30 14:00:00 M01 ON", "bad timestamp (day is out of range for month): '2009-02-30 14:00:00'"),
+    ("2009-13-11 24:00:00 M01 ON", "bad timestamp (month must be in 1..12): '2009-13-11 24:00:00'"),
+    ("2009-05-11 14:00:00.x M01 ON", "bad timestamp (invalid literal for int() with base 10: 'x00'): '2009-05-11 14:00:00.x'"),
+    ("2009-05-11 25:00:00.x M01 ON", "bad timestamp (invalid literal for int() with base 10: 'x00'): '2009-05-11 25:00:00.x'"),
+    ("2009-05-11 14:00 M01 ON", "bad timestamp (not enough values to unpack (expected 3, got 2)): '2009-05-11 14:00'"),
+    ("2009-05-11 14:00:00:00 M01 ON", "bad timestamp (too many values to unpack (expected 3)): '2009-05-11 14:00:00:00'"),
+    ("2009-05 14:00:00 M01 ON", "bad timestamp (not enough values to unpack (expected 3, got 2)): '2009-05 14:00:00'"),
+    ("0-05-11 14:00:00 M01 ON", "bad timestamp (year 0 is out of range): '0-05-11 14:00:00'"),
+    ("2009-05-11 14:00:00 M01 MAYBE", "unknown sensor value 'MAYBE': '2009-05-11 14:00:00 M01 MAYBE'"),
+    ("2009-05-11 14:00:00 M01", "expected DATE TIME SENSOR VALUE: '2009-05-11 14:00:00 M01'"),
+]
+
+
 class TestLoadTrace:
     def test_small_file(self):
         text = (
@@ -114,6 +136,18 @@ class TestLoadTrace:
         load = load_trace(io.StringIO(text))
         assert load.skipped == 1
         assert len(load.events) == 1
+
+    @pytest.mark.parametrize("line, warning", MALFORMED, ids=[line for line, _ in MALFORMED])
+    def test_malformed_line_warnings(self, line, warning):
+        assert load_trace(io.StringIO(line + "\n")).warnings == [f"line 1: {warning}"]
+        seen = "2009-05-11 13:00:00 M01 ON\n2009-13-11 13:00:00 M01 ON\n"
+        load = load_trace(io.StringIO(seen + line + "\n2009-05-11 14:00:00 M0001 ON\n"))
+        assert load.warnings == ["line 2: bad timestamp (month must be in 1..12): '2009-13-11 13:00:00'",
+                                 f"line 3: {warning}"]
+        assert [(e.time_ms, e.sensor) for e in load.events] == [
+            (epoch_ms_oracle(2009, 5, 11, 13, 0, 0, 0), "M1"),
+            (epoch_ms_oracle(2009, 5, 11, 14, 0, 0, 0), "M1"),
+        ]
 
     def test_value_words_and_renames_apply_to_every_line(self):
         """The value table is built once per trace: a custom word (in any

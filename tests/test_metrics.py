@@ -8,6 +8,7 @@ from fluentnet.metrics import (
     REFERENCE_DIAGONAL,
     REFERENCE_F1,
     Telemetry,
+    TelemetryPoint,
     delay_stats,
     emit_report,
     f_measure,
@@ -134,6 +135,34 @@ class TestDelays:
         assert stats.delayed == 1
         assert stats.delayed <= stats.total
         assert stats.max_s == pytest.approx(2.0)  # the earliest match decides
+
+
+class TestTelemetry:
+    def test_series_reads_back_what_was_recorded(self):
+        telemetry = Telemetry()
+        recorded = [
+            ("T2", 0, 12, 2**40),
+            ("L", 0, 293, 111),
+            ("T10", 5, 0, 0),
+            ("L", 20, 294, 95),
+            ("T2", 1_234_567_890_123, 13, 7),
+        ]
+        for node, time_ms, axiom_count, eval_ns in recorded:
+            telemetry.record(node, time_ms, axiom_count, eval_ns)
+        assert telemetry.nodes() == ["L", "T10", "T2"]
+        assert list(telemetry.series) == ["T2", "L", "T10"]  # in order of first point
+        for node in telemetry.nodes():
+            assert telemetry.series[node] == [
+                TelemetryPoint(time_ms=t, axiom_count=a, eval_ns=e) for n, t, a, e in recorded if n == node
+            ]
+        assert dict(telemetry.series.items())["T10"] == [TelemetryPoint(5, 0, 0)]
+        assert "T3" not in telemetry.series and len(telemetry.series) == 3
+
+    def test_an_empty_telemetry_has_no_series(self):
+        telemetry = Telemetry()
+        assert telemetry.nodes() == [] and dict(telemetry.series) == {}
+        with pytest.raises(KeyError):
+            telemetry.series["L"]
 
 
 class TestReports:

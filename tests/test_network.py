@@ -16,6 +16,7 @@ from fluentnet.context import OVERWRITE
 from fluentnet.network import (
     BOOT_STATEMENT,
     BootstrapError,
+    LogEntry,
     NetworkError,
     TickGroup,
     UPPER_NODE,
@@ -86,6 +87,22 @@ class TestLoad:
             ["D"] + [f"I{i}" for i in range(1, 9)] + [f"M{i}" for i in range(1, 9)]
         )
         assert len(model.procedures) == 17
+
+    @pytest.mark.parametrize("section, line", [
+        ("procedures", '"P\t1" implements=noop requires=E1'),
+        ("events", '"E\t1" observes=C1'),
+        ("conditions", '"C\t1" checks=X1 in=U hasTarget=true'),
+    ])
+    def test_a_name_holding_a_tab_is_rejected(self, section, line):
+        sections = {
+            "conditions": "C1 checks=X1 in=U hasTarget=true",
+            "events": "E1 observes=C1",
+            "procedures": "P1 implements=noop requires=E1",
+        }
+        sections[section] += "\n" + line
+        text = "".join(f"[{name}]\n{body}\n" for name, body in sections.items())
+        with pytest.raises(NetworkError, match="holds a tab"):
+            load_network(text)
 
     def test_condition_references_unknown_node(self, tmp_path):
         text = mini_config(
@@ -377,6 +394,53 @@ def enter_kitchen(net, now):
 def transitions(log):
     return [(e.time_ms, e.name, e.detail) for e in log if e.kind == "condition"]
 
+
+
+class TestDispatchLog:
+    """``net.log`` reads the network's rendered lines back as entries."""
+
+    def logged(self, tmp_path):
+        def boom(net, now):
+            raise ValueError("bad\tfield\nsecond line")
+
+        net = build_mini(
+            tmp_path,
+            ["C1 checks=X1 in=A hasTarget=true rate=50"],
+            ["E1 observes=C1"],
+            ["P1 implements=noop requires=E1"],
+            {"noop": boom},
+        )
+        flip(net, "X1", True)
+        net.pending_until(100)
+        return net
+
+    def test_entries_index_and_slice(self, tmp_path):
+        net = self.logged(tmp_path)
+        log = net.log
+        expected = [
+            LogEntry(20, "condition", "C1", "outcome=true"),
+            LogEntry(20, "event", "E1"),
+            LogEntry(20, "procedure", "P1"),
+            LogEntry(20, "error", "P1", "ValueError: bad\tfield\nsecond line"),
+        ]
+        assert len(log) == 4 and list(log) == expected
+        assert [log[i] for i in range(4)] == expected
+        assert log[-1] == expected[-1] and log[-4] == expected[0]
+        assert log[1:3] == expected[1:3] and log[::-1] == expected[::-1] and log[4:] == []
+        with pytest.raises(IndexError):
+            log[4]
+        net.emit("warning", "X9", "late")
+        assert len(log) == 5 and log[-1] == LogEntry(net.clock.now, "warning", "X9", "late")
+
+    def test_entries_render_back_to_the_log(self, tmp_path):
+        net = self.logged(tmp_path)
+        rendered = net.render_log()
+        assert rendered == "".join(entry.render() + "\n" for entry in net.log)
+        assert rendered.endswith("\tValueError: bad\tfield\nsecond line\n")
+
+    def test_an_empty_log_renders_empty(self):
+        net = bootstrap(load_network(""))
+        assert len(net.log) == 0 and list(net.log) == [] and net.render_log() == ""
 
 class TestTickGroups:
     """Pattern and statement checks on one node, sampled in tick groups

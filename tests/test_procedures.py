@@ -684,6 +684,29 @@ class TestEvaluationSkip:
             assert len(shadowed) >= 20
 
 
+class TestRetainedRecords:
+    """What a replay records (the dispatch log, the telemetry) is kept as
+    values the cyclic garbage collector never tracks (strings and machine
+    integers), so the collections of a long replay do not trace it again
+    and again."""
+
+    def test_a_result_holds_few_tracked_objects_per_reading(self, scenario, workloads):
+        text = "\n".join(workloads.generate("sessions", 1)[0]) + "\n"
+
+        def replay():
+            load = ingest.load_trace(io.StringIO(text), **scenario.load_trace_kwargs())
+            return procedures.run_replay(load.events, participant="p01", scenario=scenario)
+
+        replay()  # the scenario's shared caches fill on the first replay
+        gc.collect()
+        before = len(gc.get_objects())
+        result = replay()
+        gc.collect()
+        held = len(gc.get_objects()) - before
+        assert result.events_replayed == 146
+        assert held <= 8 * result.events_replayed
+
+
 class TestHostileTraces:
     """A cabinet left open while an item is toggled: the append node is
     never cleared, so every evaluation sees the whole history.  Matching
