@@ -33,6 +33,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
 
+from .context import STATE_PROP, TIME_PROP
 from .rules import Assign, Atom, ClassAtom, Compare, Head, PropertyAtom, Rule
 
 RESULT_CONCEPT = "ACTIVITY"
@@ -513,8 +514,8 @@ class _Compiler:
         branch = _Branch(anchor=time)
         branch.atoms = [
             ClassAtom(concept, inst),
-            PropertyAtom("hasState", inst, state),
-            PropertyAtom("hasTime", inst, time),
+            PropertyAtom(STATE_PROP, inst, state),
+            PropertyAtom(TIME_PROP, inst, time),
         ]
         branch.leaves = [(concept, state, inst)]
         return branch

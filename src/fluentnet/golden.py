@@ -5,7 +5,9 @@ one recognition stamped with its terminal statement's time, and several
 perturbations (reordered events, a violated time gap, an unmet visit
 count, a wrong state) that must yield none.  Traces are built from the
 model's own parameter table, so they stay valid under parameter overrides
-as long as the relation between the margins holds.
+as long as the relation between the margins holds.  An activity with no
+bundled cases, or whose model lacks a parameter its cases read, is
+skipped.
 """
 
 from __future__ import annotations
@@ -33,11 +35,23 @@ def _sec(seconds: float) -> int:
     return int(seconds * 1000)
 
 
+class NoBundledCases(LookupError):
+    """No bundled cases fit an activity: none exist for its index, or its
+    model lacks a parameter they read."""
+
+
 def golden_cases(binding: ActivityBinding) -> list[GoldenCase]:
-    """The satisfying trace plus perturbations for one activity."""
-    p = binding.ast.param_table()
-    build = _BUILDERS[binding.index]
-    return build(p)
+    """The satisfying trace plus perturbations for one activity, or
+    :class:`NoBundledCases` when none fit it."""
+    build = _BUILDERS.get(binding.index)
+    if build is None:
+        raise NoBundledCases("no bundled cases")
+    try:
+        return build(binding.ast.param_table())
+    except KeyError as exc:
+        raise NoBundledCases(
+            f"no bundled cases: model {binding.ast.name} lacks parameter {exc.args[0]!r}"
+        ) from None
 
 
 def _case(activity: int, name: str, readings: Sequence[Reading], expect: Optional[int]) -> GoldenCase:
@@ -280,18 +294,24 @@ def _evaluate(case: GoldenCase, store: ContextStore, evaluator: Evaluator) -> Op
 class GoldenOutcome:
     activity: int
     case: str
-    passed: bool
+    passed: Optional[bool]  # None: the activity was skipped, with no case run
     detail: str
 
 
 def run_golden_suite(scenario: Scenario) -> list[GoldenOutcome]:
-    """Evaluate every bundled case; used by tests and the check CLI."""
+    """Evaluate every bundled case; used by tests and the check CLI.  A
+    skipped activity gets one outcome, with no case and ``passed=None``."""
     outcomes: list[GoldenOutcome] = []
     for index in sorted(scenario.bindings):
         binding = scenario.bindings[index]
+        try:
+            cases = golden_cases(binding)
+        except NoBundledCases as exc:
+            outcomes.append(GoldenOutcome(activity=index, case="", passed=None, detail=str(exc)))
+            continue
         # one evaluator serves every case
         evaluator = Evaluator(binding, ReplaySession())
-        for case in golden_cases(binding):
+        for case in cases:
             record = _evaluate(case, _new_store(scenario, binding), evaluator)
             if case.expect_time is None:
                 passed = record is None

@@ -338,23 +338,17 @@ def emit_report(
 
 
 def parse_dispatch_log(text: str) -> list[Recognition]:
-    """Extract (activity, time) recognitions from a rendered dispatch log."""
+    """Extract (activity, time) recognitions from a rendered dispatch log:
+    the ``activity=`` and ``at=`` fields of each recognition entry's detail,
+    whatever the entry's name."""
     out: list[Recognition] = []
     for line in text.splitlines():
-        parts = line.split("\t")
+        parts = line.split("\t", 3)
         if len(parts) != 4 or parts[1] != "recognition":
             continue
-        name, detail = parts[2], parts[3]
-        if not name.startswith("A"):
-            continue
+        fields = dict(token.split("=", 1) for token in parts[3].split() if "=" in token)
         try:
-            activity = int(name[1:])
-        except ValueError:
+            out.append((int(fields["activity"]), int(fields["at"])))
+        except (KeyError, ValueError):
             continue
-        time_ms = None
-        for token in detail.split():
-            if token.startswith("at="):
-                time_ms = int(token[3:])
-        if time_ms is not None:
-            out.append((activity, time_ms))
     return out

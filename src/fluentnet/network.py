@@ -36,13 +36,16 @@ node and the rate's integer numerator and denominator.  A group's sample
 takes its tick once, evaluates its statement checks, and evaluates a
 pattern check only when its watch's answer, read after the store has
 classified, would flip the check's outcome; a check skipped that way would
-have read the outcome it already holds.  Groups are indexed by node for
-:meth:`RuntimeNetwork.note_mutation`, and statement checks by (node,
-statement) for :meth:`RuntimeNetwork.notify_sync`, so neither scans the
-others.  Tick times are exact integer ceil/floor divisions: tick ``k`` of
-a ``p/q`` Hz group falls at ``ceil(k * 1000 * q / p)`` ms.  Everything runs on one logical thread of
-control against a virtual clock, so a fixed configuration and trace always
-produce the same dispatch log.
+have read the outcome it already holds.  The wiring is resolved once, when
+the network is built: a group holds its node's store, a
+:class:`ConditionState` the :class:`EventState` objects observing it, and
+an event its conditions and the procedures requiring it; only
+:meth:`RuntimeNetwork.note_mutation`, :meth:`RuntimeNetwork.notify_sync`
+and :meth:`RuntimeNetwork.run_procedure` look up the names they are given.
+Tick times are exact integer ceil/floor divisions: tick ``k`` of a ``p/q``
+Hz group falls at ``ceil(k * 1000 * q / p)`` ms.  Everything runs on one
+logical thread of control against a virtual clock, so a fixed
+configuration and trace always produce the same dispatch log.
 """
 
 from __future__ import annotations
@@ -50,8 +53,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from weakref import proxy
 
 from .context import (
     ConceptGraph,
@@ -79,6 +84,7 @@ BOOT_STATEMENT = "BOOT"
 PERSON_CONCEPT = "PERSON"
 
 DEFAULT_RATE_HZ = Fraction(50)
+_BY_NAME = attrgetter("decl.name")
 
 
 class NetworkError(ConfigError):
@@ -326,11 +332,12 @@ class VirtualClock:
 
 @dataclass(eq=False)
 class TickGroup:
-    """The conditions on one node at one rate, and the last rate tick they
-    were sampled at.  A rate of ``p/q`` Hz is ``p`` ticks per ``1000 * q``
-    ms, kept as those two integers."""
+    """The conditions on one node at one rate, a weak proxy of the node's
+    store (so the group's reference cycles never hold the store past its
+    network), and the last rate tick they were sampled at.  A rate of
+    ``p/q`` Hz is ``p`` ticks per ``1000 * q`` ms, kept as two integers."""
 
-    node: str
+    store: ContextStore
     ticks: int
     per_ms: int
     members: list["ConditionState"] = field(default_factory=list)
@@ -348,13 +355,24 @@ class TickGroup:
 
 @dataclass(eq=False)
 class ConditionState:
-    """A condition's outcome and its tick group.  A pattern check also holds
-    its store's watch of the pattern."""
+    """A condition's outcome, tick group and observing events (in declaration
+    order).  A pattern check also holds its store's watch of the pattern."""
 
     decl: ConditionDecl
     group: TickGroup
     outcome: bool = False
     watch: Optional[PatternWatch] = None
+    observers: list["EventState"] = field(default_factory=list)
+
+
+@dataclass(eq=False)
+class EventState:
+    """An event's wiring; it stays consumed from firing until a condition rises."""
+
+    name: str
+    conditions: tuple[ConditionState, ...]
+    procedures: tuple[str, ...]
+    consumed: bool = False
 
 
 @dataclass(frozen=True)
@@ -423,13 +441,14 @@ class RuntimeNetwork:
         self.stores = stores
         self.procedures = procedures
         self._by_node: dict[str, list[TickGroup]] = {}
+        self._by_statement: dict[tuple[str, str], list[ConditionState]] = {}
         groups: dict[tuple[str, int, int], TickGroup] = {}
         self.conditions: dict[str, ConditionState] = {}
         for c in model.conditions:
             key = (c.node, c.rate_hz.numerator, c.rate_hz.denominator)
             group = groups.get(key)
             if group is None:
-                group = groups[key] = TickGroup(c.node, key[1], 1000 * key[2])
+                group = groups[key] = TickGroup(proxy(stores[c.node]), key[1], 1000 * key[2])
                 self._by_node.setdefault(c.node, []).append(group)
             watch = None
             if isinstance(c.check, PatternCheck):
@@ -437,25 +456,17 @@ class RuntimeNetwork:
                 group.watched = True
             state = self.conditions[c.name] = ConditionState(decl=c, group=group, watch=watch)
             group.members.append(state)
+            if watch is None:
+                self._by_statement.setdefault((c.node, c.check.statement_id), []).append(state)
+        for e in model.events:
+            procs = tuple(p.name for p in model.procedures for r in p.requires if r == e.name)
+            event = EventState(e.name, tuple(self.conditions[c] for c in e.observes), procs)
+            for state in event.conditions:
+                state.observers.append(event)
         self._evaluated = 0
-        self.events: dict[str, EventDecl] = {e.name: e for e in model.events}
-        self._consumed: set[str] = set()
         self.clock = VirtualClock()
         self._lines: list[str] = []
         self.log = DispatchLog(self._lines)
-        self._observers: dict[str, list[str]] = {c.name: [] for c in model.conditions}
-        for event in model.events:
-            for cond in event.observes:
-                self._observers[cond].append(event.name)
-        self._requirers: dict[str, list[str]] = {e.name: [] for e in model.events}
-        for proc in model.procedures:
-            for event in proc.requires:
-                self._requirers[event].append(proc.name)
-        self._by_statement: dict[tuple[str, str], list[str]] = {}
-        for name, state in self.conditions.items():
-            if isinstance(state.decl.check, StatementCheck):
-                key = (state.decl.node, state.decl.check.statement_id)
-                self._by_statement.setdefault(key, []).append(name)
         self._store_order = tuple(stores.items())
         self._pending: dict[TickGroup, int] = {}
 
@@ -476,48 +487,46 @@ class RuntimeNetwork:
 
     # -- condition evaluation ------------------------------------------------
 
-    def evaluate_condition(self, decl: ConditionDecl) -> bool:
+    def evaluate_condition(self, state: ConditionState) -> bool:
         self._evaluated += 1
-        store = self.stores[decl.node]
-        check = decl.check
-        if isinstance(check, StatementCheck):
-            state = store.statement_state(check.statement_id)
-            return state is not None and state is decl.target
-        store.classify()  # brings the watch up to date
-        return self.conditions[decl.name].watch.answer is decl.target
+        decl, watch = state.decl, state.watch
+        if watch is None:
+            value = state.group.store.statement_state(decl.check.statement_id)
+            return value is not None and value is decl.target
+        state.group.store.classify()  # brings the watch up to date
+        return watch.answer is decl.target
 
     # -- sampling + dispatch cascade ------------------------------------------
 
-    def _sample(self, name: str) -> Optional[bool]:
-        """Sample one condition; returns the new outcome when it flipped."""
-        state = self.conditions[name]
-        outcome = self.evaluate_condition(state.decl)
-        if outcome == state.outcome:
-            return None
-        state.outcome = outcome
-        self.emit("condition", name, f"outcome={'true' if outcome else 'false'}")
-        return outcome
+    def sample_and_dispatch(self, states: Iterable[ConditionState]) -> None:
+        """Sample conditions in name order; cascade the ones that rose."""
+        risen: list[ConditionState] = []
+        for state in sorted(states, key=_BY_NAME):
+            outcome = self.evaluate_condition(state)
+            if outcome == state.outcome:
+                continue
+            state.outcome = outcome
+            self.emit("condition", state.decl.name, f"outcome={'true' if outcome else 'false'}")
+            if outcome:
+                risen.append(state)
+        if risen:
+            self._cascade(risen)
 
-    def _cascade(self, risen: list[str]) -> None:
-        """Re-arm and fire events observing conditions that rose."""
-        for cond in risen:
-            self._consumed.difference_update(self._observers[cond])
-        fired: list[str] = []
-        seen: set[str] = set()
-        for cond in risen:
-            for event_name in self._observers[cond]:
-                if event_name in seen:
-                    continue
-                seen.add(event_name)
-                satisfied = all(
-                    self.conditions[c].outcome for c in self.events[event_name].observes
-                )
-                if satisfied and event_name not in self._consumed:
-                    self._consumed.add(event_name)
-                    self.emit("event", event_name)
-                    fired.append(event_name)
-        for event_name in fired:
-            for proc_name in self._requirers[event_name]:
+    def _cascade(self, risen: list[ConditionState]) -> None:
+        """Re-arm and fire events observing conditions that rose.  An event met
+        twice is consumed or unsatisfied the second time: no outcome changes."""
+        for state in risen:
+            for event in state.observers:
+                event.consumed = False
+        fired: list[EventState] = []
+        for state in risen:
+            for event in state.observers:
+                if not event.consumed and all(c.outcome for c in event.conditions):
+                    event.consumed = True
+                    self.emit("event", event.name)
+                    fired.append(event)
+        for event in fired:
+            for proc_name in event.procedures:
                 self.run_procedure(proc_name)
 
     def run_procedure(self, name: str) -> None:
@@ -533,15 +542,6 @@ class RuntimeNetwork:
         for (store_name, store), seq in zip(stores, before):
             if store.mutation_seq != seq:
                 self.note_mutation(store_name)
-
-    def sample_and_dispatch(self, names: list[str]) -> None:
-        risen: list[str] = []
-        for name in sorted(names):
-            flipped = self._sample(name)
-            if flipped is True:
-                risen.append(name)
-        if risen:
-            self._cascade(risen)
 
     # -- the scheduler loop ---------------------------------------------------
 
@@ -575,23 +575,23 @@ class RuntimeNetwork:
             self.clock.advance_to(due_time)
             self.sample_and_dispatch(self._take_ticks(batch))
 
-    def _take_ticks(self, batch: list[TickGroup]) -> list[str]:
+    def _take_ticks(self, batch: list[TickGroup]) -> list[ConditionState]:
         """Take each group's tick; returns the members whose outcome may have
         changed: every statement check, and each pattern check whose watch's
         answer would flip its outcome (sampling any other would re-read the
         outcome it holds, so no log entry can change by skipping it)."""
         now = self.clock.now
-        names: list[str] = []
+        states: list[ConditionState] = []
         for group in batch:
             group.take_tick(now)
             if group.watched:
-                self.stores[group.node].classify()  # brings the watches up to date
+                group.store.classify()  # brings the watches up to date
             for state in group.members:
                 watch = state.watch
                 if watch is not None and (watch.answer is state.decl.target) is state.outcome:
                     continue
-                names.append(state.decl.name)
-        return names
+                states.append(state)
+        return states
 
     # -- targeted synchronisation ---------------------------------------------
 
@@ -600,7 +600,7 @@ class RuntimeNetwork:
         node, bypassing the rate clock; the events fired go to the log."""
         if node not in self.stores:
             raise NetworkError(f"unknown node {node!r}")
-        self.sample_and_dispatch(self._by_statement.get((node, statement_id), []))
+        self.sample_and_dispatch(self._by_statement.get((node, statement_id), ()))
 
 
 def _upper_store() -> ContextStore:

@@ -275,7 +275,7 @@ class Importer:
             instance = spatial.instances.get(sensor_id)
             if instance is None:
                 continue
-            state, time_ms = instance.single("hasState"), instance.time
+            state, time_ms = instance.single(STATE_PROP), instance.time
             if time_ms is None:
                 continue  # a plain instance: only statements carry a state
             if self._last.get(sensor_id) == (state, time_ms):

@@ -280,13 +280,13 @@ def _satisfies_all(body, binding, lookup, classification):
 
 # -- scheduler ---------------------------------------------------------------------
 
-def evaluate_from_scratch(net, decl):
+def evaluate_from_scratch(net, state):
     """``RuntimeNetwork.evaluate_condition`` with a pattern check answered
     by ``person_context_matches`` instead of by the store's watch."""
-    check = decl.check
+    decl, check = state.decl, state.decl.check
     if isinstance(check, PatternCheck):
         return person_context_matches(net.stores[decl.node], check.prop, check.target_concept) is decl.target
-    return RuntimeNetwork.evaluate_condition(net, decl)
+    return RuntimeNetwork.evaluate_condition(net, state)
 
 
 def unwatched(net):
@@ -309,7 +309,7 @@ def _take_next_tick(net, until):
     names = [name for time, name in due if time == next_time]
     for name in names:
         net.conditions[name].group.take_tick(next_time)
-    net.sample_and_dispatch(names)
+    net.sample_and_dispatch([net.conditions[name] for name in names])
     return True
 
 

@@ -268,6 +268,18 @@ class TestScore:
         original = (replay_out / "confusion.csv").read_bytes()
         assert fresh == original
 
+    def test_a_model_not_named_after_its_index_scores_as_replay_scores_it(self, trace_file, tmp_path):
+        """Recognitions are scored by the ``activity=`` field the evaluator
+        writes, not by the model's name."""
+        config = scenario_copy(tmp_path, "\nA8 :=", "\nOUTFIT :=", "models/a8.fluent")
+        run, out = tmp_path / "run", tmp_path / "rescore"
+        assert cli.main(["replay", "--config", str(config), "--trace", str(trace_file), "--out", str(run)]) == 0
+        assert "\trecognition\tOUTFIT\t" in (run / "p01" / "dispatch.log").read_text(encoding="utf-8")
+        args = ["--config", str(config), "--run-dir", str(run), "--trace", str(trace_file), "--out", str(out)]
+        assert cli.main(["score", *args]) == 0
+        for name in ("confusion.csv", "confusion.json", "fmeasure.csv", "delay.csv"):
+            assert (out / name).read_bytes() == (run / name).read_bytes(), name
+
 
 class TestCrossProcessDeterminism:
     def test_reports_identical_under_different_hash_seeds(self, trace_file, tmp_path):
@@ -306,6 +318,36 @@ class TestCheckModels:
         override = tmp_path / "params.json"
         override.write_text(json.dumps({"h3": 1, "d3": 0}), encoding="utf-8")
         assert cli.main(["check-models", "--params", str(override)]) == 1
+
+    @pytest.mark.parametrize(
+        "name, edits, skip",
+        [
+            (
+                procedures.NETWORK_FILE,
+                [("importer:8", "importer:9"), ("evaluator:8", "evaluator:9"), ("\n8 label=", "\n9 label=")],
+                "[skip] a9: no bundled cases",
+            ),
+            (
+                "models/a8.fluent",
+                [("+ d11)", "+ d12)"), ("where d11", "where d12")],
+                "[skip] a8: no bundled cases: model A8 lacks parameter 'd11'",
+            ),
+        ],
+        ids=["unknown-index", "missing-parameter"],
+    )
+    def test_an_activity_no_case_fits_is_skipped(self, name, edits, skip, tmp_path, capsys):
+        """The skipped activity's four cases are neither run nor counted."""
+        config = scenario_copy(tmp_path, *edits[0], name)
+        target = config / name
+        text = target.read_text(encoding="utf-8")
+        for old, new in edits[1:]:
+            assert old in text
+            text = text.replace(old, new, 1)
+        target.write_text(text, encoding="utf-8")
+        assert cli.main(["check-models", "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert skip in lines
+        assert lines[-1] == "30/30 cases passed"
 
     @pytest.mark.parametrize(
         "line, message",

@@ -4,6 +4,8 @@ Every scheduling scenario runs twice, through ``pending_until`` and through
 the tick-loop oracle in ``oracles.py``, and requires identical dispatch logs.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -236,6 +238,26 @@ class TestBootstrap:
         with pytest.raises(BootstrapError, match=f"node A: bad.model: line 9: {message}"):
             bootstrap(load_network("[nodes]\nA represents=bad.model\n"), base_dir=tmp_path)
 
+    def test_a_dropped_network_frees_its_stores_by_reference_counting(self, tmp_path):
+        """Groups, conditions and events refer to each other; a store held
+        inside those cycles would outlive every replay until a full
+        collection."""
+        net = build_mini(
+            tmp_path,
+            ["C1 checks=X1 in=A hasTarget=true rate=50"],
+            ["E1 observes=C1"],
+            ["P1 implements=noop requires=E1"],
+        )
+        store = weakref.ref(net.stores["A"])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del net
+            assert store() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     @pytest.mark.parametrize("node", ["A", UPPER_NODE])
     def test_person_pattern_needs_a_person(self, tmp_path, node):
         model = load_network(
@@ -383,6 +405,82 @@ class TestStepSemantics:
         twin.flip("X1", False)
         twin.run_to(80)
         assert len(dispatches(twin.log, "P1")) == 1
+
+
+class TestCascade:
+    """The dispatch cascade of one sample, pinned line by line.  Each test
+    names the broken cascade it tells apart from the right one."""
+
+    def twin(self, tmp_path, events, procedures):
+        return Twin(
+            lambda: build_mini(
+                tmp_path,
+                [
+                    "C1 checks=X1 in=A hasTarget=true rate=50",
+                    "C2 checks=X2 in=A hasTarget=true rate=50",
+                ],
+                events,
+                procedures,
+            )
+        )
+
+    def test_two_conditions_rising_in_one_sample_fire_their_event_once(self, tmp_path):
+        """Fails if the firing loop drops its consumed test: E1 is met once
+        per risen condition and would fire twice."""
+        twin = self.twin(tmp_path, ["E1 observes=C1,C2"], ["P1 implements=noop requires=E1"])
+        twin.flip("X1", True)
+        twin.flip("X2", True)
+        twin.run_to(40)
+        assert twin.net.render_log() == (
+            "20\tcondition\tC1\toutcome=true\n"
+            "20\tcondition\tC2\toutcome=true\n"
+            "20\tevent\tE1\t\n"
+            "20\tprocedure\tP1\t\n"
+        )
+
+    def test_a_condition_observed_twice_fires_once_per_rise(self, tmp_path):
+        """Fails if re-arming moves into the firing loop (the second visit
+        re-arms E1 and fires it again), and if a rise no longer re-arms
+        (the second rise fires nothing)."""
+        twin = self.twin(tmp_path, ["E1 observes=C1,C1"], ["P1 implements=noop requires=E1"])
+        twin.flip("X1", True)
+        twin.run_to(40)
+        twin.flip("X1", False)
+        twin.run_to(60)
+        twin.flip("X1", True)
+        twin.run_to(80)
+        assert twin.net.render_log() == (
+            "20\tcondition\tC1\toutcome=true\n"
+            "20\tevent\tE1\t\n"
+            "20\tprocedure\tP1\t\n"
+            "40\tcondition\tC1\toutcome=false\n"
+            "60\tcondition\tC1\toutcome=true\n"
+            "60\tevent\tE1\t\n"
+            "60\tprocedure\tP1\t\n"
+        )
+
+    def test_a_procedure_requiring_two_fired_events_runs_once_per_event(self, tmp_path):
+        """Events fire first, in the order their conditions rose; then each
+        fired event runs the procedures requiring it in declaration order.
+        Fails if a procedure runs once per cascade (P1 runs once), and if
+        procedures run as each event fires (P1 and P2 before E2)."""
+        twin = self.twin(
+            tmp_path,
+            ["E1 observes=C1", "E2 observes=C2"],
+            ["P1 implements=noop requires=E2,E1", "P2 implements=noop requires=E1"],
+        )
+        twin.flip("X1", True)
+        twin.flip("X2", True)
+        twin.run_to(40)
+        assert twin.net.render_log() == (
+            "20\tcondition\tC1\toutcome=true\n"
+            "20\tcondition\tC2\toutcome=true\n"
+            "20\tevent\tE1\t\n"
+            "20\tevent\tE2\t\n"
+            "20\tprocedure\tP1\t\n"
+            "20\tprocedure\tP2\t\n"
+            "20\tprocedure\tP1\t\n"
+        )
 
 
 def enter_kitchen(net, now):
