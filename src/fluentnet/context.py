@@ -53,20 +53,21 @@ first write by the checked derivation: the asserted set, its closure
 against the graph's properties, the ids they name, the pairs they lend
 the person and the record's weight.  A later write looks it up, and
 rebuilds it when the store's installation is not the :class:`SensorDecl`
-it was built from.  Every statement record carries its template; only
-:meth:`ContextStore.add_instance` makes records without one.
+it was built from.  A record is its template plus three slots: the
+state, the time and ``seq``, the store's ``mutation_seq`` after the write
+that made it; a plain instance's template is derived for it alone.
 
-On the local path, the fixpoint's result for an instance with a template
-is a function of the template, the state and the memberships of the ids
-the template names (``None`` for a dangling name), so the graph memoises
-it under that key (``ConceptGraph.membership_memo``).  The key holds
+On the local path, the fixpoint's result for a statement record is a
+function of the template, the state and the memberships of the ids the
+template names (``None`` for a dangling name), so the graph memoises it
+under that key (``ConceptGraph.membership_memo``).  The key holds
 everything the fixpoint reads: the closure and the declared values come
-with the template; the time is a natural number (a :class:`Statement`
-checks it), so it meets a ``NATURAL`` restriction and no other; and by the
-local path's two conditions no named id is dirty and each holds only its
-asserted closure, so the memberships in the key are the ones the fixpoint
-reads throughout.  The memo caches the one fixpoint; it is
-not a second classifier.  :attr:`ContextStore.fixpointed` counts the
+with the template; the time is a natural number (the write checks it as
+a :class:`Statement` does), so it meets a ``NATURAL`` restriction and no
+other; and by the local path's two conditions no named id is dirty and
+each holds only its asserted closure, so the memberships in the key are
+the ones the fixpoint reads throughout.  The memo caches the one
+fixpoint; it is not a second classifier.  :attr:`ContextStore.fixpointed` counts the
 instances run through the fixpoint, which a memo hit is not.  Templates
 and memo live on the graph, which every store of a node shares across a
 scenario's replays, so they stay warm from one participant to the next.
@@ -130,10 +131,11 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
-from .statements import RAW, Statement, StatementSet
+from .statements import RAW, Statement, StatementSet, check_statement
 
 STATE_PROP = "hasState"
 TIME_PROP = "hasTime"
@@ -326,18 +328,8 @@ class ConceptGraph:
             declared: dict[str, tuple[PropValue, ...]] = {}
             for prop, value in decl.properties if decl is not None else ():
                 declared[prop] = declared.get(prop, ()) + (value,)
-            _check_properties(self, declared, f"statement {statement_id!r}")
             asserted = frozenset(decl.concepts if concepts is None else concepts)
-            closure = _checked_closure(self, asserted, f"statement {statement_id!r}")
-            template = WriteTemplate(
-                decl,
-                asserted,
-                closure,
-                tuple(declared.items()),
-                _names(declared),
-                _pairs(declared),
-                len(asserted) + 2 + sum(map(len, declared.values())),
-            )
+            template = _derive(self, decl, asserted, declared, f"statement {statement_id!r}", 2)
             self._templates[key] = template
         return template
 
@@ -361,33 +353,27 @@ class SensorDecl:
     properties: tuple[tuple[str, PropValue], ...] = ()
 
 
-def _check_properties(graph: ConceptGraph, props: Mapping[str, object], label: str) -> None:
-    """Every property is known to the graph, and none is ``hasState`` or
-    ``hasTime``, which only a statement's write sets."""
-    for prop in props:
+def _derive(
+    graph: ConceptGraph, decl: Optional[SensorDecl], asserted: frozenset[str], declared: dict, label: str, stated: int
+) -> WriteTemplate:
+    """The checked derivation of a write's template.  Every declared
+    property is known to the graph and none is ``hasState`` or ``hasTime``,
+    which only a statement's write states; the closure of ``asserted`` is
+    clash-free, or a :class:`ConsistencyError` names ``label``.  ``stated``
+    counts the values the write itself states: two for a statement's state
+    and time, none for a plain instance."""
+    for prop in declared:
         if prop not in graph.properties:
             raise StoreError(f"unknown property {prop!r}")
         if prop in (STATE_PROP, TIME_PROP):
             raise StoreError(f"{label} cannot declare {prop}: only a statement carries it")
-
-
-def _checked_closure(graph: ConceptGraph, asserted: frozenset[str], label: str) -> frozenset[str]:
-    """The closure of ``asserted``; a clash raises a :class:`ConsistencyError`
-    naming ``label``."""
     closure, clash = graph.closure(asserted)
     if clash:
         raise ConsistencyError(f"{label} cannot be both {clash[0]} and {clash[1]}")
-    return closure
-
-
-def _names(props: Mapping[str, tuple[PropValue, ...]]) -> frozenset[str]:
-    """The ids property values name."""
-    return frozenset(v for values in props.values() for v in values if isinstance(v, str))
-
-
-def _pairs(props: Mapping[str, tuple[PropValue, ...]]) -> frozenset[tuple[str, str]]:
-    """The isIn/isNearTo pairs property values would lend the person."""
-    return frozenset((prop, v) for prop in PAIR_PROPS for v in props.get(prop, ()) if isinstance(v, str))
+    names = frozenset(v for values in declared.values() for v in values if isinstance(v, str))
+    pairs = frozenset((prop, v) for prop in PAIR_PROPS for v in declared.get(prop, ()) if isinstance(v, str))
+    weight = len(asserted) + stated + sum(map(len, declared.values()))
+    return WriteTemplate(decl, asserted, closure, MappingProxyType(declared), names, pairs, weight)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -395,56 +381,66 @@ class WriteTemplate:
     """What every write of one statement id under one declaration derives
     alike, checked once: the asserted concepts and their clash-free
     closure, the declared property values grouped by property (``declared``,
-    each property known to the graph), the ids they name, the pairs they
-    lend the person when present and the record's axiom weight.  It holds
-    for the installation ``decl`` it was built from (``None``: none)."""
+    a read-only map, each property known to the graph), the ids they name,
+    the pairs they lend the person when present and the record's axiom
+    weight.  It holds for the installation ``decl`` it was built from
+    (``None``: none).  A plain instance's template is its own."""
 
     decl: Optional[SensorDecl]
     asserted: frozenset[str]
     closure: frozenset[str]
-    declared: tuple[tuple[str, tuple[PropValue, ...]], ...]
+    declared: Mapping[str, tuple[PropValue, ...]]
     names: frozenset[str]
     pairs: frozenset[tuple[str, str]]
     weight: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class StoreInstance:
-    """One stored instance, built once per write and never changed.
+    """One stored instance, built once per write and never changed: its
+    write's template plus ``state``, ``time`` and ``seq``.
 
-    ``closure`` is the asserted concepts with their superclasses, ``time``
-    the statement's ``hasTime`` value (``None`` for a plain instance,
-    which carries no time) and ``weight`` the instance's share of the axiom
-    count.  A statement carries its write's ``template``; a plain instance
-    has none.
-    A write replaces the record whole, so snapshots and the rule matcher
-    read it in place.
+    ``state`` and ``time`` are the statement's (``None`` for a plain
+    instance, which carries neither) and ``seq`` the store's
+    ``mutation_seq`` after the write that made the record.  The asserted
+    concepts, their closure, the declared values and the weight stay on
+    the template; :attr:`props` is a read-only map of every property value,
+    built on each read.  A write replaces the record whole, so snapshots
+    and the rule matcher read it in place.
     """
 
-    id: str
-    asserted: frozenset[str]
-    closure: frozenset[str]
-    props: Mapping[str, tuple[PropValue, ...]]
-    kind: str = RAW
-    template: Optional[WriteTemplate] = field(default=None, compare=False, repr=False)
-    time: Optional[int] = field(init=False)
-    weight: int = field(init=False)
+    __slots__ = ("id", "template", "state", "time", "seq", "kind")
 
-    def __post_init__(self) -> None:
-        times = self.props.get(TIME_PROP)
-        object.__setattr__(self, "time", times[0] if times else None)
-        template = self.template
-        object.__setattr__(self, "weight", self.axiom_weight() if template is None else template.weight)
+    id: str
+    template: WriteTemplate
+    state: Optional[bool]
+    time: Optional[int]
+    seq: int
+    kind: str
+
+    asserted = property(attrgetter("template.asserted"))
+    closure = property(attrgetter("template.closure"))
+    weight = property(attrgetter("template.weight"))
+
+    @property
+    def props(self) -> Mapping[str, tuple[PropValue, ...]]:
+        """``hasState`` and ``hasTime`` of a statement, then the declared
+        values, in a new read-only map."""
+        props = {} if self.time is None else {STATE_PROP: (self.state,), TIME_PROP: (self.time,)}
+        props.update(self.template.declared)
+        return MappingProxyType(props)
 
     def prop_values(self, prop: str) -> tuple[PropValue, ...]:
-        return self.props.get(prop, ())
+        if self.time is not None and (prop == STATE_PROP or prop == TIME_PROP):
+            return (self.state,) if prop == STATE_PROP else (self.time,)
+        return self.template.declared.get(prop, ())
 
     def single(self, prop: str) -> Optional[PropValue]:
-        values = self.props.get(prop, ())
+        values = self.prop_values(prop)
         return values[0] if values else None
 
     def is_statement(self) -> bool:
-        return STATE_PROP in self.props and TIME_PROP in self.props
+        return self.time is not None
 
     def axiom_weight(self) -> int:
         """The weight from scratch: asserted concepts plus property values."""
@@ -589,20 +585,21 @@ class ContextStore:
             del self._refs[instance_id]
 
     def _drop(self, instance_id: str) -> None:
-        self._axioms -= self.instances.pop(instance_id).weight
+        self._axioms -= self.instances.pop(instance_id).template.weight
         self._touch(instance_id, _NO_NAMES)
 
     # -- instance management ----------------------------------------------
 
-    def _put(self, record: StoreInstance, refs: frozenset[str]) -> None:
+    def _put(self, record: StoreInstance) -> None:
         """The one store write: axiom bookkeeping, the record in place of
         any previous one, the reference index and the dirty set."""
         previous = self.instances.get(record.id)
         if previous is not None:
-            self._axioms -= previous.weight
+            self._axioms -= previous.template.weight
         self.instances[record.id] = record
-        self._axioms += record.weight
-        self._touch(record.id, refs)
+        template = record.template
+        self._axioms += template.weight
+        self._touch(record.id, template.names)
         self.mutation_seq += 1
 
     def add_instance(
@@ -616,20 +613,18 @@ class ContextStore:
         checks, then the record.  ``hasState`` and ``hasTime`` are
         rejected: only :meth:`assert_statement` writes them."""
         props = {p: tuple(v) for p, v in (props or {}).items()}
-        _check_properties(self.graph, props, f"instance {instance_id!r}")
-        asserted = frozenset(concepts)
-        closure = _checked_closure(self.graph, asserted, f"instance {instance_id!r}")
-        record = StoreInstance(instance_id, asserted, closure, MappingProxyType(props))
-        self._put(record, _names(props))
+        template = _derive(self.graph, None, frozenset(concepts), props, f"instance {instance_id!r}", 0)
+        record = StoreInstance(instance_id, template, None, None, self.mutation_seq + 1, RAW)
+        self._put(record)
         return record
 
     def assert_statement(
-        self,
-        statement: Statement,
-        concepts: Iterable[str] | None = None,
-        mode: Optional[str] = None,
+        self, statement_id: str, state: bool, time: int, kind: str = RAW,
+        concepts: Iterable[str] | None = None, mode: Optional[str] = None,
     ) -> None:
-        """Ground a statement as a classified instance.
+        """Ground the statement ``(statement_id, state, time, kind)`` as a
+        classified instance; the fields are checked as a :class:`Statement`
+        checks them, with the same :class:`StatementError`.
 
         Overwrite mode replaces any prior instance for the same sensor id,
         keeping the axiom count bounded; append mode adds a fresh instance
@@ -638,31 +633,25 @@ class ContextStore:
         The checked derivation of the declaration is read off the graph's
         write template, which the record carries.
         """
+        check_statement(statement_id, state, time, kind)
         mode = mode or self.default_mode
         if mode not in (OVERWRITE, APPEND):
             raise StoreError(f"unknown reasoner mode {mode!r}")
-        decl = self.installations.get(statement.id)
+        decl = self.installations.get(statement_id)
         if concepts is None:
             if decl is None:
-                raise StoreError(f"unknown sensor {statement.id!r} in {self.name}")
+                raise StoreError(f"unknown sensor {statement_id!r} in {self.name}")
         else:
             concepts = tuple(concepts)
         if mode == OVERWRITE:
-            instance_id = statement.id
+            instance_id = statement_id
         else:
-            seq = self._sequence.get(statement.id, 0) + 1
-            instance_id = f"{statement.id}#{seq}"
-
-        template = self.graph.template(statement.id, concepts, decl)
-        props = {STATE_PROP: (statement.state,), TIME_PROP: (statement.time,)}
-        for prop, values in template.declared:
-            props[prop] = props.get(prop, ()) + values
-        record = StoreInstance(
-            instance_id, template.asserted, template.closure, MappingProxyType(props), statement.kind, template
-        )
-        self._put(record, template.names)
+            suffix = self._sequence.get(statement_id, 0) + 1
+            instance_id = f"{statement_id}#{suffix}"
+        template = self.graph.template(statement_id, concepts, decl)
+        self._put(StoreInstance(instance_id, template, state, time, self.mutation_seq + 1, kind))
         if mode == APPEND:
-            self._sequence[statement.id] = seq
+            self._sequence[statement_id] = suffix
 
     def remove_instance(self, instance_id: str) -> None:
         if instance_id not in self.instances:
@@ -750,9 +739,9 @@ class ContextStore:
         """Classify the instances ``ids`` (in sorted order) from their
         records' closures: defined classes in name order, pass after pass,
         until a pass changes nothing.  Memberships of instances outside
-        ``ids`` are read from the cache.  With ``memo`` (the local path),
-        an instance with a template takes its membership from the graph's
-        membership memo when it is there, and puts it there when not."""
+        ``ids`` are read from the cache.  With ``memo`` (the local path), a
+        statement record takes its membership from the graph's membership
+        memo when it is there, and puts it there when not."""
         memberships = self._memberships
         instances = self.instances
         self._reclassified += len(ids)
@@ -762,11 +751,11 @@ class ContextStore:
             run = []
             for inst_id in ids:
                 record = instances[inst_id]
-                template = record.template
-                if template is None:
+                if record.time is None:
                     run.append(inst_id)
                     continue
-                key = (template, record.props[STATE_PROP][0], *map(memberships.get, template.names))
+                template = record.template
+                key = (template, record.state, *map(memberships.get, template.names))
                 found = cache.get(key)
                 if found is None:
                     run.append(inst_id)
@@ -822,7 +811,7 @@ class ContextStore:
         """The kept lists a record with ``membership`` belongs in: those of
         its concepts that are plain lists or tallies of its statement state
         (a plain instance has none)."""
-        state = record.single(STATE_PROP)
+        state = record.state
         lists = self._admitting.get((membership, state))
         if lists is None:
             lists = tuple(
@@ -878,12 +867,11 @@ class ContextStore:
         """The isIn/isNearTo pairs an instance lends the person: those of a
         present instance of the presence concept with a true state."""
         instance = self.instances.get(inst_id)
-        if instance is None or instance.single(STATE_PROP) is not True:
+        if instance is None or instance.state is not True:
             return _NO_PAIRS
         if self.presence_concept not in self._memberships[inst_id]:
             return _NO_PAIRS
-        template = instance.template
-        return _pairs(instance.props) if template is None else template.pairs
+        return instance.template.pairs
 
     def _satisfies(
         self,
@@ -928,10 +916,9 @@ class ContextStore:
                 continue
             if concept not in classification[inst_id]:
                 continue
-            state = instance.single(STATE_PROP)
-            if state_filter is not None and state is not state_filter:
+            if state_filter is not None and instance.state is not state_filter:
                 continue
-            out.append(Statement(id=inst_id, state=bool(state), time=instance.time, kind=instance.kind))
+            out.append(Statement(id=inst_id, state=instance.state, time=instance.time, kind=instance.kind))
         return StatementSet(out)
 
     def infer_person_context(self) -> tuple[tuple[str, str], ...]:
@@ -1025,7 +1012,7 @@ class ContextStore:
 
     def statement_state(self, instance_id: str) -> Optional[bool]:
         instance = self.instances.get(instance_id)
-        return None if instance is None else instance.single(STATE_PROP)
+        return None if instance is None else instance.state
 
     def snapshot(self) -> "Snapshot":
         """The store as it is now, read in place: its record map, its

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from .context import ContextStore
 from .network import build_node_store
 from .procedures import ActivityBinding, Evaluator, RecognitionRecord, ReplaySession, Scenario
-from .statements import Statement
 
 Reading = tuple[str, bool, int]
 
@@ -285,7 +284,7 @@ def _new_store(scenario: Scenario, binding: ActivityBinding) -> ContextStore:
 
 def _evaluate(case: GoldenCase, store: ContextStore, evaluator: Evaluator) -> Optional[RecognitionRecord]:
     for sensor, state, time_ms in case.readings:
-        store.assert_statement(Statement(sensor, state, time_ms))
+        store.assert_statement(sensor, state, time_ms)
     horizon = max((t for _, _, t in case.readings), default=0) + 1000
     return evaluator.evaluate_store(store, now_ms=horizon)
 

@@ -37,9 +37,11 @@ takes its tick once, evaluates its statement checks, and evaluates a
 pattern check only when its watch's answer, read after the store has
 classified, would flip the check's outcome; a check skipped that way would
 have read the outcome it already holds.  The wiring is resolved once, when
-the network is built: a group holds its node's store, a
-:class:`ConditionState` the :class:`EventState` objects observing it, and
-an event its conditions and the procedures requiring it; only
+the network is built: a group holds its node's store and its conditions,
+a :class:`ConditionState` its store and the :class:`EventState` objects
+observing it, and an event its conditions' positions and the procedures
+requiring it.  No object refers back to one that refers to it, so a
+dropped network is freed by reference counting alone.  Only
 :meth:`RuntimeNetwork.note_mutation`, :meth:`RuntimeNetwork.notify_sync`
 and :meth:`RuntimeNetwork.run_procedure` look up the names they are given.
 Tick times are exact integer ceil/floor divisions: tick ``k`` of a ``p/q``
@@ -56,7 +58,6 @@ from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
-from weakref import proxy
 
 from .context import (
     ConceptGraph,
@@ -75,7 +76,6 @@ from .modelio import (
     read_sections,
     split_options,
 )
-from .statements import Statement
 
 logger = logging.getLogger(__name__)
 
@@ -332,10 +332,9 @@ class VirtualClock:
 
 @dataclass(eq=False)
 class TickGroup:
-    """The conditions on one node at one rate, a weak proxy of the node's
-    store (so the group's reference cycles never hold the store past its
-    network), and the last rate tick they were sampled at.  A rate of
-    ``p/q`` Hz is ``p`` ticks per ``1000 * q`` ms, kept as two integers."""
+    """The conditions on one node at one rate, the node's store and the
+    last rate tick they were sampled at.  A rate of ``p/q`` Hz is ``p``
+    ticks per ``1000 * q`` ms, kept as two integers."""
 
     store: ContextStore
     ticks: int
@@ -355,11 +354,12 @@ class TickGroup:
 
 @dataclass(eq=False)
 class ConditionState:
-    """A condition's outcome, tick group and observing events (in declaration
-    order).  A pattern check also holds its store's watch of the pattern."""
+    """A condition's outcome, its node's store and the events observing it
+    (in declaration order).  A pattern check also holds its store's watch
+    of the pattern."""
 
     decl: ConditionDecl
-    group: TickGroup
+    store: ContextStore
     outcome: bool = False
     watch: Optional[PatternWatch] = None
     observers: list["EventState"] = field(default_factory=list)
@@ -367,10 +367,12 @@ class ConditionState:
 
 @dataclass(eq=False)
 class EventState:
-    """An event's wiring; it stays consumed from firing until a condition rises."""
+    """An event's wiring: its conditions' positions in the network's
+    declaration order and the procedures requiring it.  It stays consumed
+    from firing until a condition rises."""
 
     name: str
-    conditions: tuple[ConditionState, ...]
+    conditions: tuple[int, ...]
     procedures: tuple[str, ...]
     consumed: bool = False
 
@@ -448,21 +450,23 @@ class RuntimeNetwork:
             key = (c.node, c.rate_hz.numerator, c.rate_hz.denominator)
             group = groups.get(key)
             if group is None:
-                group = groups[key] = TickGroup(proxy(stores[c.node]), key[1], 1000 * key[2])
+                group = groups[key] = TickGroup(stores[c.node], key[1], 1000 * key[2])
                 self._by_node.setdefault(c.node, []).append(group)
             watch = None
             if isinstance(c.check, PatternCheck):
                 watch = stores[c.node].watch(c.check.prop, c.check.target_concept)
                 group.watched = True
-            state = self.conditions[c.name] = ConditionState(decl=c, group=group, watch=watch)
+            state = self.conditions[c.name] = ConditionState(decl=c, store=stores[c.node], watch=watch)
             group.members.append(state)
             if watch is None:
                 self._by_statement.setdefault((c.node, c.check.statement_id), []).append(state)
+        self._states = tuple(self.conditions.values())
+        position = {name: i for i, name in enumerate(self.conditions)}
         for e in model.events:
             procs = tuple(p.name for p in model.procedures for r in p.requires if r == e.name)
-            event = EventState(e.name, tuple(self.conditions[c] for c in e.observes), procs)
-            for state in event.conditions:
-                state.observers.append(event)
+            event = EventState(e.name, tuple(position[c] for c in e.observes), procs)
+            for i in event.conditions:
+                self._states[i].observers.append(event)
         self._evaluated = 0
         self.clock = VirtualClock()
         self._lines: list[str] = []
@@ -491,9 +495,9 @@ class RuntimeNetwork:
         self._evaluated += 1
         decl, watch = state.decl, state.watch
         if watch is None:
-            value = state.group.store.statement_state(decl.check.statement_id)
+            value = state.store.statement_state(decl.check.statement_id)
             return value is not None and value is decl.target
-        state.group.store.classify()  # brings the watch up to date
+        state.store.classify()  # brings the watch up to date
         return watch.answer is decl.target
 
     # -- sampling + dispatch cascade ------------------------------------------
@@ -519,9 +523,10 @@ class RuntimeNetwork:
             for event in state.observers:
                 event.consumed = False
         fired: list[EventState] = []
+        states = self._states
         for state in risen:
             for event in state.observers:
-                if not event.consumed and all(c.outcome for c in event.conditions):
+                if not event.consumed and all(states[i].outcome for i in event.conditions):
                     event.consumed = True
                     self.emit("event", event.name)
                     fired.append(event)
@@ -607,7 +612,7 @@ def _upper_store() -> ContextStore:
     graph = ConceptGraph()
     graph.add_concept("STATEMENT")
     store = ContextStore(name=UPPER_NODE, graph=graph)
-    store.assert_statement(Statement(BOOT_STATEMENT, True, 0), concepts=("STATEMENT",))
+    store.assert_statement(BOOT_STATEMENT, True, 0, concepts=("STATEMENT",))
     return store
 
 

@@ -3,10 +3,13 @@
 The replayer turns dataset readings into assertions in the spatial node,
 classifying the node after each one, which brings the person's context
 (its presence counts) and the watched patterns' answers up to date.  Each
-importer reacts to a spatial trigger and copies the current values of its
-activity's sensors into the activity node (suppressing unchanged values),
-then raises the sync statement ``N`` so the paired evaluator runs in the
-same step.  Readings and imports are stored in their node's declared
+importer reacts to a spatial trigger and copies into the activity node
+its activity's sensors written since its last import: it keeps the
+spatial store it read and that store's ``mutation_seq``, and visits only
+the records whose ``seq`` is newer (every record of a store it has not
+read).  A reading it copied last time is not copied again.  It then
+raises the sync statement ``N`` so the paired evaluator runs in the same
+step.  Readings and imports are stored in their node's declared
 mode; ``N``, pre-pass results and the recognition are single-valued and
 always overwrite.  The evaluator resets ``N``, runs any windowed
 pre-passes, evaluates the compiled model rules on a snapshot, and on
@@ -55,7 +58,7 @@ from time import perf_counter_ns
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import dsl
-from .context import OVERWRITE, STATE_PROP, ContextStore, KeptList
+from .context import OVERWRITE, ContextStore, KeptList
 from .ingest import TraceEvent, drive
 from .metrics import Telemetry
 from .modelio import ConfigError, StoreModel, read_config, read_sections
@@ -68,7 +71,7 @@ from .network import (
     load_node_model,
 )
 from .rules import Plan, RuleEngine, plan_rules
-from .statements import AGGREGATED, Statement
+from .statements import AGGREGATED
 
 SPATIAL_NODE = "L"
 SYNC_STATEMENT = "N"
@@ -250,7 +253,7 @@ class Replayer:
             self.session.warnings.append(f"unknown sensor {event.sensor}")
             return False
         started = perf_counter_ns()
-        spatial.assert_statement(Statement(event.sensor, event.value, event.time_ms))
+        spatial.assert_statement(event.sensor, event.value, event.time_ms)
         spatial.classify()
         elapsed = perf_counter_ns() - started
         self.session.events_replayed += 1
@@ -260,35 +263,38 @@ class Replayer:
 
 
 class Importer:
-    """Procedure I_a: copy the activity's current spatial statements."""
+    """Procedure I_a: copy the activity's spatial statements written since
+    its last import (see the module docstring)."""
 
     def __init__(self, binding: ActivityBinding, session: ReplaySession) -> None:
         self.binding = binding
         self.session = session
         self._last: dict[str, tuple[bool, int]] = {}
+        # the spatial store the last import read, and its mutation_seq then
+        self._spatial: Optional[ContextStore] = None
+        self._seen = 0
 
     def __call__(self, net: RuntimeNetwork, now_ms: int) -> None:
         spatial = net.stores[SPATIAL_NODE]
         target = net.stores[self.binding.node]
+        seen = self._seen if spatial is self._spatial else 0
+        current = spatial.mutation_seq
+        records = spatial.instances
         imported = 0
         for sensor_id in self.binding.sensor_ids:
-            instance = spatial.instances.get(sensor_id)
-            if instance is None:
-                continue
-            state, time_ms = instance.single(STATE_PROP), instance.time
-            if time_ms is None:
-                continue  # a plain instance: only statements carry a state
+            record = records.get(sensor_id)
+            if record is None or record.seq <= seen or record.time is None:
+                continue  # read by the last import, or a plain instance
+            state, time_ms = record.state, record.time
             if self._last.get(sensor_id) == (state, time_ms):
-                continue  # unchanged since the previous import
-            target.assert_statement(Statement(sensor_id, state, time_ms))
+                continue  # the reading the previous import copied
+            target.assert_statement(sensor_id, state, time_ms)
             self._last[sensor_id] = (state, time_ms)
             imported += 1
+        # advanced after the walk, so an import that raised leaves the rest to the next
+        self._spatial, self._seen = spatial, current
         net.emit("import", f"I{self.binding.index}", f"count={imported}")
-        target.assert_statement(
-            Statement(SYNC_STATEMENT, True, now_ms),
-            concepts=(SYNC_CONCEPT,),
-            mode=OVERWRITE,
-        )
+        target.assert_statement(SYNC_STATEMENT, True, now_ms, concepts=(SYNC_CONCEPT,), mode=OVERWRITE)
         net.notify_sync(self.binding.node, SYNC_STATEMENT)
 
 
@@ -347,12 +353,10 @@ class Evaluator:
             if count >= prepass.min_count and earliest + prepass.window_ms <= latest:
                 derived_id = f"{prepass.derived_concept}_{index + 1}"
                 stored = store.instances.get(derived_id)
-                if stored is not None and stored.time == latest and stored.single(STATE_PROP) is True:
+                if stored is not None and stored.time == latest and stored.state is True:
                     continue
                 store.assert_statement(
-                    Statement(derived_id, True, latest, kind=AGGREGATED),
-                    concepts=(prepass.derived_concept,),
-                    mode=OVERWRITE,
+                    derived_id, True, latest, AGGREGATED, concepts=(prepass.derived_concept,), mode=OVERWRITE
                 )
                 asserted += 1
         return asserted
@@ -368,11 +372,7 @@ class Evaluator:
         # complexity as imported, before any clearing this evaluation does
         self.session.telemetry.record(self.binding.node, now_ms, store.axiom_count(), 0)
         if SYNC_STATEMENT in store.instances:
-            store.assert_statement(
-                Statement(SYNC_STATEMENT, False, now_ms),
-                concepts=(SYNC_CONCEPT,),
-                mode=OVERWRITE,
-            )
+            store.assert_statement(SYNC_STATEMENT, False, now_ms, concepts=(SYNC_CONCEPT,), mode=OVERWRITE)
             if net is not None:
                 # surface the falling edge at once, so the next raise of the
                 # sync statement is a visible transition even within one step
@@ -391,9 +391,7 @@ class Evaluator:
         record: Optional[RecognitionRecord] = None
         if best is not None:
             store.assert_statement(
-                Statement(best.instance_id, True, best.time, kind=AGGREGATED),
-                concepts=best.concepts,
-                mode=OVERWRITE,
+                best.instance_id, True, best.time, AGGREGATED, concepts=best.concepts, mode=OVERWRITE
             )
             contributing = tuple(
                 str(value)

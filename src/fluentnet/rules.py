@@ -445,7 +445,7 @@ class RuleEngine:
                 del binding[atom.var]
         elif isinstance(atom, PropertyAtom):
             inst = snapshot.get(str(binding[atom.var]))
-            values = inst.props.get(atom.prop, ()) if inst is not None else ()
+            values = inst.prop_values(atom.prop) if inst is not None else ()
             if is_var(atom.value) and atom.value not in binding:
                 for value in values:
                     binding[atom.value] = value

@@ -38,16 +38,23 @@ class Statement:
     kind: str = RAW
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise StatementError("statement id must be a non-empty string")
-        if not isinstance(self.state, bool):
-            raise StatementError(f"state of {self.id!r} must be a bool")
-        if isinstance(self.time, bool) or not isinstance(self.time, int):
-            raise StatementError(f"time of {self.id!r} must be an integer")
-        if self.time < 0:
-            raise StatementError(f"time of {self.id!r} must be >= 0, got {self.time}")
-        if self.kind not in (RAW, AGGREGATED):
-            raise StatementError(f"unknown statement kind {self.kind!r}")
+        check_statement(self.id, self.state, self.time, self.kind)
+
+
+def check_statement(statement_id: object, state: object, time: object, kind: object) -> None:
+    """Raise a :class:`StatementError` unless the fields make a statement:
+    the checks of :class:`Statement`, which a store write runs on its
+    arguments as they are."""
+    if not isinstance(statement_id, str) or not statement_id:
+        raise StatementError("statement id must be a non-empty string")
+    if not isinstance(state, bool):
+        raise StatementError(f"state of {statement_id!r} must be a bool")
+    if isinstance(time, bool) or not isinstance(time, int):
+        raise StatementError(f"time of {statement_id!r} must be an integer")
+    if time < 0:
+        raise StatementError(f"time of {statement_id!r} must be >= 0, got {time}")
+    if kind not in (RAW, AGGREGATED):
+        raise StatementError(f"unknown statement kind {kind!r}")
 
 
 def sort_key(statement: Statement) -> tuple[int, str]:

@@ -22,11 +22,11 @@ from fluentnet.context import (
     BOOLEAN_DOMAIN,
     FALSE_LITERAL,
     NATURAL_DOMAIN,
+    OVERWRITE,
     STATE_PROP,
     TIME_PROP,
     TRUE_LITERAL,
     ContextStore,
-    _names,
 )
 from fluentnet.network import PatternCheck, RuntimeNetwork, bootstrap
 from fluentnet.rules import Assign, ClassAtom, Compare, PropertyAtom
@@ -296,10 +296,17 @@ def unwatched(net):
     return net
 
 
+def tick_groups(net):
+    """Each condition's tick group, by condition name, read off the groups'
+    members."""
+    return {state.decl.name: group for groups in net._by_node.values() for group in groups for state in group.members}
+
+
 def _take_next_tick(net, until):
     """Sample every condition due at the earliest untaken rate tick, unless
     that tick lies after ``until``; returns whether one was taken."""
-    due = [(state.group.due_at_or_after(net.clock.now), name) for name, state in net.conditions.items()]
+    groups = tick_groups(net)
+    due = [(groups[name].due_at_or_after(net.clock.now), name) for name in net.conditions]
     if not due:
         return False
     next_time = min(time for time, _ in due)
@@ -308,7 +315,7 @@ def _take_next_tick(net, until):
     net.clock.advance_to(next_time)
     names = [name for time, name in due if time == next_time]
     for name in names:
-        net.conditions[name].group.take_tick(next_time)
+        groups[name].take_tick(next_time)
     net.sample_and_dispatch([net.conditions[name] for name in names])
     return True
 
@@ -352,6 +359,39 @@ def tick_replay(events, scenario):
     return net.render_log()
 
 
+class FullWalkImporter:
+    """An importer with no cursor, a drop-in for ``procedures.Importer``:
+    every import visits every sensor of its activity and copies each
+    spatial statement whose state and time (read off the props view)
+    differ from the ones it last copied of that sensor."""
+
+    def __init__(self, binding, session):
+        self.binding = binding
+        self.session = session
+        self._last = {}
+
+    def __call__(self, net, now_ms):
+        spatial = net.stores[procedures.SPATIAL_NODE]
+        target = net.stores[self.binding.node]
+        imported = 0
+        for sensor_id in self.binding.sensor_ids:
+            record = spatial.instances.get(sensor_id)
+            props = record.props if record is not None else {}
+            if STATE_PROP not in props:
+                continue
+            reading = (props[STATE_PROP][0], props[TIME_PROP][0])
+            if self._last.get(sensor_id) == reading:
+                continue
+            target.assert_statement(sensor_id, *reading)
+            self._last[sensor_id] = reading
+            imported += 1
+        net.emit("import", f"I{self.binding.index}", f"count={imported}")
+        target.assert_statement(
+            procedures.SYNC_STATEMENT, True, now_ms, concepts=(procedures.SYNC_CONCEPT,), mode=OVERWRITE
+        )
+        net.notify_sync(self.binding.node, procedures.SYNC_STATEMENT)
+
+
 def fraction_due_at_or_after(rate, last_tick, time_ms):
     """``TickGroup.due_at_or_after`` in ``Fraction`` arithmetic."""
     k = max(last_tick + 1, ceil(Fraction(max(time_ms, 0)) * rate / 1000))
@@ -392,14 +432,38 @@ def statement_props_from_scratch(statement, decl):
 
 
 def record_from_scratch(graph, asserted, props):
-    """What a record of ``asserted`` concepts and ``props`` holds: the
-    closure and the clashing pairs (``closure_from_scratch``) and the axiom
-    weight, one per asserted concept and per property value."""
+    """What a record of ``asserted`` concepts and ``props`` holds, field by
+    field as ``record_fields`` reads them: the asserted set, the closure
+    (``closure_from_scratch``), the state and time (the ``hasState`` and
+    ``hasTime`` values, ``None`` for a plain instance), the props view and
+    the axiom weight, one per asserted concept and per property value; and
+    the clashing pairs, with which the write raises."""
     closure, clashes = closure_from_scratch(graph, asserted)
     weight = len(asserted)
     for values in props.values():
         weight += len(values)
-    return closure, clashes, weight
+    fields = {
+        "asserted": frozenset(asserted),
+        "closure": closure,
+        "state": props[STATE_PROP][0] if STATE_PROP in props else None,
+        "time": props[TIME_PROP][0] if TIME_PROP in props else None,
+        "props": props,
+        "weight": weight,
+    }
+    return fields, clashes
+
+
+def record_fields(record):
+    """The fields ``record_from_scratch`` derives, read off a stored record;
+    the props view as a plain dict."""
+    return {
+        "asserted": record.asserted,
+        "closure": record.closure,
+        "state": record.state,
+        "time": record.time,
+        "props": dict(record.props),
+        "weight": record.weight,
+    }
 
 
 def classify_from_scratch(store):
@@ -537,7 +601,6 @@ def store_copy(store):
         store.name, store.graph, store.installations, store.person_id, store.default_mode, store.presence_concept
     )
     for record in store.instances.values():
-        template = record.template
-        copy._put(record, template.names if template is not None else _names(record.props))
+        copy._put(record)
     copy._sequence = dict(store._sequence)
     return copy

@@ -284,13 +284,13 @@ def _random_activity_snapshot(rng, scenario, binding, max_instances=12):
     for i in range(size):
         if derived and rng.random() < 0.3:
             store.assert_statement(
-                Statement(f"{rng.choice(derived)}_{i}", True, rng.randrange(0, 400_000)),
+                f"{rng.choice(derived)}_{i}", True, rng.randrange(0, 400_000),
                 concepts=(rng.choice(derived),),
                 mode=APPEND,
             )
         else:
             store.assert_statement(
-                Statement(rng.choice(sensors), rng.random() < 0.5, rng.randrange(0, 400_000)),
+                rng.choice(sensors), rng.random() < 0.5, rng.randrange(0, 400_000),
                 mode=APPEND,
             )
     return oracles.kept_snapshot(store, binding.plans)

@@ -29,7 +29,7 @@ from fluentnet.context import (
 )
 from fluentnet.modelio import build_store, load_store_model, parse_store_model
 from fluentnet.network import RuntimeNetwork, load_network
-from fluentnet.statements import Statement
+from fluentnet.statements import AGGREGATED, RAW, Statement, StatementError
 
 SPATIAL = "src/fluentnet/scenario/spatial.model"
 
@@ -132,15 +132,15 @@ class TestClosure:
 class TestAssert:
     def test_overwrite_keeps_single_instance(self):
         store = store_with()
-        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",), mode=OVERWRITE)
-        store.assert_statement(Statement("D7", False, 20), concepts=("DOOR",), mode=OVERWRITE)
+        store.assert_statement("D7", True, 10, concepts=("DOOR",), mode=OVERWRITE)
+        store.assert_statement("D7", False, 20, concepts=("DOOR",), mode=OVERWRITE)
         assert set(store.instances) == {"D7"}
         assert store.statement_state("D7") is False
 
     def test_append_keeps_both(self):
         store = store_with(default_mode=APPEND)
-        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
-        store.assert_statement(Statement("D7", False, 20), concepts=("DOOR",))
+        store.assert_statement("D7", True, 10, concepts=("DOOR",))
+        store.assert_statement("D7", False, 20, concepts=("DOOR",))
         assert set(store.instances) == {"D7#1", "D7#2"}
 
     def test_disjointness_violation_names_the_pair(self):
@@ -176,7 +176,7 @@ class TestAssert:
     def test_unknown_concept(self):
         store = store_with()
         with pytest.raises(UnknownConceptError):
-            store.assert_statement(Statement("D7", True, 10), concepts=("WINDOW",))
+            store.assert_statement("D7", True, 10, concepts=("WINDOW",))
 
     def test_undeclared_property_is_rejected_on_every_write(self):
         store = store_with()
@@ -184,7 +184,7 @@ class TestAssert:
             store.add_instance("K", ("KITCHEN",), {"isNearBy": ["SINK"]})
         install(store, "D7", ("DOOR",), {"isNearBy": ["K"]})
         with pytest.raises(StoreError, match="unknown property 'isNearBy'"):
-            store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+            store.assert_statement("D7", True, 10, concepts=("DOOR",))
         assert store.instances == {}
 
     def test_installation_fallback(self):
@@ -192,7 +192,7 @@ class TestAssert:
             installations={"D7": SensorDecl("D7", ("DOOR", "MEDICINE"), (("isIn", "K"),))}
         )
         store.add_instance("K", ("KITCHEN",))
-        store.assert_statement(Statement("D7", True, 10))
+        store.assert_statement("D7", True, 10)
         assert store.instances["D7"].asserted == frozenset({"DOOR", "MEDICINE"})
         assert store.instances["D7"].prop_values("isIn") == ("K",)
 
@@ -200,7 +200,7 @@ class TestAssert:
 class TestClassify:
     def test_transitive_membership(self):
         store = store_with()
-        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        store.assert_statement("D7", True, 10, concepts=("DOOR",))
         classes = store.classify()["D7"]
         assert {"DOOR", "SENSOR", "STATEMENT"} <= classes
 
@@ -223,22 +223,22 @@ class TestClassify:
         store.add_instance("K", ("KITCHEN",))
         store.add_instance("T1", ("TABLE",))
         install(store, "M1", ("MOTION",), {"isIn": ["K"], "isNearTo": ["T1"]})
-        store.assert_statement(Statement("M1", True, 5), concepts=("MOTION",))
+        store.assert_statement("M1", True, 5, concepts=("MOTION",))
         assert "PERSON" not in store.classify()["M1"]
 
     def test_read_only_view_until_the_next_mutation(self):
         store = store_with()
-        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        store.assert_statement("D7", True, 10, concepts=("DOOR",))
         view = store.classify()
         with pytest.raises(TypeError):
             view["D7"] = frozenset()
         assert store.classify() is view
-        store.assert_statement(Statement("D7", False, 20), concepts=("DOOR",))
+        store.assert_statement("D7", False, 20, concepts=("DOOR",))
         assert store.classify() is not view
 
     def test_idempotent(self):
         store = store_with()
-        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        store.assert_statement("D7", True, 10, concepts=("DOOR",))
         assert store.classify() == store.classify()
 
 
@@ -251,13 +251,13 @@ class TestQuery:
             }
         )
         for i, sensor in enumerate(("D7", "I4", "I6", "I7")):
-            store.assert_statement(Statement(sensor, True, 10 + i))
+            store.assert_statement(sensor, True, 10 + i)
         assert store.query_instances("MEDICINE").ids() == ("D7", "I4", "I6", "I7")
 
     def test_state_filter(self):
         store = store_with()
-        store.assert_statement(Statement("I4", False, 5), concepts=("ITEM",))
-        store.assert_statement(Statement("I6", True, 6), concepts=("ITEM",))
+        store.assert_statement("I4", False, 5, concepts=("ITEM",))
+        store.assert_statement("I6", True, 6, concepts=("ITEM",))
         assert store.query_instances("ITEM", state_filter=False).ids() == ("I4",)
 
     def test_empty_concept(self):
@@ -281,7 +281,7 @@ class TestPersonContext:
     def test_active_sensor_propagates(self):
         store = self.spatial()
         install(store, "M16", ("MOTION",), {"isIn": ["K"]})
-        store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",))
+        store.assert_statement("M16", True, 10, concepts=("MOTION",))
         assert store.infer_person_context() == (("isIn", "K"),)
         assert oracles.person_context_matches(store, "isIn", "KITCHEN")
         assert oracles.person_context_matches(store, "isIn", "LOCATION")
@@ -289,7 +289,7 @@ class TestPersonContext:
     def test_inactive_sensors_contribute_nothing(self):
         store = self.spatial()
         install(store, "M16", ("MOTION",), {"isIn": ["K"]})
-        store.assert_statement(Statement("M16", False, 10), concepts=("MOTION",))
+        store.assert_statement("M16", False, 10, concepts=("MOTION",))
         assert store.infer_person_context() == ()
 
     def test_two_rooms_both_present(self):
@@ -297,8 +297,8 @@ class TestPersonContext:
         store.add_instance("LR", ("LOCATION",))
         install(store, "M16", ("MOTION",), {"isIn": ["K"]})
         install(store, "M3", ("MOTION",), {"isIn": ["LR"]})
-        store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",))
-        store.assert_statement(Statement("M3", True, 11), concepts=("MOTION",))
+        store.assert_statement("M16", True, 10, concepts=("MOTION",))
+        store.assert_statement("M3", True, 11, concepts=("MOTION",))
         assert store.infer_person_context() == (("isIn", "K"), ("isIn", "LR"))
 
     @settings(max_examples=80, deadline=None)
@@ -324,7 +324,7 @@ class TestPersonContext:
             if action in ("overwrite", "append"):
                 install(store, sensor, concepts, {"isIn" if state else "isNearTo": [place]})
                 store.assert_statement(
-                    Statement(sensor, state, time),
+                    sensor, state, time,
                     concepts=concepts,
                     mode=OVERWRITE if action == "overwrite" else APPEND,
                 )
@@ -470,7 +470,8 @@ class DirtyRun:
     holds should have, derived from scratch from the writes' arguments.  A
     graph edit moves the run to a fresh store on the edited graph, as the
     next replay of a scenario builds one: a store reads its graph as it was
-    when built, while the graph's templates and memo outlive the store."""
+    when built, while the graph's templates and memo outlive the store.
+    Every step ends by checking every record it holds."""
 
     def __init__(self, bounded=False):
         self.graph = dirty_graph(bounded)
@@ -490,13 +491,13 @@ class DirtyRun:
             self.add(inst_id, concepts, props)
 
     def _expect(self, inst_id, asserted, props, write):
-        closure, clashes, weight = oracles.record_from_scratch(self.graph, asserted, props)
+        fields, clashes = oracles.record_from_scratch(self.graph, asserted, props)
         if clashes:
             with pytest.raises(ConsistencyError):
                 write()
             return False
         write()
-        self.expected[inst_id] = (asserted, closure, props, weight)
+        self.expected[inst_id] = fields
         return True
 
     def add(self, inst_id, concepts, props):
@@ -513,7 +514,9 @@ class DirtyRun:
             inst_id,
             asserted,
             props,
-            lambda: self.store.assert_statement(statement, concepts=concepts, mode=mode),
+            lambda: self.store.assert_statement(
+                statement.id, statement.state, statement.time, statement.kind, concepts=concepts, mode=mode
+            ),
         )
         if written and mode == APPEND:
             self.appended[statement.id] = seq
@@ -543,14 +546,14 @@ class DirtyRun:
             store.clear_statements(keep_concepts=("DOOR",))
         elif action == "drop" and store.instances:
             store.remove_instance(sorted(store.instances)[time % len(store.instances)])
+        self.assert_records()
 
     def assert_records(self):
-        """Every record equals the one derived from scratch."""
+        """Every record equals the one derived from scratch, field by field."""
         store = self.store
         for inst_id, record in store.instances.items():
-            asserted, closure, props, weight = self.expected[inst_id]
-            assert (record.asserted, record.closure, dict(record.props)) == (asserted, closure, props)
-            assert record.weight == record.axiom_weight() == weight
+            assert oracles.record_fields(record) == self.expected[inst_id]
+            assert record.weight == record.axiom_weight()
         assert store.axiom_count() == store.recount_axioms()
 
 
@@ -563,12 +566,11 @@ class TestDirtySet:
         graph edits between them, read after every step or (so that writes
         pile up in the dirty set) at random points: the classification, the
         person context and every pattern check equal the from-scratch
-        oracles, and every record (closure, weight, props) equals the one
-        derived from scratch from its write."""
+        oracles, and every record (closure, state, time, props view,
+        weight) equals the one derived from scratch from its write."""
         run = DirtyRun(bounded)
         for time, op in enumerate(ops):
             run.apply(time, op)
-            run.assert_records()
             if every_step or op[-1]:
                 assert_matches_oracles(run.store)
         assert_matches_oracles(run.store)
@@ -579,7 +581,7 @@ class TestDirtySet:
         def sense(sensor, place, time, near=None):
             def write():
                 install(store, sensor, ("MOTION",), {"isIn": [place], **({"isNearTo": [near]} if near else {})})
-                store.assert_statement(Statement(sensor, True, time), concepts=("MOTION",), mode=OVERWRITE)
+                store.assert_statement(sensor, True, time, concepts=("MOTION",), mode=OVERWRITE)
 
             return write
 
@@ -622,7 +624,7 @@ class TestDirtySet:
         rng = random.Random(copies)
         readings = [(s, True) for s in sensors] + [(rng.choice(sensors), rng.random() < 0.5) for _ in range(300)]
         for time, (sensor, state) in enumerate(readings, start=1):
-            assert reclassified_by(store, lambda: store.assert_statement(Statement(sensor, state, time))) == 1
+            assert reclassified_by(store, lambda: store.assert_statement(sensor, state, time)) == 1
         assert_matches_oracles(store)
 
 
@@ -638,12 +640,12 @@ class TestWriteTemplates:
         store = ContextStore("test", g, {"M16": SensorDecl("M16", ("MOTION",), (("isIn", "K"),))})
         steps = [
             lambda: store.add_instance("K", ("TABLE",)),  # the first read: every instance
-            lambda: store.assert_statement(Statement("M16", True, 1)),  # the memo learns NEAR
-            lambda: store.assert_statement(Statement("M16", True, 2)),  # a hit
+            lambda: store.assert_statement("M16", True, 1),  # the memo learns NEAR
+            lambda: store.assert_statement("M16", True, 2),  # a hit
             lambda: store.remove_instance("M16"),
             lambda: store.add_instance("K", ("LOCATION",)),
-            lambda: store.assert_statement(Statement("M16", True, 3)),  # a miss: K's closure moved
-            lambda: store.assert_statement(Statement("M16", True, 4)),  # a hit
+            lambda: store.assert_statement("M16", True, 3),  # a miss: K's closure moved
+            lambda: store.assert_statement("M16", True, 4),  # a hit
         ]
         run = []
         for step in steps:
@@ -658,9 +660,9 @@ class TestWriteTemplates:
         """Swapping a sensor's installation changes what its next write
         derives, although the statement id and concepts are the same."""
         store = store_with(installations={"M16": SensorDecl("M16", ("MOTION",), (("isIn", "K"),))})
-        store.assert_statement(Statement("M16", True, 1))
+        store.assert_statement("M16", True, 1)
         store.installations["M16"] = SensorDecl("M16", ("DOOR",), (("isNearTo", "T1"),))
-        store.assert_statement(Statement("M16", True, 2))
+        store.assert_statement("M16", True, 2)
         record = store.instances["M16"]
         assert record.asserted == {"DOOR"} and record.closure == store.graph.supers("DOOR")
         assert dict(record.props) == {"hasState": (True,), "hasTime": (2,), "isNearTo": ("T1",)}
@@ -682,7 +684,7 @@ class TestWriteTemplates:
         store = store_with(installations={"M16": decl})
         store.add_instance("K", ("LOCATION",))
         store.classify()
-        store.assert_statement(Statement("M16", True, 1))
+        store.assert_statement("M16", True, 1)
         store.classify()  # local: the memo learns M16's membership
         g, template = store.graph, store.instances["M16"].template
         assert g.template("M16", None, decl) is template and g.membership_memo
@@ -699,7 +701,7 @@ class TestWriteTemplates:
             store = ContextStore("test", g, table)
             store.add_instance("K", ("LOCATION",))
             store.classify()
-            store.assert_statement(Statement("M16", True, 1))
+            store.assert_statement("M16", True, 1)
             return store
 
         assert reading().classify()["M16"] == g.supers("MOTION") | {"LIVE"}
@@ -748,8 +750,9 @@ class TestWatches:
                 store = run.store
                 net = RuntimeNetwork(load_network(WATCH_NETWORK), {"A": store}, {})
                 states = list(net.conditions.values())
+                tick_groups = oracles.tick_groups(net)
                 for rate in (50, 20):
-                    assert len({id(s.group) for s in states if s.decl.rate_hz == rate}) == 1
+                    assert len({id(tick_groups[s.decl.name]) for s in states if s.decl.rate_hz == rate}) == 1
                 patterns = [s for s in states if s.watch is not None]
             run.apply(step, op)
             if run.store is not store:
@@ -772,8 +775,9 @@ class TestWatches:
                 net.pending_until(net.clock.now + 50)  # past both groups' next tick
                 for state in patterns:
                     assert state.outcome is (answers[state.decl.name] is state.decl.target)
-            for group in {id(s.group): s.group for s in states}.values():
-                assert all(member.group is group for member in group.members)
+            # each condition is a member of one group, which holds its store
+            assert sum(len(group.members) for group in {id(g): g for g in tick_groups.values()}.values()) == len(states)
+            assert all(tick_groups[s.decl.name].store is s.store is store for s in states)
             net.clock.advance_to(net.clock.now + 7)
 
     @pytest.mark.parametrize("retarget", ["reclassify", "remove"])
@@ -786,11 +790,11 @@ class TestWatches:
         watch = store.watch("isIn", "LOCATION")
         motion = {"concepts": ("MOTION",), "mode": OVERWRITE}
         install(store, "M16", ("MOTION",), {"isIn": ["K"]})
-        store.assert_statement(Statement("M16", True, 1), **motion)
+        store.assert_statement("M16", True, 1, **motion)
         assert store.infer_person_context() == (("isIn", "K"),) and watch.answer is True
         before = store.reclassified
         install(store, "M16", ("MOTION",), {"isIn": ["T1"]})
-        store.assert_statement(Statement("M16", True, 2), **motion)
+        store.assert_statement("M16", True, 2, **motion)
         if retarget == "reclassify":
             store.add_instance("K", ("TABLE",))
         else:
@@ -812,7 +816,7 @@ class TestRecords:
     def test_record_fields(self):
         store = store_with()
         store.add_instance("K", ("KITCHEN",), {"isNearTo": ["T1"]})
-        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        store.assert_statement("D7", True, 10, concepts=("DOOR",))
         door, kitchen = store.instances["D7"], store.instances["K"]
         assert door.closure == store.graph.supers("DOOR")
         assert (door.time, kitchen.time) == (10, None)
@@ -822,7 +826,7 @@ class TestRecords:
     def test_snapshot_holds_the_stores_records(self):
         store = self.spatial()
         install(store, "M16", ("MOTION",), {"isIn": ["K"]})
-        store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",))
+        store.assert_statement("M16", True, 10, concepts=("MOTION",))
         snap = oracles.kept_snapshot(store, keys=[("MOTION", None)])
         assert [i.id for i in sorted(snap.instances.values(), key=snapshot_order)] == ["M16", "K", "P", "T1"]
         for inst_id in store.instances:
@@ -832,7 +836,7 @@ class TestRecords:
 
     def test_records_are_frozen(self):
         store = store_with()
-        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        store.assert_statement("D7", True, 10, concepts=("DOOR",))
         record = store.instances["D7"]
         with pytest.raises(FrozenInstanceError):
             record.time = 20
@@ -842,14 +846,48 @@ class TestRecords:
             record.props["hasState"] = (False,)
         assert record.single("hasState") is True
 
+    @pytest.mark.parametrize("concepts", [("DOOR",), None], ids=["concepts", "installation"])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ("", True, 10, RAW),
+            (7, True, 10, RAW),
+            (None, True, 10, RAW),
+            ("D7", 1, 10, RAW),
+            ("D7", None, 10, RAW),
+            ("D7", True, True, RAW),
+            ("D7", True, 10.0, RAW),
+            ("D7", True, "10", RAW),
+            ("D7", True, -1, RAW),
+            ("D7", True, 10, "derived"),
+            ("D7", True, 10, AGGREGATED.upper()),
+        ],
+        ids=[
+            "empty-id", "int-id", "no-id", "int-state", "no-state", "bool-time", "float-time", "str-time",
+            "negative-time", "unknown-kind", "kind-case",
+        ],
+    )
+    def test_a_write_checks_its_fields_as_a_statement_does(self, fields, concepts):
+        """Each invalid field raises the same error text through the write
+        as through ``Statement``, before the store looks the id up, and
+        the store is left as it was."""
+        with pytest.raises(StatementError) as built:
+            Statement(*fields)
+        store = store_with()
+        before = (store.mutation_seq, dict(store.instances))
+        with pytest.raises(StatementError) as written:
+            store.assert_statement(*fields, concepts=concepts)
+        assert str(written.value) == str(built.value)
+        assert (store.mutation_seq, dict(store.instances)) == before
+
     def test_every_reader_raises_after_each_kind_of_write(self):
         """A snapshot reads the store in place until the store's next
         write; after an overwrite, an append, a removal, a clear or a new
         plain instance every reader raises."""
         writes = {
-            "overwrite": lambda store: store.assert_statement(Statement("M16", False, 30), concepts=("MOTION",)),
+            "overwrite": lambda store: store.assert_statement("M16", False, 30, concepts=("MOTION",)),
             "append": lambda store: store.assert_statement(
-                Statement("M16", False, 30), concepts=("MOTION",), mode=APPEND
+                "M16", False, 30, concepts=("MOTION",), mode=APPEND
             ),
             "removal": lambda store: store.remove_instance("M3"),
             "clear": lambda store: store.clear_statements(),
@@ -859,10 +897,10 @@ class TestRecords:
             store = self.spatial()
             store.keep("MOTION")
             store.keep("MOTION", True)
-            store.assert_statement(Statement("D7", True, 5), concepts=("DOOR",))
+            store.assert_statement("D7", True, 5, concepts=("DOOR",))
             install(store, "M16", ("MOTION",), {"isIn": ["K"]})
-            store.assert_statement(Statement("M16", True, 10), concepts=("MOTION",))
-            store.assert_statement(Statement("M3", False, 20), concepts=("MOTION",))
+            store.assert_statement("M16", True, 10, concepts=("MOTION",))
+            store.assert_statement("M3", False, 20, concepts=("MOTION",))
             snap = store.snapshot()
             assert [i.id for i in sorted(snap.instances.values(), key=snapshot_order)] == ["D7", "M16", "M3", "K", "P", "T1"]
             assert snap.of_concept("MOTION") is store.keep("MOTION").records
@@ -916,7 +954,7 @@ def apply_kept_op(store, kept, op):
         concepts = ("DOOR",) if sensor == "D7" else ("MOTION",)
         install(store, sensor, concepts, {"isIn": [place]})
         store.assert_statement(
-            Statement(sensor, state, time), concepts=concepts, mode=OVERWRITE if action == "overwrite" else APPEND
+            sensor, state, time, concepts=concepts, mode=OVERWRITE if action == "overwrite" else APPEND
         )
     elif action == "add":
         store.add_instance(place, ("TABLE",) if place == "T1" else ("LOCATION",), {"isNearTo": ["T1"]} if state else {})
@@ -1026,11 +1064,11 @@ class TestKeptLists:
         store.keep("UPDATE")
         store.keep("SYNC", True)
         sync = {"concepts": ("SYNC",), "mode": OVERWRITE}
-        store.assert_statement(Statement("N", False, 10), **sync)
+        store.assert_statement("N", False, 10, **sync)
         before = store.snapshot()
         assert before.of_concept("UPDATE") == [] and store.tally("SYNC", True) == (0, None, None)
         reclassified = store.reclassified
-        store.assert_statement(Statement("N", True, 20), **sync)
+        store.assert_statement("N", True, 20, **sync)
         after = store.snapshot()
         assert store.reclassified - reclassified == 1
         assert after.of_concept("UPDATE") == [store.instances["N"]] and after.get("N").time == 20
@@ -1038,7 +1076,7 @@ class TestKeptLists:
         for read in (lambda snap: snap.of_concept("UPDATE"), lambda snap: snap.get("N")):
             with pytest.raises(StoreError):
                 read(before)
-        store.assert_statement(Statement("N", False, 30), **sync)
+        store.assert_statement("N", False, 30, **sync)
         assert store.snapshot().of_concept("UPDATE") == []
         assert store.tally("SYNC", True) == (0, None, None)
         for read in (lambda snap: snap.of_concept("UPDATE"), lambda snap: snap.get("N")):
@@ -1052,12 +1090,12 @@ class TestKeptLists:
         store.keep("DOOR")
         store.keep("DOOR", True)
         store.keep("DOOR", False)
-        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
-        store.assert_statement(Statement("D8", False, 20), concepts=("DOOR",))
+        store.assert_statement("D7", True, 10, concepts=("DOOR",))
+        store.assert_statement("D8", False, 20, concepts=("DOOR",))
         assert store.classify()["D7"] == store.classify()["D8"]
         assert store.tally("DOOR", True) == (1, 10, 10)
         assert store.tally("DOOR", False) == (1, 20, 20)
-        store.assert_statement(Statement("D9", False, 5), concepts=("DOOR",))
+        store.assert_statement("D9", False, 5, concepts=("DOOR",))
         assert store.tally("DOOR", True) == (1, 10, 10)
         assert store.tally("DOOR", False) == (2, 5, 20)
         assert [r.id for r in store.keep("DOOR").records] == ["D9", "D7", "D8"]
@@ -1068,12 +1106,12 @@ class TestKeptLists:
         read."""
         store = store_with()
         store.keep("DOOR")
-        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        store.assert_statement("D7", True, 10, concepts=("DOOR",))
         first, second = store.snapshot(), store.snapshot()
         for snap in (first, second):
             assert snap.of_concept("DOOR") is store.keep("DOOR").records
             assert snap.get("D7") is store.instances["D7"]
-        store.assert_statement(Statement("D7", False, 20), concepts=("DOOR",))
+        store.assert_statement("D7", False, 20, concepts=("DOOR",))
         for snap in (first, second):
             for read in (lambda s: s.get("D7"), lambda s: s.of_concept("DOOR"), lambda s: s.instances,
                          lambda s: s.classification):
@@ -1088,7 +1126,7 @@ class TestKeptLists:
         store = store_with()
         store.keep("DOOR")
         store.keep("DOOR", True)
-        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
+        store.assert_statement("D7", True, 10, concepts=("DOOR",))
         snap = store.snapshot()
         assert [r.id for r in snap.of_concept("DOOR", True)] == ["D7"]
         for key in (("SENSOR", None), ("DOOR", False), ("LOCATION", True)):
@@ -1103,18 +1141,18 @@ class TestAxioms:
 
     def test_overwrite_count_stable(self):
         store = store_with()
-        store.assert_statement(Statement("D7", True, 1), concepts=("DOOR",))
+        store.assert_statement("D7", True, 1, concepts=("DOOR",))
         first = store.axiom_count()
         for t in range(2, 12):
-            store.assert_statement(Statement("D7", t % 2 == 0, t), concepts=("DOOR",))
+            store.assert_statement("D7", t % 2 == 0, t, concepts=("DOOR",))
         assert store.axiom_count() == first
 
     def test_append_grows_by_fixed_amount(self):
         store = store_with(default_mode=APPEND)
         base = store.axiom_count()
-        store.assert_statement(Statement("D7", True, 1), concepts=("DOOR",))
+        store.assert_statement("D7", True, 1, concepts=("DOOR",))
         grown = store.axiom_count()
-        store.assert_statement(Statement("D7", False, 2), concepts=("DOOR",))
+        store.assert_statement("D7", False, 2, concepts=("DOOR",))
         assert store.axiom_count() - grown == grown - base
         assert store.axiom_count() == store.recount_axioms()
 
@@ -1128,13 +1166,13 @@ class TestAxioms:
                 sensor = rng.choice(["D7", "I4", "I6"])
                 if action == 0:
                     store.assert_statement(
-                        Statement(sensor, rng.random() < 0.5, step),
+                        sensor, rng.random() < 0.5, step,
                         concepts=("DOOR" if sensor == "D7" else "ITEM",),
                         mode=OVERWRITE,
                     )
                 elif action == 1:
                     store.assert_statement(
-                        Statement(sensor, rng.random() < 0.5, step),
+                        sensor, rng.random() < 0.5, step,
                         concepts=("ITEM",),
                         mode=APPEND,
                     )
@@ -1161,9 +1199,9 @@ class TestAxioms:
         for action, sensor, state, time in ops:
             concepts = ("DOOR",) if sensor == "D7" else ("ITEM",)
             if action == "overwrite":
-                store.assert_statement(Statement(sensor, state, time), concepts=concepts, mode=OVERWRITE)
+                store.assert_statement(sensor, state, time, concepts=concepts, mode=OVERWRITE)
             elif action == "append":
-                store.assert_statement(Statement(sensor, state, time), concepts=concepts, mode=APPEND)
+                store.assert_statement(sensor, state, time, concepts=concepts, mode=APPEND)
             elif action == "clear":
                 store.clear_statements(keep_concepts=("DOOR",))
             elif store.instances:
@@ -1174,8 +1212,8 @@ class TestAxioms:
 class TestClear:
     def test_clear_keeps_requested_concepts(self):
         store = store_with(default_mode=APPEND)
-        store.assert_statement(Statement("I4", True, 1), concepts=("ITEM",))
-        store.assert_statement(Statement("D7", True, 2), concepts=("DOOR",))
+        store.assert_statement("I4", True, 1, concepts=("ITEM",))
+        store.assert_statement("D7", True, 2, concepts=("DOOR",))
         removed = store.clear_statements(keep_concepts=("DOOR",))
         assert removed == 1
         assert set(store.instances) == {"D7#1"}
@@ -1186,7 +1224,7 @@ class TestClear:
     def test_plain_instances_survive(self):
         store = store_with()
         store.add_instance("K", ("KITCHEN",))
-        store.assert_statement(Statement("I4", True, 1), concepts=("ITEM",))
+        store.assert_statement("I4", True, 1, concepts=("ITEM",))
         store.clear_statements()
         assert set(store.instances) == {"K"}
 
@@ -1213,8 +1251,8 @@ class TestModelFile:
         the new concept.  A write then makes it refuse every read."""
         store = store_with()
         store.keep("DOOR")
-        store.assert_statement(Statement("D7", True, 10), concepts=("DOOR",))
-        store.assert_statement(Statement("I4", False, 5), concepts=("ITEM",))
+        store.assert_statement("D7", True, 10, concepts=("DOOR",))
+        store.assert_statement("I4", False, 5, concepts=("ITEM",))
         snap = store.snapshot()
 
         def of_concept(*key):
@@ -1243,7 +1281,7 @@ class TestModelFile:
         store.classify()
         assert store.keep("DOOR").records is not door and [r.id for r in store.keep("SENSOR", False).records] == ["I4"]
         assert reads() == seen
-        store.assert_statement(Statement("D7", False, 20), concepts=("DOOR",))
+        store.assert_statement("D7", False, 20, concepts=("DOOR",))
         with pytest.raises(StoreError):
             snap.get("D7")
 

@@ -5,6 +5,7 @@ the tick-loop oracle in ``oracles.py``, and requires identical dispatch logs.
 """
 
 import gc
+import io
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import oracles
+import synth
+from fluentnet import ingest, procedures
 from fluentnet.context import OVERWRITE
 from fluentnet.network import (
     BOOT_STATEMENT,
@@ -26,7 +29,6 @@ from fluentnet.network import (
     bootstrap,
     load_network,
 )
-from fluentnet.statements import Statement
 
 SCENARIO = Path("src/fluentnet/scenario")
 
@@ -258,6 +260,26 @@ class TestBootstrap:
             if enabled:
                 gc.enable()
 
+    def test_a_dropped_replay_leaves_nothing_for_the_collector(self, scenario):
+        """No object of a replay, its network's wiring included, sits in a
+        reference cycle: with the collector off, the dropped result frees
+        its stores, and a collection then finds nothing to free."""
+        load = ingest.load_trace(io.StringIO(synth.session_text()))
+        procedures.run_replay(load.events, scenario=scenario)  # the scenario's shared caches fill
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            result = procedures.run_replay(load.events, scenario=scenario)
+            assert result.recognitions
+            stores = [weakref.ref(store) for store in result.net.stores.values()]
+            del result
+            assert all(store() is None for store in stores)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     @pytest.mark.parametrize("node", ["A", UPPER_NODE])
     def test_person_pattern_needs_a_person(self, tmp_path, node):
         model = load_network(
@@ -274,7 +296,7 @@ class TestBootstrap:
 
 def flip(net, sensor, value, concepts=("SENSOR",)):
     net.stores["A"].assert_statement(
-        Statement(sensor, value, net.clock.now), concepts=concepts, mode=OVERWRITE
+        sensor, value, net.clock.now, concepts=concepts, mode=OVERWRITE
     )
     net.note_mutation("A")
 
@@ -303,7 +325,7 @@ class Twin:
             net.note_mutation("A")
 
     def sense(self, sensor, value):
-        self.write(lambda store, now: store.assert_statement(Statement(sensor, value, now)))
+        self.write(lambda store, now: store.assert_statement(sensor, value, now))
 
     def run_to(self, time_ms):
         """Run every sample due before ``time_ms``, then move the clock there."""
@@ -485,7 +507,7 @@ class TestCascade:
 
 def enter_kitchen(net, now):
     store = net.stores["A"]
-    store.assert_statement(Statement("M1", True, now))
+    store.assert_statement("M1", True, now)
     store.infer_person_context()
 
 
@@ -569,7 +591,8 @@ class TestTickGroups:
 
     def test_two_rates_on_one_node_make_two_groups(self, tmp_path):
         twin = self.person_twin(tmp_path)
-        groups = {id(state.group): state.decl.rate_hz for state in twin.net.conditions.values()}
+        tick_groups = oracles.tick_groups(twin.net)
+        groups = {id(tick_groups[name]): state.decl.rate_hz for name, state in twin.net.conditions.items()}
         assert sorted(groups.values()) == [20, 50]
         twin.run_to(30)
         twin.sense("M1", True)

@@ -17,7 +17,6 @@ from fluentnet.context import (
 )
 from fluentnet.modelio import build_store, load_store_model
 from fluentnet.rules import Assign, ClassAtom, Compare, Head, PropertyAtom, Rule, plan_rules
-from fluentnet.statements import Statement
 
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
@@ -365,6 +364,105 @@ class TestSchedulerOracle:
         assert result.log_text == oracles.tick_replay(load.events, scenario)
 
 
+def node_records(store):
+    """Every record of a store, field by field, in id order."""
+    return [
+        (r.id, r.asserted, r.state, r.time, r.kind, r.seq) for _, r in sorted(store.instances.items())
+    ]
+
+
+class TestImportCursor:
+    """An importer visits only the sensors written since its last import;
+    ``oracles.FullWalkImporter`` visits every sensor on every import."""
+
+    def replay(self, monkeypatch, importer, events, scenario):
+        """A replay with ``importer`` as every activity's importer: the
+        result and each import's target node records, taken after it."""
+        after = []
+        call = importer.__call__
+
+        def recording(self, net, now_ms):
+            call(self, net, now_ms)
+            after.append(node_records(net.stores[self.binding.node]))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(procedures, "Importer", importer)
+            patch.setattr(importer, "__call__", recording)
+            result = procedures.run_replay(events, participant="p01", scenario=scenario)
+        return result, after
+
+    @pytest.mark.parametrize("trace", ["synthetic", "sessions", "spatial_sweep", "append_growth"])
+    def test_a_full_walk_imports_the_same_statements(self, scenario, workloads, monkeypatch, trace):
+        """The synthetic session and the first seed-1 participant of each
+        benchmark workload: every dispatch log line (each ``count=``
+        included), every activity node record after each import and at the
+        end, and the recognitions and bindings equal the full walk's."""
+        if trace == "synthetic":
+            text = synth.session_text()
+        else:
+            text = "\n".join(workloads.generate(trace, 1)[0]) + "\n"
+        events = ingest.load_trace(io.StringIO(text), **scenario.load_trace_kwargs()).events
+        cursor, cursor_after = self.replay(monkeypatch, procedures.Importer, events, scenario)
+        walk, walk_after = self.replay(monkeypatch, oracles.FullWalkImporter, events, scenario)
+        assert "count=" in cursor.log_text
+        assert cursor.log_text == walk.log_text
+        assert cursor_after == walk_after
+        assert {n: node_records(s) for n, s in cursor.net.stores.items()} == {
+            n: node_records(s) for n, s in walk.net.stores.items()
+        }
+        assert cursor.recognition_pairs() == walk.recognition_pairs()
+        assert cursor.last_bindings == walk.last_bindings
+
+    def importer_1(self, scenario):
+        """A fresh network and its medicine importer (sensors D7, I4, I6, I7)."""
+        implementations, _ = procedures.build_implementations(scenario, procedures.ReplaySession())
+        net = network.bootstrap(scenario.model, implementations=implementations, store_models=scenario.store_models)
+        return net, implementations["importer:1"]
+
+    @staticmethod
+    def counts(net):
+        return [entry.detail for entry in net.log if entry.kind == "import"]
+
+    def test_a_duplicate_reading_imports_nothing(self, scenario):
+        net, importer = self.importer_1(scenario)
+        spatial = net.stores[procedures.SPATIAL_NODE]
+        spatial.assert_statement("D7", True, 10)
+        importer(net, 10)
+        spatial.assert_statement("D7", True, 10)  # a new record, the same reading
+        importer(net, 11)
+        importer(net, 12)  # nothing written since
+        assert self.counts(net) == ["count=1", "count=0", "count=0"]
+
+    def test_a_sensor_written_twice_between_imports_is_imported_once(self, scenario):
+        net, importer = self.importer_1(scenario)
+        spatial, target = net.stores[procedures.SPATIAL_NODE], net.stores["T1"]
+        importer(net, 5)
+        spatial.assert_statement("D7", True, 10)
+        spatial.assert_statement("I4", True, 12)
+        spatial.assert_statement("D7", False, 20)
+        importer(net, 20)
+        assert self.counts(net) == ["count=0", "count=2"]
+        record = target.instances["D7#1"]
+        assert (record.state, record.time) == (False, 20)
+        assert "D7#2" not in target.instances
+
+    def test_a_new_spatial_store_is_read_whole(self, scenario):
+        """The importer read a store far past the new one's first writes:
+        on the new network it still visits every sensor."""
+        net, importer = self.importer_1(scenario)
+        spatial = net.stores[procedures.SPATIAL_NODE]
+        for time in range(1, 41):
+            spatial.assert_statement("I6", time % 2 == 0, time)
+        importer(net, 40)
+        fresh = network.bootstrap(scenario.model, store_models=scenario.store_models)
+        for sensor, time in (("D7", 1), ("I4", 2), ("I7", 3)):
+            fresh.stores[procedures.SPATIAL_NODE].assert_statement(sensor, True, time)
+        assert fresh.stores[procedures.SPATIAL_NODE].mutation_seq < spatial.mutation_seq
+        importer(fresh, 50)
+        assert self.counts(net) == ["count=1"]
+        assert self.counts(fresh) == ["count=3"]
+
+
 class TestConditionsEvaluated:
     def test_quiet_toggles_after_the_sweep_evaluate_no_condition(self, scenario):
         """Once every sensor has been switched on, toggling bathroom motion
@@ -442,7 +540,7 @@ class TestEvaluatorDirect:
         node = next(n for n in scenario.model.nodes if n.name == "T3")
         store = build_store("T3", load_store_model(scenario.base_dir / node.represents), mode=APPEND)
         for sensor, t in (("M6", 1_000), ("M7", 40_000)):
-            store.assert_statement(Statement(sensor, True, t), mode=APPEND)
+            store.assert_statement(sensor, True, t, mode=APPEND)
         evaluator = procedures.Evaluator(binding, procedures.ReplaySession())
         assert evaluator.run_prepasses(store, 50_000) == 1
         derived = store.query_instances("WATERED")
@@ -453,7 +551,7 @@ class TestEvaluatorDirect:
         binding = scenario.bindings[3]
         node = next(n for n in scenario.model.nodes if n.name == "T3")
         store = build_store("T3", load_store_model(scenario.base_dir / node.represents), mode=APPEND)
-        store.assert_statement(Statement("M6", True, 1_000), mode=APPEND)
+        store.assert_statement("M6", True, 1_000, mode=APPEND)
         evaluator = procedures.Evaluator(binding, procedures.ReplaySession())
         assert evaluator.run_prepasses(store, 50_000) == 0
         assert len(store.query_instances("WATERED")) == 0
@@ -466,12 +564,12 @@ class TestEvaluatorDirect:
         node = next(n for n in scenario.model.nodes if n.name == "T7")
         store = build_store("T7", load_store_model(scenario.base_dir / node.represents), mode=APPEND)
         for sensor, t in (("M6", 1_000), ("M7", 40_000), ("M16", 2_000), ("M17", 30_000)):
-            store.assert_statement(Statement(sensor, True, t), mode=APPEND)
+            store.assert_statement(sensor, True, t, mode=APPEND)
         evaluator = procedures.Evaluator(scenario.bindings[7], procedures.ReplaySession())
         sync = {"concepts": (procedures.SYNC_CONCEPT,), "mode": OVERWRITE}
         writes = []
         for now in (50_000, 60_000):
-            store.assert_statement(Statement(procedures.SYNC_STATEMENT, True, now), **sync)
+            store.assert_statement(procedures.SYNC_STATEMENT, True, now, **sync)
             before, records = store.mutation_seq, dict(store.instances)
             assert evaluator.evaluate_store(store, now) is None
             writes.append(store.mutation_seq - before)
@@ -525,7 +623,7 @@ def import_and_evaluate(evaluator, store, now_ms):
     """Raise ``N`` as an import does and evaluate: (whether the evaluation
     ran in full, the recognition)."""
     store.assert_statement(
-        Statement(procedures.SYNC_STATEMENT, True, now_ms), concepts=(procedures.SYNC_CONCEPT,), mode=OVERWRITE
+        procedures.SYNC_STATEMENT, True, now_ms, concepts=(procedures.SYNC_CONCEPT,), mode=OVERWRITE
     )
     skipped = evaluator.skipped
     record = evaluator.evaluate_store(store, now_ms)
@@ -533,7 +631,7 @@ def import_and_evaluate(evaluator, store, now_ms):
 
 
 def write(store, sensor, state, time_ms, mode=APPEND):
-    store.assert_statement(Statement(sensor, state, time_ms), mode=mode)
+    store.assert_statement(sensor, state, time_ms, mode=mode)
 
 
 # ways to change what the mini evaluator reads once it is silent, each of

@@ -19,7 +19,6 @@ from fluentnet.rules import (
     eval_builtin,
     plan_rules,
 )
-from fluentnet.statements import Statement
 
 import oracles
 from test_dsl import random_model
@@ -35,7 +34,7 @@ def item_store(*readings):
     store = ContextStore("T", g, default_mode=APPEND)
     for ident, state, time in readings:
         cls = "DOOR" if ident.startswith("D") else "ITEM"
-        store.assert_statement(Statement(ident, state, time), concepts=(cls,))
+        store.assert_statement(ident, state, time, concepts=(cls,))
     return store
 
 
@@ -250,8 +249,9 @@ def model_store(rng, concepts, max_instances=14):
     store = ContextStore("T", g, default_mode=APPEND)
     for _ in range(rng.randrange(1, max_instances + 1)):
         concept = rng.choice(concepts)
-        statement = Statement(f"{concept}{rng.randrange(3)}", rng.random() < 0.5, rng.randrange(0, 150_000))
-        store.assert_statement(statement, concepts=(concept,))
+        store.assert_statement(
+            f"{concept}{rng.randrange(3)}", rng.random() < 0.5, rng.randrange(0, 150_000), concepts=(concept,)
+        )
     return store
 
 
@@ -336,7 +336,7 @@ class TestEarliest:
 ODD_WRITES = {
     "int": lambda store: store.add_instance("I0", ("ITEM",), {"hasState": [0], "hasTime": [40]}),
     "plain": lambda store: store.add_instance("P1", ("ITEM",), {"hasState": [False]}),
-    "second": lambda store: store.assert_statement(Statement("I9", True, 120)),
+    "second": lambda store: store.assert_statement("I9", True, 120),
     "time": lambda store: store.add_instance("K", ("ITEM",), {"hasTime": [5]}),
 }
 
@@ -349,7 +349,7 @@ def state_store(readings, keep):
         for key in (("ITEM", False), ("ITEM", True)):
             store.keep(*key)
     for ident, state, time in readings:
-        store.assert_statement(Statement(ident, state, time), concepts=("DOOR" if ident.startswith("D") else "ITEM",))
+        store.assert_statement(ident, state, time, concepts=("DOOR" if ident.startswith("D") else "ITEM",))
     return store
 
 
