@@ -42,8 +42,14 @@ a :class:`ConditionState` its store and the :class:`EventState` objects
 observing it, and an event its conditions' positions and the procedures
 requiring it.  No object refers back to one that refers to it, so a
 dropped network is freed by reference counting alone.  Only
-:meth:`RuntimeNetwork.note_mutation`, :meth:`RuntimeNetwork.notify_sync`
-and :meth:`RuntimeNetwork.run_procedure` look up the names they are given.
+``note_mutation``, ``run_procedure`` and ``notify_sync`` (in name-ordered
+tuples) look up the names they are given.  Writes are noted once per
+outermost dispatch (a ``pending_until`` batch, or a ``notify_sync`` or
+``sample_and_dispatch`` outside any procedure): its first procedure reads
+every store's ``mutation_seq``, and the end of its cascade notes each store
+that moved.  That is exact: the clock stays and no tick is taken within a
+dispatch, so one note per store leaves the pending samples a note per
+procedure leaves, in an order a batch sorts away.
 Tick times are exact integer ceil/floor divisions: tick ``k`` of a ``p/q``
 Hz group falls at ``ceil(k * 1000 * q / p)`` ms.  Everything runs on one
 logical thread of control against a virtual clock, so a fixed
@@ -57,7 +63,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .context import (
     ConceptGraph,
@@ -443,7 +449,7 @@ class RuntimeNetwork:
         self.stores = stores
         self.procedures = procedures
         self._by_node: dict[str, list[TickGroup]] = {}
-        self._by_statement: dict[tuple[str, str], list[ConditionState]] = {}
+        by_statement: dict[tuple[str, str], list[ConditionState]] = {}
         groups: dict[tuple[str, int, int], TickGroup] = {}
         self.conditions: dict[str, ConditionState] = {}
         for c in model.conditions:
@@ -459,7 +465,8 @@ class RuntimeNetwork:
             state = self.conditions[c.name] = ConditionState(decl=c, store=stores[c.node], watch=watch)
             group.members.append(state)
             if watch is None:
-                self._by_statement.setdefault((c.node, c.check.statement_id), []).append(state)
+                by_statement.setdefault((c.node, c.check.statement_id), []).append(state)
+        self._by_statement = {key: tuple(sorted(v, key=_BY_NAME)) for key, v in by_statement.items()}
         self._states = tuple(self.conditions.values())
         position = {name: i for i, name in enumerate(self.conditions)}
         for e in model.events:
@@ -472,6 +479,7 @@ class RuntimeNetwork:
         self._lines: list[str] = []
         self.log = DispatchLog(self._lines)
         self._store_order = tuple(stores.items())
+        self._seqs: Optional[list[int]] = None  # see run_procedure
         self._pending: dict[TickGroup, int] = {}
 
     @property
@@ -502,10 +510,13 @@ class RuntimeNetwork:
 
     # -- sampling + dispatch cascade ------------------------------------------
 
-    def sample_and_dispatch(self, states: Iterable[ConditionState]) -> None:
+    def sample_and_dispatch(self, states: Sequence[ConditionState]) -> None:
         """Sample conditions in name order; cascade the ones that rose."""
+        self._dispatch(sorted(states, key=_BY_NAME) if len(states) > 1 else states)
+
+    def _dispatch(self, states: Sequence[ConditionState]) -> None:
         risen: list[ConditionState] = []
-        for state in sorted(states, key=_BY_NAME):
+        for state in states:
             outcome = self.evaluate_condition(state)
             if outcome == state.outcome:
                 continue
@@ -530,23 +541,26 @@ class RuntimeNetwork:
                     event.consumed = True
                     self.emit("event", event.name)
                     fired.append(event)
+        outermost = self._seqs is None
         for event in fired:
             for proc_name in event.procedures:
                 self.run_procedure(proc_name)
+        if outermost and self._seqs is not None:  # note what the procedures wrote
+            for (store_name, store), seq in zip(self._store_order, self._seqs):
+                if store.mutation_seq != seq:
+                    self.note_mutation(store_name)
+            self._seqs = None
 
     def run_procedure(self, name: str) -> None:
         impl = self.procedures[name]
-        stores = self._store_order
-        before = [store.mutation_seq for _, store in stores]
+        if self._seqs is None:  # the outermost dispatch's first procedure
+            self._seqs = [store.mutation_seq for _, store in self._store_order]
         self.emit("procedure", name)
         try:
             impl(self, self.clock.now)
         except Exception as exc:  # procedure failure must not halt the loop
             logger.exception("procedure %s failed", name)
             self.emit("error", name, f"{type(exc).__name__}: {exc}")
-        for (store_name, store), seq in zip(stores, before):
-            if store.mutation_seq != seq:
-                self.note_mutation(store_name)
 
     # -- the scheduler loop ---------------------------------------------------
 
@@ -603,9 +617,10 @@ class RuntimeNetwork:
     def notify_sync(self, node: str, statement_id: str) -> None:
         """Immediately sample the conditions checking one statement on one
         node, bypassing the rate clock; the events fired go to the log."""
-        if node not in self.stores:
+        states = self._by_statement.get((node, statement_id), ())
+        if not states and node not in self.stores:
             raise NetworkError(f"unknown node {node!r}")
-        self.sample_and_dispatch(self._by_statement.get((node, statement_id), ()))
+        self._dispatch(states)
 
 
 def _upper_store() -> ContextStore:

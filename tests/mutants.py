@@ -1,0 +1,127 @@
+"""A catalogue of mutants of the incremental structures, as data.
+
+Each entry is one mutant.  ``module`` is a path from the repository root,
+and ``edits`` holds the exact text replacements, as (anchor, replacement)
+pairs, that turn the module into the mutant.  Each anchor occurs exactly
+once in its module; ``test_mutants.py`` checks that, so a refactor that
+moves an anchor updates its entry in the same change.  ``killers`` names
+the tests, as pytest prints them, that fail on the mutant: a mutation
+check copies the tree, applies the edits and runs those tests, then
+tier-1.  ``test_mutants.py`` itself fails on every mutant, as an anchor
+it looks for is gone.  This module is not collected by pytest.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    edits: tuple[tuple[str, str], ...]
+    killers: tuple[str, ...]
+
+
+NETWORK = "src/fluentnet/network.py"
+PROCEDURES = "src/fluentnet/procedures.py"
+CONTEXT = "src/fluentnet/context.py"
+
+_CASCADE_NOTES = "        if outermost and self._seqs is not None:  # note what the procedures wrote\n"
+_SNAPSHOT = """\
+        if self._seqs is None:  # the outermost dispatch's first procedure
+            self._seqs = [store.mutation_seq for _, store in self._store_order]
+"""
+_RUN = """\
+        self.emit("procedure", name)
+        try:
+            impl(self, self.clock.now)
+        except Exception as exc:  # procedure failure must not halt the loop
+            logger.exception("procedure %s failed", name)
+            self.emit("error", name, f"{type(exc).__name__}: {exc}")
+"""
+_BATCH = "            self.sample_and_dispatch(self._take_ticks(batch))\n"
+_NOTES_AFTER_BATCH = """\
+            if self._seqs is not None:
+                for (store_name, store), seq in zip(self._store_order, self._seqs):
+                    if store.mutation_seq != seq:
+                        self.note_mutation(store_name)
+                self._seqs = None
+"""
+
+_NOTING = "tests/test_network.py::TestCascade::test_writes_are_noted_as_the_noting_oracle_notes_them"
+_TOP_LEVEL_SYNC = "tests/test_network.py::TestNotifySync::test_a_top_level_sync_notes_what_its_procedure_wrote"
+_REPLAYS = tuple(
+    f"tests/test_procedures.py::TestWriteNoting::test_replays_leave_the_pending_samples_of_the_noting_oracle[{trace}]"
+    for trace in ("synthetic", "sessions", "spatial_sweep", "append_growth")
+)
+_CURSOR = tuple(
+    f"tests/test_procedures.py::TestImportCursor::test_a_full_walk_imports_the_same_statements[{trace}]"
+    for trace in ("synthetic", "sessions", "spatial_sweep", "append_growth")
+)
+_DIGESTS = tuple(
+    f"tests/test_benchmark_traffic.py::test_first_seed_1_participant_replays_to_the_same_bytes[{workload}]"
+    for workload in ("sessions", "spatial_sweep", "append_growth")
+) + ("tests/test_cli.py::TestReplay::test_report_bytes_match_the_recorded_digests",)
+
+MUTANTS = (
+    # -- scheduler: writes noted once per outermost dispatch
+    Mutant(
+        "notes-only-after-pending-until-batches",
+        NETWORK,
+        ((_CASCADE_NOTES, "        if False:\n"), (_BATCH, _BATCH + _NOTES_AFTER_BATCH)),
+        (_NOTING, _TOP_LEVEL_SYNC) + _REPLAYS,
+    ),
+    Mutant(
+        "nested-sync-notes-and-ends-the-noting",
+        NETWORK,
+        ((_CASCADE_NOTES, _CASCADE_NOTES.replace("outermost and ", "")),),
+        (_NOTING,),
+    ),
+    Mutant(
+        "snapshot-after-the-first-procedure",
+        NETWORK,
+        ((_SNAPSHOT + _RUN, _RUN + _SNAPSHOT),),
+        (
+            _NOTING,
+            _TOP_LEVEL_SYNC,
+            "tests/test_network.py::TestCascade::test_a_procedure_that_writes_and_raises_has_its_write_noted",
+            "tests/test_network.py::TestTickGroups::test_cascade_mutating_its_node_at_the_tick_time",
+        )
+        + _REPLAYS,
+    ),
+    # -- importer cursor: an import visits only the sensors written since the last
+    Mutant(
+        "cursor-ignores-the-store-identity",
+        PROCEDURES,
+        (("seen = self._seen if spatial is self._spatial else 0", "seen = self._seen"),),
+        ("tests/test_procedures.py::TestImportCursor::test_a_new_spatial_store_is_read_whole",),
+    ),
+    Mutant(
+        "cursor-skips-one-seq-too-many",
+        PROCEDURES,
+        (("record.seq <= seen or", "record.seq <= seen + 1 or"),),
+        _CURSOR + _DIGESTS,
+    ),
+    Mutant(
+        "import-drops-the-last-reading-check",
+        PROCEDURES,
+        (("            if self._last.get(sensor_id) == (state, time_ms):\n", "            if False:\n"),),
+        ("tests/test_procedures.py::TestImportCursor::test_a_duplicate_reading_imports_nothing",),
+    ),
+    Mutant(
+        "record-seq-stamped-before-the-write",
+        CONTEXT,
+        (
+            (
+                "self._put(StoreInstance(instance_id, template, state, time, self.mutation_seq + 1, kind))",
+                "self._put(StoreInstance(instance_id, template, state, time, self.mutation_seq, kind))",
+            ),
+        ),
+        _CURSOR + _DIGESTS,
+    ),
+    Mutant(
+        "cursor-one-ahead",
+        PROCEDURES,
+        (("current = spatial.mutation_seq\n", "current = spatial.mutation_seq + 1\n"),),
+        _CURSOR + _DIGESTS,
+    ),
+)

@@ -6,7 +6,9 @@ check.  The scheduler oracle is the one exception: it reuses the network's
 per-sample dispatch, but drives it by sampling every condition at every
 rate tick instead of only after a store mutation, and answers pattern
 checks from the person context (``person_context_matches``) instead of
-from the store's watches.
+from the store's watches.  The noting oracle (``noting_each_procedure``)
+likewise reuses the network, but notes each procedure's writes as that
+procedure returns instead of once per outermost dispatch.
 """
 
 from __future__ import annotations
@@ -390,6 +392,35 @@ class FullWalkImporter:
             procedures.SYNC_STATEMENT, True, now_ms, concepts=(procedures.SYNC_CONCEPT,), mode=OVERWRITE
         )
         net.notify_sync(self.binding.node, procedures.SYNC_STATEMENT)
+
+
+def run_procedure_noting_each(net, name):
+    """``RuntimeNetwork.run_procedure`` that notes its own writes: it reads
+    every store's ``mutation_seq`` before and after the procedure and notes
+    each store whose ``mutation_seq`` moved as soon as the procedure returns."""
+    stores = list(net.stores.items())
+    before = [store.mutation_seq for _, store in stores]
+    net.emit("procedure", name)
+    try:
+        net.procedures[name](net, net.clock.now)
+    except Exception as exc:
+        net.emit("error", name, f"{type(exc).__name__}: {exc}")
+    for (store_name, store), seq in zip(stores, before):
+        if store.mutation_seq != seq:
+            net.note_mutation(store_name)
+
+
+def noting_each_procedure(net):
+    """``net`` with every procedure noting its own writes.  No procedure of
+    it takes the stores' ``mutation_seq`` for its dispatch, so the network's
+    once-per-dispatch noting never runs."""
+    net.run_procedure = partial(run_procedure_noting_each, net)
+    return net
+
+
+def pending_samples(net):
+    """The pending samples: (node, ticks, per ms) of each tick group -> due time."""
+    return {(group.store.name, group.ticks, group.per_ms): due for group, due in net._pending.items()}
 
 
 def fraction_due_at_or_after(rate, last_tick, time_ms):

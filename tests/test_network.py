@@ -294,10 +294,15 @@ class TestBootstrap:
             bootstrap(model, base_dir=tmp_path)
 
 
-def flip(net, sensor, value, concepts=("SENSOR",)):
-    net.stores["A"].assert_statement(
-        sensor, value, net.clock.now, concepts=concepts, mode=OVERWRITE
+def write(net, node, statement_id, value, concept="SENSOR"):
+    """Write one statement into a node's store, noting nothing."""
+    net.stores[node].assert_statement(
+        statement_id, value, net.clock.now, concepts=(concept,), mode=OVERWRITE
     )
+
+
+def flip(net, sensor, value):
+    write(net, "A", sensor, value)
     net.note_mutation("A")
 
 
@@ -504,6 +509,75 @@ class TestCascade:
             "20\tprocedure\tP1\t\n"
         )
 
+    def test_a_procedure_that_writes_and_raises_has_its_write_noted(self, tmp_path):
+        """Fails if a failed procedure's writes go unnoted: C2 would never
+        be sampled."""
+        def write_then_raise(net, now):
+            write(net, "A", "X2", True)
+            raise RuntimeError("after the write")
+
+        net = build_mini(
+            tmp_path,
+            ["C1 checks=X1 in=A hasTarget=true rate=50", "C2 checks=X2 in=A hasTarget=true rate=50"],
+            ["E1 observes=C1"],
+            ["P1 implements=boom requires=E1"],
+            {"boom": write_then_raise},
+        )
+        flip(net, "X1", True)
+        net.pending_until(20)
+        assert net.log[-1] == LogEntry(20, "error", "P1", "RuntimeError: after the write")
+        assert oracles.pending_samples(net) == {("A", 50, 1000): 40}
+        net.pending_until(40)
+        assert net.log[-1] == LogEntry(40, "condition", "C2", "outcome=true")
+
+    def test_writes_are_noted_as_the_noting_oracle_notes_them(self, tmp_path):
+        """P1 writes A, runs P2 through its own ``notify_sync``, then writes
+        U; the noting oracle notes each procedure's writes as it returns.
+        Fails if a top-level ``notify_sync`` notes nothing, if the nested
+        ``notify_sync`` notes and ends the dispatch's noting (U's write is
+        lost), and if the first procedure's writes are left out."""
+        def outer(net, now):
+            write(net, "A", "X2", True)
+            net.notify_sync("A", "X2")
+            write(net, UPPER_NODE, "Y", True, concept="STATEMENT")
+
+        def inner(net, now):
+            write(net, "A", "X1", False)
+
+        def build():
+            return build_mini(
+                tmp_path,
+                [
+                    "C1 checks=X1 in=A hasTarget=true rate=50",
+                    "C2 checks=X2 in=A hasTarget=true rate=50",
+                    "C_u checks=Y in=U hasTarget=true rate=25",
+                ],
+                ["E1 observes=C1", "E2 observes=C2"],
+                ["P1 implements=outer requires=E1", "P2 implements=inner requires=E2"],
+                {"outer": outer, "inner": inner},
+            )
+
+        net, oracle = build(), oracles.noting_each_procedure(build())
+        for each in (net, oracle):
+            each.pending_until(100)  # the bootstrap samples, at 20 and 40
+            each.clock.advance_to(100)
+            write(each, "A", "X1", True)
+            each.notify_sync("A", "X1")
+        expected = {("A", 50, 1000): 100, (UPPER_NODE, 25, 1000): 120}
+        assert oracles.pending_samples(net) == oracles.pending_samples(oracle) == expected
+        for each in (net, oracle):
+            each.pending_until(200)
+        assert net.render_log() == oracle.render_log() == (
+            "100\tcondition\tC1\toutcome=true\n"
+            "100\tevent\tE1\t\n"
+            "100\tprocedure\tP1\t\n"
+            "100\tcondition\tC2\toutcome=true\n"
+            "100\tevent\tE2\t\n"
+            "100\tprocedure\tP2\t\n"
+            "100\tcondition\tC1\toutcome=false\n"
+            "120\tcondition\tC_u\toutcome=true\n"
+        )
+
 
 def enter_kitchen(net, now):
     store = net.stores["A"]
@@ -701,6 +775,45 @@ class TestNotifySync:
         assert notify_sync_fired(net, "A", "X1") == ["E1"]
         flip(net, "X1", True)  # rewritten, but never reset to false
         assert notify_sync_fired(net, "A", "X1") == []
+
+    def test_a_top_level_sync_notes_what_its_procedure_wrote(self, tmp_path):
+        net = build_mini(
+            tmp_path,
+            ["C1 checks=X1 in=A hasTarget=true rate=50"],
+            ["E1 observes=C1"],
+            ["P1 implements=write requires=E1"],
+            {"write": lambda net, now: write(net, "A", "X2", True)},
+        )
+        net.pending_until(100)  # the bootstrap sample, at 20
+        net.clock.advance_to(100)
+        assert oracles.pending_samples(net) == {}
+        write(net, "A", "X1", True)
+        assert notify_sync_fired(net, "A", "X1") == ["E1"]
+        # P1 wrote A: A's group is pending at the current time
+        assert oracles.pending_samples(net) == {("A", 50, 1000): 100}
+
+    def test_an_unknown_node_raises(self, tmp_path):
+        net = build_mini(
+            tmp_path,
+            ["C1 checks=X1 in=A hasTarget=true rate=50"],
+            ["E1 observes=C1"],
+            ["P1 implements=noop requires=E1"],
+        )
+        for statement_id in ("X1", "X9"):
+            with pytest.raises(NetworkError, match="unknown node 'B'"):
+                net.notify_sync("B", statement_id)
+
+    def test_a_known_node_with_no_checking_condition_logs_nothing(self, tmp_path):
+        net = build_mini(
+            tmp_path,
+            ["C1 checks=X1 in=A hasTarget=true rate=50"],
+            ["E1 observes=C1"],
+            ["P1 implements=noop requires=E1"],
+        )
+        flip(net, "X2", True)
+        for node, statement_id in (("A", "X2"), ("A", "X9"), (UPPER_NODE, BOOT_STATEMENT)):
+            net.notify_sync(node, statement_id)
+        assert len(net.log) == 0
 
 
 class TestDeterminism:

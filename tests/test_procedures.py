@@ -364,6 +364,50 @@ class TestSchedulerOracle:
         assert result.log_text == oracles.tick_replay(load.events, scenario)
 
 
+class TestWriteNoting:
+    """Writes noted once per outermost dispatch against the noting oracle
+    (``oracles.noting_each_procedure``), which notes each procedure's
+    writes as it returns."""
+
+    def replay(self, monkeypatch, events, scenario, wrap):
+        """A replay on a network passed through ``wrap``: its log, and the
+        pending samples after every batch and at the end."""
+        pending = []
+
+        def bootstrap(*args, **kwargs):
+            net = wrap(network.bootstrap(*args, **kwargs))
+            dispatch = net.sample_and_dispatch  # a pending_until batch
+
+            def recording(states):
+                dispatch(states)
+                pending.append((net.clock.now, oracles.pending_samples(net)))
+
+            net.sample_and_dispatch = recording
+            return net
+
+        with monkeypatch.context() as patch:
+            patch.setattr(procedures, "bootstrap", bootstrap)
+            result = procedures.run_replay(events, participant="p01", scenario=scenario)
+        pending.append((result.net.clock.now, oracles.pending_samples(result.net)))
+        return result.log_text, pending
+
+    @pytest.mark.parametrize("trace", ["synthetic", "sessions", "spatial_sweep", "append_growth"])
+    def test_replays_leave_the_pending_samples_of_the_noting_oracle(self, scenario, workloads, monkeypatch, trace):
+        """The synthetic session and the first seed-1 participant of each
+        benchmark workload."""
+        if trace == "synthetic":
+            text = synth.session_text()
+        else:
+            text = "\n".join(workloads.generate(trace, 1)[0]) + "\n"
+        events = ingest.load_trace(io.StringIO(text), **scenario.load_trace_kwargs()).events
+        log, pending = self.replay(monkeypatch, events, scenario, lambda net: net)
+        oracle_log, oracle_pending = self.replay(monkeypatch, events, scenario, oracles.noting_each_procedure)
+        assert log == oracle_log
+        assert len(pending) == len(oracle_pending) > 50
+        for (time_ms, samples), expected in zip(pending, oracle_pending):
+            assert (time_ms, samples) == expected
+
+
 def node_records(store):
     """Every record of a store, field by field, in id order."""
     return [
