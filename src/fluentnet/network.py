@@ -54,13 +54,23 @@ Tick times are exact integer ceil/floor divisions: tick ``k`` of a ``p/q``
 Hz group falls at ``ceil(k * 1000 * q / p)`` ms.  Everything runs on one
 logical thread of control against a virtual clock, so a fixed
 configuration and trace always produce the same dispatch log.
+
+The dispatch log is held once, as text (:class:`DispatchLog`): an entry
+is emitted as its rendered line, and :meth:`RuntimeNetwork.render_log`
+appends the lines emitted since the last render to the log's text and
+returns that text, which a replay's result then shares.  A read renders
+first and reads its entries back from the text, so a log costs its
+text and one machine integer per entry, none of it tracked by the cyclic
+collector.
 """
 
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -402,26 +412,54 @@ def _entry(line: str) -> LogEntry:
 
 
 class DispatchLog(Sequence[LogEntry]):
-    """A read-only view of a network's dispatch log.  The network keeps each
-    entry as its rendered line (a ``str``, which the cyclic garbage collector
-    never tracks); the view reads the lines back as :class:`LogEntry` values
-    on every access.  A slice is a list of entries."""
+    """A network's dispatch log, held once as text.
 
-    __slots__ = ("_lines",)
+    The network appends each entry to ``_lines`` as its rendered line
+    ended by a newline.  :meth:`render` appends those lines to the log's
+    text, records where each one ends and clears ``_lines`` in place: the
+    network appends to that list directly, so it is never replaced.  The
+    text is the one ``str`` a render returns, so a replay's result and its
+    network share it.  Every read renders first, then reads entries back
+    as :class:`LogEntry` values from their spans of the text (a detail may
+    hold a newline, so the spans come from the recorded ends, not from the
+    text).  Nothing is cached per entry, and the log refers to no network.
+    A slice is a list of entries.
+    """
 
-    def __init__(self, lines: list[str]) -> None:
-        self._lines = lines
+    __slots__ = ("_text", "_ends", "_lines")
+
+    def __init__(self) -> None:
+        self._text = ""
+        # where each rendered line ends, past its newline, after where the
+        # first one starts: entry i is text[ends[i] : ends[i + 1] - 1]
+        self._ends = array("Q", (0,))
+        self._lines: list[str] = []
+
+    def render(self) -> str:
+        """The log's text with the pending lines appended."""
+        lines = self._lines
+        if lines:
+            ends = self._ends
+            # the last end is where the new lines start: accumulate yields it back first
+            ends.fromlist(list(accumulate(map(len, lines), initial=ends.pop())))
+            self._text += "".join(lines)
+            lines.clear()
+        return self._text
 
     def __len__(self) -> int:
-        return len(self._lines)
+        self.render()
+        return len(self._ends) - 1
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [_entry(line) for line in self._lines[index]]
-        return _entry(self._lines[index])
+    def __getitem__(self, key):
+        text, ends = self.render(), self._ends
+        at = range(len(ends) - 1)[key]  # an index or a range; raises as a list would
+        if isinstance(at, range):
+            return [_entry(text[ends[i] : ends[i + 1] - 1]) for i in at]
+        return _entry(text[ends[at] : ends[at + 1] - 1])
 
     def __iter__(self):
-        return map(_entry, self._lines)
+        text, ends = self.render(), self._ends
+        return (_entry(text[ends[i] : ends[i + 1] - 1]) for i in range(len(ends) - 1))
 
 
 ProcedureImpl = Callable[["RuntimeNetwork", int], None]
@@ -435,8 +473,8 @@ class RuntimeNetwork:
     """Bootstrapped network: stores, procedures and scheduler state.
 
     ``log`` is the dispatch log as a :class:`DispatchLog`: :meth:`emit`
-    appends each entry as its rendered line, ``log`` reads the lines back
-    as :class:`LogEntry` values and :meth:`render_log` joins them.
+    appends each entry to its pending lines as one rendered line, and
+    :meth:`render_log` appends them to its text and returns the text.
     """
 
     def __init__(
@@ -476,8 +514,8 @@ class RuntimeNetwork:
                 self._states[i].observers.append(event)
         self._evaluated = 0
         self.clock = VirtualClock()
-        self._lines: list[str] = []
-        self.log = DispatchLog(self._lines)
+        self.log = DispatchLog()
+        self._lines = self.log._lines  # emit appends here; a render clears it in place
         self._store_order = tuple(stores.items())
         self._seqs: Optional[list[int]] = None  # see run_procedure
         self._pending: dict[TickGroup, int] = {}
@@ -490,12 +528,15 @@ class RuntimeNetwork:
     # -- logging -----------------------------------------------------------
 
     def emit(self, kind: str, name: str, detail: str = "") -> None:
-        """Append one entry, rendered as :meth:`LogEntry.render` renders it."""
-        self._lines.append(f"{self.clock.now}\t{kind}\t{name}\t{detail}")
+        """Append one entry, rendered as :meth:`LogEntry.render` renders it
+        and ended by a newline."""
+        self._lines.append(f"{self.clock.now}\t{kind}\t{name}\t{detail}\n")
 
     def render_log(self) -> str:
-        lines = self._lines
-        return "\n".join(lines) + "\n" if lines else ""
+        """The dispatch log's text: every entry's line, each ended by a
+        newline.  A render with nothing new emitted returns the same
+        ``str``."""
+        return self.log.render()
 
     # -- condition evaluation ------------------------------------------------
 

@@ -5,10 +5,11 @@ and ``edits`` holds the exact text replacements, as (anchor, replacement)
 pairs, that turn the module into the mutant.  Each anchor occurs exactly
 once in its module; ``test_mutants.py`` checks that, so a refactor that
 moves an anchor updates its entry in the same change.  ``killers`` names
-the tests, as pytest prints them, that fail on the mutant: a mutation
-check copies the tree, applies the edits and runs those tests, then
-tier-1.  ``test_mutants.py`` itself fails on every mutant, as an anchor
-it looks for is gone.  This module is not collected by pytest.
+the tests, as pytest prints them, that fail on the mutant:
+``run_mutants.py`` copies the tree, applies the edits, runs tier-1 and
+checks that each of those tests failed.  ``test_mutants.py`` itself
+fails on every mutant, as an anchor it looks for is gone.  This module
+is not collected by pytest.
 """
 
 from typing import NamedTuple
@@ -62,7 +63,47 @@ _DIGESTS = tuple(
     for workload in ("sessions", "spatial_sweep", "append_growth")
 ) + ("tests/test_cli.py::TestReplay::test_report_bytes_match_the_recorded_digests",)
 
+_RENDER_TEXT = '            self._text += "".join(lines)\n'
+_LOG_VIEW = "tests/test_network.py::TestDispatchLog::"
+_CRITERION_3 = "tests/test_acceptance.py::test_criterion_3_scheduler_semantics"
+
 MUTANTS = (
+    # -- dispatch log: held once as text, with each entry's end recorded
+    Mutant(
+        "entry-ends-recorded-one-character-short",
+        NETWORK,
+        (("accumulate(map(len, lines),", "accumulate(map((-1).__add__, map(len, lines)),"),),
+        (
+            _LOG_VIEW + "test_entries_render_back_to_the_log",
+            _LOG_VIEW + "test_a_render_appends_what_was_emitted_since_the_last",
+            _LOG_VIEW + "test_reads_across_the_rendered_and_pending_entries_match_a_list",
+            "tests/test_network.py::TestStepSemantics::test_procedure_failure_is_captured",
+            _CRITERION_3,
+        ),
+    ),
+    Mutant(
+        "pending-lines-kept-after-a-render",
+        NETWORK,
+        (("            lines.clear()\n", ""),),
+        (
+            _LOG_VIEW + "test_entries_render_back_to_the_log",
+            _LOG_VIEW + "test_a_render_appends_what_was_emitted_since_the_last",
+            _LOG_VIEW + "test_a_render_with_nothing_new_returns_the_same_text",
+            _LOG_VIEW + "test_reads_across_the_rendered_and_pending_entries_match_a_list",
+            "tests/test_procedures.py::TestRetainedRecords::test_a_result_holds_its_dispatch_log_once",
+            _CRITERION_3,
+        ),
+    ),
+    Mutant(
+        "render-replaces-the-text",
+        NETWORK,
+        ((_RENDER_TEXT, _RENDER_TEXT.replace("+=", "=")),),
+        (
+            _LOG_VIEW + "test_a_render_appends_what_was_emitted_since_the_last",
+            "tests/test_network.py::TestStepSemantics::test_edge_trigger_and_consumption",
+            _CRITERION_3,
+        ),
+    ),
     # -- scheduler: writes noted once per outermost dispatch
     Mutant(
         "notes-only-after-pending-until-batches",

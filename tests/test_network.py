@@ -636,6 +636,42 @@ class TestDispatchLog:
         net = bootstrap(load_network(""))
         assert len(net.log) == 0 and list(net.log) == [] and net.render_log() == ""
 
+    def test_a_render_appends_what_was_emitted_since_the_last(self, tmp_path):
+        net = self.logged(tmp_path)
+        first = net.render_log()
+        net.emit("warning", "X9", "late\tby\none")
+        net.emit("warning", "X9", "")
+        second = net.render_log()
+        assert second == first + f"{net.clock.now}\twarning\tX9\tlate\tby\none\n{net.clock.now}\twarning\tX9\t\n"
+        assert second == "".join(entry.render() + "\n" for entry in net.log)
+
+    def test_a_render_with_nothing_new_returns_the_same_text(self, tmp_path):
+        net = self.logged(tmp_path)
+        text = net.render_log()
+        assert net.render_log() is text
+        net.emit("warning", "X9", "late")
+        assert net.render_log() is not text
+
+    def test_reads_across_the_rendered_and_pending_entries_match_a_list(self, tmp_path):
+        net = self.logged(tmp_path)
+        net.render_log()
+        net.emit("warning", "X9", "late\tby\none")
+        net.emit("warning", "X8")
+        log = net.log
+        entries = list(log)
+        assert len(log) == len(entries) == 6
+        assert entries[3] == LogEntry(20, "error", "P1", "ValueError: bad\tfield\nsecond line")
+        assert entries[4] == LogEntry(net.clock.now, "warning", "X9", "late\tby\none")
+        for i in range(-len(entries), len(entries)):
+            assert log[i] == entries[i]
+        for step in (1, 2, 3, -1, -2, -4):
+            for start in (None, 0, 1, 3, 4, -2, -6, 9):
+                for stop in (None, 0, 2, 4, 5, -1, 9):
+                    assert log[start:stop:step] == entries[start:stop:step]
+        for outside in (len(entries), -len(entries) - 1):
+            with pytest.raises(IndexError):
+                log[outside]
+
 class TestTickGroups:
     """Pattern and statement checks on one node, sampled in tick groups
     that skip every pattern whose watch's answer cannot flip its outcome,

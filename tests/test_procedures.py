@@ -5,6 +5,7 @@ import importlib.util
 import io
 import shutil
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -847,6 +848,29 @@ class TestRetainedRecords:
         held = len(gc.get_objects()) - before
         assert result.events_replayed == 146
         assert held <= 8 * result.events_replayed
+
+    def test_a_result_holds_its_dispatch_log_once(self, scenario, workloads):
+        """The result's log text is the network's: a log's memory is its
+        text and a machine integer per entry, whatever its length."""
+        text = "\n".join(workloads.generate("sessions", 1)[0]) + "\n"
+
+        def replay():
+            load = ingest.load_trace(io.StringIO(text), **scenario.load_trace_kwargs())
+            return procedures.run_replay(load.events, participant="p01", scenario=scenario)
+
+        replay()  # the scenario's shared caches fill on the first replay
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = replay()
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, network.__file__)])
+        finally:
+            tracemalloc.stop()
+        held = sum(stat.size for stat in snapshot.statistics("filename"))
+        assert result.log_text is result.net.render_log()
+        assert len(result.net.log) == 1645
+        assert held <= len(result.log_text) + 16 * len(result.net.log) + 16384
 
 
 class TestHostileTraces:
