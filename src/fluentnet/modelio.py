@@ -3,7 +3,11 @@
 One format family covers both store models and the network description:
 bracketed section headers, one declaration per line, ``#`` comments,
 shell-style quoting for values with spaces; a section header a reader does
-not know is an error.  A store model declares the
+not know is an error.  A declaration line splits into the tokens POSIX
+``shlex.split(line, comments=True)`` gives; a line with no quote and no
+backslash is cut at its first ``#`` (which ends such a line even inside a
+word) and split on blanks, which gives the same tokens without
+:mod:`shlex`.  A store model declares the
 concept graph, the sensor installation table and any plain instances::
 
     [concepts]
@@ -27,6 +31,7 @@ concept graph, the sensor installation table and any plain instances::
 
 from __future__ import annotations
 
+import re
 import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +50,10 @@ from .context import (
 
 
 T = TypeVar("T")
+
+# A line holding none of these splits into the same tokens without shlex.
+_SHELL_SYNTAX = re.compile(r"['\"\\]")
+_WORD = re.compile(r"[^ \t\r\n]+")  # shlex's only blanks are these four
 
 
 class ConfigError(ValueError):
@@ -74,10 +83,13 @@ def read_sections(text: str, known: tuple[str, ...]) -> dict[str, list[ConfigLin
             continue
         if current is None:
             raise ConfigError(f"line {lineno}: declaration before any section header")
-        try:
-            tokens = tuple(shlex.split(line, comments=True))
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from exc
+        if _SHELL_SYNTAX.search(line) is None:
+            tokens = tuple(_WORD.findall(line.partition("#")[0]))
+        else:
+            try:
+                tokens = tuple(shlex.split(line, comments=True))
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from exc
         if tokens:
             sections[current].append(ConfigLine(tokens=tokens, lineno=lineno))
     return sections

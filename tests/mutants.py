@@ -1,4 +1,5 @@
-"""A catalogue of mutants of the incremental structures, as data.
+"""A catalogue of mutants of the incremental structures and of the
+declarative line splitter, as data.
 
 Each entry is one mutant.  ``module`` is a path from the repository root,
 and ``edits`` holds the exact text replacements, as (anchor, replacement)
@@ -25,6 +26,7 @@ class Mutant(NamedTuple):
 NETWORK = "src/fluentnet/network.py"
 PROCEDURES = "src/fluentnet/procedures.py"
 CONTEXT = "src/fluentnet/context.py"
+MODELIO = "src/fluentnet/modelio.py"
 
 _CASCADE_NOTES = "        if outermost and self._seqs is not None:  # note what the procedures wrote\n"
 _SNAPSHOT = """\
@@ -66,8 +68,30 @@ _DIGESTS = tuple(
 _RENDER_TEXT = '            self._text += "".join(lines)\n'
 _LOG_VIEW = "tests/test_network.py::TestDispatchLog::"
 _CRITERION_3 = "tests/test_acceptance.py::test_criterion_3_scheduler_semantics"
+_SPLIT = "tests/test_modelio.py::TestSplit::"
 
 MUTANTS = (
+    # -- declarative lines: shlex splits only a line holding a quote or a backslash
+    Mutant(
+        "plain-line-test-ignores-the-backslash",
+        MODELIO,
+        ((r"""['\"\\]""", r"""['\"]"""),),
+        (
+            _SPLIT + "test_any_line_splits_or_fails_on_its_line_as_shlex_does",
+            _SPLIT + "test_fixed_lines[escaped-blank]",
+            _SPLIT + "test_fixed_lines[escaped-hash]",
+        ),
+    ),
+    Mutant(
+        "plain-line-keeps-its-comment",
+        MODELIO,
+        (('_WORD.findall(line.partition("#")[0])', "_WORD.findall(line)"),),
+        (
+            _SPLIT + "test_a_plain_line_splits_as_shlex_splits_it_without_shlex",
+            _SPLIT + "test_any_line_splits_or_fails_on_its_line_as_shlex_does",
+            _SPLIT + "test_fixed_lines[comment-inside-a-word]",
+        ),
+    ),
     # -- dispatch log: held once as text, with each entry's end recorded
     Mutant(
         "entry-ends-recorded-one-character-short",
