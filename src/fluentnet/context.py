@@ -11,9 +11,9 @@ Complexity is tracked as an axiom count:
     |concepts| + |subclass edges| + |defined-class restrictions|
     + per instance (|asserted concepts| + |property assertions|)
 
-The count is maintained incrementally and can be recomputed from scratch;
-inferred knowledge (classification results, the person context) is not part
-of the count.
+The count is maintained incrementally; inferred knowledge (classification
+results, the person context) is not part of it.  The from-scratch recount
+it must always equal, ``recount_axioms``, lives in ``tests/oracles.py``.
 
 A store's cached classification is its only classified state: brought up
 to date on the first read after a mutation and handed out read-only.  The
@@ -404,9 +404,9 @@ class StoreInstance:
     instance, which carries neither) and ``seq`` the store's
     ``mutation_seq`` after the write that made the record.  The asserted
     concepts, their closure, the declared values and the weight stay on
-    the template; :attr:`props` is a read-only map of every property value,
-    built on each read.  A write replaces the record whole, so snapshots
-    and the rule matcher read it in place.
+    the template; :meth:`prop_values` reads one property's values.  A
+    write replaces the record whole, so snapshots and the rule matcher
+    read it in place.
     """
 
     __slots__ = ("id", "template", "state", "time", "seq", "kind")
@@ -422,29 +422,13 @@ class StoreInstance:
     closure = property(attrgetter("template.closure"))
     weight = property(attrgetter("template.weight"))
 
-    @property
-    def props(self) -> Mapping[str, tuple[PropValue, ...]]:
-        """``hasState`` and ``hasTime`` of a statement, then the declared
-        values, in a new read-only map."""
-        props = {} if self.time is None else {STATE_PROP: (self.state,), TIME_PROP: (self.time,)}
-        props.update(self.template.declared)
-        return MappingProxyType(props)
-
     def prop_values(self, prop: str) -> tuple[PropValue, ...]:
         if self.time is not None and (prop == STATE_PROP or prop == TIME_PROP):
             return (self.state,) if prop == STATE_PROP else (self.time,)
         return self.template.declared.get(prop, ())
 
-    def single(self, prop: str) -> Optional[PropValue]:
-        values = self.prop_values(prop)
-        return values[0] if values else None
-
     def is_statement(self) -> bool:
         return self.time is not None
-
-    def axiom_weight(self) -> int:
-        """The weight from scratch: asserted concepts plus property values."""
-        return len(self.asserted) + sum(map(len, self.props.values()))
 
 
 @dataclass(eq=False, slots=True)
@@ -985,10 +969,6 @@ class ContextStore:
 
     def axiom_count(self) -> int:
         return self._axioms
-
-    def recount_axioms(self) -> int:
-        """From-scratch recount; must always equal :meth:`axiom_count`."""
-        return self.graph.axiom_terms() + sum(i.axiom_weight() for i in self.instances.values())
 
     def clear_statements(self, keep_concepts: Iterable[str] = ()) -> int:
         """Remove statement instances except those classified under any of

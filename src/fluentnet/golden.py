@@ -270,13 +270,6 @@ def _a8(p: dict[str, int]) -> list[GoldenCase]:
 _BUILDERS = {1: _a1, 2: _a2, 3: _a3, 4: _a4, 5: _a5, 6: _a6, 7: _a7, 8: _a8}
 
 
-def evaluate_case(scenario: Scenario, case: GoldenCase) -> Optional[RecognitionRecord]:
-    """Run one golden case through a fresh activity store, in its node's
-    declared mode, and a fresh evaluator."""
-    binding = scenario.bindings[case.activity]
-    return _evaluate(case, _new_store(scenario, binding), Evaluator(binding, ReplaySession()))
-
-
 def _new_store(scenario: Scenario, binding: ActivityBinding) -> ContextStore:
     node = next(n for n in scenario.model.nodes if n.name == binding.node)
     return build_node_store(node, scenario.store_models[node.name])

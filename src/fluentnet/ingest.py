@@ -39,6 +39,9 @@ DEFAULT_VALUE_MAP: dict[str, bool] = {
 
 _EPOCH = datetime(1970, 1, 1)
 _SENSOR_RE = re.compile(r"^([A-Za-z]+)0*(\d+)(.*)$")
+# a time of day as timestamp_ms accepts it: three fields and an optional
+# fraction, each of ASCII digits only
+_CLOCK = re.compile(r"([0-9]+):([0-9]+):([0-9]+)(?:\.([0-9]*))?")
 _BEGIN_TAGS = {"begin", "start"}
 _END_TAGS = {"end", "stop"}
 
@@ -91,7 +94,9 @@ def timestamp_ms(date_token: str, time_token: str) -> int:
     """Fuse a date and a time-of-day into epoch milliseconds.
 
     Fractional seconds of any length are accepted (logs carry anything from
-    two to six digits) and truncated to milliseconds.
+    two to six digits) and truncated to milliseconds.  Every field is ASCII
+    digits: ``int`` alone would also take a sign, underscores and the
+    digits of other scripts.
     """
     try:
         year, month, day = (int(part) for part in date_token.split("-"))
@@ -99,6 +104,9 @@ def timestamp_ms(date_token: str, time_token: str) -> int:
         hour, minute, second = (int(part) for part in clock.split(":"))
         ms = int((fraction + "000")[:3]) if fraction else 0
         stamp = datetime(year, month, day, hour, minute, second)
+        digits = date_token.replace("-", "") + clock.replace(":", "") + fraction
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError("a field holds more than ASCII digits")
     except ValueError as exc:
         raise TraceParseError(f"bad timestamp ({exc})", f"{date_token} {time_token}") from exc
     delta = stamp - _EPOCH
@@ -135,35 +143,27 @@ def _value_table(value_map: Optional[Mapping[str, bool]]) -> dict[str, bool]:
     return values
 
 
-def parse_line(
-    text: str,
-    value_map: Optional[Mapping[str, bool]] = None,
-    rename: Optional[Mapping[str, str]] = None,
-) -> TraceEvent:
-    """Parse one trace line; malformed input raises :class:`TraceParseError`."""
-    return _LineParser(_value_table(value_map), rename)(text)
-
-
 def _clock_ms(time_token: str) -> Optional[int]:
     """Milliseconds into the day of a time-of-day token, as
     :func:`timestamp_ms` reads it, or ``None`` when that would raise."""
-    clock, _, fraction = time_token.partition(".")
-    try:
-        hour, minute, second = (int(part) for part in clock.split(":"))
-        ms = int((fraction + "000")[:3]) if fraction else 0
-    except ValueError:
+    match = _CLOCK.fullmatch(time_token)
+    if match is None:
         return None
+    hour, minute, second = int(match[1]), int(match[2]), int(match[3])
+    fraction = match[4]
+    ms = int((fraction + "000")[:3]) if fraction else 0
     if 0 <= hour <= 23 and 0 <= minute <= 59 and 0 <= second <= 59:
         return ((hour * 60 + minute) * 60 + second) * 1000 + ms
     return None
 
 
 class _LineParser:
-    """:func:`parse_line` with the value table built once, and memos of each
-    date token's epoch-day milliseconds and each raw sensor token's
-    normalised id.  A memo holds only tokens that parsed; a line the memo
-    cannot answer goes through :func:`timestamp_ms`, so its error is the one
-    that function raises."""
+    """:func:`load_trace`'s line parser: one line to a :class:`TraceEvent`,
+    or a :class:`TraceParseError`.  It holds the value table, built once,
+    and memos of each date token's epoch-day milliseconds and each raw
+    sensor token's normalised id.  A memo holds only tokens that parsed; a
+    line the memo cannot answer goes through :func:`timestamp_ms`, so its
+    error is the one that function raises."""
 
     def __init__(self, values: Mapping[str, bool], rename: Optional[Mapping[str, str]]) -> None:
         self.values = values
@@ -201,22 +201,6 @@ class _LineParser:
         return TraceEvent(
             time_ms=time_ms, sensor=sensor, value=value, activity=activity, marker=marker
         )
-
-
-def format_line(event: TraceEvent) -> str:
-    """Inverse of :func:`parse_line` over the documented grammar."""
-    seconds, ms = divmod(event.time_ms, 1000)
-    days, rem = divmod(seconds, 86_400)
-    day = datetime.fromordinal(_EPOCH.toordinal() + days).date()
-    hours, rem = divmod(rem, 3600)
-    minutes, secs = divmod(rem, 60)
-    text = (
-        f"{day.isoformat()} {hours:02d}:{minutes:02d}:{secs:02d}.{ms:03d} "
-        f"{event.sensor} {'ON' if event.value else 'OFF'}"
-    )
-    if event.activity is not None and event.marker:
-        text += f" a{event.activity} {event.marker}"
-    return text
 
 
 @dataclass
@@ -284,30 +268,6 @@ def load_trace(
 
     intervals.sort(key=lambda i: (i.start_ms, i.activity))
     return TraceLoad(events=events, intervals=intervals, warnings=warnings, skipped=skipped)
-
-
-def load_dataset(
-    directory: Union[str, Path],
-    pattern: str = "*",
-    **kwargs,
-) -> tuple[dict[str, list[TraceEvent]], GroundTruth, list[str]]:
-    """Load a directory of per-participant logs, sorted by file name."""
-    directory = Path(directory)
-    participants: dict[str, list[TraceEvent]] = {}
-    truth = GroundTruth()
-    warnings: list[str] = []
-    for path in sorted(directory.glob(pattern)):
-        if not path.is_file():
-            continue
-        load = load_trace(path, **kwargs)
-        if not load.events:
-            continue
-        name = path.stem
-        participants[name] = load.events
-        for interval in load.intervals:
-            truth.add(name, interval)
-        warnings.extend(f"{name}: {w}" for w in load.warnings)
-    return participants, truth, warnings
 
 
 def drive(

@@ -59,15 +59,6 @@ class ConfusionMatrix:
     def rows(self) -> tuple[int, ...]:
         return ACTIVITIES + (UNCLASSIFIED,)
 
-    def column_sums(self) -> dict[int, float]:
-        return {
-            true: sum(self.rate(row, true) for row in self.rows())
-            for true in ACTIVITIES
-        }
-
-    def diagonal(self) -> dict[int, float]:
-        return {a: self.rate(a, a) for a in ACTIVITIES}
-
 
 def _match_interval(
     time_ms: int, intervals: Sequence[Interval], grace_ms: int

@@ -95,13 +95,16 @@ def read_sections(text: str, known: tuple[str, ...]) -> dict[str, list[ConfigLin
     return sections
 
 
-def split_options(tokens: tuple[str, ...]) -> tuple[list[str], dict[str, str]]:
-    """Separate positional tokens from key=value options."""
+def split_options(line: ConfigLine) -> tuple[list[str], dict[str, str]]:
+    """Separate a line's positional tokens from its key=value options; an
+    option given twice is an error."""
     positional: list[str] = []
     options: dict[str, str] = {}
-    for token in tokens:
+    for token in line.tokens:
         if "=" in token and not token.startswith("="):
             key, value = token.split("=", 1)
+            if key in options:
+                raise ConfigError(f"line {line.lineno}: option {key!r} given twice")
             options[key] = value
         else:
             positional.append(token)
@@ -198,7 +201,7 @@ def parse_store_model(text: str) -> StoreModel:
     model = StoreModel(graph=graph)
 
     for line in sections.get("instances", []):
-        positional, options = split_options(line.tokens)
+        positional, options = split_options(line)
         if len(positional) != 2:
             raise ConfigError(f"line {line.lineno}: instance line must read 'ID CONCEPT[,CONCEPT]'")
         instance_id, concepts = positional
@@ -208,7 +211,7 @@ def parse_store_model(text: str) -> StoreModel:
         model.instances.append((instance_id, tuple(concepts.split(",")), props))
 
     for line in sections.get("person", []):
-        positional, options = split_options(line.tokens)
+        positional, options = split_options(line)
         if len(positional) != 1:
             raise ConfigError(f"line {line.lineno}: person line must name one instance")
         if model.person_id is not None:
@@ -221,7 +224,7 @@ def parse_store_model(text: str) -> StoreModel:
             model.presence_concept = options["presence"]
 
     for line in sections.get("sensors", []):
-        positional, options = split_options(line.tokens)
+        positional, options = split_options(line)
         if len(positional) != 2:
             raise ConfigError(f"line {line.lineno}: sensor line must read 'ID CLASS[,CLASS]'")
         sensor_id, classes = positional

@@ -186,7 +186,7 @@ def _parse_bool(value: str, lineno: int) -> bool:
 
 def _split(line: ConfigLine, kind: str, known: tuple[str, ...]) -> tuple[list[str], dict[str, str]]:
     """Split one declaration; an option its section does not define is an error."""
-    positional, options = split_options(line.tokens)
+    positional, options = split_options(line)
     unknown = sorted(set(options) - set(known))
     if unknown:
         raise NetworkError(f"line {line.lineno}: unknown {kind} option {unknown[0]!r}")
@@ -400,9 +400,6 @@ class LogEntry:
     name: str
     detail: str = ""
 
-    def render(self) -> str:
-        return f"{self.time_ms}\t{self.kind}\t{self.name}\t{self.detail}"
-
 
 def _entry(line: str) -> LogEntry:
     """The entry one rendered line holds; the detail keeps any tab or
@@ -528,8 +525,9 @@ class RuntimeNetwork:
     # -- logging -----------------------------------------------------------
 
     def emit(self, kind: str, name: str, detail: str = "") -> None:
-        """Append one entry, rendered as :meth:`LogEntry.render` renders it
-        and ended by a newline."""
+        """Append one entry as its rendered line: the time, kind, name and
+        detail, separated by tabs and ended by a newline.  This is the one
+        renderer; :func:`_entry` reads a line back."""
         self._lines.append(f"{self.clock.now}\t{kind}\t{name}\t{detail}\n")
 
     def render_log(self) -> str:

@@ -101,13 +101,6 @@ class StatementSet:
     def ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self._members)
 
-    def first(self, statement_id: str) -> Optional[Statement]:
-        """Earliest member carrying ``statement_id``, or None."""
-        for member in self._members:
-            if member.id == statement_id:
-                return member
-        return None
-
 
 def apply_logical(kind: str, x: Statement, y: Statement) -> Statement:
     """Combine two statements with ``and``/``or``; time is the later one."""
@@ -272,7 +265,7 @@ def aggregate(expr: Expr, members: StatementSet) -> Statement:
     id that is not in the set is a domain error.
     """
     if isinstance(expr, Ref):
-        member = members.first(expr.id)
+        member = next((m for m in members if m.id == expr.id), None)  # the earliest
         if member is None:
             raise StatementError(f"unbound reference {expr.id!r}")
         return member

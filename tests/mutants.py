@@ -1,5 +1,5 @@
-"""A catalogue of mutants of the incremental structures and of the
-declarative line splitter, as data.
+"""A catalogue of mutants of the incremental structures (the axiom count
+among them) and of the declarative line splitter, as data.
 
 Each entry is one mutant.  ``module`` is a path from the repository root,
 and ``edits`` holds the exact text replacements, as (anchor, replacement)
@@ -69,8 +69,42 @@ _RENDER_TEXT = '            self._text += "".join(lines)\n'
 _LOG_VIEW = "tests/test_network.py::TestDispatchLog::"
 _CRITERION_3 = "tests/test_acceptance.py::test_criterion_3_scheduler_semantics"
 _SPLIT = "tests/test_modelio.py::TestSplit::"
+_AXIOMS = "tests/test_context.py::TestAxioms::"
+_RECOUNTS = (
+    _AXIOMS + "test_incremental_matches_recount_over_random_sequences",
+    _AXIOMS + "test_bookkeeping_invariant_holds_for_any_sequence",
+    "tests/test_procedures.py::TestRecognitionLifecycle::test_axiom_count_drops_to_floor_at_recognition",
+    "tests/test_acceptance.py::test_criterion_4_boundedness",
+)
 
 MUTANTS = (
+    # -- axiom count: kept incrementally, checked against oracles.recount_axioms
+    Mutant(
+        "drop-forgets-the-weight",
+        CONTEXT,
+        (
+            (
+                "self._axioms -= self.instances.pop(instance_id).template.weight",
+                "self.instances.pop(instance_id)",
+            ),
+        ),
+        _RECOUNTS
+        + (
+            "tests/test_benchmark_traffic.py::test_first_seed_1_participant_replays_to_the_same_bytes[sessions]",
+            "tests/test_cli.py::TestReplay::test_report_bytes_match_the_recorded_digests",
+        ),
+    ),
+    Mutant(
+        "put-keeps-the-old-weight",
+        CONTEXT,
+        (("            self._axioms -= previous.template.weight\n", "            pass\n"),),
+        _RECOUNTS
+        + (
+            _AXIOMS + "test_overwrite_count_stable",
+            "tests/test_context.py::TestWriteTemplates::test_a_template_holds_for_its_declaration_only",
+        )
+        + _DIGESTS,
+    ),
     # -- declarative lines: shlex splits only a line holding a quote or a backslash
     Mutant(
         "plain-line-test-ignores-the-backslash",

@@ -193,7 +193,7 @@ def literal_filter(rule, snapshot):
             record
             for record in ordered
             if atom.concept in snapshot.classification[record.id]
-            and all(value in record.props.get(prop, ()) for prop, value in tests)
+            and all(value in props_of(record).get(prop, ()) for prop, value in tests)
         ]
         if not found:
             return None
@@ -211,7 +211,7 @@ def _value_assignments(body, binding, lookup):
     for atom in body:
         if isinstance(atom, PropertyAtom) and str(atom.value).startswith("?"):
             inst = lookup.get(binding.get(atom.var))
-            values = list(inst.props.get(atom.prop, ())) if inst else []
+            values = list(props_of(inst).get(atom.prop, ())) if inst else []
             if atom.value in value_vars:
                 value_vars[atom.value] = [v for v in value_vars[atom.value] if v in values]
             else:
@@ -256,7 +256,7 @@ def _satisfies_all(body, binding, lookup, classification):
             wanted = (
                 binding.get(atom.value) if str(atom.value).startswith("?") else atom.value
             )
-            if wanted not in inst.props.get(atom.prop, ()):
+            if wanted not in props_of(inst).get(atom.prop, ()):
                 return False
         elif isinstance(atom, Compare):
             left = binding.get(atom.left) if str(atom.left).startswith("?") else atom.left
@@ -364,7 +364,7 @@ def tick_replay(events, scenario):
 class FullWalkImporter:
     """An importer with no cursor, a drop-in for ``procedures.Importer``:
     every import visits every sensor of its activity and copies each
-    spatial statement whose state and time (read off the props view)
+    spatial statement whose state and time (read off ``props_of``)
     differ from the ones it last copied of that sensor."""
 
     def __init__(self, binding, session):
@@ -378,7 +378,7 @@ class FullWalkImporter:
         imported = 0
         for sensor_id in self.binding.sensor_ids:
             record = spatial.instances.get(sensor_id)
-            props = record.props if record is not None else {}
+            props = props_of(record) if record is not None else {}
             if STATE_PROP not in props:
                 continue
             reading = (props[STATE_PROP][0], props[TIME_PROP][0])
@@ -466,7 +466,7 @@ def record_from_scratch(graph, asserted, props):
     """What a record of ``asserted`` concepts and ``props`` holds, field by
     field as ``record_fields`` reads them: the asserted set, the closure
     (``closure_from_scratch``), the state and time (the ``hasState`` and
-    ``hasTime`` values, ``None`` for a plain instance), the props view and
+    ``hasTime`` values, ``None`` for a plain instance), the property values and
     the axiom weight, one per asserted concept and per property value; and
     the clashing pairs, with which the write raises."""
     closure, clashes = closure_from_scratch(graph, asserted)
@@ -484,17 +484,37 @@ def record_from_scratch(graph, asserted, props):
     return fields, clashes
 
 
+def props_of(record):
+    """Every property value of a stored record, read off its public fields:
+    ``hasState`` and ``hasTime`` of a statement, then its template's
+    declared values, in a new dict."""
+    props = {} if record.time is None else {STATE_PROP: (record.state,), TIME_PROP: (record.time,)}
+    props.update(record.template.declared)
+    return props
+
+
 def record_fields(record):
-    """The fields ``record_from_scratch`` derives, read off a stored record;
-    the props view as a plain dict."""
+    """The fields ``record_from_scratch`` derives, read off a stored record."""
     return {
         "asserted": record.asserted,
         "closure": record.closure,
         "state": record.state,
         "time": record.time,
-        "props": dict(record.props),
+        "props": props_of(record),
         "weight": record.weight,
     }
+
+
+def axiom_weight(record):
+    """A record's axiom weight from scratch: its asserted concepts plus its
+    property values."""
+    return len(record.asserted) + sum(map(len, props_of(record).values()))
+
+
+def recount_axioms(store):
+    """A store's axiom count from scratch: the graph's terms plus every
+    record's ``axiom_weight``; it must always equal ``store.axiom_count()``."""
+    return store.graph.axiom_terms() + sum(axiom_weight(record) for record in store.instances.values())
 
 
 def classify_from_scratch(store):
@@ -533,7 +553,7 @@ def classify_from_scratch(store):
 
 def _satisfies_from_scratch(instance, dc, memberships):
     for restriction in dc.restrictions:
-        values = instance.props.get(restriction.prop, ())
+        values = props_of(instance).get(restriction.prop, ())
         count = 0
         for value in values:
             if restriction.target == BOOLEAN_DOMAIN:
@@ -564,11 +584,11 @@ def person_context_from_scratch(store, classification):
     for inst_id, instance in store.instances.items():
         if store.presence_concept not in classification[inst_id]:
             continue
-        states = instance.props.get(STATE_PROP, ())
+        states = props_of(instance).get(STATE_PROP, ())
         if not states or states[0] is not True:
             continue
         for prop in ("isIn", "isNearTo"):
-            for target in instance.props.get(prop, ()):
+            for target in props_of(instance).get(prop, ()):
                 if isinstance(target, str):
                     pairs.add((prop, target))
     return tuple(sorted(pairs))

@@ -7,6 +7,7 @@ or a data/adlinterweave directory).
 """
 
 import io
+import json
 import os
 import random
 import time
@@ -16,7 +17,7 @@ import pytest
 
 import oracles
 import synth
-from fluentnet import dsl, golden, ingest, metrics, procedures
+from fluentnet import cli, dsl, golden, ingest, metrics, procedures
 from fluentnet.context import APPEND
 from fluentnet.modelio import build_store, load_store_model
 from fluentnet.statements import (
@@ -213,21 +214,27 @@ def _dataset_dir():
     return local if local.is_dir() else None
 
 
-def replay_dataset(directory, scenario):
-    """Replay every participant's log and score the lot; returns the matrix."""
-    participants, truth, _warnings = ingest.load_dataset(directory, **scenario.load_trace_kwargs())
-    recognitions = {}
-    rebased = ingest.GroundTruth()
-    for participant, events in participants.items():
-        result = procedures.run_replay(events, participant=participant, scenario=scenario)
-        recognitions[participant] = result.recognition_pairs()
-        base = result.base_ms
-        for interval in truth.intervals(participant):
-            rebased.add(
-                participant,
-                ingest.Interval(interval.activity, interval.start_ms - base, interval.end_ms - base),
-            )
-    return len(participants), metrics.score(recognitions, rebased)
+def replay_reports(traces, out):
+    """``fluentnet replay`` over the trace files, one participant each; the
+    participants it scored and its confusion matrix, as the report
+    directory's ``summary.json`` and ``confusion.json`` give them."""
+    assert cli.main(["replay", "--trace", *map(str, sorted(traces)), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    return summary["participants"], json.loads((out / "confusion.json").read_text(encoding="utf-8"))
+
+
+def diagonal_of(confusion):
+    """Each activity's share of its annotated intervals recognised as
+    itself, after checking that every column's counts sum to its nonzero
+    total: every interval has exactly one outcome."""
+    counts, totals = confusion["counts"], confusion["column_totals"]
+    diagonal = {}
+    for a in metrics.ACTIVITIES:
+        column = f"a{a}"
+        assert totals[column] > 0
+        assert sum(row[column] for row in counts.values()) == totals[column]
+        diagonal[a] = counts[column][column] / totals[column]
+    return diagonal
 
 
 @pytest.mark.skipif(
@@ -235,29 +242,27 @@ def replay_dataset(directory, scenario):
     reason="requires the interleaved-ADL download (set CASAS_ADLINTERWEAVE or "
     "place it under data/adlinterweave)",
 )
-def test_criterion_6_dataset_replay(scenario):
-    count, matrix = replay_dataset(_dataset_dir(), scenario)
-    assert count == 19
-    sums = matrix.column_sums()
-    assert all(abs(sums[a] - 1.0) < 1e-9 for a in metrics.ACTIVITIES)
-    diagonal = matrix.diagonal()
+def test_criterion_6_dataset_replay(tmp_path):
+    traces = [path for path in _dataset_dir().glob("*") if path.is_file()]
+    participants, confusion = replay_reports(traces, tmp_path / "run")
+    assert len(participants) == 19
+    diagonal = diagonal_of(confusion)
     assert all(diagonal[a] >= 0.5 for a in metrics.ACTIVITIES)
     deltas = {a: round(diagonal[a] - metrics.REFERENCE_DIAGONAL[a], 3) for a in metrics.ACTIVITIES}
     verdict(6, f"19-participant replay scored; diagonal deltas vs reference: {deltas}")
 
 
-def test_dataset_machinery_on_synthetic_participants(scenario, tmp_path):
-    """Stand-in for the conditional criterion: the same pipeline over 19
+def test_dataset_machinery_on_synthetic_participants(tmp_path):
+    """Stand-in for the conditional criterion: the same command over 19
     synthetic sessions must complete with coherent columns and diagonal."""
     for i in range(1, 20):
         (tmp_path / f"p{i:02d}.txt").write_text(
             synth.session_text(offset_s=i * 7.0), encoding="utf-8"
         )
-    count, matrix = replay_dataset(tmp_path, scenario)
-    assert count == 19
-    sums = matrix.column_sums()
-    assert all(abs(sums[a] - 1.0) < 1e-9 for a in metrics.ACTIVITIES)
-    assert all(matrix.rate(a, a) >= 0.5 for a in metrics.ACTIVITIES)
+    participants, confusion = replay_reports(tmp_path.glob("p*.txt"), tmp_path / "run")
+    assert len(participants) == 19
+    diagonal = diagonal_of(confusion)
+    assert all(diagonal[a] >= 0.5 for a in metrics.ACTIVITIES)
 
 
 # -- 7. round trip ---------------------------------------------------------------------

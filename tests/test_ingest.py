@@ -2,6 +2,7 @@
 
 import calendar
 import io
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -9,19 +10,43 @@ from fluentnet.ingest import (
     GroundTruth,
     Interval,
     TraceEvent,
-    TraceParseError,
     drive,
-    format_line,
-    load_dataset,
     load_trace,
     normalize_sensor,
-    parse_line,
 )
 
 
 def epoch_ms_oracle(y, mo, d, h, mi, s, ms):
     """Independent calendar arithmetic for the date-to-ms check."""
     return (calendar.timegm((y, mo, d, h, mi, s)) * 1000) + ms
+
+
+def parse_line(text, **kwargs):
+    """The event one well-formed line loads as."""
+    load = load_trace(io.StringIO(text), **kwargs)
+    assert load.skipped == 0, load.warnings
+    (event,) = load.events
+    return event
+
+
+def rejection(text):
+    """The warning one malformed line is skipped with."""
+    load = load_trace(io.StringIO(text))
+    assert (load.skipped, load.events) == (1, [])
+    (warning,) = load.warnings
+    return warning
+
+
+def format_line(event):
+    """A line that loads as ``event``, in the documented grammar."""
+    stamp = datetime(1970, 1, 1) + timedelta(milliseconds=event.time_ms)
+    text = (
+        f"{stamp:%Y-%m-%d %H:%M:%S}.{event.time_ms % 1000:03d} "
+        f"{event.sensor} {'ON' if event.value else 'OFF'}"
+    )
+    if event.activity is not None and event.marker:
+        text += f" a{event.activity} {event.marker}"
+    return text
 
 
 class TestParseLine:
@@ -37,12 +62,12 @@ class TestParseLine:
         assert event.value is False
 
     def test_garbage_rejected(self):
-        with pytest.raises(TraceParseError):
-            parse_line("garbage")
+        assert rejection("garbage") == "line 1: expected DATE TIME SENSOR VALUE: 'garbage'"
 
     def test_unknown_value_rejected(self):
-        with pytest.raises(TraceParseError):
-            parse_line("2009-05-11 15:00:00 M01 MAYBE")
+        assert rejection("2009-05-11 15:00:00 M01 MAYBE") == (
+            "line 1: unknown sensor value 'MAYBE': '2009-05-11 15:00:00 M01 MAYBE'"
+        )
 
     def test_annotation_pair(self):
         event = parse_line("2009-05-11 15:00:00 M01 ON a3 begin")
@@ -79,6 +104,7 @@ class TestParseLine:
 
 # a malformed line and the warning text it gets, whether or not an earlier
 # line of the trace already used its date token
+NOT_DIGITS = "a field holds more than ASCII digits"
 MALFORMED = [
     ("2009-13-11 x:00:00 M01 ON", "bad timestamp (invalid literal for int() with base 10: 'x'): '2009-13-11 x:00:00'"),
     ("2009-05-11 x:00:00 M01 ON", "bad timestamp (invalid literal for int() with base 10: 'x'): '2009-05-11 x:00:00'"),
@@ -94,6 +120,14 @@ MALFORMED = [
     ("2009-05-11 14:00:00:00 M01 ON", "bad timestamp (too many values to unpack (expected 3)): '2009-05-11 14:00:00:00'"),
     ("2009-05 14:00:00 M01 ON", "bad timestamp (not enough values to unpack (expected 3, got 2)): '2009-05 14:00:00'"),
     ("0-05-11 14:00:00 M01 ON", "bad timestamp (year 0 is out of range): '0-05-11 14:00:00'"),
+    # fields that are not ASCII digits but that int() takes (a sign, an underscore,
+    # another script's digit) or that a fraction cut to milliseconds hid
+    ("2009-05-11 14:00:00.-5 M01 ON", f"bad timestamp ({NOT_DIGITS}): '2009-05-11 14:00:00.-5'"),
+    ("2009-05-11 14:00:00.+5 M01 ON", f"bad timestamp ({NOT_DIGITS}): '2009-05-11 14:00:00.+5'"),
+    ("2009-05-11 1_4:00:00 M01 ON", f"bad timestamp ({NOT_DIGITS}): '2009-05-11 1_4:00:00'"),
+    ("2009-05-1_1 14:00:00 M01 ON", f"bad timestamp ({NOT_DIGITS}): '2009-05-1_1 14:00:00'"),
+    ("2009-05-11 14:00:00.\u0665 M01 ON", f"bad timestamp ({NOT_DIGITS}): '2009-05-11 14:00:00.\u0665'"),
+    ("2009-05-11 14:00:00.123x M01 ON", f"bad timestamp ({NOT_DIGITS}): '2009-05-11 14:00:00.123x'"),
     ("2009-05-11 14:00:00 M01 MAYBE", "unknown sensor value 'MAYBE': '2009-05-11 14:00:00 M01 MAYBE'"),
     ("2009-05-11 14:00:00 M01", "expected DATE TIME SENSOR VALUE: '2009-05-11 14:00:00 M01'"),
 ]
@@ -169,18 +203,6 @@ class TestLoadTrace:
         assert load.warnings == ["line 3: unknown sensor value 'MAYBE': '2009-05-11 14:00:02 M07 MAYBE'"]
         # the table is the trace's own: a later trace without the map reads the defaults
         assert [e.value for e in load_trace(io.StringIO(text)).events] == [True]
-
-    def test_dataset_directory(self, tmp_path):
-        for name in ("p01", "p02"):
-            (tmp_path / f"{name}.txt").write_text(
-                "2009-05-11 14:00:00 M01 ON a1 begin\n"
-                "2009-05-11 14:01:00 M01 OFF a1 end\n",
-                encoding="utf-8",
-            )
-        participants, truth, warnings = load_dataset(tmp_path)
-        assert sorted(participants) == ["p01", "p02"]
-        assert len(truth.sessions) == 2
-        assert truth.totals() == {1: 2}
 
 
 class TestDrive:

@@ -1,5 +1,5 @@
 """Declarative line splitting: shlex's tokens, with shlex run only on the
-lines that hold a quote or a backslash."""
+lines that hold a quote or a backslash; each option given once."""
 
 import shlex
 from unittest import mock
@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from fluentnet import modelio, procedures
-from fluentnet.modelio import ConfigError, read_sections
+from fluentnet.modelio import ConfigError, load_store_model, read_config, read_sections
+from fluentnet.network import load_network
 
 SHLEX_SPLIT = shlex.split  # the reference, taken before any test patches it
 
@@ -95,3 +96,26 @@ def test_load_scenario_runs_shlex_on_its_quoted_lines_only(monkeypatch):
     scenario = procedures.load_scenario()
     assert len(split) == 8 and all(' label="' in line for line in split)
     assert scenario.bindings[1].label == "filling the medication dispenser"
+
+
+class TestRepeatedOptions:
+    """An option given twice on one line is an error naming the file, the
+    line and the option, not a silent choice of the last value."""
+
+    def test_a_sensor_line(self, tmp_path):
+        path = tmp_path / "home.model"
+        path.write_text(
+            "[concepts]\nDOOR KITCHEN BATHROOM\n[properties]\nisIn\n[sensors]\nD7 DOOR isIn=KITCHEN isIn=BATHROOM\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="^home.model: line 6: option 'isIn' given twice$"):
+            load_store_model(path)
+
+    def test_a_network_line(self, tmp_path):
+        path = tmp_path / "network.cfg"
+        path.write_text(
+            "[nodes]\nA represents=a.model\n[conditions]\nC1 checks=N in=A hasTarget=true hasTarget=false\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="^network.cfg: line 4: option 'hasTarget' given twice$"):
+            read_config(path, load_network)

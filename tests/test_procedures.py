@@ -102,13 +102,13 @@ class TestGoldenTraces:
         assert len(outcomes) - len(satisfying) >= 24
 
     def test_recognition_time_is_terminal_statement(self, scenario):
+        outcomes = {(o.activity, o.case): o for o in golden.run_golden_suite(scenario)}
         for index in sorted(scenario.bindings):
-            binding = scenario.bindings[index]
-            case = golden.golden_cases(binding)[0]
-            record = golden.evaluate_case(scenario, case)
-            assert record is not None
-            assert record.time_ms == case.expect_time
-            assert record.time_ms == max(
+            case = golden.golden_cases(scenario.bindings[index])[0]
+            outcome = outcomes[(index, case.name)]
+            assert outcome.passed
+            assert outcome.detail == f"recognized at {case.expect_time} (expected {case.expect_time})"
+            assert case.expect_time == max(
                 t for _, _, t in case.readings if t <= case.expect_time
             )
 
@@ -276,7 +276,8 @@ class TestDeclaredMode:
         ]
         assert {i for i in result.net.stores["T2"].instances if i.startswith("I5")} == {"I5"}
         satisfying = golden.golden_cases(overwriting.bindings[2])[0]
-        assert golden.evaluate_case(overwriting, satisfying) is None
+        (outcome,) = [o for o in golden.run_golden_suite(overwriting) if (o.activity, o.case) == (2, satisfying.name)]
+        assert (outcome.passed, outcome.detail) == (False, "expected a recognition, got none")
 
 
 class TestInterleaving:
