@@ -55,7 +55,17 @@ the person and the record's weight.  A later write looks it up, and
 rebuilds it when the store's installation is not the :class:`SensorDecl`
 it was built from.  A record is its template plus three slots: the
 state, the time and ``seq``, the store's ``mutation_seq`` after the write
-that made it; a plain instance's template is derived for it alone.
+that made it; a plain instance's template is derived for it alone.  One
+module-level builder fills a record's slots directly, with no dataclass
+``__init__``, and the record refuses every later assignment.
+
+A write pays only for what its template changes.  The template fixes the
+record's weight and the ids it names, so a write whose previous record
+has the same template (a sensor's every reading after its first, every
+rewrite of the sync statement) replaces the record and marks the id
+dirty, and leaves the axiom count and the reference index as they are.
+Template identity decides: a rebuilt template, other ``concepts`` or a
+plain instance (whose template is its own) takes the full write.
 
 On the local path, the fixpoint's result for a statement record is a
 function of the template, the state and the memberships of the ids the
@@ -130,7 +140,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
@@ -395,7 +405,6 @@ class WriteTemplate:
     weight: int
 
 
-@dataclass(frozen=True, eq=False)
 class StoreInstance:
     """One stored instance, built once per write and never changed: its
     write's template plus ``state``, ``time`` and ``seq``.
@@ -406,7 +415,9 @@ class StoreInstance:
     concepts, their closure, the declared values and the weight stay on
     the template; :meth:`prop_values` reads one property's values.  A
     write replaces the record whole, so snapshots and the rule matcher
-    read it in place.
+    read it in place.  Records compare by identity, assigning or deleting
+    a field raises :class:`FrozenInstanceError`, and :func:`_record` is
+    the one way to build one.
     """
 
     __slots__ = ("id", "template", "state", "time", "seq", "kind")
@@ -422,6 +433,11 @@ class StoreInstance:
     closure = property(attrgetter("template.closure"))
     weight = property(attrgetter("template.weight"))
 
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
     def prop_values(self, prop: str) -> tuple[PropValue, ...]:
         if self.time is not None and (prop == STATE_PROP or prop == TIME_PROP):
             return (self.state,) if prop == STATE_PROP else (self.time,)
@@ -429,6 +445,28 @@ class StoreInstance:
 
     def is_statement(self) -> bool:
         return self.time is not None
+
+
+_new_record = object.__new__
+# the slots' own setters, which the frozen __setattr__ does not guard
+_set_id, _set_template, _set_state, _set_time, _set_seq, _set_kind = (
+    getattr(StoreInstance, name).__set__ for name in StoreInstance.__slots__
+)
+
+
+def _record(
+    instance_id: str, template: WriteTemplate, state: Optional[bool], time: Optional[int], seq: int, kind: str
+) -> StoreInstance:
+    """A new record: six slot stores, with none of a dataclass
+    ``__init__``'s per-field ``object.__setattr__`` calls."""
+    record = _new_record(StoreInstance)
+    _set_id(record, instance_id)
+    _set_template(record, template)
+    _set_state(record, state)
+    _set_time(record, time)
+    _set_seq(record, seq)
+    _set_kind(record, kind)
+    return record
 
 
 @dataclass(eq=False, slots=True)
@@ -575,15 +613,23 @@ class ContextStore:
     # -- instance management ----------------------------------------------
 
     def _put(self, record: StoreInstance) -> None:
-        """The one store write: axiom bookkeeping, the record in place of
-        any previous one, the reference index and the dirty set."""
-        previous = self.instances.get(record.id)
-        if previous is not None:
-            self._axioms -= previous.template.weight
-        self.instances[record.id] = record
+        """The one store write: the record in place of any previous one,
+        the dirty set and, unless the previous record has the same
+        template (whose weight and named ids it cannot move; see the
+        module docstring), the axiom count and the reference index."""
+        instance_id = record.id
         template = record.template
-        self._axioms += template.weight
-        self._touch(record.id, template.names)
+        instances = self.instances
+        previous = instances.get(instance_id)
+        instances[instance_id] = record
+        if previous is not None and previous.template is template:
+            if self._dirty is not None:
+                self._dirty.add(instance_id)
+        else:
+            if previous is not None:
+                self._axioms -= previous.template.weight
+            self._axioms += template.weight
+            self._touch(instance_id, template.names)
         self.mutation_seq += 1
 
     def add_instance(
@@ -598,7 +644,7 @@ class ContextStore:
         rejected: only :meth:`assert_statement` writes them."""
         props = {p: tuple(v) for p, v in (props or {}).items()}
         template = _derive(self.graph, None, frozenset(concepts), props, f"instance {instance_id!r}", 0)
-        record = StoreInstance(instance_id, template, None, None, self.mutation_seq + 1, RAW)
+        record = _record(instance_id, template, None, None, self.mutation_seq + 1, RAW)
         self._put(record)
         return record
 
@@ -633,7 +679,7 @@ class ContextStore:
             suffix = self._sequence.get(statement_id, 0) + 1
             instance_id = f"{statement_id}#{suffix}"
         template = self.graph.template(statement_id, concepts, decl)
-        self._put(StoreInstance(instance_id, template, state, time, self.mutation_seq + 1, kind))
+        self._put(_record(instance_id, template, state, time, self.mutation_seq + 1, kind))
         if mode == APPEND:
             self._sequence[statement_id] = suffix
 
@@ -677,16 +723,23 @@ class ContextStore:
                 kept.version += 1
             # in snapshot order, so each record is appended to its lists
             changed = [record.id for record in sorted(self.instances.values(), key=snapshot_order)]
+            ids = sorted(self.instances)
         else:
             changed = dirty
             if self._watches:
                 moved = [(p, i) for i in changed for p in PAIR_PROPS if (p, i) in self._presence]
                 for pair in moved:
                     self._count_pair(pair, -1)
+            instances = self.instances
+            ids = []
             for inst_id in changed:
-                if inst_id not in self.instances:
+                if inst_id in instances:
+                    ids.append(inst_id)
+                else:
                     self._memberships.pop(inst_id, None)
-        self._fixpoint(sorted(i for i in changed if i in self.instances), memo=not full)
+            if len(ids) > 1:
+                ids.sort()
+        self._fixpoint(ids, memo=not full)
         for pair in moved:
             self._count_pair(pair, 1)
         if self.person_id is not None:

@@ -40,8 +40,8 @@ DEFAULT_VALUE_MAP: dict[str, bool] = {
 _EPOCH = datetime(1970, 1, 1)
 _SENSOR_RE = re.compile(r"^([A-Za-z]+)0*(\d+)(.*)$")
 # a time of day as timestamp_ms accepts it: three fields and an optional
-# fraction, each of ASCII digits only
-_CLOCK = re.compile(r"([0-9]+):([0-9]+):([0-9]+)(?:\.([0-9]*))?")
+# fraction of at least one digit, each of ASCII digits only
+_CLOCK = re.compile(r"([0-9]+):([0-9]+):([0-9]+)(?:\.([0-9]+))?")
 _BEGIN_TAGS = {"begin", "start"}
 _END_TAGS = {"end", "stop"}
 
@@ -94,19 +94,21 @@ def timestamp_ms(date_token: str, time_token: str) -> int:
     """Fuse a date and a time-of-day into epoch milliseconds.
 
     Fractional seconds of any length are accepted (logs carry anything from
-    two to six digits) and truncated to milliseconds.  Every field is ASCII
-    digits: ``int`` alone would also take a sign, underscores and the
-    digits of other scripts.
+    two to six digits) and truncated to milliseconds; a ``.`` needs at
+    least one digit after it.  Every field is ASCII digits: ``int`` alone
+    would also take a sign, underscores and the digits of other scripts.
     """
     try:
         year, month, day = (int(part) for part in date_token.split("-"))
-        clock, _, fraction = time_token.partition(".")
+        clock, dot, fraction = time_token.partition(".")
         hour, minute, second = (int(part) for part in clock.split(":"))
         ms = int((fraction + "000")[:3]) if fraction else 0
         stamp = datetime(year, month, day, hour, minute, second)
         digits = date_token.replace("-", "") + clock.replace(":", "") + fraction
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError("a field holds more than ASCII digits")
+        if dot and not fraction:
+            raise ValueError("no digit after the '.'")
     except ValueError as exc:
         raise TraceParseError(f"bad timestamp ({exc})", f"{date_token} {time_token}") from exc
     delta = stamp - _EPOCH

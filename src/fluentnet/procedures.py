@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from time import perf_counter_ns
 from typing import Callable, Mapping, Optional, Sequence
@@ -77,6 +78,7 @@ SPATIAL_NODE = "L"
 SYNC_STATEMENT = "N"
 SYNC_CONCEPT = "SYNC"
 RESULT_KEEP = ("ACTIVITY", SYNC_CONCEPT)
+_VERSION = attrgetter("version")
 
 SCENARIO_DIR = Path(__file__).parent / "scenario"
 NETWORK_FILE = "network.cfg"
@@ -329,15 +331,14 @@ class Evaluator:
 
     def register(self, store: ContextStore) -> None:
         """Have ``store`` keep what evaluations read (see the module
-        docstring); a new store ends the skip."""
-        if store is self._registered:
-            return
+        docstring) and end the skip; an evaluation calls it when its store
+        is not the one registered."""
         self._lists = tuple(store.keep(concept, state) for concept, state in self._keys)
         self._registered = store
         self._silent = None
 
     def _versions(self) -> tuple[int, ...]:
-        return tuple(kept.version for kept in self._lists)
+        return tuple(map(_VERSION, self._lists))
 
     def run_prepasses(self, store: ContextStore, now_ms: int) -> int:
         """Windowed counts: assert one derived statement per satisfied
@@ -368,7 +369,8 @@ class Evaluator:
         net: Optional[RuntimeNetwork] = None,
     ) -> Optional[RecognitionRecord]:
         started = perf_counter_ns()
-        self.register(store)
+        if store is not self._registered:
+            self.register(store)
         # complexity as imported, before any clearing this evaluation does
         self.session.telemetry.record(self.binding.node, now_ms, store.axiom_count(), 0)
         if SYNC_STATEMENT in store.instances:

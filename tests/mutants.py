@@ -7,10 +7,10 @@ pairs, that turn the module into the mutant.  Each anchor occurs exactly
 once in its module; ``test_mutants.py`` checks that, so a refactor that
 moves an anchor updates its entry in the same change.  ``killers`` names
 the tests, as pytest prints them, that fail on the mutant:
-``run_mutants.py`` copies the tree, applies the edits, runs tier-1 and
-checks that each of those tests failed.  ``test_mutants.py`` itself
-fails on every mutant, as an anchor it looks for is gone.  This module
-is not collected by pytest.
+``run_mutants.py`` copies the tree, applies the edits, runs tier-1 (with
+``--killers``, those tests first) and checks that each of them failed.
+``test_mutants.py`` itself fails on every mutant, as an anchor it looks
+for is gone.  This module is not collected by pytest.
 """
 
 from typing import NamedTuple
@@ -69,6 +69,10 @@ _RENDER_TEXT = '            self._text += "".join(lines)\n'
 _LOG_VIEW = "tests/test_network.py::TestDispatchLog::"
 _CRITERION_3 = "tests/test_acceptance.py::test_criterion_3_scheduler_semantics"
 _SPLIT = "tests/test_modelio.py::TestSplit::"
+_REFERENCE_INDEX = (
+    "tests/test_context.py::TestReferenceIndex::"
+    "test_index_count_and_person_match_a_recount_after_each_kind_of_overwrite"
+)
 _AXIOMS = "tests/test_context.py::TestAxioms::"
 _RECOUNTS = (
     _AXIOMS + "test_incremental_matches_recount_over_random_sequences",
@@ -97,13 +101,38 @@ MUTANTS = (
     Mutant(
         "put-keeps-the-old-weight",
         CONTEXT,
-        (("            self._axioms -= previous.template.weight\n", "            pass\n"),),
-        _RECOUNTS
-        + (
-            _AXIOMS + "test_overwrite_count_stable",
+        (("                self._axioms -= previous.template.weight\n", "                pass\n"),),
+        (
+            # only a write that changes the template does the arithmetic, and no
+            # replay or axiom recount test rewrites a record under another template
             "tests/test_context.py::TestWriteTemplates::test_a_template_holds_for_its_declaration_only",
-        )
-        + _DIGESTS,
+            _REFERENCE_INDEX,
+        ),
+    ),
+    # -- same-template write: only the record and the dirty set change
+    Mutant(
+        "same-template-write-leaves-the-id-clean",
+        CONTEXT,
+        (("                self._dirty.add(instance_id)\n", "                pass\n"),),
+        (
+            _REFERENCE_INDEX,
+            "tests/test_context.py::TestClassify::test_read_only_view_until_the_next_mutation",
+            "tests/test_context.py::TestKeptLists::test_defined_class_flip_moves_the_sync_statement",
+            "tests/test_procedures.py::TestReplayStep::test_each_reading_reclassifies_one_spatial_instance",
+            "tests/test_procedures.py::TestSchedulerOracle::test_run_replay_matches_the_tick_loop",
+            "tests/test_benchmark_traffic.py::test_first_seed_1_participant_replays_to_the_same_bytes[sessions]",
+            "tests/test_cli.py::TestReplay::test_report_bytes_match_the_recorded_digests",
+        ),
+    ),
+    Mutant(
+        "same-template-test-reads-the-weight",
+        CONTEXT,
+        (("previous.template is template", "previous.template.weight == template.weight"),),
+        (_REFERENCE_INDEX,)
+        + tuple(
+            f"tests/test_context.py::TestWatches::test_pair_target_changed_in_the_batch_that_drops_the_pair[{retarget}]"
+            for retarget in ("reclassify", "remove")
+        ),
     ),
     # -- declarative lines: shlex splits only a line holding a quote or a backslash
     Mutant(
@@ -211,8 +240,8 @@ MUTANTS = (
         CONTEXT,
         (
             (
-                "self._put(StoreInstance(instance_id, template, state, time, self.mutation_seq + 1, kind))",
-                "self._put(StoreInstance(instance_id, template, state, time, self.mutation_seq, kind))",
+                "self._put(_record(instance_id, template, state, time, self.mutation_seq + 1, kind))",
+                "self._put(_record(instance_id, template, state, time, self.mutation_seq, kind))",
             ),
         ),
         _CURSOR + _DIGESTS,

@@ -143,7 +143,9 @@ def brute_force_derivations(rule, snapshot):
 
     Candidates per variable come straight from its class atoms (every
     permutation of consistent symbols); each combination is then checked
-    against the full body independently.
+    against the full body independently.  Each record's property values
+    are read off its public fields once per call (``props_of``), not once
+    per combination.
     """
     instance_vars: list[str] = []
     for atom in rule.body:
@@ -158,13 +160,13 @@ def brute_force_derivations(rule, snapshot):
             ]
     heads = []
     seen = set()
-    lookup = {inst.id: inst for inst in instances}
+    props = {inst.id: props_of(inst) for inst in instances}
     for combo in product(*(candidates[var] for var in instance_vars)):
         binding = {var: inst.id for var, inst in zip(instance_vars, combo)}
-        for values in _value_assignments(rule.body, binding, lookup):
+        for values in _value_assignments(rule.body, binding, props):
             full = dict(binding)
             full.update(values)
-            if not _satisfies_all(rule.body, full, lookup, snapshot.classification):
+            if not _satisfies_all(rule.body, full, props, snapshot.classification):
                 continue
             time = full[rule.head.time] if str(rule.head.time).startswith("?") else rule.head.time
             key = (rule.head.instance_id, rule.head.state, time)
@@ -206,12 +208,15 @@ def _snapshot_order(record):
     return (record.time is None, record.time, record.id)
 
 
-def _value_assignments(body, binding, lookup):
+def _value_assignments(body, binding, props):
+    """Every assignment of the body's value variables, each drawn from the
+    values its property atoms read off the bound records (``props``: each
+    record's ``props_of`` by id)."""
     value_vars: dict[str, list] = {}
     for atom in body:
         if isinstance(atom, PropertyAtom) and str(atom.value).startswith("?"):
-            inst = lookup.get(binding.get(atom.var))
-            values = list(props_of(inst).get(atom.prop, ())) if inst else []
+            record_props = props.get(binding.get(atom.var))
+            values = list(record_props.get(atom.prop, ())) if record_props is not None else []
             if atom.value in value_vars:
                 value_vars[atom.value] = [v for v in value_vars[atom.value] if v in values]
             else:
@@ -225,7 +230,7 @@ def _value_assignments(body, binding, lookup):
         yield dict(zip(names, combo))
 
 
-def _satisfies_all(body, binding, lookup, classification):
+def _satisfies_all(body, binding, props, classification):
     # assignments first, to a fixpoint, then every check
     pending = [a for a in body if isinstance(a, Assign)]
     progress = True
@@ -246,17 +251,17 @@ def _satisfies_all(body, binding, lookup, classification):
         return False
     for atom in body:
         if isinstance(atom, ClassAtom):
-            inst = lookup.get(binding.get(atom.var))
-            if inst is None or atom.concept not in classification[inst.id]:
+            inst_id = binding.get(atom.var)
+            if inst_id not in props or atom.concept not in classification[inst_id]:
                 return False
         elif isinstance(atom, PropertyAtom):
-            inst = lookup.get(binding.get(atom.var))
-            if inst is None:
+            record_props = props.get(binding.get(atom.var))
+            if record_props is None:
                 return False
             wanted = (
                 binding.get(atom.value) if str(atom.value).startswith("?") else atom.value
             )
-            if wanted not in props_of(inst).get(atom.prop, ()):
+            if wanted not in record_props.get(atom.prop, ()):
                 return False
         elif isinstance(atom, Compare):
             left = binding.get(atom.left) if str(atom.left).startswith("?") else atom.left
@@ -515,6 +520,22 @@ def recount_axioms(store):
     """A store's axiom count from scratch: the graph's terms plus every
     record's ``axiom_weight``; it must always equal ``store.axiom_count()``."""
     return store.graph.axiom_terms() + sum(axiom_weight(record) for record in store.instances.values())
+
+
+def references_from_scratch(store):
+    """A store's reference index from scratch: each id whose record names
+    other ids in its property values, with the ids it names, and each
+    named id, dangling or not, with the ids naming it.  ``store._refs``
+    and ``store._referrers`` must always equal it."""
+    refs = {}
+    referrers = {}
+    for inst_id, record in store.instances.items():
+        names = frozenset(v for values in props_of(record).values() for v in values if isinstance(v, str))
+        if names:
+            refs[inst_id] = names
+        for name in names:
+            referrers.setdefault(name, set()).add(inst_id)
+    return refs, referrers
 
 
 def classify_from_scratch(store):

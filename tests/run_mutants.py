@@ -4,6 +4,7 @@ Usage, from the repository root:
 
     python3 tests/run_mutants.py                 # every catalogued mutant
     python3 tests/run_mutants.py NAME [NAME ...] # the named ones
+    python3 tests/run_mutants.py --killers [NAME ...]
 
 For each mutant the tree is copied to a temporary directory and the
 mutant's edits are applied there (the working tree is never touched).
@@ -12,13 +13,19 @@ Tier-1 then runs on the copy (``python -m pytest -q
 which fails on every mutant because an anchor it looks for is gone.  A
 mutant is killed when tier-1 fails on it (pytest exits 1).  One line is
 printed per mutant, then any catalogued killer that passed (a stale
-entry) and every test that failed.  The exit code is 1 when a mutant
-survived or a killer passed.  Only the standard library is used; pytest
-does not collect this file.
+entry) and every test that failed.
+
+With ``--killers`` each mutant first runs only its catalogued killers,
+and is killed when every one of them fails.  When any killer passes, the
+runner names it and falls back to full tier-1 for that mutant, reported
+as above.  The last line gives the number killed and the wall time of the
+whole run.  The exit code is 1 when a mutant survived or a killer passed.
+Only the standard library is used; pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -36,10 +43,8 @@ from mutants import MUTANTS, Mutant  # noqa: E402
 COPY_IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "out", "build"
 )
-TIER1 = (
-    sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-    "--continue-on-collection-errors", "--ignore=tests/test_mutants.py",
-)
+PYTEST = (sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider")
+TIER1 = ("--continue-on-collection-errors", "--ignore=tests/test_mutants.py")
 TIMEOUT_S = 1800
 
 
@@ -53,10 +58,11 @@ def mutate(tree: Path, mutant: Mutant) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def tier1(tree: Path) -> tuple[int, list[str]]:
-    """Run tier-1 in ``tree``; returns pytest's exit code and the failed tests."""
+def pytest(tree: Path, args: tuple[str, ...]) -> tuple[int, list[str]]:
+    """Run pytest with ``args`` in ``tree``; returns its exit code and the
+    failed tests."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    done = subprocess.run(PYTEST + args, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     # the short summary comes last; captured log lines before it may start with "ERROR"
     summary = done.stdout.rpartition("short test summary info")[2]
     failed = [
@@ -67,15 +73,24 @@ def tier1(tree: Path) -> tuple[int, list[str]]:
     return done.returncode, failed
 
 
-def run(mutant: Mutant) -> bool:
-    """Check one mutant; prints its lines and returns whether tier-1 killed
-    it with every catalogued killer failing."""
+def run(mutant: Mutant, killers_first: bool) -> bool:
+    """Check one mutant; prints its lines and returns whether it was killed
+    with every catalogued killer failing."""
     started = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         tree = Path(scratch) / "tree"
         shutil.copytree(ROOT, tree, ignore=COPY_IGNORE)
         mutate(tree, mutant)
-        code, failed = tier1(tree)
+        if killers_first:
+            code, failed = pytest(tree, mutant.killers)
+            stale = [k for k in mutant.killers if k not in failed]
+            if code == 1 and not stale:
+                note = f"{len(mutant.killers)}/{len(mutant.killers)} killers failed"
+                print(f"killed   {mutant.name} ({note}, {time.monotonic() - started:.0f} s)", flush=True)
+                return True
+            for killer in stale:
+                print(f"         {mutant.name}: killer passed: {killer}; running tier-1", flush=True)
+        code, failed = pytest(tree, TIER1)
     stale = [k for k in mutant.killers if k not in failed]
     killed = code == 1  # tests failed; any other code means pytest itself did not run them
     verdict = "killed  " if killed else "SURVIVED"
@@ -88,15 +103,25 @@ def run(mutant: Mutant) -> bool:
     return killed and not stale
 
 
-def main(names: list[str]) -> int:
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Rerun the mutant catalogue against the current tree.")
+    parser.add_argument("names", nargs="*", help="mutants to run (default: the whole catalogue)")
+    parser.add_argument(
+        "--killers", action="store_true", help="run each mutant's catalogued killers, and tier-1 only if one passes"
+    )
+    args = parser.parse_args(argv)
     by_name = {mutant.name: mutant for mutant in MUTANTS}
-    unknown = [name for name in names if name not in by_name]
+    unknown = [name for name in args.names if name not in by_name]
     if unknown:
         known = ", ".join(by_name)
         raise SystemExit(f"unknown mutant {unknown[0]!r}; the catalogue holds: {known}")
-    chosen = [by_name[name] for name in names] or list(MUTANTS)
-    results = [run(mutant) for mutant in chosen]
-    print(f"{sum(results)} of {len(results)} mutants killed by tier-1, every catalogued killer failing")
+    chosen = [by_name[name] for name in args.names] or list(MUTANTS)
+    started = time.monotonic()
+    results = [run(mutant, args.killers) for mutant in chosen]
+    print(
+        f"{sum(results)} of {len(results)} mutants killed, every catalogued killer failing "
+        f"({time.monotonic() - started:.0f} s)"
+    )
     return 0 if all(results) else 1
 
 

@@ -555,6 +555,7 @@ class DirtyRun:
             assert oracles.record_fields(record) == self.expected[inst_id]
             assert record.weight == oracles.axiom_weight(record)
         assert store.axiom_count() == oracles.recount_axioms(store)
+        assert (store._refs, store._referrers) == oracles.references_from_scratch(store)
 
 
 class TestDirtySet:
@@ -1133,6 +1134,54 @@ class TestKeptLists:
             with pytest.raises(StoreError, match=re.escape(f"snapshot of 'test' keeps no list {key!r}")):
                 snap.of_concept(*key)
         assert snap.of_concept("DOOR") is store.keep("DOOR").records
+
+
+class TestReferenceIndex:
+    """A write whose previous record has the same template skips the axiom
+    arithmetic and the reference-index update; every other write does
+    both.  Each is checked against its recount from scratch."""
+
+    def test_index_count_and_person_match_a_recount_after_each_kind_of_overwrite(self):
+        store = store_with(
+            installations={"M16": SensorDecl("M16", ("MOTION",), (("isIn", "K"),))},
+            person_id="P",
+            presence_concept="MOTION",
+        )
+        store.add_instance("K", ("KITCHEN",))
+        store.add_instance("T1", ("TABLE",))
+        templates = []
+
+        def check():
+            classification = oracles.classify_from_scratch(store)
+            assert (store._refs, store._referrers) == oracles.references_from_scratch(store)
+            assert store.axiom_count() == oracles.recount_axioms(store)
+            assert store.classify() == classification
+            assert store.infer_person_context() == oracles.person_context_from_scratch(store, classification)
+
+        def write(time, concepts=None):
+            store.assert_statement("M16", time % 2 == 1, time, concepts=concepts)
+            templates.append(store.instances["M16"].template)
+            check()
+
+        for time in (1, 2, 3):  # same-template overwrites, the state flipping
+            write(time)
+        # a new installation: the next write rebuilds the template, with the
+        # same weight and another named id
+        store.installations["M16"] = SensorDecl("M16", ("DOOR",), (("isNearTo", "T1"),))
+        write(4)
+        write(5)
+        write(6, ("DOOR", "ITEM"))  # other concepts: another template, of another weight
+        write(7, ("DOOR", "ITEM"))
+        write(8)
+        store.remove_instance("M16")
+        check()
+        write(9)  # re-added under the template it had before the removal
+        write(10)
+        first, rebuilt, other = templates[0], templates[3], templates[5]
+        assert [t is first for t in templates[:3]] == [True] * 3
+        assert rebuilt.weight == first.weight and rebuilt.names != first.names
+        assert other.weight != rebuilt.weight
+        assert [t is rebuilt for t in templates[3:]] == [True, True, False, False, True, True, True]
 
 
 class TestAxioms:

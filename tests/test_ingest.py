@@ -128,6 +128,8 @@ MALFORMED = [
     ("2009-05-1_1 14:00:00 M01 ON", f"bad timestamp ({NOT_DIGITS}): '2009-05-1_1 14:00:00'"),
     ("2009-05-11 14:00:00.\u0665 M01 ON", f"bad timestamp ({NOT_DIGITS}): '2009-05-11 14:00:00.\u0665'"),
     ("2009-05-11 14:00:00.123x M01 ON", f"bad timestamp ({NOT_DIGITS}): '2009-05-11 14:00:00.123x'"),
+    # a '.' with no fraction after it
+    ("2009-05-11 14:00:00. M01 ON", "bad timestamp (no digit after the '.'): '2009-05-11 14:00:00.'"),
     ("2009-05-11 14:00:00 M01 MAYBE", "unknown sensor value 'MAYBE': '2009-05-11 14:00:00 M01 MAYBE'"),
     ("2009-05-11 14:00:00 M01", "expected DATE TIME SENSOR VALUE: '2009-05-11 14:00:00 M01'"),
 ]

@@ -30,6 +30,7 @@ MALFORMED = "raised only on malformed input"
 ALGEBRA = "the statement algebra, whose fate is ROADMAP item 8"
 REMOVAL = "the tests' way into the store's removal path"
 SNAPSHOT_READ = "the snapshot read the oracles check the stores against"
+FROZEN = "a record's frozen guard, which raises on the assignments only the tests make"
 
 UNREACHED = {
     "context.ContextStore.fixpointed": COUNTER,
@@ -52,6 +53,7 @@ UNREACHED = {
     "ingest.TraceParseError.__init__": MALFORMED,
     "context.ContextStore.remove_instance": REMOVAL,
     "context.Snapshot.classification": SNAPSHOT_READ,
+    "context.StoreInstance.__setattr__": FROZEN,
     "statements.Statement.__post_init__": ALGEBRA,
     "statements.StatementSet.__init__": ALGEBRA,
     "statements.StatementSet.members": ALGEBRA,
