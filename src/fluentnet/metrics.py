@@ -5,7 +5,10 @@ timestamp, or failing that to the most recently ended interval within a
 grace window (recognitions routinely land a few seconds after the annotated
 end).  Columns of the confusion matrix are true activities and always sum
 to one: every annotated interval contributes exactly one outcome, the
-``unclassified`` row collecting intervals no recognition matched.
+``unclassified`` row collecting intervals no recognition matched.  The
+activities reported are the paper's eight and every other index the
+annotations or the recognitions name; one with no published reference
+score shows ``-`` in its reference cells.
 """
 
 from __future__ import annotations
@@ -33,12 +36,22 @@ REFERENCE_DIAGONAL = {1: 0.95, 2: 0.95, 3: 0.70, 4: 1.00, 5: 0.80, 6: 0.70, 7: 0
 Recognition = tuple[int, int]  # (activity index, time ms)
 
 
+def activity_axis(recognitions: Mapping[str, Sequence[Recognition]], truth: GroundTruth) -> tuple[int, ...]:
+    """The activities to report, ascending: :data:`ACTIVITIES` and every
+    other index that an interval or a recognition names."""
+    named = {interval.activity for intervals in truth.sessions.values() for interval in intervals}
+    named.update(activity for pairs in recognitions.values() for activity, _ in pairs)
+    return tuple(sorted(named.union(ACTIVITIES) - {UNCLASSIFIED}))
+
+
 @dataclass
 class ConfusionMatrix:
-    """Counts of (predicted row, true column) outcomes plus the rates view."""
+    """Counts of (predicted row, true column) outcomes plus the rates view,
+    over the activities ``activities``."""
 
     counts: dict[tuple[int, int], int] = field(default_factory=dict)
     unmatched: int = 0
+    activities: tuple[int, ...] = ACTIVITIES
 
     def add(self, predicted: int, true: int) -> None:
         key = (predicted, true)
@@ -57,7 +70,7 @@ class ConfusionMatrix:
         return self.count(predicted, true) / total
 
     def rows(self) -> tuple[int, ...]:
-        return ACTIVITIES + (UNCLASSIFIED,)
+        return self.activities + (UNCLASSIFIED,)
 
 
 def _match_interval(
@@ -87,7 +100,7 @@ def score(
     Recognitions matching no interval are tallied separately and never
     enter the matrix.
     """
-    matrix = ConfusionMatrix()
+    matrix = ConfusionMatrix(activities=activity_axis(recognitions, truth))
     for participant in sorted(truth.sessions):
         intervals = truth.intervals(participant)
         first_match: dict[Interval, Recognition] = {}
@@ -107,9 +120,9 @@ def score(
 def f_measure(matrix: ConfusionMatrix) -> dict[int, float]:
     """Per-activity F1 from true/false positive and negative counts."""
     out: dict[int, float] = {}
-    for activity in ACTIVITIES:
+    for activity in matrix.activities:
         tp = matrix.count(activity, activity)
-        fp = sum(matrix.count(activity, true) for true in ACTIVITIES) - tp
+        fp = sum(matrix.count(activity, true) for true in matrix.activities) - tp
         fn = matrix.column_total(activity) - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
@@ -137,7 +150,7 @@ def delay_stats(
     recognition of its own activity that matches it; ``delayed`` can never
     exceed ``total``.
     """
-    delays: dict[int, list[float]] = {a: [] for a in ACTIVITIES}
+    delays: dict[int, list[float]] = {a: [] for a in activity_axis(recognitions, truth)}
     totals = truth.totals()
     for participant in sorted(truth.sessions):
         intervals = truth.intervals(participant)
@@ -153,8 +166,7 @@ def delay_stats(
             if lag > 0:
                 delays[interval.activity].append(lag / 1000.0)
     out: dict[int, ActivityDelay] = {}
-    for activity in ACTIVITIES:
-        lags = delays[activity]
+    for activity, lags in delays.items():
         out[activity] = ActivityDelay(
             activity=activity,
             delayed=len(lags),
@@ -245,11 +257,12 @@ def emit_report(
     written: list[Path] = []
 
     if matrix is not None:
-        header = "predicted," + ",".join(f"true_a{a}" for a in ACTIVITIES)
+        activities = matrix.activities
+        header = "predicted," + ",".join(f"true_a{a}" for a in activities)
         lines = [header]
         for row in matrix.rows():
             label = f"a{row}" if row != UNCLASSIFIED else "unclassified"
-            cells = ",".join(f"{matrix.rate(row, true):.6f}" for true in ACTIVITIES)
+            cells = ",".join(f"{matrix.rate(row, true):.6f}" for true in activities)
             lines.append(f"{label},{cells}")
         path = out / "confusion.csv"
         _write(path, "\n".join(lines) + "\n")
@@ -257,13 +270,13 @@ def emit_report(
         payload = {
             "counts": {
                 f"a{row}" if row else "unclassified": {
-                    f"a{true}": matrix.count(row, true) for true in ACTIVITIES
+                    f"a{true}": matrix.count(row, true) for true in activities
                 }
                 for row in matrix.rows()
             },
-            "column_totals": {f"a{a}": matrix.column_total(a) for a in ACTIVITIES},
-            "diagonal": {f"a{a}": round(matrix.rate(a, a), 6) for a in ACTIVITIES},
-            "reference_diagonal": {f"a{a}": REFERENCE_DIAGONAL[a] for a in ACTIVITIES},
+            "column_totals": {f"a{a}": matrix.column_total(a) for a in activities},
+            "diagonal": {f"a{a}": round(matrix.rate(a, a), 6) for a in activities},
+            "reference_diagonal": {f"a{a}": REFERENCE_DIAGONAL.get(a, "-") for a in activities},
             "unmatched_recognitions": matrix.unmatched,
         }
         path = out / "confusion.json"
@@ -272,20 +285,20 @@ def emit_report(
 
     if f1 is not None:
         lines = ["activity,f1,reference_f1,difference"]
-        for activity in ACTIVITIES:
+        for activity in sorted(f1.keys() | set(ACTIVITIES)):
             value = f1.get(activity, 0.0)
-            reference = REFERENCE_F1[activity]
-            lines.append(f"a{activity},{value:.6f},{reference:.2f},{value - reference:+.6f}")
+            reference = REFERENCE_F1.get(activity)
+            if reference is None:
+                lines.append(f"a{activity},{value:.6f},-,-")
+            else:
+                lines.append(f"a{activity},{value:.6f},{reference:.2f},{value - reference:+.6f}")
         path = out / "fmeasure.csv"
         _write(path, "\n".join(lines) + "\n")
         written.append(path)
 
     if delays is not None:
         lines = ["activity,delayed,total,max_s,avg_s"]
-        for activity in ACTIVITIES:
-            stat = delays.get(activity)
-            if stat is None:
-                continue
+        for activity, stat in sorted(delays.items()):
             max_s = f"{stat.max_s:.2f}" if stat.max_s is not None else "-"
             mean_s = f"{stat.mean_s:.2f}" if stat.mean_s is not None else "-"
             lines.append(f"a{activity},{stat.delayed},{stat.total},{max_s},{mean_s}")

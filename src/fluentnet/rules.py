@@ -7,11 +7,13 @@ is a literal.  Matching only reads a store's snapshot, which is valid until
 the store's next write, so repeated calls on one snapshot yield identical
 results.
 
-Class atoms are joined in the order the body gives them: registration
-rejects a body in which an atom reads a variable no earlier atom binds.
-Registration also derives how the rule is matched (a :class:`Plan`;
-:func:`plan_rules` plans a rule set once for any number of engines).  A
-class variable's candidates are one list the store keeps, read in place
+Class atoms are joined in the order the body gives them.
+:func:`plan_rules` checks a rule set once and derives how each rule is
+matched (a :class:`Plan`) for any number of engines.  It rejects a body
+in which an atom reads a variable no earlier atom binds, and a head time
+that is not a class variable's ``hasTime`` value shifted by ``+ d``
+assignments, the only head time the model compiler writes.  A class
+variable's candidates are one list the store keeps, read in place
 (:meth:`Snapshot.of_concept`): ``(concept, state)`` when the variable's
 first literal test is a boolean ``hasState`` value, which that list
 answers, and the concept's plain list (state ``None``) when it has no
@@ -20,12 +22,13 @@ class atom, and every other test and comparison runs as soon as its
 operands are bound.  A variable with no candidate means no binding
 exists.  :meth:`RuleEngine.evaluate` enumerates every binding.
 :meth:`RuleEngine.earliest` finds only the earliest head time and
-its witness: it pins the head time to each candidate time in turn, bounds
-the other times through the body's ``<=`` and ``+ d`` atoms, and cuts each
-candidate list to the prefix within its bound.  Both run one depth-first
-search, which meets bindings in body order over candidates in snapshot
-order, so the witness ``earliest`` returns is the first binding
-``evaluate`` meets at that time.
+its witness: it pins the head time to each candidate time of the head's
+class variable in turn, plus the head's shifts, bounds the other times
+through the body's ``<=`` and ``+ d`` atoms, and cuts each candidate list
+to the prefix within its bound.  Both run one depth-first search, which
+meets bindings in body order over candidates in snapshot order, so the
+witness ``earliest`` returns is the first binding ``evaluate`` meets at
+that time.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ COMPARE_OPS = ("<=", "!=")
 
 
 class RuleValidationError(ValueError):
-    """Rule rejected at registration: a variable read before it is bound or
-    bound twice, an unknown comparison, a duplicate name."""
+    """Rule rejected by :func:`plan_rules`: an empty body, a variable read
+    before it is bound or bound twice, an unknown comparison, a head time
+    no class variable's time reaches, a duplicate name."""
 
 
 class BuiltinError(ValueError):
@@ -139,7 +143,7 @@ def _is_number(term: Term) -> bool:
 
 @dataclass(frozen=True)
 class Plan:
-    """How a registered rule is matched, derived once at registration.
+    """How a rule is matched, derived once by :func:`plan_rules`.
 
     ``classes`` holds each class variable with its concept and the state of
     the kept list its candidates are: the value of its first literal test
@@ -151,8 +155,9 @@ class Plan:
     atom that binds its last operand (a literal test right after its class
     atom).  Atoms that bind keep their body order.
     ``times`` maps a class variable to the variable its ``hasTime`` value
-    binds, and ``head_var`` names the class variable whose time is the head
-    time, if one does.  ``edges`` are the body's upper-bound implications
+    binds.  The head time is ``head_var``'s time plus ``head_offset``, the
+    sum of the shifts ``Assign(var, anchor, number)`` that lead from it to
+    the head.  ``edges`` are the body's upper-bound implications
     ``(var, source, offset)``, each reading ``var <= source - offset``,
     last atom first.
     """
@@ -161,7 +166,8 @@ class Plan:
     classes: tuple[tuple[str, str, Optional[bool]], ...]
     steps: tuple[Atom, ...]
     times: dict[str, str]
-    head_var: Optional[str]
+    head_var: str
+    head_offset: int
     edges: tuple[tuple[str, Term, int], ...]
 
 
@@ -174,11 +180,15 @@ def _plan(rule: Rule) -> Plan:
     both operands; an assignment reads its operands and binds a new
     variable.  The first atom that reads an unbound variable, binds one
     twice, compares with another operator or is of no known kind raises
-    :class:`RuleValidationError`, as does an unbound head time.
+    :class:`RuleValidationError`, as do an empty body and a head time that
+    no chain of shifts leads back to a class variable's time.
     """
+    if not rule.body:
+        raise RuleValidationError(f"rule {rule.name!r} has an empty body")
     concepts: dict[str, str] = {}
     states: dict[str, bool] = {}  # each class variable's lifted hasState test
     times: dict[str, str] = {}
+    shifts: dict[str, tuple[str, int]] = {}  # Assign(var, anchor, number): var -> (anchor, number)
     binders: list[Atom] = []
     placed: list[list[Atom]] = [[]]  # placed[k]: atoms run right after binders[k - 1]
     level: dict[str, int] = {}  # each bound variable's binder index
@@ -227,9 +237,18 @@ def _plan(rule: Rule) -> Plan:
             index = after(atom.left, atom.right)
             bind(atom.var, index)
             placed[index].append(atom)
+            if is_var(atom.left) and _is_number(atom.right):
+                shifts[atom.var] = (atom.left, atom.right)
         else:
             raise RuleValidationError(f"unknown atom {atom!r}")
     after(rule.head.time)
+    head_time, head_offset = rule.head.time, 0
+    while head_time in shifts:
+        head_time, shift = shifts[head_time]
+        head_offset += shift
+    head_var = next((var for var, time in times.items() if time == head_time), None)
+    if head_var is None:
+        raise RuleValidationError(f"head time {rule.head.time!r} is not a class variable's time, shifted")
     steps = list(placed[0])
     for binder, checks in zip(binders, placed[1:]):
         steps.append(binder)
@@ -239,18 +258,15 @@ def _plan(rule: Rule) -> Plan:
     for atom in reversed(rule.body):
         if isinstance(atom, Compare) and atom.op == "<=" and is_var(atom.left):
             edges.append((atom.left, atom.right, 0))
-        elif isinstance(atom, Assign):
-            if is_var(atom.left) and _is_number(atom.right):
-                edges.append((atom.left, atom.var, atom.right))
-            elif is_var(atom.right) and _is_number(atom.left):
-                edges.append((atom.right, atom.var, atom.left))
-    head_var = next((var for var, time in times.items() if time == rule.head.time), None)
+        elif isinstance(atom, Assign) and atom.var in shifts:
+            edges.append((atom.left, atom.var, atom.right))
     return Plan(
         rule=rule,
         classes=tuple((var, concept, states.get(var)) for var, concept in concepts.items()),
         steps=tuple(steps),
         times=times,
         head_var=head_var,
+        head_offset=head_offset,
         edges=tuple(edges),
     )
 
@@ -258,7 +274,7 @@ def _plan(rule: Rule) -> Plan:
 def _upper_bounds(plan: Plan, head_time: int) -> dict[str, int]:
     """Upper bounds on the body's variables implied by pinning the head
     time: ``<=`` and ``+ d`` atoms propagated backwards to a fixpoint."""
-    bounds: dict[str, int] = {str(plan.rule.head.time): head_time}
+    bounds: dict[str, int] = {plan.rule.head.time: head_time}
     for _ in range(len(plan.edges) + 1):
         changed = False
         for var, source, offset in plan.edges:
@@ -275,55 +291,44 @@ def _upper_bounds(plan: Plan, head_time: int) -> dict[str, int]:
 
 
 def _derive(rule: Rule, binding: dict[str, Term]) -> Derived:
-    time = binding[rule.head.time] if is_var(rule.head.time) else rule.head.time
     return Derived(
         rule=rule.name,
         instance_id=rule.head.instance_id,
         concepts=rule.head.concepts,
         state=rule.head.state,
-        time=int(time),
+        time=binding[rule.head.time],
         binding=tuple(sorted(binding.items())),
     )
 
 
 def plan_rules(rules: Iterable[Rule]) -> tuple[Plan, ...]:
-    """The plans of ``rules``, checked as registering each in turn checks
-    it; engines built on them (``RuleEngine(plans)``) share them."""
-    engine = RuleEngine()
+    """The plans of ``rules``, in order, each checked by :func:`_plan`; a
+    name used twice raises :class:`RuleValidationError`.  Engines built on
+    them (``RuleEngine(plans)``) share them."""
+    plans: dict[str, Plan] = {}
     for rule in rules:
-        engine.register_rule(rule)
-    return engine.plans
+        if rule.name in plans:
+            raise RuleValidationError(f"duplicate rule name {rule.name!r}")
+        plans[rule.name] = _plan(rule)
+    return tuple(plans.values())
 
 
 class RuleEngine:
-    """Registered rules evaluated against store snapshots.
+    """Planned rules evaluated against store snapshots.
 
-    An engine starts with ``plans`` (from :func:`plan_rules`) registered.
-    Registration is single-writer; :meth:`evaluate` and :meth:`earliest`
-    only read the snapshot.  :attr:`examined` counts the class-atom
-    candidates tried since construction.
+    An engine matches ``plans`` (from :func:`plan_rules`) in their order;
+    :meth:`evaluate` and :meth:`earliest` only read the snapshot.
+    :attr:`examined` counts the class-atom candidates tried since
+    construction.
     """
 
-    def __init__(self, plans: Iterable[Plan] = ()) -> None:
-        self._plans: dict[str, Plan] = {plan.rule.name: plan for plan in plans}
+    def __init__(self, plans: Iterable[Plan]) -> None:
+        self.plans = tuple(plans)
         self._examined = 0
 
     @property
     def examined(self) -> int:
         return self._examined
-
-    @property
-    def plans(self) -> tuple[Plan, ...]:
-        """The registered rules' plans, in registration order."""
-        return tuple(self._plans.values())
-
-    def register_rule(self, rule: Rule) -> str:
-        if not rule.body:
-            raise RuleValidationError(f"rule {rule.name!r} has an empty body")
-        if rule.name in self._plans:
-            raise RuleValidationError(f"duplicate rule name {rule.name!r}")
-        self._plans[rule.name] = _plan(rule)
-        return rule.name
 
     def evaluate(self, snapshot: Snapshot) -> list[Derived]:
         """All deduplicated head assertions derivable from the snapshot.
@@ -332,16 +337,14 @@ class RuleEngine:
         result.
         """
         derived: list[Derived] = []
-        for plan in self._plans.values():
+        for plan in self.plans:
             candidates = self._candidates(plan, snapshot)
             if candidates is None:
                 continue
-            head = plan.rule.head
-            seen: set[tuple[str, bool, Term]] = set()
+            seen: set[Term] = set()  # the rule's head times: its id and state are fixed
             for binding in self._match(plan, snapshot, candidates):
-                key = (head.instance_id, head.state, binding[head.time] if is_var(head.time) else head.time)
-                if key not in seen:
-                    seen.add(key)
+                if binding[plan.rule.head.time] not in seen:
+                    seen.add(binding[plan.rule.head.time])
                     derived.append(_derive(plan.rule, binding))
         return derived
 
@@ -349,9 +352,9 @@ class RuleEngine:
         """``min(self.evaluate(snapshot), key=time)``, without enumerating
         the bindings the minimum does not need: the earliest head time, with
         the first binding :meth:`evaluate` meets at that time, and the first
-        registered rule on a tie."""
+        planned rule on a tie."""
         best: Optional[Derived] = None
-        for plan in self._plans.values():
+        for plan in self.plans:
             found = self._earliest_of(plan, snapshot, None if best is None else best.time)
             if found is not None:
                 best = found
@@ -361,32 +364,25 @@ class RuleEngine:
         """The rule's earliest derivation, if it is earlier than ``before``.
 
         Each distinct time T of the head variable's candidates is tried in
-        ascending order.  T bounds every time variable from above, and each
-        class variable's candidates are cut to the prefix within its bound,
-        found by bisecting the list on time (untimed records, which sort
-        last, as infinity); the prefix keeps snapshot order, so the search
-        meets the surviving bindings in :meth:`evaluate`'s order and the
-        first it finds is the witness.  A statement's time is its one
-        ``hasTime`` value, the key the snapshot orders it by.  A rule whose
-        head time is not a class variable's time is matched in full.
+        ascending order.  The head time T + ``head_offset`` bounds every
+        time variable from above, and each class variable's candidates are
+        cut to the prefix within its bound, found by bisecting the list on
+        time (untimed records, which sort last, as infinity); the prefix
+        keeps snapshot order, so the search meets the surviving bindings in
+        :meth:`evaluate`'s order and the first it finds is the witness.  A
+        statement's time is its one ``hasTime`` value, the key the snapshot
+        orders it by.
         """
         candidates = self._candidates(plan, snapshot)
         if candidates is None:
             return None
-        if plan.head_var is None:
-            best: Optional[Derived] = None
-            for binding in self._match(plan, snapshot, candidates):
-                found = _derive(plan.rule, binding)
-                if best is None or found.time < best.time:
-                    best = found
-            return best if best is not None and (before is None or best.time < before) else None
         heads = candidates[plan.head_var]
         start = 0
         while start < len(heads) and heads[start].time is not None:
-            pinned = heads[start].time
+            end = bisect_right(heads, heads[start].time, start, key=_time)
+            pinned = heads[start].time + plan.head_offset
             if before is not None and pinned >= before:
                 return None
-            end = bisect_right(heads, pinned, start, key=_time)
             bounds = _upper_bounds(plan, pinned)
             trimmed: dict[str, Sequence[StoreInstance]] = {}
             for var, instances in candidates.items():

@@ -1,5 +1,6 @@
 """A catalogue of mutants of the incremental structures (the axiom count
-among them) and of the declarative line splitter, as data.
+among them), of the declarative line splitter, of classification and of the
+rule matcher, as data.
 
 Each entry is one mutant.  ``module`` is a path from the repository root,
 and ``edits`` holds the exact text replacements, as (anchor, replacement)
@@ -27,6 +28,7 @@ NETWORK = "src/fluentnet/network.py"
 PROCEDURES = "src/fluentnet/procedures.py"
 CONTEXT = "src/fluentnet/context.py"
 MODELIO = "src/fluentnet/modelio.py"
+RULES = "src/fluentnet/rules.py"
 
 _CASCADE_NOTES = "        if outermost and self._seqs is not None:  # note what the procedures wrote\n"
 _SNAPSHOT = """\
@@ -74,6 +76,10 @@ _REFERENCE_INDEX = (
     "test_index_count_and_person_match_a_recount_after_each_kind_of_overwrite"
 )
 _AXIOMS = "tests/test_context.py::TestAxioms::"
+_LITERAL_TARGETS = "tests/test_context.py::TestClassify::test_literal_targets_and_every_bound_match_the_oracle"
+_CRITERION_8 = "tests/test_acceptance.py::test_criterion_8_rule_engine_equivalence"
+_EARLIEST = "tests/test_rules.py::TestEarliest::"
+_GRID = "tests/test_rules.py::test_shipped_models_match_brute_force_where_compared_times_meet"
 _RECOUNTS = (
     _AXIOMS + "test_incremental_matches_recount_over_random_sequences",
     _AXIOMS + "test_bookkeeping_invariant_holds_for_any_sequence",
@@ -103,10 +109,11 @@ MUTANTS = (
         CONTEXT,
         (("                self._axioms -= previous.template.weight\n", "                pass\n"),),
         (
-            # only a write that changes the template does the arithmetic, and no
-            # replay or axiom recount test rewrites a record under another template
+            # only a write that changes the template does the arithmetic: no replay
+            # rewrites a record under another template, the random recount does
             "tests/test_context.py::TestWriteTemplates::test_a_template_holds_for_its_declaration_only",
             _REFERENCE_INDEX,
+            _AXIOMS + "test_incremental_matches_recount_over_random_sequences",
         ),
     ),
     # -- same-template write: only the record and the dirty set change
@@ -215,6 +222,73 @@ MUTANTS = (
             "tests/test_network.py::TestTickGroups::test_cascade_mutating_its_node_at_the_tick_time",
         )
         + _REPLAYS,
+    ),
+    # -- classification: literal targets and bounds of a defined class
+    Mutant(
+        "exact-bound-never-rejects",
+        CONTEXT,
+        (('            if restriction.bound == "==" and count != restriction.count:\n                return False\n', ""),),
+        (_LITERAL_TARGETS,),
+    ),
+    Mutant(
+        "natural-counts-booleans",
+        CONTEXT,
+        (
+            (
+                "ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0\n"
+                "                elif restriction.target == TRUE_LITERAL",
+                "ok = isinstance(value, int) and value >= 0\n                elif restriction.target == TRUE_LITERAL",
+            ),
+        ),
+        (_LITERAL_TARGETS,),
+    ),
+    Mutant(
+        "boolean-counts-integers",
+        CONTEXT,
+        (
+            (
+                "                    ok = isinstance(value, bool)\n                elif restriction.target == NATURAL_DOMAIN",
+                "                    ok = isinstance(value, (bool, int))\n                elif restriction.target == NATURAL_DOMAIN",
+            ),
+        ),
+        (_LITERAL_TARGETS,),
+    ),
+    # -- rule matcher: one pinned search, and the builtins it evaluates
+    Mutant(
+        "head-offset-dropped",
+        RULES,
+        (("pinned = heads[start].time + plan.head_offset", "pinned = heads[start].time"),),
+        (
+            _EARLIEST + "test_equals_the_minimum_of_evaluate_on_random_models",
+            _EARLIEST + "test_a_shifted_head_is_pinned[3000]",
+        ),
+    ),
+    Mutant(
+        "shift-chain-stops-after-one",
+        RULES,
+        (("    while head_time in shifts:\n", "    if head_time in shifts:\n"),),
+        (
+            _EARLIEST + "test_equals_the_minimum_of_evaluate_on_random_models",
+            "tests/test_rules.py::TestRegistration::test_compiled_random_models_register",
+        ),
+    ),
+    Mutant(
+        "inclusive-comparison-made-strict",
+        RULES,
+        (("return lhs <= rhs if op", "return lhs < rhs if op"),),
+        # criterion 8 misses it: no two times it compares are equal in its 800 snapshots
+        (_GRID, "tests/test_rules.py::TestBuiltins::test_inclusive_comparison"),
+    ),
+    Mutant(
+        "distinct-guard-always-holds",
+        RULES,
+        (("        return lhs != rhs\n", "        return True\n"),),
+        (
+            _CRITERION_8,
+            _GRID,
+            "tests/test_rules.py::TestEvaluation::test_inequality_needs_two_instances",
+            "tests/test_rules.py::TestBuiltins::test_identity_difference",
+        ),
     ),
     # -- importer cursor: an import visits only the sensors written since the last
     Mutant(

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from math import ceil
 
 from fluentnet import procedures
@@ -138,41 +137,81 @@ def naive_aggregate(expr, members):
 # -- rule matching ------------------------------------------------------------
 
 def brute_force_derivations(rule, snapshot):
-    """All deduplicated head values by checking every permutation of the
-    class-consistent instances against every atom, with no join planning.
+    """All deduplicated head values, by backtracking (Golomb & Baumert,
+    "Backtrack Programming", 1965) over the rule's variables in an order the
+    oracle fixes by name, with no join planning.
 
-    Candidates per variable come straight from its class atoms (every
-    permutation of consistent symbols); each combination is then checked
-    against the full body independently.  Each record's property values
-    are read off its public fields once per call (``props_of``), not once
-    per combination.
+    The instance variables (those the class and property atoms name) are
+    bound in name order, each followed, in name order, by the value
+    variables whose property atoms read only instance variables bound by
+    then.  An instance variable ranges over the records classified under
+    every concept its class atoms name, in snapshot order; a value variable
+    over the values each of its property atoms reads off its record.  A sum
+    is bound once both its operands are, and fails the binding unless both
+    are integers; every atom is checked once its variables are bound.  A
+    rule with an atom that reads a variable nothing binds derives nothing.
+    Each record's property values are read off its public fields once per
+    call (``props_of``).
     """
-    instance_vars: list[str] = []
-    for atom in rule.body:
-        if isinstance(atom, (ClassAtom, PropertyAtom)) and atom.var not in instance_vars:
-            instance_vars.append(atom.var)
+    body = rule.body
     instances = sorted(snapshot.instances.values(), key=_snapshot_order)
-    candidates = {var: list(instances) for var in instance_vars}
-    for atom in rule.body:
-        if isinstance(atom, ClassAtom):
-            candidates[atom.var] = [
-                inst for inst in candidates[atom.var] if atom.concept in snapshot.classification[inst.id]
-            ]
-    heads = []
-    seen = set()
     props = {inst.id: props_of(inst) for inst in instances}
-    for combo in product(*(candidates[var] for var in instance_vars)):
-        binding = {var: inst.id for var, inst in zip(instance_vars, combo)}
-        for values in _value_assignments(rule.body, binding, props):
-            full = dict(binding)
-            full.update(values)
-            if not _satisfies_all(rule.body, full, props, snapshot.classification):
-                continue
-            time = full[rule.head.time] if str(rule.head.time).startswith("?") else rule.head.time
-            key = (rule.head.instance_id, rule.head.state, time)
-            if key not in seen:
-                seen.add(key)
-                heads.append(key)
+    classification = snapshot.classification
+    instance_vars = sorted({atom.var for atom in body if isinstance(atom, (ClassAtom, PropertyAtom))})
+    readers = [atom for atom in body if isinstance(atom, PropertyAtom) and _is_variable(atom.value)]
+    unplaced_values = sorted({atom.value for atom in readers})
+    order = []
+    for var in instance_vars:
+        order.append(var)
+        for value in list(unplaced_values):
+            if all(atom.var in order for atom in readers if atom.value == value):
+                order.append(value)
+                unplaced_values.remove(value)
+    # stages[k]: the sums bound and the atoms checked once order[k] is bound
+    stages, bound, unplaced = [], set(), list(body)
+    for var in order:
+        bound.add(var)
+        sums, checks = [], []
+        while ready := [atom for atom in unplaced if isinstance(atom, Assign) and _bound_in(atom, bound)]:
+            for atom in ready:
+                sums.append(atom)
+                bound.add(atom.var)
+                unplaced.remove(atom)
+        for atom in list(unplaced):
+            if not isinstance(atom, Assign) and _bound_in(atom, bound):
+                checks.append(atom)
+                unplaced.remove(atom)
+        stages.append((sums, checks))
+    if unplaced:
+        return []
+    domains = {
+        var: [
+            inst.id
+            for inst in instances
+            if all(atom.concept in classification[inst.id] for atom in body if isinstance(atom, ClassAtom) and atom.var == var)
+        ]
+        for var in instance_vars
+    }
+    heads, binding = set(), {}
+
+    def domain(var):
+        if var in domains:
+            return domains[var]
+        pools = [props[binding[atom.var]].get(atom.prop, ()) for atom in readers if atom.value == var]
+        return [value for value in pools[0] if all(value in pool for pool in pools[1:])]
+
+    def search(depth):
+        if depth == len(order):
+            time = binding[rule.head.time] if _is_variable(rule.head.time) else rule.head.time
+            heads.add((rule.head.instance_id, rule.head.state, time))
+            return
+        sums, checks = stages[depth]
+        for value in domain(order[depth]):
+            binding[order[depth]] = value
+            if _add(sums, binding) and all(_holds(atom, binding, props, classification) for atom in checks):
+                search(depth + 1)
+
+    search(0)
     return sorted(heads, key=lambda k: (k[0], k[2]))
 
 
@@ -208,81 +247,54 @@ def _snapshot_order(record):
     return (record.time is None, record.time, record.id)
 
 
-def _value_assignments(body, binding, props):
-    """Every assignment of the body's value variables, each drawn from the
-    values its property atoms read off the bound records (``props``: each
-    record's ``props_of`` by id)."""
-    value_vars: dict[str, list] = {}
-    for atom in body:
-        if isinstance(atom, PropertyAtom) and str(atom.value).startswith("?"):
-            record_props = props.get(binding.get(atom.var))
-            values = list(record_props.get(atom.prop, ())) if record_props is not None else []
-            if atom.value in value_vars:
-                value_vars[atom.value] = [v for v in value_vars[atom.value] if v in values]
-            else:
-                value_vars[atom.value] = values
-    names = sorted(value_vars)
-    pools = [value_vars[n] for n in names]
-    if not names:
-        yield {}
-        return
-    for combo in product(*pools):
-        yield dict(zip(names, combo))
+def _is_variable(term):
+    return str(term).startswith("?")
 
 
-def _satisfies_all(body, binding, props, classification):
-    # assignments first, to a fixpoint, then every check
-    pending = [a for a in body if isinstance(a, Assign)]
-    progress = True
-    while pending and progress:
-        progress = False
-        for atom in list(pending):
-            left = binding.get(atom.left, atom.left) if str(atom.left).startswith("?") else atom.left
-            right = (
-                binding.get(atom.right, atom.right)
-                if str(atom.right).startswith("?")
-                else atom.right
-            )
-            if isinstance(left, int) and isinstance(right, int):
-                binding[atom.var] = left + right
-                pending.remove(atom)
-                progress = True
-    if pending:
-        return False
-    for atom in body:
-        if isinstance(atom, ClassAtom):
-            inst_id = binding.get(atom.var)
-            if inst_id not in props or atom.concept not in classification[inst_id]:
-                return False
-        elif isinstance(atom, PropertyAtom):
-            record_props = props.get(binding.get(atom.var))
-            if record_props is None:
-                return False
-            wanted = (
-                binding.get(atom.value) if str(atom.value).startswith("?") else atom.value
-            )
-            if wanted not in record_props.get(atom.prop, ()):
-                return False
-        elif isinstance(atom, Compare):
-            left = binding.get(atom.left) if str(atom.left).startswith("?") else atom.left
-            right = binding.get(atom.right) if str(atom.right).startswith("?") else atom.right
-            if left is None or right is None:
-                return False
-            if atom.op == "==":
-                ok = left == right
-            elif atom.op == "!=":
-                ok = left != right
-            elif atom.op == "<=":
-                ok = left <= right
-            elif atom.op == ">=":
-                ok = left >= right
-            elif atom.op == "<":
-                ok = left < right
-            else:
-                ok = left > right
-            if not ok:
-                return False
+def _bound_in(atom, bound):
+    """Whether every variable ``atom`` reads is in ``bound``."""
+    if isinstance(atom, ClassAtom):
+        terms = (atom.var,)
+    elif isinstance(atom, PropertyAtom):
+        terms = (atom.var, atom.value)
+    else:
+        terms = (atom.left, atom.right)
+    return all(term in bound for term in terms if _is_variable(term))
+
+
+def _add(sums, binding):
+    """Bind each sum in turn; false when an operand is not an integer."""
+    for atom in sums:
+        left = binding[atom.left] if _is_variable(atom.left) else atom.left
+        right = binding[atom.right] if _is_variable(atom.right) else atom.right
+        if not (isinstance(left, int) and isinstance(right, int)):
+            return False
+        binding[atom.var] = left + right
     return True
+
+
+def _holds(atom, binding, props, classification):
+    """Whether ``atom`` holds under ``binding``, which binds its variables."""
+    if isinstance(atom, ClassAtom):
+        inst_id = binding[atom.var]
+        return inst_id in props and atom.concept in classification[inst_id]
+    if isinstance(atom, PropertyAtom):
+        record_props = props.get(binding[atom.var])
+        wanted = binding[atom.value] if _is_variable(atom.value) else atom.value
+        return record_props is not None and wanted in record_props.get(atom.prop, ())
+    left = binding[atom.left] if _is_variable(atom.left) else atom.left
+    right = binding[atom.right] if _is_variable(atom.right) else atom.right
+    if atom.op == "==":
+        return left == right
+    if atom.op == "!=":
+        return left != right
+    if atom.op == "<=":
+        return left <= right
+    if atom.op == ">=":
+        return left >= right
+    if atom.op == "<":
+        return left < right
+    return left > right
 
 
 # -- scheduler ---------------------------------------------------------------------

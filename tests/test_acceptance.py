@@ -279,7 +279,10 @@ def test_criterion_7_dsl_round_trip(scenario):
 
 # -- 8. rule-engine equivalence -----------------------------------------------------------
 
-def _random_activity_snapshot(rng, scenario, binding, max_instances=12):
+def _random_activity_snapshot(rng, scenario, binding, max_instances=12, grid=1):
+    """An append store of the activity's node holding up to
+    ``max_instances`` random readings and window statements, at times below
+    400 s that are multiples of ``grid`` ms, as kept for ``binding``."""
     node_decl = next(n for n in scenario.model.nodes if n.name == binding.node)
     model = load_store_model(scenario.base_dir / node_decl.represents)
     store = build_store(binding.node, model, mode=APPEND)
@@ -289,13 +292,13 @@ def _random_activity_snapshot(rng, scenario, binding, max_instances=12):
     for i in range(size):
         if derived and rng.random() < 0.3:
             store.assert_statement(
-                f"{rng.choice(derived)}_{i}", True, rng.randrange(0, 400_000),
+                f"{rng.choice(derived)}_{i}", True, rng.randrange(0, 400_000, grid),
                 concepts=(rng.choice(derived),),
                 mode=APPEND,
             )
         else:
             store.assert_statement(
-                rng.choice(sensors), rng.random() < 0.5, rng.randrange(0, 400_000),
+                rng.choice(sensors), rng.random() < 0.5, rng.randrange(0, 400_000, grid),
                 mode=APPEND,
             )
     return oracles.kept_snapshot(store, binding.plans)
@@ -307,10 +310,9 @@ def test_criterion_8_rule_engine_equivalence(scenario):
     for index in sorted(scenario.bindings):
         binding = scenario.bindings[index]
         rule = binding.compiled.rules[0]
-        from fluentnet.rules import RuleEngine
+        from fluentnet.rules import RuleEngine, plan_rules
 
-        engine = RuleEngine()
-        engine.register_rule(rule)
+        engine = RuleEngine(plan_rules([rule]))
         for _ in range(100):
             snap = _random_activity_snapshot(rng, scenario, binding)
             expected = oracles.brute_force_derivations(rule, snap)

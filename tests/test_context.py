@@ -241,6 +241,32 @@ class TestClassify:
         store.assert_statement("D7", True, 10, concepts=("DOOR",))
         assert store.classify() == store.classify()
 
+    def test_literal_targets_and_every_bound_match_the_oracle(self):
+        """Defined classes that count ``hasState`` and ``hasTime`` values
+        against each literal target (``BOOLEAN``, ``NATURAL``, ``TRUE``,
+        ``FALSE``), or ``isIn`` places against a concept, under ``>=``,
+        ``<=`` and ``==``: the classification of random statements and
+        places, read after every write, equals the full fixpoint oracle."""
+        rng = random.Random(923)
+        for _ in range(80):
+            g = small_graph()
+            for k in range(3):
+                g.add_concept(f"DEF{k}")
+                prop = rng.choice(["hasState", "hasTime", "isIn"])
+                target = rng.choice(["LOCATION", "KITCHEN"] if prop == "isIn" else ["BOOLEAN", "NATURAL", "TRUE", "FALSE"])
+                restriction = Restriction(prop, target, rng.choice([">=", "<=", "=="]), rng.randrange(3))
+                bases = rng.choice([(), ("SENSOR",), ("MOTION",)] + [(f"DEF{k - 1}",)] * (k > 0))
+                g.add_defined(DefinedClass(f"DEF{k}", bases=bases, restrictions=(restriction,)))
+            store = store_with(g)
+            store.add_instance("K", ("KITCHEN",))
+            store.add_instance("LR", ("LOCATION",))
+            for step in range(8):
+                sensor = rng.choice(["M1", "M2", "D7"])
+                places = rng.sample(["K", "LR"], rng.randrange(3))
+                install(store, sensor, ("DOOR",) if sensor == "D7" else ("MOTION",), {"isIn": places})
+                store.assert_statement(sensor, rng.random() < 0.5, step, mode=rng.choice([OVERWRITE, APPEND]))
+                assert store.classify() == oracles.classify_from_scratch(store)
+
 
 class TestQuery:
     def test_query_by_installed_class(self):
@@ -1206,17 +1232,21 @@ class TestAxioms:
         assert store.axiom_count() == oracles.recount_axioms(store)
 
     def test_incremental_matches_recount_over_random_sequences(self):
+        """Overwrites rewrite an id under other concepts, and every other
+        store installs ``I6`` in the kitchen, so a write may change the
+        template of the record it replaces or keep it."""
         rng = random.Random(99)
-        for _ in range(30):
-            store = store_with()
+        for run in range(30):
+            store = store_with(installations={"I6": SensorDecl("I6", ("ITEM",), (("isIn", "K"),))} if run % 2 else {})
             store.add_instance("K", ("KITCHEN",))
             for step in range(40):
                 action = rng.randrange(4)
                 sensor = rng.choice(["D7", "I4", "I6"])
                 if action == 0:
+                    concepts = [("DOOR",), ("ITEM",), ("MOTION",)] + ([None] if sensor in store.installations else [])
                     store.assert_statement(
                         sensor, rng.random() < 0.5, step,
-                        concepts=("DOOR" if sensor == "D7" else "ITEM",),
+                        concepts=rng.choice(concepts),
                         mode=OVERWRITE,
                     )
                 elif action == 1:

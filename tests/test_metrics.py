@@ -1,5 +1,7 @@
 """Scoring: matrix shape, F-measure, delays, report determinism."""
 
+import json
+
 import pytest
 
 from fluentnet.ingest import GroundTruth, Interval
@@ -213,6 +215,30 @@ class TestReports:
         lines = (tmp_path / "fmeasure.csv").read_text().splitlines()
         assert lines[0] == "activity,f1,reference_f1,difference"
         assert lines[1].startswith("a1,1.000000,0.97,")
+
+    def test_a_ninth_activity_is_scored_and_reported(self, tmp_path):
+        """An activity past the paper's eight, recognised after its
+        interval ends, gets its column, F1 and delay, and ``-`` where the
+        paper publishes no reference; a tenth that only a recognition names
+        is a row and a column with no interval."""
+        truth = truth_for(("p01", [(1, 20, 30), (9, 1, 2)]))
+        recognitions = {"p01": [(1, 25_000), (9, 2_500), (10, 500_000)]}
+        matrix = score(recognitions, truth)
+        assert matrix.activities == ACTIVITIES + (9, 10)
+        assert (matrix.rate(9, 9), matrix.column_total(10), matrix.unmatched) == (1.0, 0, 1)
+        f1 = f_measure(matrix)
+        assert (f1[9], f1[10]) == (1.0, 0.0)
+        delays = delay_stats(recognitions, truth)
+        assert (delays[9].delayed, delays[9].total, delays[9].max_s) == (1, 1, 0.5)
+        emit_report(tmp_path, matrix=matrix, f1=f1, delays=delays)
+        confusion = (tmp_path / "confusion.csv").read_text().splitlines()
+        assert confusion[0].endswith(",true_a8,true_a9,true_a10")
+        assert [line.split(",")[0] for line in confusion[1:]][-3:] == ["a9", "a10", "unclassified"]
+        assert confusion[9].split(",")[9] == "1.000000"
+        payload = json.loads((tmp_path / "confusion.json").read_text())
+        assert payload["reference_diagonal"]["a9"] == "-" and payload["counts"]["a9"]["a9"] == 1
+        assert (tmp_path / "fmeasure.csv").read_text().splitlines()[-2:] == ["a9,1.000000,-,-", "a10,0.000000,-,-"]
+        assert (tmp_path / "delay.csv").read_text().splitlines()[-2:] == ["a9,1,1,0.50,0.50", "a10,0,0,-,-"]
 
 
 class TestDispatchLogParsing:

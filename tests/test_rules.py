@@ -1,4 +1,4 @@
-"""Rule engine: registration checks, matching semantics, oracle equivalence."""
+"""Rule engine: planning checks, matching semantics, oracle equivalence."""
 
 import random
 
@@ -64,7 +64,7 @@ class TestRegistration:
             head=Head("A", ("ACTIVITY",), True, "?t"),
         )
         with pytest.raises(RuleValidationError, match=r"unbound \?t"):
-            RuleEngine().register_rule(rule)
+            plan_rules([rule])
 
     def test_unbound_builtin_variable(self):
         rule = Rule(
@@ -73,53 +73,58 @@ class TestRegistration:
             head=Head("A", ("ACTIVITY",), True, 0),
         )
         with pytest.raises(RuleValidationError, match=r"unbound \?x"):
-            RuleEngine().register_rule(rule)
+            plan_rules([rule])
 
     def test_duplicate_name_rejected(self):
-        engine = RuleEngine()
-        engine.register_rule(dvd_rule(50))
         with pytest.raises(RuleValidationError):
-            engine.register_rule(dvd_rule(60))
+            plan_rules([dvd_rule(50), dvd_rule(60)])
 
     def test_empty_body_rejected(self):
         with pytest.raises(RuleValidationError):
-            RuleEngine().register_rule(Rule("e", (), Head("A", (), True, 0)))
+            plan_rules([Rule("e", (), Head("A", (), True, 0))])
+
+    @pytest.mark.parametrize("time", [0, "?late", "?state"])
+    def test_a_head_time_no_shift_leads_back_to_a_class_variable_is_rejected(self, time):
+        """A literal head time, a sum with the number first, or a value
+        other than a time: no candidate time pins any of them, and the
+        compiler writes none."""
+        base = dvd_rule(50)
+        body = base.body + (Assign("?late", 100, "?t_taken"), PropertyAtom("hasState", "?back", "?state"))
+        assert plan_rules([Rule("A2", body, base.head)])
+        with pytest.raises(RuleValidationError, match="is not a class variable's time"):
+            plan_rules([Rule("A2", body, Head("A2", ("ACTIVITY",), True, time))])
 
     def test_activity_rule_registers(self):
-        assert RuleEngine().register_rule(dvd_rule(50)) == "A2"
+        assert [plan.rule.name for plan in plan_rules([dvd_rule(50)])] == ["A2"]
 
     def test_reading_before_the_binding_atom_is_rejected(self):
         base = dvd_rule(50)
         *head, assign, compare = base.body
         rule = Rule("A2", (*head, compare, assign), base.head)
         with pytest.raises(RuleValidationError, match=r"unbound \?deadline"):
-            RuleEngine().register_rule(rule)
+            plan_rules([rule])
 
     def test_rebinding_a_variable_is_rejected(self):
         base = dvd_rule(50)
         rule = Rule("A2", base.body + (ClassAtom("ITEM", "?back"),), base.head)
         with pytest.raises(RuleValidationError, match=r"\?back is bound twice"):
-            RuleEngine().register_rule(rule)
+            plan_rules([rule])
 
     def test_compiled_random_models_register(self):
         rng = random.Random(1)
         for _ in range(300):
-            engine = RuleEngine()
-            for rule in dsl.compile_model(random_model(rng)).rules:
-                engine.register_rule(rule)
+            plan_rules(dsl.compile_model(random_model(rng)).rules)
 
 
 class TestEvaluation:
     def test_item_cycle_derives(self):
-        engine = RuleEngine()
-        engine.register_rule(dvd_rule(50))
+        engine = RuleEngine(plan_rules([dvd_rule(50)]))
         store = item_store(("I5", False, 10), ("I5", True, 100))
         derived = engine.evaluate(oracles.kept_snapshot(store, engine.plans))
         assert [(d.instance_id, d.state, d.time) for d in derived] == [("A2", True, 100)]
 
     def test_gap_not_met(self):
-        engine = RuleEngine()
-        engine.register_rule(dvd_rule(200))
+        engine = RuleEngine(plan_rules([dvd_rule(200)]))
         store = item_store(("I5", False, 10), ("I5", True, 100))
         assert engine.evaluate(oracles.kept_snapshot(store, engine.plans)) == []
 
@@ -128,28 +133,26 @@ class TestEvaluation:
             name="pair",
             body=(
                 ClassAtom("ITEM", "?i"),
+                PropertyAtom("hasTime", "?i", "?t"),
                 ClassAtom("ITEM", "?j"),
                 Compare("!=", "?i", "?j"),
             ),
-            head=Head("PAIR", ("ACTIVITY",), True, 0),
+            head=Head("PAIR", ("ACTIVITY",), True, "?t"),
         )
-        engine = RuleEngine()
-        engine.register_rule(rule)
+        engine = RuleEngine(plan_rules([rule]))
         assert engine.evaluate(oracles.kept_snapshot(item_store(("I5", True, 10)), engine.plans)) == []
         two = item_store(("I5", True, 10), ("I3", True, 11))
-        assert len(engine.evaluate(oracles.kept_snapshot(two, engine.plans))) == 1
+        assert [d.time for d in engine.evaluate(oracles.kept_snapshot(two, engine.plans))] == [10, 11]
 
     def test_deduplicates_equal_heads(self):
-        engine = RuleEngine()
-        engine.register_rule(dvd_rule(10))
+        engine = RuleEngine(plan_rules([dvd_rule(10)]))
         # two absences both pair with one return: one derived head value
         store = item_store(("I5", False, 10), ("I3", False, 20), ("I5", True, 100))
         derived = engine.evaluate(oracles.kept_snapshot(store, engine.plans))
         assert [(d.instance_id, d.time) for d in derived] == [("A2", 100)]
 
     def test_repeated_calls_identical(self):
-        engine = RuleEngine()
-        engine.register_rule(dvd_rule(50))
+        engine = RuleEngine(plan_rules([dvd_rule(50)]))
         snap = oracles.kept_snapshot(item_store(("I5", False, 10), ("I5", True, 100), ("I3", True, 90)), engine.plans)
         assert engine.evaluate(snap) == engine.evaluate(snap)
 
@@ -171,12 +174,12 @@ class TestBuiltins:
             eval_builtin(op, 1, 2)
         rule = Rule("c", (ClassAtom("ITEM", "?i"), Compare(op, 1, 2)), Head("A", (), True, 0))
         with pytest.raises(RuleValidationError, match="unknown comparison"):
-            RuleEngine().register_rule(rule)
+            plan_rules([rule])
 
 
 class TestOrderIndependence:
     def test_permuted_bodies_derive_the_same(self):
-        """A shuffled body is rejected at registration or derives what the
+        """A shuffled body is rejected by plan_rules or derives what the
         original derives."""
         rng = random.Random(5)
         base = dvd_rule(50)
@@ -185,8 +188,7 @@ class TestOrderIndependence:
         )
 
         def derive(body):
-            engine = RuleEngine()
-            engine.register_rule(Rule("A2", body, base.head))
+            engine = RuleEngine(plan_rules([Rule("A2", body, base.head)]))
             return sorted((d.instance_id, d.state, d.time) for d in engine.evaluate(snap))
 
         reference = derive(base.body)
@@ -219,8 +221,7 @@ def test_engine_matches_brute_force_on_random_rules():
     for _ in range(60):
         gap = rng.randrange(0, 150)
         rule = dvd_rule(gap)
-        engine = RuleEngine()
-        engine.register_rule(rule)
+        engine = RuleEngine(plan_rules([rule]))
         snap = random_snapshot(rng, engine.plans)
         expected = oracles.brute_force_derivations(rule, snap)
         got = sorted(
@@ -228,6 +229,27 @@ def test_engine_matches_brute_force_on_random_rules():
             key=lambda k: (k[0], k[2]),
         )
         assert got == expected
+
+
+def test_shipped_models_match_brute_force_where_compared_times_meet(scenario):
+    """Criterion 8's check on readings at whole 5 s steps, where a shifted
+    time often equals the time it is compared with, so an inclusive ``<=``
+    and the distinctness guards decide derivations."""
+    from test_acceptance import _random_activity_snapshot
+
+    rng = random.Random(56)
+    found = 0
+    for index in sorted(scenario.bindings):
+        binding = scenario.bindings[index]
+        engine = RuleEngine(binding.plans)
+        for _ in range(60):
+            snap = _random_activity_snapshot(rng, scenario, binding, grid=5_000)
+            expected = [oracles.brute_force_derivations(rule, snap) for rule in binding.compiled.rules]
+            got = sorted({(d.instance_id, d.state, d.time) for d in engine.evaluate(snap)}, key=lambda k: (k[0], k[2]))
+            assert got == sorted(set().union(*map(set, expected)), key=lambda k: (k[0], k[2])), f"A{index}"
+            assert engine.earliest(snap) == earliest_by_evaluate(engine, snap), f"A{index}"
+            found += bool(got)
+    assert found >= 50
 
 
 # -- the earliest derivation ----------------------------------------------------
@@ -263,9 +285,7 @@ class TestEarliest:
         checked = found = 0
         for index in sorted(scenario.bindings):
             binding = scenario.bindings[index]
-            engine = RuleEngine()
-            for rule in binding.compiled.rules:
-                engine.register_rule(rule)
+            engine = RuleEngine(plan_rules(binding.compiled.rules))
             for size in (12, 30) * 60:
                 snap = _random_activity_snapshot(rng, scenario, binding, max_instances=size)
                 expected = earliest_by_evaluate(engine, snap)
@@ -281,9 +301,7 @@ class TestEarliest:
                     "ITEM_WINDOW", "SPAN", "STAY")
         found = 0
         for _ in range(300):
-            engine = RuleEngine()
-            for rule in dsl.compile_model(random_model(rng)).rules:
-                engine.register_rule(rule)
+            engine = RuleEngine(plan_rules(dsl.compile_model(random_model(rng)).rules))
             snap = oracles.kept_snapshot(model_store(rng, concepts), engine.plans)
             expected = earliest_by_evaluate(engine, snap)
             assert engine.earliest(snap) == expected
@@ -291,8 +309,7 @@ class TestEarliest:
         assert found >= 30
 
     def test_tie_at_the_earliest_time_goes_to_the_body_order_first_binding(self):
-        engine = RuleEngine()
-        engine.register_rule(dvd_rule(50))
+        engine = RuleEngine(plan_rules([dvd_rule(50)]))
         # both absences pair with the one return; I5#1 comes first in
         # snapshot order although I3#1 sorts first by id
         snap = oracles.kept_snapshot(item_store(("I5", False, 10), ("I3", False, 20), ("I5", True, 100)), engine.plans)
@@ -303,28 +320,44 @@ class TestEarliest:
     def test_tie_between_rules_goes_to_the_first_registered(self):
         snap = oracles.kept_snapshot(item_store(("I5", False, 10), ("I5", True, 100)), plan_rules([dvd_rule(50)]))
         for first, second in (("B", "A"), ("A", "B")):
-            engine = RuleEngine()
-            for name, gap in ((first, 50), (second, 10)):
-                rule = dvd_rule(gap)
-                engine.register_rule(Rule(name, rule.body, rule.head))
+            rules = [Rule(name, dvd_rule(gap).body, dvd_rule(gap).head) for name, gap in ((first, 50), (second, 10))]
+            engine = RuleEngine(plan_rules(rules))
             best = engine.earliest(snap)
             assert (best.rule, best.time) == (first, 100)
             assert best == earliest_by_evaluate(engine, snap)
 
     def test_no_derivation_is_none(self):
-        engine = RuleEngine()
-        engine.register_rule(dvd_rule(200))
+        engine = RuleEngine(plan_rules([dvd_rule(200)]))
         assert engine.earliest(oracles.kept_snapshot(item_store(("I5", False, 10), ("I5", True, 100)), engine.plans)) is None
 
     def test_examined_counts_candidates_and_is_read_only(self):
-        engine = RuleEngine()
-        engine.register_rule(dvd_rule(50))
+        engine = RuleEngine(plan_rules([dvd_rule(50)]))
         snap = oracles.kept_snapshot(item_store(("I5", False, 10), ("I5", True, 100)), engine.plans)
         assert engine.examined == 0
         engine.evaluate(snap)
         assert engine.examined == 2
         with pytest.raises(AttributeError):
             engine.examined = 0
+
+    @pytest.mark.parametrize("present_at", [10_000_000, 3_000])
+    def test_a_shifted_head_is_pinned(self, present_at):
+        """A model whose last operand is shifted compiles to a head time
+        ``?t + d1``, which is pinned like any other: 200 absences that no
+        presence within 5 s follows cost no candidate, and a trace that
+        has a derivation finds the minimum of ``evaluate``."""
+        rules = dsl.compile_model(dsl.parse_model("X := ITEM:+ <= ITEM:- + d1 where d1 = 5 s")).rules
+        engine = RuleEngine(plan_rules(rules))
+        assert [(plan.head_offset, plan.rule.head.time) for plan in engine.plans] == [(5_000, "?a5")]
+        store = item_store(*[("I5", False, 1_000 + i) for i in range(200)])
+        for i in range(200):
+            store.assert_statement("I3", True, present_at + i, concepts=("ITEM",))
+        snap = oracles.kept_snapshot(store, engine.plans)
+        best = engine.earliest(snap)
+        if present_at == 10_000_000:
+            assert (best, engine.examined) == (None, 0)
+        else:
+            assert best.time == 6_000
+            assert best == earliest_by_evaluate(engine, snap)
 
 
 # -- kept state lists -----------------------------------------------------------
