@@ -53,9 +53,8 @@ first write by the checked derivation: the asserted set, its closure
 against the graph's properties, the ids they name, the pairs they lend
 the person and the record's weight.  A later write looks it up, and
 rebuilds it when the store's installation is not the :class:`SensorDecl`
-it was built from.  A record is its template plus three slots: the
-state, the time and ``seq``, the store's ``mutation_seq`` after the write
-that made it; a plain instance's template is derived for it alone.  One
+it was built from.  A record is its template plus two slots, the state
+and the time; a plain instance's template is derived for it alone.  One
 module-level builder fills a record's slots directly, with no dataclass
 ``__init__``, and the record refuses every later assignment.
 
@@ -407,26 +406,25 @@ class WriteTemplate:
 
 class StoreInstance:
     """One stored instance, built once per write and never changed: its
-    write's template plus ``state``, ``time`` and ``seq``.
+    write's template plus ``state`` and ``time``.
 
     ``state`` and ``time`` are the statement's (``None`` for a plain
-    instance, which carries neither) and ``seq`` the store's
-    ``mutation_seq`` after the write that made the record.  The asserted
-    concepts, their closure, the declared values and the weight stay on
-    the template; :meth:`prop_values` reads one property's values.  A
-    write replaces the record whole, so snapshots and the rule matcher
-    read it in place.  Records compare by identity, assigning or deleting
-    a field raises :class:`FrozenInstanceError`, and :func:`_record` is
-    the one way to build one.
+    instance, which carries neither).  The asserted concepts, their
+    closure, the declared values and the weight stay on the template;
+    :meth:`prop_values` reads one property's values.  A write replaces the
+    record whole, so snapshots and the rule matcher read it in place, and
+    an importer knows the record it last copied by identity.  Records
+    compare by identity, assigning or deleting a field raises
+    :class:`FrozenInstanceError`, and :func:`_record` is the one way to
+    build one.
     """
 
-    __slots__ = ("id", "template", "state", "time", "seq", "kind")
+    __slots__ = ("id", "template", "state", "time", "kind")
 
     id: str
     template: WriteTemplate
     state: Optional[bool]
     time: Optional[int]
-    seq: int
     kind: str
 
     asserted = property(attrgetter("template.asserted"))
@@ -449,22 +447,21 @@ class StoreInstance:
 
 _new_record = object.__new__
 # the slots' own setters, which the frozen __setattr__ does not guard
-_set_id, _set_template, _set_state, _set_time, _set_seq, _set_kind = (
+_set_id, _set_template, _set_state, _set_time, _set_kind = (
     getattr(StoreInstance, name).__set__ for name in StoreInstance.__slots__
 )
 
 
 def _record(
-    instance_id: str, template: WriteTemplate, state: Optional[bool], time: Optional[int], seq: int, kind: str
+    instance_id: str, template: WriteTemplate, state: Optional[bool], time: Optional[int], kind: str
 ) -> StoreInstance:
-    """A new record: six slot stores, with none of a dataclass
+    """A new record: five slot stores, with none of a dataclass
     ``__init__``'s per-field ``object.__setattr__`` calls."""
     record = _new_record(StoreInstance)
     _set_id(record, instance_id)
     _set_template(record, template)
     _set_state(record, state)
     _set_time(record, time)
-    _set_seq(record, seq)
     _set_kind(record, kind)
     return record
 
@@ -644,7 +641,7 @@ class ContextStore:
         rejected: only :meth:`assert_statement` writes them."""
         props = {p: tuple(v) for p, v in (props or {}).items()}
         template = _derive(self.graph, None, frozenset(concepts), props, f"instance {instance_id!r}", 0)
-        record = _record(instance_id, template, None, None, self.mutation_seq + 1, RAW)
+        record = _record(instance_id, template, None, None, RAW)
         self._put(record)
         return record
 
@@ -679,7 +676,7 @@ class ContextStore:
             suffix = self._sequence.get(statement_id, 0) + 1
             instance_id = f"{statement_id}#{suffix}"
         template = self.graph.template(statement_id, concepts, decl)
-        self._put(_record(instance_id, template, state, time, self.mutation_seq + 1, kind))
+        self._put(_record(instance_id, template, state, time, kind))
         if mode == APPEND:
             self._sequence[statement_id] = suffix
 

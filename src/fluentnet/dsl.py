@@ -398,8 +398,8 @@ def _phrase(node: Node, params: dict[str, int]) -> str:
             f"the person stayed in the {node.cls} area for {window} "
             f"(at least {count} sightings)"
         )
-    if isinstance(node, ShiftNode):
-        return _phrase(node.child, params)
+    if isinstance(node, ShiftNode):  # the moment ``gap`` after the child; PrecNode reads a left operand
+        return f"{format_duration(params[node.param])} had passed since {_phrase(node.child, params)}"
     if isinstance(node, AndNode):
         return f"{_phrase(node.left, params)} and {_phrase(node.right, params)}"
     if isinstance(node, OrNode):

@@ -10,8 +10,9 @@ be fixed without code changes.
 
 A trailing token pair is read as an activity annotation ``(activity,
 begin|end)``; the activity token is a bare index or an index prefixed with
-``a``, ``alpha`` or ``activity`` (``7``, ``a3``).  Any other trailing pair is
-ignored.  Malformed lines are skipped by :func:`load_trace` with a warning.
+``a``, ``alpha`` or ``activity`` (``7``, ``a3``), from 1 up.  Any other
+trailing pair is ignored.  :func:`load_trace` skips a malformed line, and
+drops an index-0 annotation but keeps its reading, each with a warning.
 """
 
 from __future__ import annotations
@@ -130,6 +131,7 @@ def normalize_sensor(token: str, rename: Optional[Mapping[str, str]] = None) -> 
 
 
 def _parse_activity_token(token: str) -> Optional[int]:
+    """The index a token spells (0 names no activity), or ``None``."""
     match = re.fullmatch(r"(?:a|alpha|activity)?(\d+)", token.lower())
     if match:
         return int(match.group(1))
@@ -165,15 +167,17 @@ class _LineParser:
     and memos of each date token's epoch-day milliseconds and each raw
     sensor token's normalised id.  A memo holds only tokens that parsed; a
     line the memo cannot answer goes through :func:`timestamp_ms`, so its
-    error is the one that function raises."""
+    error is the one that function raises.  An annotation naming index 0
+    is dropped, with a warning naming the line in ``warnings``."""
 
-    def __init__(self, values: Mapping[str, bool], rename: Optional[Mapping[str, str]]) -> None:
+    def __init__(self, values: Mapping[str, bool], rename: Optional[Mapping[str, str]], warnings: list[str]) -> None:
         self.values = values
         self.rename = rename
+        self.warnings = warnings
         self.days: dict[str, int] = {}
         self.sensors: dict[str, str] = {}
 
-    def __call__(self, text: str) -> TraceEvent:
+    def __call__(self, text: str, lineno: int) -> TraceEvent:
         tokens = text.split()
         if len(tokens) < 4:
             raise TraceParseError("expected DATE TIME SENSOR VALUE", text.rstrip("\n"))
@@ -198,8 +202,10 @@ class _LineParser:
             tag = tokens[-1].lower()
             parsed = _parse_activity_token(tokens[-2])
             if tag in _BEGIN_TAGS | _END_TAGS and parsed is not None:
-                activity = parsed
-                marker = "begin" if tag in _BEGIN_TAGS else "end"
+                if parsed:
+                    activity, marker = parsed, ("begin" if tag in _BEGIN_TAGS else "end")
+                else:
+                    self.warnings.append(f"line {lineno}: activity index 0 names no activity; annotation dropped")
         return TraceEvent(
             time_ms=time_ms, sensor=sensor, value=value, activity=activity, marker=marker
         )
@@ -220,9 +226,10 @@ def load_trace(
 ) -> TraceLoad:
     """Read one participant's log: ordered events plus annotation intervals.
 
-    Malformed lines are skipped and counted, each with a warning naming its
-    line number.  Out-of-order timestamps are reordered with a warning; a
-    begin without an end is clamped to the last event time with a warning.
+    Malformed lines are skipped and counted, and index-0 annotations
+    dropped, each with a warning naming its line number.  Out-of-order
+    timestamps are reordered with a warning; a begin without an end is
+    clamped to the last event time with a warning.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
@@ -230,15 +237,15 @@ def load_trace(
         with open(source, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
 
-    parse = _LineParser(_value_table(value_map), rename)
     events: list[TraceEvent] = []
     warnings: list[str] = []
+    parse = _LineParser(_value_table(value_map), rename, warnings)
     skipped = 0
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         try:
-            events.append(parse(raw))
+            events.append(parse(raw, lineno))
         except TraceParseError as exc:
             skipped += 1
             warnings.append(f"line {lineno}: {exc}")

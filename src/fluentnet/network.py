@@ -297,6 +297,8 @@ def load_network(text: str) -> NetworkModel:
         if options["node"] not in node_names:
             raise NetworkError(f"line {line.lineno}: unknown node {options['node']!r}")
         index = int(positional[0])
+        if index == 0:
+            raise NetworkError(f"line {line.lineno}: activity index 0 names no activity; indices start at 1")
         if any(a.index == index for a in activities):
             raise NetworkError(f"line {line.lineno}: duplicate activity index {index}")
         activities.append(

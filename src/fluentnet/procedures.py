@@ -4,17 +4,16 @@ The replayer turns dataset readings into assertions in the spatial node,
 classifying the node after each one, which brings the person's context
 (its presence counts) and the watched patterns' answers up to date.  Each
 importer reacts to a spatial trigger and copies into the activity node
-its activity's sensors written since its last import: it keeps the
-spatial store it read and that store's ``mutation_seq``, and visits only
-the records whose ``seq`` is newer (every record of a store it has not
-read).  A reading it copied last time is not copied again.  It then
-raises the sync statement ``N`` so the paired evaluator runs in the same
-step.  Readings and imports are stored in their node's declared
-mode; ``N``, pre-pass results and the recognition are single-valued and
-always overwrite.  The evaluator resets ``N``, runs any windowed
-pre-passes, evaluates the compiled model rules on a snapshot, and on
-success asserts the activity statement, records the recognition and clears
-the node down to the result and the sync statement.
+each of its activity's sensors whose reading is not the one it last
+copied.  It keeps, per sensor, the spatial record it last copied, and a
+visit skips that record (by identity) and a newer one with its state and
+time.  It then raises the sync statement ``N`` so the paired evaluator
+runs in the same step.  Readings and imports are stored in their node's
+declared mode; ``N``, pre-pass results and the recognition are
+single-valued and always overwrite.  The evaluator resets ``N``, runs any
+windowed pre-passes, evaluates the compiled model rules on a snapshot, and
+on success asserts the activity statement, records the recognition and
+clears the node down to the result and the sync statement.
 
 Each activity's rules are planned once, when the scenario is loaded
 (:attr:`ActivityBinding.plans`); every replay's evaluator matches with an
@@ -59,7 +58,7 @@ from time import perf_counter_ns
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import dsl
-from .context import OVERWRITE, ContextStore, KeptList
+from .context import OVERWRITE, ContextStore, KeptList, StoreInstance
 from .ingest import TraceEvent, drive
 from .metrics import Telemetry
 from .modelio import ConfigError, StoreModel, read_config, read_sections
@@ -265,36 +264,29 @@ class Replayer:
 
 
 class Importer:
-    """Procedure I_a: copy the activity's spatial statements written since
-    its last import (see the module docstring)."""
+    """Procedure I_a: copy the activity's spatial statements that differ
+    from the ones it last copied (see the module docstring)."""
 
-    def __init__(self, binding: ActivityBinding, session: ReplaySession) -> None:
+    def __init__(self, binding: ActivityBinding) -> None:
         self.binding = binding
-        self.session = session
-        self._last: dict[str, tuple[bool, int]] = {}
-        # the spatial store the last import read, and its mutation_seq then
-        self._spatial: Optional[ContextStore] = None
-        self._seen = 0
+        # the spatial record this importer last copied, per sensor
+        self._last: dict[str, StoreInstance] = {}
 
     def __call__(self, net: RuntimeNetwork, now_ms: int) -> None:
-        spatial = net.stores[SPATIAL_NODE]
+        records = net.stores[SPATIAL_NODE].instances
         target = net.stores[self.binding.node]
-        seen = self._seen if spatial is self._spatial else 0
-        current = spatial.mutation_seq
-        records = spatial.instances
+        last = self._last
         imported = 0
         for sensor_id in self.binding.sensor_ids:
             record = records.get(sensor_id)
-            if record is None or record.seq <= seen or record.time is None:
-                continue  # read by the last import, or a plain instance
-            state, time_ms = record.state, record.time
-            if self._last.get(sensor_id) == (state, time_ms):
-                continue  # the reading the previous import copied
-            target.assert_statement(sensor_id, state, time_ms)
-            self._last[sensor_id] = (state, time_ms)
+            copied = last.get(sensor_id)
+            if record is copied or record is None or record.time is None:
+                continue  # the record last copied, no record, or a plain instance
+            if copied is not None and record.time == copied.time and record.state == copied.state:
+                continue  # the reading last copied, in a new record
+            target.assert_statement(sensor_id, record.state, record.time)
+            last[sensor_id] = record
             imported += 1
-        # advanced after the walk, so an import that raised leaves the rest to the next
-        self._spatial, self._seen = spatial, current
         net.emit("import", f"I{self.binding.index}", f"count={imported}")
         target.assert_statement(SYNC_STATEMENT, True, now_ms, concepts=(SYNC_CONCEPT,), mode=OVERWRITE)
         net.notify_sync(self.binding.node, SYNC_STATEMENT)
@@ -428,7 +420,7 @@ def build_implementations(
     replayer = Replayer(session)
     implementations: dict[str, ProcedureImpl] = {"replayer": replayer}
     for index, binding in scenario.bindings.items():
-        implementations[f"importer:{index}"] = Importer(binding, session)
+        implementations[f"importer:{index}"] = Importer(binding)
         implementations[f"evaluator:{index}"] = Evaluator(binding, session)
     return implementations, replayer
 

@@ -58,10 +58,6 @@ _REPLAYS = tuple(
     f"tests/test_procedures.py::TestWriteNoting::test_replays_leave_the_pending_samples_of_the_noting_oracle[{trace}]"
     for trace in ("synthetic", "sessions", "spatial_sweep", "append_growth")
 )
-_CURSOR = tuple(
-    f"tests/test_procedures.py::TestImportCursor::test_a_full_walk_imports_the_same_statements[{trace}]"
-    for trace in ("synthetic", "sessions", "spatial_sweep", "append_growth")
-)
 _DIGESTS = tuple(
     f"tests/test_benchmark_traffic.py::test_first_seed_1_participant_replays_to_the_same_bytes[{workload}]"
     for workload in ("sessions", "spatial_sweep", "append_growth")
@@ -290,40 +286,22 @@ MUTANTS = (
             "tests/test_rules.py::TestBuiltins::test_identity_difference",
         ),
     ),
-    # -- importer cursor: an import visits only the sensors written since the last
-    Mutant(
-        "cursor-ignores-the-store-identity",
-        PROCEDURES,
-        (("seen = self._seen if spatial is self._spatial else 0", "seen = self._seen"),),
-        ("tests/test_procedures.py::TestImportCursor::test_a_new_spatial_store_is_read_whole",),
-    ),
-    Mutant(
-        "cursor-skips-one-seq-too-many",
-        PROCEDURES,
-        (("record.seq <= seen or", "record.seq <= seen + 1 or"),),
-        _CURSOR + _DIGESTS,
-    ),
+    # -- importer: a sensor's record is copied unless it is the reading last copied
     Mutant(
         "import-drops-the-last-reading-check",
         PROCEDURES,
-        (("            if self._last.get(sensor_id) == (state, time_ms):\n", "            if False:\n"),),
-        ("tests/test_procedures.py::TestImportCursor::test_a_duplicate_reading_imports_nothing",),
-    ),
-    Mutant(
-        "record-seq-stamped-before-the-write",
-        CONTEXT,
         (
             (
-                "self._put(_record(instance_id, template, state, time, self.mutation_seq + 1, kind))",
-                "self._put(_record(instance_id, template, state, time, self.mutation_seq, kind))",
+                "            if copied is not None and record.time == copied.time and record.state == copied.state:\n",
+                "            if False:\n",
             ),
         ),
-        _CURSOR + _DIGESTS,
+        ("tests/test_procedures.py::TestImporter::test_a_duplicate_reading_imports_nothing",),
     ),
     Mutant(
-        "cursor-one-ahead",
+        "import-forgets-what-it-copied",
         PROCEDURES,
-        (("current = spatial.mutation_seq\n", "current = spatial.mutation_seq + 1\n"),),
-        _CURSOR + _DIGESTS,
+        (("            last[sensor_id] = record\n", ""),),
+        ("tests/test_procedures.py::TestImporter::test_a_duplicate_reading_imports_nothing",) + _DIGESTS,
     ),
 )

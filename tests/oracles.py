@@ -23,7 +23,6 @@ from fluentnet.context import (
     BOOLEAN_DOMAIN,
     FALSE_LITERAL,
     NATURAL_DOMAIN,
-    OVERWRITE,
     STATE_PROP,
     TIME_PROP,
     TRUE_LITERAL,
@@ -376,39 +375,6 @@ def tick_replay(events, scenario):
         replayer.replay_step(net, event)
     run_until(net, net.clock.now + procedures.TRAILING_FLUSH_MS)
     return net.render_log()
-
-
-class FullWalkImporter:
-    """An importer with no cursor, a drop-in for ``procedures.Importer``:
-    every import visits every sensor of its activity and copies each
-    spatial statement whose state and time (read off ``props_of``)
-    differ from the ones it last copied of that sensor."""
-
-    def __init__(self, binding, session):
-        self.binding = binding
-        self.session = session
-        self._last = {}
-
-    def __call__(self, net, now_ms):
-        spatial = net.stores[procedures.SPATIAL_NODE]
-        target = net.stores[self.binding.node]
-        imported = 0
-        for sensor_id in self.binding.sensor_ids:
-            record = spatial.instances.get(sensor_id)
-            props = props_of(record) if record is not None else {}
-            if STATE_PROP not in props:
-                continue
-            reading = (props[STATE_PROP][0], props[TIME_PROP][0])
-            if self._last.get(sensor_id) == reading:
-                continue
-            target.assert_statement(sensor_id, *reading)
-            self._last[sensor_id] = reading
-            imported += 1
-        net.emit("import", f"I{self.binding.index}", f"count={imported}")
-        target.assert_statement(
-            procedures.SYNC_STATEMENT, True, now_ms, concepts=(procedures.SYNC_CONCEPT,), mode=OVERWRITE
-        )
-        net.notify_sync(self.binding.node, procedures.SYNC_STATEMENT)
 
 
 def run_procedure_noting_each(net, name):

@@ -143,8 +143,9 @@ class TestReplay:
             ("model=models/a2.fluent", "model=models/a2.fluent clear=false",
              "unknown activity option 'clear'"),
             ("\n2 label=", "\nx label=", "activity index must be a number, found 'x'"),
+            ("\n2 label=", "\n0 label=", "activity index 0 names no activity"),
         ],
-        ids=["rate=fast", "rte=5", "clear=false", "index=x"],
+        ids=["rate=fast", "rte=5", "clear=false", "index=x", "index=0"],
     )
     def test_bad_network_option_is_a_config_error(self, old, new, message, trace_file, tmp_path, capsys):
         config = scenario_copy(tmp_path, old, new)

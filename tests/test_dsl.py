@@ -197,6 +197,24 @@ class TestSentences:
         assert "then after 1 min" in sentence
         assert sentence.startswith("A2 holds when the items were absent")
 
+    @pytest.mark.parametrize(
+        "text, body",
+        [
+            # t_door <= t_item + 5 s: the door may open up to 5 s after the items went
+            ("X := DOOR:+ <= ITEM:- + d1 where d1=5 s",
+             "the door was opened, then 5 s had passed since the items were absent"),
+            # the head time is the items' time shifted by 5 s
+            ("X := ITEM:- + d1 where d1=5 s", "5 s had passed since the items were absent"),
+            ("X := DOOR:+ | PHONE:+ + d1 where d1=2 min",
+             "either the door was opened or 2 min had passed since the phone was picked up"),
+            ("X := DOOR:+ + d1 | PHONE:+ where d1=1500 ms",
+             "either 1500 ms had passed since the door was opened or the phone was picked up"),
+        ],
+        ids=["right-operand", "whole-model", "or-right", "or-left"],
+    )
+    def test_a_shift_that_is_not_a_left_operand_is_rendered(self, text, body):
+        assert dsl.render_sentence(dsl.parse_model(text)) == f"X holds when {body}."
+
     def test_duration_formatting(self):
         assert dsl.format_duration(1500) == "1500 ms"
         assert dsl.format_duration(45_000) == "45 s"

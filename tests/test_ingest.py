@@ -167,6 +167,30 @@ class TestLoadTrace:
         assert interval.end_ms == load.events[-1].time_ms
         assert any("clamped" in w for w in load.warnings)
 
+    def test_an_activity_index_of_0_drops_the_annotation(self):
+        """Index 0 names no activity: both lines keep their readings, each
+        drops its annotation with a warning naming it, and no interval
+        is made."""
+        text = (
+            "2009-05-11 14:00:00 M01 ON a0 begin\n"
+            "2009-05-11 14:00:05 M01 OFF 0 end\n"
+            "2009-05-11 14:00:09 D07 OPEN a1 begin\n"
+            "2009-05-11 14:00:12 D07 CLOSE a1 end\n"
+        )
+        load = load_trace(io.StringIO(text))
+        assert [(e.sensor, e.value, e.activity, e.marker) for e in load.events] == [
+            ("M1", True, None, None),
+            ("M1", False, None, None),
+            ("D7", True, 1, "begin"),
+            ("D7", False, 1, "end"),
+        ]
+        assert load.warnings == [
+            "line 1: activity index 0 names no activity; annotation dropped",
+            "line 2: activity index 0 names no activity; annotation dropped",
+        ]
+        assert [i.activity for i in load.intervals] == [1]
+        assert load.skipped == 0
+
     def test_bad_lines_skipped_with_warning(self):
         text = "junk line\n2009-05-11 14:00:00 M01 ON\n"
         load = load_trace(io.StringIO(text))

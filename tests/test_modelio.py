@@ -119,3 +119,14 @@ class TestRepeatedOptions:
         )
         with pytest.raises(ConfigError, match="^network.cfg: line 4: option 'hasTarget' given twice$"):
             read_config(path, load_network)
+
+
+def test_a_bare_restriction_means_at_least_one():
+    """``prop TARGET`` with no bound is ``prop TARGET >= 1``."""
+    text = "[concepts]\nX LOCATION\n[properties]\nisIn\n[defined]\n{}\n"
+    bare, bounded = (
+        modelio.parse_store_model(text.format(line)).graph.defined["X"]
+        for line in ("X := isIn LOCATION", "X := isIn LOCATION >= 1")
+    )
+    assert bare == bounded
+    assert (bare.restrictions[0].bound, bare.restrictions[0].count) == (">=", 1)

@@ -410,54 +410,9 @@ class TestWriteNoting:
             assert (time_ms, samples) == expected
 
 
-def node_records(store):
-    """Every record of a store, field by field, in id order."""
-    return [
-        (r.id, r.asserted, r.state, r.time, r.kind, r.seq) for _, r in sorted(store.instances.items())
-    ]
-
-
-class TestImportCursor:
-    """An importer visits only the sensors written since its last import;
-    ``oracles.FullWalkImporter`` visits every sensor on every import."""
-
-    def replay(self, monkeypatch, importer, events, scenario):
-        """A replay with ``importer`` as every activity's importer: the
-        result and each import's target node records, taken after it."""
-        after = []
-        call = importer.__call__
-
-        def recording(self, net, now_ms):
-            call(self, net, now_ms)
-            after.append(node_records(net.stores[self.binding.node]))
-
-        with monkeypatch.context() as patch:
-            patch.setattr(procedures, "Importer", importer)
-            patch.setattr(importer, "__call__", recording)
-            result = procedures.run_replay(events, participant="p01", scenario=scenario)
-        return result, after
-
-    @pytest.mark.parametrize("trace", ["synthetic", "sessions", "spatial_sweep", "append_growth"])
-    def test_a_full_walk_imports_the_same_statements(self, scenario, workloads, monkeypatch, trace):
-        """The synthetic session and the first seed-1 participant of each
-        benchmark workload: every dispatch log line (each ``count=``
-        included), every activity node record after each import and at the
-        end, and the recognitions and bindings equal the full walk's."""
-        if trace == "synthetic":
-            text = synth.session_text()
-        else:
-            text = "\n".join(workloads.generate(trace, 1)[0]) + "\n"
-        events = ingest.load_trace(io.StringIO(text), **scenario.load_trace_kwargs()).events
-        cursor, cursor_after = self.replay(monkeypatch, procedures.Importer, events, scenario)
-        walk, walk_after = self.replay(monkeypatch, oracles.FullWalkImporter, events, scenario)
-        assert "count=" in cursor.log_text
-        assert cursor.log_text == walk.log_text
-        assert cursor_after == walk_after
-        assert {n: node_records(s) for n, s in cursor.net.stores.items()} == {
-            n: node_records(s) for n, s in walk.net.stores.items()
-        }
-        assert cursor.recognition_pairs() == walk.recognition_pairs()
-        assert cursor.last_bindings == walk.last_bindings
+class TestImporter:
+    """An importer copies a sensor's spatial record unless it is the
+    reading it last copied of that sensor."""
 
     def importer_1(self, scenario):
         """A fresh network and its medicine importer (sensors D7, I4, I6, I7)."""
@@ -494,7 +449,7 @@ class TestImportCursor:
 
     def test_a_new_spatial_store_is_read_whole(self, scenario):
         """The importer read a store far past the new one's first writes:
-        on the new network it still visits every sensor."""
+        on the new network it still copies every reading it has not copied."""
         net, importer = self.importer_1(scenario)
         spatial = net.stores[procedures.SPATIAL_NODE]
         for time in range(1, 41):

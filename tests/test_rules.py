@@ -308,6 +308,34 @@ class TestEarliest:
             found += expected is not None
         assert found >= 30
 
+    def test_equals_the_minimum_of_evaluate_where_the_head_bounds_no_class_time(self):
+        """``?y`` has no time and ``?v`` bounds ``?u`` from above, so pinning
+        the head time ``?t`` bounds neither ``?y``, ``?w`` nor ``?z``: their
+        candidates stay whole."""
+        rule = Rule(
+            name="X",
+            body=(
+                ClassAtom("ITEM", "?x"),
+                PropertyAtom("hasTime", "?x", "?t"),
+                ClassAtom("DOOR", "?y"),
+                ClassAtom("ITEM", "?z"),
+                PropertyAtom("hasTime", "?z", "?u"),
+                ClassAtom("DOOR", "?w"),
+                PropertyAtom("hasTime", "?w", "?v"),
+                Compare("<=", "?u", "?v"),
+            ),
+            head=Head("X", ("ACTIVITY",), True, "?t"),
+        )
+        engine = RuleEngine(plan_rules([rule]))
+        rng = random.Random(404)
+        found = 0
+        for _ in range(300):
+            snap = random_snapshot(rng, engine.plans)
+            expected = earliest_by_evaluate(engine, snap)
+            assert engine.earliest(snap) == expected
+            found += expected is not None
+        assert found >= 30
+
     def test_tie_at_the_earliest_time_goes_to_the_body_order_first_binding(self):
         engine = RuleEngine(plan_rules([dvd_rule(50)]))
         # both absences pair with the one return; I5#1 comes first in
