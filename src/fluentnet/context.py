@@ -30,7 +30,9 @@ alone, reading every other membership from the cache, when that is exact:
 
 - no instance refers to a dirty one (a reverse index maps each id to the
   instances whose property values name it, dangling names included), so no
-  other membership can change;
+  other membership can change.  The index is the one copy of who names
+  whom: a record's own named ids are its template's ``names``, and a write
+  moves the record's id from the previous record's names to the new one's;
 - every instance a dirty one refers to holds only its asserted closure, so
   the dirty instance sees the same targets at every pass of a full fixpoint,
   and neither a ``<=`` count nor a disjointness block can depend on the
@@ -110,10 +112,10 @@ record and membership admit, so a defined-class flip and an out-of-order
 write land where a rebuild would put them.  A full recompute gives every
 kept list a new empty list and places every record in snapshot order, so
 each is appended.  :attr:`ContextStore.index_work` counts the records
-placed and the tally members read.  Each kept list counts the records
-placed in it and removed from it in a version, and a full recompute moves
-every version, so a reader that noted the versions can tell that none of
-its lists changed since.
+placed and the tally members read.  One store counter,
+``ContextStore.lists_version``, moves whenever a record enters or leaves a
+kept list and on every full recompute, so a reader that noted it can tell
+that none of the store's kept lists changed since.
 
 A snapshot reads the store in place: its record map, its classification
 and its kept lists, with the ``(concept, state)`` map of the lists taken
@@ -492,16 +494,13 @@ class KeptList:
     """The records classified under ``concept`` in snapshot order or, with a
     ``state``, a tally: the statements among them whose state is ``state``.
     The store keeps it current as of its last :meth:`ContextStore.classify`.
-    ``version`` moves whenever a record is placed in the list or removed
-    from it, and on every full recompute, so equal versions mean the same
-    records.  Snapshots read the lists in place by ``(concept, state)``;
+    Snapshots read the lists in place by ``(concept, state)``;
     there a tally is the rule matcher's list of the records passing
     ``hasState state`` (see the module docstring)."""
 
     concept: str
     state: Optional[bool] = None
     records: list[StoreInstance] = field(default_factory=list)
-    version: int = 0
 
 
 OVERWRITE = "overwrite"
@@ -546,8 +545,7 @@ class ContextStore:
         self._dirty: Optional[set[str]] = None
         self._reclassified = 0
         self._fixpointed = 0
-        # id -> the ids its property values name, and the reverse
-        self._refs: dict[str, frozenset[str]] = {}
+        # id -> the ids whose records name it in their property values
         self._referrers: dict[str, set[str]] = {}
         # person context: each instance's pairs, and how many instances hold each pair
         self._contributions: dict[str, frozenset[tuple[str, str]]] = {}
@@ -562,6 +560,8 @@ class ContextStore:
         self._placed: dict[str, tuple[StoreInstance, tuple[KeptList, ...]]] = {}
         # (membership, statement state) -> the kept lists admitting it
         self._admitting: dict[tuple[frozenset[str], Optional[bool]], tuple[KeptList, ...]] = {}
+        # moves when a record enters or leaves a kept list, and on a full recompute
+        self.lists_version = 0
         self._index_work = 0
 
     @property
@@ -583,29 +583,26 @@ class ContextStore:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _touch(self, instance_id: str, refs: frozenset[str]) -> None:
-        """Mark an id dirty and index ``refs``, the ids its new record names
-        (empty for a removal)."""
+    def _touch(self, instance_id: str, old: frozenset[str], new: frozenset[str]) -> None:
+        """Mark an id dirty and move it in the reference index from ``old``,
+        the ids its previous record named, to ``new``, the ids its new
+        record names (empty where there is no record)."""
         if self._dirty is not None:
             self._dirty.add(instance_id)
-        old = self._refs.get(instance_id, _NO_NAMES)
-        if refs is old or refs == old:
+        if old is new or old == new:
             return
-        for target in old - refs:
+        for target in old - new:
             referrers = self._referrers[target]
             referrers.discard(instance_id)
             if not referrers:
                 del self._referrers[target]
-        for target in refs - old:
+        for target in new - old:
             self._referrers.setdefault(target, set()).add(instance_id)
-        if refs:
-            self._refs[instance_id] = refs
-        else:
-            del self._refs[instance_id]
 
     def _drop(self, instance_id: str) -> None:
-        self._axioms -= self.instances.pop(instance_id).template.weight
-        self._touch(instance_id, _NO_NAMES)
+        template = self.instances.pop(instance_id).template
+        self._axioms -= template.weight
+        self._touch(instance_id, template.names, _NO_NAMES)
 
     # -- instance management ----------------------------------------------
 
@@ -623,10 +620,12 @@ class ContextStore:
             if self._dirty is not None:
                 self._dirty.add(instance_id)
         else:
+            old = _NO_NAMES
             if previous is not None:
                 self._axioms -= previous.template.weight
+                old = previous.template.names
             self._axioms += template.weight
-            self._touch(instance_id, template.names)
+            self._touch(instance_id, old, template.names)
         self.mutation_seq += 1
 
     def add_instance(
@@ -717,7 +716,7 @@ class ContextStore:
             self._placed = {}
             for kept in self._kept.values():
                 kept.records = []
-                kept.version += 1
+            self.lists_version += 1
             # in snapshot order, so each record is appended to its lists
             changed = [record.id for record in sorted(self.instances.values(), key=snapshot_order)]
             ids = sorted(self.instances)
@@ -762,10 +761,13 @@ class ContextStore:
         for inst_id in dirty:
             if inst_id in self._referrers:
                 return False
-            for name in self._refs.get(inst_id, ()):
+            record = instances.get(inst_id)
+            if record is None:  # removed: it names nothing
+                continue
+            for name in record.template.names:
                 membership = memberships.get(name)
-                record = instances.get(name)
-                if membership is not None and record is not None and len(membership) > len(record.closure):
+                named = instances.get(name)
+                if membership is not None and named is not None and len(membership) > len(named.closure):
                     return False
         return True
 
@@ -861,15 +863,15 @@ class ContextStore:
         """Place the ``changed`` ids in the kept lists: each placed record
         leaves the lists it was placed in, and each present one enters the
         lists its record and membership now admit it to (appended when it
-        sorts last, as every record does on a full recompute).  Each list
-        a record enters or leaves moves its version."""
+        sorts last, as every record does on a full recompute).  A record
+        that enters or leaves lists moves ``lists_version``."""
         for inst_id in changed:
             placed = self._placed.pop(inst_id, None)
             if placed is not None:
                 key = snapshot_order(placed[0])
                 for kept in placed[1]:
                     del kept.records[bisect_left(kept.records, key, key=snapshot_order)]
-                    kept.version += 1
+                self.lists_version += 1
             record = self.instances.get(inst_id)
             if record is None:
                 continue
@@ -884,7 +886,7 @@ class ContextStore:
                     insort(records, record, key=snapshot_order)
                 else:
                     records.append(record)
-                kept.version += 1
+            self.lists_version += 1
             self._index_work += len(lists)
 
     def _count_pair(self, pair: tuple[str, str], sign: int) -> None:

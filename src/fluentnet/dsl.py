@@ -400,8 +400,8 @@ def _phrase(node: Node, params: dict[str, int]) -> str:
         )
     if isinstance(node, ShiftNode):  # the moment ``gap`` after the child; PrecNode reads a left operand
         return f"{format_duration(params[node.param])} had passed since {_phrase(node.child, params)}"
-    if isinstance(node, AndNode):
-        return f"{_phrase(node.left, params)} and {_phrase(node.right, params)}"
+    if isinstance(node, AndNode):  # compiled like ``<=``: the right operand is no earlier
+        return f"{_phrase(node.left, params)} and, no earlier, {_phrase(node.right, params)}"
     if isinstance(node, OrNode):
         return f"either {_phrase(node.left, params)} or {_phrase(node.right, params)}"
     if isinstance(node, PrecNode):

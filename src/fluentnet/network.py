@@ -55,22 +55,23 @@ Hz group falls at ``ceil(k * 1000 * q / p)`` ms.  Everything runs on one
 logical thread of control against a virtual clock, so a fixed
 configuration and trace always produce the same dispatch log.
 
-The dispatch log is held once, as text (:class:`DispatchLog`): an entry
-is emitted as its rendered line, and :meth:`RuntimeNetwork.render_log`
-appends the lines emitted since the last render to the log's text and
-returns that text, which a replay's result then shares.  A read renders
-first and reads its entries back from the text, so a log costs its
-text and one machine integer per entry, none of it tracked by the cyclic
-collector.
+The dispatch log is held once, as text: an entry is emitted as its
+rendered line, and :meth:`RuntimeNetwork.render_log` appends the lines
+emitted since the last render to the log's text and returns that text,
+which a replay's result then shares.  Every entry is one line, as no
+field holds a line break: a name is a model's identifier or comes from
+configuration or trace text read line by line with ``str.splitlines``,
+and a procedure error's message has its lines joined by spaces.  So
+``RuntimeNetwork.log`` reads the entries back by splitting the text with
+``str.splitlines``, as ``metrics.parse_dispatch_log`` reads
+``dispatch.log``.
 """
 
 from __future__ import annotations
 
 import logging
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -404,61 +405,10 @@ class LogEntry:
 
 
 def _entry(line: str) -> LogEntry:
-    """The entry one rendered line holds; the detail keeps any tab or
-    newline of its own."""
+    """The entry one rendered line holds; the detail keeps any tab of its
+    own."""
     time_ms, kind, name, detail = line.split("\t", 3)
     return LogEntry(int(time_ms), kind, name, detail)
-
-
-class DispatchLog(Sequence[LogEntry]):
-    """A network's dispatch log, held once as text.
-
-    The network appends each entry to ``_lines`` as its rendered line
-    ended by a newline.  :meth:`render` appends those lines to the log's
-    text, records where each one ends and clears ``_lines`` in place: the
-    network appends to that list directly, so it is never replaced.  The
-    text is the one ``str`` a render returns, so a replay's result and its
-    network share it.  Every read renders first, then reads entries back
-    as :class:`LogEntry` values from their spans of the text (a detail may
-    hold a newline, so the spans come from the recorded ends, not from the
-    text).  Nothing is cached per entry, and the log refers to no network.
-    A slice is a list of entries.
-    """
-
-    __slots__ = ("_text", "_ends", "_lines")
-
-    def __init__(self) -> None:
-        self._text = ""
-        # where each rendered line ends, past its newline, after where the
-        # first one starts: entry i is text[ends[i] : ends[i + 1] - 1]
-        self._ends = array("Q", (0,))
-        self._lines: list[str] = []
-
-    def render(self) -> str:
-        """The log's text with the pending lines appended."""
-        lines = self._lines
-        if lines:
-            ends = self._ends
-            # the last end is where the new lines start: accumulate yields it back first
-            ends.fromlist(list(accumulate(map(len, lines), initial=ends.pop())))
-            self._text += "".join(lines)
-            lines.clear()
-        return self._text
-
-    def __len__(self) -> int:
-        self.render()
-        return len(self._ends) - 1
-
-    def __getitem__(self, key):
-        text, ends = self.render(), self._ends
-        at = range(len(ends) - 1)[key]  # an index or a range; raises as a list would
-        if isinstance(at, range):
-            return [_entry(text[ends[i] : ends[i + 1] - 1]) for i in at]
-        return _entry(text[ends[at] : ends[at + 1] - 1])
-
-    def __iter__(self):
-        text, ends = self.render(), self._ends
-        return (_entry(text[ends[i] : ends[i + 1] - 1]) for i in range(len(ends) - 1))
 
 
 ProcedureImpl = Callable[["RuntimeNetwork", int], None]
@@ -471,9 +421,10 @@ def _noop(net: "RuntimeNetwork", now_ms: int) -> None:
 class RuntimeNetwork:
     """Bootstrapped network: stores, procedures and scheduler state.
 
-    ``log`` is the dispatch log as a :class:`DispatchLog`: :meth:`emit`
-    appends each entry to its pending lines as one rendered line, and
-    :meth:`render_log` appends them to its text and returns the text.
+    The dispatch log is its text plus the lines pending since the last
+    render: :meth:`emit` appends each entry to the pending lines as one
+    rendered line, :meth:`render_log` appends them to the text and returns
+    it, and :attr:`log` reads the entries back from a render.
     """
 
     def __init__(
@@ -513,8 +464,8 @@ class RuntimeNetwork:
                 self._states[i].observers.append(event)
         self._evaluated = 0
         self.clock = VirtualClock()
-        self.log = DispatchLog()
-        self._lines = self.log._lines  # emit appends here; a render clears it in place
+        self._text = ""
+        self._lines: list[str] = []  # emitted since the last render
         self._store_order = tuple(stores.items())
         self._seqs: Optional[list[int]] = None  # see run_procedure
         self._pending: dict[TickGroup, int] = {}
@@ -536,7 +487,15 @@ class RuntimeNetwork:
         """The dispatch log's text: every entry's line, each ended by a
         newline.  A render with nothing new emitted returns the same
         ``str``."""
-        return self.log.render()
+        if self._lines:
+            self._text += "".join(self._lines)
+            self._lines.clear()
+        return self._text
+
+    @property
+    def log(self) -> list[LogEntry]:
+        """The dispatch log's entries, read afresh from its text."""
+        return [_entry(line) for line in self.render_log().splitlines()]
 
     # -- condition evaluation ------------------------------------------------
 
@@ -601,7 +560,8 @@ class RuntimeNetwork:
             impl(self, self.clock.now)
         except Exception as exc:  # procedure failure must not halt the loop
             logger.exception("procedure %s failed", name)
-            self.emit("error", name, f"{type(exc).__name__}: {exc}")
+            # one line per entry: the message's lines, joined by spaces
+            self.emit("error", name, f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}")
 
     # -- the scheduler loop ---------------------------------------------------
 

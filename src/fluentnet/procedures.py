@@ -24,19 +24,22 @@ concept's plain list for none), per pre-pass a tally of its source and a
 list of its derived concept.  A pre-pass reads a count and two times, and
 a snapshot reads the lists in place.
 
-An evaluation that recognised nothing notes the versions of those lists
-(:attr:`KeptList.version`).  A later evaluation of the same store that
-finds the same versions, after the ``N`` reset and :meth:`classify`, skips
-the pre-passes, the snapshot and the match: they would write nothing and
-derive nothing.  The ``N`` reset, its ``notify_sync`` and both telemetry
-records still run, so every report keeps its bytes.  The skip is exact
-because the evaluation reads nothing outside the noted lists:
+An evaluation that recognised nothing notes its store's kept-list counter
+(``ContextStore.lists_version``), which moves whenever a record enters or
+leaves any kept list of the store.  A later evaluation of the same store
+that finds the counter where it was, after the ``N`` reset and
+:meth:`classify`, skips the pre-passes, the snapshot and the match: they
+would write nothing and derive nothing.  The ``N`` reset, its
+``notify_sync`` and both telemetry records still run, so every report
+keeps its bytes.  The skip is exact because the evaluation reads nothing
+outside its registered lists, and an unmoved counter means that every kept
+list of the store, its registered ones included, holds the same records:
 
 - compiled rules are positive conjunctions: each class atom's candidates
   are the registered list its plan names, and every property atom,
   literal tests included, reads only records bound by class atoms, which
-  sit in those lists; equal versions mean the same records, so the match
-  finds nothing again;
+  sit in those lists; with the same records the match finds nothing
+  again;
 - a pre-pass reads its source's tally and its stored result, which sits in
   its derived concept's list; with both unchanged it finds the result it
   would write already stored, and a pre-pass does not rewrite an equal
@@ -45,20 +48,21 @@ because the evaluation reads nothing outside the noted lists:
   rule or pre-pass reads; a model that read it would only end every skip.
 
 A recognition, a new store or a new kept list (which makes the next read a
-full recompute, moving every version) ends the skip.
+full recompute, moving the counter) ends the skip.  So does a change to a
+list only another evaluator of the same node reads: the skip then fires
+less often, never wrongly.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from time import perf_counter_ns
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import dsl
-from .context import OVERWRITE, ContextStore, KeptList, StoreInstance
+from .context import OVERWRITE, ContextStore, StoreInstance
 from .ingest import TraceEvent, drive
 from .metrics import Telemetry
 from .modelio import ConfigError, StoreModel, read_config, read_sections
@@ -77,7 +81,6 @@ SPATIAL_NODE = "L"
 SYNC_STATEMENT = "N"
 SYNC_CONCEPT = "SYNC"
 RESULT_KEEP = ("ACTIVITY", SYNC_CONCEPT)
-_VERSION = attrgetter("version")
 
 SCENARIO_DIR = Path(__file__).parent / "scenario"
 NETWORK_FILE = "network.cfg"
@@ -307,9 +310,9 @@ class Evaluator:
             keys[(prepass.source_concept, prepass.target_state)] = keys[(prepass.derived_concept, None)] = None
         self._keys = tuple(keys)
         self._registered: Optional[ContextStore] = None
-        self._lists: tuple[KeptList, ...] = ()
-        # the lists' versions after the last evaluation, if it recognised nothing
-        self._silent: Optional[tuple[int, ...]] = None
+        # the store's lists_version after the last evaluation if it
+        # recognised nothing, else -1, which the counter never reads
+        self._silent = -1
         self._skipped = 0
 
     @property
@@ -325,12 +328,10 @@ class Evaluator:
         """Have ``store`` keep what evaluations read (see the module
         docstring) and end the skip; an evaluation calls it when its store
         is not the one registered."""
-        self._lists = tuple(store.keep(concept, state) for concept, state in self._keys)
+        for concept, state in self._keys:
+            store.keep(concept, state)
         self._registered = store
-        self._silent = None
-
-    def _versions(self) -> tuple[int, ...]:
-        return tuple(map(_VERSION, self._lists))
+        self._silent = -1
 
     def run_prepasses(self, store: ContextStore, now_ms: int) -> int:
         """Windowed counts: assert one derived statement per satisfied
@@ -372,7 +373,7 @@ class Evaluator:
                 # sync statement is a visible transition even within one step
                 net.notify_sync(self.binding.node, SYNC_STATEMENT)
         store.classify()
-        if self._silent == self._versions():
+        if self._silent == store.lists_version:
             self._skipped += 1
             best = None
         else:
@@ -381,7 +382,7 @@ class Evaluator:
             # time never recurs: later imports carry only later readings
             best = self.engine.earliest(store.snapshot())
             # snapshot() classified what the pre-passes wrote
-            self._silent = None if best is not None else self._versions()
+            self._silent = -1 if best is not None else store.lists_version
         record: Optional[RecognitionRecord] = None
         if best is not None:
             store.assert_statement(

@@ -1,6 +1,6 @@
 """A catalogue of mutants of the incremental structures (the axiom count
-among them), of the declarative line splitter, of classification and of the
-rule matcher, as data.
+among them), of the dispatch log, of the declarative line splitter, of
+classification and of the rule matcher, as data.
 
 Each entry is one mutant.  ``module`` is a path from the repository root,
 and ``edits`` holds the exact text replacements, as (anchor, replacement)
@@ -41,7 +41,8 @@ _RUN = """\
             impl(self, self.clock.now)
         except Exception as exc:  # procedure failure must not halt the loop
             logger.exception("procedure %s failed", name)
-            self.emit("error", name, f"{type(exc).__name__}: {exc}")
+            # one line per entry: the message's lines, joined by spaces
+            self.emit("error", name, f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}")
 """
 _BATCH = "            self.sample_and_dispatch(self._take_ticks(batch))\n"
 _NOTES_AFTER_BATCH = """\
@@ -63,7 +64,7 @@ _DIGESTS = tuple(
     for workload in ("sessions", "spatial_sweep", "append_growth")
 ) + ("tests/test_cli.py::TestReplay::test_report_bytes_match_the_recorded_digests",)
 
-_RENDER_TEXT = '            self._text += "".join(lines)\n'
+_RENDER_TEXT = '            self._text += "".join(self._lines)\n'
 _LOG_VIEW = "tests/test_network.py::TestDispatchLog::"
 _CRITERION_3 = "tests/test_acceptance.py::test_criterion_3_scheduler_semantics"
 _SPLIT = "tests/test_modelio.py::TestSplit::"
@@ -88,12 +89,7 @@ MUTANTS = (
     Mutant(
         "drop-forgets-the-weight",
         CONTEXT,
-        (
-            (
-                "self._axioms -= self.instances.pop(instance_id).template.weight",
-                "self.instances.pop(instance_id)",
-            ),
-        ),
+        (("        self._axioms -= template.weight\n", ""),),
         _RECOUNTS
         + (
             "tests/test_benchmark_traffic.py::test_first_seed_1_participant_replays_to_the_same_bytes[sessions]",
@@ -158,23 +154,58 @@ MUTANTS = (
             _SPLIT + "test_fixed_lines[comment-inside-a-word]",
         ),
     ),
-    # -- dispatch log: held once as text, with each entry's end recorded
+    # -- reference index: a write moves an id from its previous record's names
     Mutant(
-        "entry-ends-recorded-one-character-short",
-        NETWORK,
-        (("accumulate(map(len, lines),", "accumulate(map((-1).__add__, map(len, lines)),"),),
+        "touch-moves-from-the-new-names",
+        CONTEXT,
+        (("self._touch(instance_id, old, template.names)", "self._touch(instance_id, template.names, template.names)"),),
         (
+            _REFERENCE_INDEX,
+            "tests/test_context.py::TestDirtySet::test_matches_a_full_fixpoint_after_every_read[monotone]",
+            "tests/test_context.py::TestDirtySet::test_matches_a_full_fixpoint_after_every_read[bounded]",
+            "tests/test_context.py::TestDirtySet::test_full_recompute_only_on_first_read_and_fallbacks",
+            "tests/test_context.py::TestWriteTemplates::test_memo_reads_the_named_ids_closures",
+        ),
+    ),
+    # -- kept lists: one store counter moves when a record enters or leaves one
+    Mutant(
+        "lists-version-kept-when-a-record-leaves",
+        CONTEXT,
+        (
+            (
+                "                    del kept.records[bisect_left(kept.records, key, key=snapshot_order)]\n"
+                "                self.lists_version += 1\n",
+                "                    del kept.records[bisect_left(kept.records, key, key=snapshot_order)]\n",
+            ),
+        ),
+        (
+            "tests/test_context.py::TestKeptLists::test_equal_versions_mean_the_same_records",
+            "tests/test_procedures.py::TestEvaluationSkip::test_defined_class_flip_out_runs_in_full",
+        )
+        + tuple(
+            f"tests/test_procedures.py::TestEvaluationSkip::test_runs_in_full_after_a_change_to_what_it_reads[{case}]"
+            for case in ("class-atom record removed", "pre-pass result removed")
+        ),
+    ),
+    # -- dispatch log: held once as text, one line per entry
+    Mutant(
+        "error-detail-keeps-its-line-break",
+        NETWORK,
+        (("{' '.join(str(exc).splitlines())}", "{exc}"),),
+        (
+            _LOG_VIEW + "test_entries_index_and_slice",
             _LOG_VIEW + "test_entries_render_back_to_the_log",
             _LOG_VIEW + "test_a_render_appends_what_was_emitted_since_the_last",
             _LOG_VIEW + "test_reads_across_the_rendered_and_pending_entries_match_a_list",
-            "tests/test_network.py::TestStepSemantics::test_procedure_failure_is_captured",
-            _CRITERION_3,
+            _LOG_VIEW + "test_an_error_message_is_one_line_and_score_reads_the_logged_recognitions",
+            # net.log splits the text into lines, as the benchmark's log tally reads it
+            "benchmarks/test_benchmark.py::test_procedure_error_with_multiline_message_fails_cleanly",
         ),
     ),
     Mutant(
         "pending-lines-kept-after-a-render",
         NETWORK,
-        (("            lines.clear()\n", ""),),
+        (("            self._lines.clear()\n", ""),),
         (
             _LOG_VIEW + "test_entries_render_back_to_the_log",
             _LOG_VIEW + "test_a_render_appends_what_was_emitted_since_the_last",

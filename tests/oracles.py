@@ -501,19 +501,16 @@ def recount_axioms(store):
 
 
 def references_from_scratch(store):
-    """A store's reference index from scratch: each id whose record names
-    other ids in its property values, with the ids it names, and each
-    named id, dangling or not, with the ids naming it.  ``store._refs``
-    and ``store._referrers`` must always equal it."""
-    refs = {}
+    """A store's reference index from scratch: each id named in a record's
+    property values, dangling or not, with the ids whose records name it.
+    ``store._referrers`` must always equal it."""
     referrers = {}
     for inst_id, record in store.instances.items():
-        names = frozenset(v for values in props_of(record).values() for v in values if isinstance(v, str))
-        if names:
-            refs[inst_id] = names
-        for name in names:
-            referrers.setdefault(name, set()).add(inst_id)
-    return refs, referrers
+        for values in props_of(record).values():
+            for name in values:
+                if isinstance(name, str):
+                    referrers.setdefault(name, set()).add(inst_id)
+    return referrers
 
 
 def classify_from_scratch(store):

@@ -581,7 +581,7 @@ class DirtyRun:
             assert oracles.record_fields(record) == self.expected[inst_id]
             assert record.weight == oracles.axiom_weight(record)
         assert store.axiom_count() == oracles.recount_axioms(store)
-        assert (store._refs, store._referrers) == oracles.references_from_scratch(store)
+        assert store._referrers == oracles.references_from_scratch(store)
 
 
 class TestDirtySet:
@@ -1057,25 +1057,25 @@ class TestKeptLists:
     @settings(max_examples=150, deadline=None)
     @given(ops=KEPT_OPS)
     def test_equal_versions_mean_the_same_records(self, ops):
-        """A kept list whose version did not move since the previous read
-        holds the very records it held then, and a snapshot's state list
-        holds the concept's records that pass the literal test
-        ``hasState state``."""
+        """When the store's ``lists_version`` did not move since the
+        previous read, every kept list holds the very records it held then,
+        and a snapshot's state list holds the concept's records that pass
+        the literal test ``hasState state``."""
         store = dirty_store()
         kept = list(KEPT_FIRST)
         for concept, state in kept:
             store.keep(concept, state)
-        seen = {}
+        seen = None
         for op in ops:
             apply_kept_op(store, kept, op)
             store.classify()
-            for key in kept:
-                lists = store.keep(*key)
-                records = tuple(lists.records)
-                if key in seen and seen[key][0] == lists.version:
-                    assert len(records) == len(seen[key][1])
-                    assert all(a is b for a, b in zip(records, seen[key][1]))
-                seen[key] = (lists.version, records)
+            held = {key: tuple(store.keep(*key).records) for key in kept}
+            if seen is not None and seen[0] == store.lists_version:
+                assert held.keys() == seen[1].keys()
+                for key, records in held.items():
+                    assert len(records) == len(seen[1][key])
+                    assert all(a is b for a, b in zip(records, seen[1][key]))
+            seen = (store.lists_version, held)
             snap = oracles.kept_snapshot(store, keys=[(concept, None) for concept, state in kept if state is not None])
             for concept, state in kept:
                 if state is not None:
@@ -1179,7 +1179,7 @@ class TestReferenceIndex:
 
         def check():
             classification = oracles.classify_from_scratch(store)
-            assert (store._refs, store._referrers) == oracles.references_from_scratch(store)
+            assert store._referrers == oracles.references_from_scratch(store)
             assert store.axiom_count() == oracles.recount_axioms(store)
             assert store.classify() == classification
             assert store.infer_person_context() == oracles.person_context_from_scratch(store, classification)

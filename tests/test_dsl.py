@@ -215,6 +215,13 @@ class TestSentences:
     def test_a_shift_that_is_not_a_left_operand_is_rendered(self, text, body):
         assert dsl.render_sentence(dsl.parse_model(text)) == f"X holds when {body}."
 
+    def test_a_conjunction_says_its_right_operand_is_no_earlier(self):
+        """``&`` compiles like ``<=`` (the left operand's time at most the
+        right one's), so the sentence may not read as a plain "and"."""
+        assert dsl.render_sentence(dsl.parse_model("X := DOOR:+ & ITEM:-")) == (
+            "X holds when the door was opened and, no earlier, the items were absent."
+        )
+
     def test_duration_formatting(self):
         assert dsl.format_duration(1500) == "1500 ms"
         assert dsl.format_duration(45_000) == "45 s"

@@ -18,6 +18,7 @@ import oracles
 import synth
 from fluentnet import ingest, procedures
 from fluentnet.context import OVERWRITE
+from fluentnet.metrics import parse_dispatch_log
 from fluentnet.network import (
     BOOT_STATEMENT,
     BootstrapError,
@@ -314,7 +315,6 @@ class Twin:
 
     def __init__(self, build):
         self.net, self.oracle = build(), oracles.unwatched(build())
-        self.log = self.net.log
 
     def flip(self, sensor, value):
         for net in (self.net, self.oracle):
@@ -387,31 +387,31 @@ class TestStepSemantics:
         twin = self.single_condition_twin(tmp_path)
         twin.flip("X1", True)
         twin.run_to(40)
-        assert len(dispatches(twin.log, "P1")) == 1
+        assert len(dispatches(twin.net.log, "P1")) == 1
         # still satisfied on later samples: no re-dispatch
         twin.run_to(140)
-        assert len(dispatches(twin.log, "P1")) == 1
+        assert len(dispatches(twin.net.log, "P1")) == 1
         # falling then rising re-occurrence re-arms the event
         twin.flip("X1", False)
         twin.run_to(160)
         twin.flip("X1", True)
         twin.run_to(180)
-        assert len(dispatches(twin.log, "P1")) == 2
+        assert len(dispatches(twin.net.log, "P1")) == 2
 
     def test_conjunction_within_event(self, tmp_path):
         twin = self.two_condition_twin(tmp_path, ["E1 observes=C1,C2"], "E1")
         twin.flip("X1", True)
         twin.run_to(40)
-        assert not [e for e in twin.log if e.kind == "event"]
+        assert not [e for e in twin.net.log if e.kind == "event"]
         twin.flip("X2", True)
         twin.run_to(80)
-        assert [e.name for e in twin.log if e.kind == "event"] == ["E1"]
+        assert [e.name for e in twin.net.log if e.kind == "event"] == ["E1"]
 
     def test_disjunction_across_events(self, tmp_path):
         twin = self.two_condition_twin(tmp_path, ["E1 observes=C1", "E2 observes=C2"], "E1,E2")
         twin.flip("X2", True)
         twin.run_to(40)
-        assert dispatches(twin.log, "P1")
+        assert dispatches(twin.net.log, "P1")
 
     def test_procedure_failure_is_captured(self, tmp_path):
         def boom(net, now):
@@ -420,7 +420,7 @@ class TestStepSemantics:
         twin = self.single_condition_twin(tmp_path, implementations={"noop": boom})
         twin.flip("X1", True)
         twin.run_to(40)
-        errors = [e for e in twin.log if e.kind == "error"]
+        errors = [e for e in twin.net.log if e.kind == "error"]
         assert len(errors) == 1 and "nope" in errors[0].detail
         # the loop keeps running afterwards
         twin.run_to(100)
@@ -431,7 +431,7 @@ class TestStepSemantics:
         twin.run_to(40)
         twin.flip("X1", False)
         twin.run_to(80)
-        assert len(dispatches(twin.log, "P1")) == 1
+        assert len(dispatches(twin.net.log, "P1")) == 1
 
 
 class TestCascade:
@@ -591,7 +591,8 @@ def transitions(log):
 
 
 class TestDispatchLog:
-    """``net.log`` reads the network's rendered lines back as entries."""
+    """``net.log`` reads the network's rendered lines back as entries, one
+    entry per line."""
 
     def logged(self, tmp_path):
         def boom(net, now):
@@ -608,41 +609,40 @@ class TestDispatchLog:
         net.pending_until(100)
         return net
 
+    EXPECTED = [
+        LogEntry(20, "condition", "C1", "outcome=true"),
+        LogEntry(20, "event", "E1"),
+        LogEntry(20, "procedure", "P1"),
+        LogEntry(20, "error", "P1", "ValueError: bad\tfield second line"),
+    ]
+
     def test_entries_index_and_slice(self, tmp_path):
+        """Each read is a new list of the entries logged so far; an earlier
+        read does not follow later entries."""
         net = self.logged(tmp_path)
         log = net.log
-        expected = [
-            LogEntry(20, "condition", "C1", "outcome=true"),
-            LogEntry(20, "event", "E1"),
-            LogEntry(20, "procedure", "P1"),
-            LogEntry(20, "error", "P1", "ValueError: bad\tfield\nsecond line"),
-        ]
-        assert len(log) == 4 and list(log) == expected
-        assert [log[i] for i in range(4)] == expected
-        assert log[-1] == expected[-1] and log[-4] == expected[0]
-        assert log[1:3] == expected[1:3] and log[::-1] == expected[::-1] and log[4:] == []
-        with pytest.raises(IndexError):
-            log[4]
+        assert log == self.EXPECTED and log[1:3] == self.EXPECTED[1:3]
         net.emit("warning", "X9", "late")
-        assert len(log) == 5 and log[-1] == LogEntry(net.clock.now, "warning", "X9", "late")
+        assert log == self.EXPECTED
+        assert net.log == self.EXPECTED + [LogEntry(net.clock.now, "warning", "X9", "late")]
 
     def test_entries_render_back_to_the_log(self, tmp_path):
         net = self.logged(tmp_path)
         rendered = net.render_log()
         assert rendered == "".join(f"{e.time_ms}\t{e.kind}\t{e.name}\t{e.detail}\n" for e in net.log)
-        assert rendered.endswith("\tValueError: bad\tfield\nsecond line\n")
+        assert rendered.endswith("\tValueError: bad\tfield second line\n")
 
     def test_an_empty_log_renders_empty(self):
         net = bootstrap(load_network(""))
-        assert len(net.log) == 0 and list(net.log) == [] and net.render_log() == ""
+        assert net.log == [] and net.render_log() == ""
 
     def test_a_render_appends_what_was_emitted_since_the_last(self, tmp_path):
         net = self.logged(tmp_path)
         first = net.render_log()
-        net.emit("warning", "X9", "late\tby\none")
+        net.emit("warning", "X9", "late\tby one")
         net.emit("warning", "X9", "")
         second = net.render_log()
-        assert second == first + f"{net.clock.now}\twarning\tX9\tlate\tby\none\n{net.clock.now}\twarning\tX9\t\n"
+        assert second == first + f"{net.clock.now}\twarning\tX9\tlate\tby one\n{net.clock.now}\twarning\tX9\t\n"
         assert second == "".join(f"{e.time_ms}\t{e.kind}\t{e.name}\t{e.detail}\n" for e in net.log)
 
     def test_a_render_with_nothing_new_returns_the_same_text(self, tmp_path):
@@ -655,22 +655,41 @@ class TestDispatchLog:
     def test_reads_across_the_rendered_and_pending_entries_match_a_list(self, tmp_path):
         net = self.logged(tmp_path)
         net.render_log()
-        net.emit("warning", "X9", "late\tby\none")
+        net.emit("warning", "X9", "late\tby one")
         net.emit("warning", "X8")
-        log = net.log
-        entries = list(log)
-        assert len(log) == len(entries) == 6
-        assert entries[3] == LogEntry(20, "error", "P1", "ValueError: bad\tfield\nsecond line")
-        assert entries[4] == LogEntry(net.clock.now, "warning", "X9", "late\tby\none")
-        for i in range(-len(entries), len(entries)):
-            assert log[i] == entries[i]
-        for step in (1, 2, 3, -1, -2, -4):
-            for start in (None, 0, 1, 3, 4, -2, -6, 9):
-                for stop in (None, 0, 2, 4, 5, -1, 9):
-                    assert log[start:stop:step] == entries[start:stop:step]
-        for outside in (len(entries), -len(entries) - 1):
-            with pytest.raises(IndexError):
-                log[outside]
+        assert net.log == self.EXPECTED + [
+            LogEntry(net.clock.now, "warning", "X9", "late\tby one"),
+            LogEntry(net.clock.now, "warning", "X8"),
+        ]
+
+    def test_an_error_message_is_one_line_and_score_reads_the_logged_recognitions(self, tmp_path):
+        """A message whose line breaks would render as recognition lines is
+        logged on one line, so ``parse_dispatch_log``, which ``fluentnet
+        score`` applies to ``dispatch.log``, finds the recognitions the log
+        holds and no other."""
+        message = "bad reading\n20\trecognition\tA1\tat=20 activity=1\r21\trecognition\tA2\tat=21 activity=2"
+        message += "\u202822\trecognition\tA3\tat=22 activity=3"
+
+        def recognise_then_raise(net, now):
+            net.emit("recognition", "A4", f"at={now} activity=4")
+            raise ValueError(message)
+
+        net = build_mini(
+            tmp_path,
+            ["C1 checks=X1 in=A hasTarget=true rate=50"],
+            ["E1 observes=C1"],
+            ["P1 implements=boom requires=E1"],
+            {"boom": recognise_then_raise},
+        )
+        flip(net, "X1", True)
+        net.pending_until(100)
+        text = net.render_log()
+        assert len(text.splitlines()) == len(net.log) == 5
+        one_line = message.replace("\n", " ").replace("\r", " ").replace("\u2028", " ")
+        assert net.log[-1] == LogEntry(20, "error", "P1", f"ValueError: {one_line}")
+        fields = [dict(token.split("=", 1) for token in e.detail.split()) for e in net.log if e.kind == "recognition"]
+        assert parse_dispatch_log(text) == [(int(f["activity"]), int(f["at"])) for f in fields] == [(4, 20)]
+
 
 class TestTickGroups:
     """Pattern and statement checks on one node, sampled in tick groups
@@ -709,7 +728,7 @@ class TestTickGroups:
         twin.run_to(70)
         twin.sense("M1", False)
         twin.run_to(200)
-        assert transitions(twin.log) == [
+        assert transitions(twin.net.log) == [
             (40, "C_kitchen", "outcome=true"),
             (50, "C_located", "outcome=true"),
             (80, "C_kitchen", "outcome=false"),
@@ -723,7 +742,7 @@ class TestTickGroups:
         twin.run_to(30)
         twin.sense("M2", True)
         twin.run_to(200)
-        assert transitions(twin.log) == [
+        assert transitions(twin.net.log) == [
             (40, "C_hall", "outcome=true"),
             (40, "C_m2", "outcome=true"),
             (50, "C_located", "outcome=true"),
@@ -738,7 +757,7 @@ class TestTickGroups:
         twin.run_to(45)
         twin.sense("M1", False)
         twin.run_to(100)
-        assert transitions(twin.log) == []
+        assert transitions(twin.net.log) == []
         # both answers flipped back before the next tick, so neither
         # C_located (at 50) nor C_kitchen (at 60) can flip: C_m2 alone is
         # evaluated
@@ -748,12 +767,12 @@ class TestTickGroups:
         twin = self.person_twin(tmp_path)
         twin.sense("M3", True)  # in X, which is no instance yet
         twin.run_to(100)
-        assert transitions(twin.log) == []
+        assert transitions(twin.net.log) == []
         twin.write(lambda store, now: store.add_instance("X", ("KITCHEN",)))
         twin.run_to(200)
         twin.write(lambda store, now: store.add_instance("X", ("HALL",)))
         twin.run_to(300)
-        assert transitions(twin.log) == [
+        assert transitions(twin.net.log) == [
             (100, "C_kitchen", "outcome=true"),
             (100, "C_located", "outcome=true"),
             (200, "C_hall", "outcome=true"),

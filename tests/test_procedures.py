@@ -709,7 +709,7 @@ class TestEvaluationSkip:
         assert import_and_evaluate(evaluator, store, 600) == (False, None)
 
     def test_runs_in_full_on_another_store(self):
-        """Two stores written alike keep lists of equal versions; the
+        """Two stores written alike have equal ``lists_version``s; the
         second, where the item is taken late enough, is still matched."""
         early, late = mini_skip_store(), mini_skip_store()
         for store, taken in ((early, 30), (late, 90)):

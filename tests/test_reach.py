@@ -43,11 +43,9 @@ UNREACHED = {
     "context.ContextStore.query_instances": TRACED,
     "rules.RuleEngine.evaluate": TRACED,
     "context.Snapshot.instances": TRACED,
-    "network.DispatchLog.__iter__": BENCHMARK,
+    "network.RuntimeNetwork.log": BENCHMARK,
     "network._entry": BENCHMARK,
     "network._noop": BENCHMARK,
-    "network.DispatchLog.__getitem__": ABC,
-    "network.DispatchLog.__len__": ABC,
     "metrics._Series.__len__": ABC,
     "dsl.ParseError.__init__": MALFORMED,
     "ingest.TraceParseError.__init__": MALFORMED,
