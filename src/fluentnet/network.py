@@ -22,34 +22,42 @@ itself.
 Scheduling is edge-triggered: a condition sampled from false to true
 re-arms and re-evaluates the events observing it; an event whose conditions
 all hold fires once and stays consumed until one of its conditions rises
-again.  A procedure fires when any of its required events fires.  A
-condition's outcome can only change when its node's store changes, so a
-store mutation schedules one sample of that node's conditions at their
-next rate tick, and :meth:`RuntimeNetwork.pending_until` runs those samples
-in time order.
+again.  A procedure fires when any of its required events fires.
 
-The conditions on one node at one rate are always scheduled together and
-take the same ticks (a mutation schedules all of a node's conditions, and
-:meth:`RuntimeNetwork.notify_sync` takes no tick), so they share one
-:class:`TickGroup`: one tick state and one pending entry, keyed by the
-node and the rate's integer numerator and denominator.  A group's sample
-takes its tick once, evaluates its statement checks, and evaluates a
-pattern check only when its watch's answer, read after the store has
-classified, would flip the check's outcome; a check skipped that way would
-have read the outcome it already holds.  The wiring is resolved once, when
-the network is built: a group holds its node's store and its conditions,
-a :class:`ConditionState` its store and the :class:`EventState` objects
-observing it, and an event its conditions' positions and the procedures
-requiring it.  No object refers back to one that refers to it, so a
-dropped network is freed by reference counting alone.  Only
-``note_mutation``, ``run_procedure`` and ``notify_sync`` (in name-ordered
-tuples) look up the names they are given.  Writes are noted once per
-outermost dispatch (a ``pending_until`` batch, or a ``notify_sync`` or
-``sample_and_dispatch`` outside any procedure): its first procedure reads
-every store's ``mutation_seq``, and the end of its cascade notes each store
-that moved.  That is exact: the clock stays and no tick is taken within a
-dispatch, so one note per store leaves the pending samples a note per
-procedure leaves, in an order a batch sorts away.
+The conditions on one node at one rate share one :class:`TickGroup`: one
+pending entry, keyed by the node and the rate's integer numerator and
+denominator.  A sample can only change something when a member's answer
+(its statement's state, or its watch's answer once the store has
+classified) differs from its outcome.  So the test is made when a store
+change is noted, not when the sample is due: :meth:`RuntimeNetwork.note_mutation`
+keeps, per tick group of the node, the members that differ and schedules
+one sample of them at the group's next rate tick, or drops the group's
+pending sample when none differs, and :meth:`RuntimeNetwork.pending_until`
+samples exactly the kept members, in time order.  That is exact: every
+write is noted (a replayed reading, and the end of each outermost dispatch
+below), and only a sample or a sync moves an outcome, a sync only to the
+answer it reads.  So a member that agreed at its group's last note agrees
+at every tick until the next one, and a kept member a sync has since
+caught up is sampled to no effect.  The next rate tick is the first at or
+after the note's time that comes after every tick at or before the time
+of the last batch ``pending_until`` ran (the swept-time floor): the tick
+loop samples every group due at a tick before that tick's cascade writes,
+so a write the cascade notes waits for the tick after.
+
+The wiring is resolved once, when the network is built: a group holds its
+node's store and its conditions, a :class:`ConditionState` its store and
+the :class:`EventState` objects observing it, and an event its conditions'
+positions and the procedures requiring it.  No object refers back to one
+that refers to it, so a dropped network is freed by reference counting
+alone.  Only ``note_mutation``, ``run_procedure`` and ``notify_sync`` (in
+name-ordered tuples) look up the names they are given.  Writes are noted
+once per outermost dispatch (a ``pending_until`` batch, or a
+``notify_sync`` or ``sample_and_dispatch`` outside any procedure): its
+first procedure reads every store's ``mutation_seq``, and the end of its
+cascade notes each store that moved.  That is exact too: the clock stays
+within a dispatch, and that note reads each store after the dispatch's
+last write and sync.
+
 Tick times are exact integer ceil/floor divisions: tick ``k`` of a ``p/q``
 Hz group falls at ``ceil(k * 1000 * q / p)`` ms.  Everything runs on one
 logical thread of control against a virtual clock, so a fixed
@@ -351,24 +359,24 @@ class VirtualClock:
 
 @dataclass(eq=False)
 class TickGroup:
-    """The conditions on one node at one rate, the node's store and the
-    last rate tick they were sampled at.  A rate of ``p/q`` Hz is ``p``
-    ticks per ``1000 * q`` ms, kept as two integers."""
+    """The conditions on one node at one rate and the node's store.  A rate
+    of ``p/q`` Hz is ``p`` ticks per ``1000 * q`` ms, kept as two integers.
+    ``differing`` holds the members whose answer differed from their
+    outcome at the group's last note: the ones its pending sample
+    evaluates."""
 
     store: ContextStore
     ticks: int
     per_ms: int
     members: list["ConditionState"] = field(default_factory=list)
     watched: bool = False  # some member is a pattern check
-    last_tick: int = 0
+    differing: list["ConditionState"] = field(default_factory=list)
 
-    def due_at_or_after(self, time_ms: int) -> int:
-        """Next scheduled sample time: the first unused k/rate tick >= now."""
-        k = max(self.last_tick + 1, -(-max(time_ms, 0) * self.ticks // self.per_ms), 1)
+    def due_at_or_after(self, time_ms: int, swept_ms: int) -> int:
+        """The next sample time: the first rate tick at or after ``time_ms``
+        that comes after every tick at or before ``swept_ms``."""
+        k = max(-(-time_ms * self.ticks // self.per_ms), swept_ms * self.ticks // self.per_ms + 1)
         return -(-k * self.per_ms // self.ticks)
-
-    def take_tick(self, time_ms: int) -> None:
-        self.last_tick = time_ms * self.ticks // self.per_ms
 
 
 @dataclass(eq=False)
@@ -469,10 +477,12 @@ class RuntimeNetwork:
         self._store_order = tuple(stores.items())
         self._seqs: Optional[list[int]] = None  # see run_procedure
         self._pending: dict[TickGroup, int] = {}
+        self._swept = 0  # the clock time of the last pending_until batch
 
     @property
     def evaluated(self) -> int:
-        """Condition evaluations since construction."""
+        """Condition evaluations since construction: each sample and sync
+        of a condition.  A note's reading of the answers is not counted."""
         return self._evaluated
 
     # -- logging -----------------------------------------------------------
@@ -566,52 +576,59 @@ class RuntimeNetwork:
     # -- the scheduler loop ---------------------------------------------------
 
     def note_mutation(self, store_name: str) -> None:
-        """Record that a store changed; its tick groups get a pending sample."""
-        now = self.clock.now
+        """Record that a store changed.  Each of its tick groups keeps the
+        members whose answer now differs from their outcome (a pattern
+        check's after one ``classify`` of the store) and, when there are
+        some, holds a pending sample at its next rate tick: the first at or
+        after now that comes after every tick at or before the last batch's
+        time.  A group pending already keeps its time.  A group where no
+        member differs drops its pending sample: that sample would change
+        nothing."""
         pending = self._pending
         for group in self._by_node.get(store_name, ()):
-            due = group.due_at_or_after(now)
-            current = pending.get(group)
-            if current is None or due < current:
-                pending[group] = due
+            store = group.store
+            if group.watched:
+                store.classify()  # brings the watches up to date
+            differing = []
+            for state in group.members:
+                watch = state.watch
+                if watch is None:
+                    answer = store.statement_state(state.decl.check.statement_id)
+                else:
+                    answer = watch.answer
+                if (answer is state.decl.target) is not state.outcome:
+                    differing.append(state)
+            if not differing:
+                pending.pop(group, None)
+                continue
+            group.differing = differing
+            if group not in pending:
+                pending[group] = group.due_at_or_after(self.clock.now, self._swept)
 
     def pending_until(self, limit: int) -> None:
-        """Run pending (mutation-scheduled) samples due at or before ``limit``.
+        """Run the pending samples due at or before ``limit``, in time
+        order: each batch samples the members its groups kept at their last
+        note, then cascades.
 
-        Between mutations a condition's outcome cannot change, so the ticks
-        in between are never sampled.  ``tests/oracles.py`` keeps a loop that
-        samples every condition at every tick; the differential tests in
-        ``tests/test_network.py`` and ``tests/test_procedures.py`` require
-        both loops to write byte-identical dispatch logs.
+        Between a group's notes no member's outcome can start to differ
+        from its answer, so no other sample is ever taken.
+        ``tests/oracles.py`` keeps a loop that samples every condition at
+        every tick; the differential tests in ``tests/test_network.py`` and
+        ``tests/test_procedures.py`` require both loops to write
+        byte-identical dispatch logs.
         """
         pending = self._pending
         while pending:
             due_time = min(pending.values())
             if due_time > limit:
                 break
-            batch = [group for group, time in pending.items() if time == due_time]
-            for group in batch:
+            states: list[ConditionState] = []
+            for group in [group for group, time in pending.items() if time == due_time]:
                 del pending[group]
+                states += group.differing
             self.clock.advance_to(due_time)
-            self.sample_and_dispatch(self._take_ticks(batch))
-
-    def _take_ticks(self, batch: list[TickGroup]) -> list[ConditionState]:
-        """Take each group's tick; returns the members whose outcome may have
-        changed: every statement check, and each pattern check whose watch's
-        answer would flip its outcome (sampling any other would re-read the
-        outcome it holds, so no log entry can change by skipping it)."""
-        now = self.clock.now
-        states: list[ConditionState] = []
-        for group in batch:
-            group.take_tick(now)
-            if group.watched:
-                group.store.classify()  # brings the watches up to date
-            for state in group.members:
-                watch = state.watch
-                if watch is not None and (watch.answer is state.decl.target) is state.outcome:
-                    continue
-                states.append(state)
-        return states
+            self._swept = self.clock.now
+            self.sample_and_dispatch(states)
 
     # -- targeted synchronisation ---------------------------------------------
 

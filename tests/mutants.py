@@ -44,7 +44,7 @@ _RUN = """\
             # one line per entry: the message's lines, joined by spaces
             self.emit("error", name, f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}")
 """
-_BATCH = "            self.sample_and_dispatch(self._take_ticks(batch))\n"
+_BATCH = "            self.sample_and_dispatch(states)\n"
 _NOTES_AFTER_BATCH = """\
             if self._seqs is not None:
                 for (store_name, store), seq in zip(self._store_order, self._seqs):
@@ -54,15 +54,22 @@ _NOTES_AFTER_BATCH = """\
 """
 
 _NOTING = "tests/test_network.py::TestCascade::test_writes_are_noted_as_the_noting_oracle_notes_them"
-_TOP_LEVEL_SYNC = "tests/test_network.py::TestNotifySync::test_a_top_level_sync_notes_what_its_procedure_wrote"
-_REPLAYS = tuple(
-    f"tests/test_procedures.py::TestWriteNoting::test_replays_leave_the_pending_samples_of_the_noting_oracle[{trace}]"
-    for trace in ("synthetic", "sessions", "spatial_sweep", "append_growth")
-)
+_TOP_LEVEL_SYNC = "tests/test_network.py::TestNotifySync::test_a_top_level_sync_notes_what_its_procedure_wrote[checked]"
 _DIGESTS = tuple(
     f"tests/test_benchmark_traffic.py::test_first_seed_1_participant_replays_to_the_same_bytes[{workload}]"
     for workload in ("sessions", "spatial_sweep", "append_growth")
 ) + ("tests/test_cli.py::TestReplay::test_report_bytes_match_the_recorded_digests",)
+
+_KEEP_DIFFERING = """\
+            group.differing = differing
+            if group not in pending:
+"""
+_NOTE_CLASSIFIES = """\
+            if group.watched:
+                store.classify()  # brings the watches up to date
+"""
+_NOTES = "tests/test_network.py::TestNotes::"
+_FLOOR = "tests/test_network.py::TestSweptFloor::"
 
 _RENDER_TEXT = '            self._text += "".join(self._lines)\n'
 _LOG_VIEW = "tests/test_network.py::TestDispatchLog::"
@@ -225,12 +232,14 @@ MUTANTS = (
             _CRITERION_3,
         ),
     ),
-    # -- scheduler: writes noted once per outermost dispatch
+    # -- scheduler: writes noted once per outermost dispatch.  No replay kills
+    # these two: every write a replayed cascade makes is caught up by a sync
+    # before the cascade ends, so the note there keeps no member
     Mutant(
         "notes-only-after-pending-until-batches",
         NETWORK,
         ((_CASCADE_NOTES, "        if False:\n"), (_BATCH, _BATCH + _NOTES_AFTER_BATCH)),
-        (_NOTING, _TOP_LEVEL_SYNC) + _REPLAYS,
+        (_NOTING, _TOP_LEVEL_SYNC),
     ),
     Mutant(
         "nested-sync-notes-and-ends-the-noting",
@@ -247,8 +256,48 @@ MUTANTS = (
             _TOP_LEVEL_SYNC,
             "tests/test_network.py::TestCascade::test_a_procedure_that_writes_and_raises_has_its_write_noted",
             "tests/test_network.py::TestTickGroups::test_cascade_mutating_its_node_at_the_tick_time",
-        )
-        + _REPLAYS,
+            _FLOOR + "test_a_cascade_writing_an_idle_group_waits_for_the_next_tick",
+            _FLOOR + "test_a_quiet_note_before_the_cascade_moves_no_tick",
+        ),
+    ),
+    # -- scheduler: a note keeps the members that differ, behind the swept-time floor
+    Mutant(
+        "swept-floor-dropped",
+        NETWORK,
+        (("swept_ms * self.ticks // self.per_ms + 1", "1"),),
+        (
+            _FLOOR + "test_a_cascade_writing_an_idle_group_waits_for_the_next_tick",
+            _FLOOR + "test_a_quiet_note_before_the_cascade_moves_no_tick",
+            "tests/test_network.py::TestTickGroups::test_cascade_mutating_its_node_at_the_tick_time",
+            "tests/test_network.py::TestTicks::test_integer_ticks_equal_the_fraction_formulas",
+        ),
+    ),
+    Mutant(
+        "pending-group-keeps-its-members",
+        NETWORK,
+        ((_KEEP_DIFFERING, "            if group not in pending:\n                group.differing = differing\n"),),
+        (
+            _NOTES + "test_a_second_write_before_the_tick_adds_to_the_pending_sample",
+            "tests/test_network.py::TestCascade::test_two_conditions_rising_in_one_sample_fire_their_event_once",
+        ),
+    ),
+    Mutant(
+        "agreeing-group-stays-pending",
+        NETWORK,
+        (("                pending.pop(group, None)\n", ""),),
+        (
+            _NOTES + "test_a_write_that_restores_agreement_drops_the_pending_sample",
+            "tests/test_network.py::TestTickGroups::test_answer_flipping_back_between_two_ticks",
+        ),
+    ),
+    Mutant(
+        "note-reads-the-watches-unclassified",
+        NETWORK,
+        ((_NOTE_CLASSIFIES, ""),),
+        (
+            _NOTES + "test_a_pattern_write_is_noted_before_the_store_classifies",
+            "tests/test_context.py::TestWatches::test_watched_answers_follow_every_write[bounded-piled-up]",
+        ),
     ),
     # -- classification: literal targets and bounds of a defined class
     Mutant(

@@ -320,11 +320,26 @@ def tick_groups(net):
     return {state.decl.name: group for groups in net._by_node.values() for group in groups for state in group.members}
 
 
+def due_at_or_after(group, last_tick, time_ms):
+    """The first rate tick of ``group`` at or after ``time_ms`` and after
+    tick number ``last_tick``."""
+    k = max(last_tick + 1, -(-max(time_ms, 0) * group.ticks // group.per_ms), 1)
+    return -(-k * group.per_ms // group.ticks)
+
+
+def tick_at_or_before(group, time_ms):
+    """The number of the last rate tick of ``group`` at or before ``time_ms``."""
+    return time_ms * group.ticks // group.per_ms
+
+
 def _take_next_tick(net, until):
     """Sample every condition due at the earliest untaken rate tick, unless
-    that tick lies after ``until``; returns whether one was taken."""
+    that tick lies after ``until``; returns whether one was taken.  The
+    last tick taken, per tick group, is kept on ``net``."""
     groups = tick_groups(net)
-    due = [(groups[name].due_at_or_after(net.clock.now), name) for name in net.conditions]
+    taken = vars(net).setdefault("_tick_loop_taken", {})
+    now = net.clock.now
+    due = [(due_at_or_after(groups[name], taken.get(groups[name], 0), now), name) for name in net.conditions]
     if not due:
         return False
     next_time = min(time for time, _ in due)
@@ -333,7 +348,7 @@ def _take_next_tick(net, until):
     net.clock.advance_to(next_time)
     names = [name for time, name in due if time == next_time]
     for name in names:
-        groups[name].take_tick(next_time)
+        taken[groups[name]] = tick_at_or_before(groups[name], next_time)
     net.sample_and_dispatch([net.conditions[name] for name in names])
     return True
 
@@ -407,14 +422,14 @@ def pending_samples(net):
 
 
 def fraction_due_at_or_after(rate, last_tick, time_ms):
-    """``TickGroup.due_at_or_after`` in ``Fraction`` arithmetic."""
+    """``due_at_or_after`` in ``Fraction`` arithmetic, for a rate in Hz."""
     k = max(last_tick + 1, ceil(Fraction(max(time_ms, 0)) * rate / 1000))
     k = max(k, 1)
     return ceil(Fraction(k * 1000) / rate)
 
 
 def fraction_take_tick(rate, time_ms):
-    """The tick ``TickGroup.take_tick`` records, in ``Fraction`` arithmetic."""
+    """``tick_at_or_before`` in ``Fraction`` arithmetic, for a rate in Hz."""
     return int(Fraction(time_ms) * rate // 1000)
 
 

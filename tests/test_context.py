@@ -768,8 +768,9 @@ class TestWatches:
         from-scratch oracle; the conditions on one node at one rate share
         one tick group; and once the pending samples ran (at the
         generator's reads), every pattern condition's outcome is the
-        oracle's answer, although the scheduler skipped each pattern whose
-        answer could not flip its outcome."""
+        oracle's answer, although the scheduler sampled only the patterns
+        whose answer differed from their outcome when noted.  The store is
+        noted where it is checked, as a note classifies it."""
         run = DirtyRun(bounded)
         store = None
         for step, op in enumerate(ops):
@@ -784,9 +785,9 @@ class TestWatches:
             run.apply(step, op)
             if run.store is not store:
                 continue
-            net.note_mutation("A")
             if not (every_step or op[-1]):
                 continue
+            net.note_mutation("A")
             classification = oracles.classify_from_scratch(store)
             pairs = oracles.person_context_from_scratch(store, classification)
             store.classify()

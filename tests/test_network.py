@@ -693,9 +693,9 @@ class TestDispatchLog:
 
 class TestTickGroups:
     """Pattern and statement checks on one node, sampled in tick groups
-    that skip every pattern whose watch's answer cannot flip its outcome,
-    against the tick-loop oracle that samples every condition at every
-    tick."""
+    that evaluate only the members whose answer differed from their
+    outcome at the group's last note, against the tick-loop oracle that
+    samples every condition at every tick."""
 
     def person_twin(self, tmp_path):
         return Twin(
@@ -737,7 +737,7 @@ class TestTickGroups:
 
     def test_cascade_mutating_its_node_at_the_tick_time(self, tmp_path):
         # P_enter runs at C_m2's tick and writes node A: the new sample of
-        # A's 50 Hz group is the tick after (the last tick + 1 floor)
+        # A's 50 Hz group is the tick after (the swept-time floor)
         twin = self.person_twin(tmp_path)
         twin.run_to(30)
         twin.sense("M2", True)
@@ -758,10 +758,10 @@ class TestTickGroups:
         twin.sense("M1", False)
         twin.run_to(100)
         assert transitions(twin.net.log) == []
-        # both answers flipped back before the next tick, so neither
-        # C_located (at 50) nor C_kitchen (at 60) can flip: C_m2 alone is
-        # evaluated
-        assert twin.net.evaluated - before == 1
+        # both answers flipped back before the next tick, so the second
+        # note dropped the pending samples of C_located (at 50) and
+        # C_kitchen (at 60), and C_m2 never differed: nothing is evaluated
+        assert twin.net.evaluated - before == 0
 
     def test_dangling_target_appears_then_is_reclassified(self, tmp_path):
         twin = self.person_twin(tmp_path)
@@ -786,8 +786,106 @@ class TestTickGroups:
         before = twin.net.evaluated
         for time_ms in (100, 200, 300):
             twin.sense("M1", True)  # rewritten, the person stays in the kitchen
+            assert oracles.pending_samples(twin.net) == {}  # no member differs
             twin.run_to(time_ms + 100)
-        assert twin.net.evaluated - before == 3  # C_m2 alone, once a write
+        assert twin.net.evaluated - before == 0
+
+
+class TestNotes:
+    """A note keeps, per tick group, the members whose answer differs from
+    their outcome; the group's pending sample evaluates those alone."""
+
+    def twin(self, tmp_path):
+        return TestStepSemantics().two_condition_twin(tmp_path, ["E1 observes=C1", "E2 observes=C2"], "E1,E2")
+
+    def test_a_second_write_before_the_tick_adds_to_the_pending_sample(self, tmp_path):
+        """C1 differs and is pending; a second write makes C2 differ before
+        the tick.  Fails if a note leaves the kept members of a pending
+        group as they were: C2 would not be sampled at 20."""
+        twin = self.twin(tmp_path)
+        twin.run_to(5)
+        twin.flip("X1", True)
+        twin.run_to(10)
+        twin.flip("X2", True)
+        twin.run_to(40)
+        assert transitions(twin.net.log) == [(20, "C1", "outcome=true"), (20, "C2", "outcome=true")]
+        assert twin.net.evaluated == 2
+
+    def test_a_write_that_restores_agreement_drops_the_pending_sample(self, tmp_path):
+        """Fails if a note where no member differs keeps the group pending:
+        C1 would be evaluated at 20 to no effect."""
+        twin = self.twin(tmp_path)
+        twin.run_to(5)
+        twin.flip("X1", True)
+        assert oracles.pending_samples(twin.net) == {("A", 50, 1000): 20}
+        twin.run_to(10)
+        twin.flip("X1", False)
+        assert oracles.pending_samples(twin.net) == {}
+        twin.run_to(100)
+        assert transitions(twin.net.log) == []
+        assert twin.net.evaluated == 0
+
+    def test_a_pattern_write_is_noted_before_the_store_classifies(self, tmp_path):
+        """A reading written and noted with no read of the store between:
+        the note classifies before it reads the watches.  Fails if it reads
+        them as the last read left them: nothing would be sampled."""
+        twin = TestTickGroups().person_twin(tmp_path)
+        for net in (twin.net, twin.oracle):
+            net.stores["A"].assert_statement("M1", True, net.clock.now)
+            net.note_mutation("A")
+        twin.run_to(100)
+        assert transitions(twin.net.log) == [(20, "C_kitchen", "outcome=true"), (50, "C_located", "outcome=true")]
+
+
+class TestSweptFloor:
+    """P1 runs when C1 rises on node A and toggles ``X1`` on node B, which
+    C_b checks, without a sync.  The tick loop samples every group due at a
+    tick before that tick's cascade writes, so C_b's sample is the tick
+    after, whether B's group was idle or noted quietly before."""
+
+    def twin(self, tmp_path):
+        def toggle_b(net, now):
+            write(net, "B", "X1", not net.stores["B"].statement_state("X1"))
+
+        def build():
+            text = mini_config(
+                tmp_path,
+                ["C1 checks=X1 in=A hasTarget=true rate=50", "C_b checks=X1 in=B hasTarget=true rate=50"],
+                ["E1 observes=C1"],
+                ["P1 implements=toggle requires=E1"],
+            ).replace("[conditions]", "B represents=mini.model mode=overwrite\n[conditions]")
+            return bootstrap(load_network(text), base_dir=tmp_path, implementations={"toggle": toggle_b})
+
+        return Twin(build)
+
+    def test_a_cascade_writing_an_idle_group_waits_for_the_next_tick(self, tmp_path):
+        twin = self.twin(tmp_path)
+        twin.run_to(30)
+        twin.flip("X1", True)
+        twin.run_to(100)
+        assert transitions(twin.net.log) == [(40, "C1", "outcome=true"), (60, "C_b", "outcome=true")]
+
+    def test_a_quiet_note_before_the_cascade_moves_no_tick(self, tmp_path):
+        """B is noted quietly at 30, before the cascade at 40 writes it;
+        then the cascade at 100 writes B again, idle since 60."""
+        twin = self.twin(tmp_path)
+        twin.run_to(30)
+        for net in (twin.net, twin.oracle):
+            write(net, "B", "X2", True)  # B.X2: no condition checks it
+            net.note_mutation("B")
+        twin.flip("X1", True)
+        twin.run_to(70)
+        twin.flip("X1", False)
+        twin.run_to(90)
+        twin.flip("X1", True)
+        twin.run_to(200)
+        assert transitions(twin.net.log) == [
+            (40, "C1", "outcome=true"),
+            (60, "C_b", "outcome=true"),
+            (80, "C1", "outcome=false"),
+            (100, "C1", "outcome=true"),
+            (120, "C_b", "outcome=false"),
+        ]
 
 
 def notify_sync_fired(net, node, statement_id):
@@ -831,21 +929,28 @@ class TestNotifySync:
         flip(net, "X1", True)  # rewritten, but never reset to false
         assert notify_sync_fired(net, "A", "X1") == []
 
-    def test_a_top_level_sync_notes_what_its_procedure_wrote(self, tmp_path):
+    @pytest.mark.parametrize(
+        "written, expected",
+        [(("X2", True), {}), (("X1", False), {("A", 50, 1000): 100})],
+        ids=["unchecked", "checked"],
+    )
+    def test_a_top_level_sync_notes_what_its_procedure_wrote(self, tmp_path, written, expected):
+        """P1 writes A.  An unchecked statement leaves C1 agreeing, so
+        nothing is pending; a checked one that now differs from C1's
+        outcome is pending at the current time."""
         net = build_mini(
             tmp_path,
             ["C1 checks=X1 in=A hasTarget=true rate=50"],
             ["E1 observes=C1"],
             ["P1 implements=write requires=E1"],
-            {"write": lambda net, now: write(net, "A", "X2", True)},
+            {"write": lambda net, now: write(net, "A", *written)},
         )
-        net.pending_until(100)  # the bootstrap sample, at 20
+        net.pending_until(100)  # the bootstrap noted no differing member
         net.clock.advance_to(100)
         assert oracles.pending_samples(net) == {}
         write(net, "A", "X1", True)
         assert notify_sync_fired(net, "A", "X1") == ["E1"]
-        # P1 wrote A: A's group is pending at the current time
-        assert oracles.pending_samples(net) == {("A", 50, 1000): 100}
+        assert oracles.pending_samples(net) == expected
 
     def test_an_unknown_node_raises(self, tmp_path):
         net = build_mini(
@@ -917,10 +1022,13 @@ class TestTicks:
         time_ms=st_.integers(min_value=0, max_value=10**9),
     )
     def test_integer_ticks_equal_the_fraction_formulas(self, p, q, earlier, time_ms):
+        """A group's next sample time, with the swept time in the place of
+        the tick loop's last tick, and the tick loop's own tick state."""
         rate = Fraction(p, q)
         group = TickGroup("A", rate.numerator, 1000 * rate.denominator)
-        assert group.due_at_or_after(time_ms) == oracles.fraction_due_at_or_after(rate, 0, time_ms)
-        group.take_tick(earlier)
+        assert group.due_at_or_after(time_ms, 0) == oracles.fraction_due_at_or_after(rate, 0, time_ms)
         last_tick = oracles.fraction_take_tick(rate, earlier)
-        assert group.last_tick == last_tick
-        assert group.due_at_or_after(time_ms) == oracles.fraction_due_at_or_after(rate, last_tick, time_ms)
+        assert group.due_at_or_after(time_ms, earlier) == oracles.fraction_due_at_or_after(rate, last_tick, time_ms)
+        assert oracles.tick_at_or_before(group, earlier) == last_tick
+        for tick in (0, last_tick):
+            assert oracles.due_at_or_after(group, tick, time_ms) == oracles.fraction_due_at_or_after(rate, tick, time_ms)

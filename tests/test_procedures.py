@@ -373,8 +373,15 @@ class TestWriteNoting:
 
     def replay(self, monkeypatch, events, scenario, wrap):
         """A replay on a network passed through ``wrap``: its log, and the
-        pending samples after every batch and at the end."""
+        pending samples after every reading, after every batch and at the
+        end."""
         pending = []
+        replay_step = procedures.Replayer.replay_step
+
+        def stepping(replayer, net, event):
+            replayed = replay_step(replayer, net, event)
+            pending.append((net.clock.now, oracles.pending_samples(net)))
+            return replayed
 
         def bootstrap(*args, **kwargs):
             net = wrap(network.bootstrap(*args, **kwargs))
@@ -389,6 +396,7 @@ class TestWriteNoting:
 
         with monkeypatch.context() as patch:
             patch.setattr(procedures, "bootstrap", bootstrap)
+            patch.setattr(procedures.Replayer, "replay_step", stepping)
             result = procedures.run_replay(events, participant="p01", scenario=scenario)
         pending.append((result.net.clock.now, oracles.pending_samples(result.net)))
         return result.log_text, pending
@@ -467,9 +475,9 @@ class TestImporter:
 class TestConditionsEvaluated:
     def test_quiet_toggles_after_the_sweep_evaluate_no_condition(self, scenario):
         """Once every sensor has been switched on, toggling bathroom motion
-        or a non-motion sensor changes no watched answer: the spatial
-        node's eight pattern checks are sampled at the next tick but not
-        evaluated, and no other node changes."""
+        or a non-motion sensor changes no watched answer: the note finds
+        none of the spatial node's eight pattern checks differing, so
+        nothing is sampled, and no other node changes."""
         implementations, replayer = procedures.build_implementations(scenario, procedures.ReplaySession())
         net = network.bootstrap(scenario.model, implementations=implementations, store_models=scenario.store_models)
 
