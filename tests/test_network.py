@@ -929,15 +929,9 @@ class TestNotifySync:
         flip(net, "X1", True)  # rewritten, but never reset to false
         assert notify_sync_fired(net, "A", "X1") == []
 
-    @pytest.mark.parametrize(
-        "written, expected",
-        [(("X2", True), {}), (("X1", False), {("A", 50, 1000): 100})],
-        ids=["unchecked", "checked"],
-    )
-    def test_a_top_level_sync_notes_what_its_procedure_wrote(self, tmp_path, written, expected):
-        """P1 writes A.  An unchecked statement leaves C1 agreeing, so
-        nothing is pending; a checked one that now differs from C1's
-        outcome is pending at the current time."""
+    def top_level_sync(self, tmp_path, written):
+        """P1 writes ``written`` to A when E1 fires on a top-level sync
+        at 100; the events that sync fired."""
         net = build_mini(
             tmp_path,
             ["C1 checks=X1 in=A hasTarget=true rate=50"],
@@ -949,8 +943,21 @@ class TestNotifySync:
         net.clock.advance_to(100)
         assert oracles.pending_samples(net) == {}
         write(net, "A", "X1", True)
-        assert notify_sync_fired(net, "A", "X1") == ["E1"]
-        assert oracles.pending_samples(net) == expected
+        return net, notify_sync_fired(net, "A", "X1")
+
+    def test_a_top_level_sync_notes_what_its_procedure_wrote(self, tmp_path):
+        """P1 writes A's checked statement, which now differs from C1's
+        outcome: A's group is pending at the current time."""
+        net, fired = self.top_level_sync(tmp_path, ("X1", False))
+        assert fired == ["E1"]
+        assert oracles.pending_samples(net) == {("A", 50, 1000): 100}
+
+    def test_a_top_level_sync_whose_procedure_wrote_no_checked_statement_leaves_nothing_pending(self, tmp_path):
+        """P1 writes an unchecked statement of A: C1 still agrees with its
+        outcome, so nothing is pending."""
+        net, fired = self.top_level_sync(tmp_path, ("X2", True))
+        assert fired == ["E1"]
+        assert oracles.pending_samples(net) == {}
 
     def test_an_unknown_node_raises(self, tmp_path):
         net = build_mini(
