@@ -374,8 +374,10 @@ class TickGroup:
 
     def due_at_or_after(self, time_ms: int, swept_ms: int) -> int:
         """The next sample time: the first rate tick at or after ``time_ms``
-        that comes after every tick at or before ``swept_ms``."""
-        k = max(-(-time_ms * self.ticks // self.per_ms), swept_ms * self.ticks // self.per_ms + 1)
+        that comes after every tick at or before ``swept_ms``.  Tick ``k``
+        falls at ``ceil(k * per_ms / ticks)``, which is at or after
+        ``time_ms`` exactly when ``k * per_ms / ticks > time_ms - 1``."""
+        k = max((time_ms - 1) * self.ticks // self.per_ms + 1, swept_ms * self.ticks // self.per_ms + 1)
         return -(-k * self.per_ms // self.ticks)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
-from math import ceil
+from math import ceil, floor
 
 from fluentnet import procedures
 from fluentnet.context import (
@@ -320,11 +320,22 @@ def tick_groups(net):
     return {state.decl.name: group for groups in net._by_node.values() for group in groups for state in group.members}
 
 
+def _first_tick_at_or_after(tick_time, k, time_ms):
+    """The first of the tick times ``tick_time(k)``, ``tick_time(k + 1)``,
+    ... that is at or after ``time_ms``."""
+    while tick_time(k) < time_ms:
+        k += 1
+    return tick_time(k)
+
+
 def due_at_or_after(group, last_tick, time_ms):
     """The first rate tick of ``group`` at or after ``time_ms`` and after
-    tick number ``last_tick``."""
-    k = max(last_tick + 1, -(-max(time_ms, 0) * group.ticks // group.per_ms), 1)
-    return -(-k * group.per_ms // group.ticks)
+    tick number ``last_tick``: the tick times ``ceil(k * per_ms / ticks)``
+    are enumerated, not inverted.  The walk starts at a tick whose exact
+    time is at most ``time_ms - 1``, so every tick it skips falls before
+    ``time_ms``."""
+    start = max(last_tick + 1, 1, (time_ms - 1) * group.ticks // group.per_ms)
+    return _first_tick_at_or_after(lambda k: -(-k * group.per_ms // group.ticks), start, time_ms)
 
 
 def tick_at_or_before(group, time_ms):
@@ -422,10 +433,10 @@ def pending_samples(net):
 
 
 def fraction_due_at_or_after(rate, last_tick, time_ms):
-    """``due_at_or_after`` in ``Fraction`` arithmetic, for a rate in Hz."""
-    k = max(last_tick + 1, ceil(Fraction(max(time_ms, 0)) * rate / 1000))
-    k = max(k, 1)
-    return ceil(Fraction(k * 1000) / rate)
+    """``due_at_or_after`` in ``Fraction`` arithmetic, for a rate in Hz:
+    the tick times ``ceil(k * 1000 / rate)`` enumerated."""
+    start = max(last_tick + 1, 1, floor(Fraction(time_ms - 1) * rate / 1000))
+    return _first_tick_at_or_after(lambda k: ceil(Fraction(k * 1000) / rate), start, time_ms)
 
 
 def fraction_take_tick(rate, time_ms):

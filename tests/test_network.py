@@ -1012,6 +1012,32 @@ class TestDeterminism:
         assert net.stores[UPPER_NODE].statement_state(BOOT_STATEMENT) is True
 
 
+class TestTickAtTheNoteTime:
+    """At 30 Hz tick 1 falls at ``ceil(1000 / 30)`` = 34 ms, so a note at
+    34 ms is at a tick and is sampled there, not one period later."""
+
+    def test_a_note_at_the_ms_of_a_tick_is_due_at_that_tick(self):
+        group = TickGroup("A", 30, 1000)
+        assert group.due_at_or_after(34, 0) == 34
+        assert group.due_at_or_after(35, 0) == 67
+        assert oracles.fraction_due_at_or_after(Fraction(30), 0, 34) == 34
+
+    def test_a_30_hz_condition_rises_at_the_tick_of_its_write(self, tmp_path):
+        twin = Twin(
+            lambda: build_mini(
+                tmp_path,
+                ["C1 checks=X1 in=A hasTarget=true rate=30"],
+                ["E1 observes=C1"],
+                ["P1 implements=noop requires=E1"],
+            )
+        )
+        twin.run_to(34)
+        twin.flip("X1", True)
+        assert oracles.pending_samples(twin.net) == {("A", 30, 1000): 34}
+        twin.run_to(200)
+        assert transitions(twin.net.log) == [(34, "C1", "outcome=true")]
+
+
 class TestClock:
     def test_monotone(self):
         clock = VirtualClock()
@@ -1030,10 +1056,15 @@ class TestTicks:
     )
     def test_integer_ticks_equal_the_fraction_formulas(self, p, q, earlier, time_ms):
         """A group's next sample time, with the swept time in the place of
-        the tick loop's last tick, and the tick loop's own tick state."""
+        the tick loop's last tick, and the tick loop's own tick state.  The
+        oracles enumerate the tick times ``ceil(k * 1000 / rate)``, so the
+        group's inversion is checked against ticks, not against another
+        inversion: at or after ``time_ms`` means at its very ms too."""
         rate = Fraction(p, q)
         group = TickGroup("A", rate.numerator, 1000 * rate.denominator)
-        assert group.due_at_or_after(time_ms, 0) == oracles.fraction_due_at_or_after(rate, 0, time_ms)
+        due = group.due_at_or_after(time_ms, 0)
+        assert due == oracles.fraction_due_at_or_after(rate, 0, time_ms)
+        assert due >= time_ms
         last_tick = oracles.fraction_take_tick(rate, earlier)
         assert group.due_at_or_after(time_ms, earlier) == oracles.fraction_due_at_or_after(rate, last_tick, time_ms)
         assert oracles.tick_at_or_before(group, earlier) == last_tick
