@@ -1,11 +1,12 @@
 """The three procedure families: replayer, importers and model evaluators.
 
-The replayer turns dataset readings into assertions in the spatial node,
-classifying the node after each one, which brings the person's context
-(its presence counts) and the watched patterns' answers up to date.  Each
-importer reacts to a spatial trigger and copies into the activity node
-each of its activity's sensors whose reading is not the one it last
-copied.  It keeps, per sensor, the spatial record it last copied, and a
+The replayer turns dataset readings into assertions in the spatial node.
+After a live reading it classifies the node, which brings the person's
+context (its presence counts) and the watched patterns' answers up to
+date, and notes the write to the scheduler; after a quiet one it does
+neither (see below).  Each importer reacts to a spatial trigger and
+copies into the activity node each of its activity's sensors whose
+reading is not the one it last copied.  It keeps, per sensor, the spatial record it last copied, and a
 visit skips that record (by identity) and a newer one with its state and
 time.  It then raises the sync statement ``N`` so the paired evaluator
 runs in the same step.  Readings and imports are stored in their node's
@@ -14,6 +15,23 @@ single-valued and always overwrite.  The evaluator resets ``N``, runs any
 windowed pre-passes, evaluates the compiled model rules on a snapshot, and
 on success asserts the activity statement, records the recognition and
 clears the node down to the result and the sync statement.
+
+A reading is quiet when no check can see it.  :func:`load_scenario` finds
+the spatial node's quiet ``(sensor, state)`` writes once per scenario
+(:attr:`Scenario.quiet_writes`), from the node's store model and write
+templates, the network's conditions on the node and the activity
+bindings; :func:`_quiet_writes` states the conditions.  On the shipped
+scenario they are the bathroom motion, which lends only ``isIn BA``, and
+the items, doors, flows and phone, which lend the person nothing.  Such a
+write moves no watch count and no checked statement, and no evaluator
+keeps a list on the node, so by the scheduler's invariant it leaves every
+tick group's list of differing members as it was, and its note would
+change nothing.  Its classification is deferred, not dropped: the store's
+dirty set is the one stale marker, so the next read (a live reading, a
+pattern sample) reclassifies it with everything written since, and
+repeated toggles of one sensor cost one reclassification.  This is Rete's
+idea of sending a change only to the nodes whose patterns could match it
+(Forgy, "Rete", Artificial Intelligence 19, 1982).
 
 Each activity's rules are planned once, when the scenario is loaded
 (:attr:`ActivityBinding.plans`); every replay's evaluator matches with an
@@ -57,17 +75,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from time import perf_counter_ns
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import dsl
-from .context import OVERWRITE, ContextStore, StoreInstance
+from .context import APPEND, OVERWRITE, ConsistencyError, ContextStore, StoreInstance
 from .ingest import TraceEvent, drive
 from .metrics import Telemetry
-from .modelio import ConfigError, StoreModel, read_config, read_sections
+from .modelio import ConfigError, StoreModel, build_store, read_config, read_sections
 from .network import (
     NetworkModel,
+    PatternCheck,
     ProcedureImpl,
     RuntimeNetwork,
     bootstrap,
@@ -117,8 +137,9 @@ class RecognitionRecord:
 @dataclass
 class Scenario:
     """A loaded scenario: the network, each node's parsed store model (node
-    name -> model; every replay builds its stores from these) and the
-    compiled activities."""
+    name -> model; every replay builds its stores from these), the
+    compiled activities and the spatial node's quiet writes (see the
+    module docstring)."""
 
     base_dir: Path
     model: NetworkModel
@@ -126,6 +147,7 @@ class Scenario:
     bindings: dict[int, ActivityBinding]
     sensor_rename: dict[str, str] = field(default_factory=dict)
     value_map: dict[str, bool] = field(default_factory=dict)
+    quiet_writes: frozenset[tuple[str, bool]] = frozenset()
 
     def params(self) -> dict[str, int]:
         table: dict[str, int] = {}
@@ -156,11 +178,81 @@ def _parse_sensor_map(text: str) -> tuple[dict[str, str], dict[str, bool]]:
     return rename, values
 
 
+def _quiet_writes(
+    model: NetworkModel, spatial: StoreModel, bindings: Mapping[int, ActivityBinding]
+) -> frozenset[tuple[str, bool]]:
+    """The spatial node's quiet writes: the ``(sensor, state)`` readings
+    that can move no answer a condition reads.  A sensor's readings are
+    quiet when all of these hold:
+
+    - no activity is bound to the node, so no importer or evaluator writes
+      there and no evaluator keeps a list there;
+    - no statement check on the node names the sensor, and no record of
+      the node's model names it (nor an id an append write of it makes);
+    - every id its declaration names is a plain model instance that names,
+      through its own values, only such instances: no replay writes them,
+      so each keeps the membership a classified store of the model gives;
+    - it lends the person no pair ``(prop, target)`` whose target is
+      classified under a concept a pattern check on the node watches for
+      ``prop``.  Only a true reading lends, and only one that can be
+      classified under the presence concept: through its closure, or a
+      defined class whose superclasses hold it.
+
+    An overwrite write replaces the sensor's record whatever that record's
+    state, so there a sensor is quiet under both states or neither; an
+    append write only adds a record, so a false one lends nothing.  A
+    model that cannot be built, or a sensor whose write cannot be derived,
+    gives no quiet write: bootstrap or the write reports it."""
+    if any(binding.node == SPATIAL_NODE for binding in bindings.values()):
+        return frozenset()
+    checked: set[str] = set()
+    watched: dict[str, set[str]] = {}
+    for cond in model.conditions:
+        if cond.node != SPATIAL_NODE:
+            continue
+        if isinstance(cond.check, PatternCheck):
+            watched.setdefault(cond.check.prop, set()).add(cond.check.target_concept)
+        else:
+            checked.add(cond.check.statement_id)
+    mode = next(node.mode for node in model.nodes if node.name == SPATIAL_NODE)
+    graph = spatial.graph
+    try:
+        store = build_store(SPATIAL_NODE, spatial, mode=mode)
+        templates = {sensor_id: graph.template(sensor_id, None, decl) for sensor_id, decl in spatial.installations.items()}
+    except (ValueError, ConsistencyError):
+        return frozenset()
+    memberships = store.classify()
+    plain = {i: r.template.names for i, r in store.instances.items() if i not in spatial.installations}
+    # the plain instances naming, through their values, only such instances
+    fixed = set(plain)
+    while stale := {i for i in fixed if not plain[i] <= fixed}:
+        fixed -= stale
+    named = {
+        name.partition("#")[0]
+        for template in chain(templates.values(), (r.template for r in store.instances.values()))
+        for name in template.names
+    }
+    lifted = any(spatial.presence_concept in graph.supers(name) for name in graph.defined)
+    quiet: set[tuple[str, bool]] = set()
+    for sensor_id, template in templates.items():
+        if sensor_id in checked or sensor_id in named or not template.names <= fixed:
+            continue
+        lends = (lifted or spatial.presence_concept in template.closure) and any(
+            memberships[target] & watched.get(prop, frozenset()) for prop, target in template.pairs
+        )
+        if not lends:
+            quiet.update(((sensor_id, False), (sensor_id, True)))
+        elif mode == APPEND:
+            quiet.add((sensor_id, False))
+    return frozenset(quiet)
+
+
 def load_scenario(
     config_dir: Optional[Path] = None, params: Optional[Mapping[str, int]] = None
 ) -> Scenario:
     """Load the network description, parse every node's store model once,
-    and compile every activity model and plan its rules.
+    compile every activity model and plan its rules, and find the spatial
+    node's quiet writes.
 
     A ``params`` name that no model declares is a :class:`ConfigError`.
     """
@@ -215,6 +307,7 @@ def load_scenario(
         bindings=bindings,
         sensor_rename=rename,
         value_map=value_map,
+        quiet_writes=_quiet_writes(model, spatial_model, bindings),
     )
     unknown = sorted(set(params or ()) - set(scenario.params()))
     if unknown:
@@ -235,18 +328,24 @@ class ReplaySession:
 
 
 class Replayer:
-    """Procedure D: feeds dataset readings into the spatial node."""
+    """Procedure D: feeds dataset readings into the spatial node.
+    ``quiet_writes`` are the readings it neither classifies nor notes
+    (:attr:`Scenario.quiet_writes`)."""
 
-    def __init__(self, session: ReplaySession) -> None:
+    def __init__(self, session: ReplaySession, quiet_writes: frozenset[tuple[str, bool]] = frozenset()) -> None:
         self.session = session
+        self.quiet_writes = quiet_writes
 
     def __call__(self, net: RuntimeNetwork, now_ms: int) -> None:
         """Dispatched once at boot; readings arrive through :meth:`replay_step`."""
 
     def replay_step(self, net: RuntimeNetwork, event: TraceEvent) -> bool:
-        """Assert one reading in the spatial node's mode, then classify the
-        node (which also recounts the person context), so the reasoning is
-        timed with the reading.
+        """Assert one reading in the spatial node's mode and record its
+        telemetry.  A live reading is also classified (which recounts the
+        person context and the watch counts), timed with the write, and
+        noted to the scheduler.  A quiet one is neither: it leaves its id in
+        the store's dirty set, and the next read classifies it with
+        whatever else was written (see the module docstring).
 
         Readings for sensors the spatial model does not declare are skipped
         with a warning record; datasets contain stray ids.
@@ -258,11 +357,14 @@ class Replayer:
             return False
         started = perf_counter_ns()
         spatial.assert_statement(event.sensor, event.value, event.time_ms)
-        spatial.classify()
+        live = (event.sensor, event.value) not in self.quiet_writes
+        if live:
+            spatial.classify()
         elapsed = perf_counter_ns() - started
         self.session.events_replayed += 1
         self.session.telemetry.record(SPATIAL_NODE, net.clock.now, spatial.axiom_count(), elapsed)
-        net.note_mutation(SPATIAL_NODE)
+        if live:
+            net.note_mutation(SPATIAL_NODE)
         return True
 
 
@@ -418,7 +520,7 @@ class Evaluator:
 def build_implementations(
     scenario: Scenario, session: ReplaySession
 ) -> tuple[dict[str, ProcedureImpl], Replayer]:
-    replayer = Replayer(session)
+    replayer = Replayer(session, scenario.quiet_writes)
     implementations: dict[str, ProcedureImpl] = {"replayer": replayer}
     for index, binding in scenario.bindings.items():
         implementations[f"importer:{index}"] = Importer(binding)

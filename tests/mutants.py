@@ -1,6 +1,7 @@
 """A catalogue of mutants of the incremental structures (the axiom count
 among them), of the dispatch log, of the declarative line splitter, of
-classification and of the rule matcher, as data.
+classification, of the rule matcher and of the spatial node's quiet
+writes, as data.
 
 Each entry is one mutant.  ``module`` is a path from the repository root,
 and ``edits`` holds the exact text replacements, as (anchor, replacement)
@@ -383,5 +384,28 @@ MUTANTS = (
         PROCEDURES,
         (("            last[sensor_id] = record\n", ""),),
         ("tests/test_procedures.py::TestImporter::test_a_duplicate_reading_imports_nothing",) + _DIGESTS,
+    ),
+    # -- quiet writes: a spatial reading no check can see is neither classified nor noted
+    Mutant(
+        "motion-sensor-marked-quiet",
+        PROCEDURES,
+        (
+            (
+                "        lends = (lifted or spatial.presence_concept in template.closure) and any(\n",
+                "        lends = lifted and any(\n",
+            ),
+        ),
+        (
+            "tests/test_procedures.py::TestQuietWrites::test_the_shipped_quiet_writes",
+            "tests/test_procedures.py::TestQuietWrites::test_a_replay_without_the_table_writes_the_same_bytes[sessions]",
+            "tests/test_procedures.py::TestSchedulerOracle::test_whole_benchmark_trace_matches_the_tick_loop[spatial_sweep]",
+            "tests/test_same_bytes.py::test_every_participant_replays_to_the_pinned_bytes[sessions-1]",
+        ),
+    ),
+    Mutant(
+        "quiet-ignores-kept-lists",
+        PROCEDURES,
+        (("    if any(binding.node == SPATIAL_NODE for binding in bindings.values()):\n", "    if False:\n"),),
+        ("tests/test_procedures.py::TestQuietWrites::test_what_a_check_or_a_record_can_see_is_live[an-activity-bound-to-L]",),
     ),
 )

@@ -1,5 +1,6 @@
 """Replayer, importers, evaluators, bindings and the whole replay loop."""
 
+import dataclasses
 import gc
 import importlib.util
 import io
@@ -499,9 +500,11 @@ class TestConditionsEvaluated:
 class TestMembershipMemo:
     def test_quiet_toggles_after_a_warm_up_run_no_fixpoint(self, scenario):
         """The spatial node's templates and memo live on the scenario's
-        graph: once one participant has switched every sensor on and toggled
-        the quiet ones, the next participant's quiet toggles are each
-        reclassified from the memo, with no fixpoint run."""
+        graph.  Quiet readings are not classified as they are written: the
+        next read of the store reclassifies each toggled id once.  Once one
+        participant has switched every sensor on, toggled six quiet sensors
+        and read the store, the next participant's read serves those six ids
+        from the memo, with no fixpoint run."""
 
         def participant():
             implementations, replayer = procedures.build_implementations(scenario, procedures.ReplaySession())
@@ -522,10 +525,130 @@ class TestMembershipMemo:
             start = 1000 * (len(sweep) + 1)
             for i in range(24):
                 reading(start + 500 * i, quiet[i % 6], i % 2 == 1)
+            assert spatial.reclassified == reclassified  # nothing read between the toggles
+            spatial.classify()
             return spatial.fixpointed - fixpointed, spatial.reclassified - reclassified
 
         participant()  # the warm-up
-        assert participant() == (0, 24)
+        assert participant() == (0, 6)
+
+
+QUIET_SENSORS = ("M1", "M2", *(f"I{i}" for i in range(1, 10)), *(f"D{i}" for i in range(7, 13)), "F2", "F3", "P1")
+
+
+def quiet_scenario(tmp_path, file_name, old, new):
+    """The shipped scenario copied, with ``old`` replaced by ``new`` in one
+    of its files, loaded."""
+    config = tmp_path / "scenario"
+    shutil.copytree(procedures.SCENARIO_DIR, config)
+    path = config / file_name
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return procedures.load_scenario(config)
+
+
+class TestQuietWrites:
+    """The spatial node's quiet writes (``Scenario.quiet_writes``): readings
+    that can move no answer a condition reads, so the replayer neither
+    classifies nor notes them."""
+
+    def test_the_shipped_quiet_writes(self, scenario):
+        """The bathroom motion (``isIn BA``, which no check watches), the
+        items, doors, flows and the phone, each under both states: 20 of
+        L's 41 sensors."""
+        assert scenario.quiet_writes == {(sensor, state) for sensor in QUIET_SENSORS for state in (False, True)}
+        assert len(scenario.store_models["L"].installations) == 41
+
+    @pytest.mark.parametrize(
+        "file_name, old, new, live",
+        [
+            pytest.param(
+                procedures.NETWORK_FILE,
+                "[events]\n",
+                "C_d9 checks=D9 in=L hasTarget=true rate=50\n[events]\n",
+                {"D9"},
+                id="a-statement-check-on-L",
+            ),
+            pytest.param(
+                "spatial.model",
+                "SK SINK\n",
+                "SK SINK\nSHELF FURNITURE isNearTo=I1\n",
+                {"I1"},
+                id="a-model-instance-naming-a-sensor",
+            ),
+            pytest.param(
+                procedures.NETWORK_FILE,
+                "[events]\n",
+                "C_in_bathroom checks=PERSON:isIn:BATHROOM in=L hasTarget=true rate=50\n[events]\n",
+                {"M1", "M2"},
+                id="a-pattern-check-on-the-bathroom",
+            ),
+            pytest.param(
+                procedures.NETWORK_FILE,
+                "node=T4 installed=PHONE",
+                "node=L installed=PHONE",
+                set(QUIET_SENSORS),
+                id="an-activity-bound-to-L",
+            ),
+        ],
+    )
+    def test_what_a_check_or_a_record_can_see_is_live(self, tmp_path, file_name, old, new, live):
+        """Each edit makes the sensors it exposes live under both states and
+        leaves the others quiet; an activity bound to L (its importer and
+        evaluator write there, and the evaluator keeps lists there) makes
+        every reading live."""
+        edited = quiet_scenario(tmp_path, file_name, old, new)
+        assert edited.quiet_writes == {
+            (sensor, state) for sensor in QUIET_SENSORS if sensor not in live for state in (False, True)
+        }
+
+    def test_a_quiet_reading_is_recorded_but_neither_classified_nor_noted(self, scenario):
+        """A quiet ``M1`` reading is asserted and counted, and leaves the
+        store's reclassified count and the pending samples as they were;
+        the live ``M16`` reading after it classifies both ids at once."""
+        session = procedures.ReplaySession()
+        implementations, replayer = procedures.build_implementations(scenario, session)
+        net = network.bootstrap(scenario.model, implementations=implementations, store_models=scenario.store_models)
+        spatial = net.stores[procedures.SPATIAL_NODE]
+        net.pending_until(999)  # the boot
+
+        def reading(time_ms, sensor, value):
+            net.clock.advance_to(time_ms)
+            assert replayer.replay_step(net, ingest.TraceEvent(time_ms=time_ms, sensor=sensor, value=value))
+
+        reading(1_000, "M16", True)
+        pending, reclassified = oracles.pending_samples(net), spatial.reclassified
+        assert pending == {("L", 50, 1000): 1_000}
+        reading(1_005, "M1", True)
+        assert spatial.statement_state("M1") is True
+        assert (session.events_replayed, len(session.telemetry.series["L"])) == (2, 2)
+        assert (spatial.reclassified, oracles.pending_samples(net)) == (reclassified, pending)
+        reading(1_010, "M16", False)
+        assert spatial.reclassified == reclassified + 2
+        assert oracles.pending_samples(net) == {}  # C_in_kitchen agrees again
+        assert spatial.infer_person_context() == (("isIn", "BA"),)
+
+    @pytest.mark.parametrize("trace", ["synthetic", "sessions", "spatial_sweep", "append_growth"])
+    def test_a_replay_without_the_table_writes_the_same_bytes(self, scenario, workloads, trace):
+        """The synthetic session and the first seed-1 participant of each
+        workload, replayed with the quiet writes and with every reading
+        classified and noted: same dispatch log, recognitions and telemetry
+        axiom series."""
+        if trace == "synthetic":
+            text = synth.session_text()
+        else:
+            text = "\n".join(workloads.generate(trace, 1)[0]) + "\n"
+        events = ingest.load_trace(io.StringIO(text), **scenario.load_trace_kwargs()).events
+        live = dataclasses.replace(scenario, quiet_writes=frozenset())
+        runs = [procedures.run_replay(events, scenario=s) for s in (scenario, live)]
+        axioms = [
+            [(node, [(p.time_ms, p.axiom_count) for p in r.telemetry.series[node]]) for node in r.telemetry.nodes()]
+            for r in runs
+        ]
+        assert runs[0].log_text == runs[1].log_text
+        assert runs[0].recognitions == runs[1].recognitions
+        assert axioms[0] == axioms[1]
 
 
 class TestWallClockPacing:
