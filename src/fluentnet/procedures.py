@@ -6,32 +6,34 @@ context (its presence counts) and the watched patterns' answers up to
 date, and notes the write to the scheduler; after a quiet one it does
 neither (see below).  Each importer reacts to a spatial trigger and
 copies into the activity node each of its activity's sensors whose
-reading is not the one it last copied.  It keeps, per sensor, the spatial record it last copied, and a
-visit skips that record (by identity) and a newer one with its state and
-time.  It then raises the sync statement ``N`` so the paired evaluator
-runs in the same step.  Readings and imports are stored in their node's
-declared mode; ``N``, pre-pass results and the recognition are
-single-valued and always overwrite.  The evaluator resets ``N``, runs any
-windowed pre-passes, evaluates the compiled model rules on a snapshot, and
-on success asserts the activity statement, records the recognition and
-clears the node down to the result and the sync statement.
+reading is not the one it last copied.  It keeps, per sensor, the spatial
+record it last copied, and a visit skips that record (by identity) and a
+newer one with its state and time.  It then raises the sync statement
+``N`` so the paired evaluator runs in the same step.  Readings and
+imports are stored in their node's declared mode; ``N``, pre-pass results
+and the recognition are single-valued and always overwrite.  The
+evaluator resets ``N``, runs any windowed pre-passes, evaluates the
+compiled model rules on a snapshot, and on success asserts the activity
+statement, records the recognition and clears the node down to the
+result and the sync statement.
 
 A reading is quiet when no check can see it.  :func:`load_scenario` finds
 the spatial node's quiet ``(sensor, state)`` writes once per scenario
-(:attr:`Scenario.quiet_writes`), from the node's store model and write
-templates, the network's conditions on the node and the activity
-bindings; :func:`_quiet_writes` states the conditions.  On the shipped
-scenario they are the bathroom motion, which lends only ``isIn BA``, and
-the items, doors, flows and phone, which lend the person nothing.  Such a
-write moves no watch count and no checked statement, and no evaluator
-keeps a list on the node, so by the scheduler's invariant it leaves every
-tick group's list of differing members as it was, and its note would
-change nothing.  Its classification is deferred, not dropped: the store's
-dirty set is the one stale marker, so the next read (a live reading, a
-pattern sample) reclassifies it with everything written since, and
-repeated toggles of one sensor cost one reclassification.  This is Rete's
-idea of sending a change only to the nodes whose patterns could match it
-(Forgy, "Rete", Artificial Intelligence 19, 1982).
+(:attr:`Scenario.quiet_writes`), from the node's store model (its sensor
+declarations, plain instances and concept graph), the network's
+conditions on the node and the activity bindings; :func:`_quiet_writes`
+states the conditions.  On the shipped scenario they are the bathroom
+motion, which lends only ``isIn BA``, and the items, doors, flows and
+phone, which lend the person nothing.  Such a write moves no watch count
+and no checked statement, and no evaluator keeps a list on the node, so
+by the scheduler's invariant it leaves every tick group's list of
+differing members as it was, and its note would change nothing.  Its
+classification is deferred, not dropped: the store's dirty set is the one
+stale marker, so the next read (a live reading, a pattern sample)
+reclassifies it with everything written since, and repeated toggles of
+one sensor cost one reclassification.  This is Rete's idea of sending a
+change only to the nodes whose patterns could match it (Forgy, "Rete",
+Artificial Intelligence 19, 1982).
 
 Each activity's rules are planned once, when the scenario is loaded
 (:attr:`ActivityBinding.plans`); every replay's evaluator matches with an
@@ -75,16 +77,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from time import perf_counter_ns
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import dsl
-from .context import APPEND, OVERWRITE, ConsistencyError, ContextStore, StoreInstance
+from .context import APPEND, OVERWRITE, PAIR_PROPS, ContextStore, StoreInstance
 from .ingest import TraceEvent, drive
 from .metrics import Telemetry
-from .modelio import ConfigError, StoreModel, build_store, read_config, read_sections
+from .modelio import ConfigError, StoreModel, read_config, read_sections
 from .network import (
     NetworkModel,
     PatternCheck,
@@ -189,10 +190,10 @@ def _quiet_writes(
       there and no evaluator keeps a list there;
     - no statement check on the node names the sensor, and no record of
       the node's model names it (nor an id an append write of it makes);
-    - every id its declaration names is a plain model instance that names,
-      through its own values, only such instances: no replay writes them,
-      so each keeps the membership a classified store of the model gives;
-    - it lends the person no pair ``(prop, target)`` whose target is
+    - every id its declaration names is a plain model instance that no
+      replay writes.  Such an instance is only ever classified under its
+      closure and the superclasses of the defined classes it meets;
+    - it lends the person no pair ``(prop, target)`` whose target can be so
       classified under a concept a pattern check on the node watches for
       ``prop``.  Only a true reading lends, and only one that can be
       classified under the presence concept: through its closure, or a
@@ -200,9 +201,9 @@ def _quiet_writes(
 
     An overwrite write replaces the sensor's record whatever that record's
     state, so there a sensor is quiet under both states or neither; an
-    append write only adds a record, so a false one lends nothing.  A
-    model that cannot be built, or a sensor whose write cannot be derived,
-    gives no quiet write: bootstrap or the write reports it."""
+    append write only adds a record, so a false one lends nothing.  The
+    table reads declarations only: a declaration a write rejects is
+    rejected at that write, quiet or not."""
     if any(binding.node == SPATIAL_NODE for binding in bindings.values()):
         return frozenset()
     checked: set[str] = set()
@@ -214,31 +215,28 @@ def _quiet_writes(
             watched.setdefault(cond.check.prop, set()).add(cond.check.target_concept)
         else:
             checked.add(cond.check.statement_id)
-    mode = next(node.mode for node in model.nodes if node.name == SPATIAL_NODE)
-    graph = spatial.graph
-    try:
-        store = build_store(SPATIAL_NODE, spatial, mode=mode)
-        templates = {sensor_id: graph.template(sensor_id, None, decl) for sensor_id, decl in spatial.installations.items()}
-    except (ValueError, ConsistencyError):
-        return frozenset()
-    memberships = store.classify()
-    plain = {i: r.template.names for i, r in store.instances.items() if i not in spatial.installations}
-    # the plain instances naming, through their values, only such instances
-    fixed = set(plain)
-    while stale := {i for i in fixed if not plain[i] <= fixed}:
-        fixed -= stale
-    named = {
-        name.partition("#")[0]
-        for template in chain(templates.values(), (r.template for r in store.instances.values()))
-        for name in template.names
+    supers = spatial.graph.supers
+    installations = spatial.installations
+    # every concept a defined class can add to a membership
+    lifted = frozenset().union(*map(supers, spatial.graph.defined))
+    # each plain model instance no replay writes: every concept it can be classified under
+    reach = {
+        instance_id: lifted.union(*map(supers, concepts))
+        for instance_id, concepts, _ in spatial.instances
+        if instance_id not in installations
     }
-    lifted = any(spatial.presence_concept in graph.supers(name) for name in graph.defined)
+    values = [value for _, _, props in spatial.instances for listed in props.values() for value in listed]
+    values += [value for decl in installations.values() for _, value in decl.properties]
+    named = {value.partition("#")[0] for value in values if isinstance(value, str)}
+    presence = spatial.presence_concept
+    mode = next(node.mode for node in model.nodes if node.name == SPATIAL_NODE)
     quiet: set[tuple[str, bool]] = set()
-    for sensor_id, template in templates.items():
-        if sensor_id in checked or sensor_id in named or not template.names <= fixed:
+    for sensor_id, decl in installations.items():
+        declared = [(prop, value) for prop, value in decl.properties if isinstance(value, str)]
+        if sensor_id in checked or sensor_id in named or not all(value in reach for _, value in declared):
             continue
-        lends = (lifted or spatial.presence_concept in template.closure) and any(
-            memberships[target] & watched.get(prop, frozenset()) for prop, target in template.pairs
+        lends = (presence in lifted or any(presence in supers(concept) for concept in decl.concepts)) and any(
+            prop in PAIR_PROPS and not reach[value].isdisjoint(watched.get(prop, ())) for prop, value in declared
         )
         if not lends:
             quiet.update(((sensor_id, False), (sensor_id, True)))

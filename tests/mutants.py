@@ -391,8 +391,8 @@ MUTANTS = (
         PROCEDURES,
         (
             (
-                "        lends = (lifted or spatial.presence_concept in template.closure) and any(\n",
-                "        lends = lifted and any(\n",
+                "        lends = (presence in lifted or any(presence in supers(concept) for concept in decl.concepts)) and any(\n",
+                "        lends = presence in lifted and any(\n",
             ),
         ),
         (
