@@ -146,9 +146,9 @@ class Scenario:
     model: NetworkModel
     store_models: dict[str, StoreModel]
     bindings: dict[int, ActivityBinding]
+    quiet_writes: frozenset[tuple[str, bool]]
     sensor_rename: dict[str, str] = field(default_factory=dict)
     value_map: dict[str, bool] = field(default_factory=dict)
-    quiet_writes: frozenset[tuple[str, bool]] = frozenset()
 
     def params(self) -> dict[str, int]:
         table: dict[str, int] = {}
@@ -303,9 +303,9 @@ def load_scenario(
         model=model,
         store_models=store_models,
         bindings=bindings,
+        quiet_writes=_quiet_writes(model, spatial_model, bindings),
         sensor_rename=rename,
         value_map=value_map,
-        quiet_writes=_quiet_writes(model, spatial_model, bindings),
     )
     unknown = sorted(set(params or ()) - set(scenario.params()))
     if unknown:
@@ -330,7 +330,7 @@ class Replayer:
     ``quiet_writes`` are the readings it neither classifies nor notes
     (:attr:`Scenario.quiet_writes`)."""
 
-    def __init__(self, session: ReplaySession, quiet_writes: frozenset[tuple[str, bool]] = frozenset()) -> None:
+    def __init__(self, session: ReplaySession, quiet_writes: frozenset[tuple[str, bool]]) -> None:
         self.session = session
         self.quiet_writes = quiet_writes
 

@@ -629,16 +629,11 @@ class TestQuietWrites:
         assert oracles.pending_samples(net) == {}  # C_in_kitchen agrees again
         assert spatial.infer_person_context() == (("isIn", "BA"),)
 
-    @pytest.mark.parametrize("trace", ["synthetic", "sessions", "spatial_sweep", "append_growth"])
-    def test_a_replay_without_the_table_writes_the_same_bytes(self, scenario, workloads, trace):
-        """The synthetic session and the first seed-1 participant of each
-        workload, replayed with the quiet writes and with every reading
+    @staticmethod
+    def assert_replays_alike(scenario, text):
+        """``text`` replayed with the quiet writes and with every reading
         classified and noted: same dispatch log, recognitions and telemetry
         axiom series."""
-        if trace == "synthetic":
-            text = synth.session_text()
-        else:
-            text = "\n".join(workloads.generate(trace, 1)[0]) + "\n"
         events = ingest.load_trace(io.StringIO(text), **scenario.load_trace_kwargs()).events
         live = dataclasses.replace(scenario, quiet_writes=frozenset())
         runs = [procedures.run_replay(events, scenario=s) for s in (scenario, live)]
@@ -649,6 +644,27 @@ class TestQuietWrites:
         assert runs[0].log_text == runs[1].log_text
         assert runs[0].recognitions == runs[1].recognitions
         assert axioms[0] == axioms[1]
+
+    @pytest.mark.parametrize("trace", ["synthetic", "sessions", "spatial_sweep", "append_growth"])
+    def test_a_replay_without_the_table_writes_the_same_bytes(self, scenario, workloads, trace):
+        """The synthetic session and the first seed-1 participant of each
+        workload."""
+        if trace == "synthetic":
+            text = synth.session_text()
+        else:
+            text = "\n".join(workloads.generate(trace, 1)[0]) + "\n"
+        self.assert_replays_alike(scenario, text)
+
+    def test_an_append_node_s_false_motion_readings_are_quiet(self, tmp_path):
+        """An append write adds a record and replaces none, so a false
+        reading of a motion sensor lends nothing and moves no watch; a true
+        one still lends its pairs and stays live."""
+        declared = "L represents=spatial.model mode="
+        edited = quiet_scenario(tmp_path, procedures.NETWORK_FILE, declared + "overwrite", declared + "append")
+        motion = {f"M{i}" for i in range(3, 24)}
+        shipped = {(sensor, state) for sensor in QUIET_SENSORS for state in (False, True)}
+        assert edited.quiet_writes == shipped | {(sensor, False) for sensor in motion}
+        self.assert_replays_alike(edited, synth.session_text())
 
 
 class TestWallClockPacing:
