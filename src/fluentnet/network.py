@@ -77,7 +77,6 @@ and a procedure error's message has its lines joined by spaces.  So
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
@@ -101,8 +100,6 @@ from .modelio import (
     read_sections,
     split_options,
 )
-
-logger = logging.getLogger(__name__)
 
 UPPER_NODE = "U"
 BOOT_STATEMENT = "BOOT"
@@ -571,7 +568,9 @@ class RuntimeNetwork:
         try:
             impl(self, self.clock.now)
         except Exception as exc:  # procedure failure must not halt the loop
-            logger.exception("procedure %s failed", name)
+            import logging  # only a failing procedure needs it, so a replay's process need not load it
+
+            logging.getLogger(__name__).exception("procedure %s failed", name)
             # one line per entry: the message's lines, joined by spaces
             self.emit("error", name, f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}")
 

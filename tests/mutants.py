@@ -41,7 +41,9 @@ _RUN = """\
         try:
             impl(self, self.clock.now)
         except Exception as exc:  # procedure failure must not halt the loop
-            logger.exception("procedure %s failed", name)
+            import logging  # only a failing procedure needs it, so a replay's process need not load it
+
+            logging.getLogger(__name__).exception("procedure %s failed", name)
             # one line per entry: the message's lines, joined by spaces
             self.emit("error", name, f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}")
 """

@@ -331,9 +331,9 @@ def _first_tick_at_or_after(tick_time, k, time_ms):
 def due_at_or_after(group, last_tick, time_ms):
     """The first rate tick of ``group`` at or after ``time_ms`` and after
     tick number ``last_tick``: the tick times ``ceil(k * per_ms / ticks)``
-    are enumerated, not inverted.  The walk starts at a tick whose exact
-    time is at most ``time_ms - 1``, so every tick it skips falls before
-    ``time_ms``."""
+    are enumerated, not inverted.  The walk skips only ticks at or before
+    ``last_tick`` and ticks whose exact time ``k * per_ms / ticks`` is below
+    ``time_ms - 1``, which fall before ``time_ms``."""
     start = max(last_tick + 1, 1, (time_ms - 1) * group.ticks // group.per_ms)
     return _first_tick_at_or_after(lambda k: -(-k * group.per_ms // group.ticks), start, time_ms)
 
