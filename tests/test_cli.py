@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import synth
+from conftest import scenario_copy
 from fluentnet import cli, procedures
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -45,17 +46,6 @@ REPORT_DIGESTS = {
     "telemetry_T7@p01.tsv": "2576f8742a7b7c27c5b8d706fe1437920fd90b11dcbcb09bbf710983fd1d9307",
     "telemetry_T8@p01.tsv": "972019c565d254ce8e3780d7674b1d400858c1ebc029dd56504a213f1d1a1fa7",
 }
-
-
-def scenario_copy(tmp_path, old, new, name=procedures.NETWORK_FILE):
-    """A copy of the bundled scenario with one text in file ``name`` replaced."""
-    config = tmp_path / "scenario"
-    shutil.copytree(procedures.SCENARIO_DIR, config)
-    target = config / name
-    text = target.read_text(encoding="utf-8")
-    assert old in text
-    target.write_text(text.replace(old, new, 1), encoding="utf-8")
-    return config
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ import pytest
 
 import oracles
 import synth
+from conftest import scenario_copy
 from fluentnet import dsl, golden, ingest, network, procedures, rules
 from fluentnet.context import (
     APPEND, OVERWRITE, STATE_PROP, ConceptGraph, ContextStore, DefinedClass, Restriction, SensorDecl,
@@ -536,18 +537,6 @@ class TestMembershipMemo:
 QUIET_SENSORS = ("M1", "M2", *(f"I{i}" for i in range(1, 10)), *(f"D{i}" for i in range(7, 13)), "F2", "F3", "P1")
 
 
-def quiet_scenario(tmp_path, file_name, old, new):
-    """The shipped scenario copied, with ``old`` replaced by ``new`` in one
-    of its files, loaded."""
-    config = tmp_path / "scenario"
-    shutil.copytree(procedures.SCENARIO_DIR, config)
-    path = config / file_name
-    text = path.read_text(encoding="utf-8")
-    assert text.count(old) == 1
-    path.write_text(text.replace(old, new), encoding="utf-8")
-    return procedures.load_scenario(config)
-
-
 class TestQuietWrites:
     """The spatial node's quiet writes (``Scenario.quiet_writes``): readings
     that can move no answer a condition reads, so the replayer neither
@@ -598,7 +587,7 @@ class TestQuietWrites:
         leaves the others quiet; an activity bound to L (its importer and
         evaluator write there, and the evaluator keeps lists there) makes
         every reading live."""
-        edited = quiet_scenario(tmp_path, file_name, old, new)
+        edited = procedures.load_scenario(scenario_copy(tmp_path, old, new, file_name))
         assert edited.quiet_writes == {
             (sensor, state) for sensor in QUIET_SENSORS if sensor not in live for state in (False, True)
         }
@@ -655,12 +644,12 @@ class TestQuietWrites:
             text = "\n".join(workloads.generate(trace, 1)[0]) + "\n"
         self.assert_replays_alike(scenario, text)
 
-    def test_an_append_node_s_false_motion_readings_are_quiet(self, tmp_path):
+    def test_an_append_node_keeps_false_motion_readings_quiet(self, tmp_path):
         """An append write adds a record and replaces none, so a false
         reading of a motion sensor lends nothing and moves no watch; a true
         one still lends its pairs and stays live."""
         declared = "L represents=spatial.model mode="
-        edited = quiet_scenario(tmp_path, procedures.NETWORK_FILE, declared + "overwrite", declared + "append")
+        edited = procedures.load_scenario(scenario_copy(tmp_path, declared + "overwrite", declared + "append"))
         motion = {f"M{i}" for i in range(3, 24)}
         shipped = {(sensor, state) for sensor in QUIET_SENSORS for state in (False, True)}
         assert edited.quiet_writes == shipped | {(sensor, False) for sensor in motion}
