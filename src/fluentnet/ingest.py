@@ -18,11 +18,10 @@ drops an index-0 annotation but keeps its reading, each with a warning.
 from __future__ import annotations
 
 import re
-import time as _time
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, TextIO, Union
+from typing import Mapping, Optional, TextIO, Union
 
 DEFAULT_VALUE_MAP: dict[str, bool] = {
     "ON": True,
@@ -278,26 +277,3 @@ def load_trace(
     intervals.sort(key=lambda i: (i.start_ms, i.activity))
     return TraceLoad(events=events, intervals=intervals, warnings=warnings, skipped=skipped)
 
-
-def drive(
-    events: Iterable[TraceEvent],
-    speed: float = 1.0,
-    pure_virtual: bool = True,
-    sleeper: Callable[[float], None] = _time.sleep,
-) -> Iterator[TraceEvent]:
-    """Yield events in order, paced by the wall clock or not at all.
-
-    In pure-virtual mode events are handed over as fast as the consumer can
-    process them, timestamps untouched.  In wall-clock mode the original
-    inter-event gaps are slept through, divided by ``speed``.  The consumer
-    moves its own virtual clock: it may have work due before an event's
-    time that must run first.
-    """
-    if speed <= 0:
-        raise ValueError("speed factor must be positive")
-    previous: Optional[int] = None
-    for event in events:
-        if not pure_virtual and previous is not None and event.time_ms > previous:
-            sleeper((event.time_ms - previous) / 1000.0 / speed)
-        previous = event.time_ms
-        yield event

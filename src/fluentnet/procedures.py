@@ -1,21 +1,22 @@
 """The three procedure families: replayer, importers and model evaluators.
 
-The replayer turns dataset readings into assertions in the spatial node.
-After a live reading it classifies the node, which brings the person's
-context (its presence counts) and the watched patterns' answers up to
-date, and notes the write to the scheduler; after a quiet one it does
-neither (see below).  Each importer reacts to a spatial trigger and
-copies into the activity node each of its activity's sensors whose
-reading is not the one it last copied.  It keeps, per sensor, the spatial
-record it last copied, and a visit skips that record (by identity) and a
-newer one with its state and time.  It then raises the sync statement
-``N`` so the paired evaluator runs in the same step.  Readings and
-imports are stored in their node's declared mode; ``N``, pre-pass results
-and the recognition are single-valued and always overwrite.  The
-evaluator resets ``N``, runs any windowed pre-passes, evaluates the
-compiled model rules on a snapshot, and on success asserts the activity
-statement, records the recognition and clears the node down to the
-result and the sync statement.
+The replayer asserts each dataset reading in the spatial node at the
+clock's time, to which :func:`run_replay` has moved it; it is not
+dispatched.  After a live reading it classifies the node, which brings
+the person's context (its presence counts) and the watched patterns'
+answers up to date, and notes the write to the scheduler; after a quiet
+one it does neither (see below).  Each importer reacts to a spatial
+trigger and copies into the activity node each of its activity's sensors
+whose reading is not the one it last copied.  It keeps, per sensor, the
+spatial record it last copied, and a visit skips that record (by
+identity) and a newer one with its state and time.  It then raises the
+sync statement ``N`` so the paired evaluator runs in the same step.
+Readings and imports are stored in their node's declared mode; ``N``,
+pre-pass results and the recognition are single-valued and always
+overwrite.  The evaluator resets ``N``, runs any windowed pre-passes,
+evaluates the compiled model rules on a snapshot, and on success asserts
+the activity statement, records the recognition and clears the node down
+to the result and the sync statement.
 
 A reading is quiet when no check can see it.  :func:`load_scenario` finds
 the spatial node's quiet ``(sensor, state)`` writes once per scenario
@@ -83,7 +84,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from . import dsl
 from .context import APPEND, OVERWRITE, PAIR_PROPS, ContextStore, StoreInstance
-from .ingest import TraceEvent, drive
+from .ingest import TraceEvent
 from .metrics import Telemetry
 from .modelio import ConfigError, StoreModel, read_config, read_sections
 from .network import (
@@ -326,24 +327,22 @@ class ReplaySession:
 
 
 class Replayer:
-    """Procedure D: feeds dataset readings into the spatial node.
-    ``quiet_writes`` are the readings it neither classifies nor notes
-    (:attr:`Scenario.quiet_writes`)."""
+    """Procedure D's work, which :func:`run_replay` calls per reading: it
+    feeds dataset readings into the spatial node.  ``quiet_writes`` are the
+    readings it neither classifies nor notes (:attr:`Scenario.quiet_writes`)."""
 
     def __init__(self, session: ReplaySession, quiet_writes: frozenset[tuple[str, bool]]) -> None:
         self.session = session
         self.quiet_writes = quiet_writes
 
-    def __call__(self, net: RuntimeNetwork, now_ms: int) -> None:
-        """Dispatched once at boot; readings arrive through :meth:`replay_step`."""
-
     def replay_step(self, net: RuntimeNetwork, event: TraceEvent) -> bool:
-        """Assert one reading in the spatial node's mode and record its
-        telemetry.  A live reading is also classified (which recounts the
-        person context and the watch counts), timed with the write, and
-        noted to the scheduler.  A quiet one is neither: it leaves its id in
-        the store's dirty set, and the next read classifies it with
-        whatever else was written (see the module docstring).
+        """Assert one reading in the spatial node's mode at the clock's
+        time, to which the caller moved it, as every procedure writes, and
+        record its telemetry.  A live reading is also classified (which
+        recounts the person context and the watch counts), timed with the
+        write, and noted to the scheduler.  A quiet one is neither: it
+        leaves its id in the store's dirty set, and the next read classifies
+        it with whatever else was written (see the module docstring).
 
         Readings for sensors the spatial model does not declare are skipped
         with a warning record; datasets contain stray ids.
@@ -354,7 +353,7 @@ class Replayer:
             self.session.warnings.append(f"unknown sensor {event.sensor}")
             return False
         started = perf_counter_ns()
-        spatial.assert_statement(event.sensor, event.value, event.time_ms)
+        spatial.assert_statement(event.sensor, event.value, net.clock.now)
         live = (event.sensor, event.value) not in self.quiet_writes
         if live:
             spatial.classify()
@@ -519,7 +518,7 @@ def build_implementations(
     scenario: Scenario, session: ReplaySession
 ) -> tuple[dict[str, ProcedureImpl], Replayer]:
     replayer = Replayer(session, scenario.quiet_writes)
-    implementations: dict[str, ProcedureImpl] = {"replayer": replayer}
+    implementations: dict[str, ProcedureImpl] = {}
     for index, binding in scenario.bindings.items():
         implementations[f"importer:{index}"] = Importer(binding)
         implementations[f"evaluator:{index}"] = Evaluator(binding, session)
@@ -561,24 +560,29 @@ def run_replay(
 ) -> RunResult:
     """Replay one participant's readings through a fresh network.
 
-    Timestamps are rebased by :func:`rebase_offset`, which is returned so
-    ground truth can be rebased identically.  Pacing is
-    :func:`ingest.drive`'s: in pure-virtual mode the speed factor plays no
-    role, the scheduler consumes events as fast as computation allows while
-    preserving timestamps, so runs at any factor are identical.
+    Each reading's time is rebased by :func:`rebase_offset`, returned so
+    ground truth can be rebased identically.  The samples due before that
+    time run, the clock moves to it, and the replayer asserts the reading.
+    In wall-clock mode the gap since the previous reading is slept through
+    first, divided by ``speed``; in pure-virtual mode ``speed`` plays no
+    role, so runs at any factor are identical.
     """
+    if speed <= 0:
+        raise ValueError("speed factor must be positive")
     session = ReplaySession()
     implementations, replayer = build_implementations(scenario, session)
     net = bootstrap(scenario.model, implementations=implementations, store_models=scenario.store_models)
 
     base_ms = rebase_offset(events)
-    rebased = (
-        TraceEvent(e.time_ms - base_ms, e.sensor, e.value, e.activity, e.marker) for e in events
-    )
-    for event in drive(rebased, speed, pure_virtual, sleeper):
+    previous: Optional[int] = None
+    for event in events:
+        if not pure_virtual and previous is not None and event.time_ms > previous:
+            sleeper((event.time_ms - previous) / 1000.0 / speed)
+        previous = event.time_ms
+        time_ms = event.time_ms - base_ms
         # samples due before the reading see the store as it was
-        net.pending_until(event.time_ms - 1)
-        net.clock.advance_to(event.time_ms)
+        net.pending_until(time_ms - 1)
+        net.clock.advance_to(time_ms)
         replayer.replay_step(net, event)
     net.pending_until(net.clock.now + TRAILING_FLUSH_MS)
 

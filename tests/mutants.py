@@ -1,7 +1,7 @@
 """A catalogue of mutants of the incremental structures (the axiom count
 among them), of the dispatch log, of the declarative line splitter, of
-classification, of the rule matcher and of the spatial node's quiet
-writes, as data.
+classification, of the rule matcher, of the spatial node's quiet writes
+and of the replay loop, as data.
 
 Each entry is one mutant.  ``module`` is a path from the repository root,
 and ``edits`` holds the exact text replacements, as (anchor, replacement)
@@ -58,6 +58,9 @@ _NOTES_AFTER_BATCH = """\
 
 _NOTING = "tests/test_network.py::TestCascade::test_writes_are_noted_as_the_noting_oracle_notes_them"
 _TOP_LEVEL_SYNC = "tests/test_network.py::TestNotifySync::test_a_top_level_sync_notes_what_its_procedure_wrote"
+_DIRTY_SET = "tests/test_context.py::TestDirtySet::"
+_SKIP = "tests/test_procedures.py::TestEvaluationSkip::"
+_PACING = "tests/test_procedures.py::TestWallClockPacing::"
 _DIGESTS = tuple(
     f"tests/test_benchmark_traffic.py::test_first_seed_1_participant_replays_to_the_same_bytes[{workload}]"
     for workload in ("sessions", "spatial_sweep", "append_growth")
@@ -176,6 +179,31 @@ MUTANTS = (
             "tests/test_context.py::TestDirtySet::test_full_recompute_only_on_first_read_and_fallbacks",
             "tests/test_context.py::TestWriteTemplates::test_memo_reads_the_named_ids_closures",
         ),
+    ),
+    # -- dirty set: the dirty ids are reclassified alone only when none has a
+    # referrer and none names an enriched id.  The generated TestDirtySet and
+    # TestKeptLists reads also kill these, but only in some runs, so they are
+    # not catalogued
+    Mutant(
+        "stays-local-ignores-referrers",
+        CONTEXT,
+        (
+            (
+                "            if inst_id in self._referrers:\n                return False\n",
+                "            if inst_id in self._referrers:\n                pass\n",
+            ),
+        ),
+        (
+            _DIRTY_SET + "test_full_recompute_only_on_first_read_and_fallbacks",
+            _SKIP + "test_a_full_recompute_moves_lists_it_places_nothing_in",
+            _SKIP + "test_runs_in_full_after_a_change_to_what_it_reads[full recompute]",
+        ),
+    ),
+    Mutant(
+        "stays-local-ignores-enriched-targets",
+        CONTEXT,
+        (("len(membership) > len(named.closure)", "False"),),
+        (_DIRTY_SET + "test_full_recompute_only_on_first_read_and_fallbacks",),
     ),
     # -- kept lists: one store counter moves when a record enters or leaves one
     Mutant(
@@ -302,6 +330,16 @@ MUTANTS = (
             "tests/test_context.py::TestWatches::test_watched_answers_follow_every_write[bounded-piled-up]",
         ),
     ),
+    # -- cascade: an event stays consumed from firing until a condition rises
+    Mutant(
+        "event-fires-while-consumed",
+        NETWORK,
+        (("if not event.consumed and all(", "if all("),),
+        (
+            "tests/test_network.py::TestCascade::test_two_conditions_rising_in_one_sample_fire_their_event_once",
+            "tests/test_network.py::TestCascade::test_a_condition_observed_twice_fires_once_per_rise",
+        ),
+    ),
     # -- classification: literal targets and bounds of a defined class
     Mutant(
         "exact-bound-never-rejects",
@@ -409,5 +447,27 @@ MUTANTS = (
         PROCEDURES,
         (("    if any(binding.node == SPATIAL_NODE for binding in bindings.values()):\n", "    if False:\n"),),
         ("tests/test_procedures.py::TestQuietWrites::test_what_a_check_or_a_record_can_see_is_live[an-activity-bound-to-L]",),
+    ),
+    # -- replay loop: each reading paced, rebased, and asserted at the clock's time
+    Mutant(
+        "replay-step-writes-the-raw-time",
+        PROCEDURES,
+        (("event.value, net.clock.now)", "event.value, event.time_ms)"),),
+        (
+            _PACING + "test_a_reading_is_asserted_at_its_rebased_time",
+            # tick_replay hands replay_step a rebased copy of each reading
+            "tests/test_procedures.py::TestSchedulerOracle::test_run_replay_matches_the_tick_loop",
+            "tests/test_procedures.py::TestSchedulerOracle::test_whole_benchmark_trace_matches_the_tick_loop[sessions]",
+            "tests/test_same_bytes.py::test_the_synthetic_session_replays_to_the_pinned_bytes",
+            "tests/test_same_bytes.py::test_every_participant_replays_to_the_pinned_bytes[sessions-1]",
+            _DIGESTS[0],
+            _DIGESTS[-1],
+        ),
+    ),
+    Mutant(
+        "pacing-forgets-the-previous-reading",
+        PROCEDURES,
+        (("        previous = event.time_ms\n", ""),),
+        (_PACING + "test_gaps_divided_by_speed", _PACING + "test_readings_at_the_same_ms_take_no_nap"),
     ),
 )

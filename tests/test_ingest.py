@@ -1,4 +1,4 @@
-"""Trace ingestion: line grammar, normalization, loading, pacing."""
+"""Trace ingestion: line grammar, normalization, loading."""
 
 import calendar
 import io
@@ -9,8 +9,6 @@ import pytest
 from fluentnet.ingest import (
     GroundTruth,
     Interval,
-    TraceEvent,
-    drive,
     load_trace,
     normalize_sensor,
 )
@@ -229,28 +227,6 @@ class TestLoadTrace:
         assert load.warnings == ["line 3: unknown sensor value 'MAYBE': '2009-05-11 14:00:02 M07 MAYBE'"]
         # the table is the trace's own: a later trace without the map reads the defaults
         assert [e.value for e in load_trace(io.StringIO(text)).events] == [True]
-
-
-class TestDrive:
-    def events(self, *times):
-        return [TraceEvent(time_ms=t, sensor="M01", value=True) for t in times]
-
-    def test_wall_mode_divides_gaps_by_speed(self):
-        naps = []
-        list(drive(self.events(1000, 2000), speed=4, pure_virtual=False, sleeper=naps.append))
-        assert naps == [0.25]
-
-    def test_pure_virtual_preserves_timestamps(self):
-        out = list(drive(self.events(5, 1000, 99_000), speed=4))
-        assert [e.time_ms for e in out] == [5, 1000, 99_000]
-
-    def test_order_preserved(self):
-        out = list(drive(self.events(1, 2, 3)))
-        assert [e.time_ms for e in out] == [1, 2, 3]
-
-    def test_bad_speed(self):
-        with pytest.raises(ValueError):
-            list(drive(self.events(1), speed=0))
 
 
 class TestGroundTruth:

@@ -670,6 +670,42 @@ class TestWallClockPacing:
         assert naps == [pytest.approx(0.5), pytest.approx(0.125)]
         assert result.events_replayed == 3
 
+    @pytest.mark.parametrize("pure_virtual", [True, False])
+    @pytest.mark.parametrize("speed", [0, -2])
+    def test_a_speed_that_is_not_positive_is_refused(self, scenario, speed, pure_virtual):
+        events = [ingest.TraceEvent(time_ms=1_000, sensor="M16", value=True)]
+        with pytest.raises(ValueError):
+            procedures.run_replay(events, scenario=scenario, speed=speed, pure_virtual=pure_virtual)
+
+    def test_pure_virtual_mode_never_sleeps(self, scenario):
+        def sleeper(seconds):
+            raise AssertionError(f"slept {seconds} s in pure-virtual mode")
+
+        events = [
+            ingest.TraceEvent(time_ms=time_ms, sensor="M16", value=value)
+            for time_ms, value in ((1_000, True), (3_000, False), (99_000, True))
+        ]
+        result = procedures.run_replay(events, scenario=scenario, speed=4, sleeper=sleeper)
+        assert result.events_replayed == 3
+
+    def test_readings_at_the_same_ms_take_no_nap(self, scenario):
+        naps = []
+        events = [
+            ingest.TraceEvent(time_ms=time_ms, sensor=sensor, value=time_ms == 1_000)
+            for time_ms in (1_000, 3_000)
+            for sensor in ("M16", "M17")
+        ]
+        procedures.run_replay(events, scenario=scenario, pure_virtual=False, speed=4, sleeper=naps.append)
+        assert naps == [pytest.approx(0.5)]
+
+    def test_a_reading_is_asserted_at_its_rebased_time(self, scenario):
+        """The replayer writes at the clock's time, which the loop moved to
+        the reading's rebased time, not at the reading's own epoch time."""
+        stamp = ingest.timestamp_ms("2009-05-11", "14:00:00")
+        result = procedures.run_replay([ingest.TraceEvent(time_ms=stamp, sensor="M16", value=True)], scenario=scenario)
+        assert result.base_ms == stamp - procedures.REBASE_START_MS
+        assert result.net.stores[procedures.SPATIAL_NODE].instances["M16"].time == procedures.REBASE_START_MS
+
 
 class TestEvaluatorDirect:
     def test_prepass_asserts_derived_statement(self, scenario):

@@ -23,7 +23,7 @@ from fluentnet import cli
 SRC = Path(fluentnet.__file__).resolve().parent
 
 TRACED = "benchmarks/tracing.py patches it or reads it"
-BENCHMARK = "the benchmark reaches it: benchmarks/run.py iterates the dispatch log, and the set-up probe bootstraps without implementations"
+BENCHMARK = "the benchmark reaches it: benchmarks/run.py iterates the dispatch log"
 COUNTER = "a work counter, whose reader is ROADMAP item 4"
 ABC = "an abstract method of its collections.abc base"
 MALFORMED = "raised only on malformed input"
@@ -45,7 +45,6 @@ UNREACHED = {
     "context.Snapshot.instances": TRACED,
     "network.RuntimeNetwork.log": BENCHMARK,
     "network._entry": BENCHMARK,
-    "network._noop": BENCHMARK,
     "metrics._Series.__len__": ABC,
     "dsl.ParseError.__init__": MALFORMED,
     "ingest.TraceParseError.__init__": MALFORMED,
