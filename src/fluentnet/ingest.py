@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Optional, TextIO, Union
 
@@ -39,11 +40,12 @@ DEFAULT_VALUE_MAP: dict[str, bool] = {
 
 _EPOCH = datetime(1970, 1, 1)
 _SENSOR_RE = re.compile(r"^([A-Za-z]+)0*(\d+)(.*)$")
-# a time of day as timestamp_ms accepts it: three fields and an optional
-# fraction of at least one digit, each of ASCII digits only
-_CLOCK = re.compile(r"([0-9]+):([0-9]+):([0-9]+)(?:\.([0-9]+))?")
+_ACTIVITY_RE = re.compile(r"(?:a|alpha|activity)?(\d+)")
 _BEGIN_TAGS = {"begin", "start"}
 _END_TAGS = {"end", "stop"}
+_TAGS = _BEGIN_TAGS | _END_TAGS
+_DAY_MS = 86_400_000
+_BY_TIME = attrgetter("time_ms", "sensor")
 
 
 class TraceParseError(ValueError):
@@ -54,13 +56,32 @@ class TraceParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     time_ms: int
     sensor: str
     value: bool
     activity: Optional[int] = None
     marker: Optional[str] = None  # "begin" | "end"
+
+
+_new_event = object.__new__
+# the slots' own setters, which the frozen __setattr__ does not guard
+_set_time_ms, _set_sensor, _set_value, _set_activity, _set_marker = (
+    getattr(TraceEvent, name).__set__ for name in TraceEvent.__slots__
+)
+
+
+def _event(time_ms: int, sensor: str, value: bool, activity: Optional[int], marker: Optional[str]) -> TraceEvent:
+    """A new event: five slot stores, with none of the frozen dataclass
+    ``__init__``'s per-field ``object.__setattr__`` calls."""
+    event = _new_event(TraceEvent)
+    _set_time_ms(event, time_ms)
+    _set_sensor(event, sensor)
+    _set_value(event, value)
+    _set_activity(event, activity)
+    _set_marker(event, marker)
+    return event
 
 
 @dataclass(frozen=True)
@@ -131,7 +152,7 @@ def normalize_sensor(token: str, rename: Optional[Mapping[str, str]] = None) -> 
 
 def _parse_activity_token(token: str) -> Optional[int]:
     """The index a token spells (0 names no activity), or ``None``."""
-    match = re.fullmatch(r"(?:a|alpha|activity)?(\d+)", token.lower())
+    match = _ACTIVITY_RE.fullmatch(token.lower())
     if match:
         return int(match.group(1))
     return None
@@ -146,34 +167,41 @@ def _value_table(value_map: Optional[Mapping[str, bool]]) -> dict[str, bool]:
     return values
 
 
-def _clock_ms(time_token: str) -> Optional[int]:
-    """Milliseconds into the day of a time-of-day token, as
-    :func:`timestamp_ms` reads it, or ``None`` when that would raise."""
-    match = _CLOCK.fullmatch(time_token)
-    if match is None:
+def _clock_ms(time_token: str, minutes: Mapping[str, int]) -> Optional[int]:
+    """Milliseconds into the day of a time-of-day token whose ``HH:MM``
+    head is in ``minutes`` (the head's milliseconds, for heads that
+    parsed), as :func:`timestamp_ms` reads it; ``None`` when the head is
+    not there or the rest would make :func:`timestamp_ms` raise."""
+    head, _, rest = time_token.rpartition(":")
+    minute_ms = minutes.get(head)
+    if minute_ms is None:
         return None
-    hour, minute, second = int(match[1]), int(match[2]), int(match[3])
-    fraction = match[4]
-    ms = int((fraction + "000")[:3]) if fraction else 0
-    if 0 <= hour <= 23 and 0 <= minute <= 59 and 0 <= second <= 59:
-        return ((hour * 60 + minute) * 60 + second) * 1000 + ms
-    return None
+    second, dot, fraction = rest.partition(".")
+    digits = second + fraction
+    if not (second and digits.isascii() and digits.isdigit()) or (dot and not fraction):
+        return None
+    second_ms = int(second + (fraction + "000")[:3])  # the second and its milliseconds
+    return minute_ms + second_ms if second_ms < 60_000 else None
 
 
 class _LineParser:
     """:func:`load_trace`'s line parser: one line to a :class:`TraceEvent`,
     or a :class:`TraceParseError`.  It holds the value table, built once,
-    and memos of each date token's epoch-day milliseconds and each raw
-    sensor token's normalised id.  A memo holds only tokens that parsed; a
-    line the memo cannot answer goes through :func:`timestamp_ms`, so its
-    error is the one that function raises.  An annotation naming index 0
-    is dropped, with a warning naming the line in ``warnings``."""
+    and memos of each date token's epoch-day milliseconds, each time
+    token's ``HH:MM`` head's milliseconds into the day (the minute memo,
+    which :func:`_clock_ms` reads) and each raw sensor token's normalised
+    id.  A memo holds only tokens that parsed; a line the memos cannot
+    answer goes through :func:`timestamp_ms`, so its error is the one that
+    function raises, and a line that passes fills the date and minute
+    memos.  An annotation naming index 0 is dropped, with a warning naming
+    the line in ``warnings``."""
 
     def __init__(self, values: Mapping[str, bool], rename: Optional[Mapping[str, str]], warnings: list[str]) -> None:
         self.values = values
         self.rename = rename
         self.warnings = warnings
         self.days: dict[str, int] = {}
+        self.minutes: dict[str, int] = {}
         self.sensors: dict[str, str] = {}
 
     def __call__(self, text: str, lineno: int) -> TraceEvent:
@@ -182,11 +210,12 @@ class _LineParser:
             raise TraceParseError("expected DATE TIME SENSOR VALUE", text.rstrip("\n"))
         date_token, time_token, sensor_token = tokens[0], tokens[1], tokens[2]
         day_ms = self.days.get(date_token)
-        clock_ms = _clock_ms(time_token)
+        clock_ms = _clock_ms(time_token, self.minutes)
         if day_ms is None or clock_ms is None:
             time_ms = timestamp_ms(date_token, time_token)  # raises a malformed line's error
-            if clock_ms is not None:
-                self.days[date_token] = time_ms - clock_ms
+            clock_ms = time_ms % _DAY_MS  # floored, so in 0..86_399_999 before 1970 too
+            self.days[date_token] = time_ms - clock_ms
+            self.minutes[time_token.rpartition(":")[0]] = clock_ms - clock_ms % 60_000
         else:
             time_ms = day_ms + clock_ms
         sensor = self.sensors.get(sensor_token)
@@ -200,14 +229,12 @@ class _LineParser:
         if len(tokens) >= 6:
             tag = tokens[-1].lower()
             parsed = _parse_activity_token(tokens[-2])
-            if tag in _BEGIN_TAGS | _END_TAGS and parsed is not None:
+            if tag in _TAGS and parsed is not None:
                 if parsed:
                     activity, marker = parsed, ("begin" if tag in _BEGIN_TAGS else "end")
                 else:
                     self.warnings.append(f"line {lineno}: activity index 0 names no activity; annotation dropped")
-        return TraceEvent(
-            time_ms=time_ms, sensor=sensor, value=value, activity=activity, marker=marker
-        )
+        return _event(time_ms, sensor, value, activity, marker)
 
 
 @dataclass
@@ -237,27 +264,37 @@ def load_trace(
             lines = handle.read().splitlines()
 
     events: list[TraceEvent] = []
+    annotated: list[TraceEvent] = []  # the events with an activity, in order
     warnings: list[str] = []
     parse = _LineParser(_value_table(value_map), rename, warnings)
     skipped = 0
+    ordered = True
+    previous_ms = float("-inf")
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         try:
-            events.append(parse(raw, lineno))
+            event = parse(raw, lineno)
         except TraceParseError as exc:
             skipped += 1
             warnings.append(f"line {lineno}: {exc}")
+            continue
+        events.append(event)
+        if event.activity is not None:
+            annotated.append(event)
+        if event.time_ms < previous_ms:
+            ordered = False
+        previous_ms = event.time_ms
 
-    if any(events[i].time_ms > events[i + 1].time_ms for i in range(len(events) - 1)):
+    if not ordered:
         warnings.append("events were not time-ordered; reordered by timestamp")
-        events.sort(key=lambda e: (e.time_ms, e.sensor))
+        # both sorts are stable, so the annotated events keep their order among all events
+        events.sort(key=_BY_TIME)
+        annotated.sort(key=_BY_TIME)
 
     intervals: list[Interval] = []
     open_marks: dict[int, int] = {}
-    for event in events:
-        if event.activity is None:
-            continue
+    for event in annotated:
         if event.marker == "begin":
             if event.activity in open_marks:
                 warnings.append(f"activity {event.activity}: begin while already open")

@@ -464,9 +464,12 @@ class RuntimeNetwork:
         self._by_statement = {key: tuple(sorted(v, key=_BY_NAME)) for key, v in by_statement.items()}
         self._states = tuple(self.conditions.values())
         position = {name: i for i, name in enumerate(self.conditions)}
+        requiring: dict[str, list[str]] = {}  # event -> its procedures, once per requirement, in order
+        for p in model.procedures:
+            for r in p.requires:
+                requiring.setdefault(r, []).append(p.name)
         for e in model.events:
-            procs = tuple(p.name for p in model.procedures for r in p.requires if r == e.name)
-            event = EventState(e.name, tuple(position[c] for c in e.observes), procs)
+            event = EventState(e.name, tuple(position[c] for c in e.observes), tuple(requiring.get(e.name, ())))
             for i in event.conditions:
                 self._states[i].observers.append(event)
         self._evaluated = 0

@@ -1,7 +1,7 @@
 """A catalogue of mutants of the incremental structures (the axiom count
 among them), of the dispatch log, of the declarative line splitter, of
-classification, of the rule matcher, of the spatial node's quiet writes
-and of the replay loop, as data.
+classification, of the rule matcher, of the spatial node's quiet writes,
+of the replay loop and of the trace parser's clock, as data.
 
 Each entry is one mutant.  ``module`` is a path from the repository root,
 and ``edits`` holds the exact text replacements, as (anchor, replacement)
@@ -30,6 +30,7 @@ PROCEDURES = "src/fluentnet/procedures.py"
 CONTEXT = "src/fluentnet/context.py"
 MODELIO = "src/fluentnet/modelio.py"
 RULES = "src/fluentnet/rules.py"
+INGEST = "src/fluentnet/ingest.py"
 
 _CASCADE_NOTES = "        if outermost and self._seqs is not None:  # note what the procedures wrote\n"
 _SNAPSHOT = """\
@@ -76,6 +77,9 @@ _NOTE_CLASSIFIES = """\
 """
 _NOTES = "tests/test_network.py::TestNotes::"
 _FLOOR = "tests/test_network.py::TestSweptFloor::"
+
+_MALFORMED = "tests/test_ingest.py::TestLoadTrace::test_malformed_line_warnings"
+_CLOCK_MEMO = "tests/test_ingest.py::TestClockMemo::test_a_token_loads_as_timestamp_ms_reads_it"
 
 _RENDER_TEXT = '            self._text += "".join(self._lines)\n'
 _LOG_VIEW = "tests/test_network.py::TestDispatchLog::"
@@ -469,5 +473,30 @@ MUTANTS = (
         PROCEDURES,
         (("        previous = event.time_ms\n", ""),),
         (_PACING + "test_gaps_divided_by_speed", _PACING + "test_readings_at_the_same_ms_take_no_nap"),
+    ),
+    # -- trace parser: the minute memo answers only what timestamp_ms accepts
+    Mutant(
+        "clock-takes-second-60",
+        INGEST,
+        (("second_ms < 60_000 else None", "second_ms < 61_000 else None"),),
+        (_MALFORMED + "[2009-05-11 14:00:60 M01 ON]", _CLOCK_MEMO),
+    ),
+    Mutant(
+        "clock-skips-the-fraction-digit-check",
+        INGEST,
+        (("    digits = second + fraction\n", "    digits = second\n"),),
+        (_MALFORMED + "[2009-05-11 14:00:00.123x M01 ON]", _CLOCK_MEMO),
+    ),
+    Mutant(
+        "minute-memo-filled-before-validation",
+        INGEST,
+        (
+            (
+                "            time_ms = timestamp_ms(date_token, time_token)  # raises a malformed line's error\n",
+                '            self.minutes.setdefault(time_token.rpartition(":")[0], 0)\n'
+                "            time_ms = timestamp_ms(date_token, time_token)\n",
+            ),
+        ),
+        (_CLOCK_MEMO,),
     ),
 )

@@ -7,6 +7,10 @@ participant, the SHA-256 of the dispatch log, of the recognitions, of the
 last bindings and of the telemetry axiom series (each node's time and
 axiom count per record, the numbers ``telemetry_<node>.tsv`` reports).
 The synthetic session of ``tests/synth.py`` gets one digest the same way.
+A second digest per workload and seed covers what ``ingest.load_trace``
+loads, participant after participant: every event's fields and every
+annotation interval, so a parsing change that moves a reading or an
+annotation shows here and not only through the replays.
 A change that keeps behaviour keeps every digest; ``tests/test_same_bytes.py``
 pins them.
 
@@ -14,9 +18,9 @@ Run from the repository root with any interpreter the package supports::
 
     python3 tests/same_bytes.py
 
-It prints one line per workload and seed, ``WORKLOAD SEED DIGEST``, then
-``synthetic - DIGEST``.  It needs only the standard library, so the lines
-can be compared across interpreters.
+It prints one line per workload and seed, ``WORKLOAD SEED DIGEST
+LOAD_DIGEST``, then ``synthetic - DIGEST``.  It needs only the standard
+library, so the lines can be compared across interpreters.
 """
 
 from __future__ import annotations
@@ -80,6 +84,18 @@ def workload_digest(scenario: procedures.Scenario, workloads, workload: str, see
     return digest(scenario, ["\n".join(lines) + "\n" for lines in workloads.generate(workload, seed)])
 
 
+def load_digest(scenario: procedures.Scenario, workloads, workload: str, seed: int) -> str:
+    """One SHA-256 over every participant's loaded events and intervals,
+    in order."""
+    combined = hashlib.sha256()
+    for lines in workloads.generate(workload, seed):
+        load = ingest.load_trace(io.StringIO("\n".join(lines) + "\n"), **scenario.load_trace_kwargs())
+        events = [(e.time_ms, e.sensor, e.value, e.activity, e.marker) for e in load.events]
+        intervals = [(i.activity, i.start_ms, i.end_ms) for i in load.intervals]
+        combined.update(f"{sha256(repr(events))}\n{sha256(repr(intervals))}\n".encode("ascii"))
+    return combined.hexdigest()
+
+
 def synthetic_digest(scenario: procedures.Scenario) -> str:
     return digest(scenario, [synth.session_text()])
 
@@ -89,7 +105,12 @@ def main() -> None:
     workloads = load_workloads()
     for workload in WORKLOADS:
         for seed in SEEDS:
-            print(workload, seed, workload_digest(scenario, workloads, workload, seed))
+            print(
+                workload,
+                seed,
+                workload_digest(scenario, workloads, workload, seed),
+                load_digest(scenario, workloads, workload, seed),
+            )
     print("synthetic", "-", synthetic_digest(scenario))
 
 

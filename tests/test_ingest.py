@@ -5,12 +5,16 @@ import io
 from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st_
 
 from fluentnet.ingest import (
     GroundTruth,
     Interval,
+    TraceParseError,
     load_trace,
     normalize_sensor,
+    timestamp_ms,
 )
 
 
@@ -101,7 +105,7 @@ class TestParseLine:
 
 
 # a malformed line and the warning text it gets, whether or not an earlier
-# line of the trace already used its date token
+# line of the trace already used its date token and its time's HH:MM
 NOT_DIGITS = "a field holds more than ASCII digits"
 MALFORMED = [
     ("2009-13-11 x:00:00 M01 ON", "bad timestamp (invalid literal for int() with base 10: 'x'): '2009-13-11 x:00:00'"),
@@ -153,6 +157,20 @@ class TestLoadTrace:
         assert [e.value for e in load.events] == [True, False]
         assert any("reordered" in w for w in load.warnings)
 
+    def test_annotations_pair_in_the_reordered_order(self):
+        """An end read before its begin pairs with it once the events are
+        reordered by time: one interval, and no unmatched-mark warning."""
+        text = (
+            "2009-05-11 14:00:10 M01 OFF a1 end\n"
+            "2009-05-11 14:00:00 M01 ON a1 begin\n"
+            "2009-05-11 14:00:05 D07 OPEN\n"
+        )
+        load = load_trace(io.StringIO(text))
+        start = epoch_ms_oracle(2009, 5, 11, 14, 0, 0, 0)
+        assert [(e.time_ms - start, e.sensor) for e in load.events] == [(0, "M1"), (5_000, "D7"), (10_000, "M1")]
+        assert load.intervals == [Interval(activity=1, start_ms=start, end_ms=start + 10_000)]
+        assert load.warnings == ["events were not time-ordered; reordered by timestamp"]
+
     def test_unclosed_annotation_clamped(self):
         text = (
             "2009-05-11 14:00:00 M01 ON a2 begin\n"
@@ -198,12 +216,14 @@ class TestLoadTrace:
     @pytest.mark.parametrize("line, warning", MALFORMED, ids=[line for line, _ in MALFORMED])
     def test_malformed_line_warnings(self, line, warning):
         assert load_trace(io.StringIO(line + "\n")).warnings == [f"line 1: {warning}"]
-        seen = "2009-05-11 13:00:00 M01 ON\n2009-13-11 13:00:00 M01 ON\n"
+        # line 2 shares the HH:MM of every 14:00 token above
+        seen = "2009-05-11 13:00:00 M01 ON\n2009-05-11 14:00:00 M02 ON\n2009-13-11 13:00:00 M01 ON\n"
         load = load_trace(io.StringIO(seen + line + "\n2009-05-11 14:00:00 M0001 ON\n"))
-        assert load.warnings == ["line 2: bad timestamp (month must be in 1..12): '2009-13-11 13:00:00'",
-                                 f"line 3: {warning}"]
+        assert load.warnings == ["line 3: bad timestamp (month must be in 1..12): '2009-13-11 13:00:00'",
+                                 f"line 4: {warning}"]
         assert [(e.time_ms, e.sensor) for e in load.events] == [
             (epoch_ms_oracle(2009, 5, 11, 13, 0, 0, 0), "M1"),
+            (epoch_ms_oracle(2009, 5, 11, 14, 0, 0, 0), "M2"),
             (epoch_ms_oracle(2009, 5, 11, 14, 0, 0, 0), "M1"),
         ]
 
@@ -227,6 +247,66 @@ class TestLoadTrace:
         assert load.warnings == ["line 3: unknown sensor value 'MAYBE': '2009-05-11 14:00:02 M07 MAYBE'"]
         # the table is the trace's own: a later trace without the map reads the defaults
         assert [e.value for e in load_trace(io.StringIO(text)).events] == [True]
+
+
+# time-of-day tokens near the grammar: fields of 1-3 digits or the 23/24 and
+# 59/60 boundaries, with a sign, an underscore or another script's digit
+# now and then; no fraction, a bare '.', or 0-7 digits after it
+_DIGITS = st_.text("0123456789", min_size=1, max_size=3)
+_ODD = st_.sampled_from(["+5", "-1", "1_0", "\u0665", "\u0665\u0665", "5\u00b2", "x", ""])
+_FIELD = st_.one_of(_DIGITS, st_.sampled_from(["23", "24", "59", "60", "0", "00", "000"]), _ODD)
+_FRACTION = st_.one_of(
+    st_.just(""),
+    st_.just("."),
+    st_.text("0123456789", max_size=7).map(lambda digits: "." + digits),
+    st_.tuples(st_.text("0123456789", max_size=3), _ODD).map(lambda parts: "." + "".join(parts)),
+)
+TIME_TOKENS = st_.tuples(_FIELD, _FIELD, _FIELD, _FRACTION).map(lambda t: f"{t[0]}:{t[1]}:{t[2]}{t[3]}")
+DATE = "2009-05-11"
+
+
+def expected_outcome(time_token, lineno):
+    """What the token's line loads as, read off :func:`timestamp_ms`: its
+    time in ms, or the warning it is skipped with."""
+    try:
+        return timestamp_ms(DATE, time_token)
+    except TraceParseError as exc:
+        return f"line {lineno}: {exc}"
+
+
+def loaded_outcomes(text):
+    """Each line's time in ms, or its warning, in line order."""
+    load = load_trace(io.StringIO(text))
+    times = iter(event.time_ms for event in load.events)
+    warnings = {int(w.split(":")[0].split()[1]): w for w in load.warnings}
+    return [warnings.get(n) or next(times) for n in range(1, text.count("\n") + 1)]
+
+
+class TestClockMemo:
+    """The minute memo answers only what :func:`timestamp_ms` would: a
+    token reads the same time, or gets the same warning, on a first line,
+    after a line that filled the date and minute memos with its ``HH:MM``,
+    and after itself."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(TIME_TOKENS)
+    @example("14:00:59.999")
+    @example("14:00:60")
+    @example("14:00:00.-5")
+    @example("14:00:00.\u0665")
+    @example("14:00:00.")
+    @example("24:00:00")
+    @example("14:60:00")
+    @example("1_4:00:00")
+    def test_a_token_loads_as_timestamp_ms_reads_it(self, time_token):
+        line = f"{DATE} {time_token} M01 ON\n"
+        assert loaded_outcomes(line + line) == [expected_outcome(time_token, 1), expected_outcome(time_token, 2)]
+        head = time_token.rpartition(":")[0]
+        filler = f"{head}:00" if isinstance(expected_outcome(f"{head}:00", 1), int) else "00:00:00"
+        text = f"{DATE} {filler} M02 ON\n" + line + line
+        assert loaded_outcomes(text) == [
+            timestamp_ms(DATE, filler), expected_outcome(time_token, 2), expected_outcome(time_token, 3)
+        ]
 
 
 class TestGroundTruth:

@@ -223,6 +223,22 @@ class TestBootstrap:
         assert set(a.stores) == set(b.stores)
         assert set(a.procedures) == set(b.procedures)
 
+    def test_each_event_lists_its_requiring_procedures_in_declaration_order(self, tmp_path):
+        """A procedure appears once per requirement of the event, procedures
+        in declaration order; an event no procedure requires lists none."""
+        net = build_mini(
+            tmp_path,
+            ["C1 checks=X1 in=A hasTarget=true rate=50", "C2 checks=X2 in=A hasTarget=true rate=50"],
+            ["E1 observes=C1", "E2 observes=C2", "E3 observes=C1,C2"],
+            ["P1 implements=noop requires=E2,E1", "P2 implements=noop requires=E1,E1", "P3 implements=noop requires=E2"],
+        )
+        events = {event.name: event for state in net.conditions.values() for event in state.observers}
+        assert {name: event.procedures for name, event in events.items()} == {
+            "E1": ("P1", "P2", "P2"),
+            "E2": ("P1", "P3"),
+            "E3": (),
+        }
+
     def test_unreadable_model_file_names_node(self, tmp_path):
         text = "[nodes]\nA represents=missing.model\n"
         with pytest.raises(BootstrapError, match="node A"):
